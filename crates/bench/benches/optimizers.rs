@@ -2,10 +2,11 @@
 //! parallel-evaluation ablation) and the §5 greedy heuristics.
 
 use cold::{ColdConfig, ColdMultiObjective, ColdObjective, SynthesisMode};
-use cold_cost::{CostEvaluator, CostParams};
+use cold_cost::{CostEvaluator, CostParams, Network};
 use cold_ga::{hypervolume, GaSettings, GeneticAlgorithm, ParetoGa};
 use cold_heuristics::{
-    complete_heuristic, greedy_attachment, mst_heuristic, random_greedy, RandomGreedyConfig,
+    all_heuristics, complete_heuristic, greedy_attachment, mst_heuristic, random_greedy,
+    RandomGreedyConfig,
 };
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -121,6 +122,25 @@ fn bench_pareto(c: &mut Criterion) {
     group.bench_function("hypervolume_exact", |b| {
         b.iter(|| black_box(hypervolume(&points, &result.reference)));
     });
+    // Objective 2's kernel without the GA around it: the single-link
+    // failure sweep over the heuristic seeds of a Pareto run, a mix of
+    // tree-like (bridge-heavy) and meshed candidates.
+    for n in [20usize, 50] {
+        let cfg = ColdConfig::quick(n, 4e-4, 10.0);
+        let ctx = cfg.context.generate(4);
+        let eval = CostEvaluator::new(&ctx, cfg.params);
+        let nets: Vec<Network> = all_heuristics(&eval, &cfg.random_greedy, 4)
+            .into_iter()
+            .map(|(_, r)| Network::build(r.topology, &ctx, cfg.params).unwrap())
+            .collect();
+        group.bench_with_input(BenchmarkId::new("failure_sweep", n), &nets, |b, nets| {
+            b.iter(|| {
+                for net in nets {
+                    black_box(cold::failure::single_link_failures(net, &ctx));
+                }
+            });
+        });
+    }
     group.finish();
 }
 

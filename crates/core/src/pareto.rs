@@ -386,6 +386,66 @@ mod tests {
         assert_eq!(a.hypervolume_history, b.hypervolume_history);
     }
 
+    /// Quick n = 12, T = 6, seed 2014, archive 16: the pinned front.
+    fn pinned_run(parallel: bool) -> ParetoSynthesisResult {
+        let mut cfg = quick_cfg(12);
+        cfg.ga.parallel = parallel;
+        try_synthesize_pareto(&cfg, 2014, 16).unwrap()
+    }
+
+    #[test]
+    fn fixed_seed_front_is_pinned_to_the_bit() {
+        // Recorded with the failure sweep's oracle (a full re-route per
+        // failed link, `failure::tests`): the incremental sweep must
+        // reproduce these bits.
+        const FRONT: [[u64; 3]; 16] = [
+            [0x407d62c1dab8753d, 0x3fe2f866db77c9d3, 0x4031bb45e124726a],
+            [0x4081b94a85a7cd54, 0x3fe316ac7dc39141, 0x40319277b323a222],
+            [0x4083f1f45dc0a773, 0x3fcc0fe5fe9a0c39, 0x4031af4ab9971975],
+            [0x4085eaf0d3c653ee, 0x3fc2116b8c32820e, 0x4034acba9749187f],
+            [0x408605a618ab1899, 0x3fcc0fe5fe9a0c39, 0x403185d31e179452],
+            [0x40864288745ee0b0, 0x3fb999999999999a, 0x403353ad2c7a79c7],
+            [0x4088622f5c44137e, 0x3fb999999999999a, 0x4032cdaf227f221b],
+            [0x408930a4c54e6982, 0x3fb999999999999a, 0x4031b1044825920a],
+            [0x408a92799f73c5ca, 0x3fbb9822145b6516, 0x4031a31cbbcb3c3c],
+            [0x408db88dfbc032d3, 0x3fb999999999999a, 0x4030bc8d42decaa6],
+            [0x408fe9f45fea8ee8, 0x3fb999999999999a, 0x402f86e72ac34437],
+            [0x4093a937b7190fc9, 0x3fb999999999999a, 0x402f446b45a37f6a],
+            [0x4094ca2af72e52eb, 0x3fb999999999999a, 0x402ef6f4173097e7],
+            [0x409a77732902bf1e, 0x3fb999999999999a, 0x402ea90ef43718cb],
+            [0x409cc5da8f214eac, 0x3fb999999999999a, 0x402e8924c9a8da59],
+            [0x409ef68ef2a2ad38, 0x3fb999999999999a, 0x402e7c90ef6acfba],
+        ];
+        const HYPERVOLUME: [u64; 7] = [
+            0x40dac0f8dd98f085,
+            0x40dc42f2576c65ad,
+            0x40dd83d12eac3bae,
+            0x40dea7e7796bb252,
+            0x40deb9a49fab19e6,
+            0x40dee46e1b56b238,
+            0x40df0946c7005281,
+        ];
+        let r = pinned_run(true);
+        let front: Vec<[u64; 3]> =
+            r.front.iter().map(|m| [0, 1, 2].map(|k| m.objectives[k].to_bits())).collect();
+        assert_eq!(front, FRONT);
+        let hv: Vec<u64> = r.hypervolume_history.iter().map(|h| h.to_bits()).collect();
+        assert_eq!(hv, HYPERVOLUME);
+    }
+
+    #[test]
+    fn serial_and_parallel_fronts_agree() {
+        let (serial, parallel) = (pinned_run(false), pinned_run(true));
+        assert_eq!(serial.front.len(), parallel.front.len());
+        for (a, b) in serial.front.iter().zip(&parallel.front) {
+            assert_eq!(a.network.topology, b.network.topology);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a.objectives), bits(&b.objectives));
+        }
+        assert_eq!(serial.hypervolume_history, parallel.hypervolume_history);
+        assert_eq!(serial.evaluations, parallel.evaluations);
+    }
+
     #[test]
     fn utilization_term_is_capped() {
         let report = FailureReport {

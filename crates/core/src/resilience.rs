@@ -13,11 +13,12 @@
 //! stays operationally meaningful: it is the expected price of an outage
 //! on an unprotected link.
 
+use crate::failure::cross_cut_demand;
 use crate::objective::ColdObjective;
 use cold_context::Context;
 use cold_cost::CostParams;
 use cold_ga::{Objective, ObjectiveSession};
-use cold_graph::connectivity::{cut_structure, is_two_edge_connected};
+use cold_graph::connectivity::cut_structure;
 use cold_graph::AdjacencyMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -116,33 +117,23 @@ pub struct Survivability {
 }
 
 /// Analyzes a topology's survivability in a context.
+///
+/// One Tarjan pass gives the bridges, the articulation points, the
+/// connectivity, and the two sides of every bridge, so the demand a bridge
+/// failure strands is summed without relabelling components per bridge.
 pub fn survivability(topology: &AdjacencyMatrix, ctx: &Context) -> Survivability {
-    let g = topology.to_graph();
-    let cuts = cut_structure(&g);
+    let cuts = cut_structure(&topology.to_graph());
     let total_traffic = ctx.traffic.total();
     let mut worst = 0.0f64;
-    for &(u, v) in &cuts.bridges {
-        // Removing the bridge splits the network; sum the demand crossing
-        // the cut.
-        let mut cut = topology.clone();
-        cut.set_edge(u, v, false);
-        let comps = cold_graph::components::matrix_components(&cut);
-        let mut crossing = 0.0;
-        for s in 0..ctx.n() {
-            for t in 0..ctx.n() {
-                if s != t && comps.label[s] != comps.label[t] {
-                    crossing += ctx.traffic.demand(s, t);
-                }
-            }
-        }
-        if total_traffic > 0.0 {
-            worst = worst.max(crossing / total_traffic);
+    if total_traffic > 0.0 {
+        for &bridge in &cuts.bridges {
+            worst = worst.max(cross_cut_demand(&cuts, bridge, ctx) / total_traffic);
         }
     }
     Survivability {
         bridges: cuts.bridges.len(),
         articulation_points: cuts.articulation_points.len(),
-        two_edge_connected: is_two_edge_connected(&g),
+        two_edge_connected: cuts.is_two_edge_connected(),
         worst_link_failure_traffic_fraction: worst,
     }
 }

@@ -14,13 +14,61 @@
 
 use crate::graph::Graph;
 
-/// Bridges and articulation points of a graph.
+/// Bridges and articulation points of a graph, plus what the DFS that
+/// found them knows about the pieces a bridge failure leaves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CutStructure {
     /// Bridge edges as `(u, v)` with `u < v`, sorted.
     pub bridges: Vec<(usize, usize)>,
     /// Articulation points, sorted ascending.
     pub articulation_points: Vec<usize>,
+    /// Connected-component label per node (DFS root order).
+    component: Vec<usize>,
+    /// DFS discovery time per node; a node's DFS subtree is the nodes
+    /// discovered in `enter[v]..exit[v]`.
+    enter: Vec<usize>,
+    /// Discovery clock when the node's DFS subtree was finished.
+    exit: Vec<usize>,
+}
+
+impl CutStructure {
+    /// Number of connected components.
+    fn components(&self) -> usize {
+        self.component.iter().max().map_or(0, |&c| c + 1)
+    }
+
+    /// Whether `s` and `t` are in the same connected component.
+    fn connected(&self, s: usize, t: usize) -> bool {
+        self.component[s] == self.component[t]
+    }
+
+    /// Whether `{u, v}` is a bridge.
+    pub fn is_bridge(&self, u: usize, v: usize) -> bool {
+        self.bridges.binary_search(&(u.min(v), u.max(v))).is_ok()
+    }
+
+    /// Whether `s` and `t` are still connected once `bridge` fails.
+    ///
+    /// A bridge is a DFS tree edge, and removing it splits off exactly the
+    /// DFS subtree of its child endpoint, so this is two interval tests
+    /// instead of a component labelling per bridge.
+    ///
+    /// # Panics
+    /// Debug builds panic if `bridge` is not a bridge.
+    pub fn connected_without(&self, bridge: (usize, usize), s: usize, t: usize) -> bool {
+        let (u, v) = bridge;
+        debug_assert!(self.is_bridge(u, v), "({u},{v}) is not a bridge");
+        let child = if self.enter[u] > self.enter[v] { u } else { v };
+        let below = |x: usize| (self.enter[child]..self.exit[child]).contains(&self.enter[x]);
+        self.connected(s, t) && below(s) == below(t)
+    }
+
+    /// Whether the graph is connected and has no bridges (survives any
+    /// single link failure). Graphs with fewer than 2 nodes count as
+    /// 2-edge-connected.
+    pub fn is_two_edge_connected(&self) -> bool {
+        self.component.len() <= 1 || (self.components() == 1 && self.bridges.is_empty())
+    }
 }
 
 /// Computes bridges and articulation points with an iterative Tarjan DFS
@@ -29,10 +77,13 @@ pub fn cut_structure(g: &Graph) -> CutStructure {
     let n = g.n();
     let mut disc = vec![usize::MAX; n];
     let mut low = vec![usize::MAX; n];
+    let mut exit = vec![usize::MAX; n];
+    let mut component = vec![usize::MAX; n];
     let mut parent = vec![usize::MAX; n];
     let mut is_art = vec![false; n];
     let mut bridges = Vec::new();
     let mut timer = 0usize;
+    let mut components = 0usize;
 
     for root in 0..n {
         if disc[root] != usize::MAX {
@@ -42,6 +93,7 @@ pub fn cut_structure(g: &Graph) -> CutStructure {
         let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
         disc[root] = timer;
         low[root] = timer;
+        component[root] = components;
         timer += 1;
         let mut root_children = 0usize;
         while let Some(&mut (v, ref mut cursor)) = stack.last_mut() {
@@ -52,6 +104,7 @@ pub fn cut_structure(g: &Graph) -> CutStructure {
                     parent[w] = v;
                     disc[w] = timer;
                     low[w] = timer;
+                    component[w] = components;
                     timer += 1;
                     if v == root {
                         root_children += 1;
@@ -62,6 +115,7 @@ pub fn cut_structure(g: &Graph) -> CutStructure {
                 }
             } else {
                 stack.pop();
+                exit[v] = timer;
                 if let Some(&(p, _)) = stack.last() {
                     low[p] = low[p].min(low[v]);
                     if low[v] > disc[p] {
@@ -76,19 +130,17 @@ pub fn cut_structure(g: &Graph) -> CutStructure {
         if root_children > 1 {
             is_art[root] = true;
         }
+        components += 1;
     }
     bridges.sort_unstable();
     let articulation_points = (0..n).filter(|&v| is_art[v]).collect();
-    CutStructure { bridges, articulation_points }
+    CutStructure { bridges, articulation_points, component, enter: disc, exit }
 }
 
 /// Whether the graph is connected and has no bridges (survives any single
 /// link failure). Graphs with fewer than 2 nodes count as 2-edge-connected.
 pub fn is_two_edge_connected(g: &Graph) -> bool {
-    if g.n() <= 1 {
-        return true;
-    }
-    crate::components::is_connected(g) && cut_structure(g).bridges.is_empty()
+    cut_structure(g).is_two_edge_connected()
 }
 
 #[cfg(test)]
@@ -158,6 +210,36 @@ mod tests {
             }
         }
         assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn bridge_sides_match_brute_force_components() {
+        // Two components: a barbell with a tail, and a lone edge.
+        let g = Graph::from_edges(
+            10,
+            &[(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3), (5, 6), (6, 7), (8, 9)],
+        )
+        .unwrap();
+        let c = cut_structure(&g);
+        assert_eq!(c.components(), 2);
+        assert!(!c.is_two_edge_connected());
+        let m = g.to_adjacency_matrix();
+        for &(u, v) in &c.bridges {
+            assert!(c.is_bridge(v, u));
+            let mut cut = m.clone();
+            cut.set_edge(u, v, false);
+            let label = crate::components::matrix_components(&cut).label;
+            for s in 0..10 {
+                for t in 0..10 {
+                    assert_eq!(
+                        c.connected_without((u, v), s, t),
+                        label[s] == label[t],
+                        "bridge ({u},{v}), pair ({s},{t})"
+                    );
+                }
+            }
+        }
+        assert!(!c.is_bridge(0, 1));
     }
 
     #[test]

@@ -28,6 +28,17 @@
 //! list, or a depth pass. Both orders are valid children-first traversals;
 //! per-link loads can differ between the two entry points only by
 //! floating-point summation order (≈1 ULP), while `Σ t·L` is bit-identical.
+//!
+//! The pieces of [`route_traffic`] are public for callers that re-route a
+//! few sources of an already routed topology and must land on its exact
+//! bits (the single-link failure sweep): [`Csr`] runs one source's
+//! Dijkstra, optionally with one edge cut; [`accumulate_source`] is the
+//! depth-ordered subtree pass, and [`push_down`] replays it over a tree
+//! order it recorded ([`SubtreeScratch::order`]). `route_traffic` folds each
+//! link's per-source contributions in ascending source order, one term per
+//! source at most, so replaying cached contributions of unchanged sources
+//! and fresh ones of re-routed sources in that order reproduces its loads
+//! bit for bit.
 
 use crate::graph::Graph;
 use crate::shortest_path::{dijkstra, DijkstraWorkspace, ShortestPathTree};
@@ -106,21 +117,31 @@ pub fn route_traffic(
 pub struct RoutingWorkspace {
     dijkstra: DijkstraWorkspace,
     scratch: SubtreeScratch,
-    csr: CsrScratch,
+    csr: Csr,
 }
 
 /// CSR adjacency with per-arc lengths, rebuilt once per topology so the n
 /// per-source Dijkstras read contiguous arrays instead of calling the
 /// length closure ~2m times each.
 #[derive(Debug, Default)]
-struct CsrScratch {
+pub struct Csr {
     start: Vec<usize>,
     node: Vec<usize>,
     len: Vec<f64>,
 }
 
-impl CsrScratch {
-    fn build(&mut self, g: &Graph, len: impl Fn(usize, usize) -> f64) {
+impl Csr {
+    /// Creates an empty adjacency; [`build`](Self::build) fills it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Rebuilds the adjacency for `g` with arc lengths `len(u, v)`, in
+    /// `g`'s neighbor order.
+    ///
+    /// # Panics
+    /// Panics on a negative or NaN length.
+    pub fn build(&mut self, g: &Graph, len: impl Fn(usize, usize) -> f64) {
         let n = g.n();
         self.start.clear();
         self.node.clear();
@@ -137,6 +158,34 @@ impl CsrScratch {
             self.start.push(self.node.len());
         }
     }
+
+    /// Runs Dijkstra from `source` into `ws`; bit-identical to
+    /// [`dijkstra`] on the graph the adjacency was built from.
+    pub fn dijkstra(&self, ws: &mut DijkstraWorkspace, source: usize) {
+        ws.run_csr(source, &self.start, &self.node, &self.len);
+    }
+
+    /// Runs `f` on this adjacency with the undirected edge `{u, v}` cut.
+    ///
+    /// Both arcs get length `+∞` while `f` runs and their lengths are
+    /// restored afterwards. An infinite arc never relaxes anything (`d + ∞`
+    /// is not below any label), so every Dijkstra inside `f` is
+    /// bit-identical to one on the graph without the edge. A pair that is
+    /// not an edge leaves the adjacency unchanged.
+    pub fn with_edge_cut<R>(&mut self, u: usize, v: usize, f: impl FnOnce(&Self) -> R) -> R {
+        let arcs = [self.arc(u, v), self.arc(v, u)];
+        let saved = arcs.map(|a| a.map(|k| std::mem::replace(&mut self.len[k], f64::INFINITY)));
+        let out = f(self);
+        for (k, w) in arcs.into_iter().zip(saved).filter_map(|(k, w)| k.zip(w)) {
+            self.len[k] = w;
+        }
+        out
+    }
+
+    /// Index of the arc `u → v`, if any.
+    fn arc(&self, u: usize, v: usize) -> Option<usize> {
+        (self.start[u]..self.start[u + 1]).find(|&k| self.node[k] == v)
+    }
 }
 
 impl RoutingWorkspace {
@@ -146,13 +195,29 @@ impl RoutingWorkspace {
     }
 }
 
-/// Buffers of the per-source subtree-accumulation pass.
+/// Buffers of the per-source subtree-accumulation pass
+/// ([`accumulate_source`]).
 #[derive(Debug, Default)]
-struct SubtreeScratch {
+pub struct SubtreeScratch {
     demand: Vec<f64>,
     depth: Vec<usize>,
     counts: Vec<usize>,
     order: Vec<usize>,
+}
+
+impl SubtreeScratch {
+    /// Creates empty buffers; they grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The children-first node order of the last [`accumulate_source`]
+    /// call: reachable non-source nodes by decreasing hop depth, ties by
+    /// ascending id. It depends only on the tree, so [`push_down`] can
+    /// reuse it for other demands on the same tree.
+    pub fn order(&self) -> &[usize] {
+        &self.order
+    }
 }
 
 /// Routes `traffic` over `g` like [`route_traffic`], but accumulates loads
@@ -184,7 +249,7 @@ pub fn route_loads_into(
     csr.build(g, len);
     let mut weighted_len = 0.0f64;
     for s in 0..n {
-        dijkstra.run_csr(s, &csr.start, &csr.node, &csr.len);
+        csr.dijkstra(dijkstra, s);
         weighted_len += collect_demands(s, dijkstra.dist(), &traffic, &mut scratch.demand)?;
         // Push subtree demand down the tree in reverse settle order: every
         // tree child settled strictly after its parent (zero-length edges
@@ -219,21 +284,54 @@ fn pair_slot(n: usize, u: usize, v: usize) -> usize {
 
 /// Collects the demands out of source `s`, pushes them down the
 /// shortest-path tree in decreasing-depth order, and reports each tree
-/// link's contribution through `add_load(parent, node, demand)`.
-/// Returns `Σ_t t(s,t)·dist[t]`.
-fn accumulate_source(
+/// link's contribution through `add_load(parent, node, demand)`: at most
+/// one call per link, only for positive contributions. This is
+/// [`route_traffic`]'s per-source pass: order the tree, then
+/// [`push_down`]. Returns `Σ_t t(s,t)·dist[t]`.
+///
+/// # Errors
+/// Returns [`GraphError::Disconnected`] if any positive demand out of `s`
+/// targets a node with non-finite `dist`.
+pub fn accumulate_source(
     s: usize,
     dist: &[f64],
     parent: &[usize],
     traffic: &impl Fn(usize, usize) -> f64,
     scratch: &mut SubtreeScratch,
-    mut add_load: impl FnMut(usize, usize, f64),
+    add_load: impl FnMut(usize, usize, f64),
 ) -> Result<f64> {
-    let weighted = collect_demands(s, dist, traffic, &mut scratch.demand)?;
-    let demand = &mut scratch.demand;
+    tree_order(s, dist, parent, scratch);
+    let SubtreeScratch { demand, order, .. } = scratch;
+    push_down(s, dist, parent, order, traffic, demand, add_load)
+}
+
+/// Orders the reachable non-source nodes of the shortest-path tree of `s`
+/// by decreasing hop depth, ties by ascending id, into `scratch.order`.
+/// Every child precedes its parent.
+fn tree_order(s: usize, dist: &[f64], parent: &[usize], scratch: &mut SubtreeScratch) {
     tree_depths(s, dist, parent, &mut scratch.depth);
     order_by_depth_desc(&scratch.depth, &mut scratch.counts, &mut scratch.order);
-    for &v in &scratch.order {
+}
+
+/// The subtree pass of [`accumulate_source`] over a given children-first
+/// `order` (from [`SubtreeScratch::order`]): collects the demands out of `s` into the
+/// scratch vector `demand`, pushes them down the tree, and reports each
+/// positive tree-link contribution through `add_load(parent, node, demand)`.
+/// Returns `Σ_t t(s,t)·dist[t]`.
+///
+/// # Errors
+/// As for [`accumulate_source`].
+pub fn push_down(
+    s: usize,
+    dist: &[f64],
+    parent: &[usize],
+    order: &[usize],
+    traffic: &impl Fn(usize, usize) -> f64,
+    demand: &mut Vec<f64>,
+    mut add_load: impl FnMut(usize, usize, f64),
+) -> Result<f64> {
+    let weighted = collect_demands(s, dist, traffic, demand)?;
+    for &v in order {
         if demand[v] > 0.0 {
             let p = parent[v];
             debug_assert_ne!(p, usize::MAX);
@@ -541,6 +639,59 @@ mod tests {
             source_weighted_demand(0, &dist, |_, _| 1.0, &mut demand).unwrap_err(),
             GraphError::Disconnected
         );
+    }
+
+    #[test]
+    fn cut_dijkstra_and_replayed_contributions_match_a_full_reroute() {
+        // A 6-cycle with two chords and one zero-length edge (2,3).
+        let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4), (0, 3)];
+        let len = |u: usize, v: usize| {
+            let (u, v) = (u.min(v), u.max(v));
+            if (u, v) == (2, 3) {
+                0.0
+            } else {
+                ((u * 7 + v * 3) % 4 + 1) as f64 * 0.5
+            }
+        };
+        let traffic = |s: usize, t: usize| ((s * 5 + t) % 3) as f64;
+        let g = Graph::from_edges(6, &edges).unwrap();
+        let mut csr = Csr::new();
+        csr.build(&g, len);
+        let mut ws = DijkstraWorkspace::new();
+        for &(u, v) in &edges {
+            let rest: Vec<_> = edges.iter().copied().filter(|&e| e != (u, v)).collect();
+            let cut = Graph::from_edges(6, &rest).unwrap();
+            let full = route_traffic(&cut, len, traffic).unwrap();
+            // Fold per-source contributions in source order, as a sweep
+            // replaying cached trees does.
+            let mut load = vec![0.0; full.edges.len()];
+            let mut scratch = SubtreeScratch::new();
+            csr.with_edge_cut(u, v, |csr| {
+                for s in 0..6 {
+                    csr.dijkstra(&mut ws, s);
+                    let tree = dijkstra(&cut, s, len);
+                    assert_eq!(ws.dist(), tree.dist.as_slice(), "dist from {s} without ({u},{v})");
+                    assert_eq!(ws.parent(), tree.parent.as_slice());
+                    accumulate_source(
+                        s,
+                        ws.dist(),
+                        ws.parent(),
+                        &traffic,
+                        &mut scratch,
+                        |p, w, d| {
+                            let key = (p.min(w), p.max(w));
+                            load[full.edges.binary_search(&key).unwrap()] += d;
+                        },
+                    )
+                    .unwrap();
+                }
+            });
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&load), bits(&full.load), "loads without ({u},{v})");
+        }
+        // The cut is undone: the adjacency routes the whole graph again.
+        csr.dijkstra(&mut ws, 0);
+        assert_eq!(ws.dist(), dijkstra(&g, 0, len).dist.as_slice());
     }
 
     #[test]

@@ -10,7 +10,9 @@ use cold_obs::{parse_journal, Event, TraceMode};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Serializes tests that flip the process-global telemetry state.
+/// Serializes tests that flip the process-global telemetry state, and the
+/// tests whose campaigns emit into it (their checkpoint events would land
+/// in another test's journal).
 fn telemetry_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(Mutex::default).lock().unwrap_or_else(|e| e.into_inner())
@@ -22,6 +24,7 @@ fn temp_file(name: &str) -> PathBuf {
 
 #[test]
 fn interrupted_campaign_resume_is_bit_identical_end_to_end() {
+    let _guard = telemetry_lock();
     let cfg = ColdConfig::quick(8, 4e-4, 10.0);
     let ckpt = temp_file("journey.ckpt.json");
     let _ = std::fs::remove_file(&ckpt);
