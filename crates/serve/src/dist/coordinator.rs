@@ -26,6 +26,7 @@
 //! campaign loop degrades gracefully by running pending trials inline
 //! on the coordinator itself, so a job never hangs on an empty pool.
 
+use crate::acceptor;
 use crate::dist::proto::{self, LeaseGrant, Msg};
 use crate::metrics::names;
 use cold::context::rng::derive_seed;
@@ -180,6 +181,9 @@ pub struct DistPool {
     wake: Condvar,
     /// Hard stop for the acceptor/housekeeper threads.
     stop: AtomicBool,
+    /// The protocol listener's address, when [`DistPool::start`] bound
+    /// one: [`DistPool::shutdown`] connects to it to wake the acceptor.
+    listener_addr: Option<SocketAddr>,
     /// Graceful drain (shared with the HTTP server's shutdown flag):
     /// workers are told to exit at their next trial boundary.
     draining: Arc<AtomicBool>,
@@ -212,6 +216,14 @@ impl DistPool {
     /// Creates a pool without binding a listener (exercised directly by
     /// unit tests; production goes through [`DistPool::start`]).
     pub fn new(cfg: DistConfig, draining: Arc<AtomicBool>) -> Arc<Self> {
+        Self::with_listener(cfg, draining, None)
+    }
+
+    fn with_listener(
+        cfg: DistConfig,
+        draining: Arc<AtomicBool>,
+        listener_addr: Option<SocketAddr>,
+    ) -> Arc<Self> {
         let trace = {
             let id = fingerprint_hex(value_fingerprint(
                 &json!({"dist_pool": cfg.addr, "pid": u64::from(std::process::id())}),
@@ -229,6 +241,7 @@ impl DistPool {
             }),
             wake: Condvar::new(),
             stop: AtomicBool::new(false),
+            listener_addr,
             draining,
             started: Instant::now(),
             trace,
@@ -245,9 +258,8 @@ impl DistPool {
         draining: Arc<AtomicBool>,
     ) -> io::Result<(Arc<Self>, DistHandle)> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let pool = Self::new(cfg, draining);
+        let pool = Self::with_listener(cfg, draining, Some(addr));
 
         let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
         let conn_rx = Arc::new(Mutex::new(conn_rx));
@@ -275,22 +287,7 @@ impl DistPool {
         let acceptor = {
             let pool = Arc::clone(&pool);
             thread::spawn(move || {
-                loop {
-                    if pool.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if conn_tx.send(stream).is_err() {
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => thread::sleep(Duration::from_millis(10)),
-                    }
-                }
+                acceptor::accept_until(listener, &pool.stop, |stream| conn_tx.send(stream).is_ok());
                 drop(conn_tx);
                 for h in handlers {
                     let _ = h.join();
@@ -303,7 +300,10 @@ impl DistPool {
 
     /// Stops the protocol threads. Safe to call more than once.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        match self.listener_addr {
+            Some(addr) => acceptor::stop_and_wake(&self.stop, addr),
+            None => self.stop.store(true, Ordering::SeqCst),
+        }
         self.wake.notify_all();
     }
 

@@ -45,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod acceptor;
 pub mod cache;
 pub mod dist;
 pub mod http;

@@ -25,6 +25,7 @@
 //! next trial boundary with the completed prefix already checkpointed —
 //! a restarted server re-scans the cache directory and resumes.
 
+use crate::acceptor;
 use crate::cache::ResultCache;
 use crate::dist::{self, DistConfig, DistPool};
 use crate::http::{
@@ -95,6 +96,9 @@ struct Shared {
     /// Behind an `Arc` so the distributed pool can share it as its
     /// drain flag: one SIGTERM drains HTTP, campaigns, and workers.
     shutdown: Arc<AtomicBool>,
+    /// The HTTP listener's address, which a drain connects to so the
+    /// blocked acceptor wakes.
+    addr: SocketAddr,
     trial_deadline: Option<Duration>,
     cache_max_bytes: Option<u64>,
     /// Present when this server is a distributed coordinator.
@@ -105,7 +109,6 @@ struct Shared {
 /// call [`ServerHandle::shutdown`] then [`ServerHandle::join`].
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    addr: SocketAddr,
     dist_addr: Option<SocketAddr>,
     acceptor: Option<JoinHandle<()>>,
 }
@@ -113,7 +116,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The bound address (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// The distributed coordinator's worker-protocol address, when
@@ -131,7 +134,7 @@ impl ServerHandle {
     /// Requests a graceful drain: stop accepting, cancel campaigns at
     /// their next trial boundary (checkpointed), then stop.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.drain();
     }
 
     /// Blocks until the drain completes and every thread has exited.
@@ -155,6 +158,8 @@ impl Server {
         let cache = ResultCache::open(&config.cache_dir)?;
         // The service is always observable: counters feed `/metrics`.
         cold_obs::set_timers_enabled(true);
+        let listener = TcpListener::bind(&config.addr)?;
+        let addr = listener.local_addr()?;
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let (dist_pool, dist_handle) = match &config.dist {
@@ -171,6 +176,7 @@ impl Server {
             queue: BoundedQueue::new(config.queue_capacity.max(1)),
             cache,
             shutdown,
+            addr,
             trial_deadline: config.trial_deadline,
             cache_max_bytes: config.cache_max_bytes,
             dist: dist_pool,
@@ -192,10 +198,6 @@ impl Server {
             }
             cold_obs::gauge_set(names::QUEUE_DEPTH, shared.queue.len() as i64);
         }
-
-        let listener = TcpListener::bind(&config.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let mut worker_handles = Vec::new();
         for w in 0..config.workers {
@@ -233,24 +235,13 @@ impl Server {
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new().name("cold-serve-accept".into()).spawn(move || {
-                while !shared.shutdown.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let _ = stream.set_nonblocking(false);
-                            let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-                            // A stalled reader must not wedge a handler
-                            // thread mid-response either.
-                            let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-                            if conn_tx.send(stream).is_err() {
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                    }
-                }
+                acceptor::accept_until(listener, &shared.shutdown, |stream| {
+                    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+                    // A stalled reader must not wedge a handler thread
+                    // mid-response either.
+                    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
+                    conn_tx.send(stream).is_ok()
+                });
                 // Drain sequence: stop HTTP, then stop workers. Campaigns
                 // in flight observe the shutdown flag as their cancel
                 // signal and return at the next trial boundary.
@@ -282,7 +273,14 @@ impl Server {
             })?
         };
 
-        Ok(ServerHandle { shared, addr, dist_addr, acceptor: Some(acceptor) })
+        Ok(ServerHandle { shared, dist_addr, acceptor: Some(acceptor) })
+    }
+}
+
+impl Shared {
+    /// Starts a drain: sets the shutdown flag and wakes the acceptor.
+    fn drain(&self) {
+        acceptor::stop_and_wake(&self.shutdown, self.addr);
     }
 }
 
@@ -374,7 +372,7 @@ fn route(shared: &Shared, request: &Request) -> Response {
         ("GET", "/metrics") => Response::text(200, metrics::render()),
         ("POST", "/jobs") => submit(shared, &request.body),
         ("POST", "/admin/shutdown") => {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.drain();
             Response::json(200, "{\"ok\":true,\"draining\":true}".into())
         }
         ("GET", _) if path.starts_with("/jobs/") => {

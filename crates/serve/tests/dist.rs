@@ -11,12 +11,17 @@
 
 use cold::context::rng::derive_seed;
 use cold::ColdConfig;
+use cold_serve::dist::proto::{self, Msg};
 use cold_serve::http::client_request;
+use cold_serve::{DistConfig, DistPool, Server, ServerConfig};
 use serde::Serialize as _;
 use serde_json::Value;
 use std::io::{BufRead, BufReader};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::AtomicBool;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -117,6 +122,21 @@ fn poll_until(addr: &str, id: &str, until: &[&str], deadline: Duration) -> Value
             "job {id} did not reach {until:?} within {deadline:?}; last: {doc:?}"
         );
         std::thread::sleep(Duration::from_millis(25));
+    }
+}
+
+/// Runs `join` on a helper thread and fails unless it returns within two
+/// seconds, so a lost drain wake-up fails the test instead of hanging
+/// the suite.
+fn joins_promptly(what: &str, join: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        join();
+        let _ = tx.send(());
+    });
+    let limit = Duration::from_secs(2);
+    if rx.recv_timeout(limit).is_err() {
+        panic!("{what}: drain did not finish within {limit:?}");
     }
 }
 
@@ -267,4 +287,54 @@ fn two_worker_ensemble_matches_local_run_and_drains() {
     term_and_reap(w1, "worker w1");
     term_and_reap(w2, "worker w2");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An idle coordinator whose worker-protocol listener is bound to every
+/// interface: the admin drain wakes both acceptors, the dist one
+/// through loopback.
+#[test]
+fn idle_coordinator_drains_promptly_through_the_admin_route() {
+    let dir = temp_dir("prompt-drain");
+    let handle = Server::start(ServerConfig {
+        workers: 1,
+        cache_dir: dir.join("cache"),
+        dist: Some(DistConfig { addr: "0.0.0.0:0".into(), ..DistConfig::default() }),
+        ..ServerConfig::default()
+    })
+    .expect("coordinator starts");
+    let addr = handle.local_addr().to_string();
+    let resp = client_request(&addr, "POST", "/admin/shutdown", None).expect("shutdown");
+    assert_eq!(resp.status, 200);
+    joins_promptly("coordinator after POST /admin/shutdown", move || handle.join());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn dist_pool_drains_promptly() {
+    let (pool, handle) = DistPool::start(DistConfig::default(), Arc::new(AtomicBool::new(false)))
+        .expect("pool starts");
+    pool.shutdown();
+    joins_promptly("DistPool::shutdown", move || handle.join());
+}
+
+/// Each exchange is one connection; none may wait on the acceptor. A
+/// polling acceptor with a 10 ms interval needs about 400 ms here.
+#[test]
+fn sequential_heartbeats_do_not_wait_on_the_acceptor() {
+    let (pool, handle) = DistPool::start(DistConfig::default(), Arc::new(AtomicBool::new(false)))
+        .expect("pool starts");
+    let addr = handle.addr();
+    let started = Instant::now();
+    for _ in 0..40 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let _ = stream.set_nodelay(true);
+        proto::write_frame(&mut stream, &Msg::Heartbeat { worker: "probe".into() })
+            .expect("send heartbeat");
+        let reply = proto::read_frame(&mut stream).expect("reply");
+        assert_eq!(reply, Msg::HeartbeatOk { drain: false });
+    }
+    let took = started.elapsed();
+    pool.shutdown();
+    handle.join();
+    assert!(took < Duration::from_millis(200), "40 sequential heartbeats took {took:?}");
 }

@@ -10,7 +10,7 @@ use cold_serve::{Server, ServerConfig, ServerHandle};
 use serde::Serialize as _;
 use serde_json::Value;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{mpsc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 fn global_lock() -> MutexGuard<'static, ()> {
@@ -79,6 +79,21 @@ fn poll_until(addr: &str, id: &str, until: &[&str], deadline: Duration) -> Value
             "job {id} did not reach {until:?} within {deadline:?}; last: {doc:?}"
         );
         std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Runs `join` on a helper thread and fails unless it returns within two
+/// seconds, so a lost drain wake-up fails the test instead of hanging
+/// the suite.
+fn joins_promptly(what: &str, join: impl FnOnce() + Send + 'static) {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        join();
+        let _ = tx.send(());
+    });
+    let limit = Duration::from_secs(2);
+    if rx.recv_timeout(limit).is_err() {
+        panic!("{what}: drain did not finish within {limit:?}");
     }
 }
 
@@ -704,5 +719,52 @@ fn pareto_job_serves_a_whole_front() {
         .collect();
     assert!(!hvs.is_empty(), "pareto run journaled no generations");
     assert!(hvs.iter().any(|&h| h > 0.0), "hypervolume never left zero: {hvs:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn idle_server_drains_promptly_through_shutdown_and_the_admin_route() {
+    let _guard = global_lock();
+    let dir = temp_dir("prompt-drain");
+    fresh_globals(None);
+
+    let (handle, _) =
+        start(ServerConfig { workers: 1, cache_dir: dir.join("a"), ..ServerConfig::default() });
+    handle.shutdown();
+    joins_promptly("shutdown()", move || handle.join());
+
+    // Bound to every interface: the drain's wake-up goes through loopback.
+    let (handle, _) = start(ServerConfig {
+        addr: "0.0.0.0:0".into(),
+        workers: 1,
+        cache_dir: dir.join("b"),
+        ..ServerConfig::default()
+    });
+    let addr = format!("127.0.0.1:{}", handle.local_addr().port());
+    let resp = client_request(&addr, "POST", "/admin/shutdown", None).expect("shutdown");
+    assert_eq!(resp.status, 200);
+    joins_promptly("POST /admin/shutdown", move || handle.join());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Each request is one connection; none may wait on the acceptor. A
+/// polling acceptor with a 10 ms interval needs about 400 ms here.
+#[test]
+fn sequential_requests_do_not_wait_on_the_acceptor() {
+    let _guard = global_lock();
+    let dir = temp_dir("healthz-latency");
+    fresh_globals(None);
+    let (handle, addr) =
+        start(ServerConfig { workers: 1, cache_dir: dir.join("cache"), ..ServerConfig::default() });
+
+    let started = Instant::now();
+    for _ in 0..40 {
+        let resp = client_request(&addr, "GET", "/healthz", None).expect("healthz");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+    let took = started.elapsed();
+    handle.shutdown();
+    handle.join();
+    assert!(took < Duration::from_millis(200), "40 sequential GET /healthz took {took:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
