@@ -526,8 +526,11 @@ fn run_checkpointed(args: &Args, cfg: &ColdConfig) -> bool {
 
 /// Multi-objective trial loop: one NSGA-II run per trial, the whole
 /// Pareto front written as a single JSON document.
-fn run_pareto(args: &Args, cfg: &ColdConfig) {
+/// Runs `--pareto` synthesis, one front per `--count`; returns whether
+/// any run stalled (for the exit-5 path).
+fn run_pareto(args: &Args, cfg: &ColdConfig) -> bool {
     let capacity = args.archive.unwrap_or(cold::pareto::DEFAULT_ARCHIVE_CAPACITY);
+    let mut stalled = false;
     for i in 0..args.count {
         let seed = cold_context::rng::derive_seed(args.seed, i as u64);
         let r = match cold::try_synthesize_pareto(cfg, seed, capacity) {
@@ -549,7 +552,9 @@ fn run_pareto(args: &Args, cfg: &ColdConfig) {
                 r.generations_run
             );
         }
+        stalled |= r.stop_reason == cold::StopReason::Stalled;
     }
+    stalled
 }
 
 fn main() {
@@ -602,7 +607,7 @@ fn main() {
     }
     let mut stalled = false;
     if args.pareto {
-        run_pareto(&args, &cfg);
+        stalled = run_pareto(&args, &cfg);
     } else if args.campaign() {
         stalled = run_checkpointed(&args, &cfg);
     } else if let Some(secs) = args.trial_deadline {

@@ -20,7 +20,7 @@
 use crate::error::ColdError;
 use crate::objective::ColdObjective;
 use crate::stats::NetworkStats;
-use crate::synthesizer::{ColdConfig, ObserverFanout, ProgressSink, SynthesisResult};
+use crate::synthesizer::{ColdConfig, ProgressSink, RunTelemetry, SynthesisResult};
 use cold_context::rng::derive_seed;
 use cold_context::Context;
 use cold_cost::Network;
@@ -498,38 +498,20 @@ pub fn try_synthesize_warm_in_context(
         )));
     }
     let _span = cold_obs::span("core.synthesize_warm");
-    let traced = cold_obs::is_enabled();
-    if traced {
-        cold_obs::emit(&cold_obs::Event::RunStart(cold_obs::RunStart {
-            run: cold_obs::run_id(seed),
-            n: ctx.n(),
-            mode: "Warm".into(),
-            generations: config.ga.generations,
-            population: config.ga.population,
-        }));
-    }
+    let telemetry = RunTelemetry::start(seed, ctx.n(), "Warm".into(), &config.ga);
     let objective =
         ChangePenaltyObjective::new(ColdObjective::new(&ctx, config.params), parent.clone(), costs);
     let ga_settings = cold_ga::GaSettings { seed: derive_seed(seed, WARM_SALT), ..config.ga };
     let engine = GeneticAlgorithm::try_new(&objective, ga_settings)?;
-    let mut observer =
-        ObserverFanout::new(traced.then(|| cold_obs::TraceObserver::new(seed)), progress);
-    let result = if observer.is_active() {
-        engine.run_warm(parent, Some(&mut observer), checkpoint, resume)?
-    } else {
-        engine.run_warm(parent, None, checkpoint, resume)?
-    };
-    if traced {
-        cold_obs::emit(&cold_obs::Event::RunEnd(cold_obs::RunEnd {
-            run: cold_obs::run_id(seed),
-            generations_run: result.generations_run,
-            best_cost: result.best.cost,
-            evaluations: result.evaluations,
-            cache_hit_rate: result.eval_stats.hit_rate(),
-            eval_seconds: result.eval_stats.eval_seconds,
-            repair_rate: result.repair_stats.repair_rate(),
-        }));
-    }
+    let result =
+        engine.run_warm(parent, telemetry.observer(progress).slot(), checkpoint, resume)?;
+    telemetry.end(
+        result.stop_reason,
+        result.generations_run,
+        result.best.cost,
+        &result.eval_stats,
+        &result.repair_stats,
+    );
     let network = Network::build(result.best.topology.clone(), &ctx, config.params)
         .expect("GA result is connected");
     let stats = NetworkStats::compute(&network.graph()).expect("connected");

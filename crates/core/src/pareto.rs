@@ -24,7 +24,7 @@
 use crate::error::ColdError;
 use crate::failure::{single_link_failures, FailureReport};
 use crate::objective::ColdObjective;
-use crate::synthesizer::{ColdConfig, ProgressSink, SynthesisMode};
+use crate::synthesizer::{ColdConfig, ProgressSink, RunTelemetry, SynthesisMode};
 use cold_context::rng::derive_seed;
 use cold_context::Context;
 use cold_cost::{CostParams, Network};
@@ -237,16 +237,7 @@ pub fn try_synthesize_pareto_in_context(
     progress: Option<ProgressSink>,
 ) -> Result<ParetoSynthesisResult, ColdError> {
     let _span = cold_obs::span("core.synthesize_pareto");
-    let traced = cold_obs::is_enabled();
-    if traced {
-        cold_obs::emit(&cold_obs::Event::RunStart(cold_obs::RunStart {
-            run: cold_obs::run_id(seed),
-            n: ctx.n(),
-            mode: "Pareto".into(),
-            generations: cfg.ga.generations,
-            population: cfg.ga.population,
-        }));
-    }
+    let telemetry = RunTelemetry::start(seed, ctx.n(), "Pareto".into(), &cfg.ga);
     let objective = ColdMultiObjective::new(&ctx, cfg.params);
     let seeds: Vec<AdjacencyMatrix> = match cfg.mode {
         SynthesisMode::GaOnly => Vec::new(),
@@ -264,15 +255,7 @@ pub fn try_synthesize_pareto_in_context(
     };
     let ga_settings = GaSettings { seed: derive_seed(seed, 0x6741), ..cfg.ga };
     let engine = cold_ga::pareto::ParetoGa::try_new(&objective, ga_settings, archive_capacity)?;
-    let mut observer = crate::synthesizer::ObserverFanout::new(
-        traced.then(|| cold_obs::TraceObserver::new(seed)),
-        progress,
-    );
-    let result = if observer.is_active() {
-        engine.try_run_traced(&seeds, Some(&mut observer))?
-    } else {
-        engine.try_run_traced(&seeds, None)?
-    };
+    let result = engine.try_run_traced(&seeds, telemetry.observer(progress).slot())?;
     let front: Vec<ParetoFrontMember> = result
         .front
         .iter()
@@ -282,17 +265,13 @@ pub fn try_synthesize_pareto_in_context(
             ParetoFrontMember { network, objectives: p.objectives.clone() }
         })
         .collect();
-    if traced {
-        cold_obs::emit(&cold_obs::Event::RunEnd(cold_obs::RunEnd {
-            run: cold_obs::run_id(seed),
-            generations_run: result.generations_run,
-            best_cost: front.iter().map(|m| m.objectives[0]).fold(f64::INFINITY, f64::min),
-            evaluations: result.evaluations,
-            cache_hit_rate: result.eval_stats.hit_rate(),
-            eval_seconds: result.eval_stats.eval_seconds,
-            repair_rate: result.repair_stats.repair_rate(),
-        }));
-    }
+    telemetry.end(
+        result.stop_reason,
+        result.generations_run,
+        front.iter().map(|m| m.objectives[0]).fold(f64::INFINITY, f64::min),
+        &result.eval_stats,
+        &result.repair_stats,
+    );
     Ok(ParetoSynthesisResult {
         journal_path: cold_obs::journal_path(),
         context: ctx,
@@ -444,6 +423,108 @@ mod tests {
         }
         assert_eq!(serial.hypervolume_history, parallel.hypervolume_history);
         assert_eq!(serial.evaluations, parallel.evaluations);
+    }
+
+    #[test]
+    fn stalled_front_is_pinned_to_the_bit() {
+        // The stall guard reads the archive hypervolume: the run stops on the
+        // first generation that does not raise it.
+        const FRONT: [[u64; 3]; 16] = [
+            [0x407d62c1dab8753d, 0x3fe2f866db77c9d3, 0x4031bb45e124726a],
+            [0x407fa47f498aa362, 0x3fe1b0e84fafffba, 0x40321c086efc777e],
+            [0x4080edac01626f8a, 0x3fd769500dc30441, 0x403167afc4ce01cb],
+            [0x4081cdcd3d4406c1, 0x3fc2116b8c32820e, 0x4030fc363041368c],
+            [0x40824ad303d4a52a, 0x3fbb9822145b6516, 0x4030b3a51a9cca8e],
+            [0x40843a76a6a704ec, 0x3fb999999999999a, 0x4030e12e17b066cf],
+            [0x408538e6e330a02c, 0x3fc2116b8c32820e, 0x403064010e3d2841],
+            [0x40863d12fad21ea1, 0x3fc4fa7199869823, 0x40303e7d902ce51f],
+            [0x4088f8a778bb7575, 0x3fb999999999999a, 0x402fbfac4838cbbf],
+            [0x408ce2061c85449a, 0x3fb999999999999a, 0x402f7e44b731782d],
+            [0x4090fda7d9606f3e, 0x3fb999999999999a, 0x402f4cbe1ec3e39d],
+            [0x40926e7e64dba296, 0x3fb63b3a55b544b8, 0x402f560f44ef0897],
+            [0x409332c5882e3197, 0x3fb999999999999a, 0x402f1e49d74f8696],
+            [0x40952f5ac728e873, 0x3fb999999999999a, 0x402ece2bd28916a1],
+            [0x40982f1f670570ab, 0x3fb999999999999a, 0x402e925f1e9a53b4],
+            [0x409b4822c6620776, 0x3fb999999999999a, 0x402e831cdd6b5f0e],
+        ];
+        const HYPERVOLUME: [u64; 23] = [
+            0x40dac0f8dd98f085,
+            0x40dc42f2576c65ad,
+            0x40dd83d12eac3bae,
+            0x40dea7e7796bb252,
+            0x40deb9a49fab19e6,
+            0x40dee46e1b56b238,
+            0x40df0946c7005281,
+            0x40df6e73ff172a06,
+            0x40e0105c527f27a8,
+            0x40e0365bd14e0be9,
+            0x40e039c78507bda0,
+            0x40e04c24a1366c02,
+            0x40e05aaa58104868,
+            0x40e05d0bcc22f08e,
+            0x40e0629fb595d407,
+            0x40e0659e8b2107b0,
+            0x40e066b91ad64fe6,
+            0x40e06bb1bca79ce0,
+            0x40e06d2144b26098,
+            0x40e06d4b5db73401,
+            0x40e0a972d38525b1,
+            0x40e0aaadcd3d8ffc,
+            0x40e0aaadcd3d8ffc,
+        ];
+        let mut cfg = quick_cfg(12);
+        cfg.ga.generations = 40;
+        cfg.ga.stall_gens = Some(1);
+        let r = try_synthesize_pareto(&cfg, 2014, 16).unwrap();
+        assert_eq!(r.stop_reason, cold_ga::StopReason::Stalled);
+        assert_eq!(r.generations_run, 22);
+        let front: Vec<[u64; 3]> =
+            r.front.iter().map(|m| [0, 1, 2].map(|k| m.objectives[k].to_bits())).collect();
+        assert_eq!(front, FRONT);
+        let hv: Vec<u64> = r.hypervolume_history.iter().map(|h| h.to_bits()).collect();
+        assert_eq!(hv, HYPERVOLUME);
+    }
+
+    #[test]
+    fn early_stopped_front_is_pinned_to_the_bit() {
+        // The plateau guard reads the archive hypervolume too.
+        const FRONT: [[u64; 3]; 16] = [
+            [0x407d62c1dab8753d, 0x3fe2f866db77c9d3, 0x4031bb45e124726a],
+            [0x407d9e244fa2630a, 0x3fe2f866db77c9d3, 0x4031b4cb2e4b5735],
+            [0x4083f1f45dc0a773, 0x3fcc0fe5fe9a0c39, 0x4031af4ab9971975],
+            [0x408605a618ab1899, 0x3fcc0fe5fe9a0c39, 0x403185d31e179452],
+            [0x40872164a243e4b9, 0x3fc2116b8c32820e, 0x4034a3c6a63eb16a],
+            [0x4087cb23ac7d11f0, 0x3fb999999999999a, 0x40334ad235b23d0b],
+            [0x4088622f5c44137e, 0x3fb999999999999a, 0x4032cdaf227f221b],
+            [0x408930a4c54e6982, 0x3fb999999999999a, 0x4031b1044825920a],
+            [0x408a92799f73c5ca, 0x3fbb9822145b6516, 0x4031a31cbbcb3c3c],
+            [0x408db88dfbc032d3, 0x3fb999999999999a, 0x4030bc8d42decaa6],
+            [0x408fe9f45fea8ee8, 0x3fb999999999999a, 0x402f86e72ac34437],
+            [0x4093a937b7190fc9, 0x3fb999999999999a, 0x402f446b45a37f6a],
+            [0x4094ca2af72e52eb, 0x3fb999999999999a, 0x402ef6f4173097e7],
+            [0x409a77732902bf1e, 0x3fb999999999999a, 0x402ea90ef43718cb],
+            [0x409cc5da8f214eac, 0x3fb999999999999a, 0x402e8924c9a8da59],
+            [0x409ef68ef2a2ad38, 0x3fb999999999999a, 0x402e7c90ef6acfba],
+        ];
+        const HYPERVOLUME: [u64; 6] = [
+            0x40dac0f8dd98f085,
+            0x40dc42f2576c65ad,
+            0x40dd83d12eac3bae,
+            0x40dea7e7796bb252,
+            0x40deb9a49fab19e6,
+            0x40dee46e1b56b238,
+        ];
+        let mut cfg = quick_cfg(12);
+        cfg.ga.generations = 40;
+        cfg.ga.early_stop = Some(cold_ga::EarlyStop { window: 2, rel_tol: 0.01 });
+        let r = try_synthesize_pareto(&cfg, 2014, 16).unwrap();
+        assert_eq!(r.stop_reason, cold_ga::StopReason::EarlyStopped);
+        assert_eq!(r.generations_run, 5);
+        let front: Vec<[u64; 3]> =
+            r.front.iter().map(|m| [0, 1, 2].map(|k| m.objectives[k].to_bits())).collect();
+        assert_eq!(front, FRONT);
+        let hv: Vec<u64> = r.hypervolume_history.iter().map(|h| h.to_bits()).collect();
+        assert_eq!(hv, HYPERVOLUME);
     }
 
     #[test]

@@ -51,15 +51,82 @@ pub(crate) struct ObserverFanout {
 }
 
 impl ObserverFanout {
-    pub(crate) fn new(
-        trace: Option<cold_obs::TraceObserver>,
-        progress: Option<ProgressSink>,
-    ) -> Self {
-        Self { trace, progress }
+    /// The engine's observer slot: `None` when nobody listens, so the
+    /// engine skips building generation records altogether.
+    pub(crate) fn slot(&mut self) -> Option<&mut dyn cold_obs::GenerationObserver> {
+        if self.trace.is_some() || self.progress.is_some() {
+            Some(self)
+        } else {
+            None
+        }
+    }
+}
+
+/// One GA run's journal frame, shared by every synthesis mode (scalar,
+/// warm, Pareto): `run_start` when the run begins; `ga_stalled` (when the
+/// stall guard ended it) and `run_end` when it returns. Inert when
+/// telemetry is off.
+pub(crate) struct RunTelemetry {
+    seed: u64,
+    stall_gens: Option<usize>,
+    traced: bool,
+}
+
+impl RunTelemetry {
+    /// Emits `run_start` for a `mode` run on an `n`-node context.
+    pub(crate) fn start(seed: u64, n: usize, mode: String, ga: &GaSettings) -> Self {
+        let traced = cold_obs::is_enabled();
+        if traced {
+            cold_obs::emit(&cold_obs::Event::RunStart(cold_obs::RunStart {
+                run: cold_obs::run_id(seed),
+                n,
+                mode,
+                generations: ga.generations,
+                population: ga.population,
+            }));
+        }
+        Self { seed, stall_gens: ga.stall_gens, traced }
     }
 
-    pub(crate) fn is_active(&self) -> bool {
-        self.trace.is_some() || self.progress.is_some()
+    /// The run's generation observer: the trace observer (when telemetry
+    /// is on) fanned out with `progress`.
+    pub(crate) fn observer(&self, progress: Option<ProgressSink>) -> ObserverFanout {
+        let trace = self.traced.then(|| cold_obs::TraceObserver::new(self.seed));
+        ObserverFanout { trace, progress }
+    }
+
+    /// Emits `ga_stalled` when the stall guard ended the run, then
+    /// `run_end`. `best_cost` is the scalar best (the cheapest front
+    /// member for Pareto runs).
+    pub(crate) fn end(
+        &self,
+        stop_reason: cold_ga::StopReason,
+        generations_run: usize,
+        best_cost: f64,
+        eval_stats: &cold_ga::EvalStats,
+        repair_stats: &cold_ga::repair::RepairStats,
+    ) {
+        if !self.traced {
+            return;
+        }
+        let run = cold_obs::run_id(self.seed);
+        if stop_reason == cold_ga::StopReason::Stalled {
+            cold_obs::emit(&cold_obs::Event::GaStalled(cold_obs::GaStalled {
+                run: run.clone(),
+                generation: generations_run,
+                stall_gens: self.stall_gens.unwrap_or(0),
+                best: best_cost,
+            }));
+        }
+        cold_obs::emit(&cold_obs::Event::RunEnd(cold_obs::RunEnd {
+            run,
+            generations_run,
+            best_cost,
+            evaluations: eval_stats.requested,
+            cache_hit_rate: eval_stats.hit_rate(),
+            eval_seconds: eval_stats.eval_seconds,
+            repair_rate: repair_stats.repair_rate(),
+        }));
     }
 }
 
@@ -326,16 +393,7 @@ impl ColdConfig {
         resume: Option<cold_ga::GaCheckpoint>,
     ) -> Result<SynthesisResult, ColdError> {
         let _span = cold_obs::span("core.synthesize");
-        let traced = cold_obs::is_enabled();
-        if traced {
-            cold_obs::emit(&cold_obs::Event::RunStart(cold_obs::RunStart {
-                run: cold_obs::run_id(seed),
-                n: ctx.n(),
-                mode: format!("{:?}", self.mode),
-                generations: self.ga.generations,
-                population: self.ga.population,
-            }));
-        }
+        let telemetry = RunTelemetry::start(seed, ctx.n(), format!("{:?}", self.mode), &self.ga);
         let objective = ColdObjective::new(&ctx, self.params);
         let mut heuristic_costs = Vec::new();
         let seeds: Vec<cold_graph::AdjacencyMatrix> = match self.mode {
@@ -359,32 +417,19 @@ impl ColdConfig {
         };
         let ga_settings = GaSettings { seed: derive_seed(seed, 0x6741), ..self.ga };
         let engine = GeneticAlgorithm::try_new(&objective, ga_settings)?;
-        let mut observer =
-            ObserverFanout::new(traced.then(|| cold_obs::TraceObserver::new(seed)), progress);
-        let result = if observer.is_active() {
-            engine.run_resumable(&seeds, Some(&mut observer), checkpoint, resume)?
-        } else {
-            engine.run_resumable(&seeds, None, checkpoint, resume)?
-        };
-        if traced {
-            if result.stop_reason == cold_ga::StopReason::Stalled {
-                cold_obs::emit(&cold_obs::Event::GaStalled(cold_obs::GaStalled {
-                    run: cold_obs::run_id(seed),
-                    generation: result.generations_run,
-                    stall_gens: self.ga.stall_gens.unwrap_or(0),
-                    best: result.best.cost,
-                }));
-            }
-            cold_obs::emit(&cold_obs::Event::RunEnd(cold_obs::RunEnd {
-                run: cold_obs::run_id(seed),
-                generations_run: result.generations_run,
-                best_cost: result.best.cost,
-                evaluations: result.evaluations,
-                cache_hit_rate: result.eval_stats.hit_rate(),
-                eval_seconds: result.eval_stats.eval_seconds,
-                repair_rate: result.repair_stats.repair_rate(),
-            }));
-        }
+        let result = engine.run_resumable(
+            &seeds,
+            telemetry.observer(progress).slot(),
+            checkpoint,
+            resume,
+        )?;
+        telemetry.end(
+            result.stop_reason,
+            result.generations_run,
+            result.best.cost,
+            &result.eval_stats,
+            &result.repair_stats,
+        );
         let network = Network::build(result.best.topology.clone(), &ctx, self.params)
             .expect("GA result is connected");
         let stats = NetworkStats::compute(&network.graph()).expect("connected");

@@ -112,26 +112,21 @@ fn one_shot_hang_is_absorbed_and_exits_0() {
 
 #[test]
 fn stalled_ga_exits_5_but_still_writes_outputs() {
-    let dir = temp_dir("stall");
-    let out = run(&[
-        "--quick",
-        "--n",
-        "8",
-        "--seed",
-        "17",
-        "--count",
-        "1",
-        "--quiet",
-        "--out",
-        dir.to_str().unwrap(),
-        "--stall-gens",
-        "1",
-    ]);
-    assert_eq!(out.status.code(), Some(5), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("stall"), "stderr must name the stop reason: {err}");
-    assert_eq!(exports(&dir).len(), 1, "stall is a soft stop: outputs are still written");
-    let _ = std::fs::remove_dir_all(&dir);
+    // The stall guard reads best cost in scalar runs and archive
+    // hypervolume in Pareto runs; both report the stall the same way.
+    let common = ["--quick", "--n", "8", "--seed", "17", "--count", "1", "--quiet"];
+    for (name, mode) in [("stall", &[][..]), ("stall-pareto", &["--pareto", "--archive", "16"][..])]
+    {
+        let dir = temp_dir(name);
+        let out =
+            run(&[&common[..], mode, &["--out", dir.to_str().unwrap(), "--stall-gens", "1"]]
+                .concat());
+        assert_eq!(out.status.code(), Some(5), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("stall"), "stderr must name the stop reason: {err}");
+        assert_eq!(exports(&dir).len(), 1, "stall is a soft stop: outputs are still written");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -31,12 +31,16 @@ impl Individual {
 /// Sorts a population by ascending cost with a deterministic tiebreak on
 /// the chromosome bits (so runs are reproducible even under cost ties).
 pub fn sort_by_cost(population: &mut [Individual]) {
-    population.sort_by(|a, b| {
-        a.cost
-            .total_cmp(&b.cost)
-            .then_with(|| a.topology.edge_count().cmp(&b.topology.edge_count()))
-            .then_with(|| a.topology.edges().cmp(b.topology.edges()))
-    });
+    population.sort_by(cmp_by_cost);
+}
+
+/// The order [`sort_by_cost`] sorts by: cost, then edge count, then edge
+/// list.
+pub(crate) fn cmp_by_cost(a: &Individual, b: &Individual) -> std::cmp::Ordering {
+    a.cost
+        .total_cmp(&b.cost)
+        .then_with(|| a.topology.edge_count().cmp(&b.topology.edge_count()))
+        .then_with(|| a.topology.edges().cmp(b.topology.edges()))
 }
 
 /// Inverse-cost selection weights (§4.1.1/§4.1.2: parents and mutation

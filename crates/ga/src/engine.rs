@@ -1,4 +1,14 @@
-//! The generational loop (§4.1 steps 2–5).
+//! The generational loop (§4.1 steps 2–5), shared by every survival
+//! strategy.
+//!
+//! One loop builds generation 0, breeds, repairs, evaluates (through one
+//! fitness cache and one parallel batch evaluator), runs the convergence
+//! guards and reports each generation. What the paper's operators leave
+//! open is a crate-private survival strategy: the fitness type (a cost or
+//! an objective vector), survival itself, the progress series the guards
+//! read, and the hypervolume a generation record carries.
+//! [`GeneticAlgorithm`] runs the loop with elitist survival;
+//! [`ParetoGa`](crate::pareto::ParetoGa) with NSGA-II's.
 
 use crate::checkpoint::GaCheckpoint;
 use crate::chromosome::{inverse_cost_weights, sort_by_cost, weighted_pick, Individual};
@@ -40,11 +50,12 @@ pub struct CheckpointHook<'a> {
 pub enum StopReason {
     /// All `generations` ran (or the run was resumed past them).
     Completed,
-    /// [`GaSettings::early_stop`] fired: the best cost plateaued within
-    /// `rel_tol` over the trailing window.
+    /// [`GaSettings::early_stop`] fired: the best cost (archive
+    /// hypervolume under NSGA-II) plateaued within `rel_tol` over the
+    /// trailing window.
     EarlyStopped,
-    /// [`GaSettings::stall_gens`] fired: no strict best-cost improvement
-    /// for that many consecutive generations.
+    /// [`GaSettings::stall_gens`] fired: no strict best-cost (archive
+    /// hypervolume) improvement for that many consecutive generations.
     Stalled,
 }
 
@@ -140,8 +151,87 @@ impl EvalStats {
     }
 }
 
+/// A per-worker evaluation session of either objective kind.
+pub(crate) trait Session: Send {
+    /// A scalar cost or an objective vector.
+    type Fitness: Clone + Default + Send;
+    /// Fitness of a connected topology; `base` is its lineage hint.
+    fn evaluate(&mut self, t: &AdjacencyMatrix, base: Option<&AdjacencyMatrix>) -> Self::Fitness;
+    /// The components the evaluation boundary checks.
+    fn components(fitness: &Self::Fitness) -> &[f64];
+    /// Cumulative `(delta, full)` evaluation counts.
+    fn counts(&self) -> (usize, usize);
+}
+
+impl Session for Box<dyn ObjectiveSession + '_> {
+    type Fitness = f64;
+    fn evaluate(&mut self, t: &AdjacencyMatrix, base: Option<&AdjacencyMatrix>) -> f64 {
+        self.cost(t, base)
+    }
+    fn components(cost: &f64) -> &[f64] {
+        std::slice::from_ref(cost)
+    }
+    fn counts(&self) -> (usize, usize) {
+        (self.delta_evals(), self.full_evals())
+    }
+}
+
+/// What the paper's operators leave open; everything else about a
+/// generation is the shared loop. The defaults are the scalar GA's.
+pub(crate) trait Survival {
+    /// A scalar cost or an objective vector.
+    type Fitness;
+
+    /// The next generation, from the ranked current one (`cost` is the
+    /// selection key; empty at generation 0) and the evaluated newcomers.
+    fn survive(
+        &mut self,
+        population: Vec<Individual>,
+        newcomers: Vec<AdjacencyMatrix>,
+        fitness: Vec<Self::Fitness>,
+    ) -> Vec<Individual>;
+
+    /// This generation's entry in the series the guards read, where lower
+    /// is progress: the best cost.
+    fn progress(&self, population: &[Individual]) -> f64 {
+        population[0].cost
+    }
+
+    /// The costs a generation record summarizes as best/mean/worst.
+    fn record_costs(&self, population: &[Individual]) -> Vec<f64> {
+        population.iter().map(|i| i.cost).collect()
+    }
+
+    /// The generation record's hypervolume (scalar runs have no archive).
+    fn hypervolume(&self) -> f64 {
+        0.0
+    }
+}
+
+/// The scalar GA's survival (§4.1): the `num_saved` cheapest individuals
+/// plus every offspring, sorted by cost.
+struct Elitist {
+    num_saved: usize,
+}
+
+impl Survival for Elitist {
+    type Fitness = f64;
+
+    fn survive(
+        &mut self,
+        mut population: Vec<Individual>,
+        newcomers: Vec<AdjacencyMatrix>,
+        costs: Vec<f64>,
+    ) -> Vec<Individual> {
+        population.truncate(self.num_saved);
+        population.extend(newcomers.into_iter().zip(costs).map(|(t, c)| Individual::new(t, c)));
+        sort_by_cost(&mut population);
+        population
+    }
+}
+
 /// How generation 0 is built (internal to the engine entry points).
-enum InitMode<'a> {
+pub(crate) enum InitMode<'a> {
     /// MST + clique anchors, the provided seed topologies, Erdős–Rényi
     /// fill — the paper's §4.1 step 1 (and the "initialized GA" when
     /// seeds are present).
@@ -151,11 +241,28 @@ enum InitMode<'a> {
     Warm(&'a AdjacencyMatrix),
 }
 
+/// What the loop carries from one committed generation to the next.
+pub(crate) struct RunState<F> {
+    pub(crate) rng: StdRng,
+    /// Ranked by the strategy; `cost` is the selection key.
+    pub(crate) population: Vec<Individual>,
+    /// The strategy's progress series (index 0 = initial population).
+    pub(crate) history: Vec<f64>,
+    pub(crate) generations_run: usize,
+    pub(crate) stats: EvalStats,
+    pub(crate) repair_stats: RepairStats,
+    pub(crate) cache: Option<HashMap<AdjacencyMatrix, F>>,
+    pub(crate) stop_reason: StopReason,
+}
+
 /// The COLD genetic algorithm, generic over the [`Objective`].
 #[derive(Debug, Clone)]
 pub struct GeneticAlgorithm<O: Objective> {
     objective: O,
     settings: GaSettings,
+    /// Components every fitness must have: 1 for a scalar cost, K for
+    /// an NSGA-II objective vector.
+    pub(crate) width: usize,
 }
 
 impl<O: Objective> GeneticAlgorithm<O> {
@@ -172,7 +279,7 @@ impl<O: Objective> GeneticAlgorithm<O> {
     /// [`GaError::InvalidSettings`] instead of aborting the process.
     pub fn try_new(objective: O, settings: GaSettings) -> Result<Self, GaError> {
         settings.validate().map_err(GaError::InvalidSettings)?;
-        Ok(Self { objective, settings })
+        Ok(Self { objective, settings, width: 1 })
     }
 
     /// The settings in use.
@@ -286,12 +393,13 @@ impl<O: Objective> GeneticAlgorithm<O> {
         self.run_hooked(InitMode::Warm(parent), observer, checkpoint, resume)
     }
 
-    /// The shared generational loop behind [`run_resumable`](Self::run_resumable)
-    /// and [`run_warm`](Self::run_warm); `init` only shapes generation 0.
+    /// The scalar GA behind [`run_resumable`](Self::run_resumable) and
+    /// [`run_warm`](Self::run_warm): the shared loop with [`Elitist`]
+    /// survival, plus checkpoint and resume.
     fn run_hooked(
         &self,
         init: InitMode<'_>,
-        mut observer: Option<&mut dyn GenerationObserver>,
+        observer: Option<&mut dyn GenerationObserver>,
         mut checkpoint: Option<CheckpointHook<'_>>,
         resume: Option<GaCheckpoint>,
     ) -> Result<GaResult, GaError> {
@@ -300,6 +408,71 @@ impl<O: Objective> GeneticAlgorithm<O> {
                 return Err(GaError::Checkpoint("checkpoint interval must be >= 1".into()));
             }
         }
+        let resume = resume.map(|ckpt| self.resume_state(ckpt)).transpose()?;
+        // Snapshot *after* a generation is fully committed (and not when
+        // a guard just ended the run — there is nothing left to resume).
+        // The RNG state is captured post-generation, so a resumed stream
+        // continues exactly where this one is.
+        let on_commit = |run: &RunState<f64>| {
+            let Some(hook) = checkpoint.as_mut() else { return };
+            if run.generations_run.is_multiple_of(hook.every)
+                && run.generations_run < self.settings.generations
+            {
+                let snapshot = GaCheckpoint {
+                    settings: self.settings,
+                    generation: run.generations_run,
+                    rng_state: run.rng.state(),
+                    population: run.population.clone(),
+                    history: run.history.clone(),
+                    eval_stats: run.stats,
+                    repair_stats: run.repair_stats,
+                    cache: run
+                        .cache
+                        .as_ref()
+                        .map(|c| c.iter().map(|(t, v)| (t.clone(), *v)).collect()),
+                };
+                let _sink_timer = cold_obs::timer("ga.checkpoint_sink");
+                (hook.sink)(&snapshot);
+            }
+        };
+        let mut elitist = Elitist { num_saved: self.settings.num_saved };
+        let run = self.evolve(
+            init,
+            resume,
+            &mut elitist,
+            || self.objective.session(),
+            observer,
+            on_commit,
+        )?;
+        Ok(GaResult {
+            best: run.population[0].clone(),
+            history: run.history,
+            final_population: run.population,
+            generations_run: run.generations_run,
+            evaluations: run.stats.requested,
+            eval_stats: run.stats,
+            repair_stats: run.repair_stats,
+            stop_reason: run.stop_reason,
+        })
+    }
+
+    /// The one generational loop: generation 0 from `init` (unless
+    /// continuing `resume`), then breed, repair, evaluate through sessions
+    /// from `open`, and let `survival` choose, until the cap or a guard
+    /// stops the run. `on_commit` sees every generation the guards pass.
+    pub(crate) fn evolve<S, V>(
+        &self,
+        init: InitMode<'_>,
+        resume: Option<RunState<S::Fitness>>,
+        survival: &mut V,
+        open: impl Fn() -> S,
+        mut observer: Option<&mut dyn GenerationObserver>,
+        mut on_commit: impl FnMut(&RunState<S::Fitness>),
+    ) -> Result<RunState<S::Fitness>, GaError>
+    where
+        S: Session,
+        V: Survival<Fitness = S::Fitness>,
+    {
         // One evaluation session per worker thread, kept alive across
         // generations so stateful objectives (delta evaluators) can carry
         // routing state from parents to offspring.
@@ -308,8 +481,7 @@ impl<O: Objective> GeneticAlgorithm<O> {
         } else {
             1
         };
-        let mut sessions: Vec<Box<dyn ObjectiveSession + '_>> =
-            (0..workers).map(|_| self.objective.session()).collect();
+        let mut sessions: Vec<S> = (0..workers).map(|_| open()).collect();
 
         // Candidate-link pruning: the sorted pair-index universe link
         // mutation may add from. A pair qualifies when either endpoint is
@@ -329,22 +501,16 @@ impl<O: Objective> GeneticAlgorithm<O> {
             pairs
         });
 
-        let mut rng;
-        let mut repair_stats;
-        let mut stats;
-        let mut cache: Option<HashMap<AdjacencyMatrix, f64>>;
-        let mut population: Vec<Individual>;
-        let mut history;
-        let mut generations_run;
-        match resume {
+        let mut run = match resume {
+            Some(run) => run,
             None => {
-                rng = StdRng::seed_from_u64(self.settings.seed);
-                repair_stats = RepairStats::default();
-                stats = EvalStats::default();
+                let mut rng = StdRng::seed_from_u64(self.settings.seed);
+                let mut repair_stats = RepairStats::default();
+                let mut stats = EvalStats::default();
                 // Chromosome-keyed fitness memo: the adjacency bitset
-                // hashes/compares directly, and costs are pure functions
-                // of it.
-                cache = self.settings.fitness_cache.then(HashMap::new);
+                // hashes/compares directly, and fitness is a pure
+                // function of it.
+                let mut cache = self.settings.fitness_cache.then(HashMap::new);
 
                 // Generation 0. Seeding is one-shot, so it gets its own
                 // histogram rather than a per-generation record field.
@@ -371,48 +537,39 @@ impl<O: Objective> GeneticAlgorithm<O> {
                     cold_obs::observe_seconds("ga.seed_seconds", start.elapsed().as_secs_f64());
                 }
                 let bases = vec![None; topologies.len()];
-                let costs = self.evaluate_all(
+                let fitness = self.evaluate_all(
                     &topologies,
                     &bases,
                     &mut sessions,
                     cache.as_mut(),
                     &mut stats,
                 )?;
-                population =
-                    topologies.into_iter().zip(costs).map(|(t, c)| Individual::new(t, c)).collect();
-                sort_by_cost(&mut population);
-                history = vec![population[0].cost];
-                generations_run = 0usize;
+                let population = survival.survive(Vec::new(), topologies, fitness);
+                RunState {
+                    rng,
+                    history: vec![survival.progress(&population)],
+                    population,
+                    generations_run: 0,
+                    stats,
+                    repair_stats,
+                    cache,
+                    stop_reason: StopReason::Completed,
+                }
             }
-            Some(ckpt) => {
-                self.validate_resume(&ckpt)?;
-                rng = StdRng::from_state(ckpt.rng_state);
-                repair_stats = ckpt.repair_stats;
-                stats = ckpt.eval_stats;
-                cache = if self.settings.fitness_cache {
-                    Some(ckpt.cache.unwrap_or_default().into_iter().collect())
-                } else {
-                    None
-                };
-                population = ckpt.population;
-                history = ckpt.history;
-                generations_run = ckpt.generation;
-            }
-        }
+        };
 
         // Stall counter: consecutive trailing generations without strict
-        // best-cost improvement. Best cost is monotone nonincreasing, so
-        // the counter is recomputable from `history` alone — a resumed run
-        // restores it without any checkpoint schema change.
-        let mut stall_count = history.windows(2).rev().take_while(|w| w[1] >= w[0]).count();
-        let mut stop_reason = StopReason::Completed;
+        // progress. The series is monotone nonincreasing, so the counter
+        // is recomputable from `history` alone — a resumed run restores
+        // it without any checkpoint schema change.
+        let mut stall_count = run.history.windows(2).rev().take_while(|w| w[1] >= w[0]).count();
 
         // Telemetry deltas: counter states at the end of the previous
         // generation, so each record reports per-generation activity.
-        let mut prev_stats = stats;
-        let mut prev_repaired = repair_stats.repaired;
-        for _gen in (generations_run + 1)..=self.settings.generations {
-            generations_run += 1;
+        let mut prev_stats = run.stats;
+        let mut prev_repaired = run.repair_stats.repaired;
+        while run.generations_run < self.settings.generations {
+            run.generations_run += 1;
             // Phase attribution (selection/crossover/mutation vs repair)
             // feeds the per-generation record and the `ga.*` histograms;
             // timing stays off unless someone is listening so the
@@ -421,6 +578,8 @@ impl<O: Objective> GeneticAlgorithm<O> {
             let breed_start = timed.then(Instant::now);
             // Offspring topologies (children built single-threaded from one
             // RNG stream for determinism; evaluation is the parallel part).
+            let population = &run.population;
+            let rng = &mut run.rng;
             let mut children: Vec<AdjacencyMatrix> =
                 Vec::with_capacity(self.settings.num_crossover + self.settings.num_mutation);
             // Each child's lineage — the population index of the topology
@@ -430,65 +589,66 @@ impl<O: Objective> GeneticAlgorithm<O> {
             // work, never correctness.
             let mut base_idx: Vec<usize> = Vec::with_capacity(children.capacity());
             for _ in 0..self.settings.num_crossover {
-                let parents = select_parents(&population, &self.settings, &mut rng);
+                let parents = select_parents(population, &self.settings, rng);
                 base_idx.push(parents[0]); // best (lowest-cost) parent
                 children.push(crossover_child(
-                    &population,
+                    population,
                     &parents,
                     self.settings.uniform_crossover_weights,
-                    &mut rng,
+                    rng,
                 ));
             }
-            let weights = inverse_cost_weights(&population);
+            let weights = inverse_cost_weights(population);
             for _ in 0..self.settings.num_mutation {
                 let src = weighted_pick(&weights, rng.gen_range(0.0..1.0));
                 let mut child = population[src].topology.clone();
-                mutate(&mut child, &self.objective, &self.settings, universe.as_deref(), &mut rng);
+                mutate(&mut child, &self.objective, &self.settings, universe.as_deref(), rng);
                 base_idx.push(src);
                 children.push(child);
             }
             let breed_seconds = breed_start.map_or(0.0, |s| s.elapsed().as_secs_f64());
             let repair_start = timed.then(Instant::now);
             for c in &mut children {
-                repair(c, &self.objective, &mut repair_stats);
+                repair(c, &self.objective, &mut run.repair_stats);
             }
             let repair_seconds = repair_start.map_or(0.0, |s| s.elapsed().as_secs_f64());
             cold_obs::observe_seconds("ga.breed_seconds", breed_seconds);
             cold_obs::observe_seconds("ga.repair_seconds", repair_seconds);
             let bases: Vec<Option<&AdjacencyMatrix>> =
                 base_idx.iter().map(|&i| Some(&population[i].topology)).collect();
-            let child_costs =
-                self.evaluate_all(&children, &bases, &mut sessions, cache.as_mut(), &mut stats)?;
+            let fitness = self.evaluate_all(
+                &children,
+                &bases,
+                &mut sessions,
+                run.cache.as_mut(),
+                &mut run.stats,
+            )?;
 
-            // Next generation: elites + offspring.
-            let mut next: Vec<Individual> = Vec::with_capacity(self.settings.population);
-            next.extend(population.iter().take(self.settings.num_saved).cloned());
-            next.extend(children.into_iter().zip(child_costs).map(|(t, c)| Individual::new(t, c)));
-            sort_by_cost(&mut next);
-            population = next;
-            history.push(population[0].cost);
+            run.population =
+                survival.survive(std::mem::take(&mut run.population), children, fitness);
+            run.history.push(survival.progress(&run.population));
 
             if let Some(obs) = observer.as_deref_mut() {
                 obs.on_generation(&generation_record(
-                    generations_run,
-                    &population,
-                    &stats,
+                    &run,
+                    survival,
                     &prev_stats,
-                    repair_stats.repaired - prev_repaired,
+                    prev_repaired,
                     &self.settings,
                     breed_seconds,
                     repair_seconds,
                 ));
-                prev_stats = stats;
-                prev_repaired = repair_stats.repaired;
+                prev_stats = run.stats;
+                prev_repaired = run.repair_stats.repaired;
             }
 
+            let history = &run.history;
             if let Some(es) = self.settings.early_stop {
                 if history.len() > es.window {
                     let then = history[history.len() - 1 - es.window];
                     let now = *history.last().expect("nonempty");
                     if then - now <= es.rel_tol * then.abs() {
-                        stop_reason = StopReason::EarlyStopped;
+                        run.stop_reason = StopReason::EarlyStopped;
                         break;
                     }
                 }
@@ -498,52 +658,21 @@ impl<O: Objective> GeneticAlgorithm<O> {
             stall_count = if improved { 0 } else { stall_count + 1 };
             if let Some(k) = self.settings.stall_gens {
                 if stall_count >= k {
-                    stop_reason = StopReason::Stalled;
+                    run.stop_reason = StopReason::Stalled;
                     break;
                 }
             }
 
-            // Snapshot *after* the generation is fully committed (and not
-            // when early-stop just ended the run — there is nothing left
-            // to resume). The RNG state is captured post-generation, so a
-            // resumed stream continues exactly where this one is.
-            if let Some(hook) = checkpoint.as_mut() {
-                if generations_run % hook.every == 0 && generations_run < self.settings.generations
-                {
-                    let snapshot = GaCheckpoint {
-                        settings: self.settings,
-                        generation: generations_run,
-                        rng_state: rng.state(),
-                        population: population.clone(),
-                        history: history.clone(),
-                        eval_stats: stats,
-                        repair_stats,
-                        cache: cache
-                            .as_ref()
-                            .map(|c| c.iter().map(|(t, v)| (t.clone(), *v)).collect()),
-                    };
-                    let _sink_timer = cold_obs::timer("ga.checkpoint_sink");
-                    (hook.sink)(&snapshot);
-                }
-            }
+            on_commit(&run);
         }
-
-        Ok(GaResult {
-            best: population[0].clone(),
-            history,
-            final_population: population,
-            generations_run,
-            evaluations: stats.requested,
-            eval_stats: stats,
-            repair_stats,
-            stop_reason,
-        })
+        Ok(run)
     }
 
-    /// Rejects a resume snapshot that cannot possibly belong to this
-    /// engine: continuing under different settings or a different node
-    /// count would silently change what the run means.
-    fn validate_resume(&self, ckpt: &GaCheckpoint) -> Result<(), GaError> {
+    /// The loop state a resume snapshot restores. Rejects a snapshot that
+    /// cannot possibly belong to this engine: continuing under different
+    /// settings or a different node count would silently change what the
+    /// run means.
+    fn resume_state(&self, ckpt: GaCheckpoint) -> Result<RunState<f64>, GaError> {
         if ckpt.settings != self.settings {
             return Err(GaError::Checkpoint(
                 "snapshot settings differ from engine settings".into(),
@@ -570,7 +699,19 @@ impl<O: Objective> GeneticAlgorithm<O> {
                 )));
             }
         }
-        Ok(())
+        Ok(RunState {
+            rng: StdRng::from_state(ckpt.rng_state),
+            population: ckpt.population,
+            history: ckpt.history,
+            generations_run: ckpt.generation,
+            stats: ckpt.eval_stats,
+            repair_stats: ckpt.repair_stats,
+            cache: self
+                .settings
+                .fitness_cache
+                .then(|| ckpt.cache.unwrap_or_default().into_iter().collect()),
+            stop_reason: StopReason::Completed,
+        })
     }
 
     /// Evaluates a batch of topologies, consulting and filling the fitness
@@ -578,17 +719,17 @@ impl<O: Objective> GeneticAlgorithm<O> {
     /// lineage hint for incremental sessions (aligned with `topologies`).
     ///
     /// The cache phase is serial in both serial and parallel modes, so the
-    /// hit/miss counters — and, costs being pure, every returned value — are
-    /// independent of `settings.parallel`. Within-batch duplicates resolve
-    /// to one evaluation even on the very first batch.
-    fn evaluate_all<'s>(
-        &'s self,
+    /// hit/miss counters — and, fitness being pure, every returned value —
+    /// are independent of `settings.parallel`. Within-batch duplicates
+    /// resolve to one evaluation even on the very first batch.
+    fn evaluate_all<S: Session>(
+        &self,
         topologies: &[AdjacencyMatrix],
         bases: &[Option<&AdjacencyMatrix>],
-        sessions: &mut [Box<dyn ObjectiveSession + 's>],
-        cache: Option<&mut HashMap<AdjacencyMatrix, f64>>,
+        sessions: &mut [S],
+        cache: Option<&mut HashMap<AdjacencyMatrix, S::Fitness>>,
         stats: &mut EvalStats,
-    ) -> Result<Vec<f64>, GaError> {
+    ) -> Result<Vec<S::Fitness>, GaError> {
         debug_assert_eq!(topologies.len(), bases.len());
         stats.requested += topologies.len();
         let result = (|| {
@@ -597,18 +738,18 @@ impl<O: Objective> GeneticAlgorithm<O> {
                 let all: Vec<&AdjacencyMatrix> = topologies.iter().collect();
                 return self.evaluate_batch(&all, bases, sessions, stats);
             };
-            // Resolve each request to Ok(cached cost) or Err(index into the
-            // unique pending list).
+            // Resolve each request to Ok(cached fitness) or Err(index into
+            // the unique pending list).
             let mut pending: Vec<&AdjacencyMatrix> = Vec::new();
             let mut pending_bases: Vec<Option<&AdjacencyMatrix>> = Vec::new();
             let mut first_seen: HashMap<&AdjacencyMatrix, usize> = HashMap::new();
-            let resolved: Vec<Result<f64, usize>> = topologies
+            let resolved: Vec<Result<S::Fitness, usize>> = topologies
                 .iter()
                 .zip(bases)
                 .map(|(t, b)| {
-                    if let Some(&c) = cache.get(t) {
+                    if let Some(f) = cache.get(t) {
                         stats.cache_hits += 1;
-                        Ok(c)
+                        Ok(f.clone())
                     } else if let Some(&k) = first_seen.get(t) {
                         stats.cache_hits += 1;
                         Err(k)
@@ -622,115 +763,120 @@ impl<O: Objective> GeneticAlgorithm<O> {
                 })
                 .collect();
             let fresh = self.evaluate_batch(&pending, &pending_bases, sessions, stats)?;
-            for (t, &c) in pending.iter().zip(&fresh) {
-                cache.insert((*t).clone(), c);
+            for (t, f) in pending.iter().zip(&fresh) {
+                cache.insert((*t).clone(), f.clone());
             }
             Ok(resolved
                 .into_iter()
                 .map(|r| match r {
-                    Ok(c) => c,
-                    Err(k) => fresh[k],
+                    Ok(f) => f,
+                    Err(k) => fresh[k].clone(),
                 })
                 .collect())
         })();
         // Session counters are cumulative; publish the current totals so
         // checkpoints and per-generation records see a consistent split.
-        stats.delta_evals = sessions.iter().map(|s| s.delta_evals()).sum();
-        stats.full_evals = sessions.iter().map(|s| s.full_evals()).sum();
+        stats.delta_evals = sessions.iter().map(|s| s.counts().0).sum();
+        stats.full_evals = sessions.iter().map(|s| s.counts().1).sum();
         result
     }
 
     /// Runs the objective over `batch`, in parallel when configured, adding
     /// the elapsed wall-clock time to `stats.eval_seconds`.
     ///
-    /// Every cost is validated for finiteness here — the single boundary
-    /// all evaluations pass through — so a NaN/∞ from a misbehaving
-    /// objective is caught in release builds too (the old `debug_assert!`
-    /// in [`Individual::new`] vanished under `--release`, and a NaN cost
-    /// then won every selection tournament via the `EPSILON` clamp in
-    /// `inverse_cost_weights`).
-    fn evaluate_batch<'s>(
-        &'s self,
+    /// Every fitness is checked here — the single boundary all
+    /// evaluations pass through: it must have the engine's width, and a
+    /// NaN/∞ component from a misbehaving objective is caught in release
+    /// builds too (a NaN cost would otherwise win every selection
+    /// tournament via the `EPSILON` clamp in `inverse_cost_weights`).
+    fn evaluate_batch<S: Session>(
+        &self,
         batch: &[&AdjacencyMatrix],
         bases: &[Option<&AdjacencyMatrix>],
-        sessions: &mut [Box<dyn ObjectiveSession + 's>],
+        sessions: &mut [S],
         stats: &mut EvalStats,
-    ) -> Result<Vec<f64>, GaError> {
+    ) -> Result<Vec<S::Fitness>, GaError> {
         let _batch_timer = cold_obs::timer("ga.evaluate_batch");
         let start = Instant::now();
-        let costs = if !self.settings.parallel || batch.len() < 4 || sessions.len() == 1 {
+        let fitness = if !self.settings.parallel || batch.len() < 4 || sessions.len() == 1 {
             let session = &mut sessions[0];
-            batch.iter().zip(bases).map(|(t, b)| session.cost(t, *b)).collect()
+            batch.iter().zip(bases).map(|(t, b)| session.evaluate(t, *b)).collect()
         } else {
             let workers = sessions.len().min(batch.len());
-            let mut costs = vec![0.0f64; batch.len()];
+            let mut fitness = vec![S::Fitness::default(); batch.len()];
             let chunk = batch.len().div_ceil(workers);
             crossbeam::scope(|scope| {
-                for (((slot, topos), base_chunk), session) in costs
+                for (((slot, topos), base_chunk), session) in fitness
                     .chunks_mut(chunk)
                     .zip(batch.chunks(chunk))
                     .zip(bases.chunks(chunk))
                     .zip(sessions.iter_mut())
                 {
                     scope.spawn(move |_| {
-                        for ((c, t), b) in slot.iter_mut().zip(topos).zip(base_chunk) {
-                            *c = session.cost(t, *b);
+                        for ((f, t), b) in slot.iter_mut().zip(topos).zip(base_chunk) {
+                            *f = session.evaluate(t, *b);
                         }
                     });
                 }
             })
             .expect("fitness evaluation worker panicked");
-            costs
+            fitness
         };
         stats.eval_seconds += start.elapsed().as_secs_f64();
-        if let Some((batch_index, &bad)) = costs.iter().enumerate().find(|(_, c)| !c.is_finite()) {
-            return Err(GaError::NonFiniteCost {
-                batch_index,
-                cost: bad,
-                edges: batch[batch_index].edge_count(),
-            });
+        for (batch_index, f) in fitness.iter().enumerate() {
+            let components = S::components(f);
+            if components.len() != self.width {
+                return Err(GaError::InvalidSettings(format!(
+                    "objective returned {} components, declared {}",
+                    components.len(),
+                    self.width
+                )));
+            }
+            if let Some(&bad) = components.iter().find(|c| !c.is_finite()) {
+                return Err(GaError::NonFiniteCost {
+                    batch_index,
+                    cost: bad,
+                    edges: batch[batch_index].edge_count(),
+                });
+            }
         }
-        Ok(costs)
+        Ok(fitness)
     }
 }
 
 /// Builds the telemetry record for a just-selected generation. Read-only
-/// over the (cost-sorted) population and counter snapshots; only called
+/// over the population, the strategy and counter snapshots; only called
 /// when an observer is attached, so untraced runs skip the diversity scan
 /// entirely.
-#[allow(clippy::too_many_arguments)]
-fn generation_record(
-    generation: usize,
-    population: &[Individual],
-    stats: &EvalStats,
+fn generation_record<V: Survival>(
+    run: &RunState<V::Fitness>,
+    survival: &V,
     prev_stats: &EvalStats,
-    repairs: usize,
+    prev_repaired: usize,
     settings: &GaSettings,
     breed_seconds: f64,
     repair_seconds: f64,
 ) -> GenerationRecord {
-    let costs = population.iter().map(|i| i.cost);
-    let mean = costs.clone().sum::<f64>() / population.len() as f64;
-    let distinct: HashSet<&AdjacencyMatrix> = population.iter().map(|i| &i.topology).collect();
+    let costs = survival.record_costs(&run.population);
+    let distinct: HashSet<&AdjacencyMatrix> = run.population.iter().map(|i| &i.topology).collect();
+    let stats = &run.stats;
     GenerationRecord {
-        generation,
-        best: population[0].cost,
-        mean,
-        worst: population[population.len() - 1].cost,
-        diversity: distinct.len() as f64 / population.len() as f64,
+        generation: run.generations_run,
+        best: costs.iter().copied().fold(f64::INFINITY, f64::min),
+        mean: costs.iter().copied().sum::<f64>() / costs.len() as f64,
+        worst: costs.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        diversity: distinct.len() as f64 / run.population.len() as f64,
         cache_hits: stats.cache_hits - prev_stats.cache_hits,
         cache_misses: stats.cache_misses - prev_stats.cache_misses,
         delta_evals: stats.delta_evals - prev_stats.delta_evals,
         full_evals: stats.full_evals - prev_stats.full_evals,
         crossover: settings.num_crossover,
         mutation: settings.num_mutation,
-        repairs,
+        repairs: run.repair_stats.repaired - prev_repaired,
         eval_seconds: stats.eval_seconds - prev_stats.eval_seconds,
         breed_seconds,
         repair_seconds,
-        // Scalar runs have no Pareto archive; the field is live only in
-        // `pareto::ParetoGa` records.
-        hypervolume: 0.0,
+        hypervolume: survival.hypervolume(),
     }
 }
 
@@ -1293,6 +1439,181 @@ mod tests {
         let missing = GaCheckpoint::load(&dir.join("absent.json")).unwrap_err();
         assert!(matches!(missing, GaError::Checkpoint(m) if m.contains("absent.json")));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What the bit pins below compare: the `history` bits, then
+    /// `[evaluations, cache hits, cache misses, generations_run]`, then
+    /// the stop reason.
+    fn pinned(r: &GaResult) -> (Vec<u64>, [usize; 4], StopReason) {
+        let history = r.history.iter().map(|c| c.to_bits()).collect();
+        let counts =
+            [r.evaluations, r.eval_stats.cache_hits, r.eval_stats.cache_misses, r.generations_run];
+        (history, counts, r.stop_reason)
+    }
+
+    /// An instance whose costs are not integers, so history bits carry
+    /// real information.
+    fn pin_objective() -> LineObjective {
+        LineObjective { n: 12, k0: 1.9, k1: 0.6, k3: 9.7 }
+    }
+
+    #[test]
+    fn cold_parallel_cached_run_is_pinned_to_the_bit() {
+        const HISTORY: [u64; 41] = [
+            0x405ec00000000000,
+            0x405e666666666666,
+            0x405bc66666666666,
+            0x405a200000000000,
+            0x4058cccccccccccd,
+            0x4058cccccccccccd,
+            0x4058cccccccccccd,
+            0x405879999999999a,
+            0x405879999999999a,
+            0x405879999999999a,
+            0x405879999999999a,
+            0x4058733333333333,
+            0x4058733333333333,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4057266666666666,
+            0x4056d33333333334,
+            0x4056d33333333334,
+            0x4056d33333333334,
+            0x4056d33333333334,
+            0x4056d33333333334,
+            0x4056d33333333334,
+        ];
+        let mut s = GaSettings::quick(61);
+        s.parallel = true;
+        s.fitness_cache = true;
+        let r = GeneticAlgorithm::new(LineObjective { n: 12, k0: 2.7, k1: 1.3, k3: 7.9 }, s).run();
+        assert_eq!(pinned(&r), (HISTORY.to_vec(), [1320, 878, 442, 40], StopReason::Completed));
+    }
+
+    #[test]
+    fn warm_run_is_pinned_to_the_bit() {
+        const HISTORY: [u64; 41] = [
+            0x40534ccccccccccc,
+            0x4053200000000000,
+            0x4052533333333332,
+            0x4052533333333332,
+            0x4051f99999999999,
+            0x4051b33333333332,
+            0x4051b33333333332,
+            0x4051000000000000,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+            0x404f266666666665,
+        ];
+        let obj = LineObjective { n: 11, k0: 3.1, k1: 0.7, k3: 5.3 };
+        let parent =
+            AdjacencyMatrix::from_edges(11, &(0..10).map(|i| (i, i + 1)).collect::<Vec<_>>())
+                .unwrap();
+        let r = GeneticAlgorithm::new(&obj, GaSettings::quick(62))
+            .run_warm(&parent, None, None, None)
+            .unwrap();
+        assert_eq!(pinned(&r), (HISTORY.to_vec(), [1320, 982, 338, 40], StopReason::Completed));
+    }
+
+    #[test]
+    fn stalled_run_is_pinned_to_the_bit() {
+        const HISTORY: [u64; 12] = [
+            0x405f200000000000,
+            0x405b2ccccccccccc,
+            0x405a466666666666,
+            0x4057600000000000,
+            0x405739999999999a,
+            0x4054cccccccccccd,
+            0x4054cccccccccccd,
+            0x4054cccccccccccd,
+            0x405459999999999a,
+            0x405459999999999a,
+            0x405459999999999a,
+            0x405459999999999a,
+        ];
+        let mut s = GaSettings::quick(63);
+        s.stall_gens = Some(3);
+        let r = GeneticAlgorithm::new(pin_objective(), s).run();
+        assert_eq!(pinned(&r), (HISTORY.to_vec(), [392, 164, 228, 11], StopReason::Stalled));
+    }
+
+    #[test]
+    fn early_stopped_run_is_pinned_to_the_bit() {
+        const HISTORY: [u64; 20] = [
+            0x405f200000000000,
+            0x405b4ccccccccccd,
+            0x4059333333333333,
+            0x4055666666666666,
+            0x4055666666666666,
+            0x4055666666666666,
+            0x4054cccccccccccd,
+            0x405459999999999a,
+            0x405459999999999a,
+            0x405459999999999a,
+            0x405459999999999a,
+            0x4054333333333334,
+            0x4054333333333334,
+            0x4054333333333334,
+            0x4054333333333334,
+            0x4053e66666666666,
+            0x4053e66666666666,
+            0x4053e66666666666,
+            0x4053e66666666666,
+            0x4053e66666666666,
+        ];
+        let mut s = GaSettings::quick(64);
+        s.early_stop = Some(EarlyStop { window: 4, rel_tol: 1e-3 });
+        let r = GeneticAlgorithm::new(pin_objective(), s).run();
+        assert_eq!(pinned(&r), (HISTORY.to_vec(), [648, 310, 338, 19], StopReason::EarlyStopped));
     }
 
     use crate::Objective;

@@ -23,6 +23,17 @@
 //! - the generational loop with elitism and (optional, crossbeam-based)
 //!   parallel fitness evaluation lives in [`engine`].
 //!
+//! There is one generational loop. The scalar GA ([`GeneticAlgorithm`])
+//! and multi-objective NSGA-II ([`ParetoGa`], in [`pareto`]) run it with
+//! different survival strategies, and they differ only where the paper's
+//! operators leave room: the fitness type (a cost or an objective
+//! vector), survival (elites plus offspring, or (μ+λ) rank-and-crowding
+//! truncation into a hypervolume archive), and the progress series the
+//! early-stop and stall guards read (best cost, or archive hypervolume).
+//! Generation 0, breeding, repair, cached parallel evaluation, the
+//! guards and telemetry are shared — a new objective really is the small
+//! change §3.3 promises.
+//!
 //! The engine is generic over an [`Objective`] so alternative cost models
 //! (multi-AS interconnect costs, router-level objectives, …) plug in
 //! without touching the GA — the extensibility §2 highlights. Objectives
@@ -100,18 +111,22 @@ pub trait Objective: Sync {
     /// precomputed geometry can override it with a cheaper/authoritative
     /// version.
     fn k_nearest(&self, k: usize) -> Vec<Vec<usize>> {
-        let n = self.n();
-        (0..n)
-            .map(|u| {
-                let mut others: Vec<usize> = (0..n).filter(|&v| v != u).collect();
-                others.sort_by(|&a, &b| {
-                    self.distance(u, a).total_cmp(&self.distance(u, b)).then(a.cmp(&b))
-                });
-                others.truncate(k);
-                others
-            })
-            .collect()
+        k_nearest(self.n(), |u, v| self.distance(u, v), k)
     }
+}
+
+/// The default [`Objective::k_nearest`] and
+/// [`MultiObjective::k_nearest`]: every node's `k` nearest others under
+/// `distance`, each list sorted by `(distance, id)`.
+fn k_nearest(n: usize, distance: impl Fn(usize, usize) -> f64, k: usize) -> Vec<Vec<usize>> {
+    (0..n)
+        .map(|u| {
+            let mut others: Vec<usize> = (0..n).filter(|&v| v != u).collect();
+            others.sort_by(|&a, &b| distance(u, a).total_cmp(&distance(u, b)).then(a.cmp(&b)));
+            others.truncate(k);
+            others
+        })
+        .collect()
 }
 
 /// A per-worker fitness evaluation session (see [`Objective::session`]).
@@ -137,10 +152,11 @@ pub trait ObjectiveSession: Send {
     }
 }
 
-/// The default stateless session: forwards to [`Objective::cost`] and
-/// counts every call as a full evaluation.
-struct StatelessSession<'a, O: Objective + ?Sized> {
-    objective: &'a O,
+/// The default stateless session of both objective kinds: forwards to
+/// [`Objective::cost`] or [`MultiObjective::objectives`] and counts every
+/// call as a full evaluation.
+struct StatelessSession<'a, T: ?Sized> {
+    objective: &'a T,
     full: usize,
 }
 

@@ -10,9 +10,13 @@
 //! selection, and (μ+λ) environmental selection — and returns an
 //! approximation of the Pareto front rather than a single winner.
 //!
-//! The breeding operators are exactly the paper's ([`crossover_child`],
-//! [`mutate`], MST [`repair`]); only *selection pressure* changes. Parent
-//! selection reuses the scalar tournament/inverse-cost machinery through a
+//! NSGA-II is a survival strategy of the one generational loop in
+//! [`engine`](crate::engine): breeding is exactly the paper's
+//! ([`crossover_child`](crate::crossover::crossover_child),
+//! [`mutate`](crate::mutation::mutate), MST
+//! [`repair`](crate::repair::repair)); only *selection pressure* changes.
+//! Parent selection reuses the scalar tournament/inverse-cost machinery
+//! through a
 //! **crowded-comparison pseudo-cost**: `2·rank + 1/(1 + crowding)`, which
 //! orders individuals exactly as NSGA-II's crowded-comparison operator
 //! (lower rank first, larger crowding first within a rank) while staying
@@ -32,21 +36,14 @@
 //! breeds, evaluation is order-independent, and every sort in the
 //! dominance/crowding/archive path carries an explicit total tiebreak.
 
-use crate::chromosome::{inverse_cost_weights, weighted_pick, Individual};
-use crate::crossover::{crossover_child, select_parents};
-use crate::engine::{EvalStats, StopReason};
+use crate::chromosome::{cmp_by_cost, Individual};
+use crate::engine::{EvalStats, GeneticAlgorithm, InitMode, Session, StopReason, Survival};
 use crate::error::GaError;
-use crate::init::initial_population;
-use crate::mutation::mutate;
-use crate::repair::{repair, RepairStats};
+use crate::repair::RepairStats;
 use crate::settings::GaSettings;
-use crate::Objective;
+use crate::{Objective, StatelessSession};
 use cold_graph::AdjacencyMatrix;
-use cold_obs::{GenerationObserver, GenerationRecord};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use std::time::Instant;
+use cold_obs::GenerationObserver;
 
 /// The vector-valued fitness interface the Pareto engine minimizes.
 ///
@@ -77,23 +74,13 @@ pub trait MultiObjective: Sync {
     /// routing state between offspring via the lineage hint; results must
     /// be bit-identical to [`objectives`](Self::objectives).
     fn session(&self) -> Box<dyn MultiObjectiveSession + '_> {
-        Box::new(StatelessMultiSession { objective: self, full: 0 })
+        Box::new(StatelessSession { objective: self, full: 0 })
     }
 
     /// The `k` nearest other nodes of every node (see
     /// [`Objective::k_nearest`]).
     fn k_nearest(&self, k: usize) -> Vec<Vec<usize>> {
-        let n = self.n();
-        (0..n)
-            .map(|u| {
-                let mut others: Vec<usize> = (0..n).filter(|&v| v != u).collect();
-                others.sort_by(|&a, &b| {
-                    self.distance(u, a).total_cmp(&self.distance(u, b)).then(a.cmp(&b))
-                });
-                others.truncate(k);
-                others
-            })
-            .collect()
+        crate::k_nearest(self.n(), |u, v| self.distance(u, v), k)
     }
 }
 
@@ -119,14 +106,7 @@ pub trait MultiObjectiveSession: Send {
     }
 }
 
-/// The default stateless session: forwards to
-/// [`MultiObjective::objectives`] and counts every call as full.
-struct StatelessMultiSession<'a, M: MultiObjective + ?Sized> {
-    objective: &'a M,
-    full: usize,
-}
-
-impl<M: MultiObjective + ?Sized> MultiObjectiveSession for StatelessMultiSession<'_, M> {
+impl<M: MultiObjective + ?Sized> MultiObjectiveSession for StatelessSession<'_, M> {
     fn objectives(
         &mut self,
         topology: &AdjacencyMatrix,
@@ -140,12 +120,26 @@ impl<M: MultiObjective + ?Sized> MultiObjectiveSession for StatelessMultiSession
     }
 }
 
-/// Adapter exposing the scalar-free parts of a [`MultiObjective`] to the
-/// shared GA helpers (`initial_population`, `mutate`, `repair`), which
-/// only consume `n`/`distance`/`k_nearest`.
-struct ScalarView<'a, M: MultiObjective + ?Sized>(&'a M);
+impl Session for Box<dyn MultiObjectiveSession + '_> {
+    type Fitness = Vec<f64>;
+    fn evaluate(&mut self, t: &AdjacencyMatrix, base: Option<&AdjacencyMatrix>) -> Vec<f64> {
+        self.objectives(t, base)
+    }
+    fn components(objectives: &Vec<f64>) -> &[f64] {
+        objectives
+    }
+    fn counts(&self) -> (usize, usize) {
+        (self.delta_evals(), self.full_evals())
+    }
+}
 
-impl<M: MultiObjective + ?Sized> Objective for ScalarView<'_, M> {
+/// Adapter exposing the scalar-free parts of a [`MultiObjective`] to the
+/// shared engine (generation 0, mutation, repair), which only consumes
+/// `n`/`distance`/`k_nearest` of its objective.
+#[derive(Debug, Clone)]
+struct ScalarView<'a, M: MultiObjective>(&'a M);
+
+impl<M: MultiObjective> Objective for ScalarView<'_, M> {
     fn n(&self) -> usize {
         self.0.n()
     }
@@ -425,20 +419,11 @@ pub struct ParetoResult {
 /// hypervolume reference point (see [`ParetoGa::try_run_traced`]).
 pub const REFERENCE_MARGIN: f64 = 1.1;
 
-/// One individual of the working population: topology, objective vector,
-/// and the crowded-comparison pseudo-cost of the latest ranking.
-#[derive(Debug, Clone)]
-struct Evaluated {
-    topology: AdjacencyMatrix,
-    objectives: Vec<f64>,
-    pseudo: f64,
-}
-
-/// NSGA-II over COLD chromosomes, generic over the [`MultiObjective`].
+/// NSGA-II over COLD chromosomes, generic over the [`MultiObjective`]: the
+/// shared generational loop with NSGA-II survival.
 #[derive(Debug, Clone)]
 pub struct ParetoGa<'a, M: MultiObjective> {
-    objective: &'a M,
-    settings: GaSettings,
+    engine: GeneticAlgorithm<ScalarView<'a, M>>,
     archive_capacity: usize,
 }
 
@@ -454,22 +439,23 @@ impl<'a, M: MultiObjective> ParetoGa<'a, M> {
         settings: GaSettings,
         archive_capacity: usize,
     ) -> Result<Self, GaError> {
-        settings.validate().map_err(GaError::InvalidSettings)?;
+        let mut engine = GeneticAlgorithm::try_new(ScalarView(objective), settings)?;
+        engine.width = objective.num_objectives();
         if archive_capacity == 0 {
             return Err(GaError::InvalidSettings("archive capacity must be >= 1".into()));
         }
-        if objective.num_objectives() < 2 {
+        if engine.width < 2 {
             return Err(GaError::InvalidSettings(format!(
                 "multi-objective synthesis needs >= 2 objectives, got {}",
-                objective.num_objectives()
+                engine.width
             )));
         }
-        Ok(Self { objective, settings, archive_capacity })
+        Ok(Self { engine, archive_capacity })
     }
 
     /// The settings in use.
     pub fn settings(&self) -> &GaSettings {
-        &self.settings
+        self.engine.settings()
     }
 
     /// Runs NSGA-II with `seeds` added to the initial population and an
@@ -484,11 +470,12 @@ impl<'a, M: MultiObjective> ParetoGa<'a, M> {
     /// [`REFERENCE_MARGIN`] × the per-objective maximum of the evaluated
     /// initial population (degenerate all-zero objectives fall back to
     /// 1.0), then never moves — which is what makes the per-generation
-    /// archive hypervolume monotone and comparable.
+    /// archive hypervolume monotone and comparable. The early-stop and
+    /// stall guards read that hypervolume.
     ///
-    /// The observer's [`GenerationRecord`] reports `best`/`mean`/`worst`
-    /// over objective 0 (the build cost) and the archive hypervolume
-    /// after the generation's inserts.
+    /// The observer's [`GenerationRecord`](cold_obs::GenerationRecord)
+    /// reports `best`/`mean`/`worst` over objective 0 (the build cost)
+    /// and the archive hypervolume after the generation's inserts.
     ///
     /// # Errors
     /// [`GaError::NonFiniteCost`] when any objective component comes back
@@ -496,372 +483,121 @@ impl<'a, M: MultiObjective> ParetoGa<'a, M> {
     pub fn try_run_traced(
         &self,
         seeds: &[AdjacencyMatrix],
-        mut observer: Option<&mut dyn GenerationObserver>,
+        observer: Option<&mut dyn GenerationObserver>,
     ) -> Result<ParetoResult, GaError> {
-        let view = ScalarView(self.objective);
-        let workers = if self.settings.parallel {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-        } else {
-            1
+        let objective = self.engine.objective().0;
+        let mut nsga2 = Nsga2 {
+            population: self.engine.settings().population,
+            objectives: Vec::new(),
+            archive: ParetoArchive::new(self.archive_capacity, Vec::new()),
+            hypervolume: 0.0,
         };
-        let mut sessions: Vec<Box<dyn MultiObjectiveSession + '_>> =
-            (0..workers).map(|_| self.objective.session()).collect();
-        let universe: Option<Vec<usize>> = self.settings.mutation_neighbors.map(|k| {
-            let probe = AdjacencyMatrix::empty(self.objective.n());
-            let mut pairs: Vec<usize> = self
-                .objective
-                .k_nearest(k)
-                .into_iter()
-                .enumerate()
-                .flat_map(|(u, vs)| vs.into_iter().map(move |v| (u, v)))
-                .map(|(u, v)| probe.pair_index(u, v))
-                .collect();
-            pairs.sort_unstable();
-            pairs.dedup();
-            pairs
-        });
-
-        let mut rng = StdRng::seed_from_u64(self.settings.seed);
-        let mut repair_stats = RepairStats::default();
-        let mut stats = EvalStats::default();
-        let mut cache: Option<HashMap<AdjacencyMatrix, Vec<f64>>> =
-            self.settings.fitness_cache.then(HashMap::new);
-
-        // Generation 0.
-        let mut topologies = initial_population(&view, &self.settings, seeds, &mut rng);
-        for t in &mut topologies {
-            repair(t, &view, &mut repair_stats);
-        }
-        let bases = vec![None; topologies.len()];
-        let objs =
-            self.evaluate_all(&topologies, &bases, &mut sessions, cache.as_mut(), &mut stats)?;
-
-        // Fix the reference point from the evaluated initial population.
-        let k = self.objective.num_objectives();
-        let mut reference = vec![0.0f64; k];
-        for o in &objs {
-            for (r, &v) in reference.iter_mut().zip(o) {
-                *r = r.max(v);
-            }
-        }
-        for r in &mut reference {
-            *r = if *r > 0.0 { *r * REFERENCE_MARGIN } else { 1.0 };
-        }
-
-        let mut archive = ParetoArchive::new(self.archive_capacity, reference.clone());
-        let mut population: Vec<Evaluated> = topologies
-            .into_iter()
-            .zip(objs)
-            .map(|(topology, objectives)| Evaluated { topology, objectives, pseudo: 0.0 })
-            .collect();
-        rank_and_sort(&mut population);
-        for e in &population {
-            // Only rank-0 members (pseudo < 1) can enter the archive; the
-            // archive re-checks dominance anyway, so this is just a skip.
-            if e.pseudo < 1.0 {
-                archive.insert(&e.topology, &e.objectives);
-            }
-        }
-        let mut history = vec![archive.hypervolume()];
-
-        let timed = observer.is_some() || cold_obs::timers_enabled();
-        let mut prev_stats = stats;
-        let mut prev_repaired = repair_stats.repaired;
-        let mut generations_run = 0usize;
-        let mut stop_reason = StopReason::Completed;
-        let mut stall_count = 0usize;
-
-        for _gen in 1..=self.settings.generations {
-            generations_run += 1;
-            let breed_start = timed.then(Instant::now);
-            let individuals: Vec<Individual> =
-                population.iter().map(|e| Individual::new(e.topology.clone(), e.pseudo)).collect();
-            let mut children: Vec<AdjacencyMatrix> = Vec::new();
-            let mut base_idx: Vec<usize> = Vec::new();
-            for _ in 0..self.settings.num_crossover {
-                let parents = select_parents(&individuals, &self.settings, &mut rng);
-                base_idx.push(parents[0]);
-                children.push(crossover_child(
-                    &individuals,
-                    &parents,
-                    self.settings.uniform_crossover_weights,
-                    &mut rng,
-                ));
-            }
-            let weights = inverse_cost_weights(&individuals);
-            for _ in 0..self.settings.num_mutation {
-                let src = weighted_pick(&weights, rng.gen_range(0.0..1.0));
-                let mut child = individuals[src].topology.clone();
-                mutate(&mut child, &view, &self.settings, universe.as_deref(), &mut rng);
-                base_idx.push(src);
-                children.push(child);
-            }
-            let breed_seconds = breed_start.map_or(0.0, |s| s.elapsed().as_secs_f64());
-            let repair_start = timed.then(Instant::now);
-            for c in &mut children {
-                repair(c, &view, &mut repair_stats);
-            }
-            let repair_seconds = repair_start.map_or(0.0, |s| s.elapsed().as_secs_f64());
-            cold_obs::observe_seconds("ga.breed_seconds", breed_seconds);
-            cold_obs::observe_seconds("ga.repair_seconds", repair_seconds);
-            let child_bases: Vec<Option<&AdjacencyMatrix>> =
-                base_idx.iter().map(|&i| Some(&population[i].topology)).collect();
-            let child_objs = self.evaluate_all(
-                &children,
-                &child_bases,
-                &mut sessions,
-                cache.as_mut(),
-                &mut stats,
-            )?;
-
-            // (μ+λ) environmental selection over parents + offspring.
-            let mut combined = population;
-            combined.extend(
-                children.into_iter().zip(child_objs).map(|(topology, objectives)| Evaluated {
-                    topology,
-                    objectives,
-                    pseudo: 0.0,
-                }),
-            );
-            rank_and_sort(&mut combined);
-            combined.truncate(self.settings.population);
-            population = combined;
-
-            for e in &population {
-                if e.pseudo < 1.0 {
-                    archive.insert(&e.topology, &e.objectives);
-                }
-            }
-            let hv = archive.hypervolume();
-            history.push(hv);
-            cold_obs::gauge_set_f64("ga.hypervolume", hv);
-
-            if let Some(obs) = observer.as_deref_mut() {
-                obs.on_generation(&pareto_generation_record(
-                    generations_run,
-                    &population,
-                    hv,
-                    &stats,
-                    &prev_stats,
-                    repair_stats.repaired - prev_repaired,
-                    &self.settings,
-                    breed_seconds,
-                    repair_seconds,
-                ));
-                prev_stats = stats;
-                prev_repaired = repair_stats.repaired;
-            }
-
-            // Convergence guards, driven by archive hypervolume (the
-            // scalar engine uses best cost; hypervolume is the Pareto
-            // analogue and monotone, so "no increase" means "no
-            // progress").
-            if let Some(es) = self.settings.early_stop {
-                if history.len() > es.window {
-                    let then = history[history.len() - 1 - es.window];
-                    let now = *history.last().expect("nonempty");
-                    if now - then <= es.rel_tol * then.abs() {
-                        stop_reason = StopReason::EarlyStopped;
-                        break;
-                    }
-                }
-            }
-            let improved = history[history.len() - 1] > history[history.len() - 2];
-            stall_count = if improved { 0 } else { stall_count + 1 };
-            if let Some(k) = self.settings.stall_gens {
-                if stall_count >= k {
-                    stop_reason = StopReason::Stalled;
-                    break;
-                }
-            }
-        }
-
-        stats.delta_evals = sessions.iter().map(|s| s.delta_evals()).sum();
-        stats.full_evals = sessions.iter().map(|s| s.full_evals()).sum();
+        let run = self.engine.evolve(
+            InitMode::Cold(seeds),
+            None,
+            &mut nsga2,
+            || objective.session(),
+            observer,
+            |_| {},
+        )?;
         Ok(ParetoResult {
-            front: archive.points().to_vec(),
-            hypervolume_history: history,
-            reference,
-            generations_run,
-            evaluations: stats.requested,
-            eval_stats: stats,
-            repair_stats,
-            stop_reason,
+            front: nsga2.archive.points,
+            // The loop's progress series is the negated hypervolume;
+            // negation is exact both ways.
+            hypervolume_history: run.history.iter().map(|p| -p).collect(),
+            reference: nsga2.archive.reference,
+            generations_run: run.generations_run,
+            evaluations: run.stats.requested,
+            eval_stats: run.stats,
+            repair_stats: run.repair_stats,
+            stop_reason: run.stop_reason,
         })
-    }
-
-    /// Vector analogue of the scalar engine's `evaluate_all`: serial
-    /// cache resolution (so hit/miss counters are parallelism-independent)
-    /// with within-batch dedup, then a parallel batch evaluation.
-    fn evaluate_all<'s>(
-        &'s self,
-        topologies: &[AdjacencyMatrix],
-        bases: &[Option<&AdjacencyMatrix>],
-        sessions: &mut [Box<dyn MultiObjectiveSession + 's>],
-        cache: Option<&mut HashMap<AdjacencyMatrix, Vec<f64>>>,
-        stats: &mut EvalStats,
-    ) -> Result<Vec<Vec<f64>>, GaError> {
-        debug_assert_eq!(topologies.len(), bases.len());
-        stats.requested += topologies.len();
-        let result = (|| {
-            let Some(cache) = cache else {
-                stats.cache_misses += topologies.len();
-                let all: Vec<&AdjacencyMatrix> = topologies.iter().collect();
-                return self.evaluate_batch(&all, bases, sessions, stats);
-            };
-            let mut pending: Vec<&AdjacencyMatrix> = Vec::new();
-            let mut pending_bases: Vec<Option<&AdjacencyMatrix>> = Vec::new();
-            let mut first_seen: HashMap<&AdjacencyMatrix, usize> = HashMap::new();
-            let resolved: Vec<Result<Vec<f64>, usize>> = topologies
-                .iter()
-                .zip(bases)
-                .map(|(t, b)| {
-                    if let Some(c) = cache.get(t) {
-                        stats.cache_hits += 1;
-                        Ok(c.clone())
-                    } else if let Some(&k) = first_seen.get(t) {
-                        stats.cache_hits += 1;
-                        Err(k)
-                    } else {
-                        stats.cache_misses += 1;
-                        first_seen.insert(t, pending.len());
-                        pending.push(t);
-                        pending_bases.push(*b);
-                        Err(pending.len() - 1)
-                    }
-                })
-                .collect();
-            let fresh = self.evaluate_batch(&pending, &pending_bases, sessions, stats)?;
-            for (t, c) in pending.iter().zip(&fresh) {
-                cache.insert((*t).clone(), c.clone());
-            }
-            Ok(resolved
-                .into_iter()
-                .map(|r| match r {
-                    Ok(c) => c,
-                    Err(k) => fresh[k].clone(),
-                })
-                .collect())
-        })();
-        stats.delta_evals = sessions.iter().map(|s| s.delta_evals()).sum();
-        stats.full_evals = sessions.iter().map(|s| s.full_evals()).sum();
-        result
-    }
-
-    fn evaluate_batch<'s>(
-        &'s self,
-        batch: &[&AdjacencyMatrix],
-        bases: &[Option<&AdjacencyMatrix>],
-        sessions: &mut [Box<dyn MultiObjectiveSession + 's>],
-        stats: &mut EvalStats,
-    ) -> Result<Vec<Vec<f64>>, GaError> {
-        let _batch_timer = cold_obs::timer("ga.pareto_evaluate_batch");
-        let start = Instant::now();
-        let k = self.objective.num_objectives();
-        let objs: Vec<Vec<f64>> =
-            if !self.settings.parallel || batch.len() < 4 || sessions.len() == 1 {
-                let session = &mut sessions[0];
-                batch.iter().zip(bases).map(|(t, b)| session.objectives(t, *b)).collect()
-            } else {
-                let workers = sessions.len().min(batch.len());
-                let mut out: Vec<Vec<f64>> = vec![Vec::new(); batch.len()];
-                let chunk = batch.len().div_ceil(workers);
-                crossbeam::scope(|scope| {
-                    for (((slot, topos), base_chunk), session) in out
-                        .chunks_mut(chunk)
-                        .zip(batch.chunks(chunk))
-                        .zip(bases.chunks(chunk))
-                        .zip(sessions.iter_mut())
-                    {
-                        scope.spawn(move |_| {
-                            for ((o, t), b) in slot.iter_mut().zip(topos).zip(base_chunk) {
-                                *o = session.objectives(t, *b);
-                            }
-                        });
-                    }
-                })
-                .expect("fitness evaluation worker panicked");
-                out
-            };
-        stats.eval_seconds += start.elapsed().as_secs_f64();
-        for (batch_index, o) in objs.iter().enumerate() {
-            if o.len() != k {
-                return Err(GaError::InvalidSettings(format!(
-                    "objective returned {} components, declared {k}",
-                    o.len()
-                )));
-            }
-            if let Some(&bad) = o.iter().find(|c| !c.is_finite()) {
-                return Err(GaError::NonFiniteCost {
-                    batch_index,
-                    cost: bad,
-                    edges: batch[batch_index].edge_count(),
-                });
-            }
-        }
-        Ok(objs)
     }
 }
 
-/// Assigns every individual its crowded-comparison pseudo-cost
-/// (`2·rank + 1/(1 + crowding)`) and sorts the population by it, with the
-/// scalar engine's deterministic edge tiebreaks.
-fn rank_and_sort(population: &mut [Evaluated]) {
-    let objs: Vec<Vec<f64>> = population.iter().map(|e| e.objectives.clone()).collect();
+/// NSGA-II survival: (μ+λ) rank-and-crowding truncation, with every
+/// surviving rank-0 member offered to the bounded archive. The progress
+/// series is the negated archive hypervolume.
+struct Nsga2 {
+    /// Survivors per generation (μ).
+    population: usize,
+    /// Objective vectors, aligned with the current population.
+    objectives: Vec<Vec<f64>>,
+    /// Its reference point is fixed at generation 0.
+    archive: ParetoArchive,
+    /// Archive hypervolume after the latest inserts.
+    hypervolume: f64,
+}
+
+impl Survival for Nsga2 {
+    type Fitness = Vec<f64>;
+
+    /// Pools `population` with the evaluated `newcomers`, ranks the pool,
+    /// keeps the best μ, and offers each rank-0 survivor to the archive.
+    /// Generation 0 (an empty `population`) fixes the reference point and
+    /// keeps every member.
+    fn survive(
+        &mut self,
+        population: Vec<Individual>,
+        newcomers: Vec<AdjacencyMatrix>,
+        objectives: Vec<Vec<f64>>,
+    ) -> Vec<Individual> {
+        let keep = if population.is_empty() {
+            self.archive.reference = (0..objectives[0].len())
+                .map(|k| objectives.iter().map(|o| o[k]).fold(0.0, f64::max))
+                .map(|r| if r > 0.0 { r * REFERENCE_MARGIN } else { 1.0 })
+                .collect();
+            usize::MAX
+        } else {
+            self.population
+        };
+        let mut pool: Vec<(Individual, Vec<f64>)> = population
+            .into_iter()
+            .zip(std::mem::take(&mut self.objectives))
+            .chain(newcomers.into_iter().map(|t| Individual::new(t, 0.0)).zip(objectives))
+            .collect();
+        rank_and_sort(&mut pool);
+        pool.truncate(keep);
+        for (ind, objs) in &pool {
+            // Only rank-0 members (pseudo < 1) can enter the archive; the
+            // archive re-checks dominance anyway, so this is just a skip.
+            if ind.cost < 1.0 {
+                self.archive.insert(&ind.topology, objs);
+            }
+        }
+        self.hypervolume = self.archive.hypervolume();
+        cold_obs::gauge_set_f64("ga.hypervolume", self.hypervolume);
+        let survivors;
+        (survivors, self.objectives) = pool.into_iter().unzip();
+        survivors
+    }
+
+    fn progress(&self, _population: &[Individual]) -> f64 {
+        -self.hypervolume
+    }
+
+    fn record_costs(&self, _population: &[Individual]) -> Vec<f64> {
+        self.objectives.iter().map(|o| o[0]).collect()
+    }
+
+    fn hypervolume(&self) -> f64 {
+        self.hypervolume
+    }
+}
+
+/// Assigns every pool member its crowded-comparison pseudo-cost
+/// (`2·rank + 1/(1 + crowding)`, stored as its selection `cost`) and
+/// sorts the pool by it, with the scalar engine's deterministic edge
+/// tiebreaks.
+fn rank_and_sort(pool: &mut [(Individual, Vec<f64>)]) {
+    let objs: Vec<Vec<f64>> = pool.iter().map(|(_, o)| o.clone()).collect();
     for (rank, front) in non_dominated_sort(&objs).into_iter().enumerate() {
         let crowding = crowding_distances(&objs, &front);
         for (&i, &c) in front.iter().zip(&crowding) {
-            population[i].pseudo = 2.0 * rank as f64 + 1.0 / (1.0 + c);
+            pool[i].0.cost = 2.0 * rank as f64 + 1.0 / (1.0 + c);
         }
     }
-    population.sort_by(|a, b| {
-        a.pseudo
-            .total_cmp(&b.pseudo)
-            .then_with(|| a.topology.edge_count().cmp(&b.topology.edge_count()))
-            .then_with(|| a.topology.edges().cmp(b.topology.edges()))
-    });
-}
-
-/// Builds the telemetry record for a just-selected Pareto generation:
-/// `best`/`mean`/`worst` summarize objective 0 (the build cost), and
-/// `hypervolume` is the archive hypervolume after this generation's
-/// inserts.
-#[allow(clippy::too_many_arguments)]
-fn pareto_generation_record(
-    generation: usize,
-    population: &[Evaluated],
-    hypervolume: f64,
-    stats: &EvalStats,
-    prev_stats: &EvalStats,
-    repairs: usize,
-    settings: &GaSettings,
-    breed_seconds: f64,
-    repair_seconds: f64,
-) -> GenerationRecord {
-    let costs = population.iter().map(|e| e.objectives[0]);
-    let mean = costs.clone().sum::<f64>() / population.len() as f64;
-    let best = costs.clone().fold(f64::INFINITY, f64::min);
-    let worst = costs.fold(f64::NEG_INFINITY, f64::max);
-    let distinct: std::collections::HashSet<&AdjacencyMatrix> =
-        population.iter().map(|e| &e.topology).collect();
-    GenerationRecord {
-        generation,
-        best,
-        mean,
-        worst,
-        diversity: distinct.len() as f64 / population.len() as f64,
-        cache_hits: stats.cache_hits - prev_stats.cache_hits,
-        cache_misses: stats.cache_misses - prev_stats.cache_misses,
-        delta_evals: stats.delta_evals - prev_stats.delta_evals,
-        full_evals: stats.full_evals - prev_stats.full_evals,
-        crossover: settings.num_crossover,
-        mutation: settings.num_mutation,
-        repairs,
-        eval_seconds: stats.eval_seconds - prev_stats.eval_seconds,
-        breed_seconds,
-        repair_seconds,
-        hypervolume,
-    }
+    pool.sort_by(|a, b| cmp_by_cost(&a.0, &b.0));
 }
 
 #[cfg(test)]

@@ -217,6 +217,51 @@ fn serve_events_round_trip_through_the_journal() {
 }
 
 #[test]
+fn stalled_warm_run_journals_ga_stalled() {
+    let _guard = telemetry_lock();
+    cold_obs::configure(TraceMode::Off).expect("start untraced");
+    let mut cfg = ColdConfig::quick(8, 4e-4, 10.0);
+    cfg.ga.stall_gens = Some(1);
+    let parent = cfg.synthesize(3).network.topology;
+
+    let path = temp_journal("warm-stall");
+    cold_obs::configure(TraceMode::Journal(path.clone())).expect("journal sink");
+    let r = cold::try_synthesize_warm(
+        &cfg,
+        &parent,
+        cold::ChangeCosts::default(),
+        11,
+        None,
+        None,
+        None,
+    )
+    .expect("warm run");
+    cold_obs::configure(TraceMode::Off).expect("disable sink");
+    assert_eq!(r.stop_reason, cold::StopReason::Stalled, "a converged parent stalls at once");
+
+    let text = std::fs::read_to_string(&path).expect("journal written");
+    let events = parse_journal(&text).expect("every line is a valid event");
+    let frame: Vec<&Event> = events
+        .iter()
+        .filter(|e| matches!(e, Event::RunStart(_) | Event::GaStalled(_) | Event::RunEnd(_)))
+        .collect();
+    assert_eq!(frame.len(), 3, "run_start, ga_stalled, run_end: {frame:?}");
+    match frame[0] {
+        Event::RunStart(s) => assert_eq!(s.mode, "Warm"),
+        other => panic!("expected run_start, got {other:?}"),
+    }
+    match frame[1] {
+        Event::GaStalled(s) => {
+            assert_eq!((s.generation, s.stall_gens), (r.generations_run, 1));
+            assert_eq!(Some(&s.best), r.best_cost_history.last());
+        }
+        other => panic!("expected ga_stalled, got {other:?}"),
+    }
+    assert!(matches!(frame[2], Event::RunEnd(_)), "run_end closes the run");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn tracing_does_not_perturb_synthesis() {
     let _guard = telemetry_lock();
     cold_obs::configure(TraceMode::Off).expect("start untraced");
