@@ -15,7 +15,10 @@
 //! population costs — never wall-clock stats).
 
 use cold::context::rng::derive_seed;
-use cold::{run_campaign_controlled, CampaignCheckpoint, CampaignControl, ColdConfig};
+use cold::{
+    run_campaign_controlled, CampaignCheckpoint, CampaignControl, ColdConfig, RunOptions,
+    TrialObjective, TrialSpec,
+};
 use serde::Deserialize as _;
 use serde_json::Value;
 use std::path::PathBuf;
@@ -94,9 +97,11 @@ fn resume_ga(path: &PathBuf) {
                 .unwrap_or_else(|e| fail(&format!("input `snapshot`: {e}"))),
         )
     };
+    let options = RunOptions { resume, ..RunOptions::default() };
     let result = config
-        .try_synthesize_resumable(seed, None, None, resume)
-        .unwrap_or_else(|e| fail(&format!("resume failed: {e}")));
+        .run_trial(TrialSpec::new(seed, TrialObjective::Cost), options)
+        .unwrap_or_else(|e| fail(&format!("resume failed: {e}")))
+        .into_single();
     println!(
         "{}",
         serde_json::to_string(&trial_value(0, seed, &result)).expect("trial serializes")

@@ -23,7 +23,9 @@
 //! synthesized trials, a deterministic stand-in for `kill -9` that the CI
 //! crash-recovery smoke test drives. See DESIGN.md §10.
 
-use cold::{export, CampaignCheckpoint, ColdConfig, SynthesisMode};
+use cold::{
+    export, CampaignCheckpoint, ColdConfig, RunOptions, SynthesisMode, TrialObjective, TrialSpec,
+};
 use cold_context::Context;
 use cold_cost::Network;
 use std::path::PathBuf;
@@ -640,27 +642,26 @@ fn main() {
     } else {
         for i in 0..args.count {
             let seed = cold_context::rng::derive_seed(args.seed, i as u64);
-            let (network, context, note) = if let Some(bc) = args.bridge_cost {
-                let (net, _, report) = match cold::resilience::synthesize_resilient(&cfg, bc, seed)
-                {
-                    Ok(r) => r,
+            let (r, note) = if let Some(bridge_cost) = args.bridge_cost {
+                let spec = TrialSpec::new(seed, TrialObjective::Resilient { bridge_cost });
+                let r = match cfg.run_trial(spec, RunOptions::default()) {
+                    Ok(r) => r.into_single(),
                     Err(e) => {
                         eprintln!("cold-gen: resilient synthesis failed: {e}");
                         std::process::exit(1);
                     }
                 };
-                let ctx = cfg.context.generate(cold_context::rng::derive_seed(seed, 0xC0));
+                let report = cold::resilience::survivability(&r.network.topology, &r.context);
                 let note = format!(
                     ", bridges {} (2-edge-connected: {})",
                     report.bridges, report.two_edge_connected
                 );
-                (net, ctx, note)
+                (r, note)
             } else {
-                let r = cfg.synthesize(seed);
-                stalled |= r.stop_reason == cold::StopReason::Stalled;
-                (r.network, r.context, String::new())
+                (cfg.synthesize(seed), String::new())
             };
-            export_network(&args, i, &network, &context, &note);
+            stalled |= r.stop_reason == cold::StopReason::Stalled;
+            export_network(&args, i, &r.network, &r.context, &note);
         }
     }
     // Close the journal (or progress stream) with a registry summary so

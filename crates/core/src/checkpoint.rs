@@ -14,7 +14,9 @@
 //! previous snapshot intact, never a truncated one. See DESIGN.md §10.
 
 use crate::error::ColdError;
-use crate::synthesizer::{ColdConfig, ProgressSink, SynthesisResult, RETRY_SALT};
+use crate::synthesizer::{
+    attempt_seed, journal_failed_attempt, run_guarded, ColdConfig, ProgressSink, SynthesisResult,
+};
 use cold_context::rng::derive_seed;
 use cold_cost::Network;
 use cold_graph::AdjacencyMatrix;
@@ -543,53 +545,19 @@ pub fn run_campaign_controlled(
             }
             return Err(ColdError::Canceled { completed: results.len() });
         }
-        let attempts: usize = if control.retry_salted { 2 } else { 1 };
-        let mut trial_outcome: Option<(u64, SynthesisResult)> = None;
-        let mut last_err: Option<ColdError> = None;
-        for attempt in 1..=attempts {
-            let seed = if attempt == 1 {
-                derive_seed(master_seed, i as u64)
-            } else {
-                derive_seed(derive_seed(master_seed, RETRY_SALT), i as u64)
-            };
-            let outcome = match trial_deadline {
-                None => config.try_synthesize_progress(seed, control.progress.clone()),
-                Some(d) => {
-                    crate::synthesizer::run_with_deadline(config, seed, d, control.progress.clone())
-                }
-            };
-            match outcome {
-                Ok(r) => {
-                    trial_outcome = Some((seed, r));
-                    break;
-                }
+        let mut attempt = 1;
+        let (seed, r) = loop {
+            let seed = attempt_seed(master_seed, i, attempt);
+            match run_guarded(config, seed, trial_deadline, control.progress.clone()) {
+                Ok(r) => break (seed, r),
                 Err(e) => {
-                    if cold_obs::is_enabled() {
-                        if let ColdError::DeadlineExceeded { seconds } = &e {
-                            cold_obs::emit(&cold_obs::Event::TrialDeadlineExceeded(
-                                cold_obs::TrialDeadlineExceeded {
-                                    trial: i,
-                                    attempt,
-                                    seed,
-                                    seconds: *seconds,
-                                },
-                            ));
-                        }
-                        if control.retry_salted {
-                            cold_obs::emit(&cold_obs::Event::TrialFailed(cold_obs::TrialFailed {
-                                trial: i,
-                                attempt,
-                                seed,
-                                error: e.to_string(),
-                            }));
-                        }
+                    journal_failed_attempt(i, attempt, seed, &e, control.retry_salted);
+                    if attempt == 2 || !control.retry_salted {
+                        return Err(e);
                     }
-                    last_err = Some(e);
+                    attempt += 1;
                 }
             }
-        }
-        let Some((seed, r)) = trial_outcome else {
-            return Err(last_err.expect("a failed trial always records its error"));
         };
         records.push(TrialRecord::from_result(i, seed, &r));
         let completed = i + 1;

@@ -27,7 +27,7 @@ pub enum ColdError {
     /// Reading or writing a checkpoint file failed.
     Io(std::io::Error),
     /// A trial overran its wall-clock deadline and was abandoned by the
-    /// watchdog (see `run_with_deadline`); the trial counts as lost after
+    /// watchdog (see `run_guarded`); the trial counts as lost after
     /// its retry, exactly like a panic.
     DeadlineExceeded {
         /// The configured deadline, in seconds.

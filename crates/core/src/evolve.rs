@@ -18,13 +18,9 @@
 //! byte-identical across runs and across serial/parallel GA settings.
 
 use crate::error::ColdError;
-use crate::objective::ColdObjective;
-use crate::stats::NetworkStats;
-use crate::synthesizer::{ColdConfig, ProgressSink, RunTelemetry, SynthesisResult};
+use crate::synthesizer::{ColdConfig, RunOptions, SynthesisResult, TrialObjective, TrialSpec};
 use cold_context::rng::derive_seed;
-use cold_context::Context;
-use cold_cost::Network;
-use cold_ga::{GeneticAlgorithm, Objective, ObjectiveSession};
+use cold_ga::{Objective, ObjectiveSession};
 use cold_graph::AdjacencyMatrix;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -381,7 +377,7 @@ impl EvolutionPlan {
 }
 
 /// Links rewired by one evolution step, relative to its parent design.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RewiringDiff {
     /// Links built that the parent did not have (`u < v`).
     pub added: Vec<(usize, usize)>,
@@ -462,97 +458,6 @@ impl TopologySchedule {
     }
 }
 
-/// Warm-started synthesis in an explicit context: like
-/// `ColdConfig::try_synthesize_in_context`, but the GA population starts
-/// from `parent` plus mutation perturbations instead of MST/clique/random
-/// init, and the objective charges `costs` for rewiring against the
-/// parent. The GA stream is `derive_seed(seed, WARM_SALT)`, disjoint
-/// from every cold-path salt.
-///
-/// `checkpoint`/`resume` give warm runs the same crash-safety hooks as
-/// cold ones — warm seeds ride checkpoint frames automatically because
-/// population snapshots carry the whole population.
-///
-/// # Errors
-/// [`ColdError::Config`] for invalid settings (including a parent whose
-/// node count does not match the context) and [`ColdError::Ga`] for
-/// engine failures.
-#[allow(clippy::too_many_arguments)] // mirrors try_synthesize_resumable's surface
-pub fn try_synthesize_warm_in_context(
-    config: &ColdConfig,
-    ctx: Context,
-    parent: &AdjacencyMatrix,
-    costs: ChangeCosts,
-    seed: u64,
-    progress: Option<ProgressSink>,
-    checkpoint: Option<cold_ga::CheckpointHook<'_>>,
-    resume: Option<cold_ga::GaCheckpoint>,
-) -> Result<SynthesisResult, ColdError> {
-    config.validate()?;
-    costs.validate().map_err(ColdError::Config)?;
-    if parent.n() != ctx.n() {
-        return Err(ColdError::Config(format!(
-            "warm-start parent has {} nodes, context has {}",
-            parent.n(),
-            ctx.n()
-        )));
-    }
-    let _span = cold_obs::span("core.synthesize_warm");
-    let telemetry = RunTelemetry::start(seed, ctx.n(), "Warm".into(), &config.ga);
-    let objective =
-        ChangePenaltyObjective::new(ColdObjective::new(&ctx, config.params), parent.clone(), costs);
-    let ga_settings = cold_ga::GaSettings { seed: derive_seed(seed, WARM_SALT), ..config.ga };
-    let engine = GeneticAlgorithm::try_new(&objective, ga_settings)?;
-    let result =
-        engine.run_warm(parent, telemetry.observer(progress).slot(), checkpoint, resume)?;
-    telemetry.end(
-        result.stop_reason,
-        result.generations_run,
-        result.best.cost,
-        &result.eval_stats,
-        &result.repair_stats,
-    );
-    let network = Network::build(result.best.topology.clone(), &ctx, config.params)
-        .expect("GA result is connected");
-    let stats = NetworkStats::compute(&network.graph()).expect("connected");
-    Ok(SynthesisResult {
-        journal_path: cold_obs::journal_path(),
-        context: ctx,
-        network,
-        stats,
-        best_cost_history: result.history,
-        final_population_costs: result.final_population.iter().map(|i| i.cost).collect(),
-        heuristic_costs: Vec::new(),
-        evaluations: result.evaluations,
-        eval_stats: result.eval_stats,
-        repair_rate: result.repair_stats.repair_rate(),
-        generations_run: result.generations_run,
-        stop_reason: result.stop_reason,
-    })
-}
-
-/// Warm-started synthesis with the standard context derivation: the
-/// context is generated from `derive_seed(seed, 0xC0)` exactly as the
-/// cold path does, so a warm job and a cold job with the same `(config,
-/// seed)` optimize the *same* context — only the starting population and
-/// the change penalty differ. This is `cold-serve`'s evolve-job entry.
-///
-/// # Errors
-/// As [`try_synthesize_warm_in_context`].
-pub fn try_synthesize_warm(
-    config: &ColdConfig,
-    parent: &AdjacencyMatrix,
-    costs: ChangeCosts,
-    seed: u64,
-    progress: Option<ProgressSink>,
-    checkpoint: Option<cold_ga::CheckpointHook<'_>>,
-    resume: Option<cold_ga::GaCheckpoint>,
-) -> Result<SynthesisResult, ColdError> {
-    config.validate()?;
-    let ctx = config.context.generate(derive_seed(seed, 0xC0));
-    try_synthesize_warm_in_context(config, ctx, parent, costs, seed, progress, checkpoint, resume)
-}
-
 /// Embeds `parent` (defined on the first `parent.n()` PoPs) into a
 /// possibly larger node set; new PoPs start with no links. This is how a
 /// warm start crosses an `add_pop` boundary — and how `cold-serve` seeds
@@ -591,16 +496,29 @@ fn diff(parent: &AdjacencyMatrix, child: &AdjacencyMatrix, penalty: f64) -> Rewi
     RewiringDiff { added, removed, kept, change_penalty: penalty }
 }
 
+/// One schedule entry; journals its `evolution_step` event when
+/// telemetry is active.
 fn schedule_step(
+    plan: &EvolutionPlan,
     step: usize,
     kind: &str,
     result: &SynthesisResult,
     diff: RewiringDiff,
-    warm: bool,
 ) -> ScheduleStep {
     let doc: Value =
         serde_json::from_str(&crate::export::to_json(&result.network, &result.context))
             .expect("export::to_json emits valid JSON");
+    let best_cost = *result.best_cost_history.last().expect("GA ran >= 1 generation");
+    if cold_obs::is_enabled() {
+        cold_obs::emit(&cold_obs::Event::EvolutionStep(cold_obs::EvolutionStep {
+            run: cold_obs::run_id(plan.seed),
+            step,
+            kind: kind.into(),
+            n: result.context.n(),
+            best_cost,
+            generations: result.generations_run,
+        }));
+    }
     ScheduleStep {
         step,
         kind: kind.to_string(),
@@ -609,10 +527,10 @@ fn schedule_step(
         topology: doc,
         diff,
         convergence: StepConvergence {
-            warm,
+            warm: step > 0,
             generations_run: result.generations_run,
             evaluations: result.evaluations,
-            best_cost: *result.best_cost_history.last().expect("GA ran >= 1 generation"),
+            best_cost,
             stop_reason: format!("{:?}", result.stop_reason),
         },
     }
@@ -626,38 +544,11 @@ fn schedule_step(
 /// [`ColdError::Config`] for an invalid plan, plus anything the
 /// underlying syntheses return.
 pub fn run_plan(plan: &EvolutionPlan) -> Result<TopologySchedule, ColdError> {
-    run_plan_progress(plan, None)
-}
-
-/// [`run_plan`] with an optional live per-generation [`ProgressSink`]
-/// shared by every step's GA run.
-///
-/// # Errors
-/// As [`run_plan`].
-pub fn run_plan_progress(
-    plan: &EvolutionPlan,
-    progress: Option<ProgressSink>,
-) -> Result<TopologySchedule, ColdError> {
     plan.validate()?;
     let _span = cold_obs::span("core.evolve");
-    let traced = cold_obs::is_enabled();
-    let run = cold_obs::run_id(plan.seed);
     // Step 0: the cold base synthesis.
-    let base = plan.base.try_synthesize_progress(plan.seed, progress.clone())?;
-    let n0 = base.context.n();
-    let base_diff =
-        RewiringDiff { added: Vec::new(), removed: Vec::new(), kept: 0, change_penalty: 0.0 };
-    let mut steps = vec![schedule_step(0, "base", &base, base_diff, false)];
-    if traced {
-        cold_obs::emit(&cold_obs::Event::EvolutionStep(cold_obs::EvolutionStep {
-            run: run.clone(),
-            step: 0,
-            kind: "base".into(),
-            n: n0,
-            best_cost: steps[0].convergence.best_cost,
-            generations: base.generations_run,
-        }));
-    }
+    let base = plan.base.try_synthesize(plan.seed)?;
+    let mut steps = vec![schedule_step(plan, 0, "base", &base, RewiringDiff::default())];
     let mut config = plan.base;
     let mut ctx = base.context;
     let mut parent = base.network.topology;
@@ -673,50 +564,24 @@ pub fn run_plan_progress(
                 ctx.traffic.scale(*factor);
             }
             PlanStep::CostChange { k0, k1, k2, k3 } => {
-                if let Some(v) = k0 {
-                    config.params.k0 = *v;
-                }
-                if let Some(v) = k1 {
-                    config.params.k1 = *v;
-                }
-                if let Some(v) = k2 {
-                    config.params.k2 = *v;
-                }
-                if let Some(v) = k3 {
-                    config.params.k3 = *v;
+                let p = &mut config.params;
+                for (v, k) in [(k0, &mut p.k0), (k1, &mut p.k1), (k2, &mut p.k2), (k3, &mut p.k3)] {
+                    *k = v.unwrap_or(*k);
                 }
             }
         }
         let embedded = embed_parent(&parent, ctx.n());
-        let result = try_synthesize_warm_in_context(
-            &config,
-            ctx.clone(),
-            &embedded,
-            plan.change_costs,
-            step_seed,
-            progress.clone(),
-            None,
-            None,
-        )?;
+        let objective = TrialObjective::Warm { parent: embedded.clone(), costs: plan.change_costs };
+        let spec = TrialSpec { seed: step_seed, context: Some(ctx), objective };
+        let result = config.run_trial(spec, RunOptions::default())?.into_single();
         let penalty =
             change_penalty(&embedded, &result.network.topology, &plan.change_costs, |u, v| {
-                ctx.distance(u, v)
+                result.context.distance(u, v)
             });
         let d = diff(&embedded, &result.network.topology, penalty);
-        let entry = schedule_step(idx, step.kind(), &result, d, true);
-        if traced {
-            cold_obs::emit(&cold_obs::Event::EvolutionStep(cold_obs::EvolutionStep {
-                run: run.clone(),
-                step: idx,
-                kind: step.kind().into(),
-                n: ctx.n(),
-                best_cost: entry.convergence.best_cost,
-                generations: result.generations_run,
-            }));
-        }
-        parent = result.network.topology.clone();
+        steps.push(schedule_step(plan, idx, step.kind(), &result, d));
+        parent = result.network.topology;
         ctx = result.context;
-        steps.push(entry);
     }
     Ok(TopologySchedule { seed: plan.seed, change_costs: plan.change_costs, steps })
 }
@@ -724,6 +589,7 @@ pub fn run_plan_progress(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objective::ColdObjective;
     use crate::ColdConfig;
 
     fn quick_plan(n: usize, seed: u64) -> EvolutionPlan {
@@ -814,17 +680,11 @@ mod tests {
         let cfg = ColdConfig::quick(8, 1e-4, 10.0);
         let ctx = cfg.context.generate(4);
         let parent = cold_graph::mst::mst_matrix(8, ctx.distance_fn());
-        let r = try_synthesize_warm_in_context(
-            &cfg,
-            ctx,
-            &parent,
-            ChangeCosts::uniform(1.0),
-            9,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let objective = TrialObjective::Warm { parent, costs: ChangeCosts::uniform(1.0) };
+        let r = cfg
+            .run_trial(TrialSpec { seed: 9, context: Some(ctx), objective }, RunOptions::default())
+            .unwrap()
+            .into_single();
         assert!(
             r.eval_stats.delta_evals > 0,
             "warm run performed no delta evals: {:?}",
@@ -836,16 +696,14 @@ mod tests {
     fn warm_synthesis_shares_the_cold_context() {
         let cfg = ColdConfig::quick(8, 1e-4, 10.0);
         let cold = cfg.synthesize(21);
-        let warm = try_synthesize_warm(
-            &cfg,
-            &cold.network.topology,
-            ChangeCosts::default(),
-            21,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let objective = TrialObjective::Warm {
+            parent: cold.network.topology.clone(),
+            costs: ChangeCosts::default(),
+        };
+        let warm = cfg
+            .run_trial(TrialSpec::new(21, objective), RunOptions::default())
+            .unwrap()
+            .into_single();
         assert_eq!(
             warm.context, cold.context,
             "same (config, seed) must optimize the same context"
@@ -858,8 +716,8 @@ mod tests {
     fn mismatched_parent_is_a_config_error() {
         let cfg = ColdConfig::quick(8, 1e-4, 10.0);
         let parent = AdjacencyMatrix::complete(5);
-        let err = try_synthesize_warm(&cfg, &parent, ChangeCosts::default(), 1, None, None, None)
-            .unwrap_err();
+        let objective = TrialObjective::Warm { parent, costs: ChangeCosts::default() };
+        let err = cfg.run_trial(TrialSpec::new(1, objective), RunOptions::default()).unwrap_err();
         assert!(matches!(err, ColdError::Config(_)), "got {err:?}");
     }
 

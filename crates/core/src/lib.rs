@@ -101,20 +101,19 @@ pub use checkpoint::{
 pub use cold_ga::StopReason;
 pub use error::ColdError;
 pub use evolve::{
-    change_penalty, embed_parent, run_plan, run_plan_progress, try_synthesize_warm,
-    try_synthesize_warm_in_context, ChangeCosts, ChangePenaltyObjective, EvolutionPlan, PlanStep,
-    RewiringDiff, ScheduleStep, StepConvergence, TopologySchedule, WARM_SALT,
+    change_penalty, embed_parent, run_plan, ChangeCosts, ChangePenaltyObjective, EvolutionPlan,
+    PlanStep, RewiringDiff, ScheduleStep, StepConvergence, TopologySchedule, WARM_SALT,
 };
 pub use fingerprint::{canonical_json, fingerprint_hex, job_fingerprint, value_fingerprint};
 pub use objective::ColdObjective;
 pub use pareto::{
-    try_synthesize_pareto, try_synthesize_pareto_in_context, ColdMultiObjective, ParetoFrontMember,
-    ParetoSynthesisResult,
+    try_synthesize_pareto, ColdMultiObjective, ParetoFrontMember, ParetoSynthesisResult,
 };
 pub use stats::NetworkStats;
 pub use synthesizer::{
-    join_abandoned_watchdog_threads, ColdConfig, EnsembleOutcome, ProgressSink, SynthesisMode,
-    SynthesisResult, TrialFailure, TrialRunner, RETRY_SALT,
+    join_abandoned_watchdog_threads, ColdConfig, EnsembleOutcome, ProgressSink, RunOptions,
+    RunOutput, SynthesisMode, SynthesisResult, TrialFailure, TrialObjective, TrialRunner,
+    TrialSpec, RETRY_SALT,
 };
 
 // Re-export the component crates so `cold` is a one-stop dependency.

@@ -24,14 +24,12 @@
 use crate::error::ColdError;
 use crate::failure::{single_link_failures, FailureReport};
 use crate::objective::ColdObjective;
-use crate::synthesizer::{ColdConfig, ProgressSink, RunTelemetry, SynthesisMode};
-use cold_context::rng::derive_seed;
+use crate::synthesizer::{ColdConfig, RunOptions, RunOutput, TrialObjective, TrialSpec};
 use cold_context::Context;
 use cold_cost::{CostParams, Network};
 use cold_ga::pareto::{MultiObjective, MultiObjectiveSession};
-use cold_ga::{GaSettings, Objective, ObjectiveSession};
+use cold_ga::{Objective, ObjectiveSession};
 use cold_graph::AdjacencyMatrix;
-use cold_heuristics::all_heuristics;
 
 /// Weight of the capped overload term in the failure-impact objective,
 /// relative to the stranded-traffic fraction (which dominates: losing
@@ -204,23 +202,8 @@ impl ParetoSynthesisResult {
 pub const DEFAULT_ARCHIVE_CAPACITY: usize = 32;
 
 /// Multi-objective synthesis: generates the context for `seed`, then runs
-/// NSGA-II over [`ColdMultiObjective`].
-///
-/// # Errors
-/// [`ColdError::Config`] for invalid configuration, [`ColdError::Ga`] for
-/// engine failures (non-finite objective components, bad settings).
-pub fn try_synthesize_pareto(
-    cfg: &ColdConfig,
-    seed: u64,
-    archive_capacity: usize,
-) -> Result<ParetoSynthesisResult, ColdError> {
-    cfg.validate()?;
-    let ctx = cfg.context.generate(derive_seed(seed, 0xC0));
-    try_synthesize_pareto_in_context(cfg, ctx, seed, archive_capacity, None)
-}
-
-/// [`try_synthesize_pareto`] within an explicit context, with an optional
-/// live per-generation [`ProgressSink`] — the serve layer's entry point.
+/// NSGA-II over [`ColdMultiObjective`] — [`ColdConfig::run_trial`] with a
+/// [`TrialObjective::Pareto`] objective.
 ///
 /// Telemetry mirrors scalar synthesis: a `run_start` event (mode
 /// `"Pareto"`), one `generation` event per generation whose
@@ -228,61 +211,15 @@ pub fn try_synthesize_pareto(
 /// summary reporting the cheapest front member as `best_cost`.
 ///
 /// # Errors
-/// As [`try_synthesize_pareto`].
-pub fn try_synthesize_pareto_in_context(
+/// [`ColdError::Config`] for invalid configuration, [`ColdError::Ga`] for
+/// engine failures (non-finite objective components, a zero archive).
+pub fn try_synthesize_pareto(
     cfg: &ColdConfig,
-    ctx: Context,
     seed: u64,
     archive_capacity: usize,
-    progress: Option<ProgressSink>,
 ) -> Result<ParetoSynthesisResult, ColdError> {
-    let _span = cold_obs::span("core.synthesize_pareto");
-    let telemetry = RunTelemetry::start(seed, ctx.n(), "Pareto".into(), &cfg.ga);
-    let objective = ColdMultiObjective::new(&ctx, cfg.params);
-    let seeds: Vec<AdjacencyMatrix> = match cfg.mode {
-        SynthesisMode::GaOnly => Vec::new(),
-        SynthesisMode::Initialized => {
-            let _t = cold_obs::timer("core.heuristic_seed");
-            all_heuristics(
-                objective.inner.evaluator(),
-                &cfg.random_greedy,
-                derive_seed(seed, 0x4755),
-            )
-            .into_iter()
-            .map(|(_, r)| r.topology)
-            .collect()
-        }
-    };
-    let ga_settings = GaSettings { seed: derive_seed(seed, 0x6741), ..cfg.ga };
-    let engine = cold_ga::pareto::ParetoGa::try_new(&objective, ga_settings, archive_capacity)?;
-    let result = engine.try_run_traced(&seeds, telemetry.observer(progress).slot())?;
-    let front: Vec<ParetoFrontMember> = result
-        .front
-        .iter()
-        .map(|p| {
-            let network = Network::build(p.topology.clone(), &ctx, cfg.params)
-                .expect("archive members are repaired candidates, hence connected");
-            ParetoFrontMember { network, objectives: p.objectives.clone() }
-        })
-        .collect();
-    telemetry.end(
-        result.stop_reason,
-        result.generations_run,
-        front.iter().map(|m| m.objectives[0]).fold(f64::INFINITY, f64::min),
-        &result.eval_stats,
-        &result.repair_stats,
-    );
-    Ok(ParetoSynthesisResult {
-        journal_path: cold_obs::journal_path(),
-        context: ctx,
-        front,
-        hypervolume_history: result.hypervolume_history,
-        reference: result.reference,
-        generations_run: result.generations_run,
-        evaluations: result.evaluations,
-        eval_stats: result.eval_stats,
-        stop_reason: result.stop_reason,
-    })
+    let objective = TrialObjective::Pareto { archive: archive_capacity };
+    cfg.run_trial(TrialSpec::new(seed, objective), RunOptions::default()).map(RunOutput::into_front)
 }
 
 #[cfg(test)]

@@ -11,7 +11,9 @@
 //! With a small bridge cost the GA trades some build-out budget for rings;
 //! with a large one it produces fully 2-edge-connected networks. The cost
 //! stays operationally meaningful: it is the expected price of an outage
-//! on an unprotected link.
+//! on an unprotected link. A resilient synthesis is a
+//! [`TrialObjective::Resilient`](crate::TrialObjective::Resilient) trial
+//! of [`ColdConfig::run_trial`](crate::ColdConfig::run_trial).
 
 use crate::failure::cross_cut_demand;
 use crate::objective::ColdObjective;
@@ -138,45 +140,13 @@ pub fn survivability(topology: &AdjacencyMatrix, ctx: &Context) -> Survivability
     }
 }
 
-/// Synthesizes a resilience-aware network: the standard pipeline
-/// (heuristic seeds + GA) but optimizing [`ResilientObjective`].
-///
-/// Returns the best topology, its resilient-objective value, and its
-/// survivability report.
-///
-/// # Errors
-/// Returns [`crate::ColdError::Ga`] for invalid GA settings or evaluation
-/// failures and [`crate::ColdError::Config`] if the winning topology
-/// cannot be built into a network.
-pub fn synthesize_resilient(
-    base: &crate::ColdConfig,
-    bridge_cost: f64,
-    seed: u64,
-) -> Result<(cold_cost::Network, f64, Survivability), crate::ColdError> {
-    let ctx = base.context.generate(cold_context::rng::derive_seed(seed, 0xC0));
-    let objective = ResilientObjective::new(&ctx, base.params, bridge_cost);
-    // Seed with the plain heuristics (still valid topologies, just scored
-    // differently) exactly as the initialized GA does.
-    let eval = cold_cost::CostEvaluator::new(&ctx, base.params);
-    let seeds: Vec<AdjacencyMatrix> =
-        cold_heuristics::all_heuristics(&eval, &base.random_greedy, seed)
-            .into_iter()
-            .map(|(_, r)| r.topology)
-            .collect();
-    let ga_settings =
-        cold_ga::GaSettings { seed: cold_context::rng::derive_seed(seed, 0x6741), ..base.ga };
-    let engine = cold_ga::GeneticAlgorithm::try_new(&objective, ga_settings)?;
-    let result = engine.try_run_traced(&seeds, None)?;
-    let report = survivability(&result.best.topology, &ctx);
-    let network = cold_cost::Network::build(result.best.topology.clone(), &ctx, base.params)
-        .map_err(|e| crate::ColdError::Config(format!("GA output not buildable: {e:?}")))?;
-    Ok((network, result.best.cost, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ColdConfig;
+    use crate::{
+        ColdConfig, ColdError, ProgressSink, RunOptions, SynthesisMode, SynthesisResult,
+        TrialObjective, TrialSpec,
+    };
 
     #[test]
     fn bridge_penalty_added_to_cost() {
@@ -212,10 +182,16 @@ mod tests {
         assert_eq!(s.worst_link_failure_traffic_fraction, 0.0);
     }
 
+    fn resilient(cfg: &ColdConfig, bridge_cost: f64, seed: u64) -> SynthesisResult {
+        let spec = TrialSpec::new(seed, TrialObjective::Resilient { bridge_cost });
+        cfg.run_trial(spec, RunOptions::default()).unwrap().into_single()
+    }
+
     #[test]
     fn high_bridge_cost_produces_two_edge_connected_networks() {
         let cfg = ColdConfig::quick(9, 1e-4, 0.0);
-        let (net, _, report) = synthesize_resilient(&cfg, 1e6, 3).unwrap();
+        let r = resilient(&cfg, 1e6, 3);
+        let (net, report) = (&r.network, survivability(&r.network.topology, &r.context));
         assert!(
             report.two_edge_connected,
             "bridge cost 1e6 must eliminate bridges; got {} bridges over {} links",
@@ -228,10 +204,33 @@ mod tests {
     #[test]
     fn zero_bridge_cost_reduces_to_plain_cold() {
         let cfg = ColdConfig::quick(8, 1e-4, 10.0);
-        let (net, cost, _) = synthesize_resilient(&cfg, 0.0, 4).unwrap();
+        let r = resilient(&cfg, 0.0, 4);
         let plain = cfg.synthesize(4);
-        assert_eq!(net.topology, plain.network.topology);
-        assert!((cost - plain.best_cost()).abs() < 1e-9);
+        assert_eq!(r.network.topology, plain.network.topology);
+        assert_eq!(r.best_cost_history, plain.best_cost_history);
+        assert_eq!(r.heuristic_costs, plain.heuristic_costs);
+    }
+
+    #[test]
+    fn resilient_runs_follow_the_synthesis_mode() {
+        let mut cfg = ColdConfig::quick(8, 1e-4, 0.0);
+        assert_eq!(resilient(&cfg, 50.0, 1).heuristic_costs.len(), 4);
+        cfg.mode = SynthesisMode::GaOnly;
+        assert!(resilient(&cfg, 50.0, 1).heuristic_costs.is_empty());
+    }
+
+    #[test]
+    fn invalid_bridge_costs_and_options_are_config_errors() {
+        let cfg = ColdConfig::quick(6, 1e-4, 0.0);
+        for bridge_cost in [-1.0, f64::NAN, f64::INFINITY] {
+            let spec = TrialSpec::new(1, TrialObjective::Resilient { bridge_cost });
+            let err = cfg.run_trial(spec, RunOptions::default()).unwrap_err();
+            assert!(matches!(err, ColdError::Config(_)), "{bridge_cost}: {err:?}");
+        }
+        let spec = TrialSpec::new(1, TrialObjective::Resilient { bridge_cost: 1.0 });
+        let progress: ProgressSink = std::sync::Arc::new(|_: &cold_obs::GenerationRecord| {});
+        let options = RunOptions { progress: Some(progress), ..RunOptions::default() };
+        assert!(matches!(cfg.run_trial(spec, options), Err(ColdError::Config(_))));
     }
 
     #[test]

@@ -7,12 +7,17 @@
 //! function of `(config, seed)`.
 
 use crate::error::{panic_message, ColdError};
+use crate::evolve::{ChangeCosts, ChangePenaltyObjective, WARM_SALT};
 use crate::objective::ColdObjective;
+use crate::pareto::{ColdMultiObjective, ParetoFrontMember, ParetoSynthesisResult};
+use crate::resilience::ResilientObjective;
 use crate::stats::NetworkStats;
 use cold_context::rng::derive_seed;
 use cold_context::{Context, ContextConfig};
 use cold_cost::{CostParams, Network};
-use cold_ga::{GaSettings, GeneticAlgorithm};
+use cold_ga::pareto::ParetoGa;
+use cold_ga::{GaSettings, GeneticAlgorithm, Objective};
+use cold_graph::AdjacencyMatrix;
 use cold_heuristics::{all_heuristics, RandomGreedyConfig};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -24,6 +29,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// `derive_seed(derive_seed(master, RETRY_SALT), trial)` against the
 /// original trial seeds.
 pub const RETRY_SALT: u64 = 0x5245_5452; // "RETR"
+
+/// Salts of a trial's random streams, each `derive_seed(seed, salt)`:
+/// the context, the heuristic seeding, and the GA of a cold-started run
+/// (warm runs use [`WARM_SALT`]).
+const CONTEXT_SALT: u64 = 0xC0;
+const HEURISTIC_SALT: u64 = 0x4755; // "GU"
+const GA_SALT: u64 = 0x6741; // "Ga"
 
 /// How long the `trial.hang` fault sleeps, in milliseconds. Long enough
 /// to overrun any test deadline by a wide margin, short enough that an
@@ -42,41 +54,28 @@ const HANG_MS: u64 = 2000;
 /// they run on the synthesis thread between generations.
 pub type ProgressSink = std::sync::Arc<dyn Fn(&cold_obs::GenerationRecord) + Send + Sync>;
 
-/// Fans one generation record out to the trace observer (when telemetry
-/// is enabled) and an optional [`ProgressSink`] — the single observer
-/// slot `cold-ga` exposes, multiplexed.
-pub(crate) struct ObserverFanout {
+/// One GA run's telemetry: the journal frame — `run_start` when the run
+/// begins; `ga_stalled` (when the stall guard ended it) and `run_end`
+/// when it returns — and the engine's one observer slot, fanned out to
+/// the trace observer (when telemetry is on) and an optional
+/// [`ProgressSink`].
+struct RunTelemetry {
+    seed: u64,
+    stall_gens: Option<usize>,
     trace: Option<cold_obs::TraceObserver>,
     progress: Option<ProgressSink>,
 }
 
-impl ObserverFanout {
-    /// The engine's observer slot: `None` when nobody listens, so the
-    /// engine skips building generation records altogether.
-    pub(crate) fn slot(&mut self) -> Option<&mut dyn cold_obs::GenerationObserver> {
-        if self.trace.is_some() || self.progress.is_some() {
-            Some(self)
-        } else {
-            None
-        }
-    }
-}
-
-/// One GA run's journal frame, shared by every synthesis mode (scalar,
-/// warm, Pareto): `run_start` when the run begins; `ga_stalled` (when the
-/// stall guard ended it) and `run_end` when it returns. Inert when
-/// telemetry is off.
-pub(crate) struct RunTelemetry {
-    seed: u64,
-    stall_gens: Option<usize>,
-    traced: bool,
-}
-
 impl RunTelemetry {
     /// Emits `run_start` for a `mode` run on an `n`-node context.
-    pub(crate) fn start(seed: u64, n: usize, mode: String, ga: &GaSettings) -> Self {
-        let traced = cold_obs::is_enabled();
-        if traced {
+    fn start(
+        seed: u64,
+        n: usize,
+        mode: String,
+        ga: &GaSettings,
+        progress: Option<ProgressSink>,
+    ) -> Self {
+        let trace = cold_obs::is_enabled().then(|| {
             cold_obs::emit(&cold_obs::Event::RunStart(cold_obs::RunStart {
                 run: cold_obs::run_id(seed),
                 n,
@@ -84,21 +83,25 @@ impl RunTelemetry {
                 generations: ga.generations,
                 population: ga.population,
             }));
-        }
-        Self { seed, stall_gens: ga.stall_gens, traced }
+            cold_obs::TraceObserver::new(seed)
+        });
+        Self { seed, stall_gens: ga.stall_gens, trace, progress }
     }
 
-    /// The run's generation observer: the trace observer (when telemetry
-    /// is on) fanned out with `progress`.
-    pub(crate) fn observer(&self, progress: Option<ProgressSink>) -> ObserverFanout {
-        let trace = self.traced.then(|| cold_obs::TraceObserver::new(self.seed));
-        ObserverFanout { trace, progress }
+    /// The engine's observer slot: `None` when nobody listens, so the
+    /// engine skips building generation records altogether.
+    fn slot(&mut self) -> Option<&mut dyn cold_obs::GenerationObserver> {
+        if self.trace.is_some() || self.progress.is_some() {
+            Some(self)
+        } else {
+            None
+        }
     }
 
     /// Emits `ga_stalled` when the stall guard ended the run, then
     /// `run_end`. `best_cost` is the scalar best (the cheapest front
     /// member for Pareto runs).
-    pub(crate) fn end(
+    fn end(
         &self,
         stop_reason: cold_ga::StopReason,
         generations_run: usize,
@@ -106,7 +109,7 @@ impl RunTelemetry {
         eval_stats: &cold_ga::EvalStats,
         repair_stats: &cold_ga::repair::RepairStats,
     ) {
-        if !self.traced {
+        if self.trace.is_none() {
             return;
         }
         let run = cold_obs::run_id(self.seed);
@@ -130,7 +133,7 @@ impl RunTelemetry {
     }
 }
 
-impl cold_obs::GenerationObserver for ObserverFanout {
+impl cold_obs::GenerationObserver for RunTelemetry {
     fn on_generation(&mut self, record: &cold_obs::GenerationRecord) {
         if let Some(trace) = &mut self.trace {
             trace.on_generation(record);
@@ -141,7 +144,7 @@ impl cold_obs::GenerationObserver for ObserverFanout {
     }
 }
 
-/// Watchdog-abandoned trial threads. [`run_with_deadline`] detaches the
+/// Watchdog-abandoned trial threads. [`run_guarded`] detaches the
 /// worker when the deadline fires (a scoped thread would have to be
 /// joined, wedging the caller on the very hang it guards against); the
 /// handle lands here so tests can drain stragglers before the next case
@@ -166,7 +169,7 @@ pub fn join_abandoned_watchdog_threads() {
     }
 }
 
-/// Runs one trial on a detached thread with a wall-clock deadline.
+/// Runs one cost trial; with a `deadline`, on a detached thread.
 ///
 /// Returns the trial's own result when it finishes in time, or
 /// [`ColdError::DeadlineExceeded`] when the deadline fires first — in
@@ -174,24 +177,27 @@ pub fn join_abandoned_watchdog_threads() {
 /// straggler registry), not killed: Rust has no safe thread
 /// cancellation, so the guard's job is to keep the ensemble moving, not
 /// to reclaim the wedged thread.
-pub(crate) fn run_with_deadline(
+pub(crate) fn run_guarded(
     cfg: &ColdConfig,
     seed: u64,
-    deadline: std::time::Duration,
+    deadline: Option<std::time::Duration>,
     progress: Option<ProgressSink>,
 ) -> Result<SynthesisResult, ColdError> {
     let cfg = *cfg;
+    let run = move || {
+        let options = RunOptions { progress, ..RunOptions::default() };
+        cfg.run_trial(TrialSpec::new(seed, TrialObjective::Cost), options)
+            .map(RunOutput::into_single)
+    };
+    let Some(deadline) = deadline else { return run() };
     let (tx, rx) = std::sync::mpsc::channel();
     // Trace context is thread-local; snapshot it here and re-install it
     // on the worker so the trial's events stay under the caller's span.
     let trace_ctx = cold_obs::trace::current();
     let worker = std::thread::spawn(move || {
         let _trace = trace_ctx.map(cold_obs::trace::enter);
-        let outcome =
-            catch_unwind(AssertUnwindSafe(|| cfg.try_synthesize_progress(seed, progress)))
-                .unwrap_or_else(|payload| {
-                    Err(ColdError::TrialPanic(panic_message(payload.as_ref())))
-                });
+        let outcome = catch_unwind(AssertUnwindSafe(run))
+            .unwrap_or_else(|payload| Err(ColdError::TrialPanic(panic_message(payload.as_ref()))));
         // The receiver is gone when the deadline already fired; the
         // result is then dropped with the thread.
         let _ = tx.send(outcome);
@@ -210,6 +216,44 @@ pub(crate) fn run_with_deadline(
     }
 }
 
+/// The seed of an ensemble or campaign trial's `attempt`: 1 is the
+/// first try, 2 the retry on the salted master seed.
+pub(crate) fn attempt_seed(master_seed: u64, trial: usize, attempt: usize) -> u64 {
+    let master = if attempt == 1 { master_seed } else { derive_seed(master_seed, RETRY_SALT) };
+    derive_seed(master, trial as u64)
+}
+
+/// Journals a failed trial attempt: `trial_deadline_exceeded` for an
+/// overrun, then `trial_failed` when `trial_failed` is set.
+pub(crate) fn journal_failed_attempt(
+    trial: usize,
+    attempt: usize,
+    seed: u64,
+    error: &ColdError,
+    trial_failed: bool,
+) {
+    if !cold_obs::is_enabled() {
+        return;
+    }
+    if let ColdError::DeadlineExceeded { seconds } = error {
+        cold_obs::emit(&cold_obs::Event::TrialDeadlineExceeded(cold_obs::TrialDeadlineExceeded {
+            trial,
+            attempt,
+            seed,
+            seconds: *seconds,
+        }));
+    }
+    if trial_failed {
+        let error = error.to_string();
+        cold_obs::emit(&cold_obs::Event::TrialFailed(cold_obs::TrialFailed {
+            trial,
+            attempt,
+            seed,
+            error,
+        }));
+    }
+}
+
 /// How the GA's initial population is seeded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum SynthesisMode {
@@ -221,6 +265,129 @@ pub enum SynthesisMode {
     /// recommended default.
     #[default]
     Initialized,
+}
+
+/// What one trial minimizes. Every variant runs the same pipeline
+/// ([`ColdConfig::run_trial`]); they differ only in the objective, the
+/// initial population, the GA salt, the survival strategy and the result
+/// type. Checkpoint and resume exist for cost and warm runs only, and
+/// resilient runs take no [`RunOptions`]: other combinations are
+/// [`ColdError::Config`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum TrialObjective {
+    /// Eq. (2): the paper's synthesis.
+    Cost,
+    /// Eq. (2) plus a [`ChangeCosts`] penalty for every link that differs
+    /// from `parent`, warm-started from `parent` (DESIGN.md §17).
+    Warm {
+        /// The design the GA starts from and prices changes against;
+        /// same node count as the context.
+        parent: AdjacencyMatrix,
+        /// Per-link rewiring prices.
+        costs: ChangeCosts,
+    },
+    /// Eq. (2) plus `bridge_cost` per bridge link
+    /// ([`crate::resilience`]).
+    Resilient {
+        /// Extra cost per bridge (finite, >= 0).
+        bridge_cost: f64,
+    },
+    /// Build cost, failure impact and delay under NSGA-II survival
+    /// ([`crate::pareto`]); yields a front, not one network.
+    Pareto {
+        /// Bound on the carried archive (>= 1).
+        archive: usize,
+    },
+}
+
+impl TrialObjective {
+    /// Checks the objective's parameters for an `n`-node context, and the
+    /// options it supports.
+    fn validate(&self, n: usize, options: &RunOptions<'_>) -> Result<(), ColdError> {
+        let hooks = options.checkpoint.is_some() || options.resume.is_some();
+        let why = match self {
+            TrialObjective::Warm { parent, .. } if parent.n() != n => {
+                Some(format!("warm-start parent has {} nodes, context has {n}", parent.n()))
+            }
+            TrialObjective::Warm { costs, .. } => costs.validate().err(),
+            TrialObjective::Resilient { bridge_cost }
+                if !bridge_cost.is_finite() || *bridge_cost < 0.0 =>
+            {
+                Some(format!("bridge cost {bridge_cost} must be finite and >= 0"))
+            }
+            TrialObjective::Resilient { .. } if hooks || options.progress.is_some() => {
+                Some("resilient runs take no progress, checkpoint or resume option".into())
+            }
+            TrialObjective::Pareto { .. } if hooks => {
+                Some("pareto runs support neither the checkpoint nor the resume option".into())
+            }
+            _ => None,
+        };
+        why.map_or(Ok(()), |why| Err(ColdError::Config(why)))
+    }
+}
+
+/// One trial: its seed, its objective, and optionally an explicit
+/// context (otherwise drawn from the seed).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrialSpec {
+    /// The trial seed every stream derives from.
+    pub seed: u64,
+    /// The context to design for; `None` draws it from `seed`.
+    pub context: Option<Context>,
+    /// What to minimize.
+    pub objective: TrialObjective,
+}
+
+impl TrialSpec {
+    /// A trial of `objective` on the context drawn from `seed`.
+    pub fn new(seed: u64, objective: TrialObjective) -> Self {
+        Self { seed, context: None, objective }
+    }
+}
+
+/// The optional hooks of one run. None of them changes the result.
+#[derive(Default)]
+pub struct RunOptions<'a> {
+    /// Live per-generation progress sink.
+    pub progress: Option<ProgressSink>,
+    /// Mid-run GA snapshots for crash safety (cost and warm runs).
+    pub checkpoint: Option<cold_ga::CheckpointHook<'a>>,
+    /// Resume the GA from a snapshot (cost and warm runs).
+    pub resume: Option<cold_ga::GaCheckpoint>,
+}
+
+/// What a trial produced: one network, or a Pareto front.
+#[derive(Debug, Clone)]
+pub enum RunOutput {
+    /// A scalar run's network (cost, warm and resilient objectives).
+    Single(Box<SynthesisResult>),
+    /// A Pareto run's front.
+    Front(Box<ParetoSynthesisResult>),
+}
+
+impl RunOutput {
+    /// The network of a scalar run.
+    ///
+    /// # Panics
+    /// Panics on a Pareto front: the caller chose the objective.
+    pub fn into_single(self) -> SynthesisResult {
+        match self {
+            RunOutput::Single(r) => *r,
+            RunOutput::Front(_) => panic!("a Pareto trial yields a front, not one network"),
+        }
+    }
+
+    /// The front of a Pareto run.
+    ///
+    /// # Panics
+    /// Panics on a scalar run's network: the caller chose the objective.
+    pub fn into_front(self) -> ParetoSynthesisResult {
+        match self {
+            RunOutput::Front(r) => *r,
+            RunOutput::Single(_) => panic!("a scalar trial yields one network, not a front"),
+        }
+    }
 }
 
 /// Full configuration of a COLD synthesis.
@@ -286,143 +453,129 @@ impl ColdConfig {
     /// and GA failures (e.g. a non-finite cost) surface as [`ColdError`]
     /// so ensemble drivers can record and retry the trial.
     pub fn try_synthesize(&self, seed: u64) -> Result<SynthesisResult, ColdError> {
-        self.try_synthesize_progress(seed, None)
-    }
-
-    /// [`try_synthesize`](Self::try_synthesize) with an optional live
-    /// per-generation [`ProgressSink`]. The sink is a strictly read-only
-    /// consumer of the same [`cold_obs::GenerationRecord`]s the trace
-    /// observer sees, so attaching one never changes the synthesized
-    /// network — `cold-serve` uses this to report job progress while a
-    /// synthesis runs.
-    pub fn try_synthesize_progress(
-        &self,
-        seed: u64,
-        progress: Option<ProgressSink>,
-    ) -> Result<SynthesisResult, ColdError> {
-        self.validate()?;
-        if cold_fault::armed() && cold_fault::should_fire("trial.hang") {
-            std::thread::sleep(std::time::Duration::from_millis(HANG_MS));
-        }
-        let ctx = self.context.generate(derive_seed(seed, 0xC0));
-        self.try_synthesize_in_context_progress(ctx, seed, progress)
-    }
-
-    /// [`try_synthesize_progress`](Self::try_synthesize_progress) plus
-    /// the GA engine's crash-safety hooks, for lease-based remote
-    /// execution: `checkpoint` receives a mid-run [`cold_ga::GaCheckpoint`]
-    /// every `every` generations, and `resume` restarts the GA
-    /// bit-identically from such a snapshot (RNG state included).
-    ///
-    /// The cheap deterministic pre-GA work — context generation and
-    /// heuristic seeding — always re-runs, because the result document
-    /// (heuristic costs, context) must be identical whether or not the
-    /// trial was ever interrupted; with `resume` the engine then ignores
-    /// the seed population and continues from the snapshot. Resuming on a
-    /// different host than the one that wrote the snapshot yields the
-    /// same network byte-for-byte (only wall-clock `eval_seconds`
-    /// differs), which is the invariant checkpoint migration relies on.
-    ///
-    /// # Errors
-    /// As [`try_synthesize`](Self::try_synthesize), plus
-    /// [`ColdError::Ga`] when `resume` is inconsistent with the
-    /// configured GA settings.
-    pub fn try_synthesize_resumable(
-        &self,
-        seed: u64,
-        progress: Option<ProgressSink>,
-        checkpoint: Option<cold_ga::CheckpointHook<'_>>,
-        resume: Option<cold_ga::GaCheckpoint>,
-    ) -> Result<SynthesisResult, ColdError> {
-        self.validate()?;
-        if cold_fault::armed() && cold_fault::should_fire("trial.hang") {
-            std::thread::sleep(std::time::Duration::from_millis(HANG_MS));
-        }
-        let ctx = self.context.generate(derive_seed(seed, 0xC0));
-        self.synthesize_hooked(ctx, seed, progress, checkpoint, resume)
+        self.run_trial(TrialSpec::new(seed, TrialObjective::Cost), RunOptions::default())
+            .map(RunOutput::into_single)
     }
 
     /// Optimizes within an explicitly provided context (e.g. real PoP
     /// locations, or the fixed-context comparisons of Fig 3).
     ///
-    /// When telemetry is active (`COLD_TRACE` or [`cold_obs::configure`])
-    /// the run emits a `run_start` event, one `generation` event per GA
-    /// generation, and a `run_end` summary, all tagged with `seed` as the
-    /// run identifier; the journal file (if any) is echoed into
-    /// [`SynthesisResult::journal_path`]. Tracing never changes the
-    /// synthesized network: observers receive read-only records.
+    /// # Panics
+    /// As [`synthesize`](Self::synthesize).
     pub fn synthesize_in_context(&self, ctx: Context, seed: u64) -> SynthesisResult {
-        self.try_synthesize_in_context(ctx, seed).expect("synthesis failed")
+        self.run_trial(
+            TrialSpec { seed, context: Some(ctx), objective: TrialObjective::Cost },
+            RunOptions::default(),
+        )
+        .map(RunOutput::into_single)
+        .expect("synthesis failed")
     }
 
-    /// Fallible [`synthesize_in_context`](Self::synthesize_in_context).
+    /// Runs one trial. Every synthesis, whatever its objective, is this
+    /// one pipeline (DESIGN.md §10.1): validate, the `trial.hang` fault
+    /// site, the context (the spec's, or drawn from
+    /// `derive_seed(seed, 0xC0)`), `run_start`, the initial population,
+    /// the GA, `run_end`, and the winner(s) built into [`Network`]s.
+    /// Neither telemetry nor `options.progress` changes the result.
+    ///
+    /// `options.checkpoint` hands out a mid-run [`cold_ga::GaCheckpoint`]
+    /// every `every` generations; `options.resume` restarts the GA
+    /// bit-identically from one, on any host. Context generation and
+    /// heuristic seeding always re-run, so the result is the same whether
+    /// or not the trial was ever interrupted.
     ///
     /// # Errors
-    /// [`ColdError::Config`] for inconsistent settings,
-    /// [`ColdError::Ga`] when the engine rejects the run (e.g. a cost
-    /// model producing NaN).
-    pub fn try_synthesize_in_context(
+    /// [`ColdError::Config`] for an invalid configuration, objective (a
+    /// warm parent whose node count differs from the context included)
+    /// or option set (see [`TrialObjective`]); [`ColdError::Ga`] when
+    /// the engine rejects the run (a non-finite cost, a resume snapshot
+    /// that disagrees with the settings).
+    pub fn run_trial(
         &self,
-        ctx: Context,
-        seed: u64,
-    ) -> Result<SynthesisResult, ColdError> {
-        self.try_synthesize_in_context_progress(ctx, seed, None)
-    }
-
-    /// [`try_synthesize_in_context`](Self::try_synthesize_in_context)
-    /// with an optional live per-generation [`ProgressSink`] (see
-    /// [`try_synthesize_progress`](Self::try_synthesize_progress)).
-    pub fn try_synthesize_in_context_progress(
-        &self,
-        ctx: Context,
-        seed: u64,
-        progress: Option<ProgressSink>,
-    ) -> Result<SynthesisResult, ColdError> {
-        self.synthesize_hooked(ctx, seed, progress, None, None)
-    }
-
-    /// The shared synthesis body: every public entry funnels here. With
-    /// `checkpoint`/`resume` both `None` this is exactly the historical
-    /// path (the engine call degenerates to `try_run_traced`).
-    fn synthesize_hooked(
-        &self,
-        ctx: Context,
-        seed: u64,
-        progress: Option<ProgressSink>,
-        checkpoint: Option<cold_ga::CheckpointHook<'_>>,
-        resume: Option<cold_ga::GaCheckpoint>,
-    ) -> Result<SynthesisResult, ColdError> {
-        let _span = cold_obs::span("core.synthesize");
-        let telemetry = RunTelemetry::start(seed, ctx.n(), format!("{:?}", self.mode), &self.ga);
-        let objective = ColdObjective::new(&ctx, self.params);
-        let mut heuristic_costs = Vec::new();
-        let seeds: Vec<cold_graph::AdjacencyMatrix> = match self.mode {
-            SynthesisMode::GaOnly => Vec::new(),
-            SynthesisMode::Initialized => {
-                let hs = {
-                    let _t = cold_obs::timer("core.heuristic_seed");
-                    all_heuristics(
-                        objective.evaluator(),
-                        &self.random_greedy,
-                        derive_seed(seed, 0x4755),
-                    )
-                };
-                hs.into_iter()
-                    .map(|(name, r)| {
-                        heuristic_costs.push((name.to_string(), r.cost));
-                        r.topology
-                    })
-                    .collect()
+        spec: TrialSpec,
+        options: RunOptions<'_>,
+    ) -> Result<RunOutput, ColdError> {
+        self.validate()?;
+        let n = spec.context.as_ref().map_or(self.context.n, Context::n);
+        spec.objective.validate(n, &options)?;
+        if cold_fault::armed() && cold_fault::should_fire("trial.hang") {
+            std::thread::sleep(std::time::Duration::from_millis(HANG_MS));
+        }
+        let TrialSpec { seed, context, objective } = spec;
+        let ctx = context.unwrap_or_else(|| self.context.generate(derive_seed(seed, CONTEXT_SALT)));
+        let (span, mode) = match &objective {
+            TrialObjective::Cost => ("core.synthesize", format!("{:?}", self.mode)),
+            TrialObjective::Warm { .. } => ("core.synthesize_warm", "Warm".into()),
+            TrialObjective::Resilient { .. } => ("core.synthesize", "Resilient".into()),
+            TrialObjective::Pareto { .. } => ("core.synthesize_pareto", "Pareto".into()),
+        };
+        let _span = cold_obs::span(span);
+        let mut telemetry = RunTelemetry::start(seed, ctx.n(), mode, &self.ga, options.progress);
+        let plain = ColdObjective::new(&ctx, self.params);
+        let (seeds, heuristic_costs): (Vec<AdjacencyMatrix>, _) = match (&objective, self.mode) {
+            (TrialObjective::Warm { .. }, _) | (_, SynthesisMode::GaOnly) => Default::default(),
+            (_, SynthesisMode::Initialized) => {
+                let _t = cold_obs::timer("core.heuristic_seed");
+                all_heuristics(
+                    plain.evaluator(),
+                    &self.random_greedy,
+                    derive_seed(seed, HEURISTIC_SALT),
+                )
+                .into_iter()
+                .map(|(name, r)| (r.topology, (name.to_string(), r.cost)))
+                .unzip()
             }
         };
-        let ga_settings = GaSettings { seed: derive_seed(seed, 0x6741), ..self.ga };
-        let engine = GeneticAlgorithm::try_new(&objective, ga_settings)?;
-        let result = engine.run_resumable(
-            &seeds,
-            telemetry.observer(progress).slot(),
-            checkpoint,
-            resume,
-        )?;
+        let settings = |salt| GaSettings { seed: derive_seed(seed, salt), ..self.ga };
+        let (objective, warm_parent): (Box<dyn Objective + '_>, _) = match objective {
+            TrialObjective::Cost => (Box::new(plain), None),
+            TrialObjective::Warm { parent, costs } => {
+                (Box::new(ChangePenaltyObjective::new(plain, parent.clone(), costs)), Some(parent))
+            }
+            TrialObjective::Resilient { bridge_cost } => {
+                (Box::new(ResilientObjective::new(&ctx, self.params, bridge_cost)), None)
+            }
+            TrialObjective::Pareto { archive } => {
+                let objective = ColdMultiObjective::new(&ctx, self.params);
+                let result = ParetoGa::try_new(&objective, settings(GA_SALT), archive)?
+                    .try_run_traced(&seeds, telemetry.slot())?;
+                let front: Vec<ParetoFrontMember> = result
+                    .front
+                    .iter()
+                    .map(|p| ParetoFrontMember {
+                        network: Network::build(p.topology.clone(), &ctx, self.params)
+                            .expect("archive members are repaired candidates, hence connected"),
+                        objectives: p.objectives.clone(),
+                    })
+                    .collect();
+                telemetry.end(
+                    result.stop_reason,
+                    result.generations_run,
+                    front.iter().map(|m| m.objectives[0]).fold(f64::INFINITY, f64::min),
+                    &result.eval_stats,
+                    &result.repair_stats,
+                );
+                return Ok(RunOutput::Front(Box::new(ParetoSynthesisResult {
+                    journal_path: cold_obs::journal_path(),
+                    context: ctx,
+                    front,
+                    hypervolume_history: result.hypervolume_history,
+                    reference: result.reference,
+                    generations_run: result.generations_run,
+                    evaluations: result.evaluations,
+                    eval_stats: result.eval_stats,
+                    stop_reason: result.stop_reason,
+                })));
+            }
+        };
+        let salt = if warm_parent.is_some() { WARM_SALT } else { GA_SALT };
+        let engine = GeneticAlgorithm::try_new(&*objective, settings(salt))?;
+        let (checkpoint, resume) = (options.checkpoint, options.resume);
+        let result = match &warm_parent {
+            Some(parent) => engine.run_warm(parent, telemetry.slot(), checkpoint, resume),
+            None => engine.run_resumable(&seeds, telemetry.slot(), checkpoint, resume),
+        }?;
+        drop(objective);
         telemetry.end(
             result.stop_reason,
             result.generations_run,
@@ -433,7 +586,7 @@ impl ColdConfig {
         let network = Network::build(result.best.topology.clone(), &ctx, self.params)
             .expect("GA result is connected");
         let stats = NetworkStats::compute(&network.graph()).expect("connected");
-        Ok(SynthesisResult {
+        Ok(RunOutput::Single(Box::new(SynthesisResult {
             journal_path: cold_obs::journal_path(),
             context: ctx,
             network,
@@ -446,7 +599,7 @@ impl ColdConfig {
             repair_rate: result.repair_stats.repair_rate(),
             generations_run: result.generations_run,
             stop_reason: result.stop_reason,
-        })
+        })))
     }
 
     /// Synthesizes an ensemble of `count` networks with independent
@@ -482,9 +635,7 @@ impl ColdConfig {
     /// output: seeds derive the same way and retries never perturb other
     /// trials' streams.
     pub fn synthesize_ensemble(&self, master_seed: u64, count: usize) -> EnsembleOutcome {
-        self.ensemble_with_runner(master_seed, count, &|cfg, seed, _trial, _attempt| {
-            cfg.try_synthesize(seed)
-        })
+        self.synthesize_ensemble_guarded(master_seed, count, None)
     }
 
     /// [`synthesize_ensemble`](Self::synthesize_ensemble) with an optional
@@ -500,12 +651,9 @@ impl ColdConfig {
         count: usize,
         deadline: Option<std::time::Duration>,
     ) -> EnsembleOutcome {
-        match deadline {
-            None => self.synthesize_ensemble(master_seed, count),
-            Some(d) => self.ensemble_with_runner(master_seed, count, &move |cfg, seed, _t, _a| {
-                run_with_deadline(cfg, seed, d, None)
-            }),
-        }
+        self.ensemble_with_runner(master_seed, count, &move |cfg, seed, _trial, _attempt| {
+            run_guarded(cfg, seed, deadline, None)
+        })
     }
 
     /// [`synthesize_ensemble`](Self::synthesize_ensemble) with an
@@ -549,11 +697,7 @@ impl ColdConfig {
                             break;
                         }
                         for attempt in 1..=2usize {
-                            let seed = if attempt == 1 {
-                                derive_seed(master_seed, i as u64)
-                            } else {
-                                derive_seed(derive_seed(master_seed, RETRY_SALT), i as u64)
-                            };
+                            let seed = attempt_seed(master_seed, i, attempt);
                             // The catch_unwind boundary keeps a panicking
                             // objective (or any other bug inside one trial)
                             // from unwinding into the crossbeam scope, which
@@ -571,28 +715,7 @@ impl ColdConfig {
                                     break;
                                 }
                                 Err(error) => {
-                                    if cold_obs::is_enabled() {
-                                        if let ColdError::DeadlineExceeded { seconds } = &error {
-                                            cold_obs::emit(
-                                                &cold_obs::Event::TrialDeadlineExceeded(
-                                                    cold_obs::TrialDeadlineExceeded {
-                                                        trial: i,
-                                                        attempt,
-                                                        seed,
-                                                        seconds: *seconds,
-                                                    },
-                                                ),
-                                            );
-                                        }
-                                        cold_obs::emit(&cold_obs::Event::TrialFailed(
-                                            cold_obs::TrialFailed {
-                                                trial: i,
-                                                attempt,
-                                                seed,
-                                                error: error.to_string(),
-                                            },
-                                        ));
-                                    }
+                                    journal_failed_attempt(i, attempt, seed, &error, true);
                                     tx.send(Message::Failed { trial: i, attempt, seed, error })
                                         .expect("result channel open");
                                 }
@@ -874,6 +997,63 @@ mod tests {
         let mut cfg = ColdConfig::quick(8, 1e-4, 10.0);
         cfg.ga.population = 0;
         assert!(matches!(cfg.try_synthesize(1), Err(ColdError::Config(_))));
+        // Every objective, on a derived and on an explicit context.
+        let ctx = ColdConfig::quick(8, 1e-4, 10.0).context.generate(3);
+        let objectives = [
+            TrialObjective::Cost,
+            TrialObjective::Warm {
+                parent: AdjacencyMatrix::complete(8),
+                costs: crate::ChangeCosts::uniform(1.0),
+            },
+            TrialObjective::Resilient { bridge_cost: 10.0 },
+            TrialObjective::Pareto { archive: 8 },
+        ];
+        let breakages: [fn(&mut ColdConfig); 3] =
+            [|c| c.params.k1 = -1.0, |c| c.ga.population = 0, |c| c.context.scale = f64::NAN];
+        for (b, breakage) in breakages.iter().enumerate() {
+            let mut cfg = ColdConfig::quick(8, 1e-4, 10.0);
+            breakage(&mut cfg);
+            for objective in &objectives {
+                for context in [None, Some(ctx.clone())] {
+                    let explicit = context.is_some();
+                    let spec = TrialSpec { seed: 1, context, objective: objective.clone() };
+                    match cfg.run_trial(spec, RunOptions::default()) {
+                        Err(ColdError::Config(_)) => {}
+                        Err(other) => {
+                            panic!("breakage {b}, {objective:?}, explicit {explicit}: {other:?}")
+                        }
+                        Ok(_) => panic!("breakage {b}, {objective:?}, explicit {explicit}: ran"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn options_a_mode_never_supported_are_config_errors() {
+        let mut cfg = ColdConfig::quick(6, 1e-4, 10.0);
+        cfg.ga.generations = 4;
+        let mut snapshot = None;
+        let mut sink = |c: &cold_ga::GaCheckpoint| snapshot = Some(c.clone());
+        let checkpoint = Some(cold_ga::CheckpointHook { every: 2, sink: &mut sink });
+        let options = RunOptions { checkpoint, ..RunOptions::default() };
+        cfg.run_trial(TrialSpec::new(1, TrialObjective::Cost), options).unwrap();
+        let snapshot = snapshot.expect("a mid-run snapshot");
+        for objective in
+            [TrialObjective::Pareto { archive: 8 }, TrialObjective::Resilient { bridge_cost: 1.0 }]
+        {
+            let options = RunOptions { resume: Some(snapshot.clone()), ..RunOptions::default() };
+            let err = cfg.run_trial(TrialSpec::new(1, objective.clone()), options).unwrap_err();
+            assert!(matches!(&err, ColdError::Config(why) if why.contains("resume")), "{err:?}");
+            let mut sink = |_: &cold_ga::GaCheckpoint| {};
+            let checkpoint = Some(cold_ga::CheckpointHook { every: 2, sink: &mut sink });
+            let options = RunOptions { checkpoint, ..RunOptions::default() };
+            let err = cfg.run_trial(TrialSpec::new(1, objective), options).unwrap_err();
+            assert!(
+                matches!(&err, ColdError::Config(why) if why.contains("checkpoint")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Warm-vs-cold convergence regression for the evolution workload.
 //!
-//! The point of warm-starting (`cold::try_synthesize_warm`) is that a
+//! The point of warm-starting (`TrialObjective::Warm`) is that a
 //! perturbed context is *mostly* the old context, so seeding the GA
 //! population from the parent design should reach the cold run's final
 //! best cost in a fraction of the generations. These tests pin that
@@ -8,7 +8,9 @@
 //! embedding, RNG streams) fails loudly instead of silently degrading
 //! into a cold start. EXPERIMENTS.md records one measured run.
 
-use cold::{ChangeCosts, ColdConfig, EvolutionPlan, PlanStep};
+use cold::{
+    ChangeCosts, ColdConfig, EvolutionPlan, PlanStep, RunOptions, TrialObjective, TrialSpec,
+};
 
 /// First generation index (1-based count) at which `history` reaches
 /// `target`, or `None` if it never does.
@@ -40,20 +42,16 @@ fn warm_start_reaches_cold_best_in_half_the_generations_at_n50() {
     let mut ctx = parent.context.clone();
     ctx.traffic.scale(1.1);
 
-    let cold = config
-        .try_synthesize_in_context(ctx.clone(), step_seed)
-        .expect("cold synthesis on perturbed context");
-    let warm = cold::try_synthesize_warm_in_context(
-        &config,
-        ctx,
-        &parent.network.topology,
-        ChangeCosts::default(),
-        step_seed,
-        None,
-        None,
-        None,
-    )
-    .expect("warm synthesis on perturbed context");
+    let cold = config.synthesize_in_context(ctx.clone(), step_seed);
+    let warm =
+        TrialObjective::Warm { parent: parent.network.topology, costs: ChangeCosts::default() };
+    let warm = config
+        .run_trial(
+            TrialSpec { seed: step_seed, context: Some(ctx), objective: warm },
+            RunOptions::default(),
+        )
+        .expect("warm synthesis on perturbed context")
+        .into_single();
 
     let cold_best = cold.best_cost();
     let cold_gens = cold.generations_run;

@@ -7,7 +7,10 @@
 
 use cold::context::rng::derive_seed;
 use cold::ga::GaCheckpoint;
-use cold::{run_campaign_controlled, CampaignControl, ColdConfig, ColdError, SynthesisResult};
+use cold::{
+    run_campaign_controlled, CampaignControl, ColdConfig, ColdError, RunOptions, SynthesisResult,
+    TrialObjective, TrialSpec,
+};
 use serde::Serialize as _;
 use serde_json::Value;
 use std::path::PathBuf;
@@ -59,9 +62,12 @@ fn ga_snapshot_resumes_bit_identically_in_a_separate_process() {
             snapshot = Some(ckpt.clone());
         }
     };
-    let hook = cold::ga::CheckpointHook { every: 2, sink: &mut sink };
-    let reference =
-        config.try_synthesize_resumable(seed, None, Some(hook), None).expect("reference synthesis");
+    let checkpoint = Some(cold::ga::CheckpointHook { every: 2, sink: &mut sink });
+    let options = RunOptions { checkpoint, ..RunOptions::default() };
+    let reference = config
+        .run_trial(TrialSpec::new(seed, TrialObjective::Cost), options)
+        .expect("reference synthesis")
+        .into_single();
     let snapshot = snapshot.expect("a snapshot was captured mid-run");
     assert!(snapshot.generation > 0, "snapshot must be genuinely mid-run");
 

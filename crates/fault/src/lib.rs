@@ -12,7 +12,7 @@
 //! | `eval.nan`                | `cold-cost::evaluate_total` | returns `NaN` (rejected by the GA's finiteness boundary) |
 //! | `eval.slow`               | `cold-cost::evaluate_total` | sleeps, simulating a pathological evaluation |
 //! | `ga.checkpoint_write_err` | `cold-ga::GaCheckpoint::save` | fails the snapshot write with `GaError::Checkpoint` |
-//! | `trial.hang`              | `cold::ColdConfig::try_synthesize` | sleeps long enough to trip the trial deadline watchdog |
+//! | `trial.hang`              | `cold::ColdConfig::run_trial` (every synthesis mode) | sleeps long enough to trip the trial deadline watchdog |
 //! | `campaign.io_err`         | `cold::CampaignCheckpoint::save` | fails the campaign snapshot write with `ColdError::Io` |
 //! | `serve.worker_panic`      | `cold-serve` worker loop | panics inside a synthesis worker (caught; the job fails, the server survives) |
 //! | `dist.worker_crash`       | `cold-serve --role worker` trial loop | aborts the worker process mid-trial (the coordinator evicts it and migrates its leases) |

@@ -32,7 +32,7 @@ use crate::metrics::names;
 use cold::context::rng::derive_seed;
 use cold::{
     fingerprint_hex, value_fingerprint, CampaignCheckpoint, ColdConfig, ColdError, ProgressSink,
-    SynthesisResult, TrialRecord, RETRY_SALT,
+    RunOptions, RunOutput, SynthesisResult, TrialObjective, TrialRecord, TrialSpec, RETRY_SALT,
 };
 use serde::Serialize;
 use serde_json::{json, Value};
@@ -855,7 +855,10 @@ impl DistPool {
         progress: Option<ProgressSink>,
     ) {
         let resume = p.snapshot.as_ref().and_then(|s| cold::ga::GaCheckpoint::from_value(s).ok());
-        let outcome = config.try_synthesize_resumable(p.seed, progress, None, resume);
+        let options = RunOptions { progress, resume, ..RunOptions::default() };
+        let outcome = config
+            .run_trial(TrialSpec::new(p.seed, TrialObjective::Cost), options)
+            .map(RunOutput::into_single);
         match outcome {
             Ok(r) => {
                 let rec = TrialRecord::from_result(p.trial, p.seed, &r);
@@ -1199,8 +1202,9 @@ mod tests {
         // checkpoint hook.
         let mut snaps: Vec<Value> = Vec::new();
         let mut sink = |c: &cold::ga::GaCheckpoint| snaps.push(c.to_value());
-        let hook = cold::ga::CheckpointHook { every: 2, sink: &mut sink };
-        cfg.try_synthesize_resumable(grant.seed, None, Some(hook), None).expect("trial");
+        let checkpoint = Some(cold::ga::CheckpointHook { every: 2, sink: &mut sink });
+        let options = RunOptions { checkpoint, ..RunOptions::default() };
+        cfg.run_trial(TrialSpec::new(grant.seed, TrialObjective::Cost), options).expect("trial");
         let snapshot = snaps.last().expect("at least one snapshot").clone();
         let generation = snapshot.get("generation").and_then(Value::as_u64).expect("generation");
         assert!(generation > 0);

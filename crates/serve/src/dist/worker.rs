@@ -19,7 +19,10 @@
 //!   tolerance.
 
 use crate::dist::proto::{self, Msg};
-use cold::{fingerprint_hex, value_fingerprint, ColdConfig, TrialRecord};
+use cold::{
+    fingerprint_hex, value_fingerprint, ColdConfig, RunOptions, RunOutput, TrialObjective,
+    TrialRecord, TrialSpec,
+};
 use serde::Deserialize;
 use serde_json::json;
 use std::io;
@@ -241,11 +244,14 @@ fn run_lease(cfg: &WorkerConfig, grant: proto::LeaseGrant) {
             crash_if_armed("dist.worker_crash");
         }
     };
-    let hook =
+    let checkpoint =
         cold::ga::CheckpointHook { every: grant.ckpt_every.max(1), sink: &mut upload_snapshot };
+    let options = RunOptions { checkpoint: Some(checkpoint), resume, ..RunOptions::default() };
 
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        job_config.try_synthesize_resumable(grant.seed, None, Some(hook), resume)
+        job_config
+            .run_trial(TrialSpec::new(grant.seed, TrialObjective::Cost), options)
+            .map(RunOutput::into_single)
     }));
     let error = match outcome {
         Ok(Ok(result)) => {

@@ -34,7 +34,10 @@ use crate::http::{
 use crate::job::{JobEntry, JobMode, JobProgress, JobSpec, JobStatus};
 use crate::metrics::{self, names};
 use crate::queue::{BoundedQueue, QueueFull};
-use cold::{CampaignCheckpoint, CampaignControl, ColdError, ProgressSink};
+use cold::{
+    CampaignCheckpoint, CampaignControl, ColdError, ProgressSink, RunOptions, TrialObjective,
+    TrialSpec,
+};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -601,11 +604,14 @@ fn transition(entry: &JobEntry, id: &str, status: JobStatus) {
     }
 }
 
-/// Runs one job through the guarded campaign path. A panic anywhere in
-/// the trial (including the armed `serve.worker_panic` fault site) is
-/// contained at this boundary: the first panic retries the job — the
-/// checkpoint means no completed trial reruns — and a second panic fails
-/// the job, never the server.
+/// Runs one job. Every mode shares this frame: the job's trace, the
+/// progress sink, a panic boundary around each attempt (including the
+/// armed `serve.worker_panic` fault site), and the persist → counters →
+/// `job_done` → evict tail in [`finish_job`]. A mode supplies only the
+/// function that produces its result document: [`standard_doc`],
+/// [`pareto_doc`] or [`evolve_doc`]. The first panic retries the job — a
+/// standard job resumes from its campaign checkpoint, so no completed
+/// trial reruns — and a second panic fails the job, never the server.
 fn run_job(shared: &Shared, id: &str, entry: &Arc<JobEntry>) {
     // Re-enter the trace minted at submission: the campaign, its trials,
     // and every GA generation below nest under the job's root span.
@@ -613,239 +619,160 @@ fn run_job(shared: &Shared, id: &str, entry: &Arc<JobEntry>) {
     let _trace = job_ctx.map(cold_obs::trace::enter);
     transition(entry, id, JobStatus::Running);
     let started = Instant::now();
-    if entry.spec.mode == JobMode::Pareto {
-        run_pareto_job(shared, id, entry, started);
-        return;
-    }
-    if entry.spec.mode == JobMode::Evolve {
-        run_evolve_job(shared, id, entry, started);
-        return;
-    }
+    let sink = progress_sink(entry);
     let ckpt_path = shared.cache.checkpoint_path(id);
 
     for attempt in 1..=2u32 {
         let resume = CampaignCheckpoint::load(&ckpt_path).ok();
-        let resumed = resume.as_ref().map(|c| c.records.len()).unwrap_or(0);
         cold_obs::emit(&cold_obs::Event::JobStarted(cold_obs::JobStarted {
             id: id.to_string(),
-            resumed,
+            resumed: resume.as_ref().map_or(0, |c| c.records.len()),
         }));
-
-        let run = cold_obs::run_id(entry.spec.seed);
-        let progress_entry = Arc::clone(entry);
-        let sink: ProgressSink = Arc::new(move |record: &cold_obs::GenerationRecord| {
-            {
-                let mut p = progress_entry.progress.lock().expect("job progress poisoned");
-                p.generation = record.generation;
-                p.best = record.best;
-            }
-            if progress_entry.has_subscribers() {
-                let event = cold_obs::Event::Generation(cold_obs::GenerationEvent {
-                    run: run.clone(),
-                    record: record.clone(),
-                });
-                progress_entry
-                    .publish(&serde_json::to_string(&event.to_value()).expect("record serializes"));
-            }
-        });
-        let trial_entry = Arc::clone(entry);
-
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            if cold_fault::should_fire("serve.worker_panic") {
-                panic!("injected fault: serve.worker_panic");
-            }
-            match &shared.dist {
-                // Coordinator mode: shard the campaign's trials across
-                // the worker pool (same seeds, same checkpoint file,
-                // same salted-retry semantics — see the dist module).
-                Some(pool) => dist::run_distributed_campaign(
-                    pool,
-                    id,
-                    &entry.spec.config,
-                    entry.spec.seed,
-                    entry.spec.count,
-                    &ckpt_path,
-                    resume,
-                    Some(sink),
-                    &shared.shutdown,
-                    |i, _| {
-                        trial_entry.progress.lock().expect("job progress poisoned").trials_done =
-                            i + 1;
-                    },
-                ),
-                None => cold::run_campaign_controlled(
-                    &entry.spec.config,
-                    entry.spec.seed,
-                    entry.spec.count,
-                    1, // checkpoint every trial: drains lose nothing
-                    &ckpt_path,
-                    resume,
-                    shared.trial_deadline,
-                    CampaignControl {
-                        progress: Some(sink),
-                        cancel: Some(&shared.shutdown),
-                        retry_salted: true,
-                    },
-                    |i, _| {
-                        trial_entry.progress.lock().expect("job progress poisoned").trials_done =
-                            i + 1;
-                    },
-                ),
-            }
-        }));
-
-        match outcome {
-            Ok(Ok(results)) => {
-                finish_job(shared, id, entry, &results, started);
-                return;
-            }
-            Ok(Err(ColdError::Canceled { .. })) => {
-                // Graceful drain: checkpointed; a restart resumes it.
-                transition(entry, id, JobStatus::Interrupted);
-                return;
-            }
-            Ok(Err(e)) => {
-                fail_job(id, entry, &e.to_string());
-                return;
-            }
-            Err(payload) => {
-                cold_obs::counter_add(names::WORKER_PANICS, 1);
-                let msg = cold::error::panic_message(payload.as_ref());
-                if attempt == 2 {
-                    fail_job(id, entry, &format!("worker panicked twice: {msg}"));
-                    return;
-                }
-                // First panic: loop around and retry from the checkpoint.
-            }
-        }
-    }
-}
-
-/// Runs a `mode: pareto` job: one NSGA-II synthesis, the whole front
-/// cached as the job's result document. No campaign checkpoint exists for
-/// this path (a front is one run), so the panic boundary simply retries
-/// once from scratch; a drain before completion re-queues the job on
-/// restart via the persisted spec.
-fn run_pareto_job(shared: &Shared, id: &str, entry: &Arc<JobEntry>, started: Instant) {
-    let spec = entry.spec;
-    cold_obs::emit(&cold_obs::Event::JobStarted(cold_obs::JobStarted {
-        id: id.to_string(),
-        resumed: 0,
-    }));
-    let run = cold_obs::run_id(spec.seed);
-    let progress_entry = Arc::clone(entry);
-    let sink: ProgressSink = Arc::new(move |record: &cold_obs::GenerationRecord| {
-        {
-            let mut p = progress_entry.progress.lock().expect("job progress poisoned");
-            p.generation = record.generation;
-            p.best = record.best;
-        }
-        if progress_entry.has_subscribers() {
-            let event = cold_obs::Event::Generation(cold_obs::GenerationEvent {
-                run: run.clone(),
-                record: record.clone(),
-            });
-            progress_entry
-                .publish(&serde_json::to_string(&event.to_value()).expect("record serializes"));
-        }
-    });
-
-    for attempt in 1..=2u32 {
         let sink = Arc::clone(&sink);
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
             if cold_fault::should_fire("serve.worker_panic") {
                 panic!("injected fault: serve.worker_panic");
             }
-            let ctx =
-                spec.config.context.generate(cold::context::rng::derive_seed(spec.seed, 0xC0));
-            cold::pareto::try_synthesize_pareto_in_context(
-                &spec.config,
-                ctx,
-                spec.seed,
-                cold::pareto::DEFAULT_ARCHIVE_CAPACITY,
-                Some(sink),
-            )
+            match entry.spec.mode {
+                JobMode::Standard => standard_doc(shared, id, entry, &ckpt_path, resume, sink),
+                JobMode::Pareto => pareto_doc(id, &entry.spec, sink),
+                JobMode::Evolve => evolve_doc(shared, id, &entry.spec, sink),
+            }
         }));
-        match outcome {
-            Ok(Ok(result)) => {
-                let front: serde_json::Value =
-                    serde_json::from_str(&cold::export::pareto_front_to_json(&result))
-                        .expect("front exporter emits valid JSON");
-                let doc = serde_json::json!({
-                    "id": id,
-                    "seed": spec.seed,
-                    "mode": "pareto",
-                    "result": front,
-                });
-                let text = serde_json::to_string(&doc).expect("result doc serializes");
-                if let Err(e) = shared.cache.store_result(id, &text) {
-                    fail_job(id, entry, &format!("result not persisted: {e}"));
-                    return;
-                }
-                shared.cache.touch(id);
-                entry.progress.lock().expect("job progress poisoned").trials_done = 1;
-                let seconds = started.elapsed().as_secs_f64();
-                cold_obs::counter_add(names::JOBS_COMPLETED, 1);
-                cold_obs::observe_seconds(names::JOB_SECONDS, seconds);
-                cold_obs::emit(&cold_obs::Event::JobDone(cold_obs::JobDone {
-                    id: id.to_string(),
-                    trials: 1,
-                    seconds,
-                }));
-                transition(entry, id, JobStatus::Done);
-                maybe_evict(shared);
-                return;
+
+        let error = match outcome {
+            Ok(Ok((doc, trials))) => return finish_job(shared, id, entry, &doc, trials, started),
+            // Graceful drain: checkpointed; a restart resumes it.
+            Ok(Err(ColdError::Canceled { .. })) => {
+                return transition(entry, id, JobStatus::Interrupted)
             }
-            Ok(Err(e)) => {
-                fail_job(id, entry, &e.to_string());
-                return;
-            }
+            Ok(Err(e)) => e.to_string(),
             Err(payload) => {
                 cold_obs::counter_add(names::WORKER_PANICS, 1);
-                let msg = cold::error::panic_message(payload.as_ref());
-                if attempt == 2 {
-                    fail_job(id, entry, &format!("worker panicked twice: {msg}"));
-                    return;
+                if attempt == 1 {
+                    continue; // first panic: retry
                 }
+                format!("worker panicked twice: {}", cold::error::panic_message(payload.as_ref()))
             }
-        }
+        };
+        return fail_job(id, entry, &error);
     }
 }
 
-/// Runs a `mode: evolve` job: one synthesis warm-started from the parent
+/// The job's live-progress sink: records each generation's number and
+/// best cost, and streams the record to any event-stream subscribers.
+fn progress_sink(entry: &Arc<JobEntry>) -> ProgressSink {
+    let run = cold_obs::run_id(entry.spec.seed);
+    let entry = Arc::clone(entry);
+    Arc::new(move |record: &cold_obs::GenerationRecord| {
+        {
+            let mut p = entry.progress.lock().expect("job progress poisoned");
+            p.generation = record.generation;
+            p.best = record.best;
+        }
+        if entry.has_subscribers() {
+            let event = cold_obs::Event::Generation(cold_obs::GenerationEvent {
+                run: run.clone(),
+                record: record.clone(),
+            });
+            entry.publish(&serde_json::to_string(&event.to_value()).expect("record serializes"));
+        }
+    })
+}
+
+/// A result document and the number of trials behind it.
+type JobDoc = Result<(serde_json::Value, usize), ColdError>;
+
+/// A standard job: a checkpointed campaign of `count` trials, on the
+/// worker pool in coordinator mode (same seeds, same checkpoint file,
+/// same salted-retry semantics — see the dist module), else locally.
+fn standard_doc(
+    shared: &Shared,
+    id: &str,
+    entry: &Arc<JobEntry>,
+    ckpt_path: &std::path::Path,
+    resume: Option<CampaignCheckpoint>,
+    sink: ProgressSink,
+) -> JobDoc {
+    let spec = entry.spec;
+    let on_trial = |i: usize, _: &cold::SynthesisResult| {
+        entry.progress.lock().expect("job progress poisoned").trials_done = i + 1;
+    };
+    let results = match &shared.dist {
+        Some(pool) => dist::run_distributed_campaign(
+            pool,
+            id,
+            &spec.config,
+            spec.seed,
+            spec.count,
+            ckpt_path,
+            resume,
+            Some(sink),
+            &shared.shutdown,
+            on_trial,
+        ),
+        None => cold::run_campaign_controlled(
+            &spec.config,
+            spec.seed,
+            spec.count,
+            1, // checkpoint every trial: drains lose nothing
+            ckpt_path,
+            resume,
+            shared.trial_deadline,
+            CampaignControl {
+                progress: Some(sink),
+                cancel: Some(&shared.shutdown),
+                retry_salted: true,
+            },
+            on_trial,
+        ),
+    }?;
+    let report = cold::report::ensemble_report(&spec.config, &results, spec.seed);
+    let topologies: Vec<serde_json::Value> = results
+        .iter()
+        .map(|r| {
+            serde_json::from_str(&cold::export::to_json(&r.network, &r.context))
+                .expect("exporter emits valid JSON")
+        })
+        .collect();
+    let doc = serde_json::json!({
+        "id": id,
+        "seed": spec.seed,
+        "count": spec.count,
+        "report": report,
+        "topologies": topologies,
+    });
+    Ok((doc, results.len()))
+}
+
+/// A `mode: pareto` job: one NSGA-II synthesis, the whole front as the
+/// result document. A front is one run with no campaign checkpoint, so a
+/// retry or a restart after a drain runs it from scratch.
+fn pareto_doc(id: &str, spec: &JobSpec, sink: ProgressSink) -> JobDoc {
+    let objective = TrialObjective::Pareto { archive: cold::pareto::DEFAULT_ARCHIVE_CAPACITY };
+    let options = RunOptions { progress: Some(sink), ..RunOptions::default() };
+    let result = spec.config.run_trial(TrialSpec::new(spec.seed, objective), options)?.into_front();
+    let front: serde_json::Value =
+        serde_json::from_str(&cold::export::pareto_front_to_json(&result))
+            .expect("front exporter emits valid JSON");
+    let doc = serde_json::json!({
+        "id": id,
+        "seed": spec.seed,
+        "mode": "pareto",
+        "result": front,
+    });
+    Ok((doc, 1))
+}
+
+/// A `mode: evolve` job: one synthesis warm-started from the parent
 /// job's cached design (result document first, campaign checkpoint as a
 /// fallback), pricing rewired links with the spec's change costs. When
 /// the parent's artifacts are gone — evicted, or never completed here —
 /// the job falls back to a cold run: same context, same objective, so
 /// the result is still well-defined, just slower. Evolve jobs always run
-/// on the coordinator's local pool; on the distributed path warm seeds
-/// already ride the checkpoint-upload frames, so there is nothing extra
-/// to ship.
-fn run_evolve_job(shared: &Shared, id: &str, entry: &Arc<JobEntry>, started: Instant) {
-    let spec = entry.spec;
+/// on the coordinator's local pool.
+fn evolve_doc(shared: &Shared, id: &str, spec: &JobSpec, sink: ProgressSink) -> JobDoc {
     let parent_hex = spec.parent_hex().expect("evolve specs carry a parent");
-    cold_obs::emit(&cold_obs::Event::JobStarted(cold_obs::JobStarted {
-        id: id.to_string(),
-        resumed: 0,
-    }));
-    let run = cold_obs::run_id(spec.seed);
-    let progress_entry = Arc::clone(entry);
-    let sink: ProgressSink = Arc::new(move |record: &cold_obs::GenerationRecord| {
-        {
-            let mut p = progress_entry.progress.lock().expect("job progress poisoned");
-            p.generation = record.generation;
-            p.best = record.best;
-        }
-        if progress_entry.has_subscribers() {
-            let event = cold_obs::Event::Generation(cold_obs::GenerationEvent {
-                run: run.clone(),
-                record: record.clone(),
-            });
-            progress_entry
-                .publish(&serde_json::to_string(&event.to_value()).expect("record serializes"));
-        }
-    });
-
     // The parent design, embedded into this job's node set when the
     // child's context grew. A parent larger than the child cannot seed
     // it (evolution never shrinks the node set) — cold fallback.
@@ -853,92 +780,45 @@ fn run_evolve_job(shared: &Shared, id: &str, entry: &Arc<JobEntry>, started: Ins
     let seed_topology = load_parent_topology(&shared.cache, &parent_hex)
         .filter(|t| t.n() <= n)
         .map(|t| cold::embed_parent(&t, n));
-    if seed_topology.is_some() {
-        // The parent earned another LRU life: it is visibly load-bearing.
-        shared.cache.touch(&parent_hex);
-        cold_obs::counter_add(names::WARM_STARTS, 1);
-        cold_obs::emit(&cold_obs::Event::WarmStart(cold_obs::WarmStart {
-            id: id.to_string(),
-            parent: parent_hex.clone(),
-            seeds: spec.config.ga.population,
-        }));
-    }
-
-    for attempt in 1..=2u32 {
-        let sink = Arc::clone(&sink);
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            if cold_fault::should_fire("serve.worker_panic") {
-                panic!("injected fault: serve.worker_panic");
-            }
-            match &seed_topology {
-                Some(parent) => cold::try_synthesize_warm(
-                    &spec.config,
-                    parent,
-                    spec.change,
-                    spec.seed,
-                    Some(sink),
-                    None,
-                    None,
-                ),
-                None => spec.config.try_synthesize_progress(spec.seed, Some(sink)),
-            }
-        }));
-        match outcome {
-            Ok(Ok(result)) => {
-                let topology: serde_json::Value =
-                    serde_json::from_str(&cold::export::to_json(&result.network, &result.context))
-                        .expect("exporter emits valid JSON");
-                let penalty = seed_topology.as_ref().map_or(0.0, |p| {
-                    cold::change_penalty(p, &result.network.topology, &spec.change, |u, v| {
-                        result.context.distance(u, v)
-                    })
-                });
-                // `topologies` (not `topology`): a chained child parses
-                // this document exactly like a standard job's.
-                let doc = serde_json::json!({
-                    "id": id,
-                    "seed": spec.seed,
-                    "mode": "evolve",
-                    "parent": parent_hex,
-                    "warm": seed_topology.is_some(),
-                    "generations": result.generations_run,
-                    "change_penalty": penalty,
-                    "cost": result.network.total_cost(),
-                    "topologies": [topology],
-                });
-                let text = serde_json::to_string(&doc).expect("result doc serializes");
-                if let Err(e) = shared.cache.store_result(id, &text) {
-                    fail_job(id, entry, &format!("result not persisted: {e}"));
-                    return;
-                }
-                shared.cache.touch(id);
-                entry.progress.lock().expect("job progress poisoned").trials_done = 1;
-                let seconds = started.elapsed().as_secs_f64();
-                cold_obs::counter_add(names::JOBS_COMPLETED, 1);
-                cold_obs::observe_seconds(names::JOB_SECONDS, seconds);
-                cold_obs::emit(&cold_obs::Event::JobDone(cold_obs::JobDone {
-                    id: id.to_string(),
-                    trials: 1,
-                    seconds,
-                }));
-                transition(entry, id, JobStatus::Done);
-                maybe_evict(shared);
-                return;
-            }
-            Ok(Err(e)) => {
-                fail_job(id, entry, &e.to_string());
-                return;
-            }
-            Err(payload) => {
-                cold_obs::counter_add(names::WORKER_PANICS, 1);
-                let msg = cold::error::panic_message(payload.as_ref());
-                if attempt == 2 {
-                    fail_job(id, entry, &format!("worker panicked twice: {msg}"));
-                    return;
-                }
-            }
+    let objective = match &seed_topology {
+        Some(parent) => {
+            // The parent earned another LRU life: it is visibly load-bearing.
+            shared.cache.touch(&parent_hex);
+            cold_obs::counter_add(names::WARM_STARTS, 1);
+            cold_obs::emit(&cold_obs::Event::WarmStart(cold_obs::WarmStart {
+                id: id.to_string(),
+                parent: parent_hex.clone(),
+                seeds: spec.config.ga.population,
+            }));
+            TrialObjective::Warm { parent: parent.clone(), costs: spec.change }
         }
-    }
+        None => TrialObjective::Cost,
+    };
+    let options = RunOptions { progress: Some(sink), ..RunOptions::default() };
+    let result =
+        spec.config.run_trial(TrialSpec::new(spec.seed, objective), options)?.into_single();
+    let topology: serde_json::Value =
+        serde_json::from_str(&cold::export::to_json(&result.network, &result.context))
+            .expect("exporter emits valid JSON");
+    let penalty = seed_topology.as_ref().map_or(0.0, |p| {
+        cold::change_penalty(p, &result.network.topology, &spec.change, |u, v| {
+            result.context.distance(u, v)
+        })
+    });
+    // `topologies` (not `topology`): a chained child parses this document
+    // exactly like a standard job's.
+    let doc = serde_json::json!({
+        "id": id,
+        "seed": spec.seed,
+        "mode": "evolve",
+        "parent": parent_hex,
+        "warm": seed_topology.is_some(),
+        "generations": result.generations_run,
+        "change_penalty": penalty,
+        "cost": result.network.total_cost(),
+        "topologies": [topology],
+    });
+    Ok((doc, 1))
 }
 
 /// The parent's best design, for seeding a child's GA population: the
@@ -1011,41 +891,30 @@ fn maybe_evict(shared: &Shared) {
     }
 }
 
+/// The shared tail of every successful job: persist the result
+/// document, then the counters, `job_done`, the `done` transition and a
+/// cache trim.
 fn finish_job(
     shared: &Shared,
     id: &str,
     entry: &Arc<JobEntry>,
-    results: &[cold::SynthesisResult],
+    doc: &serde_json::Value,
+    trials: usize,
     started: Instant,
 ) {
-    let spec = entry.spec;
-    let report = cold::report::ensemble_report(&spec.config, results, spec.seed);
-    let topologies: Vec<serde_json::Value> = results
-        .iter()
-        .map(|r| {
-            serde_json::from_str(&cold::export::to_json(&r.network, &r.context))
-                .expect("exporter emits valid JSON")
-        })
-        .collect();
-    let doc = serde_json::json!({
-        "id": id,
-        "seed": spec.seed,
-        "count": spec.count,
-        "report": report,
-        "topologies": topologies,
-    });
-    let text = serde_json::to_string(&doc).expect("result doc serializes");
+    let text = serde_json::to_string(doc).expect("result doc serializes");
     if let Err(e) = shared.cache.store_result(id, &text) {
         fail_job(id, entry, &format!("result not persisted: {e}"));
         return;
     }
     shared.cache.touch(id);
+    entry.progress.lock().expect("job progress poisoned").trials_done = trials;
     let seconds = started.elapsed().as_secs_f64();
     cold_obs::counter_add(names::JOBS_COMPLETED, 1);
     cold_obs::observe_seconds(names::JOB_SECONDS, seconds);
     cold_obs::emit(&cold_obs::Event::JobDone(cold_obs::JobDone {
         id: id.to_string(),
-        trials: results.len(),
+        trials,
         seconds,
     }));
     transition(entry, id, JobStatus::Done);

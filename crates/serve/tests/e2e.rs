@@ -235,29 +235,58 @@ fn queue_backpressure_dedup_and_typed_errors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn worker_panic_is_contained_and_the_job_retries() {
-    let _guard = global_lock();
-    let dir = temp_dir("chaos-retry");
+/// Submits `body` and returns its id once the job is done.
+fn submit_and_wait(addr: &str, body: &str) -> String {
+    let resp = client_request(addr, "POST", "/jobs", Some(body)).expect("submit");
+    assert_eq!(resp.status, 202, "{}", resp.body);
+    let id = parse_body(&resp.body)["id"].as_str().expect("id").to_string();
+    let done = poll_until(addr, &id, &["done"], Duration::from_secs(180));
+    assert_eq!(done["status"].as_str(), Some("done"));
+    id
+}
+
+/// One job of each mode, on a fresh server: the evolve job's parent is
+/// completed before `serve.worker_panic:1` is armed (when `faulted`), so
+/// the fault hits the job under test. Returns the job's result document.
+fn panic_retry_run(mode: &str, faulted: bool) -> String {
+    let dir = temp_dir(&format!("chaos-retry-{mode}-{faulted}"));
     let journal = dir.join("serve.jsonl");
     fresh_globals(Some(&journal));
-    // One-shot: the first job attempt panics, the retry runs clean.
-    cold_fault::configure("serve.worker_panic:1", 7).expect("arm fault");
-
     let (handle, addr) =
         start(ServerConfig { workers: 1, cache_dir: dir.join("cache"), ..ServerConfig::default() });
 
-    let resp = client_request(&addr, "POST", "/jobs", Some(&job_body(8, 21, 1))).expect("submit");
-    assert_eq!(resp.status, 202);
-    let id = parse_body(&resp.body)["id"].as_str().expect("id").to_string();
-    let done = poll_until(&addr, &id, &["done"], Duration::from_secs(120));
-    assert_eq!(done["status"].as_str(), Some("done"));
+    let config = ColdConfig::quick(8, 4e-4, 10.0).to_json_value();
+    let body = match mode {
+        "standard" => job_body(8, 21, 1),
+        "pareto" => {
+            serde_json::json!({ "config": config, "seed": 13, "mode": "pareto" }).to_string()
+        }
+        _ => {
+            let parent = submit_and_wait(&addr, &job_body(8, 21, 1));
+            serde_json::json!({
+                "config": config,
+                "seed": 22,
+                "mode": "evolve",
+                "parent": parent,
+                "change_costs": {"add_cost": 1.0, "remove_cost": 1.0, "length_weight": 0.0},
+            })
+            .to_string()
+        }
+    };
+    if faulted {
+        // One-shot: the first job attempt panics, the retry runs clean.
+        cold_fault::configure("serve.worker_panic:1", 7).expect("arm fault");
+    }
+    let id = submit_and_wait(&addr, &body);
+    let result = client_request(&addr, "GET", &format!("/jobs/{id}/result"), None).expect("result");
+    assert_eq!(result.status, 200, "{mode}");
 
     // The server stayed responsive and counted the contained panic.
     let resp = client_request(&addr, "GET", "/healthz", None).expect("healthz");
     assert_eq!(resp.status, 200);
     let metrics = client_request(&addr, "GET", "/metrics", None).expect("metrics").body;
-    assert_eq!(cold_serve::metrics::parse_counter(&metrics, "cold_serve_worker_panics"), Some(1));
+    let panics = cold_serve::metrics::parse_counter(&metrics, "cold_serve_worker_panics");
+    assert_eq!(panics.unwrap_or(0), u64::from(faulted), "{mode}");
 
     handle.shutdown();
     handle.join();
@@ -267,10 +296,36 @@ fn worker_panic_is_contained_and_the_job_retries() {
     // job_started is visible (two starts for one job).
     let events = read_journal(&journal);
     let kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
-    assert!(kinds.contains(&"fault_injected"));
-    assert!(kinds.contains(&"job_done"));
-    assert_eq!(kinds.iter().filter(|k| **k == "job_started").count(), 2);
+    assert_eq!(kinds.contains(&"fault_injected"), faulted, "{mode}");
+    assert!(kinds.contains(&"job_done"), "{mode}");
+    let starts =
+        events.iter().filter(|e| matches!(e, cold_obs::Event::JobStarted(s) if s.id == id)).count();
+    assert_eq!(starts, if faulted { 2 } else { 1 }, "{mode}: job_started events");
     std::fs::remove_dir_all(&dir).ok();
+    result.body
+}
+
+/// A result document without the standard report's run-specific lines:
+/// evaluation wall time and the journal path.
+fn deterministic_doc(body: &str) -> String {
+    let doc = parse_body(body);
+    let Some(report) = doc["report"].as_str() else { return body.to_string() };
+    let kept: Vec<&str> = report
+        .lines()
+        .filter(|l| !l.contains("wall-clock") && !l.contains(" s |") && !l.contains("traces:"))
+        .collect();
+    let mut map = doc.as_object().expect("result doc is an object").clone();
+    map.insert("report".into(), Value::String(kept.join("\n")));
+    serde_json::to_string(&Value::Object(map)).expect("doc serializes")
+}
+
+#[test]
+fn worker_panic_is_contained_and_the_job_retries() {
+    let _guard = global_lock();
+    for mode in ["standard", "pareto", "evolve"] {
+        let [faulted, clean] = [true, false].map(|f| deterministic_doc(&panic_retry_run(mode, f)));
+        assert_eq!(faulted, clean, "{mode}: the retried job's result document moved");
+    }
 }
 
 #[test]

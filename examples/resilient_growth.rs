@@ -13,8 +13,8 @@
 //! ```
 
 use cold::evolution::{evolve, grow_context, EvolutionConfig};
-use cold::resilience::{survivability, synthesize_resilient};
-use cold::ColdConfig;
+use cold::resilience::survivability;
+use cold::{ColdConfig, RunOptions, TrialObjective, TrialSpec};
 
 fn main() {
     let cfg = ColdConfig::quick(12, 4e-4, 10.0);
@@ -74,8 +74,9 @@ fn main() {
     // cost and watch the rings appear.
     println!("\nresilience sweep (same market, rising bridge cost):");
     for bridge_cost in [0.0, 20.0, 200.0, 2000.0] {
-        let (net, _, report) =
-            synthesize_resilient(&cfg, bridge_cost, seed + 4).expect("synthesis");
+        let spec = TrialSpec::new(seed + 4, TrialObjective::Resilient { bridge_cost });
+        let r = cfg.run_trial(spec, RunOptions::default()).expect("synthesis").into_single();
+        let (net, report) = (&r.network, survivability(&r.network.topology, &r.context));
         println!(
             "  bridge cost {:>6}: {} links, {} bridges, 2-edge-connected: {}, worst failure {:.0}%",
             bridge_cost,

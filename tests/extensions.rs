@@ -3,9 +3,9 @@
 //! → router-level expansion → export.
 
 use cold::evolution::{evolve, grow_context, EvolutionConfig};
-use cold::resilience::{survivability, synthesize_resilient, ResilientObjective};
+use cold::resilience::{survivability, ResilientObjective};
 use cold::router_level::{expand, RouterLevelConfig};
-use cold::{ColdConfig, SynthesisMode};
+use cold::{ColdConfig, RunOptions, SynthesisMode, TrialObjective, TrialSpec};
 use cold_context::import::context_from_csv;
 use cold_context::{GravityModel, PopulationKind};
 use cold_ga::{GaSettings, GeneticAlgorithm, Objective};
@@ -85,7 +85,10 @@ fn resilience_hardening_reduces_worst_case_failures() {
     let seed = 3;
     let plain = cfg.synthesize(seed);
     let plain_report = survivability(&plain.network.topology, &plain.context);
-    let (hardened, _, hard_report) = synthesize_resilient(&cfg, 1e5, seed).unwrap();
+    let spec = TrialSpec::new(seed, TrialObjective::Resilient { bridge_cost: 1e5 });
+    let hardened = cfg.run_trial(spec, RunOptions::default()).unwrap().into_single();
+    let hard_report = survivability(&hardened.network.topology, &hardened.context);
+    let hardened = hardened.network;
     assert!(
         hard_report.bridges <= plain_report.bridges,
         "hardening must not add bridges ({} -> {})",

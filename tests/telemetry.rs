@@ -3,7 +3,7 @@
 //! vendored `serde_json`, and the determinism guarantee (tracing on vs.
 //! off) checked at the `ColdConfig` level.
 
-use cold::ColdConfig;
+use cold::{ColdConfig, RunOptions, TrialObjective, TrialSpec};
 use cold_obs::{parse_journal, Event, TraceMode};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -226,16 +226,9 @@ fn stalled_warm_run_journals_ga_stalled() {
 
     let path = temp_journal("warm-stall");
     cold_obs::configure(TraceMode::Journal(path.clone())).expect("journal sink");
-    let r = cold::try_synthesize_warm(
-        &cfg,
-        &parent,
-        cold::ChangeCosts::default(),
-        11,
-        None,
-        None,
-        None,
-    )
-    .expect("warm run");
+    let warm = TrialObjective::Warm { parent, costs: cold::ChangeCosts::default() };
+    let r = cfg.run_trial(TrialSpec::new(11, warm), RunOptions::default()).expect("warm run");
+    let r = r.into_single();
     cold_obs::configure(TraceMode::Off).expect("disable sink");
     assert_eq!(r.stop_reason, cold::StopReason::Stalled, "a converged parent stalls at once");
 
@@ -258,6 +251,33 @@ fn stalled_warm_run_journals_ga_stalled() {
         other => panic!("expected ga_stalled, got {other:?}"),
     }
     assert!(matches!(frame[2], Event::RunEnd(_)), "run_end closes the run");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn resilient_run_journals_one_run_frame() {
+    let _guard = telemetry_lock();
+    let cfg = ColdConfig::quick(8, 4e-4, 10.0);
+    let path = temp_journal("resilient");
+    cold_obs::configure(TraceMode::Journal(path.clone())).expect("journal sink");
+    let spec = TrialSpec::new(5, TrialObjective::Resilient { bridge_cost: 50.0 });
+    let r = cfg.run_trial(spec, RunOptions::default()).expect("resilient run").into_single();
+    cold_obs::configure(TraceMode::Off).expect("disable sink");
+
+    let text = std::fs::read_to_string(&path).expect("journal written");
+    let events = parse_journal(&text).expect("every line is a valid event");
+    let starts: Vec<_> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::RunStart(s) => Some(s),
+            _ => None,
+        })
+        .collect();
+    let ends = events.iter().filter(|e| matches!(e, Event::RunEnd(_))).count();
+    assert_eq!((starts.len(), ends), (1, 1), "one run_start and one run_end");
+    assert_eq!(starts[0].mode, "Resilient");
+    let generations = events.iter().filter(|e| matches!(e, Event::Generation(_))).count();
+    assert_eq!(generations, r.generations_run);
     std::fs::remove_file(&path).ok();
 }
 
