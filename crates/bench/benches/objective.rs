@@ -5,9 +5,10 @@
 //! comparator sort of the subtree order, a pair-indexed edge-slot table
 //! rebuilt per call, materialized shortest-path trees, and a capacity plan
 //! that clones the edge and load vectors. `lean_evaluate_total` is the
-//! current GA fitness call: workspace-reused Dijkstra, depth counting-sort,
-//! load-only accumulation, no plan. The PR acceptance bar is ≥2× objective
-//! evaluation throughput at n = 50 on GA-representative topologies.
+//! current GA fitness call: one thread-local `RoutingState` build (CSR
+//! Dijkstra per source into reused rows, per-source priced demand), no
+//! link loads, no plan. The acceptance bar was ≥2× objective evaluation
+//! throughput at n = 50 on GA-representative topologies.
 
 use cold::{ColdConfig, ColdObjective};
 use cold_cost::{evaluate_total, CostEvaluator, CostParams};

@@ -5,7 +5,7 @@
 use cold_context::ContextConfig;
 use cold_cost::{CostEvaluator, CostParams};
 use cold_graph::mst::mst_matrix;
-use cold_graph::routing::route_traffic;
+use cold_graph::routing::RoutingState;
 use cold_graph::shortest_path::apsp;
 use cold_graph::subgraphs::dk_parameter_count;
 use cold_graph::AdjacencyMatrix;
@@ -43,8 +43,12 @@ fn bench_routing_and_cost(c: &mut Criterion) {
             b.iter(|| black_box(eval.cost(&clique).unwrap()));
         });
         let g = mst.to_graph();
-        group.bench_with_input(BenchmarkId::new("route_traffic", n), &n, |b, _| {
-            b.iter(|| black_box(route_traffic(&g, ctx.distance_fn(), ctx.traffic_fn()).unwrap()));
+        let mut routing = RoutingState::new();
+        group.bench_with_input(BenchmarkId::new("routing_state_loads", n), &n, |b, _| {
+            b.iter(|| {
+                routing.build(&g, ctx.distance_fn(), ctx.traffic_fn()).unwrap();
+                black_box(routing.link_loads(ctx.traffic_fn()).unwrap())
+            });
         });
     }
     group.finish();

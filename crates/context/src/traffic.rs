@@ -92,7 +92,7 @@ impl TrafficMatrix {
         }
     }
 
-    /// A closure view suitable for `cold_graph::routing::route_traffic`.
+    /// A closure view suitable for `cold_graph::routing::RoutingState::build`.
     pub fn as_fn(&self) -> impl Fn(usize, usize) -> f64 + Copy + '_ {
         move |s, t| self.demand(s, t)
     }

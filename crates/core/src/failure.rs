@@ -17,10 +17,10 @@
 //!
 //! # One incremental sweep
 //!
-//! The sweep starts from the routing the network already carries
-//! (`net.plan.routing`) and reports for every link exactly what a full
-//! shortest-path re-route of the topology without that link reports, bit
-//! for bit:
+//! The sweep starts from the routing state the network already carries
+//! (`net.plan.routing`: adjacency and per-source distance and parent rows)
+//! and reports for every link exactly what a full shortest-path re-route
+//! of the topology without that link reports, bit for bit:
 //!
 //! - **Bridges** (one Tarjan pass finds them all) need no Dijkstra. Every
 //!   surviving route keeps its path, so stretch is exactly 1. Stranded
@@ -33,8 +33,8 @@
 //!   reuses its cached per-link load contributions.
 //!
 //! Each link's load is then folded over sources in ascending order, the
-//! summation order of [`cold_graph::routing::route_traffic`], so
-//! utilization, overload counts and stretch equal a full re-route's.
+//! summation order of [`cold_graph::routing::RoutingState::link_loads`],
+//! so utilization, overload counts and stretch equal a full re-route's.
 
 use cold_context::Context;
 use cold_cost::Network;
@@ -107,8 +107,7 @@ pub fn single_link_failures(net: &Network, ctx: &Context) -> FailureReport {
     let total_traffic = ctx.traffic.total();
     let g = net.graph();
     let sweep = Sweep::new(net, ctx, &g);
-    let mut buf = Buffers::default();
-    buf.csr.build(&g, ctx.distance_fn());
+    let mut buf = Buffers { csr: net.plan.routing.csr().clone(), ..Buffers::default() };
     let impacts = net
         .links
         .iter()
@@ -214,15 +213,17 @@ impl<'a> Sweep<'a> {
             stretch_targets: Vec::with_capacity(n),
         };
         let traffic = ctx.traffic_fn();
+        let routing = &net.plan.routing;
         let mut subtree = SubtreeScratch::new();
-        for (s, tree) in net.plan.routing.trees.iter().enumerate() {
+        for s in 0..n {
+            let (dist, parent) = (routing.dist(s), routing.parent(s));
             let mut contrib = Vec::new();
-            accumulate_source(s, &tree.dist, &tree.parent, &traffic, &mut subtree, |p, v, d| {
+            accumulate_source(s, dist, parent, &traffic, &mut subtree, |p, v, d| {
                 contrib.push((sweep.edge(p, v), d))
             })
             .expect("a built network routes every demand");
             let targets =
-                (0..n).filter(|&t| t != s && traffic(s, t) > 0.0 && tree.dist[t] > 0.0).collect();
+                (0..n).filter(|&t| t != s && traffic(s, t) > 0.0 && dist[t] > 0.0).collect();
             sweep.order.push(subtree.order().to_vec());
             sweep.contrib.push(contrib);
             sweep.stretch_targets.push(targets);
@@ -246,11 +247,12 @@ impl<'a> Sweep<'a> {
                 0.0
             }
         };
-        for (s, tree) in self.net.plan.routing.trees.iter().enumerate() {
+        let routing = &self.net.plan.routing;
+        for s in 0..routing.n() {
             push_down(
                 s,
-                &tree.dist,
-                &tree.parent,
+                routing.dist(s),
+                routing.parent(s),
                 &self.order[s],
                 &traffic,
                 &mut buf.demand,
@@ -269,11 +271,12 @@ impl<'a> Sweep<'a> {
         let traffic = self.ctx.traffic_fn();
         let mut stretch_sum = 0.0f64;
         let mut stretch_count = 0usize;
+        let routing = &self.net.plan.routing;
         csr.with_edge_cut(u, v, |csr| {
-            for (s, tree) in self.net.plan.routing.trees.iter().enumerate() {
-                let targets = &self.stretch_targets[s];
+            for (s, targets) in self.stretch_targets.iter().enumerate() {
                 stretch_count += targets.len();
-                if tree.parent[v] != u && tree.parent[u] != v {
+                let (base_dist, base_parent) = (routing.dist(s), routing.parent(s));
+                if base_parent[v] != u && base_parent[u] != v {
                     for &(e, d) in &self.contrib[s] {
                         load[e] += d;
                     }
@@ -290,7 +293,7 @@ impl<'a> Sweep<'a> {
                 })
                 .expect("a non-bridge failure leaves every routed pair connected");
                 for &t in targets {
-                    stretch_sum += dist[t] / tree.dist[t];
+                    stretch_sum += dist[t] / base_dist[t];
                 }
             }
         });
@@ -333,11 +336,25 @@ mod tests {
     use super::*;
     use cold_context::{GravityModel, Point, PopulationKind};
     use cold_cost::{CostParams, Network};
-    use cold_graph::routing::route_traffic;
-    use cold_graph::AdjacencyMatrix;
+    use cold_graph::routing::RoutingState;
+    use cold_graph::{AdjacencyMatrix, Graph};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Routes `traffic` over `g` from scratch: the routing state, its edges
+    /// and their loads.
+    fn reroute(
+        g: &Graph,
+        ctx: &Context,
+        traffic: impl Fn(usize, usize) -> f64 + Copy,
+    ) -> (RoutingState, Vec<(usize, usize)>, Vec<f64>) {
+        let mut routing = RoutingState::new();
+        routing.build(g, ctx.distance_fn(), traffic).expect("stranded demands zeroed");
+        let load = routing.link_loads(traffic).unwrap();
+        let edges = routing.csr().edges().map(|(u, v, _)| (u, v)).collect();
+        (routing, edges, load)
+    }
 
     /// The sweep's oracle: for every link, clone the topology without it
     /// and re-route all traffic from scratch. The incremental sweep must
@@ -345,12 +362,10 @@ mod tests {
     fn single_link_failures_by_rerouting(net: &Network, ctx: &Context) -> FailureReport {
         let n = net.n();
         assert_eq!(ctx.n(), n, "network and context disagree on PoP count");
-        let dist = ctx.distance_fn();
         let total_traffic = ctx.traffic.total();
         // Baseline route lengths for stretch.
-        let base = route_traffic(&net.graph(), dist, ctx.traffic_fn())
-            .expect("synthesized networks are connected");
-        let base_len: Vec<Vec<f64>> = (0..n).map(|s| base.trees[s].dist.clone()).collect();
+        let (base, _, _) = reroute(&net.graph(), ctx, ctx.traffic_fn());
+        let base_len: Vec<Vec<f64>> = (0..n).map(|s| base.dist(s).to_vec()).collect();
         let capacity: std::collections::HashMap<(usize, usize), f64> =
             net.links.iter().map(|l| ((l.u.min(l.v), l.u.max(l.v)), l.capacity)).collect();
 
@@ -370,25 +385,19 @@ mod tests {
                     }
                 }
             }
-            let routed = route_traffic(&g, dist, |s, t| {
-                if survives(s, t) {
-                    ctx.traffic.demand(s, t)
-                } else {
-                    0.0
-                }
-            })
-            .expect("stranded demands zeroed, remaining pairs routable");
+            let surviving = |s, t| if survives(s, t) { ctx.traffic.demand(s, t) } else { 0.0 };
+            let (routed, edges, load) = reroute(&g, ctx, surviving);
             let mut max_util = 0.0f64;
             let mut overloaded = 0usize;
-            for (i, &(u, v)) in routed.edges.iter().enumerate() {
+            for (i, &(u, v)) in edges.iter().enumerate() {
                 let installed = capacity.get(&(u.min(v), u.max(v))).copied().unwrap_or(0.0);
                 if installed > 0.0 {
-                    let util = routed.load[i] / installed;
+                    let util = load[i] / installed;
                     max_util = max_util.max(util);
                     if util > 1.0 + 1e-9 {
                         overloaded += 1;
                     }
-                } else if routed.load[i] > 0.0 {
+                } else if load[i] > 0.0 {
                     overloaded += 1;
                     max_util = f64::INFINITY;
                 }
@@ -398,7 +407,7 @@ mod tests {
             for (s, base_row) in base_len.iter().enumerate() {
                 for (t, &before) in base_row.iter().enumerate() {
                     if s != t && survives(s, t) && ctx.traffic.demand(s, t) > 0.0 {
-                        let after = routed.trees[s].dist[t];
+                        let after = routed.dist(s)[t];
                         if before > 0.0 {
                             stretch_sum += after / before;
                             stretch_count += 1;

@@ -8,39 +8,40 @@
 //! install `O·wᵢ` capacity.
 
 use cold_context::Context;
-use cold_graph::routing::{route_traffic, RoutingResult};
+use cold_graph::routing::RoutingState;
 use cold_graph::{AdjacencyMatrix, GraphError};
 
 /// The routed-capacity view of one topology in one context.
-///
-/// The edge list, per-edge loads and `Σ t·L` live in the owned
-/// [`RoutingResult`] and are exposed through accessors — the plan stores
-/// each datum exactly once instead of cloning the routing's vectors.
 #[derive(Debug, Clone)]
 pub struct CapacityPlan {
+    /// Edges sorted ascending as `(u, v)`, `u < v`.
+    edges: Vec<(usize, usize)>,
     /// Geometric length `ℓᵢ` per edge (aligned with [`edges`](Self::edges)).
     pub length: Vec<f64>,
+    /// Required bandwidth `wᵢ` per edge.
+    load: Vec<f64>,
     /// Installed capacity per edge: `O · wᵢ`.
     pub capacity: Vec<f64>,
-    /// The routing this plan was built from: edges, per-edge loads, `Σ t·L`
-    /// and the shortest-path trees, one per source PoP.
-    pub routing: RoutingResult,
+    /// The routing this plan was built from: adjacency, per-source
+    /// distance and parent rows (the shortest-path trees, one per source
+    /// PoP) and `Σ t·L`.
+    pub routing: RoutingState,
 }
 
 impl CapacityPlan {
     /// Edges sorted ascending as `(u, v)`, `u < v`.
     pub fn edges(&self) -> &[(usize, usize)] {
-        &self.routing.edges
+        &self.edges
     }
 
     /// Required bandwidth `wᵢ` per edge (sum of routed demands).
     pub fn load(&self) -> &[f64] {
-        &self.routing.load
+        &self.load
     }
 
     /// `Σ_r t_r·L_r` — the route-length form of the bandwidth cost (eq. 1).
     pub fn traffic_weighted_route_length(&self) -> f64 {
-        self.routing.traffic_weighted_route_length
+        self.routing.weighted()
     }
 
     /// Total geometric length of all links.
@@ -50,14 +51,13 @@ impl CapacityPlan {
 
     /// Number of links.
     pub fn link_count(&self) -> usize {
-        self.routing.edges.len()
+        self.edges.len()
     }
 
     /// Maximum link utilization `wᵢ / capacityᵢ` (equals `1/O` on loaded
     /// links by construction). Returns 0 for an unloaded network.
     pub fn max_utilization(&self) -> f64 {
-        self.routing
-            .load
+        self.load
             .iter()
             .zip(&self.capacity)
             .filter(|&(_, &c)| c > 0.0)
@@ -80,12 +80,12 @@ pub fn assign_capacities(
         return Err(GraphError::SizeMismatch { expected: ctx.n(), actual: topology.n() });
     }
     assert!(overprovision >= 1.0, "overprovision must be >= 1");
-    let g = topology.to_graph();
-    let dist = ctx.distance_fn();
-    let routing = route_traffic(&g, dist, ctx.traffic_fn())?;
-    let length: Vec<f64> = routing.edges.iter().map(|&(u, v)| dist(u, v)).collect();
-    let capacity: Vec<f64> = routing.load.iter().map(|&w| overprovision * w).collect();
-    Ok(CapacityPlan { length, capacity, routing })
+    let mut routing = RoutingState::new();
+    routing.build(&topology.to_graph(), ctx.distance_fn(), ctx.traffic_fn())?;
+    let load = routing.link_loads(ctx.traffic_fn())?;
+    let (edges, length) = routing.csr().edges().map(|(u, v, len)| ((u, v), len)).unzip();
+    let capacity = load.iter().map(|&w| overprovision * w).collect();
+    Ok(CapacityPlan { edges, length, load, capacity, routing })
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 use crate::capacity::{assign_capacities, CapacityPlan};
 use crate::params::CostParams;
 use cold_context::Context;
-use cold_graph::routing::{route_loads_into, RoutingWorkspace};
+use cold_graph::routing::RoutingState;
 use cold_graph::{AdjacencyMatrix, GraphError};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -22,6 +22,26 @@ pub struct CostBreakdown {
 }
 
 impl CostBreakdown {
+    /// The cost of a routed topology: `k0·|E| + k1·Σℓ + k2·Σt·L + k3·hubs`,
+    /// with `|E|`, `Σℓ` (in edge order) and the hubs read off the routing's
+    /// adjacency. Every evaluation path prices through this one tail.
+    pub(crate) fn of(routing: &RoutingState, params: &CostParams) -> Self {
+        let csr = routing.csr();
+        let mut links = 0usize;
+        let mut total_length = 0.0f64;
+        for (_, _, len) in csr.edges() {
+            links += 1;
+            total_length += len;
+        }
+        let hubs = (0..csr.n()).filter(|&v| csr.degree(v) > 1).count();
+        Self {
+            existence: params.k0 * links as f64,
+            length: params.k1 * total_length,
+            bandwidth: params.k2 * routing.weighted(),
+            hub: params.k3 * hubs as f64,
+        }
+    }
+
     /// Total cost (the GA's fitness value; lower is better).
     pub fn total(&self) -> f64 {
         self.existence + self.length + self.bandwidth + self.hub
@@ -47,31 +67,41 @@ pub fn evaluate_parts(
     // re-validating per evaluation was pure hot-path overhead.
     debug_assert!(params.validate().is_ok(), "invalid cost params: {:?}", params.validate());
     let plan = assign_capacities(topology, ctx, params.overprovision)?;
-    let m = plan.link_count() as f64;
-    let breakdown = CostBreakdown {
-        existence: params.k0 * m,
-        length: params.k1 * plan.total_length(),
-        bandwidth: params.k2 * plan.traffic_weighted_route_length(),
-        hub: params.k3 * topology.degrees().iter().filter(|&&d| d > 1).count() as f64,
-    };
-    Ok((breakdown, plan))
+    Ok((CostBreakdown::of(&plan.routing, params), plan))
+}
+
+/// The `eval.*` fault sites every evaluation entry point honours:
+/// `eval.panic` panics, `eval.slow` sleeps 15 ms, and `eval.nan` yields the
+/// NaN the caller must answer instead of a cost.
+pub(crate) fn injected_fault() -> Option<f64> {
+    if cold_fault::armed() {
+        if cold_fault::should_fire("eval.panic") {
+            panic!("cold-fault: injected panic at eval.panic");
+        }
+        if cold_fault::should_fire("eval.nan") {
+            return Some(f64::NAN);
+        }
+        if cold_fault::should_fire("eval.slow") {
+            std::thread::sleep(std::time::Duration::from_millis(15));
+        }
+    }
+    None
 }
 
 thread_local! {
-    /// Per-thread routing scratch for [`evaluate_total`]. Thread-local so
+    /// Per-thread routing state for [`evaluate_total`]. Thread-local so
     /// the GA's parallel fitness workers each reuse their own buffers
     /// without locking.
-    static ROUTING_SCRATCH: RefCell<(RoutingWorkspace, Vec<f64>)> =
-        RefCell::new((RoutingWorkspace::new(), Vec::new()));
+    static ROUTING: RefCell<RoutingState> = RefCell::new(RoutingState::new());
 }
 
 /// Total cost only — the allocation-lean hot path the GA calls once per
 /// candidate per generation.
 ///
-/// Skips everything [`evaluate_parts`] materializes for reports: no
-/// [`CapacityPlan`], no shortest-path trees, no edge list; routing runs
-/// through a thread-local reusable workspace. The returned total is
-/// bit-identical to `evaluate_parts(..).0.total()`.
+/// Routes into a thread-local [`RoutingState`] and prices it; skips the
+/// link loads, capacities and owned state [`evaluate_parts`] materializes
+/// for reports. The returned total is bit-identical to
+/// `evaluate_parts(..).0.total()`.
 ///
 /// # Errors
 /// As for [`evaluate_parts`].
@@ -80,16 +110,8 @@ pub fn evaluate_total(
     ctx: &Context,
     params: &CostParams,
 ) -> Result<f64, GraphError> {
-    if cold_fault::armed() {
-        if cold_fault::should_fire("eval.panic") {
-            panic!("cold-fault: injected panic at eval.panic");
-        }
-        if cold_fault::should_fire("eval.nan") {
-            return Ok(f64::NAN);
-        }
-        if cold_fault::should_fire("eval.slow") {
-            std::thread::sleep(std::time::Duration::from_millis(15));
-        }
+    if let Some(nan) = injected_fault() {
+        return Ok(nan);
     }
     let _timer = cold_obs::timer("cost.evaluate_total");
     evaluate_total_untimed(topology, ctx, params)
@@ -111,34 +133,11 @@ pub fn evaluate_total_untimed(
         return Err(GraphError::SizeMismatch { expected: ctx.n(), actual: topology.n() });
     }
     let g = topology.to_graph();
-    let dist = ctx.distance_fn();
-    let weighted = ROUTING_SCRATCH.with(|s| {
-        let (ws, load) = &mut *s.borrow_mut();
-        route_loads_into(&g, dist, ctx.traffic_fn(), ws, load)
-    })?;
-    // |E| and Σℓ accumulated in the same edge order as the capacity plan so
-    // the length sum rounds identically.
-    let mut links = 0usize;
-    let mut total_length = 0.0f64;
-    for (u, v) in g.edges() {
-        links += 1;
-        total_length += dist(u, v);
-    }
-    let hubs = (0..g.n()).filter(|&v| g.degree(v) > 1).count();
-    Ok(params.k0 * links as f64
-        + params.k1 * total_length
-        + params.k2 * weighted
-        + params.k3 * hubs as f64)
-}
-
-/// Total cost only, via the full [`evaluate_parts`] pipeline — see
-/// [`evaluate_total`] for the equivalent lean path.
-pub fn evaluate(
-    topology: &AdjacencyMatrix,
-    ctx: &Context,
-    params: &CostParams,
-) -> Result<f64, GraphError> {
-    Ok(evaluate_parts(topology, ctx, params)?.0.total())
+    ROUTING.with(|routing| {
+        let routing = &mut *routing.borrow_mut();
+        routing.build(&g, ctx.distance_fn(), ctx.traffic_fn())?;
+        Ok(CostBreakdown::of(routing, params).total())
+    })
 }
 
 /// A reusable evaluator bundling a context and parameters.
@@ -168,17 +167,6 @@ impl<'a> CostEvaluator<'a> {
     /// See [`evaluate_total`].
     pub fn cost(&self, topology: &AdjacencyMatrix) -> Result<f64, GraphError> {
         evaluate_total(topology, self.ctx, &self.params)
-    }
-
-    /// Cost with full breakdown and capacity plan.
-    ///
-    /// # Errors
-    /// See [`evaluate_parts`].
-    pub fn cost_parts(
-        &self,
-        topology: &AdjacencyMatrix,
-    ) -> Result<(CostBreakdown, CapacityPlan), GraphError> {
-        evaluate_parts(topology, self.ctx, &self.params)
     }
 }
 
@@ -235,7 +223,7 @@ mod tests {
         let ctx = square_context();
         let full = AdjacencyMatrix::complete(4);
         let params = CostParams::new(2.0, 0.0, 0.0, 0.0);
-        assert_eq!(evaluate(&full, &ctx, &params).unwrap(), 12.0);
+        assert_eq!(evaluate_total(&full, &ctx, &params).unwrap(), 12.0);
     }
 
     #[test]
@@ -243,7 +231,7 @@ mod tests {
         let ctx = square_context();
         let topo = AdjacencyMatrix::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert!(matches!(
-            evaluate(&topo, &ctx, &CostParams::default()),
+            evaluate_total(&topo, &ctx, &CostParams::default()),
             Err(GraphError::Disconnected)
         ));
     }
@@ -254,7 +242,10 @@ mod tests {
         let params = CostParams::paper(1e-3, 10.0);
         let ev = CostEvaluator::new(&ctx, params);
         let ring = AdjacencyMatrix::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        assert_eq!(ev.cost(&ring).unwrap(), evaluate(&ring, &ctx, &params).unwrap());
+        assert_eq!(
+            ev.cost(&ring).unwrap(),
+            evaluate_parts(&ring, &ctx, &params).unwrap().0.total()
+        );
     }
 
     #[test]
@@ -333,7 +324,10 @@ mod tests {
         let params = CostParams::new(1000.0, 1.0, 1e-6, 0.0);
         let mst = cold_graph::mst::mst_matrix(4, ctx.distance_fn());
         let clique = AdjacencyMatrix::complete(4);
-        assert!(evaluate(&mst, &ctx, &params).unwrap() < evaluate(&clique, &ctx, &params).unwrap());
+        assert!(
+            evaluate_total(&mst, &ctx, &params).unwrap()
+                < evaluate_total(&clique, &ctx, &params).unwrap()
+        );
     }
 
     #[test]
@@ -343,7 +337,10 @@ mod tests {
         let params = CostParams::new(0.001, 0.001, 100.0, 0.0);
         let mst = cold_graph::mst::mst_matrix(4, ctx.distance_fn());
         let clique = AdjacencyMatrix::complete(4);
-        assert!(evaluate(&clique, &ctx, &params).unwrap() < evaluate(&mst, &ctx, &params).unwrap());
+        assert!(
+            evaluate_total(&clique, &ctx, &params).unwrap()
+                < evaluate_total(&mst, &ctx, &params).unwrap()
+        );
     }
 
     #[test]
@@ -354,6 +351,9 @@ mod tests {
         let params = CostParams::new(0.0, 0.0, 0.0, 100.0);
         let star = AdjacencyMatrix::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
         let ring = AdjacencyMatrix::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        assert!(evaluate(&star, &ctx, &params).unwrap() < evaluate(&ring, &ctx, &params).unwrap());
+        assert!(
+            evaluate_total(&star, &ctx, &params).unwrap()
+                < evaluate_total(&ring, &ctx, &params).unwrap()
+        );
     }
 }

@@ -4,13 +4,15 @@
 //! offspring re-routes the full traffic matrix even though mutation flips
 //! only ~2 links and late-stage crossover children differ from their
 //! parents by a handful of pairs. [`DeltaEval`] exploits that locality:
-//! it keeps the routing state (per-source distance and parent rows) of
-//! the **anchor** — the last successfully evaluated topology — and, given
-//! the next candidate, repairs only the shortest-path trees the flipped
-//! edges actually touch, re-prices only the rerouted demand, and falls
-//! back to a full [`evaluate_total`](crate::evaluate_total)-equivalent
-//! pass when the dirty set
-//! exceeds its thresholds.
+//! it keeps the [`RoutingState`] (per-source distance and parent rows and
+//! priced demand) of the **anchor** — the last successfully evaluated
+//! topology — and, given the next candidate, repairs only the
+//! shortest-path trees the flipped edges actually touch, re-prices only
+//! the rerouted demand, and falls back to a full pass (the
+//! [`RoutingState::build`] of [`evaluate_total`](crate::evaluate_total))
+//! when the dirty set exceeds its thresholds. A full pass builds into a
+//! spare state that becomes the anchor only on success, so a failed one
+//! leaves the anchor intact.
 //!
 //! # Bit-identity
 //!
@@ -28,15 +30,14 @@
 //!    scratch or from a repaired previous tree. The repair below
 //!    terminates at that fixpoint, so its rows equal a fresh run's rows
 //!    bit for bit.
-//! 2. *Per-source pricing shares one loop.* Each repaired source's
-//!    `Σ_t t(s,t)·dist[t]` goes through
-//!    [`cold_graph::routing::source_weighted_demand`],
-//!    the same per-source accumulation `route_loads_into` runs, and the
-//!    per-source terms are folded in ascending source order — the same
-//!    summation tree as the full pass.
+//! 2. *Per-source pricing shares one loop.* Repaired rows are committed
+//!    through [`RoutingState::replace_rows`], which prices each repaired
+//!    source with the loop `build` uses and refolds the per-source terms
+//!    in ascending source order — the same summation tree as the full
+//!    pass.
 //! 3. *The remaining terms are recomputed.* `k0·|E|`, `k1·Σℓ` and
-//!    `k3·hubs` are cheap (O(m + n)) and evaluated from the candidate
-//!    exactly as [`evaluate_total`](crate::evaluate_total) evaluates them.
+//!    `k3·hubs` are cheap (O(m + n)) and priced from the committed state
+//!    by the one tail [`evaluate_total`](crate::evaluate_total) uses.
 //!
 //! # Repair algorithm
 //!
@@ -54,103 +55,43 @@
 //! fixpoint. Sources the flips don't touch keep their rows and their
 //! cached per-source price untouched.
 
+use crate::cost::{injected_fault, CostBreakdown};
 use crate::params::CostParams;
 use cold_context::Context;
-use cold_graph::routing::source_weighted_demand;
-use cold_graph::shortest_path::DijkstraWorkspace;
-use cold_graph::{AdjacencyMatrix, Graph, GraphError};
-use std::cmp::Ordering;
+use cold_graph::routing::{Csr, RoutingState};
+use cold_graph::shortest_path::HeapItem;
+use cold_graph::{AdjacencyMatrix, GraphError};
 use std::collections::BinaryHeap;
 
-/// Routing state of the last successfully evaluated topology.
+/// The last successfully evaluated topology and its routing.
 #[derive(Debug, Clone)]
 struct Anchor {
     /// The evaluated chromosome.
     topology: AdjacencyMatrix,
-    /// Row-major `n × n` distance rows, one per source.
-    dist: Vec<f64>,
-    /// Row-major `n × n` parent rows (`parent[s*n + s] == s`).
-    parent: Vec<usize>,
-    /// `per_source[s] = Σ_t t(s,t)·dist_s[t]` — cached so unaffected
-    /// sources are never re-priced.
-    per_source: Vec<f64>,
+    /// Its routing: the rows repairs start from, and the cached per-source
+    /// prices unaffected sources keep.
+    routing: RoutingState,
     /// The anchor's total cost (returned directly for duplicate
     /// candidates).
     total: f64,
-}
-
-/// Min-heap item ordered by `(dist, node)` via `total_cmp`, reversed for
-/// `BinaryHeap`'s max-heap semantics — the same ordering the full
-/// Dijkstra uses.
-#[derive(Debug)]
-struct MinItem {
-    dist: f64,
-    node: usize,
-}
-
-impl PartialEq for MinItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for MinItem {}
-impl PartialOrd for MinItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MinItem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.dist.total_cmp(&self.dist).then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-/// CSR adjacency with per-arc lengths for the candidate topology.
-#[derive(Debug, Default)]
-struct Csr {
-    start: Vec<usize>,
-    node: Vec<usize>,
-    len: Vec<f64>,
-}
-
-impl Csr {
-    fn build(&mut self, g: &Graph, len: impl Fn(usize, usize) -> f64) {
-        let n = g.n();
-        self.start.clear();
-        self.node.clear();
-        self.len.clear();
-        self.start.reserve(n + 1);
-        self.start.push(0);
-        for u in 0..n {
-            for &v in g.neighbors(u) {
-                let w = len(u, v);
-                assert!(w >= 0.0, "negative or NaN edge length on ({u},{v}): {w}");
-                self.node.push(v);
-                self.len.push(w);
-            }
-            self.start.push(self.node.len());
-        }
-    }
 }
 
 /// Reusable buffers; everything grows on first use and is reused across
 /// evaluations.
 #[derive(Debug, Default)]
 struct Scratch {
+    /// A full pass builds here and swaps with the anchor on success.
+    spare: RoutingState,
+    /// The candidate's adjacency; swapped into the anchor on commit.
     csr: Csr,
-    dijkstra: DijkstraWorkspace,
-    demand: Vec<f64>,
     /// Per-vertex repair status: 0 unknown, 1 keeps its label, 2 orphan.
     status: Vec<u8>,
     chain: Vec<usize>,
-    heap: BinaryHeap<MinItem>,
-    wdist: Vec<f64>,
-    wparent: Vec<usize>,
-    /// Repaired rows, staged here and committed only when every affected
-    /// source repaired (and priced) successfully.
+    heap: BinaryHeap<HeapItem>,
+    /// Repaired rows of the affected sources, staged until every one of
+    /// them prices successfully.
     rdist: Vec<f64>,
     rparent: Vec<usize>,
-    rweighted: Vec<f64>,
     affected: Vec<usize>,
 }
 
@@ -258,19 +199,10 @@ impl<'a> DeltaEval<'a> {
         topology: &AdjacencyMatrix,
         base: Option<&AdjacencyMatrix>,
     ) -> Result<f64, GraphError> {
-        // Same fault boundary as `evaluate_total`: sessions are a drop-in
-        // replacement for the stateless path, so chaos scenarios armed
-        // against `eval.*` must fire here too.
-        if cold_fault::armed() {
-            if cold_fault::should_fire("eval.panic") {
-                panic!("cold-fault: injected panic at eval.panic");
-            }
-            if cold_fault::should_fire("eval.nan") {
-                return Ok(f64::NAN);
-            }
-            if cold_fault::should_fire("eval.slow") {
-                std::thread::sleep(std::time::Duration::from_millis(15));
-            }
+        // Sessions are a drop-in replacement for the stateless path, so
+        // chaos scenarios armed against `eval.*` fire here too.
+        if let Some(nan) = injected_fault() {
+            return Ok(nan);
         }
         let _timer = cold_obs::timer("cost.evaluate_total");
         // Attribute this evaluation's wall time to the delta or full
@@ -314,30 +246,18 @@ impl<'a> DeltaEval<'a> {
         Ok(total)
     }
 
-    /// Full evaluation that also (re)builds the anchor. Bit-identical to
-    /// [`evaluate_total`](crate::evaluate_total): same CSR order, same
-    /// Dijkstra, same per-source pricing loop, same fold order.
+    /// Full evaluation that also (re)builds the anchor — the
+    /// [`RoutingState::build`] of [`evaluate_total`](crate::evaluate_total),
+    /// into the spare state, which replaces the anchor only on success.
     fn full_anchor(&mut self, topology: &AdjacencyMatrix) -> Result<f64, GraphError> {
-        let n = self.ctx.n();
-        let g = topology.to_graph();
-        let dist_fn = self.ctx.distance_fn();
-        let traffic = self.ctx.traffic_fn();
-        let s = &mut self.scratch;
-        s.csr.build(&g, dist_fn);
-        let mut dist = vec![f64::INFINITY; n * n];
-        let mut parent = vec![usize::MAX; n * n];
-        let mut per_source = vec![0.0f64; n];
-        let mut weighted = 0.0f64;
-        for src in 0..n {
-            s.dijkstra.run_csr(src, &s.csr.start, &s.csr.node, &s.csr.len);
-            let w = source_weighted_demand(src, s.dijkstra.dist(), traffic, &mut s.demand)?;
-            per_source[src] = w;
-            weighted += w;
-            dist[src * n..(src + 1) * n].copy_from_slice(s.dijkstra.dist());
-            parent[src * n..(src + 1) * n].copy_from_slice(s.dijkstra.parent());
+        let routing = &mut self.scratch.spare;
+        routing.build(&topology.to_graph(), self.ctx.distance_fn(), self.ctx.traffic_fn())?;
+        let total = CostBreakdown::of(routing, &self.params).total();
+        let routing = std::mem::take(routing);
+        let anchor = Anchor { topology: topology.clone(), routing, total };
+        if let Some(old) = self.anchor.replace(anchor) {
+            self.scratch.spare = old.routing;
         }
-        let total = total_from_parts(&g, dist_fn, weighted, &self.params);
-        self.anchor = Some(Anchor { topology: topology.clone(), dist, parent, per_source, total });
         Ok(total)
     }
 
@@ -369,10 +289,10 @@ impl<'a> DeltaEval<'a> {
         // iff it strictly shortens one endpoint (ties change neither
         // distances nor, under first-relaxer-wins, this tree's prices).
         let s = &mut self.scratch;
+        let routing = &mut anchor.routing;
         s.affected.clear();
         for src in 0..n {
-            let row = &anchor.dist[src * n..(src + 1) * n];
-            let par = &anchor.parent[src * n..(src + 1) * n];
+            let (row, par) = (routing.dist(src), routing.parent(src));
             let touched = deleted.iter().any(|&(u, v)| par[v] == u || par[u] == v)
                 || inserted.iter().any(|&(u, v, w)| row[u] + w < row[v] || row[v] + w < row[u]);
             if touched {
@@ -383,26 +303,18 @@ impl<'a> DeltaEval<'a> {
             }
         }
 
-        let g = child.to_graph();
-        s.csr.build(&g, dist_fn);
-        let traffic = self.ctx.traffic_fn();
-        let affected = s.affected.len();
+        s.csr.build(&child.to_graph(), dist_fn);
         s.rdist.clear();
-        s.rdist.resize(affected * n, 0.0);
         s.rparent.clear();
-        s.rparent.resize(affected * n, 0);
-        s.rweighted.clear();
-        s.rweighted.resize(affected, 0.0);
-        for k in 0..affected {
-            let src = s.affected[k];
-            s.wdist.clear();
-            s.wdist.extend_from_slice(&anchor.dist[src * n..(src + 1) * n]);
-            s.wparent.clear();
-            s.wparent.extend_from_slice(&anchor.parent[src * n..(src + 1) * n]);
+        for &src in &s.affected {
+            s.rdist.extend_from_slice(routing.dist(src));
+            s.rparent.extend_from_slice(routing.parent(src));
+        }
+        for (k, &src) in s.affected.iter().enumerate() {
             repair_source(
                 src,
-                &mut s.wdist,
-                &mut s.wparent,
+                &mut s.rdist[k * n..(k + 1) * n],
+                &mut s.rparent[k * n..(k + 1) * n],
                 &s.csr,
                 &deleted,
                 &inserted,
@@ -410,50 +322,19 @@ impl<'a> DeltaEval<'a> {
                 &mut s.chain,
                 &mut s.heap,
             );
-            s.rweighted[k] = source_weighted_demand(src, &s.wdist, traffic, &mut s.demand)?;
-            s.rdist[k * n..(k + 1) * n].copy_from_slice(&s.wdist);
-            s.rparent[k * n..(k + 1) * n].copy_from_slice(&s.wparent);
         }
-
-        // Every repair priced successfully — commit.
-        for k in 0..affected {
-            let src = s.affected[k];
-            anchor.dist[src * n..(src + 1) * n].copy_from_slice(&s.rdist[k * n..(k + 1) * n]);
-            anchor.parent[src * n..(src + 1) * n].copy_from_slice(&s.rparent[k * n..(k + 1) * n]);
-            anchor.per_source[src] = s.rweighted[k];
-        }
+        // Commits only if every repaired row prices successfully.
+        routing.replace_rows(
+            &mut s.csr,
+            &s.affected,
+            &s.rdist,
+            &s.rparent,
+            self.ctx.traffic_fn(),
+        )?;
         anchor.topology = child.clone();
-        // Fold per-source prices in ascending source order — the same
-        // summation tree as the full pass.
-        let mut weighted = 0.0f64;
-        for &w in &anchor.per_source {
-            weighted += w;
-        }
-        let total = total_from_parts(&g, dist_fn, weighted, &self.params);
-        anchor.total = total;
-        Ok(Some(total))
+        anchor.total = CostBreakdown::of(routing, &self.params).total();
+        Ok(Some(anchor.total))
     }
-}
-
-/// `k0·|E| + k1·Σℓ + k2·Σt·L + k3·hubs`, with `|E|` and `Σℓ` accumulated
-/// in ascending edge order exactly as `evaluate_total` accumulates them.
-fn total_from_parts(
-    g: &Graph,
-    dist: impl Fn(usize, usize) -> f64,
-    weighted: f64,
-    params: &CostParams,
-) -> f64 {
-    let mut links = 0usize;
-    let mut total_length = 0.0f64;
-    for (u, v) in g.edges() {
-        links += 1;
-        total_length += dist(u, v);
-    }
-    let hubs = (0..g.n()).filter(|&v| g.degree(v) > 1).count();
-    params.k0 * links as f64
-        + params.k1 * total_length
-        + params.k2 * weighted
-        + params.k3 * hubs as f64
 }
 
 /// Repairs one source's shortest-path tree in place (see the module docs
@@ -468,7 +349,7 @@ fn repair_source(
     inserted: &[(usize, usize, f64)],
     status: &mut Vec<u8>,
     chain: &mut Vec<usize>,
-    heap: &mut BinaryHeap<MinItem>,
+    heap: &mut BinaryHeap<HeapItem>,
 ) {
     let n = wdist.len();
     status.clear();
@@ -517,19 +398,18 @@ fn repair_source(
         if status[x] != 2 {
             continue;
         }
-        for k in csr.start[x]..csr.start[x + 1] {
-            let y = csr.node[k];
+        for (y, len) in csr.arcs(x) {
             if status[y] == 2 {
                 continue;
             }
-            let nd = wdist[y] + csr.len[k];
+            let nd = wdist[y] + len;
             if nd < wdist[x] {
                 wdist[x] = nd;
                 wparent[x] = y;
             }
         }
         if wdist[x].is_finite() {
-            heap.push(MinItem { dist: wdist[x], node: x });
+            heap.push(HeapItem { dist: wdist[x], node: x });
         }
     }
     // Inserted edges can strictly shorten surviving labels; relax both
@@ -538,29 +418,28 @@ fn repair_source(
         if wdist[u] + w < wdist[v] {
             wdist[v] = wdist[u] + w;
             wparent[v] = u;
-            heap.push(MinItem { dist: wdist[v], node: v });
+            heap.push(HeapItem { dist: wdist[v], node: v });
         }
         if wdist[v] + w < wdist[u] {
             wdist[u] = wdist[v] + w;
             wparent[u] = v;
-            heap.push(MinItem { dist: wdist[u], node: u });
+            heap.push(HeapItem { dist: wdist[u], node: u });
         }
     }
     // Lazy-deletion propagation to the relaxation fixpoint. Decrease-only
     // relaxation suffices: surviving labels never need to grow (their
     // tree paths survive the deletions by construction of the orphan
     // set), and orphans restart from ∞.
-    while let Some(MinItem { dist: d, node: x }) = heap.pop() {
+    while let Some(HeapItem { dist: d, node: x }) = heap.pop() {
         if d > wdist[x] {
             continue;
         }
-        for k in csr.start[x]..csr.start[x + 1] {
-            let y = csr.node[k];
-            let nd = wdist[x] + csr.len[k];
+        for (y, len) in csr.arcs(x) {
+            let nd = wdist[x] + len;
             if nd < wdist[y] {
                 wdist[y] = nd;
                 wparent[y] = x;
-                heap.push(MinItem { dist: nd, node: y });
+                heap.push(HeapItem { dist: nd, node: y });
             }
         }
     }
@@ -720,6 +599,29 @@ mod tests {
             de.eval(&wrong_n, None),
             Err(GraphError::SizeMismatch { expected: 8, actual: 9 })
         ));
+    }
+
+    #[test]
+    fn a_failed_full_pass_leaves_the_anchor_intact() {
+        let ctx = ctx(10, 6);
+        let params = CostParams::paper(1e-4, 10.0);
+        // max_flips = 1: the disconnected candidate below is two flips from
+        // the anchor and has no base, so only a full pass can answer it.
+        let mut de = DeltaEval::with_limits(&ctx, params, 1, 10);
+        let anchor = mst_matrix(10, ctx.distance_fn());
+        de.eval(&anchor, None).unwrap();
+        let mut cut = anchor.clone();
+        for (u, v) in anchor.edges().take(2) {
+            cut.set_edge(u, v, false);
+        }
+        assert!(matches!(de.eval(&cut, None), Err(GraphError::Disconnected)));
+        assert_eq!(de.full_evals(), 1, "only the anchor's full pass succeeded");
+        // A one-flip child of the old anchor still repairs from its rows.
+        let mut child = anchor.clone();
+        child.set_edge(0, 9, !anchor.has_edge(0, 9));
+        let expected = evaluate_total(&child, &ctx, &params).unwrap();
+        assert_eq!(de.eval(&child, None).unwrap().to_bits(), expected.to_bits());
+        assert_eq!(de.delta_evals(), 1, "the child must be a delta eval");
     }
 
     #[test]

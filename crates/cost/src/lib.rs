@@ -34,7 +34,7 @@ pub mod params;
 pub use capacity::{assign_capacities, CapacityPlan};
 #[doc(hidden)]
 pub use cost::evaluate_total_untimed;
-pub use cost::{evaluate, evaluate_parts, evaluate_total, CostBreakdown, CostEvaluator};
+pub use cost::{evaluate_parts, evaluate_total, CostBreakdown, CostEvaluator};
 pub use delta::DeltaEval;
 pub use network::Network;
 pub use params::CostParams;

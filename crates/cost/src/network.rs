@@ -84,7 +84,8 @@ impl Network {
         self.cost.total()
     }
 
-    /// The route (PoP sequence) used for demand `(s, t)`.
+    /// The route (PoP sequence) used for demand `(s, t)`; `None` when
+    /// either PoP is out of range.
     pub fn route(&self, s: usize, t: usize) -> Option<Vec<usize>> {
         self.plan.routing.route(s, t)
     }
@@ -131,6 +132,15 @@ mod tests {
         let net = Network::build(topo, &ctx(), CostParams::default()).unwrap();
         assert_eq!(net.route(1, 2), Some(vec![1, 0, 2]));
         assert_eq!(net.route(1, 1), Some(vec![1]));
+    }
+
+    #[test]
+    fn out_of_range_routes_are_none() {
+        let topo = AdjacencyMatrix::from_edges(3, &[(0, 1), (0, 2)]).unwrap();
+        let net = Network::build(topo, &ctx(), CostParams::default()).unwrap();
+        assert_eq!(net.route(0, 3), None);
+        assert_eq!(net.route(3, 0), None);
+        assert_eq!(net.route(1, usize::MAX), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! since synthesized networks carry link lengths.
 
 use crate::graph::Graph;
-use crate::shortest_path::{bfs_hops, dijkstra};
+use crate::shortest_path::{apsp, bfs_hops};
 use crate::{GraphError, Result};
 
 /// Hop diameter: the maximum over all node pairs of the minimum hop count.
@@ -69,8 +69,7 @@ pub fn weighted_diameter(g: &Graph, len: impl Fn(usize, usize) -> f64 + Copy) ->
         return Ok(0.0);
     }
     let mut diam = 0.0f64;
-    for s in 0..n {
-        let tree = dijkstra(g, s, len);
+    for tree in apsp(g, len) {
         for &d in &tree.dist {
             if !d.is_finite() {
                 return Err(GraphError::Disconnected);

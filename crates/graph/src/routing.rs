@@ -1,4 +1,5 @@
-//! Shortest-path routing of a traffic matrix and per-link load accumulation.
+//! Shortest-path routing of a traffic matrix: one [`RoutingState`] per
+//! topology.
 //!
 //! This implements the capacity side of the paper's cost model (§3.2.1):
 //! every demand `t(s, t)` is routed on the shortest geometric path, the
@@ -8,122 +9,46 @@
 //! overprovisioning factor multiplies capacities uniformly and does not
 //! affect which topology is optimal).
 //!
-//! The per-source accumulation runs in O(n) after each Dijkstra by pushing
-//! subtree demand down the shortest-path tree in children-before-parents
-//! order — the same trick as Brandes' betweenness accumulation — so the
-//! all-pairs routing is O(n·m·log n + n²), not O(n³·path length). The
-//! ordering must *not* be by decreasing distance: with zero-length edges
-//! (coincident PoPs) a parent and child tie on distance, and a distance
-//! ordering could process the parent first and silently drop the child's
-//! subtree load.
+//! [`RoutingState::build`] is the one loop that routes every source. It
+//! lays the topology out as a [`Csr`], runs one Dijkstra per source into
+//! row-major `n × n` distance and parent rows, prices each source's
+//! demands as `Σ_t t(s,t)·dist[t]`, and folds those per-source terms in
+//! ascending source order. Every consumer reads that state: the objective
+//! needs only the fold, incremental evaluation keeps the rows as its anchor
+//! and commits repaired ones through [`RoutingState::replace_rows`],
+//! capacity plans ask for [`RoutingState::link_loads`] and
+//! [`RoutingState::route`], and the single-link failure sweep starts from
+//! the rows.
 //!
-//! Two entry points share that core. [`route_traffic`] materializes the
-//! full [`RoutingResult`] (edge list, per-edge loads, shortest-path trees)
-//! for reports and capacity plans; it orders the pass by decreasing tree
-//! *depth* (hops), counting-sorted in O(n). [`route_loads_into`] is the
-//! allocation-lean variant for objective evaluation — it reuses a
-//! [`RoutingWorkspace`], runs Dijkstra over a precomputed CSR, and walks
-//! the recorded settle order in reverse (children settle strictly after
-//! parents, zero-length edges included) without building trees, an edge
-//! list, or a depth pass. Both orders are valid children-first traversals;
-//! per-link loads can differ between the two entry points only by
-//! floating-point summation order (≈1 ULP), while `Σ t·L` is bit-identical.
+//! Link loads are computed on demand. Per source, subtree demand is pushed
+//! down the shortest-path tree in children-before-parents order — the same
+//! trick as Brandes' betweenness accumulation — so the all-pairs routing is
+//! O(n·m·log n + n²), not O(n³·path length). The order is by decreasing
+//! tree *depth* (hops), counting-sorted in O(n). It must *not* be by
+//! decreasing distance: with zero-length edges (coincident PoPs) a parent
+//! and child tie on distance, and a distance ordering could process the
+//! parent first and silently drop the child's subtree load. Each link's
+//! per-source contributions are folded in ascending source order, one term
+//! per source at most.
 //!
-//! The pieces of [`route_traffic`] are public for callers that re-route a
-//! few sources of an already routed topology and must land on its exact
-//! bits (the single-link failure sweep): [`Csr`] runs one source's
-//! Dijkstra, optionally with one edge cut; [`accumulate_source`] is the
+//! The pieces of that pass are public for callers that re-route a few
+//! sources of an already routed topology and must land on its exact bits
+//! (the single-link failure sweep): [`Csr::with_edge_cut`] runs one
+//! source's Dijkstra with one edge cut, [`accumulate_source`] is the
 //! depth-ordered subtree pass, and [`push_down`] replays it over a tree
-//! order it recorded ([`SubtreeScratch::order`]). `route_traffic` folds each
-//! link's per-source contributions in ascending source order, one term per
-//! source at most, so replaying cached contributions of unchanged sources
-//! and fresh ones of re-routed sources in that order reproduces its loads
-//! bit for bit.
+//! order it recorded ([`SubtreeScratch::order`]). Replaying cached
+//! contributions of unchanged sources and fresh ones of re-routed sources
+//! in ascending source order reproduces [`RoutingState::link_loads`] bit
+//! for bit.
 
 use crate::graph::Graph;
-use crate::shortest_path::{dijkstra, DijkstraWorkspace, ShortestPathTree};
+use crate::shortest_path::{path_from_parents, DijkstraWorkspace};
 use crate::{GraphError, Result};
-
-/// The outcome of routing a traffic matrix over a topology.
-#[derive(Debug, Clone)]
-pub struct RoutingResult {
-    /// The topology's edges, sorted ascending as `(u, v)` with `u < v`.
-    pub edges: Vec<(usize, usize)>,
-    /// `load[i]` is the total traffic (both directions summed) carried by
-    /// `edges[i]`. This is the required bandwidth `w_i` of §3.2.
-    pub load: Vec<f64>,
-    /// `Σ_r t_r · L_r`: traffic-weighted total route length (eq. 1).
-    pub traffic_weighted_route_length: f64,
-    /// One shortest-path tree per source — the "routing matrix" output the
-    /// paper lists among the GA outputs (§4 Outputs).
-    pub trees: Vec<ShortestPathTree>,
-}
-
-impl RoutingResult {
-    /// Looks up the load on edge `{u, v}`; `None` if not an edge.
-    pub fn load_on(&self, u: usize, v: usize) -> Option<f64> {
-        let key = if u < v { (u, v) } else { (v, u) };
-        self.edges.binary_search(&key).ok().map(|i| self.load[i])
-    }
-
-    /// The full route for an ordered demand `(s, t)`.
-    pub fn route(&self, s: usize, t: usize) -> Option<Vec<usize>> {
-        self.trees.get(s)?.path_to(t)
-    }
-}
-
-/// Routes the ordered traffic matrix `traffic(s, t)` over `g` with edge
-/// lengths `len(u, v)`, returning per-link loads.
-///
-/// Demands with `s == t` are ignored. Demands must be non-negative.
-///
-/// # Errors
-/// Returns [`GraphError::Disconnected`] if any positive demand connects a
-/// pair with no path.
-pub fn route_traffic(
-    g: &Graph,
-    len: impl Fn(usize, usize) -> f64 + Copy,
-    traffic: impl Fn(usize, usize) -> f64,
-) -> Result<RoutingResult> {
-    let n = g.n();
-    let edges: Vec<(usize, usize)> = g.edges().collect();
-    // Pair-index → edge-list position for O(1) load accumulation.
-    let mut edge_slot = vec![usize::MAX; pair_count(n)];
-    for (i, &(u, v)) in edges.iter().enumerate() {
-        edge_slot[pair_slot(n, u, v)] = i;
-    }
-    let mut load = vec![0.0f64; edges.len()];
-    let mut weighted_len = 0.0f64;
-    let mut trees = Vec::with_capacity(n);
-    let mut scratch = SubtreeScratch::default();
-    for s in 0..n {
-        let tree = dijkstra(g, s, len);
-        weighted_len +=
-            accumulate_source(s, &tree.dist, &tree.parent, &traffic, &mut scratch, |p, v, d| {
-                let slot = edge_slot[pair_slot(n, p, v)];
-                debug_assert_ne!(slot, usize::MAX, "tree edge must exist in graph");
-                load[slot] += d;
-            })?;
-        trees.push(tree);
-    }
-    Ok(RoutingResult { edges, load, traffic_weighted_route_length: weighted_len, trees })
-}
-
-/// Reusable scratch for [`route_loads_into`]: the Dijkstra buffers, the
-/// CSR adjacency with precomputed arc lengths, and the per-source demand
-/// vector of the subtree pass. One workspace per worker thread makes
-/// repeated objective evaluations allocation-free after warm-up.
-#[derive(Debug, Default)]
-pub struct RoutingWorkspace {
-    dijkstra: DijkstraWorkspace,
-    scratch: SubtreeScratch,
-    csr: Csr,
-}
 
 /// CSR adjacency with per-arc lengths, rebuilt once per topology so the n
 /// per-source Dijkstras read contiguous arrays instead of calling the
 /// length closure ~2m times each.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Csr {
     start: Vec<usize>,
     node: Vec<usize>,
@@ -159,8 +84,32 @@ impl Csr {
         }
     }
 
-    /// Runs Dijkstra from `source` into `ws`; bit-identical to
-    /// [`dijkstra`] on the graph the adjacency was built from.
+    /// Number of nodes.
+    pub fn n(&self) -> usize {
+        self.start.len().saturating_sub(1)
+    }
+
+    /// Degree of `u`.
+    pub fn degree(&self, u: usize) -> usize {
+        self.start[u + 1] - self.start[u]
+    }
+
+    /// The arcs out of `u` as `(neighbor, length)`, in the graph's
+    /// neighbor order.
+    pub fn arcs(&self, u: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let arcs = self.start[u]..self.start[u + 1];
+        self.node[arcs.clone()].iter().copied().zip(self.len[arcs].iter().copied())
+    }
+
+    /// The undirected edges as `(u, v, length)` with `u < v`, in the order
+    /// of [`Graph::edges`] on the graph the adjacency was built from.
+    pub fn edges(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+        (0..self.n()).flat_map(move |u| {
+            self.arcs(u).filter(move |&(v, _)| u < v).map(move |(v, len)| (u, v, len))
+        })
+    }
+
+    /// Runs Dijkstra from `source` into `ws`.
     pub fn dijkstra(&self, ws: &mut DijkstraWorkspace, source: usize) {
         ws.run_csr(source, &self.start, &self.node, &self.len);
     }
@@ -188,10 +137,176 @@ impl Csr {
     }
 }
 
-impl RoutingWorkspace {
-    /// Creates an empty workspace; buffers grow on first use.
+/// Shortest-path routing of one traffic matrix over one topology: the
+/// adjacency, every source's distance and parent row, and the priced
+/// demand `Σ t·L` per source and in total.
+///
+/// [`build`](Self::build) fills it; buffers are reused across builds, so
+/// one state per worker thread makes repeated evaluations allocation-free
+/// after warm-up.
+#[derive(Debug, Clone, Default)]
+pub struct RoutingState {
+    csr: Csr,
+    /// Row-major `n × n` distances, one row per source (`∞` unreachable).
+    dist: Vec<f64>,
+    /// Row-major `n × n` parents (`parent[s*n + s] == s`, `usize::MAX`
+    /// unreachable).
+    parent: Vec<usize>,
+    /// `per_source[s] = Σ_t t(s,t)·dist_s[t]`.
+    per_source: Vec<f64>,
+    /// The per-source terms folded in ascending source order.
+    weighted: f64,
+    dijkstra: DijkstraWorkspace,
+    demand: Vec<f64>,
+    staged: Vec<f64>,
+}
+
+impl RoutingState {
+    /// Creates an empty state; [`build`](Self::build) fills it.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Routes `traffic(s, t)` over `g` with edge lengths `len(u, v)` and
+    /// returns `Σ_r t_r·L_r`, the traffic-weighted total route length
+    /// (eq. 1).
+    ///
+    /// Demands with `s == t` are ignored; demands must be non-negative.
+    /// After an error the state is unusable until the next successful
+    /// build.
+    ///
+    /// # Errors
+    /// Returns [`GraphError::Disconnected`] if any positive demand connects
+    /// a pair with no path.
+    ///
+    /// # Panics
+    /// Panics on a negative or NaN length or demand.
+    pub fn build(
+        &mut self,
+        g: &Graph,
+        len: impl Fn(usize, usize) -> f64,
+        traffic: impl Fn(usize, usize) -> f64,
+    ) -> Result<f64> {
+        let n = g.n();
+        self.csr.build(g, len);
+        self.dist.resize(n * n, f64::INFINITY);
+        self.parent.resize(n * n, usize::MAX);
+        self.per_source.clear();
+        let mut weighted = 0.0f64;
+        for s in 0..n {
+            self.csr.dijkstra(&mut self.dijkstra, s);
+            let w = collect_demands(s, self.dijkstra.dist(), &traffic, &mut self.demand)?;
+            self.dist[s * n..(s + 1) * n].copy_from_slice(self.dijkstra.dist());
+            self.parent[s * n..(s + 1) * n].copy_from_slice(self.dijkstra.parent());
+            self.per_source.push(w);
+            weighted += w;
+        }
+        self.weighted = weighted;
+        Ok(weighted)
+    }
+
+    /// Number of nodes.
+    pub fn n(&self) -> usize {
+        self.per_source.len()
+    }
+
+    /// The routed topology's adjacency.
+    pub fn csr(&self) -> &Csr {
+        &self.csr
+    }
+
+    /// Shortest distances from `s` (`f64::INFINITY` when unreachable).
+    pub fn dist(&self, s: usize) -> &[f64] {
+        let n = self.n();
+        &self.dist[s * n..(s + 1) * n]
+    }
+
+    /// Shortest-path tree parents from `s` (`parent[s] == s`, `usize::MAX`
+    /// when unreachable).
+    pub fn parent(&self, s: usize) -> &[usize] {
+        let n = self.n();
+        &self.parent[s * n..(s + 1) * n]
+    }
+
+    /// `Σ_r t_r·L_r`: the per-source terms folded in ascending source
+    /// order.
+    pub fn weighted(&self) -> f64 {
+        self.weighted
+    }
+
+    /// The route (node sequence) of demand `(s, t)`; `None` when either
+    /// node is out of range or `t` is unreachable from `s`.
+    pub fn route(&self, s: usize, t: usize) -> Option<Vec<usize>> {
+        if s >= self.n() {
+            return None;
+        }
+        path_from_parents(s, self.parent(s), t)
+    }
+
+    /// Per-link loads (both directions summed) aligned with
+    /// [`Csr::edges`]: the required bandwidth `w_i` of §3.2. Every source's
+    /// demand is pushed down its tree in decreasing-depth order, and each
+    /// link's contributions are folded in ascending source order.
+    ///
+    /// # Errors
+    /// [`GraphError::Disconnected`] if `traffic` has positive demand
+    /// between nodes the routing does not connect (never for the traffic
+    /// the state was built with).
+    pub fn link_loads(&self, traffic: impl Fn(usize, usize) -> f64) -> Result<Vec<f64>> {
+        let n = self.n();
+        let mut slot = vec![usize::MAX; n * n.saturating_sub(1) / 2];
+        let mut edges = 0usize;
+        for (u, v, _) in self.csr.edges() {
+            slot[pair_slot(n, u, v)] = edges;
+            edges += 1;
+        }
+        let mut load = vec![0.0f64; edges];
+        let mut scratch = SubtreeScratch::new();
+        for s in 0..n {
+            accumulate_source(
+                s,
+                self.dist(s),
+                self.parent(s),
+                &traffic,
+                &mut scratch,
+                |p, v, d| load[slot[pair_slot(n, p, v)]] += d,
+            )?;
+        }
+        Ok(load)
+    }
+
+    /// Commits repaired rows: for the `k`-th of `sources`, row `k` of the
+    /// row-major `dist` and `parent` replaces that source's rows. `csr`
+    /// (the repaired topology's adjacency) is swapped in, only the repaired
+    /// sources are re-priced, and the per-source terms are refolded in
+    /// ascending source order — so the new `Σ t·L` is bit-identical to a
+    /// fresh [`build`](Self::build) whenever the rows are. Returns it.
+    ///
+    /// # Errors
+    /// [`GraphError::Disconnected`] if a repaired row leaves positive
+    /// demand unreachable; the state is then unchanged.
+    pub fn replace_rows(
+        &mut self,
+        csr: &mut Csr,
+        sources: &[usize],
+        dist: &[f64],
+        parent: &[usize],
+        traffic: impl Fn(usize, usize) -> f64,
+    ) -> Result<f64> {
+        let n = self.n();
+        self.staged.clear();
+        for (k, &s) in sources.iter().enumerate() {
+            let w = collect_demands(s, &dist[k * n..(k + 1) * n], &traffic, &mut self.demand)?;
+            self.staged.push(w);
+        }
+        for (k, &s) in sources.iter().enumerate() {
+            self.dist[s * n..(s + 1) * n].copy_from_slice(&dist[k * n..(k + 1) * n]);
+            self.parent[s * n..(s + 1) * n].copy_from_slice(&parent[k * n..(k + 1) * n]);
+            self.per_source[s] = self.staged[k];
+        }
+        std::mem::swap(&mut self.csr, csr);
+        self.weighted = self.per_source.iter().fold(0.0, |acc, &w| acc + w);
+        Ok(self.weighted)
     }
 }
 
@@ -220,59 +335,6 @@ impl SubtreeScratch {
     }
 }
 
-/// Routes `traffic` over `g` like [`route_traffic`], but accumulates loads
-/// into `load` (indexed by upper-triangle node-pair index, the ordering of
-/// [`crate::AdjacencyMatrix::pair_index`]; non-edges stay `0.0`) and returns
-/// `Σ_r t_r·L_r` — without materializing shortest-path trees, an edge list,
-/// or any per-call allocation beyond growing the reused buffers.
-///
-/// The returned `Σ t·L` is bit-identical to [`route_traffic`]'s (same
-/// Dijkstra, same demand loop). Per-link loads agree up to floating-point
-/// summation order: subtree demand is pushed down in reverse settle order
-/// here versus decreasing-depth order there, so a node's children can
-/// accumulate into its demand in a different sequence (≈1 ULP).
-///
-/// # Errors
-/// Returns [`GraphError::Disconnected`] if any positive demand connects a
-/// pair with no path.
-pub fn route_loads_into(
-    g: &Graph,
-    len: impl Fn(usize, usize) -> f64 + Copy,
-    traffic: impl Fn(usize, usize) -> f64,
-    ws: &mut RoutingWorkspace,
-    load: &mut Vec<f64>,
-) -> Result<f64> {
-    let n = g.n();
-    load.clear();
-    load.resize(pair_count(n), 0.0);
-    let RoutingWorkspace { dijkstra, scratch, csr } = ws;
-    csr.build(g, len);
-    let mut weighted_len = 0.0f64;
-    for s in 0..n {
-        csr.dijkstra(dijkstra, s);
-        weighted_len += collect_demands(s, dijkstra.dist(), &traffic, &mut scratch.demand)?;
-        // Push subtree demand down the tree in reverse settle order: every
-        // tree child settled strictly after its parent (zero-length edges
-        // included), so the reversal processes children first.
-        let parent = dijkstra.parent();
-        for &v in dijkstra.settle_order().iter().rev() {
-            let d = scratch.demand[v];
-            if v != s && d > 0.0 {
-                let p = parent[v];
-                load[pair_slot(n, p, v)] += d;
-                scratch.demand[p] += d;
-            }
-        }
-    }
-    Ok(weighted_len)
-}
-
-/// Number of unordered node pairs on `n` nodes.
-#[inline]
-fn pair_count(n: usize) -> usize {
-    n * n.saturating_sub(1) / 2
-}
-
 /// Flat upper-triangle index of the unordered pair `{u, v}`, matching
 /// [`crate::AdjacencyMatrix::pair_index`] without needing a matrix.
 #[inline]
@@ -286,7 +348,7 @@ fn pair_slot(n: usize, u: usize, v: usize) -> usize {
 /// shortest-path tree in decreasing-depth order, and reports each tree
 /// link's contribution through `add_load(parent, node, demand)`: at most
 /// one call per link, only for positive contributions. This is
-/// [`route_traffic`]'s per-source pass: order the tree, then
+/// [`RoutingState::link_loads`]' per-source pass: order the tree, then
 /// [`push_down`]. Returns `Σ_t t(s,t)·dist[t]`.
 ///
 /// # Errors
@@ -342,31 +404,10 @@ pub fn push_down(
     Ok(weighted)
 }
 
-/// `Σ_t t(s,t)·dist[t]` for one source, with exactly the arithmetic and
-/// accumulation order [`route_loads_into`] uses per source.
-///
-/// This is the building block incremental (delta) evaluation needs: after
-/// repairing a single source's distance row it can recompute just that
-/// source's weighted-demand contribution and still fold the per-source
-/// terms in ascending source order, making the total bit-identical to a
-/// full re-route. `demand` is a reusable scratch buffer (overwritten).
-///
-/// # Errors
-/// Returns [`GraphError::Disconnected`] if any positive demand out of `s`
-/// targets a node with non-finite `dist`.
-pub fn source_weighted_demand(
-    s: usize,
-    dist: &[f64],
-    traffic: impl Fn(usize, usize) -> f64,
-    demand: &mut Vec<f64>,
-) -> Result<f64> {
-    collect_demands(s, dist, &traffic, demand)
-}
-
 /// Fills `demand` with the demands out of source `s` (rejecting positive
-/// demand to unreachable nodes) and returns `Σ_t t(s,t)·dist[t]`. Both
-/// routing entry points share this loop so their `Σ t·L` stays
-/// bit-identical.
+/// demand to unreachable nodes) and returns `Σ_t t(s,t)·dist[t]`. Building,
+/// committing repaired rows and pushing loads down all price through this
+/// one loop, so their `Σ t·L` terms stay bit-identical.
 fn collect_demands(
     s: usize,
     dist: &[f64],
@@ -456,6 +497,35 @@ fn order_by_depth_desc(depth: &[usize], counts: &mut Vec<usize>, order: &mut Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shortest_path::dijkstra;
+
+    /// A routed topology with its per-link loads, as a capacity plan holds
+    /// them.
+    #[derive(Debug)]
+    struct Routed {
+        state: RoutingState,
+        edges: Vec<(usize, usize)>,
+        load: Vec<f64>,
+    }
+
+    impl Routed {
+        fn load_on(&self, u: usize, v: usize) -> Option<f64> {
+            let key = (u.min(v), u.max(v));
+            self.edges.iter().position(|&e| e == key).map(|i| self.load[i])
+        }
+    }
+
+    fn route(
+        g: &Graph,
+        len: impl Fn(usize, usize) -> f64,
+        traffic: impl Fn(usize, usize) -> f64 + Copy,
+    ) -> Result<Routed> {
+        let mut state = RoutingState::new();
+        state.build(g, len, traffic)?;
+        let load = state.link_loads(traffic)?;
+        let edges = state.csr().edges().map(|(u, v, _)| (u, v)).collect();
+        Ok(Routed { state, edges, load })
+    }
 
     fn uniform_traffic(_: usize, _: usize) -> f64 {
         1.0
@@ -465,7 +535,7 @@ mod tests {
     fn path_graph_loads_peak_in_middle() {
         // 0-1-2-3: edge (1,2) carries all 4 crossing demands ×2 directions.
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let r = route_traffic(&g, |_, _| 1.0, uniform_traffic).unwrap();
+        let r = route(&g, |_, _| 1.0, uniform_traffic).unwrap();
         // (0,1): demands {0}↔{1,2,3} = 3 each way ⇒ 6.
         assert_eq!(r.load_on(0, 1), Some(6.0));
         // (1,2): {0,1}↔{2,3} = 4 each way ⇒ 8.
@@ -481,33 +551,30 @@ mod tests {
         let len = |u: usize, v: usize| ((u + 2 * v) % 5 + 1) as f64 * 0.1;
         let sym = move |u: usize, v: usize| if u < v { len(u, v) } else { len(v, u) };
         let traffic = |s: usize, t: usize| ((s * 3 + t) % 4) as f64;
-        let r = route_traffic(&g, sym, traffic).unwrap();
+        let r = route(&g, sym, traffic).unwrap();
         let link_side: f64 = r.edges.iter().zip(&r.load).map(|(&(u, v), &w)| sym(u, v) * w).sum();
         assert!(
-            (link_side - r.traffic_weighted_route_length).abs() < 1e-9,
+            (link_side - r.state.weighted()).abs() < 1e-9,
             "Σ ℓ·w = {link_side} vs Σ t·L = {}",
-            r.traffic_weighted_route_length
+            r.state.weighted()
         );
     }
 
     #[test]
     fn star_routes_through_hub() {
         let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
-        let r = route_traffic(&g, |_, _| 1.0, uniform_traffic).unwrap();
+        let r = route(&g, |_, _| 1.0, uniform_traffic).unwrap();
         // Each spoke edge carries: own↔hub (2) + own↔two other spokes (4) = 6.
         for v in 1..4 {
             assert_eq!(r.load_on(0, v), Some(6.0));
         }
-        assert_eq!(r.route(1, 2), Some(vec![1, 0, 2]));
+        assert_eq!(r.state.route(1, 2), Some(vec![1, 0, 2]));
     }
 
     #[test]
     fn disconnected_with_demand_errors() {
         let g = Graph::from_edges(3, &[(0, 1)]).unwrap();
-        assert_eq!(
-            route_traffic(&g, |_, _| 1.0, uniform_traffic).unwrap_err(),
-            GraphError::Disconnected
-        );
+        assert_eq!(route(&g, |_, _| 1.0, uniform_traffic).unwrap_err(), GraphError::Disconnected);
     }
 
     #[test]
@@ -515,16 +582,16 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1)]).unwrap();
         // Traffic only between 0 and 1.
         let t = |s: usize, d: usize| if s < 2 && d < 2 { 1.0 } else { 0.0 };
-        let r = route_traffic(&g, |_, _| 1.0, t).unwrap();
+        let r = route(&g, |_, _| 1.0, t).unwrap();
         assert_eq!(r.load_on(0, 1), Some(2.0));
     }
 
     #[test]
     fn zero_traffic_zero_loads() {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-        let r = route_traffic(&g, |_, _| 1.0, |_, _| 0.0).unwrap();
+        let r = route(&g, |_, _| 1.0, |_, _| 0.0).unwrap();
         assert!(r.load.iter().all(|&l| l == 0.0));
-        assert_eq!(r.traffic_weighted_route_length, 0.0);
+        assert_eq!(r.state.weighted(), 0.0);
     }
 
     #[test]
@@ -543,102 +610,68 @@ mod tests {
                 1.0
             }
         };
-        let r = route_traffic(&g, len, uniform_traffic).unwrap();
+        let r = route(&g, len, uniform_traffic).unwrap();
         // (0,2) carries 0↔1 and 0↔2: four unit demands.
         assert_eq!(r.load_on(0, 2), Some(4.0));
         // (1,2) carries 0↔1 and 1↔2: four unit demands.
         assert_eq!(r.load_on(1, 2), Some(4.0));
         // And the eq. (1) identity must hold: Σ ℓ·w = 1·4 + 0·4 = Σ t·L.
         let link_side: f64 = r.edges.iter().zip(&r.load).map(|(&(u, v), &w)| len(u, v) * w).sum();
-        assert_eq!(link_side, r.traffic_weighted_route_length);
-        // The lean path (reverse settle order) must not drop the load
-        // either.
-        let mut ws = RoutingWorkspace::new();
-        let mut load = Vec::new();
-        let weighted = route_loads_into(&g, len, uniform_traffic, &mut ws, &mut load).unwrap();
-        assert_eq!(weighted, r.traffic_weighted_route_length);
-        assert_eq!(load[pair_slot(3, 0, 2)], 4.0);
-        assert_eq!(load[pair_slot(3, 1, 2)], 4.0);
+        assert_eq!(link_side, r.state.weighted());
     }
 
     #[test]
-    fn route_loads_into_matches_route_traffic() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]).unwrap();
-        let len = |u: usize, v: usize| ((u + 2 * v) % 5 + 1) as f64 * 0.1;
-        let sym = move |u: usize, v: usize| if u < v { len(u, v) } else { len(v, u) };
-        let traffic = |s: usize, t: usize| ((s * 3 + t) % 4) as f64;
-        let full = route_traffic(&g, sym, traffic).unwrap();
-        let mut ws = RoutingWorkspace::new();
-        let mut load = Vec::new();
-        let weighted = route_loads_into(&g, sym, traffic, &mut ws, &mut load).unwrap();
-        assert_eq!(weighted, full.traffic_weighted_route_length, "Σ t·L must be bit-identical");
-        assert_eq!(load.len(), 10);
-        let m = crate::AdjacencyMatrix::from_edges(5, &full.edges).unwrap();
-        for (i, &(u, v)) in full.edges.iter().enumerate() {
-            assert_eq!(load[m.pair_index(u, v)], full.load[i], "load on ({u},{v})");
-        }
-        // Non-edges carry nothing.
-        let carried: f64 = full.load.iter().sum();
-        let total: f64 = load.iter().sum();
-        assert_eq!(carried, total);
-    }
-
-    #[test]
-    fn route_loads_into_reuses_workspace_across_graphs() {
-        let mut ws = RoutingWorkspace::new();
-        let mut load = Vec::new();
-        // Larger graph first, then smaller: buffers must shrink correctly.
+    fn routing_state_reuses_buffers_across_graphs() {
+        // Larger graph first, then smaller: buffers must shrink correctly,
+        // and the reused state must agree bit for bit with a fresh one.
+        let mut state = RoutingState::new();
         let big = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]).unwrap();
-        route_loads_into(&big, |_, _| 1.0, uniform_traffic, &mut ws, &mut load).unwrap();
-        let small = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let weighted =
-            route_loads_into(&small, |_, _| 1.0, uniform_traffic, &mut ws, &mut load).unwrap();
-        let full = route_traffic(&small, |_, _| 1.0, uniform_traffic).unwrap();
-        assert_eq!(weighted, full.traffic_weighted_route_length);
-        assert_eq!(load.len(), 6);
-        let m = crate::AdjacencyMatrix::from_edges(4, &full.edges).unwrap();
-        for (i, &(u, v)) in full.edges.iter().enumerate() {
-            assert_eq!(load[m.pair_index(u, v)], full.load[i]);
+        state.build(&big, |_, _| 1.0, uniform_traffic).unwrap();
+        let small = Graph::from_edges(4, &[(0, 1), (1, 3), (2, 3), (0, 2)]).unwrap();
+        let len = |u: usize, v: usize| (u + v) as f64 * 0.25;
+        let weighted = state.build(&small, len, uniform_traffic).unwrap();
+        let fresh = route(&small, len, uniform_traffic).unwrap();
+        assert_eq!(weighted.to_bits(), fresh.state.weighted().to_bits());
+        assert_eq!(state.n(), 4);
+        for s in 0..4 {
+            assert_eq!(state.dist(s), fresh.state.dist(s));
+            assert_eq!(state.parent(s), fresh.state.parent(s));
         }
+        assert_eq!(state.link_loads(uniform_traffic).unwrap(), fresh.load);
     }
 
     #[test]
-    fn route_loads_into_reports_disconnection() {
-        let g = Graph::from_edges(3, &[(0, 1)]).unwrap();
-        let mut ws = RoutingWorkspace::new();
-        let mut load = Vec::new();
-        assert_eq!(
-            route_loads_into(&g, |_, _| 1.0, uniform_traffic, &mut ws, &mut load).unwrap_err(),
-            GraphError::Disconnected
-        );
-    }
-
-    #[test]
-    fn source_weighted_demand_folds_to_the_routed_total_bit_for_bit() {
-        // Per-source terms computed through the public wrapper, folded in
-        // ascending source order, must equal route_loads_into's Σ t·L
-        // exactly — this identity is what lets delta-evaluation recompute
-        // only repaired sources.
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]).unwrap();
-        let len = |u: usize, v: usize| ((u + 2 * v) % 5 + 1) as f64 * 0.1;
-        let sym = move |u: usize, v: usize| if u < v { len(u, v) } else { len(v, u) };
+    fn replace_rows_refolds_to_a_fresh_build_bit_for_bit() {
+        // Committing the rows an added chord changes must leave the state
+        // equal to a fresh build of the new topology, reusing the cached
+        // per-source terms of every other source.
+        let edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)];
+        let len = |u: usize, v: usize| ((u.min(v) + 2 * u.max(v)) % 5 + 1) as f64 * 0.1;
         let traffic = |s: usize, t: usize| ((s * 3 + t) % 4) as f64;
-        let mut ws = RoutingWorkspace::new();
-        let mut load = Vec::new();
-        let total = route_loads_into(&g, sym, traffic, &mut ws, &mut load).unwrap();
-        let mut demand = Vec::new();
-        let mut folded = 0.0f64;
-        for s in 0..g.n() {
-            let tree = dijkstra(&g, s, sym);
-            folded += source_weighted_demand(s, &tree.dist, traffic, &mut demand).unwrap();
+        let mut state = route(&Graph::from_edges(5, &edges).unwrap(), len, traffic).unwrap().state;
+        let g = Graph::from_edges(5, &[edges.as_slice(), &[(0, 3)]].concat()).unwrap();
+        let fresh = route(&g, len, traffic).unwrap().state;
+        let changed: Vec<usize> = (0..5).filter(|&s| state.dist(s) != fresh.dist(s)).collect();
+        assert!(!changed.is_empty() && changed.len() < 5, "the chord must change some rows");
+        let dist: Vec<f64> = changed.iter().flat_map(|&s| fresh.dist(s).to_vec()).collect();
+        let parent: Vec<usize> = changed.iter().flat_map(|&s| fresh.parent(s).to_vec()).collect();
+        let mut csr = fresh.csr().clone();
+        let weighted = state.replace_rows(&mut csr, &changed, &dist, &parent, traffic).unwrap();
+        assert_eq!(weighted.to_bits(), fresh.weighted().to_bits());
+        for s in 0..5 {
+            assert_eq!(state.parent(s), fresh.parent(s));
         }
-        assert_eq!(folded, total, "per-source fold must be bit-identical");
-        // Positive demand to an unreachable target is still an error.
-        let dist = vec![0.0, 1.0, f64::INFINITY];
+        assert_eq!(state.csr().edges().count(), 7, "the repaired adjacency is adopted");
+        // A row leaving positive demand unreachable is refused untouched.
+        let mut cut = dist.clone();
+        cut[1] = f64::INFINITY;
+        let before = state.clone();
         assert_eq!(
-            source_weighted_demand(0, &dist, |_, _| 1.0, &mut demand).unwrap_err(),
+            state.replace_rows(&mut csr, &changed, &cut, &parent, traffic).unwrap_err(),
             GraphError::Disconnected
         );
+        assert_eq!(state.weighted().to_bits(), before.weighted().to_bits());
+        assert_eq!(state.dist(changed[0]), before.dist(changed[0]));
     }
 
     #[test]
@@ -661,7 +694,7 @@ mod tests {
         for &(u, v) in &edges {
             let rest: Vec<_> = edges.iter().copied().filter(|&e| e != (u, v)).collect();
             let cut = Graph::from_edges(6, &rest).unwrap();
-            let full = route_traffic(&cut, len, traffic).unwrap();
+            let full = route(&cut, len, traffic).unwrap();
             // Fold per-source contributions in source order, as a sweep
             // replaying cached trees does.
             let mut load = vec![0.0; full.edges.len()];
@@ -706,8 +739,8 @@ mod tests {
                 0.0
             }
         };
-        let r = route_traffic(&g, |_, _| 2.0, t).unwrap();
+        let r = route(&g, |_, _| 2.0, t).unwrap();
         assert_eq!(r.load_on(0, 1), Some(8.0));
-        assert_eq!(r.traffic_weighted_route_length, 16.0);
+        assert_eq!(r.state.weighted(), 16.0);
     }
 }

@@ -7,6 +7,7 @@
 //! dominant O(n³) term in the GA's runtime (Fig 4).
 
 use crate::graph::Graph;
+use crate::routing::Csr;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -25,23 +26,9 @@ pub struct ShortestPathTree {
 
 impl ShortestPathTree {
     /// Reconstructs the node sequence `source → … → target`, or `None` if
-    /// `target` is unreachable.
+    /// `target` is unreachable or out of range.
     pub fn path_to(&self, target: usize) -> Option<Vec<usize>> {
-        if target == self.source {
-            return Some(vec![self.source]);
-        }
-        if self.parent[target] == usize::MAX {
-            return None;
-        }
-        let mut path = vec![target];
-        let mut v = target;
-        while v != self.source {
-            v = self.parent[v];
-            path.push(v);
-            debug_assert!(path.len() <= self.dist.len(), "parent cycle");
-        }
-        path.reverse();
-        Some(path)
+        path_from_parents(self.source, &self.parent, target)
     }
 
     /// Whether every node is reachable from the source.
@@ -50,11 +37,36 @@ impl ShortestPathTree {
     }
 }
 
-/// Max-heap entry ordered so the smallest `(dist, node)` pops first.
-#[derive(Debug)]
-struct HeapItem {
-    dist: f64,
-    node: usize,
+/// The node sequence `source → … → target` along the tree `parent` (with
+/// `parent[source] == source` and `usize::MAX` marking unreachable nodes),
+/// or `None` if `target` is unreachable or out of range.
+pub(crate) fn path_from_parents(
+    source: usize,
+    parent: &[usize],
+    target: usize,
+) -> Option<Vec<usize>> {
+    if *parent.get(target)? == usize::MAX {
+        return None;
+    }
+    let mut path = vec![target];
+    let mut v = target;
+    while v != source {
+        v = parent[v];
+        path.push(v);
+        debug_assert!(path.len() <= parent.len(), "parent cycle");
+    }
+    path.reverse();
+    Some(path)
+}
+
+/// Max-heap entry ordered so the smallest `(dist, node)` pops first — the
+/// order of every Dijkstra and tree repair in the workspace.
+#[derive(Debug, Clone, Copy)]
+pub struct HeapItem {
+    /// Tentative distance.
+    pub dist: f64,
+    /// The node it labels.
+    pub node: usize,
 }
 
 impl PartialEq for HeapItem {
@@ -80,16 +92,15 @@ impl Ord for HeapItem {
 /// All-pairs routing runs one Dijkstra per source per candidate topology,
 /// which makes the four per-call allocations (`dist`, `parent`, `done` and
 /// the heap) the dominant allocator traffic of the GA's hot path. A
-/// workspace amortizes them: [`run`](Self::run) reuses the buffers and the
+/// workspace amortizes them: [`Csr::dijkstra`] reuses the buffers and the
 /// results stay readable through [`dist`](Self::dist) /
 /// [`parent`](Self::parent) until the next run.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct DijkstraWorkspace {
     dist: Vec<f64>,
     parent: Vec<usize>,
     done: Vec<bool>,
     heap: BinaryHeap<HeapItem>,
-    order: Vec<usize>,
 }
 
 impl DijkstraWorkspace {
@@ -98,40 +109,16 @@ impl DijkstraWorkspace {
         Self::default()
     }
 
-    /// Runs Dijkstra from `source`, overwriting the workspace buffers.
-    ///
-    /// Produces bit-identical distances and parents to [`dijkstra`].
-    ///
-    /// # Panics
-    /// As for [`dijkstra`].
-    pub fn run(&mut self, g: &Graph, source: usize, len: impl Fn(usize, usize) -> f64) {
-        run_dijkstra(
-            g,
-            source,
-            len,
-            &mut self.dist,
-            &mut self.parent,
-            &mut self.done,
-            &mut self.heap,
-            &mut self.order,
-        );
-    }
-
     /// Runs Dijkstra from `source` over a CSR adjacency: node `u`'s
     /// neighbors are `node[start[u]..start[u + 1]]` with arc lengths at the
-    /// same indices of `len` (`n = start.len() - 1`).
-    ///
-    /// With a CSR built in the same neighbor order from the same length
-    /// function, this is bit-identical to [`run`](Self::run) — the
-    /// relaxation sequence and arithmetic are unchanged, only the length
-    /// lookups are precomputed. Repeated sources on one graph amortize the
-    /// CSR build, and the contiguous length array replaces ~2m closure
-    /// calls per source.
+    /// same indices of `len` (`n = start.len() - 1`). This is the one
+    /// Dijkstra body; [`Csr::dijkstra`], [`dijkstra`] and [`apsp`] all run
+    /// it.
     ///
     /// # Panics
     /// Panics if `source >= n`. Lengths must already be validated
     /// non-negative by the CSR builder.
-    pub fn run_csr(&mut self, source: usize, start: &[usize], node: &[usize], len: &[f64]) {
+    pub(crate) fn run_csr(&mut self, source: usize, start: &[usize], node: &[usize], len: &[f64]) {
         let n = start.len().saturating_sub(1);
         assert!(source < n, "source {source} out of range (n={n})");
         self.dist.clear();
@@ -141,7 +128,6 @@ impl DijkstraWorkspace {
         self.done.clear();
         self.done.resize(n, false);
         self.heap.clear();
-        self.order.clear();
         self.dist[source] = 0.0;
         self.parent[source] = source;
         self.heap.push(HeapItem { dist: 0.0, node: source });
@@ -150,7 +136,6 @@ impl DijkstraWorkspace {
                 continue;
             }
             self.done[u] = true;
-            self.order.push(u);
             for k in start[u]..start[u + 1] {
                 let v = node[k];
                 let nd = d + len[k];
@@ -179,84 +164,29 @@ impl DijkstraWorkspace {
     pub fn parent(&self) -> &[usize] {
         &self.parent
     }
-
-    /// Settle order of the last run: reachable nodes in the order Dijkstra
-    /// finalized them (nondecreasing distance, source first; unreachable
-    /// nodes absent). Every tree child appears strictly *after* its parent
-    /// — zero-length edges included, since a child's final label is
-    /// assigned no earlier than at its parent's settling and it pops
-    /// strictly later — so the reversed order is a children-first
-    /// traversal of the shortest-path tree.
-    pub fn settle_order(&self) -> &[usize] {
-        &self.order
-    }
-}
-
-/// Shared Dijkstra core writing into caller-provided buffers.
-#[allow(clippy::too_many_arguments)]
-fn run_dijkstra(
-    g: &Graph,
-    source: usize,
-    len: impl Fn(usize, usize) -> f64,
-    dist: &mut Vec<f64>,
-    parent: &mut Vec<usize>,
-    done: &mut Vec<bool>,
-    heap: &mut BinaryHeap<HeapItem>,
-    order: &mut Vec<usize>,
-) {
-    let n = g.n();
-    assert!(source < n, "source {source} out of range (n={n})");
-    dist.clear();
-    dist.resize(n, f64::INFINITY);
-    parent.clear();
-    parent.resize(n, usize::MAX);
-    done.clear();
-    done.resize(n, false);
-    heap.clear();
-    order.clear();
-    dist[source] = 0.0;
-    parent[source] = source;
-    heap.push(HeapItem { dist: 0.0, node: source });
-    while let Some(HeapItem { dist: d, node: u }) = heap.pop() {
-        if done[u] {
-            continue;
-        }
-        done[u] = true;
-        order.push(u);
-        for &v in g.neighbors(u) {
-            let w = len(u, v);
-            assert!(w >= 0.0, "negative or NaN edge length on ({u},{v}): {w}");
-            let nd = d + w;
-            // Same canonical tie-break as `run_csr`: first relaxer wins,
-            // which in settle order is the `(dist[u], u)`-minimal parent.
-            if nd < dist[v] {
-                dist[v] = nd;
-                parent[v] = u;
-                heap.push(HeapItem { dist: nd, node: v });
-            }
-        }
-    }
 }
 
 /// Dijkstra's algorithm from `source` with edge lengths given by `len`.
 ///
-/// `len(u, v)` is only called for actual edges of `g` and must be
-/// non-negative and finite. Equal-cost ties are resolved deterministically:
-/// the parent is the predecessor minimizing `(dist, node id)`, so the
-/// returned tree is a pure function of its inputs and agrees bit-for-bit
-/// with incrementally repaired trees.
+/// `len(u, v)` must be non-negative and finite on every edge of `g`.
+/// Equal-cost ties are resolved deterministically: the parent is the
+/// predecessor minimizing `(dist, node id)`, so the returned tree is a
+/// pure function of its inputs and agrees bit-for-bit with incrementally
+/// repaired trees.
 ///
 /// # Panics
 /// Panics if `source >= g.n()` or a negative/NaN length is produced.
 pub fn dijkstra(g: &Graph, source: usize, len: impl Fn(usize, usize) -> f64) -> ShortestPathTree {
-    let n = g.n();
-    let mut dist = Vec::with_capacity(n);
-    let mut parent = Vec::with_capacity(n);
-    let mut done = Vec::with_capacity(n);
-    let mut heap = BinaryHeap::with_capacity(n);
-    let mut order = Vec::with_capacity(n);
-    run_dijkstra(g, source, len, &mut dist, &mut parent, &mut done, &mut heap, &mut order);
-    ShortestPathTree { source, dist, parent }
+    let mut csr = Csr::new();
+    csr.build(g, len);
+    tree(&csr, source)
+}
+
+/// The shortest-path tree of `source` over `csr`.
+fn tree(csr: &Csr, source: usize) -> ShortestPathTree {
+    let mut ws = DijkstraWorkspace::new();
+    csr.dijkstra(&mut ws, source);
+    ShortestPathTree { source, dist: ws.dist, parent: ws.parent }
 }
 
 /// All-pairs shortest paths: one [`ShortestPathTree`] per source.
@@ -264,7 +194,9 @@ pub fn dijkstra(g: &Graph, source: usize, len: impl Fn(usize, usize) -> f64) -> 
 /// O(n · (m log n)) — the routing/capacity computation of §3.2.1 calls this
 /// once per candidate topology, which is the dominant cost of the GA.
 pub fn apsp(g: &Graph, len: impl Fn(usize, usize) -> f64 + Copy) -> Vec<ShortestPathTree> {
-    (0..g.n()).map(|s| dijkstra(g, s, len)).collect()
+    let mut csr = Csr::new();
+    csr.build(g, len);
+    (0..g.n()).map(|s| tree(&csr, s)).collect()
 }
 
 /// BFS hop counts from `source`; `usize::MAX` marks unreachable nodes.
@@ -359,61 +291,28 @@ mod tests {
         let (g, len) = square();
         let other = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]).unwrap();
         let mut ws = DijkstraWorkspace::new();
+        let mut csr = Csr::new();
+        csr.build(&g, len);
         for s in 0..4 {
-            ws.run(&g, s, len);
+            csr.dijkstra(&mut ws, s);
             let fresh = dijkstra(&g, s, len);
             assert_eq!(ws.dist(), &fresh.dist[..]);
             assert_eq!(ws.parent(), &fresh.parent[..]);
         }
         // Reuse on a *larger* graph must resize, not truncate.
-        ws.run(&other, 5, |_, _| 1.0);
+        csr.build(&other, |_, _| 1.0);
+        csr.dijkstra(&mut ws, 5);
         let fresh = dijkstra(&other, 5, |_, _| 1.0);
         assert_eq!(ws.dist(), &fresh.dist[..]);
         assert_eq!(ws.parent(), &fresh.parent[..]);
     }
 
     #[test]
-    fn csr_run_matches_closure_run_and_orders_children_after_parents() {
-        // Includes a zero-length edge (1,2): settle order must still place
-        // tree child after parent despite the distance tie.
-        let g = Graph::from_edges(4, &[(0, 2), (1, 2), (1, 3)]).unwrap();
-        let len = |u: usize, v: usize| {
-            let (u, v) = if u < v { (u, v) } else { (v, u) };
-            if (u, v) == (1, 2) {
-                0.0
-            } else {
-                1.0
-            }
-        };
-        // CSR in g.neighbors order.
-        let n = g.n();
-        let (mut start, mut node, mut elen) = (vec![0], Vec::new(), Vec::new());
-        for u in 0..n {
-            for &v in g.neighbors(u) {
-                node.push(v);
-                elen.push(len(u, v));
-            }
-            start.push(node.len());
-        }
-        let mut csr_ws = DijkstraWorkspace::new();
-        let mut ws = DijkstraWorkspace::new();
-        for s in 0..n {
-            csr_ws.run_csr(s, &start, &node, &elen);
-            ws.run(&g, s, len);
-            assert_eq!(csr_ws.dist(), ws.dist());
-            assert_eq!(csr_ws.parent(), ws.parent());
-            assert_eq!(csr_ws.settle_order(), ws.settle_order());
-            let order = csr_ws.settle_order();
-            assert_eq!(order[0], s, "source settles first");
-            assert_eq!(order.len(), n, "connected: everyone settles");
-            let pos = |x: usize| order.iter().position(|&v| v == x).unwrap();
-            for v in 0..n {
-                if v != s {
-                    let p = csr_ws.parent()[v];
-                    assert!(pos(p) < pos(v), "parent {p} must settle before child {v} (s={s})");
-                }
-            }
-        }
+    fn out_of_range_target_has_no_path() {
+        let t = dijkstra(&Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap(), 0, |_, _| 1.0);
+        assert_eq!(t.path_to(2), Some(vec![0, 1, 2]));
+        assert_eq!(t.path_to(3), None);
+        assert_eq!(t.path_to(usize::MAX), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use cold_graph::metrics::{
     node_betweenness, normalized_s_metric, s_metric,
 };
 use cold_graph::mst::{join_components, mst_kruskal, mst_prim, total_weight};
-use cold_graph::routing::route_traffic;
+use cold_graph::routing::RoutingState;
 use cold_graph::shortest_path::{apsp, bfs_hops};
 use cold_graph::{AdjacencyMatrix, Graph};
 use proptest::prelude::*;
@@ -160,9 +160,11 @@ proptest! {
         join_components(&mut m, d);
         let g = m.to_graph();
         let traffic = |s: usize, t: usize| ((s * 7 + t * 3) % 5) as f64;
-        let r = route_traffic(&g, d, traffic).unwrap();
-        let lhs: f64 = r.edges.iter().zip(&r.load).map(|(&(u, v), &w)| d(u, v) * w).sum();
-        prop_assert!((lhs - r.traffic_weighted_route_length).abs() < 1e-6 * (1.0 + lhs.abs()));
+        let mut r = RoutingState::new();
+        let weighted = r.build(&g, d, traffic).unwrap();
+        let load = r.link_loads(traffic).unwrap();
+        let lhs: f64 = r.csr().edges().zip(&load).map(|((u, v, _), &w)| d(u, v) * w).sum();
+        prop_assert!((lhs - weighted).abs() < 1e-6 * (1.0 + lhs.abs()));
     }
 
     #[test]

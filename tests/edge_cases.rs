@@ -3,7 +3,7 @@
 
 use cold::{ColdConfig, SynthesisMode};
 use cold_context::{Context, GravityModel, Point, PopulationKind};
-use cold_cost::{CostEvaluator, CostParams, Network};
+use cold_cost::{evaluate_parts, CostEvaluator, CostParams, Network};
 use cold_ga::{GaSettings, GeneticAlgorithm};
 use cold_graph::AdjacencyMatrix;
 
@@ -123,7 +123,7 @@ fn zero_traffic_reduces_to_buildout() {
     let mst = cold_graph::mst::mst_matrix(5, ctx.distance_fn());
     let clique = AdjacencyMatrix::complete(5);
     assert!(eval.cost(&mst).unwrap() < eval.cost(&clique).unwrap());
-    let (breakdown, _) = eval.cost_parts(&mst).unwrap();
+    let (breakdown, _) = evaluate_parts(&mst, &ctx, &eval.params).unwrap();
     assert_eq!(breakdown.bandwidth, 0.0);
 }
 
