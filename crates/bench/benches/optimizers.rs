@@ -75,6 +75,16 @@ fn bench_heuristics(c: &mut Criterion) {
     group.bench_function("random_greedy_x3", |b| {
         b.iter(|| black_box(random_greedy(&eval, &RandomGreedyConfig { permutations: 3 }, 4).cost))
     });
+    // The initialized GA's seeding: all four heuristics at the quick
+    // (n = 12, 3 permutations) and paper (n = 30, 10 permutations) sizes.
+    for (n, permutations) in [(12usize, 3usize), (30, 10)] {
+        let ctx = ColdConfig::paper(n, 4e-4, 10.0).context.generate(3);
+        let eval = CostEvaluator::new(&ctx, CostParams::paper(4e-4, 10.0));
+        let cfg = RandomGreedyConfig { permutations };
+        group.bench_with_input(BenchmarkId::new("all_heuristics", n), &cfg, |b, cfg| {
+            b.iter(|| black_box(all_heuristics(&eval, cfg, 4).len()))
+        });
+    }
     group.finish();
 }
 

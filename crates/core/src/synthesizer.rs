@@ -427,8 +427,9 @@ impl ColdConfig {
         }
     }
 
-    /// Checks the whole configuration — context model, cost parameters
-    /// and GA settings — before any work starts.
+    /// Checks the whole configuration — context model, cost parameters,
+    /// GA settings and the random-greedy heuristic — before any work
+    /// starts.
     ///
     /// # Errors
     /// [`ColdError::Config`] naming the first invalid field.
@@ -436,6 +437,9 @@ impl ColdConfig {
         self.context.validate().map_err(|why| ColdError::Config(format!("context: {why}")))?;
         self.params.validate().map_err(|why| ColdError::Config(format!("cost params: {why}")))?;
         self.ga.validate().map_err(|why| ColdError::Config(format!("GA settings: {why}")))?;
+        if self.random_greedy.permutations == 0 {
+            return Err(ColdError::Config("random greedy: permutations must be >= 1".into()));
+        }
         Ok(())
     }
 
@@ -996,6 +1000,13 @@ mod tests {
         }
         let mut cfg = ColdConfig::quick(8, 1e-4, 10.0);
         cfg.ga.population = 0;
+        assert!(matches!(cfg.try_synthesize(1), Err(ColdError::Config(_))));
+        let mut cfg = ColdConfig::quick(8, 4e-4, 10.0);
+        cfg.random_greedy.permutations = 0;
+        match cfg.validate() {
+            Err(ColdError::Config(why)) => assert!(why.contains("permutations"), "{why}"),
+            other => panic!("expected Config error, got {other:?}"),
+        }
         assert!(matches!(cfg.try_synthesize(1), Err(ColdError::Config(_))));
         // Every objective, on a derived and on an explicit context.
         let ctx = ColdConfig::quick(8, 1e-4, 10.0).context.generate(3);

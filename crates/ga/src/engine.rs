@@ -155,8 +155,8 @@ impl EvalStats {
 pub(crate) trait Session: Send {
     /// A scalar cost or an objective vector.
     type Fitness: Clone + Default + Send;
-    /// Fitness of a connected topology; `base` is its lineage hint.
-    fn evaluate(&mut self, t: &AdjacencyMatrix, base: Option<&AdjacencyMatrix>) -> Self::Fitness;
+    /// Fitness of a connected topology.
+    fn evaluate(&mut self, t: &AdjacencyMatrix) -> Self::Fitness;
     /// The components the evaluation boundary checks.
     fn components(fitness: &Self::Fitness) -> &[f64];
     /// Cumulative `(delta, full)` evaluation counts.
@@ -165,8 +165,8 @@ pub(crate) trait Session: Send {
 
 impl Session for Box<dyn ObjectiveSession + '_> {
     type Fitness = f64;
-    fn evaluate(&mut self, t: &AdjacencyMatrix, base: Option<&AdjacencyMatrix>) -> f64 {
-        self.cost(t, base)
+    fn evaluate(&mut self, t: &AdjacencyMatrix) -> f64 {
+        self.cost(t, None)
     }
     fn components(cost: &f64) -> &[f64] {
         std::slice::from_ref(cost)
@@ -536,14 +536,8 @@ impl<O: Objective> GeneticAlgorithm<O> {
                 if let Some(start) = seed_start {
                     cold_obs::observe_seconds("ga.seed_seconds", start.elapsed().as_secs_f64());
                 }
-                let bases = vec![None; topologies.len()];
-                let fitness = self.evaluate_all(
-                    &topologies,
-                    &bases,
-                    &mut sessions,
-                    cache.as_mut(),
-                    &mut stats,
-                )?;
+                let fitness =
+                    self.evaluate_all(&topologies, &mut sessions, cache.as_mut(), &mut stats)?;
                 let population = survival.survive(Vec::new(), topologies, fitness);
                 RunState {
                     rng,
@@ -582,15 +576,8 @@ impl<O: Objective> GeneticAlgorithm<O> {
             let rng = &mut run.rng;
             let mut children: Vec<AdjacencyMatrix> =
                 Vec::with_capacity(self.settings.num_crossover + self.settings.num_mutation);
-            // Each child's lineage — the population index of the topology
-            // it was derived from — becomes the delta-evaluation base
-            // hint. Repair may perturb the child further; sessions diff
-            // against the hint themselves, so a stale hint only costs
-            // work, never correctness.
-            let mut base_idx: Vec<usize> = Vec::with_capacity(children.capacity());
             for _ in 0..self.settings.num_crossover {
                 let parents = select_parents(population, &self.settings, rng);
-                base_idx.push(parents[0]); // best (lowest-cost) parent
                 children.push(crossover_child(
                     population,
                     &parents,
@@ -603,7 +590,6 @@ impl<O: Objective> GeneticAlgorithm<O> {
                 let src = weighted_pick(&weights, rng.gen_range(0.0..1.0));
                 let mut child = population[src].topology.clone();
                 mutate(&mut child, &self.objective, &self.settings, universe.as_deref(), rng);
-                base_idx.push(src);
                 children.push(child);
             }
             let breed_seconds = breed_start.map_or(0.0, |s| s.elapsed().as_secs_f64());
@@ -614,15 +600,8 @@ impl<O: Objective> GeneticAlgorithm<O> {
             let repair_seconds = repair_start.map_or(0.0, |s| s.elapsed().as_secs_f64());
             cold_obs::observe_seconds("ga.breed_seconds", breed_seconds);
             cold_obs::observe_seconds("ga.repair_seconds", repair_seconds);
-            let bases: Vec<Option<&AdjacencyMatrix>> =
-                base_idx.iter().map(|&i| Some(&population[i].topology)).collect();
-            let fitness = self.evaluate_all(
-                &children,
-                &bases,
-                &mut sessions,
-                run.cache.as_mut(),
-                &mut run.stats,
-            )?;
+            let fitness =
+                self.evaluate_all(&children, &mut sessions, run.cache.as_mut(), &mut run.stats)?;
 
             run.population =
                 survival.survive(std::mem::take(&mut run.population), children, fitness);
@@ -715,8 +694,7 @@ impl<O: Objective> GeneticAlgorithm<O> {
     }
 
     /// Evaluates a batch of topologies, consulting and filling the fitness
-    /// memo `cache` when one is supplied. `bases` carries each candidate's
-    /// lineage hint for incremental sessions (aligned with `topologies`).
+    /// memo `cache` when one is supplied.
     ///
     /// The cache phase is serial in both serial and parallel modes, so the
     /// hit/miss counters — and, fitness being pure, every returned value —
@@ -725,28 +703,24 @@ impl<O: Objective> GeneticAlgorithm<O> {
     fn evaluate_all<S: Session>(
         &self,
         topologies: &[AdjacencyMatrix],
-        bases: &[Option<&AdjacencyMatrix>],
         sessions: &mut [S],
         cache: Option<&mut HashMap<AdjacencyMatrix, S::Fitness>>,
         stats: &mut EvalStats,
     ) -> Result<Vec<S::Fitness>, GaError> {
-        debug_assert_eq!(topologies.len(), bases.len());
         stats.requested += topologies.len();
         let result = (|| {
             let Some(cache) = cache else {
                 stats.cache_misses += topologies.len();
                 let all: Vec<&AdjacencyMatrix> = topologies.iter().collect();
-                return self.evaluate_batch(&all, bases, sessions, stats);
+                return self.evaluate_batch(&all, sessions, stats);
             };
             // Resolve each request to Ok(cached fitness) or Err(index into
             // the unique pending list).
             let mut pending: Vec<&AdjacencyMatrix> = Vec::new();
-            let mut pending_bases: Vec<Option<&AdjacencyMatrix>> = Vec::new();
             let mut first_seen: HashMap<&AdjacencyMatrix, usize> = HashMap::new();
             let resolved: Vec<Result<S::Fitness, usize>> = topologies
                 .iter()
-                .zip(bases)
-                .map(|(t, b)| {
+                .map(|t| {
                     if let Some(f) = cache.get(t) {
                         stats.cache_hits += 1;
                         Ok(f.clone())
@@ -757,12 +731,11 @@ impl<O: Objective> GeneticAlgorithm<O> {
                         stats.cache_misses += 1;
                         first_seen.insert(t, pending.len());
                         pending.push(t);
-                        pending_bases.push(*b);
                         Err(pending.len() - 1)
                     }
                 })
                 .collect();
-            let fresh = self.evaluate_batch(&pending, &pending_bases, sessions, stats)?;
+            let fresh = self.evaluate_batch(&pending, sessions, stats)?;
             for (t, f) in pending.iter().zip(&fresh) {
                 cache.insert((*t).clone(), f.clone());
             }
@@ -792,7 +765,6 @@ impl<O: Objective> GeneticAlgorithm<O> {
     fn evaluate_batch<S: Session>(
         &self,
         batch: &[&AdjacencyMatrix],
-        bases: &[Option<&AdjacencyMatrix>],
         sessions: &mut [S],
         stats: &mut EvalStats,
     ) -> Result<Vec<S::Fitness>, GaError> {
@@ -800,21 +772,18 @@ impl<O: Objective> GeneticAlgorithm<O> {
         let start = Instant::now();
         let fitness = if !self.settings.parallel || batch.len() < 4 || sessions.len() == 1 {
             let session = &mut sessions[0];
-            batch.iter().zip(bases).map(|(t, b)| session.evaluate(t, *b)).collect()
+            batch.iter().map(|t| session.evaluate(t)).collect()
         } else {
             let workers = sessions.len().min(batch.len());
             let mut fitness = vec![S::Fitness::default(); batch.len()];
             let chunk = batch.len().div_ceil(workers);
             crossbeam::scope(|scope| {
-                for (((slot, topos), base_chunk), session) in fitness
-                    .chunks_mut(chunk)
-                    .zip(batch.chunks(chunk))
-                    .zip(bases.chunks(chunk))
-                    .zip(sessions.iter_mut())
+                for ((slot, topos), session) in
+                    fitness.chunks_mut(chunk).zip(batch.chunks(chunk)).zip(sessions.iter_mut())
                 {
                     scope.spawn(move |_| {
-                        for ((f, t), b) in slot.iter_mut().zip(topos).zip(base_chunk) {
-                            *f = session.evaluate(t, *b);
+                        for (f, t) in slot.iter_mut().zip(topos) {
+                            *f = session.evaluate(t);
                         }
                     });
                 }
@@ -1029,12 +998,10 @@ mod tests {
         let a = AdjacencyMatrix::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
         let b = AdjacencyMatrix::complete(5);
         let batch = vec![a.clone(), a.clone(), b.clone(), a.clone()];
-        let bases = vec![None; batch.len()];
         let mut sessions = vec![ga.objective().session()];
         let mut cache = Some(std::collections::HashMap::new());
         let mut stats = EvalStats::default();
-        let costs =
-            ga.evaluate_all(&batch, &bases, &mut sessions, cache.as_mut(), &mut stats).unwrap();
+        let costs = ga.evaluate_all(&batch, &mut sessions, cache.as_mut(), &mut stats).unwrap();
         assert_eq!(obj.calls.load(AtomicOrdering::Relaxed), 2, "a and b each routed once");
         assert_eq!(costs[0], costs[1]);
         assert_eq!(costs[1], costs[3]);
@@ -1044,8 +1011,7 @@ mod tests {
         assert_eq!(stats.full_evals, 2, "stateless sessions answer every miss in full");
         assert_eq!(stats.delta_evals, 0);
         // A second identical batch is served entirely from the cache.
-        let again =
-            ga.evaluate_all(&batch, &bases, &mut sessions, cache.as_mut(), &mut stats).unwrap();
+        let again = ga.evaluate_all(&batch, &mut sessions, cache.as_mut(), &mut stats).unwrap();
         assert_eq!(again, costs);
         assert_eq!(obj.calls.load(AtomicOrdering::Relaxed), 2);
         assert_eq!(stats.cache_hits, 6);

@@ -131,11 +131,12 @@ fn k_nearest(n: usize, distance: impl Fn(usize, usize) -> f64, k: usize) -> Vec<
 
 /// A per-worker fitness evaluation session (see [`Objective::session`]).
 ///
-/// `cost` takes an optional `base` — the topology the candidate was
-/// derived from (its better crossover parent or its mutation source).
-/// Incremental evaluators use it as a re-anchoring hint; stateless
-/// sessions ignore it. Results must not depend on `base` or on which
-/// session evaluates which candidate — only the work done may vary.
+/// `cost` takes a `base` lineage hint that every session ignores and the
+/// engine always passes as `None`: an incremental session finds the
+/// evaluated topologies a candidate is near in its own anchor pool (see
+/// `cold_cost::DeltaEval`). The parameter stays only for existing
+/// implementers and callers. Results must not depend on which session
+/// evaluates which candidate — only the work done may vary.
 pub trait ObjectiveSession: Send {
     /// Cost of a **connected** topology, bit-identical to
     /// [`Objective::cost`].

@@ -71,7 +71,7 @@ pub trait MultiObjective: Sync {
 
     /// Opens a per-worker evaluation session (the vector analogue of
     /// [`Objective::session`]). Stateful implementations may reuse
-    /// routing state between offspring via the lineage hint; results must
+    /// routing state between offspring; results must
     /// be bit-identical to [`objectives`](Self::objectives).
     fn session(&self) -> Box<dyn MultiObjectiveSession + '_> {
         Box::new(StatelessSession { objective: self, full: 0 })
@@ -87,8 +87,8 @@ pub trait MultiObjective: Sync {
 /// A per-worker vector-fitness session (see [`MultiObjective::session`]).
 pub trait MultiObjectiveSession: Send {
     /// Objective vector of a **connected** topology, bit-identical to
-    /// [`MultiObjective::objectives`]. `base` is the candidate's lineage
-    /// hint, as in [`crate::ObjectiveSession::cost`].
+    /// [`MultiObjective::objectives`]. `base` is ignored, as in
+    /// [`crate::ObjectiveSession::cost`].
     fn objectives(
         &mut self,
         topology: &AdjacencyMatrix,
@@ -122,8 +122,8 @@ impl<M: MultiObjective + ?Sized> MultiObjectiveSession for StatelessSession<'_, 
 
 impl Session for Box<dyn MultiObjectiveSession + '_> {
     type Fitness = Vec<f64>;
-    fn evaluate(&mut self, t: &AdjacencyMatrix, base: Option<&AdjacencyMatrix>) -> Vec<f64> {
-        self.objectives(t, base)
+    fn evaluate(&mut self, t: &AdjacencyMatrix) -> Vec<f64> {
+        self.objectives(t, None)
     }
     fn components(objectives: &Vec<f64>) -> &[f64] {
         objectives

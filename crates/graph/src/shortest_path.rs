@@ -128,6 +128,9 @@ impl DijkstraWorkspace {
         self.done.clear();
         self.done.resize(n, false);
         self.heap.clear();
+        // Every arc pushes at most once (from its settled tail), so a
+        // reused workspace never grows mid-run.
+        self.heap.reserve(node.len() + 1);
         self.dist[source] = 0.0;
         self.parent[source] = source;
         self.heap.push(HeapItem { dist: 0.0, node: source });

@@ -5,9 +5,9 @@
 //! added as a hub. Each new hub is connected to all the existing hubs, thus
 //! making a network where the hubs form a completely connected graph."
 
-use crate::hub_state::best_single_hub;
+use crate::hub_state::{best_single_hub, HubNetwork};
 use crate::HeuristicResult;
-use cold_cost::CostEvaluator;
+use cold_cost::{CostEvaluator, DeltaEval};
 
 /// Clique interconnect over the given hub set.
 fn clique_links(hubs: &[usize]) -> Vec<(usize, usize)> {
@@ -22,14 +22,22 @@ fn clique_links(hubs: &[usize]) -> Vec<(usize, usize)> {
 
 /// Runs the Complete heuristic to a local optimum.
 pub fn complete_heuristic(eval: &CostEvaluator<'_>) -> HeuristicResult {
-    let (mut net, mut cost) = best_single_hub(eval);
+    let mut session = DeltaEval::new(eval.ctx, eval.params);
+    let star = best_single_hub(&mut session);
+    from_star(&mut session, &star)
+}
+
+/// The Complete heuristic from the best single-hub `star`, priced through
+/// `session`.
+pub(crate) fn from_star(session: &mut DeltaEval<'_>, star: &(HubNetwork, f64)) -> HeuristicResult {
+    let (mut net, mut cost) = star.clone();
     loop {
         let mut best: Option<(usize, f64)> = None;
         for cand in net.leaves() {
             let mut trial = net.clone();
             trial.promote(cand, &[]);
             trial.set_hub_links(clique_links(trial.hubs()));
-            let c = trial.cost(eval);
+            let c = trial.cost(session);
             if c < cost && best.as_ref().is_none_or(|&(_, bc)| c < bc) {
                 best = Some((cand, c));
             }
@@ -43,7 +51,7 @@ pub fn complete_heuristic(eval: &CostEvaluator<'_>) -> HeuristicResult {
             None => break,
         }
     }
-    let topology = net.to_matrix(|u, v| eval.ctx.distance(u, v));
+    let topology = net.to_matrix(session.ctx().distance_fn());
     HeuristicResult { topology, cost }
 }
 
@@ -72,7 +80,7 @@ mod tests {
     fn never_worse_than_best_star() {
         let ctx = ContextConfig::paper_default(10).generate(4);
         let eval = CostEvaluator::new(&ctx, CostParams::paper(4e-4, 0.0));
-        let (_, star_cost) = crate::hub_state::best_single_hub(&eval);
+        let (_, star_cost) = best_single_hub(&mut DeltaEval::new(&ctx, eval.params));
         let r = complete_heuristic(&eval);
         assert!(r.cost <= star_cost + 1e-9);
     }

@@ -5,7 +5,7 @@
 
 use crate::hub_state::{best_single_hub, HubNetwork};
 use crate::HeuristicResult;
-use cold_cost::CostEvaluator;
+use cold_cost::{CostEvaluator, DeltaEval};
 
 /// Greedily links freshly promoted hub `new_hub` to existing hubs:
 /// repeatedly add the single cost-minimizing link while cost decreases.
@@ -14,7 +14,7 @@ use cold_cost::CostEvaluator;
 pub(crate) fn greedy_link_new_hub(
     mut net: HubNetwork,
     new_hub: usize,
-    eval: &CostEvaluator<'_>,
+    session: &mut DeltaEval<'_>,
 ) -> (HubNetwork, f64) {
     let mut linked: Vec<usize> = Vec::new();
     let mut current_cost = f64::INFINITY;
@@ -26,7 +26,7 @@ pub(crate) fn greedy_link_new_hub(
             }
             let mut trial = net.clone();
             trial.set_hub_links(with_link(net.hub_links(), new_hub, h));
-            let c = trial.cost(eval);
+            let c = trial.cost(session);
             if best.as_ref().is_none_or(|&(_, bc)| c < bc) {
                 best = Some((h, c));
             }
@@ -57,13 +57,21 @@ fn with_link(links: &[(usize, usize)], a: usize, b: usize) -> Vec<(usize, usize)
 
 /// Runs the Greedy-attachment heuristic to a local optimum.
 pub fn greedy_attachment(eval: &CostEvaluator<'_>) -> HeuristicResult {
-    let (mut net, mut cost) = best_single_hub(eval);
+    let mut session = DeltaEval::new(eval.ctx, eval.params);
+    let star = best_single_hub(&mut session);
+    from_star(&mut session, &star)
+}
+
+/// The Greedy-attachment heuristic from the best single-hub `star`, priced
+/// through `session`.
+pub(crate) fn from_star(session: &mut DeltaEval<'_>, star: &(HubNetwork, f64)) -> HeuristicResult {
+    let (mut net, mut cost) = star.clone();
     loop {
         let mut best: Option<(HubNetwork, f64)> = None;
         for cand in net.leaves() {
             let mut trial = net.clone();
             trial.promote(cand, &[]);
-            let (trial, c) = greedy_link_new_hub(trial, cand, eval);
+            let (trial, c) = greedy_link_new_hub(trial, cand, session);
             if c < cost && best.as_ref().is_none_or(|(_, bc)| c < *bc) {
                 best = Some((trial, c));
             }
@@ -76,7 +84,7 @@ pub fn greedy_attachment(eval: &CostEvaluator<'_>) -> HeuristicResult {
             None => break,
         }
     }
-    let topology = net.to_matrix(|u, v| eval.ctx.distance(u, v));
+    let topology = net.to_matrix(session.ctx().distance_fn());
     HeuristicResult { topology, cost }
 }
 
@@ -99,7 +107,7 @@ mod tests {
     fn never_worse_than_star() {
         let ctx = ContextConfig::paper_default(10).generate(10);
         let eval = CostEvaluator::new(&ctx, CostParams::paper(4e-4, 10.0));
-        let (_, star_cost) = crate::hub_state::best_single_hub(&eval);
+        let (_, star_cost) = best_single_hub(&mut DeltaEval::new(&ctx, eval.params));
         assert!(greedy_attachment(&eval).cost <= star_cost + 1e-9);
     }
 
@@ -113,7 +121,7 @@ mod tests {
         let r = greedy_attachment(&eval);
         let hubs = r.topology.degrees().iter().filter(|&&d| d > 1).count();
         assert!(hubs >= 2, "expected multiple hubs, got {hubs}");
-        let (_, star_cost) = crate::hub_state::best_single_hub(&eval);
+        let (_, star_cost) = best_single_hub(&mut DeltaEval::new(&ctx, eval.params));
         assert!(r.cost < star_cost, "promotion must strictly improve on the star");
     }
 }

@@ -3,9 +3,12 @@
 //! All four greedy algorithms manipulate the same state: a set of *hubs*,
 //! the links between hubs, and the rule that every non-hub (leaf) attaches
 //! to its closest hub. [`HubNetwork`] encapsulates that state and its
-//! materialization into an [`AdjacencyMatrix`] for cost evaluation.
+//! materialization into an [`AdjacencyMatrix`] for cost evaluation, which
+//! goes through a [`DeltaEval`] session: successive candidates differ from
+//! a network evaluated shortly before by a few links, so most are priced
+//! by repairing a pooled anchor's routing rather than from scratch.
 
-use cold_cost::CostEvaluator;
+use cold_cost::DeltaEval;
 use cold_graph::AdjacencyMatrix;
 
 /// A hub-and-leaves network under construction.
@@ -101,26 +104,28 @@ impl HubNetwork {
         m
     }
 
-    /// Cost of the materialized network under `eval`.
+    /// Cost of the materialized network, priced through `session`
+    /// (bit-identical to [`CostEvaluator::cost`](cold_cost::CostEvaluator::cost)).
     ///
     /// # Panics
     /// Panics if the hub subgraph is disconnected (a heuristic bug).
-    pub fn cost(&self, eval: &CostEvaluator<'_>) -> f64 {
-        let m = self.to_matrix(|u, v| eval.ctx.distance(u, v));
-        eval.cost(&m).expect("hub heuristics maintain connectivity")
+    pub fn cost(&self, session: &mut DeltaEval<'_>) -> f64 {
+        let ctx = session.ctx();
+        let m = self.to_matrix(|u, v| ctx.distance(u, v));
+        session.eval(&m, None).expect("hub heuristics maintain connectivity")
     }
 }
 
 /// Finds the best single-hub star: tests every node as the hub and returns
 /// the cheapest (§5: "All the PoPs are tested as a possible hub and the
 /// best one is taken" — applied to the starting star as well).
-pub fn best_single_hub(eval: &CostEvaluator<'_>) -> (HubNetwork, f64) {
-    let n = eval.ctx.n();
+pub fn best_single_hub(session: &mut DeltaEval<'_>) -> (HubNetwork, f64) {
+    let n = session.ctx().n();
     assert!(n >= 1, "need at least one node");
     let mut best: Option<(HubNetwork, f64)> = None;
     for hub in 0..n {
         let net = HubNetwork::single_hub(n, hub);
-        let c = net.cost(eval);
+        let c = net.cost(session);
         if best.as_ref().is_none_or(|(_, bc)| c < *bc) {
             best = Some((net, c));
         }
@@ -150,12 +155,12 @@ mod tests {
     #[test]
     fn single_hub_star_topology() {
         let ctx = line_ctx(5);
-        let eval = CostEvaluator::new(&ctx, CostParams::paper(1e-4, 10.0));
+        let mut session = DeltaEval::new(&ctx, CostParams::paper(1e-4, 10.0));
         let net = HubNetwork::single_hub(5, 2);
         let m = net.to_matrix(ctx.distance_fn());
         assert_eq!(m.edge_count(), 4);
         assert_eq!(m.degree(2), 4);
-        assert!(net.cost(&eval) > 0.0);
+        assert!(net.cost(&mut session) > 0.0);
     }
 
     #[test]
@@ -191,8 +196,7 @@ mod tests {
         // On a line with uniform demand, a central hub minimizes length
         // and bandwidth cost.
         let ctx = line_ctx(7);
-        let eval = CostEvaluator::new(&ctx, CostParams::paper(1e-3, 0.0));
-        let (net, cost) = best_single_hub(&eval);
+        let (net, cost) = best_single_hub(&mut DeltaEval::new(&ctx, CostParams::paper(1e-3, 0.0)));
         assert_eq!(net.hubs(), &[3], "expected central hub, cost {cost}");
     }
 }

@@ -19,6 +19,14 @@
 //! (Fig 3) and seeds for the *initialized GA*, which then dominates all of
 //! them by construction.
 //!
+//! Every candidate network is priced through a [`cold_cost::DeltaEval`]
+//! session, bit-identical to [`CostEvaluator::cost`]: a candidate is one
+//! promotion or one link away from a network priced shortly before, so
+//! the session's anchor pool answers most of them by repairing that
+//! network's routing. [`all_heuristics`] runs all four through one
+//! session and computes the best single-hub star they all start from
+//! once; each standalone function opens its own session.
+//!
 //! [`brute_force`] provides the exact optimum for small `n` — the paper's
 //! ground-truth check that the GA "always finds the real optimal solution"
 //! for small networks.
@@ -42,7 +50,7 @@ pub use hub_state::HubNetwork;
 pub use mst_hubs::mst_heuristic;
 pub use random_greedy::{random_greedy, RandomGreedyConfig};
 
-use cold_cost::CostEvaluator;
+use cold_cost::{CostEvaluator, DeltaEval};
 use cold_graph::AdjacencyMatrix;
 
 /// A heuristic's output: the topology it found and its cost.
@@ -56,16 +64,20 @@ pub struct HeuristicResult {
 
 /// Runs all four greedy heuristics and returns their results, keyed for
 /// reporting. The order matches Fig 3's legend: random greedy, complete,
-/// mst, greedy attachment.
+/// mst, greedy attachment. They share one evaluation session and one
+/// best single-hub star; every result is bit-identical to running the
+/// four standalone functions.
 pub fn all_heuristics(
     eval: &CostEvaluator<'_>,
     random_greedy_cfg: &RandomGreedyConfig,
     seed: u64,
 ) -> Vec<(&'static str, HeuristicResult)> {
+    let mut session = DeltaEval::new(eval.ctx, eval.params);
+    let star = hub_state::best_single_hub(&mut session);
     vec![
-        ("random greedy", random_greedy(eval, random_greedy_cfg, seed)),
-        ("complete", complete_heuristic(eval)),
-        ("mst", mst_heuristic(eval)),
-        ("greedy attachment", greedy_attachment(eval)),
+        ("random greedy", random_greedy::from_star(&mut session, &star, random_greedy_cfg, seed)),
+        ("complete", complete::from_star(&mut session, &star)),
+        ("mst", mst_hubs::from_star(&mut session, &star)),
+        ("greedy attachment", greedy_attach::from_star(&mut session, &star)),
     ]
 }

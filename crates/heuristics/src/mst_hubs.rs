@@ -1,9 +1,9 @@
 //! The *MST* heuristic (§5): "Just like complete, but the hubs are
 //! connected in a minimum spanning tree."
 
-use crate::hub_state::best_single_hub;
+use crate::hub_state::{best_single_hub, HubNetwork};
 use crate::HeuristicResult;
-use cold_cost::CostEvaluator;
+use cold_cost::{CostEvaluator, DeltaEval};
 use cold_graph::mst::mst_kruskal;
 
 /// MST interconnect (by physical distance) over the given hub set.
@@ -25,8 +25,17 @@ fn mst_links(hubs: &[usize], dist: impl Fn(usize, usize) -> f64) -> Vec<(usize, 
 
 /// Runs the MST heuristic to a local optimum.
 pub fn mst_heuristic(eval: &CostEvaluator<'_>) -> HeuristicResult {
-    let dist = |u: usize, v: usize| eval.ctx.distance(u, v);
-    let (mut net, mut cost) = best_single_hub(eval);
+    let mut session = DeltaEval::new(eval.ctx, eval.params);
+    let star = best_single_hub(&mut session);
+    from_star(&mut session, &star)
+}
+
+/// The MST heuristic from the best single-hub `star`, priced through
+/// `session`.
+pub(crate) fn from_star(session: &mut DeltaEval<'_>, star: &(HubNetwork, f64)) -> HeuristicResult {
+    let ctx = session.ctx();
+    let dist = |u: usize, v: usize| ctx.distance(u, v);
+    let (mut net, mut cost) = star.clone();
     loop {
         let mut best: Option<(usize, f64)> = None;
         for cand in net.leaves() {
@@ -34,7 +43,7 @@ pub fn mst_heuristic(eval: &CostEvaluator<'_>) -> HeuristicResult {
             trial.promote(cand, &[]);
             let links = mst_links(trial.hubs(), dist);
             trial.set_hub_links(links);
-            let c = trial.cost(eval);
+            let c = trial.cost(session);
             if c < cost && best.as_ref().is_none_or(|&(_, bc)| c < bc) {
                 best = Some((cand, c));
             }
@@ -91,7 +100,7 @@ mod tests {
     fn beats_or_matches_star_baseline() {
         let ctx = ContextConfig::paper_default(10).generate(8);
         let eval = CostEvaluator::new(&ctx, CostParams::paper(4e-4, 10.0));
-        let (_, star_cost) = crate::hub_state::best_single_hub(&eval);
+        let (_, star_cost) = best_single_hub(&mut DeltaEval::new(&ctx, eval.params));
         assert!(mst_heuristic(&eval).cost <= star_cost + 1e-9);
     }
 }

@@ -11,7 +11,7 @@
 use crate::greedy_attach::greedy_link_new_hub;
 use crate::hub_state::{best_single_hub, HubNetwork};
 use crate::HeuristicResult;
-use cold_cost::CostEvaluator;
+use cold_cost::{CostEvaluator, DeltaEval};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -30,16 +30,20 @@ impl Default for RandomGreedyConfig {
 }
 
 /// One pass over a fixed permutation, starting from the best single-hub
-/// star.
-fn one_pass(eval: &CostEvaluator<'_>, perm: &[usize]) -> (HubNetwork, f64) {
-    let (mut net, mut cost) = best_single_hub(eval);
+/// `star`.
+fn one_pass(
+    session: &mut DeltaEval<'_>,
+    star: &(HubNetwork, f64),
+    perm: &[usize],
+) -> (HubNetwork, f64) {
+    let (mut net, mut cost) = star.clone();
     for &cand in perm {
         if net.is_hub(cand) {
             continue;
         }
         let mut trial = net.clone();
         trial.promote(cand, &[]);
-        let (trial, c) = greedy_link_new_hub(trial, cand, eval);
+        let (trial, c) = greedy_link_new_hub(trial, cand, session);
         if c < cost {
             net = trial;
             cost = c;
@@ -54,8 +58,21 @@ pub fn random_greedy(
     config: &RandomGreedyConfig,
     seed: u64,
 ) -> HeuristicResult {
+    let mut session = DeltaEval::new(eval.ctx, eval.params);
+    let star = best_single_hub(&mut session);
+    from_star(&mut session, &star, config, seed)
+}
+
+/// Random Greedy from the best single-hub `star`, priced through
+/// `session`.
+pub(crate) fn from_star(
+    session: &mut DeltaEval<'_>,
+    star: &(HubNetwork, f64),
+    config: &RandomGreedyConfig,
+    seed: u64,
+) -> HeuristicResult {
     assert!(config.permutations >= 1, "need at least one permutation");
-    let n = eval.ctx.n();
+    let n = session.ctx().n();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut best: Option<(HubNetwork, f64)> = None;
     for _ in 0..config.permutations {
@@ -65,13 +82,13 @@ pub fn random_greedy(
             let j = rng.gen_range(0..=i);
             perm.swap(i, j);
         }
-        let (net, cost) = one_pass(eval, &perm);
+        let (net, cost) = one_pass(session, star, &perm);
         if best.as_ref().is_none_or(|(_, bc)| cost < *bc) {
             best = Some((net, cost));
         }
     }
     let (net, cost) = best.expect("at least one permutation ran");
-    HeuristicResult { topology: net.to_matrix(|u, v| eval.ctx.distance(u, v)), cost }
+    HeuristicResult { topology: net.to_matrix(session.ctx().distance_fn()), cost }
 }
 
 #[cfg(test)]

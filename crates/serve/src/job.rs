@@ -352,6 +352,11 @@ mod tests {
         assert!(JobSpec::from_json(&format!("{{\"config\":{config},\"count\":0}}"))
             .unwrap_err()
             .contains(">= 1"));
+        // A config the worker could not run is refused at submission.
+        let mut zero = ColdConfig::quick(8, 4e-4, 10.0);
+        zero.random_greedy.permutations = 0;
+        let doc = serde_json::json!({ "config": zero.to_json_value() });
+        assert!(JobSpec::from_value(&doc).unwrap_err().contains("permutations"));
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! routine flips cross the fallback boundary — plus a forced multi-edge
 //! batch per chain that is guaranteed to exceed `max_flips`. Both must
 //! agree with the full recomputation on every step, to the bit.
+//!
+//! A revisit schedule exercises the anchor pool: each step jumps back to
+//! a random earlier member of the chain and flips 0–3 pairs, so the
+//! nearest pooled anchor is often not the current one.
 
 use cold_context::ContextConfig;
 use cold_cost::{evaluate_total, CostParams, DeltaEval};
@@ -88,6 +92,42 @@ fn check_chain(n: usize, steps: usize, seed: u64, k2: f64, k3: f64) -> Result<()
     Ok(())
 }
 
+/// Runs a revisit schedule at size `n`: every step starts from a random
+/// earlier member of the chain and flips 0–3 pairs. Two sessions — the
+/// default one and a narrow one (`max_flips = 3`) that can only repair
+/// from an anchor at most three flips away — must match the full
+/// recomputation to the bit on every step.
+fn check_revisits(
+    n: usize,
+    steps: usize,
+    seed: u64,
+    k2: f64,
+    k3: f64,
+) -> Result<(), TestCaseError> {
+    let ctx = ContextConfig::paper_default(n).generate(seed);
+    let params = CostParams::paper(k2, k3);
+    let mut default = DeltaEval::new(&ctx, params);
+    let mut narrow = DeltaEval::with_limits(&ctx, params, 3, n);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x7e71_5175);
+    let mut chain = vec![mst_matrix(n, ctx.distance_fn())];
+    for step in 0..=steps {
+        let mut topo = chain[rng.gen_range(0..chain.len())].clone();
+        if step > 0 {
+            for _ in 0..rng.gen_range(0..=3) {
+                random_connected_flip(&mut topo, &mut rng);
+            }
+        }
+        let full = evaluate_total(&topo, &ctx, &params).unwrap();
+        let a = default.eval(&topo, None).unwrap();
+        let b = narrow.eval(&topo, None).unwrap();
+        prop_assert_eq!(a.to_bits(), full.to_bits(), "default session diverged at step {}", step);
+        prop_assert_eq!(b.to_bits(), full.to_bits(), "narrow session diverged at step {}", step);
+        chain.push(topo);
+    }
+    prop_assert!(narrow.reanchors() > 0, "no step repaired from an older pooled anchor");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -124,5 +164,31 @@ proptest! {
         k3 in proptest::option::of(1f64..500.0),
     ) {
         check_chain(200, 5, seed, lk2.exp(), k3.unwrap_or(0.0))?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn pooled_revisits_match_full_recompute_n20(
+        seed in 0u64..1000,
+        lk2 in -12f64..-6.0,
+        k3 in proptest::option::of(1f64..500.0),
+    ) {
+        check_revisits(20, 40, seed, lk2.exp(), k3.unwrap_or(0.0))?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    #[test]
+    fn pooled_revisits_match_full_recompute_n80(
+        seed in 0u64..1000,
+        lk2 in -12f64..-6.0,
+        k3 in proptest::option::of(1f64..500.0),
+    ) {
+        check_revisits(80, 20, seed, lk2.exp(), k3.unwrap_or(0.0))?;
     }
 }

@@ -106,7 +106,7 @@ proptest! {
         for (name, r) in cold_heuristics::all_heuristics(&eval, &Default::default(), seed) {
             prop_assert!(matrix_is_connected(&r.topology), "{} disconnected", name);
             let recomputed = eval.cost(&r.topology).unwrap();
-            prop_assert!((recomputed - r.cost).abs() < 1e-6 * (1.0 + r.cost), "{} cost drift", name);
+            prop_assert_eq!(recomputed.to_bits(), r.cost.to_bits(), "{} cost drift", name);
         }
     }
 
