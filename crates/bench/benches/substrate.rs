@@ -42,11 +42,10 @@ fn bench_routing_and_cost(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("clique", n), &n, |b, _| {
             b.iter(|| black_box(eval.cost(&clique).unwrap()));
         });
-        let g = mst.to_graph();
         let mut routing = RoutingState::new();
         group.bench_with_input(BenchmarkId::new("routing_state_loads", n), &n, |b, _| {
             b.iter(|| {
-                routing.build(&g, ctx.distance_fn(), ctx.traffic_fn()).unwrap();
+                routing.build(&mst, ctx.distance_fn(), ctx.traffic_fn()).unwrap();
                 black_box(routing.link_loads(ctx.traffic_fn()).unwrap())
             });
         });

@@ -337,20 +337,20 @@ mod tests {
     use cold_context::{GravityModel, Point, PopulationKind};
     use cold_cost::{CostParams, Network};
     use cold_graph::routing::RoutingState;
-    use cold_graph::{AdjacencyMatrix, Graph};
+    use cold_graph::AdjacencyMatrix;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Routes `traffic` over `g` from scratch: the routing state, its edges
-    /// and their loads.
+    /// Routes `traffic` over `topology` from scratch: the routing state,
+    /// its edges and their loads.
     fn reroute(
-        g: &Graph,
+        topology: &AdjacencyMatrix,
         ctx: &Context,
         traffic: impl Fn(usize, usize) -> f64 + Copy,
     ) -> (RoutingState, Vec<(usize, usize)>, Vec<f64>) {
         let mut routing = RoutingState::new();
-        routing.build(g, ctx.distance_fn(), traffic).expect("stranded demands zeroed");
+        routing.build(topology, ctx.distance_fn(), traffic).expect("stranded demands zeroed");
         let load = routing.link_loads(traffic).unwrap();
         let edges = routing.csr().edges().map(|(u, v, _)| (u, v)).collect();
         (routing, edges, load)
@@ -364,7 +364,7 @@ mod tests {
         assert_eq!(ctx.n(), n, "network and context disagree on PoP count");
         let total_traffic = ctx.traffic.total();
         // Baseline route lengths for stretch.
-        let (base, _, _) = reroute(&net.graph(), ctx, ctx.traffic_fn());
+        let (base, _, _) = reroute(&net.topology, ctx, ctx.traffic_fn());
         let base_len: Vec<Vec<f64>> = (0..n).map(|s| base.dist(s).to_vec()).collect();
         let capacity: std::collections::HashMap<(usize, usize), f64> =
             net.links.iter().map(|l| ((l.u.min(l.v), l.u.max(l.v)), l.capacity)).collect();
@@ -386,7 +386,7 @@ mod tests {
                 }
             }
             let surviving = |s, t| if survives(s, t) { ctx.traffic.demand(s, t) } else { 0.0 };
-            let (routed, edges, load) = reroute(&g, ctx, surviving);
+            let (routed, edges, load) = reroute(&topo, ctx, surviving);
             let mut max_util = 0.0f64;
             let mut overloaded = 0usize;
             for (i, &(u, v)) in edges.iter().enumerate() {

@@ -81,7 +81,7 @@ pub fn assign_capacities(
     }
     assert!(overprovision >= 1.0, "overprovision must be >= 1");
     let mut routing = RoutingState::new();
-    routing.build(&topology.to_graph(), ctx.distance_fn(), ctx.traffic_fn())?;
+    routing.build(topology, ctx.distance_fn(), ctx.traffic_fn())?;
     let load = routing.link_loads(ctx.traffic_fn())?;
     let (edges, length) = routing.csr().edges().map(|(u, v, len)| ((u, v), len)).unzip();
     let capacity = load.iter().map(|&w| overprovision * w).collect();

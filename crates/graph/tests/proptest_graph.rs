@@ -158,10 +158,9 @@ proptest! {
         let pos = &pos[..n];
         let d = euclid(pos);
         join_components(&mut m, d);
-        let g = m.to_graph();
         let traffic = |s: usize, t: usize| ((s * 7 + t * 3) % 5) as f64;
         let mut r = RoutingState::new();
-        let weighted = r.build(&g, d, traffic).unwrap();
+        let weighted = r.build(&m, d, traffic).unwrap();
         let load = r.link_loads(traffic).unwrap();
         let lhs: f64 = r.csr().edges().zip(&load).map(|((u, v, _), &w)| d(u, v) * w).sum();
         prop_assert!((lhs - weighted).abs() < 1e-6 * (1.0 + lhs.abs()));
