@@ -16,8 +16,8 @@
 
 use cold::context::rng::derive_seed;
 use cold::{
-    run_campaign_controlled, CampaignCheckpoint, CampaignControl, ColdConfig, RunOptions,
-    TrialObjective, TrialSpec,
+    run_campaign, CampaignCheckpoint, ColdConfig, LocalTrials, RunOptions, TrialObjective,
+    TrialSpec,
 };
 use serde::Deserialize as _;
 use serde_json::Value;
@@ -115,15 +115,15 @@ fn resume_campaign(path: &PathBuf) {
     let (master_seed, count) = (ckpt.master_seed, ckpt.count);
     // The resumed leg's own snapshots go next to the input, never over it.
     let scratch = path.with_extension("resume.ckpt.json");
-    let results = run_campaign_controlled(
+    let results = run_campaign(
         &config,
         master_seed,
         count,
         count.max(1),
         &scratch,
         Some(ckpt),
+        &mut LocalTrials::default(),
         None,
-        CampaignControl::default(),
         |_, _| {},
     )
     .unwrap_or_else(|e| fail(&format!("campaign resume failed: {e}")));

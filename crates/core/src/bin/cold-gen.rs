@@ -495,7 +495,8 @@ fn run_checkpointed(args: &Args, cfg: &ColdConfig) -> bool {
         every,
         &ckpt_path,
         resume,
-        deadline,
+        &mut cold::LocalTrials { deadline, ..cold::LocalTrials::default() },
+        None,
         |i, r: &cold::SynthesisResult| {
             stalled |= r.stop_reason == cold::StopReason::Stalled;
             export_network(args, i, &r.network, &r.context, "");

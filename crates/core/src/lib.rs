@@ -96,7 +96,7 @@ pub mod synthesizer;
 pub mod zoo;
 
 pub use checkpoint::{
-    run_campaign, run_campaign_controlled, CampaignCheckpoint, CampaignControl, TrialRecord,
+    run_attempt, run_campaign, CampaignCheckpoint, LocalTrials, TrialRecord, TrialSource,
 };
 pub use cold_ga::StopReason;
 pub use error::ColdError;

@@ -169,7 +169,8 @@ pub fn join_abandoned_watchdog_threads() {
     }
 }
 
-/// Runs one cost trial; with a `deadline`, on a detached thread.
+/// Runs one cost trial, continuing the GA from `resume` when given;
+/// with a `deadline`, on a detached thread.
 ///
 /// Returns the trial's own result when it finishes in time, or
 /// [`ColdError::DeadlineExceeded`] when the deadline fires first — in
@@ -180,12 +181,13 @@ pub fn join_abandoned_watchdog_threads() {
 pub(crate) fn run_guarded(
     cfg: &ColdConfig,
     seed: u64,
+    resume: Option<cold_ga::GaCheckpoint>,
     deadline: Option<std::time::Duration>,
     progress: Option<ProgressSink>,
 ) -> Result<SynthesisResult, ColdError> {
     let cfg = *cfg;
     let run = move || {
-        let options = RunOptions { progress, ..RunOptions::default() };
+        let options = RunOptions { progress, resume, ..RunOptions::default() };
         cfg.run_trial(TrialSpec::new(seed, TrialObjective::Cost), options)
             .map(RunOutput::into_single)
     };
@@ -223,19 +225,11 @@ pub(crate) fn attempt_seed(master_seed: u64, trial: usize, attempt: usize) -> u6
     derive_seed(master, trial as u64)
 }
 
-/// Journals a failed trial attempt: `trial_deadline_exceeded` for an
-/// overrun, then `trial_failed` when `trial_failed` is set.
-pub(crate) fn journal_failed_attempt(
-    trial: usize,
-    attempt: usize,
-    seed: u64,
-    error: &ColdError,
-    trial_failed: bool,
-) {
-    if !cold_obs::is_enabled() {
-        return;
-    }
-    if let ColdError::DeadlineExceeded { seconds } = error {
+/// Journals `trial_deadline_exceeded` when a trial attempt failed by
+/// overrunning its deadline.
+pub(crate) fn journal_overrun(trial: usize, attempt: usize, seed: u64, error: &ColdError) {
+    let ColdError::DeadlineExceeded { seconds } = error else { return };
+    if cold_obs::is_enabled() {
         cold_obs::emit(&cold_obs::Event::TrialDeadlineExceeded(cold_obs::TrialDeadlineExceeded {
             trial,
             attempt,
@@ -243,7 +237,11 @@ pub(crate) fn journal_failed_attempt(
             seconds: *seconds,
         }));
     }
-    if trial_failed {
+}
+
+/// Journals `trial_failed` for a failed trial attempt.
+pub(crate) fn journal_trial_failed(trial: usize, attempt: usize, seed: u64, error: &ColdError) {
+    if cold_obs::is_enabled() {
         let error = error.to_string();
         cold_obs::emit(&cold_obs::Event::TrialFailed(cold_obs::TrialFailed {
             trial,
@@ -656,7 +654,7 @@ impl ColdConfig {
         deadline: Option<std::time::Duration>,
     ) -> EnsembleOutcome {
         self.ensemble_with_runner(master_seed, count, &move |cfg, seed, _trial, _attempt| {
-            run_guarded(cfg, seed, deadline, None)
+            run_guarded(cfg, seed, None, deadline, None)
         })
     }
 
@@ -719,7 +717,8 @@ impl ColdConfig {
                                     break;
                                 }
                                 Err(error) => {
-                                    journal_failed_attempt(i, attempt, seed, &error, true);
+                                    journal_overrun(i, attempt, seed, &error);
+                                    journal_trial_failed(i, attempt, seed, &error);
                                     tx.send(Message::Failed { trial: i, attempt, seed, error })
                                         .expect("result channel open");
                                 }

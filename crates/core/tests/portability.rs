@@ -8,8 +8,8 @@
 use cold::context::rng::derive_seed;
 use cold::ga::GaCheckpoint;
 use cold::{
-    run_campaign_controlled, CampaignControl, ColdConfig, ColdError, RunOptions, SynthesisResult,
-    TrialObjective, TrialSpec,
+    run_campaign, ColdConfig, ColdError, LocalTrials, RunOptions, SynthesisResult, TrialObjective,
+    TrialSpec,
 };
 use serde::Serialize as _;
 use serde_json::Value;
@@ -99,15 +99,15 @@ fn campaign_checkpoint_resumes_bit_identically_in_a_separate_process() {
 
     // Reference: uninterrupted campaign in this process.
     let ref_ckpt = temp_path("campaign-ref.ckpt.json");
-    let reference = run_campaign_controlled(
+    let reference = run_campaign(
         &config,
         master,
         count,
         count,
         &ref_ckpt,
         None,
+        &mut LocalTrials::default(),
         None,
-        CampaignControl::default(),
         |_, _| {},
     )
     .expect("reference campaign");
@@ -116,9 +116,9 @@ fn campaign_checkpoint_resumes_bit_identically_in_a_separate_process() {
     // one-trial checkpoint on disk — the stand-in for a dead process.
     let ckpt = temp_path("campaign.ckpt.json");
     let cancel = std::sync::atomic::AtomicBool::new(false);
-    let control = CampaignControl { cancel: Some(&cancel), ..CampaignControl::default() };
+    let source = &mut LocalTrials::default();
     let err =
-        run_campaign_controlled(&config, master, count, 1, &ckpt, None, None, control, |i, _| {
+        run_campaign(&config, master, count, 1, &ckpt, None, source, Some(&cancel), |i, _| {
             if i == 0 {
                 cancel.store(true, std::sync::atomic::Ordering::SeqCst);
             }

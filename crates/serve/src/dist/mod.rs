@@ -16,5 +16,5 @@ pub mod coordinator;
 pub mod proto;
 pub mod worker;
 
-pub use coordinator::{run_distributed_campaign, DistConfig, DistHandle, DistPool};
+pub use coordinator::{DistConfig, DistHandle, DistPool, PoolTrials};
 pub use worker::{run_worker, WorkerConfig};

@@ -279,14 +279,7 @@ fn run_lease(cfg: &WorkerConfig, grant: proto::LeaseGrant) {
             }
         }
         Ok(Err(e)) => e.to_string(),
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".into());
-            format!("trial panicked: {msg}")
-        }
+        Err(panic) => format!("trial panicked: {}", cold::error::panic_message(panic.as_ref())),
     };
     eprintln!(
         "[cold-serve] worker {} failed job {} trial {}: {error}",

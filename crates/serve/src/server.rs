@@ -11,23 +11,26 @@
 //!                                                        │ pop
 //!                                                        ▼
 //!                                              [synthesis workers ×N]
-//!                                   run_campaign_controlled (ckpt.json)
-//!                                                        │
+//!                                     run_campaign (ckpt.json) ◀── trials:
+//!                                                        │     LocalTrials, or
+//!                                                        │     PoolTrials (dist)
 //!                                                        ▼
 //!                                        ResultCache (result.json)
 //! ```
 //!
 //! HTTP threads only ever do cheap work (hashing, cache lookup, queue
-//! push); every synthesis runs on a worker through
-//! [`cold::run_campaign_controlled`] with `checkpoint_every = 1`, so the
-//! wall-clock deadline, stall detection, and salted-retry machinery all
-//! apply, and a drain (SIGTERM or `POST /admin/shutdown`) cancels at the
-//! next trial boundary with the completed prefix already checkpointed —
-//! a restarted server re-scans the cache directory and resumes.
+//! push); every standard job runs on a worker through
+//! [`cold::run_campaign`] with `checkpoint_every = 1`. Its trials come
+//! from [`cold::LocalTrials`] (with salted retries), or on a coordinator
+//! from the distributed pool's [`PoolTrials`] (with lease retries); the
+//! wall-clock deadline and stall detection apply either way, and a
+//! drain (SIGTERM or `POST /admin/shutdown`) cancels at the next trial
+//! boundary with the completed prefix already checkpointed — a
+//! restarted server re-scans the cache directory and resumes.
 
 use crate::acceptor;
 use crate::cache::ResultCache;
-use crate::dist::{self, DistConfig, DistPool};
+use crate::dist::{DistConfig, DistPool, PoolTrials};
 use crate::http::{
     read_request, write_sse_frame, write_sse_keepalive, write_stream_head, Request, Response,
 };
@@ -35,8 +38,8 @@ use crate::job::{JobEntry, JobMode, JobProgress, JobSpec, JobStatus};
 use crate::metrics::{self, names};
 use crate::queue::{BoundedQueue, QueueFull};
 use cold::{
-    CampaignCheckpoint, CampaignControl, ColdError, ProgressSink, RunOptions, TrialObjective,
-    TrialSpec,
+    CampaignCheckpoint, ColdError, LocalTrials, ProgressSink, RunOptions, TrialObjective,
+    TrialSource, TrialSpec,
 };
 use std::collections::HashMap;
 use std::io;
@@ -683,9 +686,9 @@ fn progress_sink(entry: &Arc<JobEntry>) -> ProgressSink {
 /// A result document and the number of trials behind it.
 type JobDoc = Result<(serde_json::Value, usize), ColdError>;
 
-/// A standard job: a checkpointed campaign of `count` trials, on the
-/// worker pool in coordinator mode (same seeds, same checkpoint file,
-/// same salted-retry semantics — see the dist module), else locally.
+/// A standard job: a checkpointed campaign of `count` trials, drawn
+/// from the worker pool in coordinator mode (same seeds, same checkpoint
+/// file — see the dist module), else run locally with salted retries.
 fn standard_doc(
     shared: &Shared,
     id: &str,
@@ -695,38 +698,25 @@ fn standard_doc(
     sink: ProgressSink,
 ) -> JobDoc {
     let spec = entry.spec;
-    let on_trial = |i: usize, _: &cold::SynthesisResult| {
-        entry.progress.lock().expect("job progress poisoned").trials_done = i + 1;
+    let (deadline, progress) = (shared.trial_deadline, Some(sink));
+    let mut source: Box<dyn TrialSource + '_> = match &shared.dist {
+        Some(pool) => {
+            let dir = ckpt_path.parent().map(std::path::Path::to_path_buf);
+            Box::new(PoolTrials::new(pool, id, dir, deadline, progress))
+        }
+        None => Box::new(LocalTrials { deadline, progress, retry_salted: true }),
     };
-    let results = match &shared.dist {
-        Some(pool) => dist::run_distributed_campaign(
-            pool,
-            id,
-            &spec.config,
-            spec.seed,
-            spec.count,
-            ckpt_path,
-            resume,
-            Some(sink),
-            &shared.shutdown,
-            on_trial,
-        ),
-        None => cold::run_campaign_controlled(
-            &spec.config,
-            spec.seed,
-            spec.count,
-            1, // checkpoint every trial: drains lose nothing
-            ckpt_path,
-            resume,
-            shared.trial_deadline,
-            CampaignControl {
-                progress: Some(sink),
-                cancel: Some(&shared.shutdown),
-                retry_salted: true,
-            },
-            on_trial,
-        ),
-    }?;
+    let results = cold::run_campaign(
+        &spec.config,
+        spec.seed,
+        spec.count,
+        1, // checkpoint every trial: drains lose nothing
+        ckpt_path,
+        resume,
+        source.as_mut(),
+        Some(&shared.shutdown),
+        |i, _| entry.progress.lock().expect("job progress poisoned").trials_done = i + 1,
+    )?;
     let report = cold::report::ensemble_report(&spec.config, &results, spec.seed);
     let topologies: Vec<serde_json::Value> = results
         .iter()

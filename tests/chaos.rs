@@ -14,7 +14,7 @@
 
 use cold::{
     join_abandoned_watchdog_threads, run_campaign, CampaignCheckpoint, ColdConfig, ColdError,
-    StopReason, SynthesisMode, RETRY_SALT,
+    LocalTrials, StopReason, SynthesisMode, RETRY_SALT,
 };
 use cold_context::rng::derive_seed;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -185,13 +185,17 @@ fn campaign_io_fault_aborts_resumably_and_resume_matches_uninterrupted() {
 
     // Uninterrupted reference, no faults.
     cold_fault::clear();
-    let full = run_campaign(&cfg, 13, 4, 1, &path, None, None, |_, _| {}).expect("clean run");
+    let full =
+        run_campaign(&cfg, 13, 4, 1, &path, None, &mut LocalTrials::default(), None, |_, _| {})
+            .expect("clean run");
     let _ = std::fs::remove_file(&path);
 
     // every=1, count=4 ⇒ snapshot writes after trials 1, 2, 3. The second
     // write fails ⇒ the campaign aborts with trial 0's snapshot on disk.
     cold_fault::configure("campaign.io_err:2", 13).expect("valid spec");
-    let err = run_campaign(&cfg, 13, 4, 1, &path, None, None, |_, _| {}).unwrap_err();
+    let err =
+        run_campaign(&cfg, 13, 4, 1, &path, None, &mut LocalTrials::default(), None, |_, _| {})
+            .unwrap_err();
     teardown();
 
     match &err {
@@ -206,8 +210,18 @@ fn campaign_io_fault_aborts_resumably_and_resume_matches_uninterrupted() {
     assert_eq!(snapshot.records.len(), 1, "exactly the pre-fault prefix is on disk");
 
     // Resume with faults cleared: bit-identical to the uninterrupted run.
-    let resumed =
-        run_campaign(&cfg, 13, 4, 1, &path, Some(snapshot), None, |_, _| {}).expect("resume");
+    let resumed = run_campaign(
+        &cfg,
+        13,
+        4,
+        1,
+        &path,
+        Some(snapshot),
+        &mut LocalTrials::default(),
+        None,
+        |_, _| {},
+    )
+    .expect("resume");
     assert_eq!(resumed.len(), full.len());
     for (x, y) in full.iter().zip(&resumed) {
         assert_eq!(x.network.topology, y.network.topology);

@@ -5,7 +5,7 @@
 //! abort, and checkpoint writes must leave an audit trail in the journal.
 
 use cold::report::outcome_report;
-use cold::{export, run_campaign, CampaignCheckpoint, ColdConfig};
+use cold::{export, run_campaign, CampaignCheckpoint, ColdConfig, LocalTrials};
 use cold_obs::{parse_journal, Event, TraceMode};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -30,7 +30,9 @@ fn interrupted_campaign_resume_is_bit_identical_end_to_end() {
     let _ = std::fs::remove_file(&ckpt);
 
     // Uninterrupted reference, capturing what a CLI run would export.
-    let full = run_campaign(&cfg, 21, 3, 1, &ckpt, None, None, |_, _| {}).expect("reference run");
+    let full =
+        run_campaign(&cfg, 21, 3, 1, &ckpt, None, &mut LocalTrials::default(), None, |_, _| {})
+            .expect("reference run");
     let reference: Vec<String> =
         full.iter().map(|r| export::to_json(&r.network, &r.context)).collect();
     let _ = std::fs::remove_file(&ckpt);
@@ -38,7 +40,7 @@ fn interrupted_campaign_resume_is_bit_identical_end_to_end() {
     // Crash mid-campaign: the hook dies on trial 1, after the snapshot
     // covering trials 0–1 hit the disk.
     let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_campaign(&cfg, 21, 3, 1, &ckpt, None, None, |i, _| {
+        run_campaign(&cfg, 21, 3, 1, &ckpt, None, &mut LocalTrials::default(), None, |i, _| {
             if i == 1 {
                 panic!("simulated kill");
             }
@@ -49,8 +51,18 @@ fn interrupted_campaign_resume_is_bit_identical_end_to_end() {
     // Resume from the snapshot and compare every exported artifact.
     let snapshot = CampaignCheckpoint::load(&ckpt).expect("valid snapshot on disk");
     assert!(!snapshot.records.is_empty() && snapshot.records.len() < 3, "partial snapshot");
-    let resumed =
-        run_campaign(&cfg, 21, 3, 1, &ckpt, Some(snapshot), None, |_, _| {}).expect("resumed run");
+    let resumed = run_campaign(
+        &cfg,
+        21,
+        3,
+        1,
+        &ckpt,
+        Some(snapshot),
+        &mut LocalTrials::default(),
+        None,
+        |_, _| {},
+    )
+    .expect("resumed run");
     assert_eq!(resumed.len(), full.len());
     for (i, (a, b)) in full.iter().zip(&resumed).enumerate() {
         assert_eq!(a.network.topology, b.network.topology, "trial {i} topology");
@@ -117,7 +129,8 @@ fn campaign_checkpoints_leave_a_journal_audit_trail() {
     let _ = std::fs::remove_file(&ckpt);
     cold_obs::configure(TraceMode::Journal(journal.clone())).expect("journal sink");
     let cfg = ColdConfig::quick(7, 4e-4, 10.0);
-    run_campaign(&cfg, 5, 3, 1, &ckpt, None, None, |_, _| {}).expect("campaign");
+    run_campaign(&cfg, 5, 3, 1, &ckpt, None, &mut LocalTrials::default(), None, |_, _| {})
+        .expect("campaign");
     cold_obs::configure(TraceMode::Off).expect("disable sink");
 
     let text = std::fs::read_to_string(&journal).expect("journal written");
