@@ -155,9 +155,10 @@ CRASH SAFETY:
 
 RUNTIME GUARDS:
     --trial-deadline <SECS> per-trial wall-clock deadline; an overrunning
-                            trial is abandoned by the watchdog. In an
-                            ensemble it is retried once on a salted seed;
-                            a campaign aborts with a resumable snapshot.
+                            trial is abandoned by the watchdog and retried
+                            once on a salted seed. A trial lost twice is
+                            dropped from an ensemble; a campaign aborts
+                            with a resumable snapshot.
                             Cannot be combined with --bridge-cost.
     --stall-gens <K>        terminate a GA run after K consecutive
                             generations without best-cost improvement
@@ -617,7 +618,7 @@ fn main() {
         // Deadline-guarded ensemble: an overrunning trial is abandoned,
         // retried once on a salted seed, and at worst lost — never a wedge.
         let deadline = std::time::Duration::from_secs_f64(secs);
-        let outcome = cfg.synthesize_ensemble_guarded(args.seed, args.count, Some(deadline));
+        let outcome = cfg.synthesize_ensemble(args.seed, args.count, Some(deadline));
         for (i, r) in &outcome.results {
             stalled |= r.stop_reason == cold::StopReason::Stalled;
             export_network(&args, *i, &r.network, &r.context, "");

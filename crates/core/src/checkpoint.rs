@@ -15,8 +15,7 @@
 
 use crate::error::ColdError;
 use crate::synthesizer::{
-    attempt_seed, journal_overrun, journal_trial_failed, run_guarded, ColdConfig, ProgressSink,
-    SynthesisResult,
+    retry_trial, run_attempt, AttemptOptions, ColdConfig, ProgressSink, SynthesisResult,
 };
 use cold_context::rng::derive_seed;
 use cold_cost::Network;
@@ -428,10 +427,14 @@ pub trait TrialSource {
     ) -> Result<Vec<(TrialRecord, SynthesisResult)>, ColdError>;
 }
 
-/// The local trial source: each trial is one [`run_attempt`] on the
-/// trial's seed, in the calling thread, with an optional retry on the
-/// salted seed. The default runs each trial once, unguarded and
-/// unobserved — the plain CLI campaign.
+/// The local trial source: each trial runs in the calling thread as one
+/// [`run_attempt`] on the trial's seed and, when that fails, once more on
+/// the salted seed `derive_seed(derive_seed(master_seed, RETRY_SALT),
+/// trial)` — the retry policy of [`ColdConfig::synthesize_ensemble`].
+/// Failed attempts are journaled as `trial_failed`; a retried trial's
+/// [`TrialRecord`] stores the salted seed, so its checkpoint resumes
+/// correctly. The default runs unguarded and unobserved — the plain CLI
+/// campaign.
 #[derive(Default)]
 pub struct LocalTrials {
     /// Per-attempt wall-clock deadline: an overrunning attempt is
@@ -442,13 +445,6 @@ pub struct LocalTrials {
     /// trial's GA run (see [`ProgressSink`]). Rebuilt trials report no
     /// generations — they never re-run the GA.
     pub progress: Option<ProgressSink>,
-    /// Retry each failed trial once on the salted seed
-    /// `derive_seed(derive_seed(master_seed, RETRY_SALT), trial)` — the
-    /// exact derivation [`ColdConfig::synthesize_ensemble`] uses — before
-    /// giving up. Failed attempts are journaled as `trial_failed`; the
-    /// retry's seed is recorded in the trial's [`TrialRecord`], so
-    /// checkpoints of retried campaigns resume correctly.
-    pub retry_salted: bool,
 }
 
 impl TrialSource for LocalTrials {
@@ -457,47 +453,16 @@ impl TrialSource for LocalTrials {
         campaign: &CampaignCheckpoint,
     ) -> Result<Vec<(TrialRecord, SynthesisResult)>, ColdError> {
         let trial = campaign.records.len();
-        let mut attempt = 1;
-        loop {
-            let seed = attempt_seed(campaign.master_seed, trial, attempt);
-            let progress = self.progress.clone();
-            match run_attempt(&campaign.config, trial, attempt, seed, None, self.deadline, progress)
-            {
-                Ok(r) => return Ok(vec![(TrialRecord::from_result(trial, seed, &r), r)]),
-                Err(e) => {
-                    if self.retry_salted {
-                        journal_trial_failed(trial, attempt, seed, &e);
-                    }
-                    if attempt == 2 || !self.retry_salted {
-                        return Err(e);
-                    }
-                    attempt += 1;
-                }
-            }
+        let (done, mut failures) = retry_trial(campaign.master_seed, trial, |seed, attempt| {
+            let (deadline, progress) = (self.deadline, self.progress.clone());
+            let options = AttemptOptions { deadline, progress, ..AttemptOptions::default() };
+            run_attempt(&campaign.config, trial, attempt, seed, options)
+        });
+        match done {
+            Some((seed, r)) => Ok(vec![(TrialRecord::from_result(trial, seed, &r), r)]),
+            None => Err(failures.pop().expect("a lost trial failed its last attempt").error),
         }
     }
-}
-
-/// One attempt at a campaign trial — the trial step of [`LocalTrials`],
-/// and of a distributed coordinator's inline fallback: a cost run of
-/// `config` on `seed`, continuing the GA from `resume` when given, under
-/// the wall-clock watchdog when `deadline` is set. An overrun is
-/// journaled as `trial_deadline_exceeded` for `(trial, attempt)`.
-///
-/// # Errors
-/// The run's [`ColdError`], [`ColdError::DeadlineExceeded`] for an
-/// overrun.
-pub fn run_attempt(
-    config: &ColdConfig,
-    trial: usize,
-    attempt: usize,
-    seed: u64,
-    resume: Option<cold_ga::GaCheckpoint>,
-    deadline: Option<std::time::Duration>,
-    progress: Option<ProgressSink>,
-) -> Result<SynthesisResult, ColdError> {
-    run_guarded(config, seed, resume, deadline, progress)
-        .inspect_err(|e| journal_overrun(trial, attempt, seed, e))
 }
 
 /// Runs (or resumes) a serial checkpointed campaign: `count` trials with

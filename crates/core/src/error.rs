@@ -18,8 +18,8 @@ pub enum ColdError {
     Config(String),
     /// The GA engine reported a typed failure.
     Ga(GaError),
-    /// A trial panicked (caught at the ensemble boundary); the payload is
-    /// the stringified panic message.
+    /// A trial panicked (contained by [`run_attempt`](crate::run_attempt));
+    /// the payload is the stringified panic message.
     TrialPanic(String),
     /// A checkpoint document was rejected (corrupt, wrong kind/version, or
     /// belonging to a different campaign).
@@ -27,8 +27,8 @@ pub enum ColdError {
     /// Reading or writing a checkpoint file failed.
     Io(std::io::Error),
     /// A trial overran its wall-clock deadline and was abandoned by the
-    /// watchdog (see `run_guarded`); the trial counts as lost after
-    /// its retry, exactly like a panic.
+    /// watchdog (see [`run_attempt`](crate::run_attempt)); the trial
+    /// counts as lost after its retry, exactly like a panic.
     DeadlineExceeded {
         /// The configured deadline, in seconds.
         seconds: f64,

@@ -192,11 +192,7 @@ pub fn evolve(
     let n_old = legacy_topology.n();
     let n = grown.n();
     assert!(n >= n_old, "grown context must contain the legacy PoPs");
-    // Embed legacy links into the grown node set.
-    let mut legacy = AdjacencyMatrix::empty(n);
-    for (u, v) in legacy_topology.edges() {
-        legacy.set_edge(u, v, true);
-    }
+    let legacy = crate::evolve::embed_parent(legacy_topology, n);
     // Naive-growth seed: legacy + nearest-attach for new PoPs.
     let mut naive = legacy.clone();
     for v in n_old..n {
@@ -283,13 +279,7 @@ mod tests {
         let obj = EvolutionObjective::new(
             &grown,
             cfg.params,
-            {
-                let mut l = AdjacencyMatrix::empty(10);
-                for (u, v) in legacy.edges() {
-                    l.set_edge(u, v, true);
-                }
-                l
-            },
+            crate::evolve::embed_parent(&legacy, 10),
             EvolutionConfig { legacy_cost_fraction: 1.0 },
         );
         let plain = ColdObjective::new(&grown, cfg.params);
@@ -300,10 +290,7 @@ mod tests {
     #[test]
     fn sunk_costs_make_legacy_links_cheaper() {
         let (cfg, _, legacy, grown) = quick_setup(8, 2, 5);
-        let mut embedded = AdjacencyMatrix::empty(10);
-        for (u, v) in legacy.edges() {
-            embedded.set_edge(u, v, true);
-        }
+        let embedded = crate::evolve::embed_parent(&legacy, 10);
         let obj = EvolutionObjective::new(
             &grown,
             cfg.params,
@@ -325,10 +312,7 @@ mod tests {
         // Regression: `EvolutionObjective` used to inherit the stateless
         // default session, so brown-field GA runs did full APSP per eval.
         let (cfg, _, legacy, grown) = quick_setup(8, 2, 8);
-        let mut embedded = AdjacencyMatrix::empty(10);
-        for (u, v) in legacy.edges() {
-            embedded.set_edge(u, v, true);
-        }
+        let embedded = crate::evolve::embed_parent(&legacy, 10);
         let obj = EvolutionObjective::new(
             &grown,
             cfg.params,

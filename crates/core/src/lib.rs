@@ -95,9 +95,7 @@ pub mod sweep;
 pub mod synthesizer;
 pub mod zoo;
 
-pub use checkpoint::{
-    run_attempt, run_campaign, CampaignCheckpoint, LocalTrials, TrialRecord, TrialSource,
-};
+pub use checkpoint::{run_campaign, CampaignCheckpoint, LocalTrials, TrialRecord, TrialSource};
 pub use cold_ga::StopReason;
 pub use error::ColdError;
 pub use evolve::{
@@ -111,9 +109,9 @@ pub use pareto::{
 };
 pub use stats::NetworkStats;
 pub use synthesizer::{
-    join_abandoned_watchdog_threads, ColdConfig, EnsembleOutcome, ProgressSink, RunOptions,
-    RunOutput, SynthesisMode, SynthesisResult, TrialFailure, TrialObjective, TrialRunner,
-    TrialSpec, RETRY_SALT,
+    join_abandoned_watchdog_threads, run_attempt, AttemptOptions, CheckpointSink, ColdConfig,
+    EnsembleOutcome, ProgressSink, RunOptions, RunOutput, SynthesisMode, SynthesisResult,
+    TrialFailure, TrialObjective, TrialRunner, TrialSpec, RETRY_SALT,
 };
 
 // Re-export the component crates so `cold` is a one-stop dependency.

@@ -255,7 +255,7 @@ mod tests {
     #[test]
     fn clean_outcome_report_has_no_failure_section() {
         let cfg = ColdConfig::quick(7, 1e-4, 10.0);
-        let outcome = cfg.synthesize_ensemble(9, 3);
+        let outcome = cfg.synthesize_ensemble(9, 3, None);
         assert!(outcome.is_complete());
         let md = outcome_report(&cfg, &outcome, 9);
         assert!(!md.contains("## Trial failures"));

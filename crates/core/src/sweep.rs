@@ -120,7 +120,7 @@ impl SweepPlan {
                 ..self.base
             };
             let point_seed = cold_context::rng::derive_seed(self.seed, i as u64);
-            let outcome = cfg.synthesize_ensemble(point_seed, self.trials);
+            let outcome = cfg.synthesize_ensemble(point_seed, self.trials, None);
             let lost_trials = outcome.lost_trials().len();
             let results: Vec<SynthesisResult> =
                 outcome.results.into_iter().map(|(_, r)| observe(r)).collect();

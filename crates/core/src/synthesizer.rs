@@ -144,7 +144,7 @@ impl cold_obs::GenerationObserver for RunTelemetry {
     }
 }
 
-/// Watchdog-abandoned trial threads. [`run_guarded`] detaches the
+/// Watchdog-abandoned trial threads. [`run_attempt`] detaches the
 /// worker when the deadline fires (a scoped thread would have to be
 /// joined, wedging the caller on the very hang it guards against); the
 /// handle lands here so tests can drain stragglers before the next case
@@ -160,36 +160,71 @@ static ABANDONED_WATCHDOGS: std::sync::Mutex<Vec<std::thread::JoinHandle<()>>> =
 /// case's one-shot fault triggers.
 #[doc(hidden)]
 pub fn join_abandoned_watchdog_threads() {
-    let handles: Vec<_> = {
-        let mut guard = ABANDONED_WATCHDOGS.lock().expect("watchdog registry lock");
-        guard.drain(..).collect()
-    };
+    let handles = std::mem::take(&mut *ABANDONED_WATCHDOGS.lock().expect("watchdog registry lock"));
     for h in handles {
         let _ = h.join();
     }
 }
 
-/// Runs one cost trial, continuing the GA from `resume` when given;
-/// with a `deadline`, on a detached thread.
+/// A GA snapshot sink that can cross the watchdog thread: an owned
+/// [`cold_ga::CheckpointHook`] sink.
+pub type CheckpointSink = Box<dyn FnMut(&cold_ga::GaCheckpoint) + Send>;
+
+/// The optional inputs of one [`run_attempt`]. None of them changes the
+/// result.
+#[derive(Default)]
+pub struct AttemptOptions {
+    /// Continue the GA from this snapshot.
+    pub resume: Option<cold_ga::GaCheckpoint>,
+    /// Wall-clock budget: the attempt runs on a watchdog thread and is
+    /// abandoned when it overruns.
+    pub deadline: Option<std::time::Duration>,
+    /// Live per-generation progress sink.
+    pub progress: Option<ProgressSink>,
+    /// `(every, sink)`: hand the sink a GA snapshot every `every`
+    /// generations.
+    pub checkpoint: Option<(usize, CheckpointSink)>,
+}
+
+/// Runs `f`, turning a panic into [`ColdError::TrialPanic`].
+fn contain<T>(f: impl FnOnce() -> Result<T, ColdError>) -> Result<T, ColdError> {
+    catch_unwind(AssertUnwindSafe(f))
+        .unwrap_or_else(|payload| Err(ColdError::TrialPanic(panic_message(payload.as_ref()))))
+}
+
+/// One attempt at a cost trial — the trial step of every ensemble,
+/// local campaign and distributed grant: `config` on `seed`, with the
+/// optional [`AttemptOptions`]. `(trial, attempt)` only label the
+/// journal.
 ///
-/// Returns the trial's own result when it finishes in time, or
-/// [`ColdError::DeadlineExceeded`] when the deadline fires first — in
-/// which case the worker thread is *abandoned* (registered in the
-/// straggler registry), not killed: Rust has no safe thread
-/// cancellation, so the guard's job is to keep the ensemble moving, not
-/// to reclaim the wedged thread.
-pub(crate) fn run_guarded(
-    cfg: &ColdConfig,
+/// A panic inside the attempt is contained. With a deadline the attempt
+/// runs on a detached thread; when the deadline fires first that thread
+/// is *abandoned* (registered in the straggler registry), not killed:
+/// Rust has no safe thread cancellation, so the watchdog's job is to
+/// keep the caller moving, not to reclaim the wedged thread. An overrun
+/// is journaled as `trial_deadline_exceeded`.
+///
+/// # Errors
+/// The run's [`ColdError`], [`ColdError::TrialPanic`] for a panic and
+/// [`ColdError::DeadlineExceeded`] for an overrun.
+pub fn run_attempt(
+    config: &ColdConfig,
+    trial: usize,
+    attempt: usize,
     seed: u64,
-    resume: Option<cold_ga::GaCheckpoint>,
-    deadline: Option<std::time::Duration>,
-    progress: Option<ProgressSink>,
+    options: AttemptOptions,
 ) -> Result<SynthesisResult, ColdError> {
-    let cfg = *cfg;
+    let AttemptOptions { resume, deadline, progress, mut checkpoint } = options;
+    let cfg = *config;
     let run = move || {
-        let options = RunOptions { progress, resume, ..RunOptions::default() };
-        cfg.run_trial(TrialSpec::new(seed, TrialObjective::Cost), options)
-            .map(RunOutput::into_single)
+        contain(|| {
+            let checkpoint = checkpoint
+                .as_mut()
+                .map(|(every, sink)| cold_ga::CheckpointHook { every: *every, sink: &mut **sink });
+            let options = RunOptions { progress, checkpoint, resume };
+            cfg.run_trial(TrialSpec::new(seed, TrialObjective::Cost), options)
+                .map(RunOutput::into_single)
+        })
     };
     let Some(deadline) = deadline else { return run() };
     let (tx, rx) = std::sync::mpsc::channel();
@@ -198,11 +233,9 @@ pub(crate) fn run_guarded(
     let trace_ctx = cold_obs::trace::current();
     let worker = std::thread::spawn(move || {
         let _trace = trace_ctx.map(cold_obs::trace::enter);
-        let outcome = catch_unwind(AssertUnwindSafe(run))
-            .unwrap_or_else(|payload| Err(ColdError::TrialPanic(panic_message(payload.as_ref()))));
         // The receiver is gone when the deadline already fired; the
         // result is then dropped with the thread.
-        let _ = tx.send(outcome);
+        let _ = tx.send(run());
     });
     match rx.recv_timeout(deadline) {
         Ok(outcome) => {
@@ -213,43 +246,51 @@ pub(crate) fn run_guarded(
             let mut guard = ABANDONED_WATCHDOGS.lock().expect("watchdog registry lock");
             guard.retain(|h| !h.is_finished());
             guard.push(worker);
-            Err(ColdError::DeadlineExceeded { seconds: deadline.as_secs_f64() })
+            let seconds = deadline.as_secs_f64();
+            if cold_obs::is_enabled() {
+                cold_obs::emit(&cold_obs::Event::TrialDeadlineExceeded(
+                    cold_obs::TrialDeadlineExceeded { trial, attempt, seed, seconds },
+                ));
+            }
+            Err(ColdError::DeadlineExceeded { seconds })
         }
     }
 }
 
-/// The seed of an ensemble or campaign trial's `attempt`: 1 is the
-/// first try, 2 the retry on the salted master seed.
-pub(crate) fn attempt_seed(master_seed: u64, trial: usize, attempt: usize) -> u64 {
-    let master = if attempt == 1 { master_seed } else { derive_seed(master_seed, RETRY_SALT) };
-    derive_seed(master, trial as u64)
-}
-
-/// Journals `trial_deadline_exceeded` when a trial attempt failed by
-/// overrunning its deadline.
-pub(crate) fn journal_overrun(trial: usize, attempt: usize, seed: u64, error: &ColdError) {
-    let ColdError::DeadlineExceeded { seconds } = error else { return };
-    if cold_obs::is_enabled() {
-        cold_obs::emit(&cold_obs::Event::TrialDeadlineExceeded(cold_obs::TrialDeadlineExceeded {
-            trial,
-            attempt,
-            seed,
-            seconds: *seconds,
-        }));
+/// The retry policy of every local trial, ensemble and campaign alike:
+/// `attempt(seed, 1)` on `derive_seed(master_seed, trial)` and, when
+/// that fails, `attempt(seed, 2)` on the salted seed
+/// `derive_seed(derive_seed(master_seed, RETRY_SALT), trial)`. Each
+/// failed attempt is journaled as `trial_failed`. Returns the seed and
+/// result of the attempt that succeeded, if one did, and every failed
+/// attempt in order.
+pub(crate) fn retry_trial(
+    master_seed: u64,
+    trial: usize,
+    mut attempt: impl FnMut(u64, usize) -> Result<SynthesisResult, ColdError>,
+) -> (Option<(u64, SynthesisResult)>, Vec<TrialFailure>) {
+    let mut failures: Vec<TrialFailure> = Vec::new();
+    for (n, master) in [(1, master_seed), (2, derive_seed(master_seed, RETRY_SALT))] {
+        let seed = derive_seed(master, trial as u64);
+        match attempt(seed, n) {
+            Ok(r) => {
+                failures.iter_mut().for_each(|f| f.recovered = true);
+                return (Some((seed, r)), failures);
+            }
+            Err(error) => {
+                if cold_obs::is_enabled() {
+                    cold_obs::emit(&cold_obs::Event::TrialFailed(cold_obs::TrialFailed {
+                        trial,
+                        attempt: n,
+                        seed,
+                        error: error.to_string(),
+                    }));
+                }
+                failures.push(TrialFailure { trial, attempt: n, seed, error, recovered: false });
+            }
+        }
     }
-}
-
-/// Journals `trial_failed` for a failed trial attempt.
-pub(crate) fn journal_trial_failed(trial: usize, attempt: usize, seed: u64, error: &ColdError) {
-    if cold_obs::is_enabled() {
-        let error = error.to_string();
-        cold_obs::emit(&cold_obs::Event::TrialFailed(cold_obs::TrialFailed {
-            trial,
-            attempt,
-            seed,
-            error,
-        }));
-    }
+    (None, failures)
 }
 
 /// How the GA's initial population is seeded.
@@ -616,45 +657,35 @@ impl ColdConfig {
     /// use [`synthesize_ensemble`](Self::synthesize_ensemble) to degrade
     /// gracefully to a partial ensemble instead.
     pub fn ensemble(&self, master_seed: u64, count: usize) -> Vec<SynthesisResult> {
-        let outcome = self.synthesize_ensemble(master_seed, count);
+        let outcome = self.synthesize_ensemble(master_seed, count, None);
         if let Some(f) = outcome.failures.iter().find(|f| !f.recovered) {
             panic!("ensemble trial {} failed after retry: {}", f.trial, f.error);
         }
         outcome.results.into_iter().map(|(_, r)| r).collect()
     }
 
-    /// Fault-tolerant [`ensemble`](Self::ensemble): a trial that fails —
-    /// a typed [`ColdError`] from [`try_synthesize`](Self::try_synthesize)
-    /// or an outright panic, caught at the worker boundary so the
-    /// crossbeam scope is never poisoned — is recorded, journaled as a
+    /// Fault-tolerant [`ensemble`](Self::ensemble), each trial one
+    /// [`run_attempt`] under an optional per-trial wall-clock `deadline`.
+    /// A trial that fails — a typed [`ColdError`], a contained panic, or
+    /// an overrun abandoned by the watchdog — is recorded, journaled as a
     /// `trial_failed` event, and retried once on a fresh salted seed.
     /// Trials whose retry also fails are dropped from the ensemble; the
     /// returned [`EnsembleOutcome`] carries the surviving results plus a
     /// failure table, so a 100-trial campaign with one bad trial yields
-    /// 99 networks and an audit trail instead of an abort.
+    /// 99 networks and an audit trail instead of an abort or a wedge.
     ///
     /// Successful trials are bit-identical to [`ensemble`](Self::ensemble)
     /// output: seeds derive the same way and retries never perturb other
     /// trials' streams.
-    pub fn synthesize_ensemble(&self, master_seed: u64, count: usize) -> EnsembleOutcome {
-        self.synthesize_ensemble_guarded(master_seed, count, None)
-    }
-
-    /// [`synthesize_ensemble`](Self::synthesize_ensemble) with an optional
-    /// per-trial wall-clock deadline. A trial that overruns is abandoned
-    /// by the watchdog and degrades into the
-    /// normal failure accounting — [`ColdError::DeadlineExceeded`] in the
-    /// failure table, a retry on the salted seed, and a lost trial if the
-    /// retry also overruns — instead of wedging the whole ensemble.
-    /// `deadline: None` is exactly [`Self::synthesize_ensemble`].
-    pub fn synthesize_ensemble_guarded(
+    pub fn synthesize_ensemble(
         &self,
         master_seed: u64,
         count: usize,
         deadline: Option<std::time::Duration>,
     ) -> EnsembleOutcome {
-        self.ensemble_with_runner(master_seed, count, &move |cfg, seed, _trial, _attempt| {
-            run_guarded(cfg, seed, None, deadline, None)
+        self.ensemble_with_runner(master_seed, count, &move |cfg, seed, trial, attempt| {
+            let options = AttemptOptions { deadline, ..AttemptOptions::default() };
+            run_attempt(cfg, trial, attempt, seed, options)
         })
     }
 
@@ -662,8 +693,7 @@ impl ColdConfig {
     /// injectable trial runner — the seam failure-injection tests (in this
     /// crate and downstream) use to make a chosen `(trial, attempt)` panic
     /// or error deterministically. The runner receives
-    /// `(config, seed, trial, attempt)` and the real pipeline is simply
-    /// `config.try_synthesize(seed)`.
+    /// `(config, seed, trial, attempt)`; the real one is [`run_attempt`].
     pub fn ensemble_with_runner(
         &self,
         master_seed: u64,
@@ -675,13 +705,7 @@ impl ColdConfig {
         let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
         let workers = workers.min(count).max(1);
         let next = std::sync::atomic::AtomicUsize::new(0);
-        enum Message {
-            // Boxed: a SynthesisResult is orders of magnitude larger than
-            // the failure record, and every message would pay its size.
-            Done(usize, Box<SynthesisResult>),
-            Failed { trial: usize, attempt: usize, seed: u64, error: ColdError },
-        }
-        let (tx, rx) = std::sync::mpsc::channel::<Message>();
+        let (tx, rx) = std::sync::mpsc::channel();
         // Snapshot the ensemble span's context so every worker thread
         // (and hence every trial span) nests under it.
         let trace_ctx = cold_obs::trace::current();
@@ -698,32 +722,13 @@ impl ColdConfig {
                         if i >= count {
                             break;
                         }
-                        for attempt in 1..=2usize {
-                            let seed = attempt_seed(master_seed, i, attempt);
-                            // The catch_unwind boundary keeps a panicking
-                            // objective (or any other bug inside one trial)
-                            // from unwinding into the crossbeam scope, which
-                            // would re-raise and poison the whole ensemble.
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                run_trial(serial, seed, i, attempt)
-                            }))
-                            .unwrap_or_else(|payload| {
-                                Err(ColdError::TrialPanic(panic_message(payload.as_ref())))
-                            });
-                            match outcome {
-                                Ok(r) => {
-                                    tx.send(Message::Done(i, Box::new(r)))
-                                        .expect("result channel open");
-                                    break;
-                                }
-                                Err(error) => {
-                                    journal_overrun(i, attempt, seed, &error);
-                                    journal_trial_failed(i, attempt, seed, &error);
-                                    tx.send(Message::Failed { trial: i, attempt, seed, error })
-                                        .expect("result channel open");
-                                }
-                            }
-                        }
+                        // Contained: a panicking injected runner must not
+                        // unwind into the crossbeam scope, which would
+                        // re-raise and poison the whole ensemble.
+                        let (done, failures) = retry_trial(master_seed, i, |seed, attempt| {
+                            contain(|| run_trial(serial, seed, i, attempt))
+                        });
+                        tx.send((i, done, failures)).expect("result channel open");
                     }
                 });
             }
@@ -732,19 +737,11 @@ impl ColdConfig {
         drop(tx);
         let mut results: Vec<(usize, SynthesisResult)> = Vec::new();
         let mut failures: Vec<TrialFailure> = Vec::new();
-        for msg in rx {
-            match msg {
-                Message::Done(i, r) => results.push((i, *r)),
-                Message::Failed { trial, attempt, seed, error } => {
-                    failures.push(TrialFailure { trial, attempt, seed, error, recovered: false })
-                }
-            }
+        for (i, done, failed) in rx {
+            results.extend(done.map(|(_, r)| (i, r)));
+            failures.extend(failed);
         }
         results.sort_by_key(|(i, _)| *i);
-        let completed: std::collections::HashSet<usize> = results.iter().map(|(i, _)| *i).collect();
-        for f in &mut failures {
-            f.recovered = completed.contains(&f.trial);
-        }
         failures.sort_by_key(|f| (f.trial, f.attempt));
         EnsembleOutcome { total: count, results, failures }
     }
@@ -753,7 +750,7 @@ impl ColdConfig {
 /// A single-trial runner injected into
 /// [`ensemble_with_runner`](ColdConfig::ensemble_with_runner): receives
 /// `(config, seed, trial, attempt)` and produces one synthesis result. The
-/// production runner is `config.try_synthesize(seed)`; tests substitute
+/// production runner is [`run_attempt`]; tests substitute
 /// runners that panic or error on a chosen `(trial, attempt)`.
 pub type TrialRunner =
     dyn Fn(&ColdConfig, u64, usize, usize) -> Result<SynthesisResult, ColdError> + Sync;
@@ -981,7 +978,7 @@ mod tests {
     fn resilient_ensemble_matches_plain_ensemble_when_nothing_fails() {
         let cfg = ColdConfig::quick(8, 1e-4, 10.0);
         let plain = cfg.ensemble(9, 3);
-        let outcome = cfg.synthesize_ensemble(9, 3);
+        let outcome = cfg.synthesize_ensemble(9, 3, None);
         assert!(outcome.is_complete() && outcome.failures.is_empty());
         for ((i, a), b) in outcome.results.iter().zip(&plain) {
             assert_eq!(a.network.topology, b.network.topology, "trial {i}");

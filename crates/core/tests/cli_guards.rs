@@ -56,58 +56,75 @@ fn help_documents_the_exit_code_table() {
     assert!(text.contains("COLD_FAULTS"), "help must mention the env var form");
 }
 
+/// The deadline-guarded runs: a plain ensemble, and a checkpointed
+/// campaign (same retry policy, same exit codes).
+const DEADLINE_MODES: [(&str, &[&str]); 2] =
+    [("ensemble", &[]), ("campaign", &["--checkpoint-every", "1"])];
+
 #[test]
 fn unrecovered_deadline_overrun_exits_4() {
-    let dir = temp_dir("deadline");
-    let out = run(&[
-        "--quick",
-        "--n",
-        "8",
-        "--seed",
-        "5",
-        "--count",
-        "1",
-        "--quiet",
-        "--out",
-        dir.to_str().unwrap(),
-        "--trial-deadline",
-        "0.2",
-        "--faults",
-        "trial.hang:p=1.0",
-    ]);
-    assert_eq!(out.status.code(), Some(4), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("deadline"), "stderr must say why: {err}");
-    let _ = std::fs::remove_dir_all(&dir);
+    for (mode, extra) in DEADLINE_MODES {
+        let dir = temp_dir(&format!("deadline-{mode}"));
+        let out = run(&[
+            &[
+                "--quick",
+                "--n",
+                "8",
+                "--seed",
+                "5",
+                "--count",
+                "1",
+                "--quiet",
+                "--out",
+                dir.to_str().unwrap(),
+                "--trial-deadline",
+                "0.2",
+                "--faults",
+                "trial.hang:p=1.0",
+            ],
+            extra,
+        ]
+        .concat());
+        assert_eq!(out.status.code(), Some(4), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("deadline"), "stderr must say why: {err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
 fn one_shot_hang_is_absorbed_and_exits_0() {
-    let dir = temp_dir("deadline-recovered");
-    let out = run(&[
-        "--quick",
-        "--n",
-        "8",
-        "--seed",
-        "5",
-        "--count",
-        "1",
-        "--quiet",
-        "--out",
-        dir.to_str().unwrap(),
-        "--trial-deadline",
-        "0.2",
-        "--faults",
-        "trial.hang:1",
-    ]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "retry must absorb the one-shot hang; stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert_eq!(exports(&dir).len(), 1, "the recovered trial must still be exported");
-    let _ = std::fs::remove_dir_all(&dir);
+    for (mode, extra) in DEADLINE_MODES {
+        let dir = temp_dir(&format!("deadline-recovered-{mode}"));
+        let out = run(&[
+            &[
+                "--quick",
+                "--n",
+                "8",
+                "--seed",
+                "5",
+                "--count",
+                "1",
+                "--quiet",
+                "--out",
+                dir.to_str().unwrap(),
+                "--trial-deadline",
+                "0.2",
+                "--faults",
+                "trial.hang:1",
+            ],
+            extra,
+        ]
+        .concat());
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "retry must absorb the one-shot hang; stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(exports(&dir).len(), 1, "the recovered trial must still be exported");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //!
 //! | site                      | instrumented in | effect when fired |
 //! |---------------------------|-----------------|-------------------|
-//! | `eval.panic`              | `cold-cost::evaluate_total` | panics (caught at the ensemble worker boundary) |
+//! | `eval.panic`              | `cold-cost::evaluate_total` | panics (contained by `cold::run_attempt`, so the trial is retried) |
 //! | `eval.nan`                | `cold-cost::evaluate_total` | returns `NaN` (rejected by the GA's finiteness boundary) |
 //! | `eval.slow`               | `cold-cost::evaluate_total` | sleeps, simulating a pathological evaluation |
 //! | `ga.checkpoint_write_err` | `cold-ga::GaCheckpoint::save` | fails the snapshot write with `GaError::Checkpoint` |

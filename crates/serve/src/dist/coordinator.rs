@@ -23,19 +23,21 @@
 //!   bit-identically instead of restarting from generation 0.
 //!
 //! A job's campaign is [`cold::run_campaign`] drawing its trials from a
-//! [`PoolTrials`] source. When no workers are registered (none ever
-//! joined, or all died) that source degrades gracefully by leasing the
-//! job's pending trials to the coordinator itself and running each as
-//! one [`cold::run_attempt`] — under the server's trial deadline, with
-//! the migrated GA snapshot as resume — so a job never hangs on an
-//! empty pool.
+//! [`PoolTrials`] source. Every grant carries the server's trial
+//! deadline. When no workers are registered (none ever joined, or all
+//! died) that source degrades gracefully by leasing the job's pending
+//! trials to the coordinator itself and running each grant through the
+//! workers' own trial step, `run_grant` — one [`cold::run_attempt`]
+//! under the grant's deadline, with the migrated GA snapshot as resume —
+//! so a job never hangs on an empty pool.
 
 use crate::acceptor;
 use crate::dist::proto::{self, LeaseGrant, Msg};
+use crate::dist::worker::run_grant;
 use crate::metrics::names;
 use cold::context::rng::derive_seed;
 use cold::{
-    fingerprint_hex, value_fingerprint, CampaignCheckpoint, ColdConfig, ColdError, ProgressSink,
+    fingerprint_hex, value_fingerprint, CampaignCheckpoint, ColdError, ProgressSink,
     SynthesisResult, TrialRecord, TrialSource, RETRY_SALT,
 };
 use serde::Serialize;
@@ -134,6 +136,8 @@ struct JobShard {
     /// Job cache directory, for best-effort durable copies of uploaded
     /// GA snapshots (`trial-<i>.ga.json`).
     dir: Option<PathBuf>,
+    /// Per-attempt wall-clock deadline every grant of the job carries.
+    trial_deadline: Option<Duration>,
     pending: VecDeque<PendingTrial>,
     /// Completed records not yet drained by the campaign loop.
     completed: HashMap<usize, TrialRecord>,
@@ -412,6 +416,7 @@ impl DistPool {
             attempt: p.attempt,
             config: shard.config_value.clone(),
             deadline_ms: self.cfg.lease_deadline.as_millis() as u64,
+            trial_deadline_ms: shard.trial_deadline.map(|d| d.as_millis() as u64),
             ckpt_every: self.cfg.ckpt_every,
             trace_id: shard
                 .trace
@@ -714,21 +719,20 @@ impl DistPool {
         }
     }
 
+    /// Queues `campaign`'s trials after its completed prefix as job `id`.
     fn register_job(
         &self,
         id: &str,
-        config: &ColdConfig,
-        master_seed: u64,
-        count: usize,
-        from: usize,
+        campaign: &CampaignCheckpoint,
         dir: Option<PathBuf>,
+        trial_deadline: Option<Duration>,
     ) {
         let now = Instant::now();
         let mut pending = VecDeque::new();
-        for i in from..count {
+        for i in campaign.records.len()..campaign.count {
             pending.push_back(PendingTrial {
                 trial: i,
-                seed: derive_seed(master_seed, i as u64),
+                seed: derive_seed(campaign.master_seed, i as u64),
                 salted: false,
                 attempt: 1,
                 eligible_at: now,
@@ -738,10 +742,11 @@ impl DistPool {
             });
         }
         let shard = JobShard {
-            config_value: config.to_json_value(),
-            master_seed,
+            config_value: campaign.config.to_json_value(),
+            master_seed: campaign.master_seed,
             trace: cold_obs::trace::current(),
             dir,
+            trial_deadline,
             pending,
             completed: HashMap::new(),
             done: HashSet::new(),
@@ -835,8 +840,9 @@ pub struct PoolTrials<'a> {
 
 impl<'a> PoolTrials<'a> {
     /// A source for job `id` that keeps durable copies of uploaded GA
-    /// snapshots in `dir`. `deadline` and `progress` apply to the trials
-    /// the coordinator runs inline.
+    /// snapshots in `dir`. `deadline` bounds every attempt, remote or
+    /// inline; `progress` observes the trials the coordinator runs
+    /// inline.
     pub fn new(
         pool: &'a DistPool,
         id: &'a str,
@@ -853,33 +859,16 @@ impl TrialSource for PoolTrials<'_> {
         &mut self,
         campaign: &CampaignCheckpoint,
     ) -> Result<Vec<(TrialRecord, SynthesisResult)>, ColdError> {
-        let config = &campaign.config;
         if !self.registered {
-            let (seed, count, from) =
-                (campaign.master_seed, campaign.count, campaign.records.len());
-            self.pool.register_job(self.id, config, seed, count, from, self.dir.take());
+            self.pool.register_job(self.id, campaign, self.dir.take(), self.deadline);
             self.registered = true;
         }
-        let inline = |grant: &LeaseGrant| {
-            let resume =
-                grant.snapshot.as_ref().and_then(|s| cold::ga::GaCheckpoint::from_value(s).ok());
-            let progress = self.progress.clone();
-            cold::run_attempt(
-                config,
-                grant.trial,
-                grant.attempt,
-                grant.seed,
-                resume,
-                self.deadline,
-                progress,
-            )
-            .map(|r| TrialRecord::from_result(grant.trial, grant.seed, &r))
-        };
+        let inline = |grant: &LeaseGrant| run_grant(grant, self.progress.clone(), None);
         match self.pool.next_step(self.id, campaign.records.len(), inline) {
             Step::Extended(recs) => recs
                 .into_iter()
                 .map(|rec| {
-                    let r = rec.rebuild(config)?;
+                    let r = rec.rebuild(&campaign.config)?;
                     Ok((rec, r))
                 })
                 .collect(),
@@ -900,7 +889,7 @@ impl Drop for PoolTrials<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cold::{LocalTrials, RunOptions, TrialObjective, TrialSpec};
+    use cold::{ColdConfig, LocalTrials, RunOptions, TrialObjective, TrialSpec};
 
     fn quick_cfg() -> ColdConfig {
         ColdConfig::quick(8, 1e-4, 10.0)
@@ -908,6 +897,13 @@ mod tests {
 
     fn test_pool(cfg: DistConfig) -> Arc<DistPool> {
         DistPool::new(cfg, Arc::new(AtomicBool::new(false)))
+    }
+
+    /// Registers job `id`: one trial of `quick_cfg()` on `master_seed`.
+    fn register(pool: &DistPool, id: &str, master_seed: u64) {
+        let campaign =
+            CampaignCheckpoint { config: quick_cfg(), master_seed, count: 1, records: Vec::new() };
+        pool.register_job(id, &campaign, None, None);
     }
 
     fn granted(msg: Msg) -> LeaseGrant {
@@ -938,7 +934,7 @@ mod tests {
     fn lease_lifecycle_grant_complete_deduplicate() {
         let pool = test_pool(DistConfig::default());
         let cfg = quick_cfg();
-        pool.register_job("job-a", &cfg, 42, 1, 0, None);
+        register(&pool, "job-a", 42);
         assert_eq!(pool.dispatch(Msg::Hello { worker: "w1".into() }), Msg::HelloOk);
         let grant = granted(pool.dispatch(Msg::LeaseRequest { worker: "w1".into() }));
         assert_eq!(grant.trial, 0);
@@ -979,8 +975,7 @@ mod tests {
             ..DistConfig::default()
         };
         let pool = test_pool(dcfg);
-        let cfg = quick_cfg();
-        pool.register_job("job-a", &cfg, 7, 1, 0, None);
+        register(&pool, "job-a", 7);
         pool.dispatch(Msg::Hello { worker: "w1".into() });
         let first = granted(pool.dispatch(Msg::LeaseRequest { worker: "w1".into() }));
         pool.tick(); // deadline 0 => immediately expired
@@ -1002,8 +997,7 @@ mod tests {
             ..DistConfig::default()
         };
         let pool = test_pool(dcfg);
-        let cfg = quick_cfg();
-        pool.register_job("job-a", &cfg, 7, 1, 0, None);
+        register(&pool, "job-a", 7);
         pool.dispatch(Msg::Hello { worker: "w1".into() });
         let _ = granted(pool.dispatch(Msg::LeaseRequest { worker: "w1".into() }));
         std::thread::sleep(Duration::from_millis(5));
@@ -1034,9 +1028,8 @@ mod tests {
             ..DistConfig::default()
         };
         let pool = test_pool(dcfg);
-        let cfg = quick_cfg();
         let master = 42u64;
-        pool.register_job("job-a", &cfg, master, 1, 0, None);
+        register(&pool, "job-a", master);
         pool.dispatch(Msg::Hello { worker: "w1".into() });
         let first = granted(pool.dispatch(Msg::LeaseRequest { worker: "w1".into() }));
         assert_eq!(first.seed, derive_seed(master, 0));
@@ -1060,7 +1053,7 @@ mod tests {
         };
         let pool = test_pool(dcfg);
         let cfg = quick_cfg();
-        pool.register_job("job-a", &cfg, 7, 1, 0, None);
+        register(&pool, "job-a", 7);
         pool.dispatch(Msg::Hello { worker: "w1".into() });
         let grant = granted(pool.dispatch(Msg::LeaseRequest { worker: "w1".into() }));
         // Produce a genuine mid-run snapshot by running the trial with a

@@ -77,6 +77,8 @@ pub fn read_frame<R: Read>(stream: &mut R) -> io::Result<Msg> {
 /// needs no other state to execute it. `deadline_ms` tells the worker
 /// how long the coordinator will wait before reclaiming the lease;
 /// workers treat it as advisory (the coordinator enforces it).
+/// `trial_deadline_ms` is the job's own trial deadline, which the worker
+/// enforces with the same watchdog as a local trial.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeaseGrant {
     /// Lease id: 16-hex fingerprint of `{job, trial, seed, attempt}`.
@@ -93,6 +95,9 @@ pub struct LeaseGrant {
     pub config: Value,
     /// Lease deadline in milliseconds (advisory for the worker).
     pub deadline_ms: u64,
+    /// Per-attempt wall-clock deadline in milliseconds (`cold-serve
+    /// --deadline`); `None` (`null` on the wire) runs unguarded.
+    pub trial_deadline_ms: Option<u64>,
     /// Upload a `GaCheckpoint` every this many generations.
     pub ckpt_every: usize,
     /// Trace id of the owning job, so worker-side spans join the same
@@ -115,6 +120,7 @@ impl LeaseGrant {
             "attempt": self.attempt,
             "config": self.config,
             "deadline_ms": self.deadline_ms,
+            "trial_deadline_ms": self.trial_deadline_ms,
             "ckpt_every": self.ckpt_every,
             "trace_id": self.trace_id,
             "snapshot": match &self.snapshot {
@@ -133,6 +139,7 @@ impl LeaseGrant {
             attempt: usize_field(v, "attempt")?,
             config: v.get("config").cloned().ok_or("lease_grant: `config` missing")?,
             deadline_ms: u64_field(v, "deadline_ms")?,
+            trial_deadline_ms: v.get("trial_deadline_ms").and_then(Value::as_u64),
             ckpt_every: usize_field(v, "ckpt_every")?,
             trace_id: str_field(v, "trace_id")?,
             snapshot: match v.get("snapshot") {
@@ -386,6 +393,7 @@ mod tests {
             attempt: 3,
             config: json!({"n": 12}),
             deadline_ms: 120_000,
+            trial_deadline_ms: Some(500),
             ckpt_every: 5,
             trace_id: "ab12cd34ef56ab78".into(),
             snapshot: Some(json!({"generation": 7})),
@@ -427,6 +435,7 @@ mod tests {
             attempt: 1,
             config: json!({}),
             deadline_ms: 1000,
+            trial_deadline_ms: None,
             ckpt_every: 5,
             trace_id: "ab12cd34ef56ab78".into(),
             snapshot: None,

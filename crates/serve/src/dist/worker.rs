@@ -2,11 +2,16 @@
 //!
 //! A worker is deliberately stateless: it registers with the
 //! coordinator, then loops pulling one lease at a time, running the
-//! trial, and uploading the result. Everything that matters for
-//! recovery lives on the coordinator — if a worker dies mid-trial
-//! (crash, SIGKILL, network partition) the coordinator notices via the
-//! missed heartbeats, requeues the lease, and the next holder resumes
-//! from the last uploaded GA snapshot.
+//! trial, and uploading the result. The trial runs through
+//! `run_grant` — one [`cold::run_attempt`], the step every local trial
+//! and the coordinator's inline fallback run too — so a panic is
+//! contained and the job's trial deadline (`cold-serve --deadline`,
+//! shipped in the grant) is enforced here; either comes back to the
+//! coordinator as a `trial_error`, which requeues the trial at once.
+//! Everything that matters for recovery lives on the coordinator — if a
+//! worker dies mid-trial (crash, SIGKILL, network partition) the
+//! coordinator notices via the missed heartbeats, requeues the lease,
+//! and the next holder resumes from the last uploaded GA snapshot.
 //!
 //! Fault sites wired through this module:
 //!
@@ -18,10 +23,11 @@
 //! * `dist.heartbeat_miss` — skips one heartbeat, exercising eviction
 //!   tolerance.
 
-use crate::dist::proto::{self, Msg};
+use crate::dist::proto::{self, LeaseGrant, Msg};
+use cold::ga::GaCheckpoint;
 use cold::{
-    fingerprint_hex, value_fingerprint, ColdConfig, RunOptions, RunOutput, TrialObjective,
-    TrialRecord, TrialSpec,
+    fingerprint_hex, value_fingerprint, AttemptOptions, CheckpointSink, ColdConfig, ColdError,
+    ProgressSink, TrialRecord,
 };
 use serde::Deserialize;
 use serde_json::json;
@@ -91,9 +97,12 @@ fn exchange_retry(addr: &str, msg: &Msg, attempts: usize) -> io::Result<Msg> {
     Err(last.unwrap_or_else(|| io::Error::other("exchange failed")))
 }
 
-fn crash_if_armed(site: &str) -> ! {
-    eprintln!("[cold-serve] worker aborting: injected fault {site}");
-    std::process::abort();
+/// Aborts the process when the fault `site` is armed and fires.
+fn crash_if_armed(site: &str) {
+    if cold_fault::armed() && cold_fault::should_fire(site) {
+        eprintln!("[cold-serve] worker aborting: injected fault {site}");
+        std::process::abort();
+    }
 }
 
 /// Runs the worker loop until the coordinator drains it or `shutdown`
@@ -196,66 +205,64 @@ pub fn run_worker(cfg: &WorkerConfig, shutdown: &AtomicBool) -> io::Result<()> {
     outcome
 }
 
-/// Executes one granted trial: resume from the shipped snapshot if any,
-/// upload periodic GA checkpoints, then upload the result (idempotent,
-/// retried).
-fn run_lease(cfg: &WorkerConfig, grant: proto::LeaseGrant) {
+/// Runs a granted trial — the trial step of remote workers and of the
+/// coordinator's inline fallback alike: one [`cold::run_attempt`] of the
+/// shipped config on the grant's seed, resumed from the shipped GA
+/// snapshot, under the grant's trial deadline, handing a snapshot to
+/// `checkpoint` every `ckpt_every` generations.
+///
+/// # Errors
+/// [`ColdError::Config`] for an unparseable config, else the attempt's
+/// error.
+pub(crate) fn run_grant(
+    grant: &LeaseGrant,
+    progress: Option<ProgressSink>,
+    checkpoint: Option<CheckpointSink>,
+) -> Result<TrialRecord, ColdError> {
+    let config = ColdConfig::from_json_value(&grant.config)
+        .ok_or_else(|| ColdError::Config("grant carried an unparseable config".into()))?;
+    let options = AttemptOptions {
+        resume: grant.snapshot.as_ref().and_then(|s| GaCheckpoint::from_value(s).ok()),
+        deadline: grant.trial_deadline_ms.map(Duration::from_millis),
+        progress,
+        checkpoint: checkpoint.map(|sink| (grant.ckpt_every.max(1), sink)),
+    };
+    cold::run_attempt(&config, grant.trial, grant.attempt, grant.seed, options)
+        .map(|r| TrialRecord::from_result(grant.trial, grant.seed, &r))
+}
+
+/// Executes one granted trial through `run_grant`, uploading periodic
+/// GA checkpoints, then uploads the result (idempotent, retried) or
+/// reports the failure.
+fn run_lease(cfg: &WorkerConfig, grant: LeaseGrant) {
     // Re-anchor this trial's spans (and its GA generation events) under
     // the owning job's distributed trace.
     let _scope = cold_obs::trace::root("dist.lease", &grant.trace_id);
-    if cold_fault::armed() && cold_fault::should_fire("dist.worker_crash") {
-        crash_if_armed("dist.worker_crash");
-    }
-    let Some(job_config) = ColdConfig::from_json_value(&grant.config) else {
-        let _ = exchange(
-            &cfg.coordinator,
-            &Msg::TrialError {
-                worker: cfg.name.clone(),
-                lease: grant.lease.clone(),
-                error: "grant carried an unparseable config".into(),
-            },
-        );
-        return;
-    };
-    let resume = grant.snapshot.as_ref().and_then(|s| cold::ga::GaCheckpoint::from_value(s).ok());
-    if let Some(r) = &resume {
+    crash_if_armed("dist.worker_crash");
+    if let Some(generation) = grant.snapshot.as_ref().and_then(|s| s["generation"].as_u64()) {
         eprintln!(
-            "[cold-serve] worker {} resuming job {} trial {} from generation {}",
-            cfg.name, grant.job, grant.trial, r.generation
+            "[cold-serve] worker {} resuming job {} trial {} from generation {generation}",
+            cfg.name, grant.job, grant.trial
         );
     }
 
-    let addr = cfg.coordinator.clone();
-    let name = cfg.name.clone();
-    let lease_id = grant.lease.clone();
-    let mut upload_snapshot = |ckpt: &cold::ga::GaCheckpoint| {
+    let (addr, name, lease) = (cfg.coordinator.clone(), cfg.name.clone(), grant.lease.clone());
+    let upload_snapshot = move |ckpt: &GaCheckpoint| {
         let _ = exchange(
             &addr,
             &Msg::TrialCheckpoint {
                 worker: name.clone(),
-                lease: lease_id.clone(),
+                lease: lease.clone(),
                 snapshot: ckpt.to_value(),
             },
         );
         // Crash *after* the upload: the injected stand-in for a worker
         // SIGKILLed mid-GA with a snapshot already safely off-box —
         // the migrated trial must resume from it, not from scratch.
-        if cold_fault::armed() && cold_fault::should_fire("dist.worker_crash") {
-            crash_if_armed("dist.worker_crash");
-        }
+        crash_if_armed("dist.worker_crash");
     };
-    let checkpoint =
-        cold::ga::CheckpointHook { every: grant.ckpt_every.max(1), sink: &mut upload_snapshot };
-    let options = RunOptions { checkpoint: Some(checkpoint), resume, ..RunOptions::default() };
-
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        job_config
-            .run_trial(TrialSpec::new(grant.seed, TrialObjective::Cost), options)
-            .map(RunOutput::into_single)
-    }));
-    let error = match outcome {
-        Ok(Ok(result)) => {
-            let record = TrialRecord::from_result(grant.trial, grant.seed, &result);
+    let error = match run_grant(&grant, None, Some(Box::new(upload_snapshot))) {
+        Ok(record) => {
             let upload = Msg::TrialResult {
                 worker: cfg.name.clone(),
                 lease: grant.lease.clone(),
@@ -278,16 +285,15 @@ fn run_lease(cfg: &WorkerConfig, grant: proto::LeaseGrant) {
                 Err(e) => format!("result upload failed: {e}"),
             }
         }
-        Ok(Err(e)) => e.to_string(),
-        Err(panic) => format!("trial panicked: {}", cold::error::panic_message(panic.as_ref())),
+        Err(e) => e.to_string(),
     };
     eprintln!(
         "[cold-serve] worker {} failed job {} trial {}: {error}",
         cfg.name, grant.job, grant.trial
     );
-    // Deterministic failure: tell the coordinator now instead of
-    // letting the lease run out its deadline. Best-effort — if this is
-    // lost, the deadline path covers it.
+    // A failed attempt (an overrun included): tell the coordinator now
+    // instead of letting the lease run out its deadline. Best-effort —
+    // if this is lost, the deadline path covers it.
     let _ = exchange(
         &cfg.coordinator,
         &Msg::TrialError { worker: cfg.name.clone(), lease: grant.lease, error },

@@ -704,7 +704,7 @@ fn standard_doc(
             let dir = ckpt_path.parent().map(std::path::Path::to_path_buf);
             Box::new(PoolTrials::new(pool, id, dir, deadline, progress))
         }
-        None => Box::new(LocalTrials { deadline, progress, retry_salted: true }),
+        None => Box::new(LocalTrials { deadline, progress }),
     };
     let results = cold::run_campaign(
         &spec.config,

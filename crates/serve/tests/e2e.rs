@@ -5,12 +5,14 @@
 //! serialize on one mutex and reset that state up front.
 
 use cold::ColdConfig;
+use cold_serve::dist::run_worker;
 use cold_serve::http::client_request;
-use cold_serve::{DistConfig, Server, ServerConfig, ServerHandle};
+use cold_serve::{DistConfig, Server, ServerConfig, ServerHandle, WorkerConfig};
 use serde::Serialize as _;
 use serde_json::Value;
 use std::path::PathBuf;
-use std::sync::{mpsc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 fn global_lock() -> MutexGuard<'static, ()> {
@@ -830,10 +832,43 @@ fn lone_coordinator() -> Option<DistConfig> {
     Some(DistConfig { local_fallback_grace: Duration::ZERO, ..DistConfig::default() })
 }
 
+/// Starts an in-process remote worker on `handle`'s pool and waits until
+/// the coordinator has registered it. Set the flag to stop it.
+fn start_worker(
+    handle: &ServerHandle,
+    addr: &str,
+) -> (Arc<AtomicBool>, std::thread::JoinHandle<std::io::Result<()>>) {
+    let cfg = WorkerConfig {
+        coordinator: handle.dist_addr().expect("dist listener").to_string(),
+        name: "e2e-worker".into(),
+        heartbeat_ms: 100,
+    };
+    let stop = Arc::new(AtomicBool::new(false));
+    let thread = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || run_worker(&cfg, &stop))
+    };
+    let started = Instant::now();
+    while parse_body(&client_request(addr, "GET", "/healthz", None).expect("healthz").body)
+        ["dist_workers"]
+        .as_u64()
+        != Some(1)
+    {
+        assert!(started.elapsed() < Duration::from_secs(30), "the worker never registered");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    (stop, thread)
+}
+
 #[test]
 fn trial_deadline_applies_with_and_without_a_pool() {
     let _guard = global_lock();
-    for (tag, dist) in [("standalone", None), ("coordinator", lone_coordinator())] {
+    let mut topologies = Vec::new();
+    for (tag, dist) in [
+        ("standalone", None),
+        ("coordinator", lone_coordinator()),
+        ("worker", Some(DistConfig::default())),
+    ] {
         let dir = temp_dir(&format!("deadline-{tag}"));
         let journal = dir.join("serve.jsonl");
         fresh_globals(Some(&journal));
@@ -847,7 +882,19 @@ fn trial_deadline_applies_with_and_without_a_pool() {
             dist,
             ..ServerConfig::default()
         });
+        // A remote worker, registered before the job is submitted, runs
+        // every trial.
+        let worker = (tag == "worker").then(|| start_worker(&handle, &addr));
+        let started = Instant::now();
         let id = submit_and_wait(&addr, &job_body(8, 31, 1));
+        let took = started.elapsed();
+        let result =
+            client_request(&addr, "GET", &format!("/jobs/{id}/result"), None).expect("result");
+        topologies.push(parse_body(&result.body)["topologies"].clone());
+        if let Some((stop, thread)) = worker {
+            stop.store(true, Ordering::SeqCst);
+            thread.join().expect("worker thread").expect("worker leaves cleanly");
+        }
         handle.shutdown();
         handle.join();
         cold::join_abandoned_watchdog_threads();
@@ -862,8 +909,23 @@ fn trial_deadline_applies_with_and_without_a_pool() {
             events.iter().any(|e| matches!(e, cold_obs::Event::JobDone(d) if d.id == id)),
             "{tag}: job_done missing"
         );
+        if tag == "worker" {
+            // The worker reported the overrun, so the trial was leased
+            // again at once rather than after the lease deadline.
+            assert!(took < Duration::from_secs(2), "the job waited {took:?} on the 2 s hang");
+            let leases = events
+                .iter()
+                .filter(
+                    |e| matches!(e, cold_obs::Event::TrialLeased(l) if l.id == id && l.trial == 0),
+                )
+                .count();
+            assert!(leases >= 2, "trial 0 was leased {leases} time(s)");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
+    // The pool re-leases a failed trial on its own seed (the lease
+    // budget), whether it ran inline or on a worker.
+    assert_eq!(topologies[2], topologies[1], "the remote retry changed the result");
 }
 
 #[test]

@@ -50,7 +50,7 @@ fn injected_panic_is_recovered_by_the_salted_retry() {
     let expected_retry = cfg.synthesize(retry_seed);
 
     cold_fault::configure("eval.panic:1", master).expect("valid spec");
-    let outcome = cfg.synthesize_ensemble(master, 1);
+    let outcome = cfg.synthesize_ensemble(master, 1, None);
     teardown();
 
     assert!(outcome.is_complete(), "one-shot panic must be absorbed by the retry");
@@ -68,6 +68,22 @@ fn injected_panic_is_recovered_by_the_salted_retry() {
     let (_, recovered) = &outcome.results[0];
     assert_eq!(recovered.network.topology, expected_retry.network.topology);
     assert_eq!(recovered.best_cost_history, expected_retry.best_cost_history);
+
+    // A campaign contains the panic the same way: trial 0 is retried on
+    // the salted seed, and its record says so (two trials, so trial 0's
+    // record lands in the checkpoint).
+    let path = tmp_path("panic-campaign.json");
+    let _ = std::fs::remove_file(&path);
+    cold_fault::configure("eval.panic:1", master).expect("valid spec");
+    let source = &mut LocalTrials::default();
+    let results = run_campaign(&cfg, master, 2, 1, &path, None, source, None, |_, _| {});
+    teardown();
+    let results = results.expect("one-shot panic must be absorbed by the campaign's retry");
+    let snapshot = CampaignCheckpoint::load(&path).expect("trial 0 was checkpointed");
+    assert_eq!(snapshot.records[0].seed, retry_seed);
+    assert_eq!(results[0].network.topology, expected_retry.network.topology);
+    assert_eq!(results[0].best_cost_history, expected_retry.best_cost_history);
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -78,7 +94,7 @@ fn persistent_nan_degrades_to_a_partial_outcome_with_a_failure_table() {
     let mut cfg = ColdConfig::quick(8, 1e-4, 10.0);
     cfg.mode = SynthesisMode::GaOnly;
     cold_fault::configure("eval.nan:p=1.0", 7).expect("valid spec");
-    let outcome = cfg.synthesize_ensemble(7, 1);
+    let outcome = cfg.synthesize_ensemble(7, 1, None);
     teardown();
 
     assert!(!outcome.is_complete());
@@ -102,7 +118,7 @@ fn deadline_overrun_is_recovered_when_the_hang_is_one_shot() {
     let cfg = ColdConfig::quick(8, 1e-4, 10.0);
     cold_fault::configure("trial.hang:1", 9).expect("valid spec");
     // The injected hang sleeps ~2s; a 300ms deadline fires long before.
-    let outcome = cfg.synthesize_ensemble_guarded(9, 1, Some(Duration::from_millis(300)));
+    let outcome = cfg.synthesize_ensemble(9, 1, Some(Duration::from_millis(300)));
     teardown();
 
     assert!(outcome.is_complete(), "attempt 2 runs clean after the one-shot hang");
@@ -119,7 +135,7 @@ fn persistent_hang_becomes_a_lost_trial_not_a_wedge() {
     let cfg = ColdConfig::quick(8, 1e-4, 10.0);
     cold_fault::configure("trial.hang:p=1.0", 11).expect("valid spec");
     let started = std::time::Instant::now();
-    let outcome = cfg.synthesize_ensemble_guarded(11, 1, Some(Duration::from_millis(200)));
+    let outcome = cfg.synthesize_ensemble(11, 1, Some(Duration::from_millis(200)));
     let elapsed = started.elapsed();
     teardown();
 
@@ -339,7 +355,7 @@ fn fault_injection_is_deterministic_per_seed() {
     cfg.mode = SynthesisMode::GaOnly;
     let run = |seed: u64| {
         cold_fault::configure("eval.nan:p=0.5", seed).expect("valid spec");
-        let outcome = cfg.synthesize_ensemble(seed, 1);
+        let outcome = cfg.synthesize_ensemble(seed, 1, None);
         cold_fault::clear();
         outcome.failures.iter().map(|f| (f.trial, f.attempt)).collect::<Vec<_>>()
     };
