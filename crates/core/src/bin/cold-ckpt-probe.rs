@@ -16,8 +16,8 @@
 
 use cold::context::rng::derive_seed;
 use cold::{
-    run_campaign, CampaignCheckpoint, ColdConfig, LocalTrials, RunOptions, TrialObjective,
-    TrialSpec,
+    run_campaign, Campaign, CampaignCheckpoint, ColdConfig, LocalTrials, RunOptions, Snapshots,
+    TrialObjective, TrialSpec,
 };
 use serde::Deserialize as _;
 use serde_json::Value;
@@ -111,22 +111,24 @@ fn resume_ga(path: &PathBuf) {
 fn resume_campaign(path: &PathBuf) {
     let ckpt = CampaignCheckpoint::from_json(&read_file(path))
         .unwrap_or_else(|e| fail(&format!("{}: {e}", path.display())));
-    let config = ckpt.config;
-    let (master_seed, count) = (ckpt.master_seed, ckpt.count);
+    let campaign = Campaign {
+        objective: ckpt.objective.clone(),
+        ..Campaign::new(ckpt.config, ckpt.master_seed, ckpt.count)
+    };
+    let (master_seed, count) = (campaign.master_seed, campaign.count);
     // The resumed leg's own snapshots go next to the input, never over it.
     let scratch = path.with_extension("resume.ckpt.json");
+    let snapshots = Some(Snapshots { path: &scratch, every: count.max(1) });
     let results = run_campaign(
-        &config,
-        master_seed,
-        count,
-        count.max(1),
-        &scratch,
+        &campaign,
+        snapshots,
         Some(ckpt),
         &mut LocalTrials::default(),
         None,
         |_, _| {},
     )
-    .unwrap_or_else(|e| fail(&format!("campaign resume failed: {e}")));
+    .unwrap_or_else(|e| fail(&format!("campaign resume failed: {e}")))
+    .into_results();
     let _ = std::fs::remove_file(&scratch);
     let trials: Vec<Value> = results
         .iter()

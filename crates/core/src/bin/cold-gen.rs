@@ -23,9 +23,7 @@
 //! synthesized trials, a deterministic stand-in for `kill -9` that the CI
 //! crash-recovery smoke test drives. See DESIGN.md §10.
 
-use cold::{
-    export, CampaignCheckpoint, ColdConfig, RunOptions, SynthesisMode, TrialObjective, TrialSpec,
-};
+use cold::{export, Campaign, CampaignCheckpoint, ColdConfig, SynthesisMode, TrialObjective};
 use cold_context::Context;
 use cold_cost::Network;
 use std::path::PathBuf;
@@ -88,8 +86,8 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Checkpointed-campaign mode: any crash-safety flag switches the
-    /// trial loop over to [`cold::run_campaign`].
+    /// Crash-safe mode: any crash-safety flag gives the campaign a
+    /// snapshot file.
     fn campaign(&self) -> bool {
         self.checkpoint_every.is_some()
             || self.checkpoint.is_some()
@@ -150,16 +148,15 @@ CRASH SAFETY:
                             trials, leaving the snapshot on disk (crash
                             injection for recovery tests)
 
-    Crash-safety flags cover the standard synthesis path and cannot be
-    combined with --bridge-cost.
-
 RUNTIME GUARDS:
+    A failed trial (a panic, a non-finite cost, a deadline overrun) is
+    retried once on a salted seed. A trial lost twice is dropped from the
+    ensemble and the run exits 1 (4 for a deadline) after writing the
+    others; with a crash-safety flag it ends the campaign instead, and the
+    snapshot stays resumable.
+
     --trial-deadline <SECS> per-trial wall-clock deadline; an overrunning
-                            trial is abandoned by the watchdog and retried
-                            once on a salted seed. A trial lost twice is
-                            dropped from an ensemble; a campaign aborts
-                            with a resumable snapshot.
-                            Cannot be combined with --bridge-cost.
+                            trial is abandoned by the watchdog
     --stall-gens <K>        terminate a GA run after K consecutive
                             generations without best-cost improvement
                             (reported as a `stalled` stop reason)
@@ -220,37 +217,24 @@ fn evolve_main() -> ! {
     let mut journal: Option<PathBuf> = None;
     let mut progress = false;
     let mut quiet = false;
-    let mut it = std::env::args().skip(2);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{EVOLVE_USAGE}");
-                panic!("{name} needs a value")
-            })
-        };
+    let mut flags = Flags { args: std::env::args().skip(2), usage: EVOLVE_USAGE };
+    while let Some(flag) = flags.args.next() {
         match flag.as_str() {
-            "--plan" => plan_path = Some(PathBuf::from(value("--plan"))),
-            "--out" => out = Some(PathBuf::from(value("--out"))),
-            "--journal" => journal = Some(PathBuf::from(value("--journal"))),
+            "--plan" => plan_path = Some(PathBuf::from(flags.value(&flag))),
+            "--out" => out = Some(PathBuf::from(flags.value(&flag))),
+            "--journal" => journal = Some(PathBuf::from(flags.value(&flag))),
             "--progress" => progress = true,
             "--quiet" => quiet = true,
             "--help" | "-h" => {
                 println!("{EVOLVE_USAGE}");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown flag `{other}`\n\n{EVOLVE_USAGE}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown flag `{other}`"), EVOLVE_USAGE),
         }
     }
-    let Some(plan_path) = plan_path else {
-        eprintln!("--plan is required\n\n{EVOLVE_USAGE}");
-        std::process::exit(2);
-    };
+    let Some(plan_path) = plan_path else { usage_error("--plan is required", EVOLVE_USAGE) };
     if journal.is_some() && progress {
-        eprintln!("--journal and --progress are mutually exclusive\n\n{EVOLVE_USAGE}");
-        std::process::exit(2);
+        usage_error("--journal and --progress are mutually exclusive", EVOLVE_USAGE);
     }
     let text = std::fs::read_to_string(&plan_path).unwrap_or_else(|e| {
         eprintln!("--plan {}: {e}", plan_path.display());
@@ -261,8 +245,9 @@ fn evolve_main() -> ! {
         std::process::exit(2);
     });
     if let Some(path) = &journal {
-        cold_obs::configure(cold_obs::TraceMode::Journal(path.clone()))
-            .unwrap_or_else(|e| panic!("--journal {}: {e}", path.display()));
+        cold_obs::configure(cold_obs::TraceMode::Journal(path.clone())).unwrap_or_else(|e| {
+            usage_error(&format!("--journal {}: {e}", path.display()), EVOLVE_USAGE)
+        });
     } else if progress {
         cold_obs::configure(cold_obs::TraceMode::Progress).expect("progress sink is infallible");
     }
@@ -311,125 +296,94 @@ fn evolve_main() -> ! {
     std::process::exit(0);
 }
 
+/// A command line being parsed: a missing or malformed flag value is a
+/// usage error, never a panic.
+struct Flags {
+    args: std::iter::Skip<std::env::Args>,
+    usage: &'static str,
+}
+
+impl Flags {
+    /// The value after `flag`.
+    fn value(&mut self, flag: &str) -> String {
+        let value = self.args.next();
+        value.unwrap_or_else(|| usage_error(&format!("{flag} needs a value"), self.usage))
+    }
+
+    /// The value after `flag`, parsed.
+    fn parse<T: std::str::FromStr>(&mut self, flag: &str) -> T {
+        let value = self.value(flag);
+        let why = format!("{flag}: invalid value `{value}`");
+        value.parse().unwrap_or_else(|_| usage_error(&why, self.usage))
+    }
+}
+
+/// Prints `why` and the usage text, then exits 2 — the flag and
+/// validation error path.
+fn usage_error(why: &str, usage: &str) -> ! {
+    eprintln!("{why}\n\n{usage}");
+    std::process::exit(2);
+}
+
 fn parse_args() -> Args {
     let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{USAGE}");
-                panic!("{name} needs a value")
-            })
-        };
+    let mut flags = Flags { args: std::env::args().skip(1), usage: USAGE };
+    while let Some(flag) = flags.args.next() {
         match flag.as_str() {
-            "--n" => args.n = value("--n").parse().expect("--n: integer"),
-            "--k2" => args.k2 = value("--k2").parse().expect("--k2: float"),
-            "--k3" => args.k3 = value("--k3").parse().expect("--k3: float"),
-            "--seed" => args.seed = value("--seed").parse().expect("--seed: u64"),
-            "--count" => args.count = value("--count").parse().expect("--count: integer"),
-            "--format" => args.format = value("--format"),
-            "--out" => args.out = PathBuf::from(value("--out")),
+            "--n" => args.n = flags.parse(&flag),
+            "--k2" => args.k2 = flags.parse(&flag),
+            "--k3" => args.k3 = flags.parse(&flag),
+            "--seed" => args.seed = flags.parse(&flag),
+            "--count" => args.count = flags.parse(&flag),
+            "--format" => args.format = flags.value(&flag),
+            "--out" => args.out = PathBuf::from(flags.value(&flag)),
             "--quick" => args.quick = true,
             "--ga-only" => args.ga_only = true,
-            "--bridge-cost" => {
-                args.bridge_cost =
-                    Some(value("--bridge-cost").parse().expect("--bridge-cost: float"))
-            }
+            "--bridge-cost" => args.bridge_cost = Some(flags.parse(&flag)),
             "--pareto" => args.pareto = true,
-            "--archive" => {
-                args.archive = Some(value("--archive").parse().expect("--archive: integer"))
-            }
-            "--journal" => args.journal = Some(PathBuf::from(value("--journal"))),
+            "--archive" => args.archive = Some(flags.parse(&flag)),
+            "--journal" => args.journal = Some(PathBuf::from(flags.value(&flag))),
             "--progress" => args.progress = true,
             "--quiet" => args.quiet = true,
-            "--checkpoint-every" => {
-                args.checkpoint_every =
-                    Some(value("--checkpoint-every").parse().expect("--checkpoint-every: integer"))
-            }
-            "--checkpoint" => args.checkpoint = Some(PathBuf::from(value("--checkpoint"))),
-            "--resume" => args.resume = Some(PathBuf::from(value("--resume"))),
-            "--halt-after" => {
-                args.halt_after =
-                    Some(value("--halt-after").parse().expect("--halt-after: integer"))
-            }
-            "--trial-deadline" => {
-                args.trial_deadline =
-                    Some(value("--trial-deadline").parse().expect("--trial-deadline: float"))
-            }
-            "--stall-gens" => {
-                args.stall_gens =
-                    Some(value("--stall-gens").parse().expect("--stall-gens: integer"))
-            }
-            "--mutation-neighbors" => {
-                args.mutation_neighbors = Some(
-                    value("--mutation-neighbors").parse().expect("--mutation-neighbors: integer"),
-                )
-            }
-            "--faults" => args.faults = Some(value("--faults")),
+            "--checkpoint-every" => args.checkpoint_every = Some(flags.parse(&flag)),
+            "--checkpoint" => args.checkpoint = Some(PathBuf::from(flags.value(&flag))),
+            "--resume" => args.resume = Some(PathBuf::from(flags.value(&flag))),
+            "--halt-after" => args.halt_after = Some(flags.parse(&flag)),
+            "--trial-deadline" => args.trial_deadline = Some(flags.parse(&flag)),
+            "--stall-gens" => args.stall_gens = Some(flags.parse(&flag)),
+            "--mutation-neighbors" => args.mutation_neighbors = Some(flags.parse(&flag)),
+            "--faults" => args.faults = Some(flags.value(&flag)),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown flag `{other}`\n\n{USAGE}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown flag `{other}`"), USAGE),
         }
     }
-    if !["json", "dot", "graphml", "svg", "all"].contains(&args.format.as_str()) {
-        eprintln!("invalid --format `{}`\n\n{USAGE}", args.format);
-        std::process::exit(2);
-    }
-    if args.journal.is_some() && args.progress {
-        eprintln!("--journal and --progress are mutually exclusive\n\n{USAGE}");
-        std::process::exit(2);
-    }
-    if args.checkpoint_every == Some(0) {
-        eprintln!("--checkpoint-every must be >= 1\n\n{USAGE}");
-        std::process::exit(2);
-    }
-    if args.halt_after == Some(0) {
-        eprintln!("--halt-after must be >= 1\n\n{USAGE}");
-        std::process::exit(2);
-    }
-    if args.campaign() && args.bridge_cost.is_some() {
-        eprintln!("crash-safety flags cannot be combined with --bridge-cost\n\n{USAGE}");
-        std::process::exit(2);
-    }
-    if args.pareto && args.bridge_cost.is_some() {
-        eprintln!("--pareto cannot be combined with --bridge-cost\n\n{USAGE}");
-        std::process::exit(2);
-    }
-    if args.pareto && (args.campaign() || args.trial_deadline.is_some()) {
-        eprintln!(
-            "--pareto covers the plain synthesis path only (no crash-safety \
-                   or deadline flags)\n\n{USAGE}"
-        );
-        std::process::exit(2);
-    }
-    if args.archive.is_some() && !args.pareto {
-        eprintln!("--archive requires --pareto\n\n{USAGE}");
-        std::process::exit(2);
-    }
-    if args.archive == Some(0) {
-        eprintln!("--archive must be >= 1\n\n{USAGE}");
-        std::process::exit(2);
-    }
-    if let Some(d) = args.trial_deadline {
-        if !d.is_finite() || d <= 0.0 {
-            eprintln!("--trial-deadline must be a positive number of seconds\n\n{USAGE}");
-            std::process::exit(2);
-        }
-        if args.bridge_cost.is_some() {
-            eprintln!("--trial-deadline cannot be combined with --bridge-cost\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    }
-    if args.stall_gens == Some(0) {
-        eprintln!("--stall-gens must be >= 1\n\n{USAGE}");
-        std::process::exit(2);
-    }
-    args
+    let why = if !["json", "dot", "graphml", "svg", "all"].contains(&args.format.as_str()) {
+        format!("invalid --format `{}`", args.format)
+    } else if args.journal.is_some() && args.progress {
+        "--journal and --progress are mutually exclusive".into()
+    } else if args.checkpoint_every == Some(0) {
+        "--checkpoint-every must be >= 1".into()
+    } else if args.halt_after == Some(0) {
+        "--halt-after must be >= 1".into()
+    } else if args.pareto && args.bridge_cost.is_some() {
+        "--pareto cannot be combined with --bridge-cost".into()
+    } else if args.pareto && (args.campaign() || args.trial_deadline.is_some()) {
+        "--pareto covers the plain synthesis path only (no crash-safety or deadline flags)".into()
+    } else if args.archive.is_some() && !args.pareto {
+        "--archive requires --pareto".into()
+    } else if args.archive == Some(0) {
+        "--archive must be >= 1".into()
+    } else if args.trial_deadline.is_some_and(|d| !d.is_finite() || d <= 0.0) {
+        "--trial-deadline must be a positive number of seconds".into()
+    } else if args.stall_gens == Some(0) {
+        "--stall-gens must be >= 1".into()
+    } else {
+        return args;
+    };
+    usage_error(&why, USAGE)
 }
 
 /// Writes the chosen export format(s) for one synthesized network and
@@ -467,12 +421,16 @@ fn export_network(args: &Args, i: usize, network: &Network, context: &Context, n
     }
 }
 
-/// The checkpointed trial loop: [`cold::run_campaign`] with export and
-/// `--halt-after` crash injection in the per-trial hook. Returns whether
-/// any trial's GA run stalled (for the exit-5 path).
-fn run_checkpointed(args: &Args, cfg: &ColdConfig) -> bool {
-    let every = args.checkpoint_every.unwrap_or(1);
+/// The trial loop of every run but `--pareto`: [`cold::run_campaign`]
+/// over a concurrent [`cold::LocalTrials`], with a snapshot file when a
+/// crash-safety flag is set. Export, the survivability note and
+/// `--halt-after` crash injection run in the per-trial hook, in trial
+/// order. Returns whether any trial's GA run stalled (for the exit-5
+/// path).
+fn run_trials(args: &Args, campaign: &Campaign) -> bool {
     let ckpt_path = args.checkpoint_path();
+    let every = args.checkpoint_every.unwrap_or(1);
+    let snapshots = args.campaign().then_some(cold::Snapshots { path: &ckpt_path, every });
     let resume = args.resume.as_ref().map(|p| {
         CampaignCheckpoint::load(p).unwrap_or_else(|e| {
             eprintln!("--resume {}: {e}", p.display());
@@ -484,23 +442,30 @@ fn run_checkpointed(args: &Args, cfg: &ColdConfig) -> bool {
         if rebuilt > 0 {
             println!("resuming campaign: {rebuilt}/{} trials from snapshot", args.count);
         }
-        println!("checkpoint: {} (every {every} trial(s))", ckpt_path.display());
+        if snapshots.is_some() {
+            println!("checkpoint: {} (every {every} trial(s))", ckpt_path.display());
+        }
     }
     let deadline = args.trial_deadline.map(std::time::Duration::from_secs_f64);
     let mut fresh = 0usize;
     let mut stalled = false;
     let outcome = cold::run_campaign(
-        cfg,
-        args.seed,
-        args.count,
-        every,
-        &ckpt_path,
+        campaign,
+        snapshots,
         resume,
         &mut cold::LocalTrials { deadline, ..cold::LocalTrials::default() },
         None,
         |i, r: &cold::SynthesisResult| {
             stalled |= r.stop_reason == cold::StopReason::Stalled;
-            export_network(args, i, &r.network, &r.context, "");
+            let note = match args.bridge_cost {
+                Some(_) => {
+                    let report = cold::resilience::survivability(&r.network.topology, &r.context);
+                    let (bridges, two) = (report.bridges, report.two_edge_connected);
+                    format!(", bridges {bridges} (2-edge-connected: {two})")
+                }
+                None => String::new(),
+            };
+            export_network(args, i, &r.network, &r.context, &note);
             // Only freshly synthesized trials count toward --halt-after;
             // the snapshot covering this trial is already on disk.
             if i >= rebuilt {
@@ -516,14 +481,24 @@ fn run_checkpointed(args: &Args, cfg: &ColdConfig) -> bool {
             }
         },
     );
-    if let Err(e) = outcome {
+    let overrun = |e: &cold::ColdError| matches!(e, cold::ColdError::DeadlineExceeded { .. });
+    let outcome = outcome.unwrap_or_else(|e| {
         eprintln!("campaign failed: {e}");
-        eprintln!("completed trials are recoverable: --resume {}", ckpt_path.display());
-        cold_obs::emit_metrics_snapshot();
-        if matches!(e, cold::ColdError::DeadlineExceeded { .. }) {
-            std::process::exit(4);
+        if snapshots.is_some() && ckpt_path.exists() {
+            eprintln!("completed trials are recoverable: --resume {}", ckpt_path.display());
         }
-        std::process::exit(1);
+        cold_obs::emit_metrics_snapshot();
+        std::process::exit(if overrun(&e) { 4 } else { 1 });
+    });
+    for f in &outcome.failures {
+        let recovered = if f.recovered { "; retry recovered it" } else { "" };
+        eprintln!("trial {} attempt {} failed ({}){recovered}", f.trial, f.attempt, f.error);
+    }
+    if !outcome.is_complete() {
+        eprintln!("lost trials after retry: {:?}", outcome.lost_trials());
+        cold_obs::emit_metrics_snapshot();
+        let overran = outcome.failures.iter().any(|f| !f.recovered && overrun(&f.error));
+        std::process::exit(if overran { 4 } else { 1 });
     }
     stalled
 }
@@ -568,7 +543,7 @@ fn main() {
     let args = parse_args();
     if let Some(path) = &args.journal {
         cold_obs::configure(cold_obs::TraceMode::Journal(path.clone()))
-            .unwrap_or_else(|e| panic!("--journal {}: {e}", path.display()));
+            .unwrap_or_else(|e| usage_error(&format!("--journal {}: {e}", path.display()), USAGE));
     } else if args.progress {
         cold_obs::configure(cold_obs::TraceMode::Progress).expect("progress sink is infallible");
     }
@@ -580,14 +555,11 @@ fn main() {
     // way the schedule derives from the master seed so a chaos run is as
     // reproducible as a clean one.
     if let Some(spec) = &args.faults {
-        cold_fault::configure(spec, args.seed).unwrap_or_else(|e| {
-            eprintln!("--faults: {e}\n\n{USAGE}");
-            std::process::exit(2);
-        });
+        cold_fault::configure(spec, args.seed)
+            .unwrap_or_else(|e| usage_error(&format!("--faults: {e}"), USAGE));
     } else if cold_fault::armed() {
         cold_fault::reseed(args.seed);
     }
-    std::fs::create_dir_all(&args.out).expect("create output directory");
     let mut cfg = if args.quick {
         ColdConfig::quick(args.n, args.k2, args.k3)
     } else {
@@ -604,68 +576,17 @@ fn main() {
     }
     if let Some(k) = args.mutation_neighbors {
         cfg.ga.mutation_neighbors = Some(k);
-        cfg.ga.validate().unwrap_or_else(|e| {
-            eprintln!("--mutation-neighbors: {e}\n\n{USAGE}");
-            std::process::exit(2);
-        });
     }
-    let mut stalled = false;
-    if args.pareto {
-        stalled = run_pareto(&args, &cfg);
-    } else if args.campaign() {
-        stalled = run_checkpointed(&args, &cfg);
-    } else if let Some(secs) = args.trial_deadline {
-        // Deadline-guarded ensemble: an overrunning trial is abandoned,
-        // retried once on a salted seed, and at worst lost — never a wedge.
-        let deadline = std::time::Duration::from_secs_f64(secs);
-        let outcome = cfg.synthesize_ensemble(args.seed, args.count, Some(deadline));
-        for (i, r) in &outcome.results {
-            stalled |= r.stop_reason == cold::StopReason::Stalled;
-            export_network(&args, *i, &r.network, &r.context, "");
-        }
-        for f in &outcome.failures {
-            eprintln!(
-                "trial {} attempt {} failed ({}){}",
-                f.trial,
-                f.attempt,
-                f.error,
-                if f.recovered { "; retry recovered it" } else { "" }
-            );
-        }
-        if !outcome.is_complete() {
-            let lost = outcome.lost_trials();
-            eprintln!("lost trials after retry: {lost:?}");
-            cold_obs::emit_metrics_snapshot();
-            let deadline_lost = outcome.failures.iter().any(|f| {
-                !f.recovered && matches!(f.error, cold::ColdError::DeadlineExceeded { .. })
-            });
-            std::process::exit(if deadline_lost { 4 } else { 1 });
-        }
-    } else {
-        for i in 0..args.count {
-            let seed = cold_context::rng::derive_seed(args.seed, i as u64);
-            let (r, note) = if let Some(bridge_cost) = args.bridge_cost {
-                let spec = TrialSpec::new(seed, TrialObjective::Resilient { bridge_cost });
-                let r = match cfg.run_trial(spec, RunOptions::default()) {
-                    Ok(r) => r.into_single(),
-                    Err(e) => {
-                        eprintln!("cold-gen: resilient synthesis failed: {e}");
-                        std::process::exit(1);
-                    }
-                };
-                let report = cold::resilience::survivability(&r.network.topology, &r.context);
-                let note = format!(
-                    ", bridges {} (2-edge-connected: {})",
-                    report.bridges, report.two_edge_connected
-                );
-                (r, note)
-            } else {
-                (cfg.synthesize(seed), String::new())
-            };
-            stalled |= r.stop_reason == cold::StopReason::Stalled;
-            export_network(&args, i, &r.network, &r.context, &note);
-        }
+    let objective = match args.bridge_cost {
+        Some(bridge_cost) => TrialObjective::Resilient { bridge_cost },
+        None => TrialObjective::Cost,
+    };
+    let campaign = Campaign { objective, ..Campaign::new(cfg, args.seed, args.count) };
+    if let Err(e) = campaign.validate() {
+        usage_error(&e.to_string(), USAGE);
     }
+    std::fs::create_dir_all(&args.out).expect("create output directory");
+    let stalled = if args.pareto { run_pareto(&args, &cfg) } else { run_trials(&args, &campaign) };
     // Close the journal (or progress stream) with a registry summary so
     // offline analysis sees where the wall-time went.
     cold_obs::emit_metrics_snapshot();

@@ -1,10 +1,11 @@
-//! Crash-safe campaign checkpoints for ensemble synthesis.
+//! Campaigns: the one local trial loop, and its crash-safe checkpoints.
 //!
-//! A *campaign* is the serial trial loop `cold-gen` runs: `count` trials
-//! with per-trial seeds `derive_seed(master_seed, i)`. The checkpoint
-//! design exploits that everything a trial produces is a pure function of
-//! `(config, seed)`: a [`TrialRecord`] stores only the small deterministic
-//! outputs (topology edges, history, counters) and
+//! A *campaign* is `count` trials of one objective with per-trial seeds
+//! `derive_seed(master_seed, i)`, committed in trial order by
+//! [`run_campaign`] — every ensemble, `cold-gen` run and served job. The
+//! checkpoint design exploits that everything a trial produces is a pure
+//! function of `(config, seed)`: a [`TrialRecord`] stores only the small
+//! deterministic outputs (topology edges, history, counters) and
 //! [`TrialRecord::rebuild`] reconstructs the full [`SynthesisResult`] —
 //! context, capacitated network, statistics — by re-deriving them, which
 //! costs milliseconds instead of a GA run.
@@ -15,7 +16,8 @@
 
 use crate::error::ColdError;
 use crate::synthesizer::{
-    retry_trial, run_attempt, AttemptOptions, ColdConfig, ProgressSink, SynthesisResult,
+    contain, run_attempt, AttemptOptions, ColdConfig, EnsembleOutcome, ProgressSink, RunOptions,
+    SynthesisResult, TrialFailure, TrialObjective, TrialRunner, TrialSpec, RETRY_SALT,
 };
 use cold_context::rng::derive_seed;
 use cold_cost::Network;
@@ -23,6 +25,7 @@ use cold_graph::AdjacencyMatrix;
 use serde::{Deserialize as _, Serialize as _};
 use serde_json::{json, Value};
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The deterministic outputs of one completed trial — everything needed
 /// to reproduce its [`SynthesisResult`] without re-running the GA.
@@ -239,13 +242,53 @@ fn f64_array(v: &Value, key: &str) -> Result<Vec<f64>, String> {
         .collect()
 }
 
-/// A resumable snapshot of a serial synthesis campaign.
+/// What a campaign is: `count` trials of `objective` under `config`,
+/// trial `i` seeded `derive_seed(master_seed, i)`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Campaign {
+    /// The configuration every trial runs under.
+    pub config: ColdConfig,
+    /// What every trial minimizes: [`TrialObjective::Cost`] or
+    /// [`TrialObjective::Resilient`].
+    pub objective: TrialObjective,
+    /// Master seed; trial `i` runs with `derive_seed(master_seed, i)`.
+    pub master_seed: u64,
+    /// Total trials in the campaign.
+    pub count: usize,
+}
+
+impl Campaign {
+    /// A campaign of `count` cost trials.
+    pub fn new(config: ColdConfig, master_seed: u64, count: usize) -> Self {
+        Self { config, objective: TrialObjective::Cost, master_seed, count }
+    }
+
+    /// Checks the configuration and the objective before any trial runs.
+    ///
+    /// # Errors
+    /// [`ColdError::Config`] for an invalid configuration, an invalid
+    /// bridge cost, or an objective other than cost or resilient.
+    pub fn validate(&self) -> Result<(), ColdError> {
+        self.config.validate()?;
+        match self.objective {
+            TrialObjective::Cost | TrialObjective::Resilient { .. } => {
+                self.objective.validate(self.config.context.n, &RunOptions::default())
+            }
+            _ => Err(ColdError::Config("a campaign runs the cost or resilient objective".into())),
+        }
+    }
+}
+
+/// A resumable snapshot of a campaign: its identity plus the completed
+/// prefix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignCheckpoint {
     /// The configuration the campaign runs under. A resume validates this
     /// against the caller's config — silently continuing a campaign with
     /// different parameters would poison the ensemble.
     pub config: ColdConfig,
+    /// The campaign's objective, validated on resume like the config.
+    pub objective: TrialObjective,
     /// Master seed; trial `i` runs with `derive_seed(master_seed, i)`.
     pub master_seed: u64,
     /// Total trials in the campaign.
@@ -255,16 +298,32 @@ pub struct CampaignCheckpoint {
 }
 
 impl CampaignCheckpoint {
-    /// Converts the snapshot into its JSON object form.
+    /// The snapshot of `campaign` before any trial completed.
+    pub fn new(campaign: &Campaign) -> Self {
+        let Campaign { config, objective, master_seed, count } = campaign.clone();
+        Self { config, objective, master_seed, count, records: Vec::new() }
+    }
+
+    /// Converts the snapshot into its JSON object form. A cost campaign
+    /// has no `objective` key.
     pub fn to_value(&self) -> Value {
-        json!({
+        let mut v = json!({
             "kind": "cold-campaign-checkpoint",
             "version": 1u64,
             "config": self.config.to_json_value(),
             "master_seed": self.master_seed,
             "count": self.count,
             "records": Value::Array(self.records.iter().map(TrialRecord::to_value).collect()),
-        })
+        });
+        if let (TrialObjective::Resilient { bridge_cost }, Value::Object(map)) =
+            (&self.objective, &mut v)
+        {
+            map.insert(
+                "objective".into(),
+                json!({ "kind": "resilient", "bridge_cost": *bridge_cost }),
+            );
+        }
+        v
     }
 
     /// Parses and schema-validates a snapshot.
@@ -293,6 +352,15 @@ impl CampaignCheckpoint {
             .and_then(Value::as_u64)
             .ok_or_else(|| fail("field `master_seed` missing".into()))?;
         let count = usize_field(v, "count").map_err(fail)?;
+        let objective = match v.get("objective") {
+            None => TrialObjective::Cost,
+            Some(o) => match (o.get("kind").and_then(Value::as_str), o.get("bridge_cost")) {
+                (Some("resilient"), Some(Value::Number(cost))) => {
+                    TrialObjective::Resilient { bridge_cost: cost.as_f64() }
+                }
+                _ => return Err(fail(format!("unsupported campaign objective {o}"))),
+            },
+        };
         let mut records = Vec::new();
         for (i, r) in v
             .get("records")
@@ -313,7 +381,7 @@ impl CampaignCheckpoint {
         if records.len() > count {
             return Err(fail(format!("{} records exceed campaign size {count}", records.len())));
         }
-        Ok(Self { config, master_seed, count, records })
+        Ok(Self { config, objective, master_seed, count, records })
     }
 
     /// Serializes the snapshot as one JSON document.
@@ -379,62 +447,66 @@ impl CampaignCheckpoint {
     ///
     /// # Errors
     /// [`ColdError::Checkpoint`] naming the first mismatching field.
-    pub fn validate_against(
-        &self,
-        config: &ColdConfig,
-        master_seed: u64,
-        count: usize,
-    ) -> Result<(), ColdError> {
-        if self.config != *config {
-            return Err(ColdError::Checkpoint(
-                "snapshot config differs from requested config".into(),
-            ));
-        }
-        if self.master_seed != master_seed {
-            return Err(ColdError::Checkpoint(format!(
-                "snapshot master seed {:#x} differs from requested {master_seed:#x}",
-                self.master_seed
-            )));
-        }
-        if self.count != count {
-            return Err(ColdError::Checkpoint(format!(
-                "snapshot campaign size {} differs from requested {count}",
-                self.count
-            )));
-        }
-        Ok(())
+    pub fn validate_against(&self, campaign: &Campaign) -> Result<(), ColdError> {
+        let field = if self.config != campaign.config {
+            "config"
+        } else if self.objective != campaign.objective {
+            "objective"
+        } else if self.master_seed != campaign.master_seed {
+            "master seed"
+        } else if self.count != campaign.count {
+            "campaign size"
+        } else {
+            return Ok(());
+        };
+        Err(ColdError::Checkpoint(format!("snapshot {field} differs from the requested campaign")))
     }
+}
+
+/// One trial as a [`TrialSource`] hands it over: its record and result,
+/// or none when the trial was lost, and every failed attempt.
+pub struct TrialOutcome {
+    /// Zero-based trial index within the campaign.
+    pub trial: usize,
+    /// The completed trial, `None` when every attempt failed.
+    pub done: Option<(TrialRecord, SynthesisResult)>,
+    /// The trial's failed attempts, in order.
+    pub failures: Vec<TrialFailure>,
 }
 
 /// Where a campaign's fresh trials come from.
 ///
 /// [`run_campaign`] owns everything else — validation, the resumed
-/// prefix, cancellation, the snapshot cadence, the per-trial hook — and
-/// asks its source for the trials after the completed prefix, in index
-/// order. [`LocalTrials`] runs them in this process; `cold-serve`'s
-/// distributed pool runs them on remote workers.
+/// prefix, cancellation, the snapshot cadence, what a lost trial does,
+/// the per-trial hook — and asks its source for the trials from `next`
+/// on, in index order. [`LocalTrials`] runs them in this process;
+/// `cold-serve`'s distributed pool runs them on remote workers.
 pub trait TrialSource {
-    /// The next completed trials of `campaign` — trial
-    /// `campaign.records.len()` onward, in order, each with its full
-    /// result — or none after a bounded wait, after which the loop
-    /// checks its cancel flag and asks again.
+    /// The next trials of `campaign` — trial `next` onward, in order —
+    /// or none after a bounded wait, after which the loop checks its
+    /// cancel flag and asks again.
     ///
     /// # Errors
-    /// A trial is lost: the campaign stops with this error.
+    /// The source itself failed: the campaign stops with this error.
     fn next_trials(
         &mut self,
         campaign: &CampaignCheckpoint,
-    ) -> Result<Vec<(TrialRecord, SynthesisResult)>, ColdError>;
+        next: usize,
+    ) -> Result<Vec<TrialOutcome>, ColdError>;
 }
 
-/// The local trial source: each trial runs in the calling thread as one
-/// [`run_attempt`] on the trial's seed and, when that fails, once more on
+/// The local trial source: up to `available_parallelism` trials at once,
+/// handed over in trial order. A window of several trials runs on scoped
+/// threads, each re-entering the caller's trace context, with the GA
+/// serial (`parallel: false`) so the cores are not oversubscribed; a
+/// window of one runs on the caller's thread with the config untouched.
+///
+/// Every trial runs the local retry policy: one [`run_attempt`] on
+/// `derive_seed(master_seed, trial)` and, when that fails, once more on
 /// the salted seed `derive_seed(derive_seed(master_seed, RETRY_SALT),
-/// trial)` — the retry policy of [`ColdConfig::synthesize_ensemble`].
-/// Failed attempts are journaled as `trial_failed`; a retried trial's
-/// [`TrialRecord`] stores the salted seed, so its checkpoint resumes
-/// correctly. The default runs unguarded and unobserved — the plain CLI
-/// campaign.
+/// trial)`. Failed attempts are journaled as `trial_failed`; a retried
+/// trial's [`TrialRecord`] stores the salted seed, so its checkpoint
+/// resumes correctly. The default runs unguarded and unobserved.
 #[derive(Default)]
 pub struct LocalTrials {
     /// Per-attempt wall-clock deadline: an overrunning attempt is
@@ -445,126 +517,218 @@ pub struct LocalTrials {
     /// trial's GA run (see [`ProgressSink`]). Rebuilt trials report no
     /// generations — they never re-run the GA.
     pub progress: Option<ProgressSink>,
+    /// Runs each attempt in place of [`run_attempt`]; its panics are
+    /// contained. The failure-injection test seam.
+    pub runner: Option<Box<TrialRunner>>,
+}
+
+impl LocalTrials {
+    /// Trial `trial` of `campaign` on `config`, under the retry policy.
+    fn run(
+        &self,
+        config: &ColdConfig,
+        campaign: &CampaignCheckpoint,
+        trial: usize,
+    ) -> TrialOutcome {
+        let mut failures: Vec<TrialFailure> = Vec::new();
+        let master = campaign.master_seed;
+        for (attempt, master) in [(1, master), (2, derive_seed(master, RETRY_SALT))] {
+            let seed = derive_seed(master, trial as u64);
+            let result = match &self.runner {
+                Some(runner) => contain(|| runner(config, seed, trial, attempt)),
+                None => {
+                    let (deadline, progress) = (self.deadline, self.progress.clone());
+                    let options =
+                        AttemptOptions { deadline, progress, ..AttemptOptions::default() };
+                    let spec = TrialSpec::new(seed, campaign.objective.clone());
+                    run_attempt(config, trial, attempt, spec, options)
+                }
+            };
+            let error = match result {
+                Ok(r) => {
+                    failures.iter_mut().for_each(|f| f.recovered = true);
+                    let done = Some((TrialRecord::from_result(trial, seed, &r), r));
+                    return TrialOutcome { trial, done, failures };
+                }
+                Err(error) => error,
+            };
+            if cold_obs::is_enabled() {
+                cold_obs::emit(&cold_obs::Event::TrialFailed(cold_obs::TrialFailed {
+                    trial,
+                    attempt,
+                    seed,
+                    error: error.to_string(),
+                }));
+            }
+            failures.push(TrialFailure { trial, attempt, seed, error, recovered: false });
+        }
+        TrialOutcome { trial, done: None, failures }
+    }
 }
 
 impl TrialSource for LocalTrials {
     fn next_trials(
         &mut self,
         campaign: &CampaignCheckpoint,
-    ) -> Result<Vec<(TrialRecord, SynthesisResult)>, ColdError> {
-        let trial = campaign.records.len();
-        let (done, mut failures) = retry_trial(campaign.master_seed, trial, |seed, attempt| {
-            let (deadline, progress) = (self.deadline, self.progress.clone());
-            let options = AttemptOptions { deadline, progress, ..AttemptOptions::default() };
-            run_attempt(&campaign.config, trial, attempt, seed, options)
-        });
-        match done {
-            Some((seed, r)) => Ok(vec![(TrialRecord::from_result(trial, seed, &r), r)]),
-            None => Err(failures.pop().expect("a lost trial failed its last attempt").error),
+        next: usize,
+    ) -> Result<Vec<TrialOutcome>, ColdError> {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let window = cores.min(campaign.count - next);
+        if window <= 1 {
+            return Ok(vec![self.run(&campaign.config, campaign, next)]);
         }
+        let ga = cold_ga::GaSettings { parallel: false, ..campaign.config.ga };
+        let serial = ColdConfig { ga, ..campaign.config };
+        let trace = cold_obs::trace::current();
+        let this = &*self;
+        Ok(std::thread::scope(|scope| {
+            let workers: Vec<_> = (next..next + window)
+                .map(|trial| {
+                    let (trace, serial) = (trace.clone(), &serial);
+                    scope.spawn(move || {
+                        let _trace = trace.map(cold_obs::trace::enter);
+                        this.run(serial, campaign, trial)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("attempts contain their panics")).collect()
+        }))
     }
 }
 
-/// Runs (or resumes) a serial checkpointed campaign: `count` trials with
-/// the same per-trial seeds as [`ColdConfig::ensemble`], drawn from
-/// `source`.
+/// Where and how often a campaign snapshots itself.
+#[derive(Debug, Clone, Copy)]
+pub struct Snapshots<'a> {
+    /// The snapshot file, replaced atomically on every write.
+    pub path: &'a Path,
+    /// Snapshot after every `every`-th completed trial (>= 1).
+    pub every: usize,
+}
+
+/// Runs (or resumes) `campaign`, drawing its trials from `source` and
+/// committing them in trial order — the one trial loop of every
+/// ensemble, `cold-gen` run and served job.
 ///
-/// After every `checkpoint_every`-th completed trial a
-/// [`CampaignCheckpoint`] is written atomically to `checkpoint_path` (and
-/// a `checkpoint` journal event emitted when tracing is active). With
-/// `resume`, the snapshot's completed trials are rebuilt instead of
-/// re-run, and execution continues with the first missing trial — the
-/// returned results are bit-identical (modulo the wall-clock
-/// `eval_seconds`) to an uninterrupted campaign, which the workspace
-/// `checkpoint_resume` test pins.
+/// With `snapshots`, a [`CampaignCheckpoint`] is written atomically after
+/// every `every`-th completed trial (and a `checkpoint` journal event
+/// emitted when tracing is active). With `resume`, the snapshot's
+/// completed trials are rebuilt instead of re-run — the results are
+/// bit-identical (modulo the wall-clock `eval_seconds`) to an
+/// uninterrupted campaign.
+///
+/// A lost trial — every attempt failed — ends a campaign that has a
+/// snapshot file, whose snapshot stays resumable. Without one, the
+/// trial is recorded as lost and the campaign moves on: the returned
+/// [`EnsembleOutcome`] holds the partial ensemble and the failure table.
 ///
 /// `on_trial` fires once per result, in trial order, for both rebuilt and
 /// freshly-run trials — CLI progress/export hooks go there. For fresh
 /// trials it fires *after* the snapshot write, so a hook that kills the
 /// process never loses the trial it just saw.
 ///
-/// `cancel` is checked between trials: when set, the campaign snapshots
-/// its completed prefix and returns [`ColdError::Canceled`]. The trial
-/// in flight when the flag flips always runs to completion —
-/// cancellation never corrupts a trial.
+/// `cancel` is checked before every trial is committed: when set, the
+/// campaign snapshots its completed prefix and returns
+/// [`ColdError::Canceled`]. Trials in flight when the flag flips run to
+/// completion and are dropped — cancellation never corrupts a trial.
 ///
 /// # Errors
-/// Any [`ColdError`] from validation, the source, checkpoint rebuilding,
-/// or snapshot I/O, and [`ColdError::Canceled`]. A lost trial ends the
-/// campaign; the checkpoint on disk still holds every completed trial up
-/// to the last cadence point, so the campaign resumes from there.
-#[allow(clippy::too_many_arguments)]
+/// [`ColdError::Config`] for an invalid campaign, and any [`ColdError`]
+/// from the resume validation, the source, checkpoint rebuilding,
+/// snapshot I/O or a lost trial, and [`ColdError::Canceled`].
 pub fn run_campaign(
-    config: &ColdConfig,
-    master_seed: u64,
-    count: usize,
-    checkpoint_every: usize,
-    checkpoint_path: &Path,
+    campaign: &Campaign,
+    snapshots: Option<Snapshots<'_>>,
     resume: Option<CampaignCheckpoint>,
     source: &mut dyn TrialSource,
-    cancel: Option<&std::sync::atomic::AtomicBool>,
+    cancel: Option<&AtomicBool>,
     mut on_trial: impl FnMut(usize, &SynthesisResult),
-) -> Result<Vec<SynthesisResult>, ColdError> {
-    if checkpoint_every == 0 {
+) -> Result<EnsembleOutcome, ColdError> {
+    if snapshots.is_some_and(|s| s.every == 0) {
         return Err(ColdError::Checkpoint("checkpoint interval must be >= 1".into()));
     }
     // One campaign span per invocation: trial spans (and their GA
     // generations) nest under it in the trace tree.
     let _span = cold_obs::span("core.campaign");
-    config.validate()?;
-    let records = match resume {
-        None => Vec::new(),
-        Some(snapshot) => {
-            snapshot.validate_against(config, master_seed, count)?;
-            snapshot.records
-        }
-    };
-    let mut campaign = CampaignCheckpoint { config: *config, master_seed, count, records };
-    let mut results = Vec::with_capacity(count);
-    for record in &campaign.records {
-        let r = record.rebuild(config)?;
-        on_trial(record.trial, &r);
-        results.push(r);
+    campaign.validate()?;
+    let mut snapshot = CampaignCheckpoint::new(campaign);
+    if let Some(resumed) = resume {
+        resumed.validate_against(campaign)?;
+        snapshot.records = resumed.records;
     }
-    let save_snapshot = |campaign: &CampaignCheckpoint| -> Result<(), ColdError> {
-        campaign.save(checkpoint_path)?;
+    let count = campaign.count;
+    let mut outcome = EnsembleOutcome { total: count, results: Vec::new(), failures: Vec::new() };
+    for record in &snapshot.records {
+        let r = record.rebuild(&campaign.config)?;
+        on_trial(record.trial, &r);
+        outcome.results.push((record.trial, r));
+    }
+    let save = |snapshot: &CampaignCheckpoint, to: Snapshots<'_>| -> Result<(), ColdError> {
+        snapshot.save(to.path)?;
         if cold_obs::is_enabled() {
             cold_obs::emit(&cold_obs::Event::Checkpoint(cold_obs::CheckpointEvent {
-                path: checkpoint_path.display().to_string(),
-                completed: campaign.records.len(),
+                path: to.path.display().to_string(),
+                completed: snapshot.records.len(),
                 total: count,
             }));
         }
         Ok(())
     };
-    while results.len() < count {
-        if cancel.is_some_and(|flag| flag.load(std::sync::atomic::Ordering::SeqCst)) {
+    let mut next = snapshot.records.len();
+    let mut handed = Vec::new().into_iter();
+    while next < count {
+        if cancel.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
             // Drain: make the completed prefix durable even when the
             // cancel lands off the checkpoint cadence.
-            if !campaign.records.is_empty() {
-                save_snapshot(&campaign)?;
+            if let Some(to) = snapshots.filter(|_| !snapshot.records.is_empty()) {
+                save(&snapshot, to)?;
             }
-            return Err(ColdError::Canceled { completed: results.len() });
+            return Err(ColdError::Canceled { completed: outcome.results.len() });
         }
-        for (record, r) in source.next_trials(&campaign)? {
-            campaign.records.push(record);
-            let completed = campaign.records.len();
+        let Some(TrialOutcome { trial, done, mut failures }) = handed.next() else {
+            handed = source.next_trials(&snapshot, next)?.into_iter();
+            continue;
+        };
+        next = trial + 1;
+        let Some((record, r)) = done else {
+            if snapshots.is_some() {
+                return Err(failures.pop().expect("a lost trial failed its last attempt").error);
+            }
+            outcome.failures.extend(failures);
+            continue;
+        };
+        outcome.failures.extend(failures);
+        snapshot.records.push(record);
+        if let Some(to) = snapshots {
             // Snapshot *before* the hook: a hook that aborts the process
             // (the CLI's --halt-after does exactly that) still leaves the
             // trial it just observed recoverable on disk.
-            if completed.is_multiple_of(checkpoint_every) && completed < count {
-                save_snapshot(&campaign)?;
+            let completed = snapshot.records.len();
+            if completed.is_multiple_of(to.every) && completed < count {
+                save(&snapshot, to)?;
             }
-            on_trial(completed - 1, &r);
-            results.push(r);
         }
+        on_trial(trial, &r);
+        outcome.results.push((trial, r));
     }
-    Ok(results)
+    Ok(outcome)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A cost ensemble whose attempts run `runner` in place of
+    /// [`run_attempt`].
+    pub(crate) fn ensemble_with(
+        config: &ColdConfig,
+        master_seed: u64,
+        count: usize,
+        runner: Box<TrialRunner>,
+    ) -> EnsembleOutcome {
+        let source = &mut LocalTrials { runner: Some(runner), ..LocalTrials::default() };
+        let campaign = Campaign::new(*config, master_seed, count);
+        run_campaign(&campaign, None, None, source, None, |_, _| {}).expect("valid campaign")
+    }
 
     fn tmp_path(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -605,12 +769,12 @@ mod tests {
         let cfg = ColdConfig::quick(8, 1e-4, 10.0);
         let seed = derive_seed(7, 0);
         let r = cfg.synthesize(seed);
-        let snapshot = CampaignCheckpoint {
-            config: cfg,
-            master_seed: 7,
-            count: 3,
-            records: vec![TrialRecord::from_result(0, seed, &r)],
-        };
+        let mut snapshot = CampaignCheckpoint::new(&Campaign::new(cfg, 7, 3));
+        snapshot.records.push(TrialRecord::from_result(0, seed, &r));
+        let back = CampaignCheckpoint::from_json(&snapshot.to_json()).expect("round trip");
+        assert_eq!(back, snapshot);
+        assert!(!snapshot.to_json().contains("objective"), "a cost snapshot has no objective key");
+        snapshot.objective = TrialObjective::Resilient { bridge_cost: 50.0 };
         let back = CampaignCheckpoint::from_json(&snapshot.to_json()).expect("round trip");
         assert_eq!(back, snapshot);
     }
@@ -622,13 +786,9 @@ mod tests {
         assert!(CampaignCheckpoint::from_json("{\"kind\":\"cold-ga-checkpoint\"}").is_err());
         let cfg = ColdConfig::quick(8, 1e-4, 10.0);
         let r = cfg.synthesize(derive_seed(7, 0));
-        let good = CampaignCheckpoint {
-            config: cfg,
-            master_seed: 7,
-            count: 2,
-            records: vec![TrialRecord::from_result(0, derive_seed(7, 0), &r)],
-        }
-        .to_json();
+        let mut good = CampaignCheckpoint::new(&Campaign::new(cfg, 7, 2));
+        good.records.push(TrialRecord::from_result(0, derive_seed(7, 0), &r));
+        let good = good.to_json();
         assert!(CampaignCheckpoint::from_json(&good[..good.len() / 2]).is_err(), "truncation");
         let tampered = good.replace("\"count\":2", "\"count\":0");
         assert!(CampaignCheckpoint::from_json(&tampered).is_err(), "records exceed count");
@@ -637,13 +797,16 @@ mod tests {
     #[test]
     fn resume_validation_rejects_foreign_campaigns() {
         let cfg = ColdConfig::quick(8, 1e-4, 10.0);
-        let snapshot =
-            CampaignCheckpoint { config: cfg, master_seed: 5, count: 4, records: Vec::new() };
-        assert!(snapshot.validate_against(&cfg, 5, 4).is_ok());
-        assert!(snapshot.validate_against(&cfg, 6, 4).is_err(), "seed mismatch");
-        assert!(snapshot.validate_against(&cfg, 5, 8).is_err(), "count mismatch");
+        let campaign = Campaign::new(cfg, 5, 4);
+        let snapshot = CampaignCheckpoint::new(&campaign);
+        assert!(snapshot.validate_against(&campaign).is_ok());
+        assert!(snapshot.validate_against(&Campaign::new(cfg, 6, 4)).is_err(), "seed mismatch");
+        assert!(snapshot.validate_against(&Campaign::new(cfg, 5, 8)).is_err(), "count mismatch");
         let other = ColdConfig::quick(9, 1e-4, 10.0);
-        assert!(snapshot.validate_against(&other, 5, 4).is_err(), "config mismatch");
+        assert!(snapshot.validate_against(&Campaign::new(other, 5, 4)).is_err(), "config mismatch");
+        let resilient = TrialObjective::Resilient { bridge_cost: 5.0 };
+        let campaign = Campaign { objective: resilient, ..campaign };
+        assert!(snapshot.validate_against(&campaign).is_err(), "objective mismatch");
     }
 
     #[test]
@@ -652,16 +815,19 @@ mod tests {
         let path = tmp_path("resume");
         let _ = std::fs::remove_file(&path);
 
+        let (campaign, every1) =
+            (Campaign::new(cfg, 11, 4), Some(Snapshots { path: &path, every: 1 }));
         // Uninterrupted reference.
         let full =
-            run_campaign(&cfg, 11, 4, 1, &path, None, &mut LocalTrials::default(), None, |_, _| {})
-                .expect("full run");
+            run_campaign(&campaign, every1, None, &mut LocalTrials::default(), None, |_, _| {})
+                .expect("full run")
+                .into_results();
         let _ = std::fs::remove_file(&path);
 
         // First leg: simulate a crash by stopping after 2 trials via the
         // on_trial hook (panic caught here, as a kill would).
         let leg = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_campaign(&cfg, 11, 4, 1, &path, None, &mut LocalTrials::default(), None, |i, _| {
+            run_campaign(&campaign, every1, None, &mut LocalTrials::default(), None, |i, _| {
                 if i == 1 {
                     panic!("simulated crash after trial 1");
                 }
@@ -674,18 +840,10 @@ mod tests {
         assert_eq!(snapshot.records.len(), 2, "both completed trials checkpointed");
 
         // Second leg: resume and complete.
-        let resumed = run_campaign(
-            &cfg,
-            11,
-            4,
-            1,
-            &path,
-            Some(snapshot),
-            &mut LocalTrials::default(),
-            None,
-            |_, _| {},
-        )
-        .expect("resumed run");
+        let source = &mut LocalTrials::default();
+        let resumed = run_campaign(&campaign, every1, Some(snapshot), source, None, |_, _| {})
+            .expect("resumed run")
+            .into_results();
         assert_eq!(resumed.len(), full.len());
         for (a, b) in full.iter().zip(&resumed) {
             assert_same_deterministic_fields(a, b);
@@ -700,11 +858,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let (count, every) = (4, 2);
         let results = run_campaign(
-            &cfg,
-            3,
-            count,
-            every,
-            &path,
+            &Campaign::new(cfg, 3, count),
+            Some(Snapshots { path: &path, every }),
             None,
             &mut LocalTrials::default(),
             None,
@@ -718,7 +873,7 @@ mod tests {
             },
         )
         .expect("run");
-        assert_eq!(results.len(), 4);
+        assert_eq!(results.results.len(), 4);
         // every=2, count=4: snapshot after trial 2 only (after trial 4 the
         // campaign is complete — nothing to resume).
         let snapshot = CampaignCheckpoint::load(&path).expect("snapshot written");

@@ -95,7 +95,10 @@ pub mod sweep;
 pub mod synthesizer;
 pub mod zoo;
 
-pub use checkpoint::{run_campaign, CampaignCheckpoint, LocalTrials, TrialRecord, TrialSource};
+pub use checkpoint::{
+    run_campaign, Campaign, CampaignCheckpoint, LocalTrials, Snapshots, TrialOutcome, TrialRecord,
+    TrialSource,
+};
 pub use cold_ga::StopReason;
 pub use error::ColdError;
 pub use evolve::{

@@ -192,6 +192,7 @@ fn failure_section(outcome: &EnsembleOutcome) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::tests::ensemble_with;
     use crate::ColdConfig;
 
     #[test]
@@ -266,15 +267,20 @@ mod tests {
     fn failure_table_reports_recovered_and_lost_trials() {
         let cfg = ColdConfig::quick(7, 1e-4, 10.0);
         // Trial 1 panics once then recovers; trial 2 fails both attempts.
-        let outcome = cfg.ensemble_with_runner(9, 4, &|c, seed, trial, attempt| {
-            if trial == 1 && attempt == 1 {
-                panic!("injected flake");
-            }
-            if trial == 2 {
-                panic!("injected hard failure");
-            }
-            c.try_synthesize(seed)
-        });
+        let outcome = ensemble_with(
+            &cfg,
+            9,
+            4,
+            Box::new(|c, seed, trial, attempt| {
+                if trial == 1 && attempt == 1 {
+                    panic!("injected flake");
+                }
+                if trial == 2 {
+                    panic!("injected hard failure");
+                }
+                c.try_synthesize(seed)
+            }),
+        );
         assert_eq!(outcome.lost_trials(), vec![2]);
         let md = outcome_report(&cfg, &outcome, 9);
         assert!(md.contains("## Trial failures"));
@@ -297,7 +303,8 @@ mod tests {
     #[test]
     fn fully_lost_ensemble_still_yields_a_document() {
         let cfg = ColdConfig::quick(7, 1e-4, 10.0);
-        let outcome = cfg.ensemble_with_runner(9, 2, &|_, _, _, _| panic!("everything is on fire"));
+        let outcome =
+            ensemble_with(&cfg, 9, 2, Box::new(|_, _, _, _| panic!("everything is on fire")));
         assert!(outcome.results.is_empty());
         let md = outcome_report(&cfg, &outcome, 9);
         assert!(md.contains("every trial failed"));

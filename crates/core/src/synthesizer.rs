@@ -6,6 +6,7 @@
 //! generation with the greedy heuristics' outputs). A synthesis is a pure
 //! function of `(config, seed)`.
 
+use crate::checkpoint::{run_campaign, Campaign, LocalTrials};
 use crate::error::{panic_message, ColdError};
 use crate::evolve::{ChangeCosts, ChangePenaltyObjective, WARM_SALT};
 use crate::objective::ColdObjective;
@@ -187,15 +188,14 @@ pub struct AttemptOptions {
 }
 
 /// Runs `f`, turning a panic into [`ColdError::TrialPanic`].
-fn contain<T>(f: impl FnOnce() -> Result<T, ColdError>) -> Result<T, ColdError> {
+pub(crate) fn contain<T>(f: impl FnOnce() -> Result<T, ColdError>) -> Result<T, ColdError> {
     catch_unwind(AssertUnwindSafe(f))
         .unwrap_or_else(|payload| Err(ColdError::TrialPanic(panic_message(payload.as_ref()))))
 }
 
-/// One attempt at a cost trial — the trial step of every ensemble,
-/// local campaign and distributed grant: `config` on `seed`, with the
-/// optional [`AttemptOptions`]. `(trial, attempt)` only label the
-/// journal.
+/// One attempt at a scalar trial — the trial step of every campaign,
+/// ensemble and distributed grant: `config` on `spec`, with the optional
+/// [`AttemptOptions`]. `(trial, attempt)` only label the journal.
 ///
 /// A panic inside the attempt is contained. With a deadline the attempt
 /// runs on a detached thread; when the deadline fires first that thread
@@ -211,19 +211,18 @@ pub fn run_attempt(
     config: &ColdConfig,
     trial: usize,
     attempt: usize,
-    seed: u64,
+    spec: TrialSpec,
     options: AttemptOptions,
 ) -> Result<SynthesisResult, ColdError> {
     let AttemptOptions { resume, deadline, progress, mut checkpoint } = options;
-    let cfg = *config;
+    let (cfg, seed) = (*config, spec.seed);
     let run = move || {
         contain(|| {
             let checkpoint = checkpoint
                 .as_mut()
                 .map(|(every, sink)| cold_ga::CheckpointHook { every: *every, sink: &mut **sink });
             let options = RunOptions { progress, checkpoint, resume };
-            cfg.run_trial(TrialSpec::new(seed, TrialObjective::Cost), options)
-                .map(RunOutput::into_single)
+            cfg.run_trial(spec, options).map(RunOutput::into_single)
         })
     };
     let Some(deadline) = deadline else { return run() };
@@ -255,42 +254,6 @@ pub fn run_attempt(
             Err(ColdError::DeadlineExceeded { seconds })
         }
     }
-}
-
-/// The retry policy of every local trial, ensemble and campaign alike:
-/// `attempt(seed, 1)` on `derive_seed(master_seed, trial)` and, when
-/// that fails, `attempt(seed, 2)` on the salted seed
-/// `derive_seed(derive_seed(master_seed, RETRY_SALT), trial)`. Each
-/// failed attempt is journaled as `trial_failed`. Returns the seed and
-/// result of the attempt that succeeded, if one did, and every failed
-/// attempt in order.
-pub(crate) fn retry_trial(
-    master_seed: u64,
-    trial: usize,
-    mut attempt: impl FnMut(u64, usize) -> Result<SynthesisResult, ColdError>,
-) -> (Option<(u64, SynthesisResult)>, Vec<TrialFailure>) {
-    let mut failures: Vec<TrialFailure> = Vec::new();
-    for (n, master) in [(1, master_seed), (2, derive_seed(master_seed, RETRY_SALT))] {
-        let seed = derive_seed(master, trial as u64);
-        match attempt(seed, n) {
-            Ok(r) => {
-                failures.iter_mut().for_each(|f| f.recovered = true);
-                return (Some((seed, r)), failures);
-            }
-            Err(error) => {
-                if cold_obs::is_enabled() {
-                    cold_obs::emit(&cold_obs::Event::TrialFailed(cold_obs::TrialFailed {
-                        trial,
-                        attempt: n,
-                        seed,
-                        error: error.to_string(),
-                    }));
-                }
-                failures.push(TrialFailure { trial, attempt: n, seed, error, recovered: false });
-            }
-        }
-    }
-    (None, failures)
 }
 
 /// How the GA's initial population is seeded.
@@ -342,7 +305,7 @@ pub enum TrialObjective {
 impl TrialObjective {
     /// Checks the objective's parameters for an `n`-node context, and the
     /// options it supports.
-    fn validate(&self, n: usize, options: &RunOptions<'_>) -> Result<(), ColdError> {
+    pub(crate) fn validate(&self, n: usize, options: &RunOptions<'_>) -> Result<(), ColdError> {
         let hooks = options.checkpoint.is_some() || options.resume.is_some();
         let why = match self {
             TrialObjective::Warm { parent, .. } if parent.n() != n => {
@@ -646,116 +609,58 @@ impl ColdConfig {
     }
 
     /// Synthesizes an ensemble of `count` networks with independent
-    /// contexts, in parallel across trials.
-    ///
-    /// Within each trial the GA runs serially (`parallel = false`) so the
-    /// machine is not oversubscribed; trial-level parallelism dominates
-    /// for ensembles anyway.
+    /// contexts, several trials at once (see [`LocalTrials`]).
     ///
     /// # Panics
-    /// Panics when a trial fails *and* its one-shot retry also fails —
-    /// use [`synthesize_ensemble`](Self::synthesize_ensemble) to degrade
+    /// Panics on an invalid configuration, and when a trial fails *and*
+    /// its one-shot retry also fails — use
+    /// [`synthesize_ensemble`](Self::synthesize_ensemble) to degrade
     /// gracefully to a partial ensemble instead.
     pub fn ensemble(&self, master_seed: u64, count: usize) -> Vec<SynthesisResult> {
         let outcome = self.synthesize_ensemble(master_seed, count, None);
         if let Some(f) = outcome.failures.iter().find(|f| !f.recovered) {
             panic!("ensemble trial {} failed after retry: {}", f.trial, f.error);
         }
-        outcome.results.into_iter().map(|(_, r)| r).collect()
+        outcome.into_results()
     }
 
-    /// Fault-tolerant [`ensemble`](Self::ensemble), each trial one
-    /// [`run_attempt`] under an optional per-trial wall-clock `deadline`.
-    /// A trial that fails — a typed [`ColdError`], a contained panic, or
-    /// an overrun abandoned by the watchdog — is recorded, journaled as a
-    /// `trial_failed` event, and retried once on a fresh salted seed.
-    /// Trials whose retry also fails are dropped from the ensemble; the
-    /// returned [`EnsembleOutcome`] carries the surviving results plus a
-    /// failure table, so a 100-trial campaign with one bad trial yields
-    /// 99 networks and an audit trail instead of an abort or a wedge.
+    /// Fault-tolerant [`ensemble`](Self::ensemble): a [`run_campaign`]
+    /// without a snapshot file, each trial one [`run_attempt`] under an
+    /// optional per-trial wall-clock `deadline`. A trial that fails — a
+    /// typed [`ColdError`], a contained panic, or an overrun abandoned by
+    /// the watchdog — is recorded, journaled as a `trial_failed` event,
+    /// and retried once on a fresh salted seed. Trials whose retry also
+    /// fails are dropped from the ensemble; the returned
+    /// [`EnsembleOutcome`] carries the surviving results plus a failure
+    /// table, so a 100-trial campaign with one bad trial yields 99
+    /// networks and an audit trail instead of an abort or a wedge.
     ///
     /// Successful trials are bit-identical to [`ensemble`](Self::ensemble)
     /// output: seeds derive the same way and retries never perturb other
     /// trials' streams.
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration: no trial could run.
     pub fn synthesize_ensemble(
         &self,
         master_seed: u64,
         count: usize,
         deadline: Option<std::time::Duration>,
     ) -> EnsembleOutcome {
-        self.ensemble_with_runner(master_seed, count, &move |cfg, seed, trial, attempt| {
-            let options = AttemptOptions { deadline, ..AttemptOptions::default() };
-            run_attempt(cfg, trial, attempt, seed, options)
-        })
-    }
-
-    /// [`synthesize_ensemble`](Self::synthesize_ensemble) with an
-    /// injectable trial runner — the seam failure-injection tests (in this
-    /// crate and downstream) use to make a chosen `(trial, attempt)` panic
-    /// or error deterministically. The runner receives
-    /// `(config, seed, trial, attempt)`; the real one is [`run_attempt`].
-    pub fn ensemble_with_runner(
-        &self,
-        master_seed: u64,
-        count: usize,
-        run_trial: &TrialRunner,
-    ) -> EnsembleOutcome {
-        let _span = cold_obs::span("core.ensemble");
-        let serial = ColdConfig { ga: GaSettings { parallel: false, ..self.ga }, ..*self };
-        let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        let workers = workers.min(count).max(1);
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let (tx, rx) = std::sync::mpsc::channel();
-        // Snapshot the ensemble span's context so every worker thread
-        // (and hence every trial span) nests under it.
-        let trace_ctx = cold_obs::trace::current();
-        crossbeam::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let serial = &serial;
-                let trace_ctx = trace_ctx.clone();
-                scope.spawn(move |_| {
-                    let _trace = trace_ctx.map(cold_obs::trace::enter);
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        // Contained: a panicking injected runner must not
-                        // unwind into the crossbeam scope, which would
-                        // re-raise and poison the whole ensemble.
-                        let (done, failures) = retry_trial(master_seed, i, |seed, attempt| {
-                            contain(|| run_trial(serial, seed, i, attempt))
-                        });
-                        tx.send((i, done, failures)).expect("result channel open");
-                    }
-                });
-            }
-        })
-        .expect("ensemble scope never sees a worker panic");
-        drop(tx);
-        let mut results: Vec<(usize, SynthesisResult)> = Vec::new();
-        let mut failures: Vec<TrialFailure> = Vec::new();
-        for (i, done, failed) in rx {
-            results.extend(done.map(|(_, r)| (i, r)));
-            failures.extend(failed);
-        }
-        results.sort_by_key(|(i, _)| *i);
-        failures.sort_by_key(|f| (f.trial, f.attempt));
-        EnsembleOutcome { total: count, results, failures }
+        let source = &mut LocalTrials { deadline, ..LocalTrials::default() };
+        let campaign = Campaign::new(*self, master_seed, count);
+        run_campaign(&campaign, None, None, source, None, |_, _| {}).expect("valid ensemble config")
     }
 }
 
-/// A single-trial runner injected into
-/// [`ensemble_with_runner`](ColdConfig::ensemble_with_runner): receives
-/// `(config, seed, trial, attempt)` and produces one synthesis result. The
-/// production runner is [`run_attempt`]; tests substitute
-/// runners that panic or error on a chosen `(trial, attempt)`.
+/// A single-trial runner that replaces [`run_attempt`] in a
+/// [`LocalTrials`] — the seam failure-injection tests (in this crate and
+/// downstream) use to make a chosen `(trial, attempt)` panic or error
+/// deterministically. It receives `(config, seed, trial, attempt)`.
 pub type TrialRunner =
     dyn Fn(&ColdConfig, u64, usize, usize) -> Result<SynthesisResult, ColdError> + Sync;
 
-/// One failed attempt of one ensemble trial.
+/// One failed attempt of one campaign trial.
 #[derive(Debug)]
 pub struct TrialFailure {
     /// Zero-based trial index within the ensemble.
@@ -770,7 +675,7 @@ pub struct TrialFailure {
     pub recovered: bool,
 }
 
-/// Result of a fault-tolerant ensemble: the trials that completed (tagged
+/// Result of a campaign or ensemble: the trials that completed (tagged
 /// with their index, ascending) plus a table of every failed attempt.
 #[derive(Debug)]
 pub struct EnsembleOutcome {
@@ -785,6 +690,12 @@ pub struct EnsembleOutcome {
 }
 
 impl EnsembleOutcome {
+    /// The completed trials' results, in trial order, without their
+    /// indices.
+    pub fn into_results(self) -> Vec<SynthesisResult> {
+        self.results.into_iter().map(|(_, r)| r).collect()
+    }
+
     /// Whether every requested trial produced a network.
     pub fn is_complete(&self) -> bool {
         self.results.len() == self.total
@@ -849,6 +760,7 @@ impl SynthesisResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::tests::ensemble_with;
 
     #[test]
     fn synthesis_is_deterministic() {
@@ -927,12 +839,17 @@ mod tests {
         let reference = cfg.ensemble(5, 4);
         // Trial 2's first attempt panics; its retry (fresh salted seed)
         // succeeds. The scope must not poison and every trial must fill.
-        let outcome = cfg.ensemble_with_runner(5, 4, &|c, seed, trial, attempt| {
-            if trial == 2 && attempt == 1 {
-                panic!("injected objective failure");
-            }
-            c.try_synthesize(seed)
-        });
+        let outcome = ensemble_with(
+            &cfg,
+            5,
+            4,
+            Box::new(|c, seed, trial, attempt| {
+                if trial == 2 && attempt == 1 {
+                    panic!("injected objective failure");
+                }
+                c.try_synthesize(seed)
+            }),
+        );
         assert!(outcome.is_complete(), "retry must recover the trial");
         assert_eq!(outcome.failures.len(), 1);
         let f = &outcome.failures[0];
@@ -956,12 +873,17 @@ mod tests {
     #[test]
     fn ensemble_degrades_to_partial_when_retry_also_fails() {
         let cfg = ColdConfig::quick(8, 1e-4, 10.0);
-        let outcome = cfg.ensemble_with_runner(5, 4, &|c, seed, trial, _attempt| {
-            if trial == 1 {
-                return Err(ColdError::Config("injected persistent failure".into()));
-            }
-            c.try_synthesize(seed)
-        });
+        let outcome = ensemble_with(
+            &cfg,
+            5,
+            4,
+            Box::new(|c, seed, trial, _attempt| {
+                if trial == 1 {
+                    return Err(ColdError::Config("injected persistent failure".into()));
+                }
+                c.try_synthesize(seed)
+            }),
+        );
         assert!(!outcome.is_complete());
         assert_eq!(outcome.results.len(), 3, "three trials survive");
         assert_eq!(outcome.lost_trials(), vec![1]);

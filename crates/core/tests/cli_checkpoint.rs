@@ -131,9 +131,61 @@ fn crash_safety_flag_validation() {
     for bad in [
         &["--checkpoint-every", "0"][..],
         &["--halt-after", "0"][..],
-        &["--bridge-cost", "5", "--checkpoint-every", "2"][..],
+        &["--pareto", "--checkpoint-every", "2"][..],
     ] {
         let out = run(&[&["--quick", "--n", "8", "--quiet"][..], bad].concat());
         assert_eq!(out.status.code(), Some(2), "args {bad:?} must be rejected");
+    }
+}
+
+#[test]
+fn resilient_runs_match_across_deadline_and_halt_resume() {
+    // A --bridge-cost run goes through the same campaign loop as a cost
+    // run: a deadline-guarded run and a halted-then-resumed campaign both
+    // reproduce the plain run's exports file for file.
+    let common = ["--quick", "--n", "8", "--seed", "77", "--count", "3", "--quiet"];
+    let resilient = [&common[..], &["--bridge-cost", "50"]].concat();
+    let plain = temp_dir("resilient-plain");
+    let out = run(&[&resilient[..], &["--out", plain.to_str().unwrap()]].concat());
+    assert!(out.status.success(), "plain run failed: {}", String::from_utf8_lossy(&out.stderr));
+    let reference = exports(&plain);
+    assert_eq!(reference.len(), 3);
+
+    let guarded = temp_dir("resilient-deadline");
+    let out =
+        run(&[&resilient[..], &["--out", guarded.to_str().unwrap(), "--trial-deadline", "5"]]
+            .concat());
+    assert!(out.status.success(), "deadline run failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(exports(&guarded), reference, "--trial-deadline changed a resilient export");
+
+    let resumed = temp_dir("resilient-resumed");
+    let halted = run(&[
+        &resilient[..],
+        &["--out", resumed.to_str().unwrap(), "--checkpoint-every", "1", "--halt-after", "1"],
+    ]
+    .concat());
+    assert_eq!(halted.status.code(), Some(3), "halt leg must exit 3");
+    let ckpt = resumed.join("cold_campaign_seed000000000000004d.ckpt.json");
+    let text = std::fs::read_to_string(&ckpt).expect("halt left a snapshot");
+    assert!(text.contains("\"objective\""), "a resilient snapshot names its objective");
+    let out = run(&[
+        &resilient[..],
+        &["--out", resumed.to_str().unwrap(), "--resume", ckpt.to_str().unwrap()],
+    ]
+    .concat());
+    assert!(out.status.success(), "resume failed: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(exports(&resumed), reference, "resumed resilient campaign differs");
+
+    // The snapshot belongs to the resilient campaign: a cost run rejects it.
+    let wrong = run(&[
+        &common[..],
+        &["--out", resumed.to_str().unwrap(), "--resume", ckpt.to_str().unwrap()],
+    ]
+    .concat());
+    assert_eq!(wrong.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&wrong.stderr).contains("objective"));
+
+    for dir in [plain, guarded, resumed] {
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

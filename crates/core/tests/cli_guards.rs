@@ -88,6 +88,8 @@ fn unrecovered_deadline_overrun_exits_4() {
         assert_eq!(out.status.code(), Some(4), "stderr: {}", String::from_utf8_lossy(&out.stderr));
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("deadline"), "stderr must say why: {err}");
+        // A one-trial campaign never snapshots: there is nothing to resume.
+        assert!(!err.contains("recoverable"), "{mode}: a resume hint names no snapshot: {err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -128,6 +130,24 @@ fn one_shot_hang_is_absorbed_and_exits_0() {
 }
 
 #[test]
+fn injected_panic_is_absorbed_in_plain_and_resilient_runs() {
+    for (mode, extra) in [("plain", &[][..]), ("resilient", &["--bridge-cost", "50"][..])] {
+        let dir = temp_dir(&format!("panic-{mode}"));
+        let out = run(&[
+            &["--quick", "--n", "8", "--seed", "5", "--count", "1", "--quiet"][..],
+            &["--out", dir.to_str().unwrap(), "--faults", "eval.panic:1"],
+            extra,
+        ]
+        .concat());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{mode}: the retry must absorb the panic: {err}");
+        assert!(err.contains("retry recovered it"), "{mode}: stderr names the failure: {err}");
+        assert_eq!(exports(&dir).len(), 1, "{mode}: the recovered trial must be exported");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn stalled_ga_exits_5_but_still_writes_outputs() {
     // The stall guard reads best cost in scalar runs and archive
     // hypervolume in Pareto runs; both report the stall the same way.
@@ -154,7 +174,14 @@ fn invalid_guard_and_fault_flags_exit_2() {
         &["--quick", "--trial-deadline", "0"][..],
         &["--quick", "--trial-deadline", "-3"][..],
         &["--quick", "--stall-gens", "0"][..],
-        &["--quick", "--trial-deadline", "1", "--bridge-cost", "50"][..],
+        &["--quick", "--n", "1"][..],
+        &["--quick", "--k2", "-1"][..],
+        &["--quick", "--n", "abc"][..],
+        &["--quick", "--count", "--quiet"][..],
+        &["--quick", "--seed"][..],
+        &["--quick", "--journal", "Cargo.toml/journal.jsonl"][..],
+        &["evolve", "--plan"][..],
+        &["evolve", "--out"][..],
     ] {
         let out = run(bad);
         assert_eq!(out.status.code(), Some(2), "args {bad:?} must exit 2");

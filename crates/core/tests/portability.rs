@@ -8,8 +8,8 @@
 use cold::context::rng::derive_seed;
 use cold::ga::GaCheckpoint;
 use cold::{
-    run_campaign, ColdConfig, ColdError, LocalTrials, RunOptions, SynthesisResult, TrialObjective,
-    TrialSpec,
+    run_campaign, Campaign, ColdConfig, ColdError, LocalTrials, RunOptions, Snapshots,
+    SynthesisResult, TrialObjective, TrialSpec,
 };
 use serde::Serialize as _;
 use serde_json::Value;
@@ -99,31 +99,25 @@ fn campaign_checkpoint_resumes_bit_identically_in_a_separate_process() {
 
     // Reference: uninterrupted campaign in this process.
     let ref_ckpt = temp_path("campaign-ref.ckpt.json");
-    let reference = run_campaign(
-        &config,
-        master,
-        count,
-        count,
-        &ref_ckpt,
-        None,
-        &mut LocalTrials::default(),
-        None,
-        |_, _| {},
-    )
-    .expect("reference campaign");
+    let campaign = Campaign::new(config, master, count);
+    let snapshots = Some(Snapshots { path: &ref_ckpt, every: count });
+    let reference =
+        run_campaign(&campaign, snapshots, None, &mut LocalTrials::default(), None, |_, _| {})
+            .expect("reference campaign")
+            .into_results();
 
     // Interrupted leg: cancel after the first trial, leaving a
     // one-trial checkpoint on disk — the stand-in for a dead process.
     let ckpt = temp_path("campaign.ckpt.json");
     let cancel = std::sync::atomic::AtomicBool::new(false);
     let source = &mut LocalTrials::default();
-    let err =
-        run_campaign(&config, master, count, 1, &ckpt, None, source, Some(&cancel), |i, _| {
-            if i == 0 {
-                cancel.store(true, std::sync::atomic::Ordering::SeqCst);
-            }
-        })
-        .expect_err("canceled campaign must not complete");
+    let every1 = Some(Snapshots { path: &ckpt, every: 1 });
+    let err = run_campaign(&campaign, every1, None, source, Some(&cancel), |i, _| {
+        if i == 0 {
+            cancel.store(true, std::sync::atomic::Ordering::SeqCst);
+        }
+    })
+    .expect_err("canceled campaign must not complete");
     assert!(matches!(err, ColdError::Canceled { completed: 1 }), "unexpected error: {err}");
     assert!(ckpt.exists(), "cancel must leave a checkpoint at {}", ckpt.display());
 

@@ -37,8 +37,8 @@ use crate::dist::worker::run_grant;
 use crate::metrics::names;
 use cold::context::rng::derive_seed;
 use cold::{
-    fingerprint_hex, value_fingerprint, CampaignCheckpoint, ColdError, ProgressSink,
-    SynthesisResult, TrialRecord, TrialSource, RETRY_SALT,
+    fingerprint_hex, value_fingerprint, CampaignCheckpoint, ColdError, ProgressSink, TrialOutcome,
+    TrialRecord, TrialSource, RETRY_SALT,
 };
 use serde::Serialize;
 use serde_json::{json, Value};
@@ -858,18 +858,23 @@ impl TrialSource for PoolTrials<'_> {
     fn next_trials(
         &mut self,
         campaign: &CampaignCheckpoint,
-    ) -> Result<Vec<(TrialRecord, SynthesisResult)>, ColdError> {
+        next: usize,
+    ) -> Result<Vec<TrialOutcome>, ColdError> {
         if !self.registered {
             self.pool.register_job(self.id, campaign, self.dir.take(), self.deadline);
             self.registered = true;
         }
         let inline = |grant: &LeaseGrant| run_grant(grant, self.progress.clone(), None);
-        match self.pool.next_step(self.id, campaign.records.len(), inline) {
+        match self.pool.next_step(self.id, next, inline) {
             Step::Extended(recs) => recs
                 .into_iter()
                 .map(|rec| {
                     let r = rec.rebuild(&campaign.config)?;
-                    Ok((rec, r))
+                    Ok(TrialOutcome {
+                        trial: rec.trial,
+                        done: Some((rec, r)),
+                        failures: Vec::new(),
+                    })
                 })
                 .collect(),
             Step::Failed(why) => Err(ColdError::TrialPanic(why)),
@@ -889,7 +894,9 @@ impl Drop for PoolTrials<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cold::{ColdConfig, LocalTrials, RunOptions, TrialObjective, TrialSpec};
+    use cold::{
+        Campaign, ColdConfig, LocalTrials, RunOptions, Snapshots, TrialObjective, TrialSpec,
+    };
 
     fn quick_cfg() -> ColdConfig {
         ColdConfig::quick(8, 1e-4, 10.0)
@@ -901,8 +908,7 @@ mod tests {
 
     /// Registers job `id`: one trial of `quick_cfg()` on `master_seed`.
     fn register(pool: &DistPool, id: &str, master_seed: u64) {
-        let campaign =
-            CampaignCheckpoint { config: quick_cfg(), master_seed, count: 1, records: Vec::new() };
+        let campaign = CampaignCheckpoint::new(&Campaign::new(quick_cfg(), master_seed, 1));
         pool.register_job(id, &campaign, None, None);
     }
 
@@ -1142,11 +1148,8 @@ mod tests {
         let cancel = AtomicBool::new(false);
         let mut seen = Vec::new();
         let results = cold::run_campaign(
-            &cfg,
-            master,
-            count,
-            1,
-            &ckpt,
+            &Campaign::new(cfg, master, count),
+            Some(Snapshots { path: &ckpt, every: 1 }),
             None,
             &mut PoolTrials::new(&pool, "job-sim", Some(dir.clone()), None, None),
             Some(&cancel),
@@ -1160,7 +1163,8 @@ mod tests {
                 seen.push(i);
             },
         )
-        .expect("distributed campaign");
+        .expect("distributed campaign")
+        .into_results();
         stop.store(true, Ordering::SeqCst);
         worker.join().expect("worker thread");
         assert_eq!(seen, vec![0, 1, 2]);
@@ -1183,11 +1187,8 @@ mod tests {
         let worker = spawn_simulated_worker(&pool, &stop, &ckpt);
         let cancel = AtomicBool::new(false);
         let err = cold::run_campaign(
-            &cfg,
-            master,
-            count,
-            1,
-            &ckpt,
+            &Campaign::new(cfg, master, count),
+            Some(Snapshots { path: &ckpt, every: 1 }),
             None,
             &mut PoolTrials::new(&pool, "job-cancel", Some(dir.clone()), None, None),
             Some(&cancel),
@@ -1205,17 +1206,15 @@ mod tests {
         assert_eq!(snapshot.records.len(), 1);
 
         let resumed = cold::run_campaign(
-            &cfg,
-            master,
-            count,
-            1,
-            &ckpt,
+            &Campaign::new(cfg, master, count),
+            Some(Snapshots { path: &ckpt, every: 1 }),
             Some(snapshot),
             &mut LocalTrials::default(),
             None,
             |_, _| {},
         )
-        .expect("local resume");
+        .expect("local resume")
+        .into_results();
         assert_eq!(resumed.len(), count);
         for (i, r) in resumed.iter().enumerate() {
             let local = cfg.synthesize(derive_seed(master, i as u64));
@@ -1279,11 +1278,8 @@ mod tests {
         };
         let cancel = AtomicBool::new(false);
         let err = cold::run_campaign(
-            &cfg,
-            5,
-            3,
-            1,
-            &ckpt,
+            &Campaign::new(cfg, 5, 3),
+            Some(Snapshots { path: &ckpt, every: 1 }),
             None,
             &mut PoolTrials::new(&pool, "job-lost", Some(dir.clone()), None, None),
             Some(&cancel),
@@ -1309,17 +1305,15 @@ mod tests {
         let ckpt = dir.join("ckpt.json");
         let cancel = AtomicBool::new(false);
         let results = cold::run_campaign(
-            &cfg,
-            5,
-            2,
-            1,
-            &ckpt,
+            &Campaign::new(cfg, 5, 2),
+            Some(Snapshots { path: &ckpt, every: 1 }),
             None,
             &mut PoolTrials::new(&pool, "job-inline", Some(dir.clone()), None, None),
             Some(&cancel),
             |_, _| {},
         )
-        .expect("inline fallback campaign");
+        .expect("inline fallback campaign")
+        .into_results();
         assert_eq!(results.len(), 2);
         let local = cfg.synthesize(derive_seed(5, 1));
         assert_eq!(results[1].network.topology, local.network.topology);

@@ -27,7 +27,7 @@ use crate::dist::proto::{self, LeaseGrant, Msg};
 use cold::ga::GaCheckpoint;
 use cold::{
     fingerprint_hex, value_fingerprint, AttemptOptions, CheckpointSink, ColdConfig, ColdError,
-    ProgressSink, TrialRecord,
+    ProgressSink, TrialObjective, TrialRecord, TrialSpec,
 };
 use serde::Deserialize;
 use serde_json::json;
@@ -227,7 +227,8 @@ pub(crate) fn run_grant(
         progress,
         checkpoint: checkpoint.map(|sink| (grant.ckpt_every.max(1), sink)),
     };
-    cold::run_attempt(&config, grant.trial, grant.attempt, grant.seed, options)
+    let spec = TrialSpec::new(grant.seed, TrialObjective::Cost);
+    cold::run_attempt(&config, grant.trial, grant.attempt, spec, options)
         .map(|r| TrialRecord::from_result(grant.trial, grant.seed, &r))
 }
 

@@ -38,8 +38,8 @@ use crate::job::{JobEntry, JobMode, JobProgress, JobSpec, JobStatus};
 use crate::metrics::{self, names};
 use crate::queue::{BoundedQueue, QueueFull};
 use cold::{
-    CampaignCheckpoint, ColdError, LocalTrials, ProgressSink, RunOptions, TrialObjective,
-    TrialSource, TrialSpec,
+    Campaign, CampaignCheckpoint, ColdError, LocalTrials, ProgressSink, RunOptions, Snapshots,
+    TrialObjective, TrialSource, TrialSpec,
 };
 use std::collections::HashMap;
 use std::io;
@@ -704,19 +704,18 @@ fn standard_doc(
             let dir = ckpt_path.parent().map(std::path::Path::to_path_buf);
             Box::new(PoolTrials::new(pool, id, dir, deadline, progress))
         }
-        None => Box::new(LocalTrials { deadline, progress }),
+        None => Box::new(LocalTrials { deadline, progress, ..LocalTrials::default() }),
     };
     let results = cold::run_campaign(
-        &spec.config,
-        spec.seed,
-        spec.count,
-        1, // checkpoint every trial: drains lose nothing
-        ckpt_path,
+        &Campaign::new(spec.config, spec.seed, spec.count),
+        // Checkpoint every trial: drains lose nothing.
+        Some(Snapshots { path: ckpt_path, every: 1 }),
         resume,
         source.as_mut(),
         Some(&shared.shutdown),
         |i, _| entry.progress.lock().expect("job progress poisoned").trials_done = i + 1,
-    )?;
+    )?
+    .into_results();
     let report = cold::report::ensemble_report(&spec.config, &results, spec.seed);
     let topologies: Vec<serde_json::Value> = results
         .iter()

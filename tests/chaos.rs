@@ -13,8 +13,9 @@
 //! consume the next case's one-shot triggers.
 
 use cold::{
-    join_abandoned_watchdog_threads, run_campaign, CampaignCheckpoint, ColdConfig, ColdError,
-    LocalTrials, StopReason, SynthesisMode, RETRY_SALT,
+    join_abandoned_watchdog_threads, run_campaign, Campaign, CampaignCheckpoint, ColdConfig,
+    ColdError, LocalTrials, Snapshots, StopReason, SynthesisMode, TrialOutcome, TrialRecord,
+    TrialSource, RETRY_SALT,
 };
 use cold_context::rng::derive_seed;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -69,21 +70,46 @@ fn injected_panic_is_recovered_by_the_salted_retry() {
     assert_eq!(recovered.network.topology, expected_retry.network.topology);
     assert_eq!(recovered.best_cost_history, expected_retry.best_cost_history);
 
-    // A campaign contains the panic the same way: trial 0 is retried on
-    // the salted seed, and its record says so (two trials, so trial 0's
-    // record lands in the checkpoint).
+    // A campaign contains the panic the same way: the hit trial is
+    // retried on its salted seed, and its record says so. Both trials run
+    // at once, so the one-shot fault may hit either: the failure table
+    // names it.
     let path = tmp_path("panic-campaign.json");
     let _ = std::fs::remove_file(&path);
     cold_fault::configure("eval.panic:1", master).expect("valid spec");
-    let source = &mut LocalTrials::default();
-    let results = run_campaign(&cfg, master, 2, 1, &path, None, source, None, |_, _| {});
+    let source = &mut Recording(LocalTrials::default(), Vec::new());
+    let every1 = Some(Snapshots { path: &path, every: 1 });
+    let outcome =
+        run_campaign(&Campaign::new(cfg, master, 2), every1, None, source, None, |_, _| {});
     teardown();
-    let results = results.expect("one-shot panic must be absorbed by the campaign's retry");
-    let snapshot = CampaignCheckpoint::load(&path).expect("trial 0 was checkpointed");
-    assert_eq!(snapshot.records[0].seed, retry_seed);
-    assert_eq!(results[0].network.topology, expected_retry.network.topology);
-    assert_eq!(results[0].best_cost_history, expected_retry.best_cost_history);
+    let outcome = outcome.expect("one-shot panic must be absorbed by the campaign's retry");
+    assert_eq!(outcome.failures.len(), 1);
+    let hit = outcome.failures[0].trial;
+    let salted = derive_seed(derive_seed(master, RETRY_SALT), hit as u64);
+    assert_eq!(source.1[hit].seed, salted);
+    let expected_hit = cfg.synthesize(salted);
+    assert_eq!(outcome.results[hit].1.network.topology, expected_hit.network.topology);
+    assert_eq!(outcome.results[hit].1.best_cost_history, expected_hit.best_cost_history);
+    let other = 1 - hit;
+    let expected_other = cfg.synthesize(derive_seed(master, other as u64));
+    assert_eq!(outcome.results[other].1.network.topology, expected_other.network.topology);
+    assert_eq!(outcome.results[other].1.best_cost_history, expected_other.best_cost_history);
     let _ = std::fs::remove_file(&path);
+}
+
+/// A local trial source that keeps a copy of every record it hands over.
+struct Recording(LocalTrials, Vec<TrialRecord>);
+
+impl TrialSource for Recording {
+    fn next_trials(
+        &mut self,
+        campaign: &CampaignCheckpoint,
+        next: usize,
+    ) -> Result<Vec<TrialOutcome>, ColdError> {
+        let trials = self.0.next_trials(campaign, next)?;
+        self.1.extend(trials.iter().filter_map(|t| t.done.as_ref().map(|(r, _)| r.clone())));
+        Ok(trials)
+    }
 }
 
 #[test]
@@ -199,19 +225,19 @@ fn campaign_io_fault_aborts_resumably_and_resume_matches_uninterrupted() {
     let path = tmp_path("campaign.ckpt.json");
     let _ = std::fs::remove_file(&path);
 
+    let (campaign, every1) = (Campaign::new(cfg, 13, 4), Some(Snapshots { path: &path, every: 1 }));
     // Uninterrupted reference, no faults.
     cold_fault::clear();
-    let full =
-        run_campaign(&cfg, 13, 4, 1, &path, None, &mut LocalTrials::default(), None, |_, _| {})
-            .expect("clean run");
+    let full = run_campaign(&campaign, every1, None, &mut LocalTrials::default(), None, |_, _| {})
+        .expect("clean run")
+        .into_results();
     let _ = std::fs::remove_file(&path);
 
     // every=1, count=4 ⇒ snapshot writes after trials 1, 2, 3. The second
     // write fails ⇒ the campaign aborts with trial 0's snapshot on disk.
     cold_fault::configure("campaign.io_err:2", 13).expect("valid spec");
-    let err =
-        run_campaign(&cfg, 13, 4, 1, &path, None, &mut LocalTrials::default(), None, |_, _| {})
-            .unwrap_err();
+    let err = run_campaign(&campaign, every1, None, &mut LocalTrials::default(), None, |_, _| {})
+        .unwrap_err();
     teardown();
 
     match &err {
@@ -226,18 +252,10 @@ fn campaign_io_fault_aborts_resumably_and_resume_matches_uninterrupted() {
     assert_eq!(snapshot.records.len(), 1, "exactly the pre-fault prefix is on disk");
 
     // Resume with faults cleared: bit-identical to the uninterrupted run.
-    let resumed = run_campaign(
-        &cfg,
-        13,
-        4,
-        1,
-        &path,
-        Some(snapshot),
-        &mut LocalTrials::default(),
-        None,
-        |_, _| {},
-    )
-    .expect("resume");
+    let source = &mut LocalTrials::default();
+    let resumed = run_campaign(&campaign, every1, Some(snapshot), source, None, |_, _| {})
+        .expect("resume")
+        .into_results();
     assert_eq!(resumed.len(), full.len());
     for (x, y) in full.iter().zip(&resumed) {
         assert_eq!(x.network.topology, y.network.topology);
@@ -322,13 +340,9 @@ fn corrupt_campaign_checkpoints_are_typed_errors_naming_the_file() {
     // Truncated genuine snapshot.
     let cfg = ColdConfig::quick(7, 1e-4, 10.0);
     let r = cfg.synthesize(derive_seed(3, 0));
-    let good = CampaignCheckpoint {
-        config: cfg,
-        master_seed: 3,
-        count: 2,
-        records: vec![cold::TrialRecord::from_result(0, derive_seed(3, 0), &r)],
-    }
-    .to_json();
+    let mut good = CampaignCheckpoint::new(&Campaign::new(cfg, 3, 2));
+    good.records.push(cold::TrialRecord::from_result(0, derive_seed(3, 0), &r));
+    let good = good.to_json();
     let truncated = dir.join("truncated.ckpt.json");
     std::fs::write(&truncated, &good[..good.len() / 2]).unwrap();
     match CampaignCheckpoint::load(&truncated) {

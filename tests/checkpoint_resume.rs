@@ -5,7 +5,9 @@
 //! abort, and checkpoint writes must leave an audit trail in the journal.
 
 use cold::report::outcome_report;
-use cold::{export, run_campaign, CampaignCheckpoint, ColdConfig, LocalTrials};
+use cold::{
+    export, run_campaign, Campaign, CampaignCheckpoint, ColdConfig, LocalTrials, Snapshots,
+};
 use cold_obs::{parse_journal, Event, TraceMode};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -29,10 +31,11 @@ fn interrupted_campaign_resume_is_bit_identical_end_to_end() {
     let ckpt = temp_file("journey.ckpt.json");
     let _ = std::fs::remove_file(&ckpt);
 
+    let (campaign, every1) = (Campaign::new(cfg, 21, 3), Some(Snapshots { path: &ckpt, every: 1 }));
     // Uninterrupted reference, capturing what a CLI run would export.
-    let full =
-        run_campaign(&cfg, 21, 3, 1, &ckpt, None, &mut LocalTrials::default(), None, |_, _| {})
-            .expect("reference run");
+    let full = run_campaign(&campaign, every1, None, &mut LocalTrials::default(), None, |_, _| {})
+        .expect("reference run")
+        .into_results();
     let reference: Vec<String> =
         full.iter().map(|r| export::to_json(&r.network, &r.context)).collect();
     let _ = std::fs::remove_file(&ckpt);
@@ -40,7 +43,7 @@ fn interrupted_campaign_resume_is_bit_identical_end_to_end() {
     // Crash mid-campaign: the hook dies on trial 1, after the snapshot
     // covering trials 0–1 hit the disk.
     let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_campaign(&cfg, 21, 3, 1, &ckpt, None, &mut LocalTrials::default(), None, |i, _| {
+        run_campaign(&campaign, every1, None, &mut LocalTrials::default(), None, |i, _| {
             if i == 1 {
                 panic!("simulated kill");
             }
@@ -51,18 +54,10 @@ fn interrupted_campaign_resume_is_bit_identical_end_to_end() {
     // Resume from the snapshot and compare every exported artifact.
     let snapshot = CampaignCheckpoint::load(&ckpt).expect("valid snapshot on disk");
     assert!(!snapshot.records.is_empty() && snapshot.records.len() < 3, "partial snapshot");
-    let resumed = run_campaign(
-        &cfg,
-        21,
-        3,
-        1,
-        &ckpt,
-        Some(snapshot),
-        &mut LocalTrials::default(),
-        None,
-        |_, _| {},
-    )
-    .expect("resumed run");
+    let source = &mut LocalTrials::default();
+    let resumed = run_campaign(&campaign, every1, Some(snapshot), source, None, |_, _| {})
+        .expect("resumed run")
+        .into_results();
     assert_eq!(resumed.len(), full.len());
     for (i, (a, b)) in full.iter().zip(&resumed).enumerate() {
         assert_eq!(a.network.topology, b.network.topology, "trial {i} topology");
@@ -83,12 +78,17 @@ fn injected_panic_emits_trial_failed_events_and_partial_report() {
     cold_obs::configure(TraceMode::Journal(journal.clone())).expect("journal sink");
     let cfg = ColdConfig::quick(7, 4e-4, 10.0);
     // Trial 1 panics on both attempts; everything else is healthy.
-    let outcome = cfg.ensemble_with_runner(9, 3, &|c, seed, trial, _attempt| {
-        if trial == 1 {
-            panic!("injected trial failure");
-        }
-        c.try_synthesize(seed)
-    });
+    let source = &mut LocalTrials {
+        runner: Some(Box::new(|c, seed, trial, _attempt| {
+            if trial == 1 {
+                panic!("injected trial failure");
+            }
+            c.try_synthesize(seed)
+        })),
+        ..LocalTrials::default()
+    };
+    let outcome = run_campaign(&Campaign::new(cfg, 9, 3), None, None, source, None, |_, _| {})
+        .expect("valid campaign");
     cold_obs::configure(TraceMode::Off).expect("disable sink");
 
     // The ensemble degrades instead of aborting: 2 of 3 trials survive.
@@ -129,8 +129,16 @@ fn campaign_checkpoints_leave_a_journal_audit_trail() {
     let _ = std::fs::remove_file(&ckpt);
     cold_obs::configure(TraceMode::Journal(journal.clone())).expect("journal sink");
     let cfg = ColdConfig::quick(7, 4e-4, 10.0);
-    run_campaign(&cfg, 5, 3, 1, &ckpt, None, &mut LocalTrials::default(), None, |_, _| {})
-        .expect("campaign");
+    let every1 = Some(Snapshots { path: &ckpt, every: 1 });
+    run_campaign(
+        &Campaign::new(cfg, 5, 3),
+        every1,
+        None,
+        &mut LocalTrials::default(),
+        None,
+        |_, _| {},
+    )
+    .expect("campaign");
     cold_obs::configure(TraceMode::Off).expect("disable sink");
 
     let text = std::fs::read_to_string(&journal).expect("journal written");
