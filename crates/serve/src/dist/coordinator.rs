@@ -18,9 +18,18 @@
 //!   exhausted the job fails — exactly the lost-trial semantics of the
 //!   local campaign runner.
 //! * **Checkpoint migration.** Workers upload mid-run
-//!   [`GaCheckpoint`](cold::ga::GaCheckpoint)s; a requeued trial
-//!   carries the last snapshot, so its next holder resumes
-//!   bit-identically instead of restarting from generation 0.
+//!   [`GaCheckpoint`]s as deltas: each carries only the fitness-cache
+//!   entries the coordinator has not acknowledged, plus the size of the
+//!   worker's whole cache. The coordinator keeps each lease's run as one
+//!   parsed snapshot in memory and merges every delta into it as a union
+//!   by chromosome, so a re-sent delta is harmless; an upload that does
+//!   not extend the copy is rejected (the worker then uploads in full),
+//!   and one for a lease the worker no longer holds is answered
+//!   `lease_revoked`. A requeued trial carries the assembled snapshot,
+//!   serialized in full, so its next holder resumes bit-identically
+//!   instead of restarting from generation 0. Nothing is written to
+//!   disk: a restarted coordinator re-runs in-flight trials from
+//!   generation 0.
 //!
 //! A job's campaign is [`cold::run_campaign`] drawing its trials from a
 //! [`PoolTrials`] source. Every grant carries the server's trial
@@ -33,9 +42,11 @@
 
 use crate::acceptor;
 use crate::dist::proto::{self, LeaseGrant, Msg};
-use crate::dist::worker::run_grant;
+use crate::dist::worker::{grant_resume, run_grant};
 use crate::metrics::names;
 use cold::context::rng::derive_seed;
+use cold::ga::GaCheckpoint;
+use cold::graph::AdjacencyMatrix;
 use cold::{
     fingerprint_hex, value_fingerprint, CampaignCheckpoint, ColdError, ProgressSink, TrialOutcome,
     TrialRecord, TrialSource, RETRY_SALT,
@@ -45,7 +56,6 @@ use serde_json::{json, Value};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
@@ -102,10 +112,8 @@ struct PendingTrial {
     attempt: usize,
     /// Backoff gate: not grantable before this instant.
     eligible_at: Instant,
-    /// Last uploaded GA snapshot from a previous holder, if any.
-    snapshot: Option<Value>,
-    /// Generation the snapshot resumes from (0 = from scratch).
-    resumed_generation: usize,
+    /// GA snapshot assembled from a previous holder's uploads, if any.
+    snapshot: Option<GaCheckpoint>,
     /// Previous holder; `Some` marks a re-grant, which is journaled as
     /// a `trial_migrated`.
     last_worker: Option<String>,
@@ -120,8 +128,9 @@ struct Lease {
     attempt: usize,
     worker: String,
     deadline: Instant,
-    snapshot: Option<Value>,
-    resumed_generation: usize,
+    /// The run as assembled from this holder's uploads (seeded with the
+    /// snapshot the grant resumed from).
+    snapshot: Option<GaCheckpoint>,
 }
 
 /// Per-job shard of campaign state.
@@ -133,9 +142,6 @@ struct JobShard {
     /// Trace context of the owning job — lease/migration events join
     /// the same distributed trace the job's other events live in.
     trace: Option<cold_obs::trace::TraceCtx>,
-    /// Job cache directory, for best-effort durable copies of uploaded
-    /// GA snapshots (`trial-<i>.ga.json`).
-    dir: Option<PathBuf>,
     /// Per-attempt wall-clock deadline every grant of the job carries.
     trial_deadline: Option<Duration>,
     pending: VecDeque<PendingTrial>,
@@ -166,6 +172,48 @@ fn lease_fp(job: &str, trial: usize, seed: u64, attempt: usize) -> String {
     fingerprint_hex(value_fingerprint(
         &json!({"job": job, "trial": trial, "seed": seed, "attempt": attempt}),
     ))
+}
+
+/// Folds a snapshot upload into a lease's copy of its run. A full upload
+/// (its cache is the worker's whole cache, `cache_total` entries)
+/// replaces the copy. A delta adds the cache entries the copy lacks —
+/// a union by chromosome, so a re-sent delta changes nothing. Every
+/// other field comes from the upload.
+///
+/// # Errors
+/// The upload does not extend the copy: it is older than the copy, or
+/// copy and delta together do not hold exactly `cache_total` entries.
+/// The copy is then left unchanged.
+fn merge_upload(
+    stored: &mut Option<GaCheckpoint>,
+    mut upload: GaCheckpoint,
+    cache_total: usize,
+) -> Result<(), String> {
+    if let Some(s) = stored.as_ref().filter(|s| s.generation > upload.generation) {
+        return Err(format!(
+            "generation {} is older than the stored generation {}",
+            upload.generation, s.generation
+        ));
+    }
+    if upload.cache.as_ref().map_or(0, Vec::len) != cache_total {
+        let base = stored.as_ref().and_then(|s| s.cache.as_deref()).unwrap_or_default();
+        let delta = upload.cache.as_deref().unwrap_or_default();
+        let mut held: HashSet<&AdjacencyMatrix> = base.iter().map(|(t, _)| t).collect();
+        let fresh: Vec<bool> = delta.iter().map(|(t, _)| held.insert(t)).collect();
+        if held.len() != cache_total {
+            return Err(format!(
+                "the stored snapshot and the delta hold {} of the worker's {cache_total} \
+                 cache entries",
+                held.len()
+            ));
+        }
+        let mut cache = stored.take().and_then(|s| s.cache).unwrap_or_default();
+        let delta = upload.cache.take().unwrap_or_default();
+        cache.extend(delta.into_iter().zip(fresh).filter_map(|(e, fresh)| fresh.then_some(e)));
+        upload.cache = Some(cache);
+    }
+    *stored = Some(upload);
+    Ok(())
 }
 
 /// The worker name of trials the coordinator runs inline.
@@ -330,8 +378,14 @@ impl DistPool {
     fn handle_conn(&self, mut stream: TcpStream) {
         let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-        let msg = match proto::read_frame(&mut stream) {
-            Ok(m) => m,
+        let msg = match proto::read_frame_sized(&mut stream) {
+            Ok((msg, bytes)) => {
+                if matches!(msg, Msg::TrialCheckpoint { .. }) {
+                    cold_obs::counter_add(names::DIST_CHECKPOINT_UPLOADS, 1);
+                    cold_obs::counter_add(names::DIST_CHECKPOINT_BYTES, bytes as u64);
+                }
+                msg
+            }
             Err(_) => return,
         };
         let reply = self.dispatch(msg);
@@ -358,8 +412,8 @@ impl DistPool {
                 self.join_worker(&worker);
                 self.grant(&worker)
             }
-            Msg::TrialCheckpoint { worker, lease, snapshot } => {
-                self.handle_checkpoint(&worker, &lease, snapshot)
+            Msg::TrialCheckpoint { worker, lease, snapshot, cache_total } => {
+                self.handle_checkpoint(&worker, &lease, &snapshot, cache_total)
             }
             Msg::TrialResult { worker, lease, job, trial, seed, record } => {
                 self.handle_result(&worker, &lease, &job, trial, seed, &record)
@@ -423,7 +477,7 @@ impl DistPool {
                 .as_ref()
                 .map(|c| c.trace_id.clone())
                 .unwrap_or_else(|| job_id.clone()),
-            snapshot: p.snapshot.clone(),
+            snapshot: p.snapshot.as_ref().map(GaCheckpoint::to_value),
         };
         if cold_obs::is_enabled() {
             let ctx = shard.trace.as_ref();
@@ -445,7 +499,7 @@ impl DistPool {
                         lease: lease_id.clone(),
                         from_worker: from.clone(),
                         to_worker: worker.to_string(),
-                        resumed_generation: p.resumed_generation,
+                        resumed_generation: p.snapshot.as_ref().map_or(0, |s| s.generation),
                     }),
                     ctx,
                 );
@@ -462,15 +516,20 @@ impl DistPool {
                 worker: worker.to_string(),
                 deadline: now + self.cfg.lease_deadline,
                 snapshot: p.snapshot,
-                resumed_generation: p.resumed_generation,
             },
         );
         cold_obs::gauge_set(names::DIST_LEASES_ACTIVE, st.leases.len() as i64);
         Some(grant)
     }
 
-    fn handle_checkpoint(&self, worker: &str, lease: &str, snapshot: Value) -> Msg {
-        let parsed = match cold::ga::GaCheckpoint::from_value(&snapshot) {
+    fn handle_checkpoint(
+        &self,
+        worker: &str,
+        lease: &str,
+        snapshot: &Value,
+        cache_total: usize,
+    ) -> Msg {
+        let upload = match GaCheckpoint::from_value(snapshot) {
             Ok(c) => c,
             Err(why) => return Msg::Error { message: format!("bad checkpoint: {why}") },
         };
@@ -479,29 +538,15 @@ impl DistPool {
             *beat = Instant::now();
         }
         // An upload for an expired/unknown lease is not an error — the
-        // trial moved on; the worker's eventual result upload dedups.
-        let (job, trial) = match st.leases.get(lease) {
-            Some(l) if l.worker == worker => (l.job.clone(), l.trial),
-            _ => return Msg::CheckpointOk,
+        // trial moved on and the worker's eventual result upload dedups —
+        // but the worker should stop uploading for it.
+        let Some(l) = st.leases.get_mut(lease).filter(|l| l.worker == worker) else {
+            return Msg::LeaseRevoked;
         };
-        let generation = parsed.generation;
-        if let Some(l) = st.leases.get_mut(lease) {
-            l.snapshot = Some(snapshot);
-            l.resumed_generation = generation;
+        match merge_upload(&mut l.snapshot, upload, cache_total) {
+            Ok(()) => Msg::CheckpointOk,
+            Err(reason) => Msg::CheckpointRejected { reason },
         }
-        let path = st
-            .jobs
-            .get(&job)
-            .and_then(|s| s.dir.as_ref())
-            .map(|d| d.join(format!("trial-{trial}.ga.json")));
-        drop(st);
-        // Durable copy is best-effort: the in-memory snapshot is what
-        // migration uses; the file is for post-mortem inspection and
-        // coordinator restarts.
-        if let Some(p) = path {
-            let _ = parsed.save(&p);
-        }
-        Msg::CheckpointOk
     }
 
     /// Idempotent completion: the first upload for a (job, trial) wins;
@@ -548,24 +593,13 @@ impl DistPool {
     /// Settles `lease` with its trial's record; returns whether another
     /// lease of the trial completed first (the record is then dropped).
     fn complete(&self, worker: &str, lease: &str, job: &str, rec: TrialRecord) -> bool {
-        let trial = rec.trial;
         let mut st = self.state.lock().expect("dist pool poisoned");
         if let Some(beat) = st.workers.get_mut(worker) {
             *beat = Instant::now();
         }
         st.leases.remove(lease);
         let duplicate = self.record_completion(&mut st, job, rec);
-        let snapshot_file = st
-            .jobs
-            .get(job)
-            .and_then(|s| s.dir.as_ref())
-            .map(|d| d.join(format!("trial-{trial}.ga.json")));
         drop(st);
-        if !duplicate {
-            if let Some(p) = snapshot_file {
-                let _ = std::fs::remove_file(p);
-            }
-        }
         self.wake.notify_all();
         duplicate
     }
@@ -627,7 +661,6 @@ impl DistPool {
                 attempt: next_attempt,
                 eligible_at: now + delay,
                 snapshot: lease.snapshot,
-                resumed_generation: lease.resumed_generation,
                 last_worker: Some(lease.worker),
             });
             return;
@@ -661,7 +694,6 @@ impl DistPool {
             attempt: 1,
             eligible_at: now,
             snapshot: None,
-            resumed_generation: 0,
             last_worker: Some(lease.worker),
         });
     }
@@ -724,7 +756,6 @@ impl DistPool {
         &self,
         id: &str,
         campaign: &CampaignCheckpoint,
-        dir: Option<PathBuf>,
         trial_deadline: Option<Duration>,
     ) {
         let now = Instant::now();
@@ -737,7 +768,6 @@ impl DistPool {
                 attempt: 1,
                 eligible_at: now,
                 snapshot: None,
-                resumed_generation: 0,
                 last_worker: None,
             });
         }
@@ -745,7 +775,6 @@ impl DistPool {
             config_value: campaign.config.to_json_value(),
             master_seed: campaign.master_seed,
             trace: cold_obs::trace::current(),
-            dir,
             trial_deadline,
             pending,
             completed: HashMap::new(),
@@ -832,25 +861,22 @@ enum Step {
 pub struct PoolTrials<'a> {
     pool: &'a DistPool,
     id: &'a str,
-    dir: Option<PathBuf>,
     deadline: Option<Duration>,
     progress: Option<ProgressSink>,
     registered: bool,
 }
 
 impl<'a> PoolTrials<'a> {
-    /// A source for job `id` that keeps durable copies of uploaded GA
-    /// snapshots in `dir`. `deadline` bounds every attempt, remote or
-    /// inline; `progress` observes the trials the coordinator runs
+    /// A source for job `id`. `deadline` bounds every attempt, remote
+    /// or inline; `progress` observes the trials the coordinator runs
     /// inline.
     pub fn new(
         pool: &'a DistPool,
         id: &'a str,
-        dir: Option<PathBuf>,
         deadline: Option<Duration>,
         progress: Option<ProgressSink>,
     ) -> Self {
-        Self { pool, id, dir, deadline, progress, registered: false }
+        Self { pool, id, deadline, progress, registered: false }
     }
 }
 
@@ -861,10 +887,11 @@ impl TrialSource for PoolTrials<'_> {
         next: usize,
     ) -> Result<Vec<TrialOutcome>, ColdError> {
         if !self.registered {
-            self.pool.register_job(self.id, campaign, self.dir.take(), self.deadline);
+            self.pool.register_job(self.id, campaign, self.deadline);
             self.registered = true;
         }
-        let inline = |grant: &LeaseGrant| run_grant(grant, self.progress.clone(), None);
+        let inline =
+            |grant: &LeaseGrant| run_grant(grant, grant_resume(grant), self.progress.clone(), None);
         match self.pool.next_step(self.id, next, inline) {
             Step::Extended(recs) => recs
                 .into_iter()
@@ -894,9 +921,11 @@ impl Drop for PoolTrials<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::worker::Uploads;
     use cold::{
         Campaign, ColdConfig, LocalTrials, RunOptions, Snapshots, TrialObjective, TrialSpec,
     };
+    use std::path::PathBuf;
 
     fn quick_cfg() -> ColdConfig {
         ColdConfig::quick(8, 1e-4, 10.0)
@@ -909,7 +938,7 @@ mod tests {
     /// Registers job `id`: one trial of `quick_cfg()` on `master_seed`.
     fn register(pool: &DistPool, id: &str, master_seed: u64) {
         let campaign = CampaignCheckpoint::new(&Campaign::new(quick_cfg(), master_seed, 1));
-        pool.register_job(id, &campaign, None, None);
+        pool.register_job(id, &campaign, None);
     }
 
     fn granted(msg: Msg) -> LeaseGrant {
@@ -1077,12 +1106,182 @@ mod tests {
                 worker: "w1".into(),
                 lease: grant.lease.clone(),
                 snapshot: snapshot.clone(),
+                cache_total: snapshot["cache"].as_array().map_or(0, Vec::len),
             }),
             Msg::CheckpointOk
         );
         pool.tick(); // lease expires; snapshot must ride along
         let regrant = granted(pool.dispatch(Msg::LeaseRequest { worker: "w2".into() }));
         assert_eq!(regrant.snapshot, Some(snapshot));
+    }
+
+    /// The engine's own snapshots of a trial of `quick_cfg()` on `seed`,
+    /// one per generation (index `g - 1` holds generation `g`).
+    fn engine_snapshots(seed: u64) -> Vec<GaCheckpoint> {
+        let mut snaps = Vec::new();
+        let mut sink = |c: &GaCheckpoint| snaps.push(c.clone());
+        let checkpoint = Some(cold::ga::CheckpointHook { every: 1, sink: &mut sink });
+        let options = RunOptions { checkpoint, ..RunOptions::default() };
+        quick_cfg().run_trial(TrialSpec::new(seed, TrialObjective::Cost), options).expect("trial");
+        assert!(snaps.iter().all(|s| s.cache.is_some()), "the quick GA memoizes fitness");
+        snaps
+    }
+
+    /// The cache entries and the whole-cache size an upload carries.
+    fn carried(msg: &Msg) -> (usize, usize) {
+        match msg {
+            Msg::TrialCheckpoint { snapshot, cache_total, .. } => {
+                (snapshot["cache"].as_array().map_or(0, Vec::len), *cache_total)
+            }
+            other => panic!("expected a snapshot upload, got {other:?}"),
+        }
+    }
+
+    /// The coordinator's copy of `lease`'s run, serialized.
+    fn stored(pool: &DistPool, lease: &str) -> Option<String> {
+        let st = pool.state.lock().expect("state");
+        st.leases.get(lease).expect("active lease").snapshot.as_ref().map(GaCheckpoint::to_json)
+    }
+
+    /// Registers a one-trial job and leases its trial to `w1`.
+    fn leased(pool: &DistPool) -> LeaseGrant {
+        register(pool, "job-a", 7);
+        pool.dispatch(Msg::Hello { worker: "w1".into() });
+        granted(pool.dispatch(Msg::LeaseRequest { worker: "w1".into() }))
+    }
+
+    #[test]
+    fn full_upload_plus_two_deltas_assembles_the_engines_snapshot() {
+        let pool = test_pool(DistConfig {
+            lease_deadline: Duration::from_millis(0),
+            backoff_base_ms: 0,
+            ..DistConfig::default()
+        });
+        let grant = leased(&pool);
+        let snaps = engine_snapshots(grant.seed);
+        let mut uploads = Uploads::new("w1", &grant.lease, None);
+        for g in [2, 4, 6] {
+            let ckpt = &snaps[g - 1];
+            let sent = uploads.upload(ckpt, |msg| {
+                let (carried, total) = carried(msg);
+                assert!(carried > 0, "generation {g} adds cache entries");
+                assert_eq!(carried == total, g == 2, "only the first upload is full");
+                let reply = pool.dispatch(msg.clone());
+                assert_eq!(reply, Msg::CheckpointOk);
+                Ok(reply)
+            });
+            assert!(sent);
+            assert_eq!(stored(&pool, &grant.lease), Some(ckpt.to_json()), "generation {g}");
+        }
+        // The migration grant ships the assembled snapshot in full, and
+        // the next holder's first upload is a delta against it.
+        pool.tick();
+        let regrant = granted(pool.dispatch(Msg::LeaseRequest { worker: "w2".into() }));
+        assert_eq!(regrant.snapshot, Some(snaps[5].to_value()));
+        let resume = grant_resume(&regrant);
+        let mut uploads = Uploads::new("w2", &regrant.lease, resume.as_ref());
+        uploads.upload(&snaps[7], |msg| {
+            let (carried, total) = carried(msg);
+            assert!(carried > 0 && carried < total, "a delta: {carried} of {total} entries");
+            Ok(pool.dispatch(msg.clone()))
+        });
+        assert_eq!(stored(&pool, &regrant.lease), Some(snaps[7].to_json()));
+    }
+
+    #[test]
+    fn a_resent_delta_is_idempotent() {
+        let pool = test_pool(DistConfig::default());
+        let grant = leased(&pool);
+        let snaps = engine_snapshots(grant.seed);
+        let mut uploads = Uploads::new("w1", &grant.lease, None);
+        uploads.upload(&snaps[0], |msg| Ok(pool.dispatch(msg.clone())));
+        // The generation-2 delta arrives twice.
+        uploads.upload(&snaps[1], |msg| {
+            assert_eq!(pool.dispatch(msg.clone()), Msg::CheckpointOk);
+            Ok(pool.dispatch(msg.clone()))
+        });
+        assert_eq!(stored(&pool, &grant.lease), Some(snaps[1].to_json()));
+        // The generation-3 delta is merged but its reply is lost, so the
+        // generation-4 upload carries its entries again.
+        uploads.upload(&snaps[2], |msg| {
+            pool.dispatch(msg.clone());
+            Err(io::Error::from(io::ErrorKind::ConnectionAborted))
+        });
+        assert_eq!(stored(&pool, &grant.lease), Some(snaps[2].to_json()));
+        uploads.upload(&snaps[3], |msg| Ok(pool.dispatch(msg.clone())));
+        assert_eq!(stored(&pool, &grant.lease), Some(snaps[3].to_json()));
+    }
+
+    #[test]
+    fn a_delta_that_does_not_extend_the_stored_snapshot_is_rejected() {
+        let pool = test_pool(DistConfig::default());
+        let grant = leased(&pool);
+        let snaps = engine_snapshots(grant.seed);
+        let mut uploads = Uploads::new("w1", &grant.lease, None);
+        let mut send = |msg: &Msg| Ok(pool.dispatch(msg.clone()));
+        uploads.upload(&snaps[0], &mut send);
+        uploads.upload(&snaps[1], &mut send);
+        // The copy loses the generation-2 entries the worker counts as
+        // acknowledged.
+        let older = Some(snaps[0].clone());
+        pool.state.lock().expect("state").leases.get_mut(&grant.lease).expect("lease").snapshot =
+            older;
+        let mut replies = Vec::new();
+        uploads.upload(&snaps[2], |msg| {
+            let reply = pool.dispatch(msg.clone());
+            if matches!(reply, Msg::CheckpointRejected { .. }) {
+                assert_eq!(stored(&pool, &grant.lease), Some(snaps[0].to_json()), "unchanged");
+            }
+            replies.push((carried(msg), reply.clone()));
+            Ok(reply)
+        });
+        let total = replies[0].0 .1;
+        // The rejected delta is followed by a full upload, which is merged.
+        assert_eq!(replies.len(), 2, "{replies:?}");
+        assert!(matches!(replies[0].1, Msg::CheckpointRejected { .. }), "{replies:?}");
+        assert!(replies[0].0 .0 < total);
+        assert_eq!(replies[1], ((total, total), Msg::CheckpointOk));
+        assert_eq!(stored(&pool, &grant.lease), Some(snaps[2].to_json()));
+        // An older snapshot does not extend the copy either, even in full.
+        let reply = pool.dispatch(Msg::TrialCheckpoint {
+            worker: "w1".into(),
+            lease: grant.lease.clone(),
+            snapshot: snaps[1].to_value(),
+            cache_total: snaps[1].cache.as_ref().map_or(0, Vec::len),
+        });
+        assert!(matches!(reply, Msg::CheckpointRejected { .. }), "{reply:?}");
+        assert_eq!(stored(&pool, &grant.lease), Some(snaps[2].to_json()));
+    }
+
+    #[test]
+    fn uploads_for_a_revoked_lease_are_answered_lease_revoked() {
+        let pool = test_pool(DistConfig {
+            lease_deadline: Duration::from_millis(0),
+            backoff_base_ms: 0,
+            ..DistConfig::default()
+        });
+        let grant = leased(&pool);
+        let snaps = engine_snapshots(grant.seed);
+        pool.tick(); // the lease expires and its trial is re-queued
+        let regrant = granted(pool.dispatch(Msg::LeaseRequest { worker: "w2".into() }));
+        let mut uploads = Uploads::new("w1", &grant.lease, None);
+        let mut replies = Vec::new();
+        let mut send = |msg: &Msg| {
+            let reply = pool.dispatch(msg.clone());
+            replies.push(reply.clone());
+            Ok(reply)
+        };
+        assert!(uploads.upload(&snaps[0], &mut send));
+        // Once revoked, the sink uploads nothing more for the lease.
+        assert!(!uploads.upload(&snaps[1], &mut send));
+        assert_eq!(replies, vec![Msg::LeaseRevoked]);
+        // A lease held by another worker is revoked for this one too.
+        let mut stray = Uploads::new("w1", &regrant.lease, None);
+        stray.upload(&snaps[0], |msg| {
+            assert_eq!(pool.dispatch(msg.clone()), Msg::LeaseRevoked);
+            Ok(Msg::LeaseRevoked)
+        });
+        assert_eq!(stored(&pool, &regrant.lease), None);
     }
 
     /// An in-thread worker: pulls leases and uploads each trial's record
@@ -1151,7 +1350,7 @@ mod tests {
             &Campaign::new(cfg, master, count),
             Some(Snapshots { path: &ckpt, every: 1 }),
             None,
-            &mut PoolTrials::new(&pool, "job-sim", Some(dir.clone()), None, None),
+            &mut PoolTrials::new(&pool, "job-sim", None, None),
             Some(&cancel),
             |i, _| {
                 // Every completed trial but the last is on disk before
@@ -1190,7 +1389,7 @@ mod tests {
             &Campaign::new(cfg, master, count),
             Some(Snapshots { path: &ckpt, every: 1 }),
             None,
-            &mut PoolTrials::new(&pool, "job-cancel", Some(dir.clone()), None, None),
+            &mut PoolTrials::new(&pool, "job-cancel", None, None),
             Some(&cancel),
             |i, _| {
                 if i == 0 {
@@ -1281,7 +1480,7 @@ mod tests {
             &Campaign::new(cfg, 5, 3),
             Some(Snapshots { path: &ckpt, every: 1 }),
             None,
-            &mut PoolTrials::new(&pool, "job-lost", Some(dir.clone()), None, None),
+            &mut PoolTrials::new(&pool, "job-lost", None, None),
             Some(&cancel),
             |_, _| {},
         )
@@ -1308,7 +1507,7 @@ mod tests {
             &Campaign::new(cfg, 5, 2),
             Some(Snapshots { path: &ckpt, every: 1 }),
             None,
-            &mut PoolTrials::new(&pool, "job-inline", Some(dir.clone()), None, None),
+            &mut PoolTrials::new(&pool, "job-inline", None, None),
             Some(&cancel),
             |_, _| {},
         )

@@ -2,7 +2,8 @@
 //!
 //! Every message travels as one *frame*: a 4-byte big-endian length
 //! prefix followed by that many bytes of UTF-8 JSON. Frames are small
-//! (the largest is a mid-run GA snapshot) and capped at
+//! (the largest is a migration grant's full GA snapshot; uploads carry
+//! only the cache entries the coordinator lacks) and capped at
 //! [`MAX_FRAME_BYTES`] so a corrupt or hostile peer cannot make either
 //! side allocate unbounded memory.
 //!
@@ -52,6 +53,14 @@ pub fn write_frame<W: Write>(stream: &mut W, msg: &Msg) -> io::Result<()> {
 /// length prefix, non-UTF-8 payload, invalid JSON, or an unknown
 /// message shape.
 pub fn read_frame<R: Read>(stream: &mut R) -> io::Result<Msg> {
+    read_frame_sized(stream).map(|(msg, _)| msg)
+}
+
+/// [`read_frame`], also returning the frame's payload length in bytes.
+///
+/// # Errors
+/// As [`read_frame`].
+pub fn read_frame_sized<R: Read>(stream: &mut R) -> io::Result<(Msg, usize)> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;
     let len = u32::from_be_bytes(len_buf) as usize;
@@ -67,7 +76,9 @@ pub fn read_frame<R: Read>(stream: &mut R) -> io::Result<Msg> {
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
     let value: Value = serde_json::from_str(text)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad frame JSON: {e}")))?;
-    Msg::from_value(&value).map_err(|why| io::Error::new(io::ErrorKind::InvalidData, why))
+    let msg =
+        Msg::from_value(&value).map_err(|why| io::Error::new(io::ErrorKind::InvalidData, why))?;
+    Ok((msg, len))
 }
 
 /// One granted unit of work: run trial `trial` of job `job` with `seed`.
@@ -155,8 +166,8 @@ impl LeaseGrant {
 /// Requests (worker -> coordinator): `Hello`, `Heartbeat`,
 /// `LeaseRequest`, `TrialCheckpoint`, `TrialResult`, `TrialError`,
 /// `Bye`. Replies (coordinator -> worker): `HelloOk`, `HeartbeatOk`,
-/// `LeaseGrant` / `NoWork` / `Drain`, `CheckpointOk`, `ResultOk`,
-/// `ByeOk`, `Error`.
+/// `LeaseGrant` / `NoWork` / `Drain`, `CheckpointOk` /
+/// `CheckpointRejected` / `LeaseRevoked`, `ResultOk`, `ByeOk`, `Error`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
     /// Worker registration (idempotent; re-sent after eviction).
@@ -191,17 +202,32 @@ pub enum Msg {
     },
     /// Coordinator is draining: do not request more work, exit cleanly.
     Drain,
-    /// Mid-run GA snapshot upload for a held lease.
+    /// Mid-run GA snapshot upload for a held lease: a `GaCheckpoint`
+    /// document whose `cache` holds only the entries the coordinator has
+    /// not acknowledged yet (all of them in a full upload).
     TrialCheckpoint {
         /// Worker name.
         worker: String,
         /// Lease the snapshot belongs to.
         lease: String,
-        /// The `GaCheckpoint` document.
+        /// The `GaCheckpoint` document, cache cut to the delta.
         snapshot: Value,
+        /// Entries in the worker's whole fitness cache at this snapshot;
+        /// the coordinator's merged copy must hold exactly this many.
+        cache_total: usize,
     },
-    /// Snapshot accepted (or ignored for an expired lease — harmless).
+    /// Snapshot merged into the coordinator's copy of the lease's run.
     CheckpointOk,
+    /// The upload does not extend the coordinator's copy (it is older,
+    /// or the copy lacks entries the delta assumes); the copy is left
+    /// unchanged and the worker should send a full upload.
+    CheckpointRejected {
+        /// Human-readable reason.
+        reason: String,
+    },
+    /// The worker no longer holds the lease (expired, re-queued, or the
+    /// trial completed elsewhere): stop uploading for it.
+    LeaseRevoked,
     /// Completed trial upload. Idempotent: duplicates (same job+trial)
     /// are acknowledged with `ResultOk { duplicate: true }` and dropped.
     TrialResult {
@@ -262,13 +288,18 @@ impl Msg {
             Msg::Grant(grant) => grant.to_value(),
             Msg::NoWork { backoff_ms } => json!({"type": "no_work", "backoff_ms": backoff_ms}),
             Msg::Drain => json!({"type": "drain"}),
-            Msg::TrialCheckpoint { worker, lease, snapshot } => json!({
+            Msg::TrialCheckpoint { worker, lease, snapshot, cache_total } => json!({
                 "type": "trial_checkpoint",
                 "worker": worker,
                 "lease": lease,
                 "snapshot": snapshot,
+                "cache_total": cache_total,
             }),
             Msg::CheckpointOk => json!({"type": "checkpoint_ok"}),
+            Msg::CheckpointRejected { reason } => {
+                json!({"type": "checkpoint_rejected", "reason": reason})
+            }
+            Msg::LeaseRevoked => json!({"type": "lease_revoked"}),
             Msg::TrialResult { worker, lease, job, trial, seed, record } => json!({
                 "type": "trial_result",
                 "worker": worker,
@@ -316,8 +347,13 @@ impl Msg {
                     .get("snapshot")
                     .cloned()
                     .ok_or("trial_checkpoint: `snapshot` missing")?,
+                cache_total: usize_field(v, "cache_total")?,
             }),
             "checkpoint_ok" => Ok(Msg::CheckpointOk),
+            "checkpoint_rejected" => {
+                Ok(Msg::CheckpointRejected { reason: str_field(v, "reason")? })
+            }
+            "lease_revoked" => Ok(Msg::LeaseRevoked),
             "trial_result" => Ok(Msg::TrialResult {
                 worker: str_field(v, "worker")?,
                 lease: str_field(v, "lease")?,
@@ -404,8 +440,11 @@ mod tests {
             worker: "w1".into(),
             lease: "1ea5e1ea5e1ea5e1".into(),
             snapshot: json!({"generation": 7}),
+            cache_total: 12,
         });
         round_trip(Msg::CheckpointOk);
+        round_trip(Msg::CheckpointRejected { reason: "stale".into() });
+        round_trip(Msg::LeaseRevoked);
         round_trip(Msg::TrialResult {
             worker: "w1".into(),
             lease: "1ea5e1ea5e1ea5e1".into(),

@@ -2,7 +2,10 @@
 //!
 //! A worker is deliberately stateless: it registers with the
 //! coordinator, then loops pulling one lease at a time, running the
-//! trial, and uploading the result. The trial runs through
+//! trial, and uploading the result. An idle worker re-polls soon after a
+//! `no_work` (10 ms), doubling the wait up to the coordinator's
+//! `backoff_ms`, so a job submitted just after the worker went idle is
+//! leased at once. The trial runs through
 //! `run_grant` — one [`cold::run_attempt`], the step every local trial
 //! and the coordinator's inline fallback run too — so a panic is
 //! contained and the job's trial deadline (`cold-serve --deadline`,
@@ -12,6 +15,18 @@
 //! worker dies mid-trial (crash, SIGKILL, network partition) the
 //! coordinator notices via the missed heartbeats, requeues the lease,
 //! and the next holder resumes from the last uploaded GA snapshot.
+//!
+//! Snapshot uploads are deltas. Within a lease the checkpoint sink
+//! remembers which fitness-cache chromosomes the coordinator has
+//! acknowledged (after a migration, those of the grant's snapshot), and
+//! each `trial_checkpoint` carries the population, RNG state, history
+//! and counters plus only the unacknowledged cache entries, with the
+//! size of the whole cache. The coordinator merges the delta into its
+//! copy of the run. A `checkpoint_rejected` reply (the copy lacks
+//! entries the delta assumes) makes the sink forget its acknowledgements
+//! and send the snapshot again in full; a `lease_revoked` reply (the
+//! lease expired, was re-queued, or its trial completed elsewhere) stops
+//! the lease's uploads.
 //!
 //! Fault sites wired through this module:
 //!
@@ -25,12 +40,14 @@
 
 use crate::dist::proto::{self, LeaseGrant, Msg};
 use cold::ga::GaCheckpoint;
+use cold::graph::AdjacencyMatrix;
 use cold::{
     fingerprint_hex, value_fingerprint, AttemptOptions, CheckpointSink, ColdConfig, ColdError,
     ProgressSink, TrialObjective, TrialRecord, TrialSpec,
 };
 use serde::Deserialize;
 use serde_json::json;
+use std::collections::HashSet;
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -173,6 +190,11 @@ pub fn run_worker(cfg: &WorkerConfig, shutdown: &AtomicBool) -> io::Result<()> {
         })
     };
 
+    // An idle worker's first re-poll comes soon; the wait then doubles up
+    // to the coordinator's `backoff_ms`, so the idle request rate after
+    // the first few hundred milliseconds is the coordinator's.
+    const FIRST_IDLE_WAIT: Duration = Duration::from_millis(10);
+    let mut idle_wait = FIRST_IDLE_WAIT;
     let mut consecutive_failures = 0usize;
     let outcome = loop {
         if shutdown.load(Ordering::SeqCst) || drain.load(Ordering::SeqCst) {
@@ -181,11 +203,14 @@ pub fn run_worker(cfg: &WorkerConfig, shutdown: &AtomicBool) -> io::Result<()> {
         match exchange(&cfg.coordinator, &Msg::LeaseRequest { worker: cfg.name.clone() }) {
             Ok(Msg::Grant(grant)) => {
                 consecutive_failures = 0;
+                idle_wait = FIRST_IDLE_WAIT;
                 run_lease(cfg, grant);
             }
             Ok(Msg::NoWork { backoff_ms }) => {
                 consecutive_failures = 0;
-                thread::sleep(Duration::from_millis(backoff_ms.clamp(10, 2000)));
+                let cap = Duration::from_millis(backoff_ms.clamp(10, 2000));
+                thread::sleep(idle_wait.min(cap));
+                idle_wait = (idle_wait * 2).min(cap);
             }
             Ok(Msg::Drain) => break Ok(()),
             Ok(_) | Err(_) => {
@@ -205,24 +230,31 @@ pub fn run_worker(cfg: &WorkerConfig, shutdown: &AtomicBool) -> io::Result<()> {
     outcome
 }
 
+/// The GA snapshot a migration grant resumes from, if it carries one.
+pub(crate) fn grant_resume(grant: &LeaseGrant) -> Option<GaCheckpoint> {
+    grant.snapshot.as_ref().and_then(|s| GaCheckpoint::from_value(s).ok())
+}
+
 /// Runs a granted trial — the trial step of remote workers and of the
 /// coordinator's inline fallback alike: one [`cold::run_attempt`] of the
-/// shipped config on the grant's seed, resumed from the shipped GA
-/// snapshot, under the grant's trial deadline, handing a snapshot to
-/// `checkpoint` every `ckpt_every` generations.
+/// shipped config on the grant's seed, resumed from `resume` (the
+/// grant's snapshot, see [`grant_resume`]), under the grant's trial
+/// deadline, handing a snapshot to `checkpoint` every `ckpt_every`
+/// generations.
 ///
 /// # Errors
 /// [`ColdError::Config`] for an unparseable config, else the attempt's
 /// error.
 pub(crate) fn run_grant(
     grant: &LeaseGrant,
+    resume: Option<GaCheckpoint>,
     progress: Option<ProgressSink>,
     checkpoint: Option<CheckpointSink>,
 ) -> Result<TrialRecord, ColdError> {
     let config = ColdConfig::from_json_value(&grant.config)
         .ok_or_else(|| ColdError::Config("grant carried an unparseable config".into()))?;
     let options = AttemptOptions {
-        resume: grant.snapshot.as_ref().and_then(|s| GaCheckpoint::from_value(s).ok()),
+        resume,
         deadline: grant.trial_deadline_ms.map(Duration::from_millis),
         progress,
         checkpoint: checkpoint.map(|sink| (grant.ckpt_every.max(1), sink)),
@@ -232,37 +264,118 @@ pub(crate) fn run_grant(
         .map(|r| TrialRecord::from_result(grant.trial, grant.seed, &r))
 }
 
+/// One lease's snapshot uploads. The coordinator's copy of the run holds
+/// the fitness-cache chromosomes in `acked` (after a migration, those of
+/// the grant's snapshot), so an upload carries only the other entries.
+pub(crate) struct Uploads {
+    worker: String,
+    lease: String,
+    acked: HashSet<AdjacencyMatrix>,
+    /// The coordinator answered `lease_revoked`: upload nothing more.
+    revoked: bool,
+}
+
+impl Uploads {
+    /// Uploads of worker `worker` for `lease`, resumed from `resume`.
+    pub(crate) fn new(worker: &str, lease: &str, resume: Option<&GaCheckpoint>) -> Self {
+        let cache = resume.and_then(|r| r.cache.as_deref()).unwrap_or_default();
+        Self {
+            worker: worker.to_string(),
+            lease: lease.to_string(),
+            acked: cache.iter().map(|(t, _)| t.clone()).collect(),
+            revoked: false,
+        }
+    }
+
+    /// Uploads `ckpt` through `send` (one exchange with the coordinator
+    /// per call): the snapshot with its cache cut to the unacknowledged
+    /// entries, again in full if the coordinator rejects the delta.
+    /// Returns `false`, sending nothing, once the lease is revoked.
+    pub(crate) fn upload(
+        &mut self,
+        ckpt: &GaCheckpoint,
+        mut send: impl FnMut(&Msg) -> io::Result<Msg>,
+    ) -> bool {
+        if self.revoked {
+            return false;
+        }
+        let mut resent = false;
+        loop {
+            let (upload, sent) = self.delta(ckpt);
+            match send(&upload) {
+                Ok(Msg::CheckpointOk) => self.acked.extend(sent),
+                Ok(Msg::CheckpointRejected { reason }) if !resent => {
+                    eprintln!(
+                        "[cold-serve] worker {} re-sends a full snapshot: {reason}",
+                        self.worker
+                    );
+                    self.acked.clear();
+                    resent = true;
+                    continue;
+                }
+                Ok(Msg::LeaseRevoked) => self.revoked = true,
+                // A lost exchange: the entries stay unacknowledged and
+                // ride the next upload, which the coordinator merges as a
+                // union, so a delta it did apply is harmless to re-send.
+                _ => {}
+            }
+            return true;
+        }
+    }
+
+    /// The `trial_checkpoint` for `ckpt` and the chromosomes it carries.
+    fn delta(&self, ckpt: &GaCheckpoint) -> (Msg, Vec<AdjacencyMatrix>) {
+        let cache = ckpt.cache.as_ref().map(|entries| {
+            entries.iter().filter(|(t, _)| !self.acked.contains(t)).cloned().collect::<Vec<_>>()
+        });
+        let mut delta = GaCheckpoint {
+            settings: ckpt.settings,
+            generation: ckpt.generation,
+            rng_state: ckpt.rng_state,
+            population: ckpt.population.clone(),
+            history: ckpt.history.clone(),
+            eval_stats: ckpt.eval_stats,
+            repair_stats: ckpt.repair_stats,
+            cache,
+        };
+        let upload = Msg::TrialCheckpoint {
+            worker: self.worker.clone(),
+            lease: self.lease.clone(),
+            snapshot: delta.to_value(),
+            cache_total: ckpt.cache.as_ref().map_or(0, Vec::len),
+        };
+        (upload, delta.cache.take().into_iter().flatten().map(|(t, _)| t).collect())
+    }
+}
+
 /// Executes one granted trial through `run_grant`, uploading periodic
-/// GA checkpoints, then uploads the result (idempotent, retried) or
-/// reports the failure.
+/// GA checkpoints as deltas, then uploads the result (idempotent,
+/// retried) or reports the failure.
 fn run_lease(cfg: &WorkerConfig, grant: LeaseGrant) {
     // Re-anchor this trial's spans (and its GA generation events) under
     // the owning job's distributed trace.
     let _scope = cold_obs::trace::root("dist.lease", &grant.trace_id);
     crash_if_armed("dist.worker_crash");
-    if let Some(generation) = grant.snapshot.as_ref().and_then(|s| s["generation"].as_u64()) {
+    let resume = grant_resume(&grant);
+    if let Some(r) = &resume {
         eprintln!(
-            "[cold-serve] worker {} resuming job {} trial {} from generation {generation}",
-            cfg.name, grant.job, grant.trial
+            "[cold-serve] worker {} resuming job {} trial {} from generation {}",
+            cfg.name, grant.job, grant.trial, r.generation
         );
     }
 
-    let (addr, name, lease) = (cfg.coordinator.clone(), cfg.name.clone(), grant.lease.clone());
+    let addr = cfg.coordinator.clone();
+    let mut uploads = Uploads::new(&cfg.name, &grant.lease, resume.as_ref());
     let upload_snapshot = move |ckpt: &GaCheckpoint| {
-        let _ = exchange(
-            &addr,
-            &Msg::TrialCheckpoint {
-                worker: name.clone(),
-                lease: lease.clone(),
-                snapshot: ckpt.to_value(),
-            },
-        );
-        // Crash *after* the upload: the injected stand-in for a worker
-        // SIGKILLed mid-GA with a snapshot already safely off-box —
-        // the migrated trial must resume from it, not from scratch.
-        crash_if_armed("dist.worker_crash");
+        if uploads.upload(ckpt, |msg| exchange(&addr, msg)) {
+            // Crash *after* the upload: the injected stand-in for a
+            // worker SIGKILLed mid-GA with a snapshot already safely
+            // off-box — the migrated trial must resume from it, not from
+            // scratch.
+            crash_if_armed("dist.worker_crash");
+        }
     };
-    let error = match run_grant(&grant, None, Some(Box::new(upload_snapshot))) {
+    let error = match run_grant(&grant, resume, None, Some(Box::new(upload_snapshot))) {
         Ok(record) => {
             let upload = Msg::TrialResult {
                 worker: cfg.name.clone(),

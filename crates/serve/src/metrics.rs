@@ -52,6 +52,11 @@ pub mod names {
     /// Trial leases currently outstanding across all jobs (gauge;
     /// rendered as `cold_dist_leases_active`).
     pub const DIST_LEASES_ACTIVE: &str = "dist.leases_active";
+    /// GA snapshot uploads (`trial_checkpoint` frames) the coordinator
+    /// received, accepted or not.
+    pub const DIST_CHECKPOINT_UPLOADS: &str = "dist.checkpoint_uploads";
+    /// Payload bytes of the received `trial_checkpoint` frames.
+    pub const DIST_CHECKPOINT_BYTES: &str = "dist.checkpoint_bytes";
 }
 
 /// Renders the current registry snapshot as Prometheus exposition text.

@@ -700,10 +700,7 @@ fn standard_doc(
     let spec = entry.spec;
     let (deadline, progress) = (shared.trial_deadline, Some(sink));
     let mut source: Box<dyn TrialSource + '_> = match &shared.dist {
-        Some(pool) => {
-            let dir = ckpt_path.parent().map(std::path::Path::to_path_buf);
-            Box::new(PoolTrials::new(pool, id, dir, deadline, progress))
-        }
+        Some(pool) => Box::new(PoolTrials::new(pool, id, deadline, progress)),
         None => Box::new(LocalTrials { deadline, progress, ..LocalTrials::default() }),
     };
     let results = cold::run_campaign(

@@ -7,7 +7,9 @@
 //! GA snapshot, must still produce *exactly* the topologies an
 //! undisturbed single-process run produces — and the journal must show
 //! the killed trial migrating with `resumed_generation >= 1` (resumed
-//! from the snapshot, not restarted from generation 0).
+//! from the snapshot, not restarted from generation 0). A second case
+//! aborts after the third upload, so the migrated snapshot is the one
+//! the coordinator assembled from a full upload and two deltas.
 
 use cold::context::rng::derive_seed;
 use cold::ColdConfig;
@@ -148,12 +150,20 @@ fn term_and_reap(mut child: Child, what: &str) {
     assert!(status.success(), "{what} exited {status:?}");
 }
 
-/// The chaos matrix entry ISSUE.md pins: kill one of two workers
-/// mid-trial and require the distributed result to match an undisturbed
-/// single-process run file-for-file.
+/// The chaos matrix entry: kill one of two workers mid-trial and
+/// require the distributed result to match an undisturbed
+/// single-process run file-for-file. The worker dies after its first
+/// upload, then, in a second case, after its third.
 #[test]
 fn killed_worker_migrates_checkpoint_and_result_matches_local_run() {
-    let dir = temp_dir("chaos");
+    killed_worker_case("chaos", "dist.worker_crash:2", 1);
+    killed_worker_case("chaos-delta", "dist.worker_crash:4", 3);
+}
+
+/// Runs the chaos case with the crashing worker armed with `fault`; the
+/// killed trial must resume from generation `min_resumed` or later.
+fn killed_worker_case(tag: &str, fault: &str, min_resumed: usize) {
+    let dir = temp_dir(tag);
     let (master_seed, count, n) = (77u64, 3usize, 8usize);
 
     // Snapshot cadence 1 ensures the crashing worker uploads a
@@ -161,7 +171,7 @@ fn killed_worker_migrates_checkpoint_and_result_matches_local_run() {
     // is hit once at lease start, then fires on the post-upload check).
     let (coordinator, http_addr, dist_addr) =
         spawn_coordinator(&dir, &["--dist-ckpt-every", "1", "--lease-deadline", "30"]);
-    let crashy = spawn_worker(&dir, &dist_addr, "crashy", &["--faults", "dist.worker_crash:2"]);
+    let crashy = spawn_worker(&dir, &dist_addr, "crashy", &["--faults", fault]);
     let steady = spawn_worker(&dir, &dist_addr, "steady", &[]);
     wait_for_workers(&http_addr, 2, Duration::from_secs(15));
 
@@ -237,6 +247,10 @@ fn killed_worker_migrates_checkpoint_and_result_matches_local_run() {
         migrations.iter().any(|m| m.from_worker == "crashy" && m.resumed_generation >= 1),
         "the killed trial must resume from its uploaded snapshot, \
          not restart from generation 0: {migrations:?}"
+    );
+    assert!(
+        migrations.iter().any(|m| m.from_worker == "crashy" && m.resumed_generation >= min_resumed),
+        "the killed trial must resume from generation {min_resumed} or later: {migrations:?}"
     );
 
     // The steady worker's own journal is a valid trace too.
