@@ -168,8 +168,8 @@ pub fn join_abandoned_watchdog_threads() {
 }
 
 /// A GA snapshot sink that can cross the watchdog thread: an owned
-/// [`cold_ga::CheckpointHook`] sink.
-pub type CheckpointSink = Box<dyn FnMut(&cold_ga::GaCheckpoint) + Send>;
+/// [`cold_ga::CheckpointHook`] sink, handed each snapshot by value.
+pub type CheckpointSink = Box<dyn FnMut(cold_ga::GaCheckpoint) + Send>;
 
 /// The optional inputs of one [`run_attempt`]. None of them changes the
 /// result.
@@ -963,7 +963,7 @@ mod tests {
         let mut cfg = ColdConfig::quick(6, 1e-4, 10.0);
         cfg.ga.generations = 4;
         let mut snapshot = None;
-        let mut sink = |c: &cold_ga::GaCheckpoint| snapshot = Some(c.clone());
+        let mut sink = |c: cold_ga::GaCheckpoint| snapshot = Some(c);
         let checkpoint = Some(cold_ga::CheckpointHook { every: 2, sink: &mut sink });
         let options = RunOptions { checkpoint, ..RunOptions::default() };
         cfg.run_trial(TrialSpec::new(1, TrialObjective::Cost), options).unwrap();
@@ -974,7 +974,7 @@ mod tests {
             let options = RunOptions { resume: Some(snapshot.clone()), ..RunOptions::default() };
             let err = cfg.run_trial(TrialSpec::new(1, objective.clone()), options).unwrap_err();
             assert!(matches!(&err, ColdError::Config(why) if why.contains("resume")), "{err:?}");
-            let mut sink = |_: &cold_ga::GaCheckpoint| {};
+            let mut sink = |_: cold_ga::GaCheckpoint| {};
             let checkpoint = Some(cold_ga::CheckpointHook { every: 2, sink: &mut sink });
             let options = RunOptions { checkpoint, ..RunOptions::default() };
             let err = cfg.run_trial(TrialSpec::new(1, objective), options).unwrap_err();

@@ -57,9 +57,9 @@ fn ga_snapshot_resumes_bit_identically_in_a_separate_process() {
 
     // Capture a mid-run snapshot while producing the reference result.
     let mut snapshot: Option<GaCheckpoint> = None;
-    let mut sink = |ckpt: &GaCheckpoint| {
+    let mut sink = |ckpt: GaCheckpoint| {
         if snapshot.is_none() {
-            snapshot = Some(ckpt.clone());
+            snapshot = Some(ckpt);
         }
     };
     let checkpoint = Some(cold::ga::CheckpointHook { every: 2, sink: &mut sink });

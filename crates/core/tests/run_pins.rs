@@ -76,9 +76,9 @@ fn warm_synthesis_is_pinned_to_the_bit() {
 #[test]
 fn resumed_warm_synthesis_is_pinned_to_the_bit() {
     let mut snapshot: Option<GaCheckpoint> = None;
-    let mut sink = |ckpt: &GaCheckpoint| {
+    let mut sink = |ckpt: GaCheckpoint| {
         if ckpt.generation == 20 {
-            snapshot = Some(ckpt.clone());
+            snapshot = Some(ckpt);
         }
     };
     let checkpoint = Some(CheckpointHook { every: 10, sink: &mut sink });

@@ -15,7 +15,7 @@
 //! | `trial.hang`              | `cold::ColdConfig::run_trial` (every synthesis mode) | sleeps long enough to trip the trial deadline watchdog |
 //! | `campaign.io_err`         | `cold::CampaignCheckpoint::save` | fails the campaign snapshot write with `ColdError::Io` |
 //! | `serve.worker_panic`      | `cold-serve` worker loop | panics inside a synthesis worker (caught; the job fails, the server survives) |
-//! | `dist.worker_crash`       | `cold-serve --role worker` trial loop | aborts the worker process mid-trial (the coordinator evicts it and migrates its leases) |
+//! | `dist.worker_crash`       | `cold-serve --role worker` trial loop: lease start, then each GA snapshot hand-off | aborts the worker process mid-trial, after the firing hand-off's snapshot is uploaded (the coordinator evicts it and migrates its leases) |
 //! | `dist.conn_drop`          | `cold-serve --role worker` protocol client | drops the TCP connection after sending a frame, before the reply (the exchange is retried) |
 //! | `dist.heartbeat_miss`     | `cold-serve --role worker` heartbeat thread | skips one heartbeat (enough misses and the coordinator evicts the worker) |
 //!

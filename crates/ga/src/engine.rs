@@ -28,17 +28,17 @@ use std::time::Instant;
 
 /// Periodic checkpointing configuration for a resumable run.
 ///
-/// The engine invokes `sink` with a fresh [`GaCheckpoint`] after every
+/// The engine hands `sink` a fresh, owned [`GaCheckpoint`] after every
 /// `every`-th completed generation (and never for the generation an early
 /// stop fires on — the run ends there anyway). The sink is expected to
-/// persist the snapshot; persistence failures should be handled inside
+/// persist the snapshot or pass it on; persistence failures should be handled inside
 /// the sink (log and continue), since a failed checkpoint write must not
 /// kill an otherwise healthy run.
 pub struct CheckpointHook<'a> {
     /// Generations between snapshots (≥ 1).
     pub every: usize,
     /// Receives each snapshot.
-    pub sink: &'a mut dyn FnMut(&GaCheckpoint),
+    pub sink: &'a mut dyn FnMut(GaCheckpoint),
 }
 
 /// Why a GA run returned: normal completion, the convergence-plateau
@@ -432,7 +432,7 @@ impl<O: Objective> GeneticAlgorithm<O> {
                         .map(|c| c.iter().map(|(t, v)| (t.clone(), *v)).collect()),
                 };
                 let _sink_timer = cold_obs::timer("ga.checkpoint_sink");
-                (hook.sink)(&snapshot);
+                (hook.sink)(snapshot);
             }
         };
         let mut elitist = Elitist { num_saved: self.settings.num_saved };
@@ -1144,7 +1144,7 @@ mod tests {
         every: usize,
     ) -> (GaResult, Vec<GaCheckpoint>) {
         let mut snaps = Vec::new();
-        let mut sink = |c: &GaCheckpoint| snaps.push(c.clone());
+        let mut sink = |c: GaCheckpoint| snaps.push(c);
         let hook = CheckpointHook { every, sink: &mut sink };
         let r = ga.run_resumable(&[], None, Some(hook), None).unwrap();
         (r, snaps)
@@ -1213,7 +1213,7 @@ mod tests {
     #[test]
     fn zero_checkpoint_interval_is_rejected() {
         let ga = engine(6, 1.0, 1.0, 0.0, 35);
-        let mut sink = |_: &GaCheckpoint| {};
+        let mut sink = |_: GaCheckpoint| {};
         let hook = CheckpointHook { every: 0, sink: &mut sink };
         let err = ga.run_resumable(&[], None, Some(hook), None).unwrap_err();
         assert!(matches!(err, GaError::Checkpoint(_)), "got {err:?}");
@@ -1315,7 +1315,7 @@ mod tests {
         let uninterrupted = ga.run_resumable(&[], None, None, None).unwrap();
         assert_eq!(uninterrupted.stop_reason, StopReason::Stalled);
         let mut snaps = Vec::new();
-        let mut sink = |c: &GaCheckpoint| snaps.push(c.clone());
+        let mut sink = |c: GaCheckpoint| snaps.push(c);
         let hook = CheckpointHook { every: 2, sink: &mut sink };
         ga.run_resumable(&[], None, Some(hook), None).unwrap();
         assert!(snaps.len() >= 2, "expected snapshots at generations 2 and 4");
@@ -1361,7 +1361,7 @@ mod tests {
         let ga = GeneticAlgorithm::new(&obj, GaSettings::quick(53));
         let uninterrupted = ga.run_warm(&parent, None, None, None).unwrap();
         let mut snaps = Vec::new();
-        let mut sink = |c: &GaCheckpoint| snaps.push(c.clone());
+        let mut sink = |c: GaCheckpoint| snaps.push(c);
         let hook = CheckpointHook { every: 7, sink: &mut sink };
         ga.run_warm(&parent, None, Some(hook), None).unwrap();
         assert!(!snaps.is_empty());

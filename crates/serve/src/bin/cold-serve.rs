@@ -63,7 +63,9 @@ DISTRIBUTED MODE:
     --worker-name <NAME>    worker: pool-unique name (default worker-<pid>)
     --heartbeat-ms <N>      worker: heartbeat interval (default 500)
     --lease-deadline <SECS> coordinator: per-trial lease deadline (default 120)
-    --dist-ckpt-every <N>   coordinator: GA snapshot upload cadence (default 5)
+    --dist-ckpt-every <N>   coordinator: GA snapshot upload cadence (default 5);
+                            a worker uploads in the background, skipping a
+                            snapshot superseded before it leaves
 ";
 
 /// Set from the signal handler; polled by the main thread.

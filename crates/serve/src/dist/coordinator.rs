@@ -1094,7 +1094,7 @@ mod tests {
         // Produce a genuine mid-run snapshot by running the trial with a
         // checkpoint hook.
         let mut snaps: Vec<Value> = Vec::new();
-        let mut sink = |c: &cold::ga::GaCheckpoint| snaps.push(c.to_value());
+        let mut sink = |c: cold::ga::GaCheckpoint| snaps.push(c.to_value());
         let checkpoint = Some(cold::ga::CheckpointHook { every: 2, sink: &mut sink });
         let options = RunOptions { checkpoint, ..RunOptions::default() };
         cfg.run_trial(TrialSpec::new(grant.seed, TrialObjective::Cost), options).expect("trial");
@@ -1119,7 +1119,7 @@ mod tests {
     /// one per generation (index `g - 1` holds generation `g`).
     fn engine_snapshots(seed: u64) -> Vec<GaCheckpoint> {
         let mut snaps = Vec::new();
-        let mut sink = |c: &GaCheckpoint| snaps.push(c.clone());
+        let mut sink = |c: GaCheckpoint| snaps.push(c);
         let checkpoint = Some(cold::ga::CheckpointHook { every: 1, sink: &mut sink });
         let options = RunOptions { checkpoint, ..RunOptions::default() };
         quick_cfg().run_trial(TrialSpec::new(seed, TrialObjective::Cost), options).expect("trial");

@@ -16,7 +16,10 @@
 //! `dist.conn_drop` fault) indistinguishable from any other lost
 //! exchange: the worker retries or the lease deadline reclaims the work.
 
-use serde_json::{json, Value};
+use serde::Serialize;
+use serde_json::{Map, Value};
+use std::borrow::Cow;
+use std::fmt;
 use std::io::{self, Read, Write};
 
 /// Upper bound on a single frame's payload. Generous enough for a GA
@@ -31,8 +34,7 @@ pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
 /// Any I/O error from the underlying stream, or `InvalidData` if the
 /// encoded message exceeds [`MAX_FRAME_BYTES`].
 pub fn write_frame<W: Write>(stream: &mut W, msg: &Msg) -> io::Result<()> {
-    let body = serde_json::to_string(&msg.to_value())
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+    let body = Frame(msg.members()).to_string();
     let bytes = body.as_bytes();
     if bytes.len() > MAX_FRAME_BYTES {
         return Err(io::Error::new(
@@ -44,6 +46,44 @@ pub fn write_frame<W: Write>(stream: &mut W, msg: &Msg) -> io::Result<()> {
     stream.write_all(&len)?;
     stream.write_all(bytes)?;
     stream.flush()
+}
+
+/// One member of a message's JSON object: a field built for the frame,
+/// or a payload document (config, snapshot, record) borrowed from the
+/// message, so that printing a frame copies no payload.
+type Member<'a> = (&'static str, Cow<'a, Value>);
+
+/// A message's members, printed as the compact JSON text of the object
+/// [`Msg::to_value`] builds from them.
+struct Frame<'a>(Vec<Member<'a>>);
+
+impl fmt::Display for Frame<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("{")?;
+        for (i, (key, value)) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            // Keys are plain identifiers: nothing to escape.
+            write!(f, "\"{key}\":{value}")?;
+        }
+        f.write_str("}")
+    }
+}
+
+/// A member built for the frame.
+fn owned<T: Serialize + ?Sized>(value: &T) -> Cow<'static, Value> {
+    Cow::Owned(serde_json::to_value(value))
+}
+
+/// The `type` member naming a message.
+fn kind(name: &'static str) -> Member<'static> {
+    ("type", owned(name))
+}
+
+/// Takes the member `key` out of a parsed frame, if present.
+fn take_field(v: &mut Value, key: &str) -> Option<Value> {
+    v.get_mut(key).map(Value::take)
 }
 
 /// Reads one length-prefixed JSON frame and parses it into a [`Msg`].
@@ -77,7 +117,7 @@ pub fn read_frame_sized<R: Read>(stream: &mut R) -> io::Result<(Msg, usize)> {
     let value: Value = serde_json::from_str(text)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad frame JSON: {e}")))?;
     let msg =
-        Msg::from_value(&value).map_err(|why| io::Error::new(io::ErrorKind::InvalidData, why))?;
+        Msg::from_value(value).map_err(|why| io::Error::new(io::ErrorKind::InvalidData, why))?;
     Ok((msg, len))
 }
 
@@ -121,42 +161,36 @@ pub struct LeaseGrant {
 }
 
 impl LeaseGrant {
-    fn to_value(&self) -> Value {
-        json!({
-            "type": "lease_grant",
-            "lease": self.lease,
-            "job": self.job,
-            "trial": self.trial,
-            "seed": self.seed,
-            "attempt": self.attempt,
-            "config": self.config,
-            "deadline_ms": self.deadline_ms,
-            "trial_deadline_ms": self.trial_deadline_ms,
-            "ckpt_every": self.ckpt_every,
-            "trace_id": self.trace_id,
-            "snapshot": match &self.snapshot {
-                Some(s) => s.clone(),
-                None => Value::Null,
-            },
-        })
+    fn members(&self) -> Vec<Member<'_>> {
+        vec![
+            kind("lease_grant"),
+            ("lease", owned(&self.lease)),
+            ("job", owned(&self.job)),
+            ("trial", owned(&self.trial)),
+            ("seed", owned(&self.seed)),
+            ("attempt", owned(&self.attempt)),
+            ("config", Cow::Borrowed(&self.config)),
+            ("deadline_ms", owned(&self.deadline_ms)),
+            ("trial_deadline_ms", owned(&self.trial_deadline_ms)),
+            ("ckpt_every", owned(&self.ckpt_every)),
+            ("trace_id", owned(&self.trace_id)),
+            ("snapshot", self.snapshot.as_ref().map_or(Cow::Owned(Value::Null), Cow::Borrowed)),
+        ]
     }
 
-    fn from_value(v: &Value) -> Result<Self, String> {
+    fn from_value(mut v: Value) -> Result<Self, String> {
         Ok(Self {
-            lease: str_field(v, "lease")?,
-            job: str_field(v, "job")?,
-            trial: usize_field(v, "trial")?,
-            seed: u64_field(v, "seed")?,
-            attempt: usize_field(v, "attempt")?,
-            config: v.get("config").cloned().ok_or("lease_grant: `config` missing")?,
-            deadline_ms: u64_field(v, "deadline_ms")?,
+            lease: str_field(&v, "lease")?,
+            job: str_field(&v, "job")?,
+            trial: usize_field(&v, "trial")?,
+            seed: u64_field(&v, "seed")?,
+            attempt: usize_field(&v, "attempt")?,
+            config: take_field(&mut v, "config").ok_or("lease_grant: `config` missing")?,
+            deadline_ms: u64_field(&v, "deadline_ms")?,
             trial_deadline_ms: v.get("trial_deadline_ms").and_then(Value::as_u64),
-            ckpt_every: usize_field(v, "ckpt_every")?,
-            trace_id: str_field(v, "trace_id")?,
-            snapshot: match v.get("snapshot") {
-                None | Some(Value::Null) => None,
-                Some(s) => Some(s.clone()),
-            },
+            ckpt_every: usize_field(&v, "ckpt_every")?,
+            trace_id: str_field(&v, "trace_id")?,
+            snapshot: take_field(&mut v, "snapshot").filter(|s| !s.is_null()),
         })
     }
 }
@@ -279,98 +313,107 @@ pub enum Msg {
 impl Msg {
     /// Converts the message into its tagged JSON object form.
     pub fn to_value(&self) -> Value {
+        let mut object = Map::new();
+        for (key, value) in self.members() {
+            object.insert(key.to_string(), value.into_owned());
+        }
+        Value::Object(object)
+    }
+
+    /// The members of the message's JSON object, in wire order.
+    fn members(&self) -> Vec<Member<'_>> {
         match self {
-            Msg::Hello { worker } => json!({"type": "hello", "worker": worker}),
-            Msg::HelloOk => json!({"type": "hello_ok"}),
-            Msg::Heartbeat { worker } => json!({"type": "heartbeat", "worker": worker}),
-            Msg::HeartbeatOk { drain } => json!({"type": "heartbeat_ok", "drain": drain}),
-            Msg::LeaseRequest { worker } => json!({"type": "lease_request", "worker": worker}),
-            Msg::Grant(grant) => grant.to_value(),
-            Msg::NoWork { backoff_ms } => json!({"type": "no_work", "backoff_ms": backoff_ms}),
-            Msg::Drain => json!({"type": "drain"}),
-            Msg::TrialCheckpoint { worker, lease, snapshot, cache_total } => json!({
-                "type": "trial_checkpoint",
-                "worker": worker,
-                "lease": lease,
-                "snapshot": snapshot,
-                "cache_total": cache_total,
-            }),
-            Msg::CheckpointOk => json!({"type": "checkpoint_ok"}),
+            Msg::Hello { worker } => vec![kind("hello"), ("worker", owned(worker))],
+            Msg::HelloOk => vec![kind("hello_ok")],
+            Msg::Heartbeat { worker } => vec![kind("heartbeat"), ("worker", owned(worker))],
+            Msg::HeartbeatOk { drain } => vec![kind("heartbeat_ok"), ("drain", owned(drain))],
+            Msg::LeaseRequest { worker } => vec![kind("lease_request"), ("worker", owned(worker))],
+            Msg::Grant(grant) => grant.members(),
+            Msg::NoWork { backoff_ms } => vec![kind("no_work"), ("backoff_ms", owned(backoff_ms))],
+            Msg::Drain => vec![kind("drain")],
+            Msg::TrialCheckpoint { worker, lease, snapshot, cache_total } => vec![
+                kind("trial_checkpoint"),
+                ("worker", owned(worker)),
+                ("lease", owned(lease)),
+                ("snapshot", Cow::Borrowed(snapshot)),
+                ("cache_total", owned(cache_total)),
+            ],
+            Msg::CheckpointOk => vec![kind("checkpoint_ok")],
             Msg::CheckpointRejected { reason } => {
-                json!({"type": "checkpoint_rejected", "reason": reason})
+                vec![kind("checkpoint_rejected"), ("reason", owned(reason))]
             }
-            Msg::LeaseRevoked => json!({"type": "lease_revoked"}),
-            Msg::TrialResult { worker, lease, job, trial, seed, record } => json!({
-                "type": "trial_result",
-                "worker": worker,
-                "lease": lease,
-                "job": job,
-                "trial": trial,
-                "seed": seed,
-                "record": record,
-            }),
-            Msg::ResultOk { duplicate } => json!({"type": "result_ok", "duplicate": duplicate}),
-            Msg::TrialError { worker, lease, error } => json!({
-                "type": "trial_error",
-                "worker": worker,
-                "lease": lease,
-                "error": error,
-            }),
-            Msg::Bye { worker } => json!({"type": "bye", "worker": worker}),
-            Msg::ByeOk => json!({"type": "bye_ok"}),
-            Msg::Error { message } => json!({"type": "error", "message": message}),
+            Msg::LeaseRevoked => vec![kind("lease_revoked")],
+            Msg::TrialResult { worker, lease, job, trial, seed, record } => vec![
+                kind("trial_result"),
+                ("worker", owned(worker)),
+                ("lease", owned(lease)),
+                ("job", owned(job)),
+                ("trial", owned(trial)),
+                ("seed", owned(seed)),
+                ("record", Cow::Borrowed(record)),
+            ],
+            Msg::ResultOk { duplicate } => vec![kind("result_ok"), ("duplicate", owned(duplicate))],
+            Msg::TrialError { worker, lease, error } => vec![
+                kind("trial_error"),
+                ("worker", owned(worker)),
+                ("lease", owned(lease)),
+                ("error", owned(error)),
+            ],
+            Msg::Bye { worker } => vec![kind("bye"), ("worker", owned(worker))],
+            Msg::ByeOk => vec![kind("bye_ok")],
+            Msg::Error { message } => vec![kind("error"), ("message", owned(message))],
         }
     }
 
-    /// Parses a message from its tagged JSON object form.
+    /// Parses a message from its tagged JSON object form, moving the
+    /// payload documents out of `v`.
     ///
     /// # Errors
     /// A human-readable description of the first violated rule.
-    pub fn from_value(v: &Value) -> Result<Self, String> {
+    pub fn from_value(mut v: Value) -> Result<Self, String> {
         let kind = v
             .get("type")
             .and_then(Value::as_str)
-            .ok_or("message: `type` missing or not a string")?;
-        match kind {
-            "hello" => Ok(Msg::Hello { worker: str_field(v, "worker")? }),
+            .ok_or("message: `type` missing or not a string")?
+            .to_owned();
+        match kind.as_str() {
+            "hello" => Ok(Msg::Hello { worker: str_field(&v, "worker")? }),
             "hello_ok" => Ok(Msg::HelloOk),
-            "heartbeat" => Ok(Msg::Heartbeat { worker: str_field(v, "worker")? }),
-            "heartbeat_ok" => Ok(Msg::HeartbeatOk { drain: bool_field(v, "drain")? }),
-            "lease_request" => Ok(Msg::LeaseRequest { worker: str_field(v, "worker")? }),
+            "heartbeat" => Ok(Msg::Heartbeat { worker: str_field(&v, "worker")? }),
+            "heartbeat_ok" => Ok(Msg::HeartbeatOk { drain: bool_field(&v, "drain")? }),
+            "lease_request" => Ok(Msg::LeaseRequest { worker: str_field(&v, "worker")? }),
             "lease_grant" => Ok(Msg::Grant(LeaseGrant::from_value(v)?)),
-            "no_work" => Ok(Msg::NoWork { backoff_ms: u64_field(v, "backoff_ms")? }),
+            "no_work" => Ok(Msg::NoWork { backoff_ms: u64_field(&v, "backoff_ms")? }),
             "drain" => Ok(Msg::Drain),
             "trial_checkpoint" => Ok(Msg::TrialCheckpoint {
-                worker: str_field(v, "worker")?,
-                lease: str_field(v, "lease")?,
-                snapshot: v
-                    .get("snapshot")
-                    .cloned()
+                worker: str_field(&v, "worker")?,
+                lease: str_field(&v, "lease")?,
+                snapshot: take_field(&mut v, "snapshot")
                     .ok_or("trial_checkpoint: `snapshot` missing")?,
-                cache_total: usize_field(v, "cache_total")?,
+                cache_total: usize_field(&v, "cache_total")?,
             }),
             "checkpoint_ok" => Ok(Msg::CheckpointOk),
             "checkpoint_rejected" => {
-                Ok(Msg::CheckpointRejected { reason: str_field(v, "reason")? })
+                Ok(Msg::CheckpointRejected { reason: str_field(&v, "reason")? })
             }
             "lease_revoked" => Ok(Msg::LeaseRevoked),
             "trial_result" => Ok(Msg::TrialResult {
-                worker: str_field(v, "worker")?,
-                lease: str_field(v, "lease")?,
-                job: str_field(v, "job")?,
-                trial: usize_field(v, "trial")?,
-                seed: u64_field(v, "seed")?,
-                record: v.get("record").cloned().ok_or("trial_result: `record` missing")?,
+                worker: str_field(&v, "worker")?,
+                lease: str_field(&v, "lease")?,
+                job: str_field(&v, "job")?,
+                trial: usize_field(&v, "trial")?,
+                seed: u64_field(&v, "seed")?,
+                record: take_field(&mut v, "record").ok_or("trial_result: `record` missing")?,
             }),
-            "result_ok" => Ok(Msg::ResultOk { duplicate: bool_field(v, "duplicate")? }),
+            "result_ok" => Ok(Msg::ResultOk { duplicate: bool_field(&v, "duplicate")? }),
             "trial_error" => Ok(Msg::TrialError {
-                worker: str_field(v, "worker")?,
-                lease: str_field(v, "lease")?,
-                error: str_field(v, "error")?,
+                worker: str_field(&v, "worker")?,
+                lease: str_field(&v, "lease")?,
+                error: str_field(&v, "error")?,
             }),
-            "bye" => Ok(Msg::Bye { worker: str_field(v, "worker")? }),
+            "bye" => Ok(Msg::Bye { worker: str_field(&v, "worker")? }),
             "bye_ok" => Ok(Msg::ByeOk),
-            "error" => Ok(Msg::Error { message: str_field(v, "message")? }),
+            "error" => Ok(Msg::Error { message: str_field(&v, "message")? }),
             other => Err(format!("unknown message type `{other}`")),
         }
     }
@@ -405,6 +448,7 @@ fn bool_field(v: &Value, key: &str) -> Result<bool, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::json;
 
     fn round_trip(msg: Msg) {
         let mut buf: Vec<u8> = Vec::new();
@@ -464,6 +508,122 @@ mod tests {
         round_trip(Msg::Error { message: "nope".into() });
     }
 
+    /// The frame body `write_frame` prints for `msg`.
+    fn frame_text(msg: &Msg) -> String {
+        let mut buf: Vec<u8> = Vec::new();
+        write_frame(&mut buf, msg).expect("write");
+        String::from_utf8(buf.split_off(4)).expect("utf-8 frame")
+    }
+
+    /// A real mid-run GA snapshot: floats in costs, history and settings.
+    fn real_snapshot() -> Value {
+        let mut snapshot = None;
+        let mut sink = |c: cold::ga::GaCheckpoint| snapshot = Some(c.to_value());
+        let checkpoint = Some(cold::ga::CheckpointHook { every: 2, sink: &mut sink });
+        let options = cold::RunOptions { checkpoint, ..cold::RunOptions::default() };
+        let spec = cold::TrialSpec::new(7, cold::TrialObjective::Cost);
+        cold::ColdConfig::quick(6, 4e-4, 10.0).run_trial(spec, options).expect("trial");
+        snapshot.expect("a snapshot at generation 2")
+    }
+
+    /// Frames print exactly the bytes the `Value`-tree encoder
+    /// (`serde_json::to_string` of the tagged object) printed, with the
+    /// payload documents printed by `serde_json::to_string` in place.
+    #[test]
+    fn frames_print_the_value_encoders_bytes_for_every_message() {
+        let snapshot = real_snapshot();
+        let snap = serde_json::to_string(&snapshot).expect("json");
+        assert!(snap.contains('.'), "the snapshot carries floats: {snap}");
+        let record = json!({"trial": 2, "cost": 0.1 + 0.2, "seconds": 1e-7});
+        let config = json!({"n": 12, "alpha": 4e-4});
+        let grant = |snapshot: Option<Value>| {
+            Msg::Grant(LeaseGrant {
+                lease: "1ea5e1ea5e1ea5e1".into(),
+                job: "ab12cd34ef56ab78".into(),
+                trial: 2,
+                seed: 0xDEAD_BEEF,
+                attempt: 3,
+                config: config.clone(),
+                deadline_ms: 120_000,
+                trial_deadline_ms: snapshot.as_ref().map(|_| 500),
+                ckpt_every: 5,
+                trace_id: "ab12cd34ef56ab78".into(),
+                snapshot,
+            })
+        };
+        let grant_head = r#"{"type":"lease_grant","lease":"1ea5e1ea5e1ea5e1","job":"ab12cd34ef56ab78","trial":2,"seed":3735928559,"attempt":3,"config":{"n":12,"alpha":0.0004},"deadline_ms":120000"#;
+        let cases = vec![
+            (Msg::Hello { worker: "w\"1".into() }, r#"{"type":"hello","worker":"w\"1"}"#.to_string()),
+            (Msg::HelloOk, r#"{"type":"hello_ok"}"#.into()),
+            (Msg::Heartbeat { worker: "w1".into() }, r#"{"type":"heartbeat","worker":"w1"}"#.into()),
+            (Msg::HeartbeatOk { drain: true }, r#"{"type":"heartbeat_ok","drain":true}"#.into()),
+            (
+                Msg::LeaseRequest { worker: "w1".into() },
+                r#"{"type":"lease_request","worker":"w1"}"#.into(),
+            ),
+            (
+                grant(Some(snapshot.clone())),
+                format!(
+                    r#"{grant_head},"trial_deadline_ms":500,"ckpt_every":5,"trace_id":"ab12cd34ef56ab78","snapshot":{snap}}}"#
+                ),
+            ),
+            (
+                grant(None),
+                format!(
+                    r#"{grant_head},"trial_deadline_ms":null,"ckpt_every":5,"trace_id":"ab12cd34ef56ab78","snapshot":null}}"#
+                ),
+            ),
+            (Msg::NoWork { backoff_ms: 200 }, r#"{"type":"no_work","backoff_ms":200}"#.into()),
+            (Msg::Drain, r#"{"type":"drain"}"#.into()),
+            (
+                Msg::TrialCheckpoint {
+                    worker: "w1".into(),
+                    lease: "1ea5e1ea5e1ea5e1".into(),
+                    snapshot: snapshot.clone(),
+                    cache_total: 12,
+                },
+                format!(
+                    r#"{{"type":"trial_checkpoint","worker":"w1","lease":"1ea5e1ea5e1ea5e1","snapshot":{snap},"cache_total":12}}"#
+                ),
+            ),
+            (Msg::CheckpointOk, r#"{"type":"checkpoint_ok"}"#.into()),
+            (
+                Msg::CheckpointRejected { reason: "stale".into() },
+                r#"{"type":"checkpoint_rejected","reason":"stale"}"#.into(),
+            ),
+            (Msg::LeaseRevoked, r#"{"type":"lease_revoked"}"#.into()),
+            (
+                Msg::TrialResult {
+                    worker: "w1".into(),
+                    lease: "1ea5e1ea5e1ea5e1".into(),
+                    job: "ab12cd34ef56ab78".into(),
+                    trial: 2,
+                    seed: 99,
+                    record: record.clone(),
+                },
+                r#"{"type":"trial_result","worker":"w1","lease":"1ea5e1ea5e1ea5e1","job":"ab12cd34ef56ab78","trial":2,"seed":99,"record":{"trial":2,"cost":0.30000000000000004,"seconds":0.0000001}}"#.into(),
+            ),
+            (Msg::ResultOk { duplicate: false }, r#"{"type":"result_ok","duplicate":false}"#.into()),
+            (
+                Msg::TrialError {
+                    worker: "w1".into(),
+                    lease: "1ea5e1ea5e1ea5e1".into(),
+                    error: "line\nbreak".into(),
+                },
+                r#"{"type":"trial_error","worker":"w1","lease":"1ea5e1ea5e1ea5e1","error":"line\nbreak"}"#.into(),
+            ),
+            (Msg::Bye { worker: "w1".into() }, r#"{"type":"bye","worker":"w1"}"#.into()),
+            (Msg::ByeOk, r#"{"type":"bye_ok"}"#.into()),
+            (Msg::Error { message: "nope".into() }, r#"{"type":"error","message":"nope"}"#.into()),
+        ];
+        for (msg, expected) in cases {
+            let text = frame_text(&msg);
+            assert_eq!(text, expected);
+            assert_eq!(text, serde_json::to_string(&msg.to_value()).expect("json"));
+            round_trip(msg);
+        }
+    }
+
     #[test]
     fn absent_snapshot_travels_as_null_and_parses_back_to_none() {
         let grant = LeaseGrant {
@@ -481,7 +641,7 @@ mod tests {
         };
         let v = Msg::Grant(grant.clone()).to_value();
         assert!(v.get("snapshot").expect("snapshot key").is_null());
-        assert_eq!(Msg::from_value(&v).expect("parse"), Msg::Grant(grant));
+        assert_eq!(Msg::from_value(v).expect("parse"), Msg::Grant(grant));
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! middle of a campaign.
 //!
 //! The chaos proof at the heart of this file: an ensemble sharded over
-//! two workers, one of which `abort()`s right after uploading its first
-//! GA snapshot, must still produce *exactly* the topologies an
-//! undisturbed single-process run produces — and the journal must show
-//! the killed trial migrating with `resumed_generation >= 1` (resumed
-//! from the snapshot, not restarted from generation 0). A second case
-//! aborts after the third upload, so the migrated snapshot is the one
-//! the coordinator assembled from a full upload and two deltas.
+//! two workers, one of which `abort()`s once the coordinator has
+//! acknowledged its first GA snapshot hand-off (or a newer snapshot),
+//! must still produce *exactly* the topologies an undisturbed
+//! single-process run produces — and the journal must show the killed
+//! trial migrating with `resumed_generation >= 1` (resumed from the
+//! snapshot, not restarted from generation 0). A second case aborts
+//! once its third hand-off is acknowledged, so the migrated snapshot is
+//! one the coordinator assembled from a full upload and deltas.
 
 use cold::context::rng::derive_seed;
 use cold::ColdConfig;
@@ -167,8 +168,9 @@ fn killed_worker_case(tag: &str, fault: &str, min_resumed: usize) {
     let (master_seed, count, n) = (77u64, 3usize, 8usize);
 
     // Snapshot cadence 1 ensures the crashing worker uploads a
-    // generation-1 checkpoint before its injected abort (the fault site
-    // is hit once at lease start, then fires on the post-upload check).
+    // generation-1 or later checkpoint before its injected abort (the
+    // fault site is hit once at lease start, then once per snapshot
+    // hand-off; the abort waits for that snapshot's acknowledgement).
     let (coordinator, http_addr, dist_addr) =
         spawn_coordinator(&dir, &["--dist-ckpt-every", "1", "--lease-deadline", "30"]);
     let crashy = spawn_worker(&dir, &dist_addr, "crashy", &["--faults", fault]);

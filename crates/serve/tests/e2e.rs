@@ -891,6 +891,18 @@ fn trial_deadline_applies_with_and_without_a_pool() {
         let result =
             client_request(&addr, "GET", &format!("/jobs/{id}/result"), None).expect("result");
         topologies.push(parse_body(&result.body)["topologies"].clone());
+        if tag == "worker" {
+            // The abandoned attempt's GA runs on once its hang ends; it
+            // must upload nothing more for the lease it lost.
+            let uploads = || {
+                let metrics = client_request(&addr, "GET", "/metrics", None).expect("metrics");
+                cold_serve::metrics::parse_counter(&metrics.body, "cold_dist_checkpoint_uploads")
+                    .unwrap_or(0)
+            };
+            let before = uploads();
+            cold::join_abandoned_watchdog_threads(); // waits out the hang and the GA
+            assert_eq!(uploads(), before, "the abandoned attempt uploaded snapshots");
+        }
         if let Some((stop, thread)) = worker {
             stop.store(true, Ordering::SeqCst);
             thread.join().expect("worker thread").expect("worker leaves cleanly");

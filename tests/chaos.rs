@@ -193,7 +193,7 @@ fn ga_checkpoint_write_fault_never_corrupts_the_previous_snapshot() {
     let objective = cold::ColdObjective::new(&ctx, cfg.params);
     let ga = GeneticAlgorithm::new(&objective, GaSettings::quick(3));
     let mut snaps = Vec::new();
-    let mut sink = |c: &GaCheckpoint| snaps.push(c.clone());
+    let mut sink = |c: GaCheckpoint| snaps.push(c);
     ga.run_resumable(&[], None, Some(cold_ga::CheckpointHook { every: 10, sink: &mut sink }), None)
         .unwrap();
     assert!(snaps.len() >= 2, "need two snapshots");
