@@ -133,8 +133,16 @@ fn bench_pareto(c: &mut Criterion) {
         b.iter(|| black_box(hypervolume(&points, &result.reference)));
     });
     // Objective 2's kernel without the GA around it: the single-link
-    // failure sweep over the heuristic seeds of a Pareto run, a mix of
-    // tree-like (bridge-heavy) and meshed candidates.
+    // failure sweep over the heuristic seeds of a Pareto run, which are
+    // tree-like and bridge-heavy, so few of their links reach the tree
+    // repair, and over the meshed candidates the sweep meets inside a
+    // run: the members of an n = 20 front (quick GA cut to T = 10, as in
+    // cold-perf's pareto-n20 workload).
+    let sweep_all = |nets: &[Network], ctx: &cold::context::Context| {
+        for net in nets {
+            black_box(cold::failure::single_link_failures(net, ctx));
+        }
+    };
     for n in [20usize, 50] {
         let cfg = ColdConfig::quick(n, 4e-4, 10.0);
         let ctx = cfg.context.generate(4);
@@ -144,13 +152,16 @@ fn bench_pareto(c: &mut Criterion) {
             .map(|(_, r)| Network::build(r.topology, &ctx, cfg.params).unwrap())
             .collect();
         group.bench_with_input(BenchmarkId::new("failure_sweep", n), &nets, |b, nets| {
-            b.iter(|| {
-                for net in nets {
-                    black_box(cold::failure::single_link_failures(net, &ctx));
-                }
-            });
+            b.iter(|| sweep_all(nets, &ctx));
         });
     }
+    let mut cfg = ColdConfig::quick(20, 4e-4, 10.0);
+    cfg.ga.generations = 10;
+    let front = cold::pareto::try_synthesize_pareto(&cfg, 2014, 32).unwrap();
+    let nets: Vec<Network> = front.front.into_iter().map(|m| m.network).collect();
+    group.bench_with_input(BenchmarkId::new("failure_sweep_front", 20), &nets, |b, nets| {
+        b.iter(|| sweep_all(nets, &front.context));
+    });
     group.finish();
 }
 

@@ -26,11 +26,20 @@
 //!   surviving route keeps its path, so stretch is exactly 1. Stranded
 //!   demand is the demand crossing the cut, and loads are the subtree pass
 //!   over the base trees with that demand zeroed.
-//! - **Any other link** re-runs Dijkstra only for the sources whose tree
-//!   contains it. Deleting a non-tree edge cannot change a Dijkstra run,
-//!   whose tie-break picks the `(dist, id)`-least relaxer — a property of
-//!   the final labels, not of the relaxation schedule. Every other source
-//!   reuses its cached per-link load contributions.
+//! - **Any other link** re-routes only the sources whose tree contains it.
+//!   Deleting a non-tree edge cannot change a Dijkstra run: a node's
+//!   parent is the first relaxer in settle order to reach its final
+//!   label, a node is queued at that label when its parent settles, and
+//!   a non-tree edge only offers labels that are later beaten or tied.
+//!   Every other source reuses its cached per-link load contributions.
+//! - **A touched source** has its tree repaired, not re-run: the subtree
+//!   below the cut edge is orphaned, re-labelled from its surviving
+//!   neighbours and propagated among the orphans alone. Its distances are
+//!   then a fresh Dijkstra's by the fixpoint argument of `DeltaEval`
+//!   (DESIGN.md §13). Its parents are too whenever they are forced: the
+//!   base tree has no equal-cost ties and every orphan ends with exactly
+//!   one shortest predecessor. Otherwise the source runs the fresh
+//!   Dijkstra on the cut adjacency (DESIGN.md §15.1).
 //!
 //! Each link's load is then folded over sources in ascending order, the
 //! summation order of [`cold_graph::routing::RoutingState::link_loads`],
@@ -40,9 +49,10 @@ use cold_context::Context;
 use cold_cost::Network;
 use cold_graph::connectivity::{cut_structure, CutStructure};
 use cold_graph::routing::{accumulate_source, push_down, Csr, SubtreeScratch};
-use cold_graph::shortest_path::DijkstraWorkspace;
+use cold_graph::shortest_path::{DijkstraWorkspace, HeapItem};
 use cold_graph::Graph;
 use serde::{Deserialize, Serialize};
+use std::collections::BinaryHeap;
 
 /// Outcome of failing one link.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -104,6 +114,7 @@ impl FailureReport {
 /// headroom numbers.
 pub fn single_link_failures(net: &Network, ctx: &Context) -> FailureReport {
     assert_eq!(ctx.n(), net.n(), "network and context disagree on PoP count");
+    let _timer = cold_obs::timer("failure.sweep_seconds");
     let total_traffic = ctx.traffic.total();
     let g = net.graph();
     let sweep = Sweep::new(net, ctx, &g);
@@ -134,6 +145,8 @@ pub fn single_link_failures(net: &Network, ctx: &Context) -> FailureReport {
             }
         })
         .collect();
+    cold_obs::counter_add("failure.repaired_sources", buf.repaired);
+    cold_obs::counter_add("failure.rerouted_sources", buf.rerouted);
     FailureReport { impacts }
 }
 
@@ -173,6 +186,10 @@ struct Sweep<'a> {
     /// Per source, the targets its stretch terms cover: positive demand
     /// at a positive base distance.
     stretch_targets: Vec<Vec<usize>>,
+    /// Per source, whether its base tree is tie-free: every reachable
+    /// node but the source has exactly one shortest predecessor. Only
+    /// such trees are repaired in place.
+    tie_free: Vec<bool>,
 }
 
 /// Scratch state of a sweep, rewritten by every failure.
@@ -185,6 +202,11 @@ struct Buffers {
     demand: Vec<f64>,
     /// Per-edge loads of the failure in progress.
     load: Vec<f64>,
+    repair: Repair,
+    /// Re-routes of touched sources over the whole sweep: trees repaired
+    /// in place, and trees that took a fresh Dijkstra.
+    repaired: u64,
+    rerouted: u64,
 }
 
 impl<'a> Sweep<'a> {
@@ -211,6 +233,7 @@ impl<'a> Sweep<'a> {
             order: Vec::with_capacity(n),
             contrib: Vec::with_capacity(n),
             stretch_targets: Vec::with_capacity(n),
+            tie_free: Vec::with_capacity(n),
         };
         let traffic = ctx.traffic_fn();
         let routing = &net.plan.routing;
@@ -227,6 +250,11 @@ impl<'a> Sweep<'a> {
             sweep.order.push(subtree.order().to_vec());
             sweep.contrib.push(contrib);
             sweep.stretch_targets.push(targets);
+            sweep.tie_free.push((0..n).all(|x| {
+                x == s
+                    || !dist[x].is_finite()
+                    || shortest_predecessors(routing.csr(), dist, x).nth(1).is_none()
+            }));
         }
         sweep
     }
@@ -265,9 +293,10 @@ impl<'a> Sweep<'a> {
 
     /// Fills `buf.load` for the failure of the non-bridge `{u, v}` and
     /// returns the mean stretch. Only sources whose base tree uses the
-    /// link are re-routed; the rest replay their cached contributions.
+    /// link are re-routed, by a tree repair where it is exact and a fresh
+    /// Dijkstra otherwise; the rest replay their cached contributions.
     fn fail_cycle_link(&self, (u, v): (usize, usize), buf: &mut Buffers) -> f64 {
-        let Buffers { csr, dijkstra, subtree, load, .. } = buf;
+        let Buffers { csr, dijkstra, subtree, load, repair, repaired, rerouted, .. } = buf;
         let traffic = self.ctx.traffic_fn();
         let mut stretch_sum = 0.0f64;
         let mut stretch_count = 0usize;
@@ -275,8 +304,8 @@ impl<'a> Sweep<'a> {
         csr.with_edge_cut(u, v, |csr| {
             for (s, targets) in self.stretch_targets.iter().enumerate() {
                 stretch_count += targets.len();
-                let (base_dist, base_parent) = (routing.dist(s), routing.parent(s));
-                if base_parent[v] != u && base_parent[u] != v {
+                let base_dist = routing.dist(s);
+                if !self.touches(s, (u, v)) {
                     for &(e, d) in &self.contrib[s] {
                         load[e] += d;
                     }
@@ -286,9 +315,13 @@ impl<'a> Sweep<'a> {
                     }
                     continue;
                 }
-                csr.dijkstra(dijkstra, s);
-                let dist = dijkstra.dist();
-                accumulate_source(s, dist, dijkstra.parent(), &traffic, subtree, |p, w, d| {
+                let (dist, parent, in_place) = self.reroute(s, (u, v), csr, repair, dijkstra);
+                if in_place {
+                    *repaired += 1;
+                } else {
+                    *rerouted += 1;
+                }
+                accumulate_source(s, dist, parent, &traffic, subtree, |p, w, d| {
                     load[self.edge(p, w)] += d
                 })
                 .expect("a non-bridge failure leaves every routed pair connected");
@@ -301,6 +334,34 @@ impl<'a> Sweep<'a> {
             stretch_sum / stretch_count as f64
         } else {
             1.0
+        }
+    }
+
+    /// Whether source `s`'s base tree holds the link `{u, v}`.
+    fn touches(&self, s: usize, (u, v): (usize, usize)) -> bool {
+        let parent = self.net.plan.routing.parent(s);
+        parent[v] == u || parent[u] == v
+    }
+
+    /// The rows of touched source `s` once its tree link `{u, v}` is cut
+    /// in `csr`: its base tree repaired in place when that is exact, else
+    /// a fresh Dijkstra. The flag says whether the repair was used.
+    fn reroute<'b>(
+        &self,
+        s: usize,
+        (u, v): (usize, usize),
+        csr: &Csr,
+        repair: &'b mut Repair,
+        dijkstra: &'b mut DijkstraWorkspace,
+    ) -> (&'b [f64], &'b [usize], bool) {
+        let routing = &self.net.plan.routing;
+        let (dist, parent) = (routing.dist(s), routing.parent(s));
+        let root = if parent[v] == u { v } else { u };
+        if self.tie_free[s] && repair.run(csr, dist, parent, &self.order[s], root) {
+            (&repair.dist, &repair.parent, true)
+        } else {
+            csr.dijkstra(dijkstra, s);
+            (dijkstra.dist(), dijkstra.parent(), false)
         }
     }
 
@@ -328,6 +389,113 @@ impl<'a> Sweep<'a> {
             }
         }
         (max_util, overloaded)
+    }
+}
+
+/// The neighbours `y` of `x` with `dist[y] + len(y, x) == dist[x]`: the
+/// relaxers that reach `x`'s label. Reads the arc `x → y` for `len(y, x)`,
+/// which relies on symmetric arc lengths: a network's lengths come from
+/// `region::distance_matrix`, which stores one value for both directions.
+fn shortest_predecessors<'c>(
+    csr: &'c Csr,
+    dist: &'c [f64],
+    x: usize,
+) -> impl Iterator<Item = usize> + 'c {
+    csr.arcs(x).filter(move |&(y, len)| dist[y] + len == dist[x]).map(|(y, _)| y)
+}
+
+/// Scratch rows of one source's tree repair after a tree edge is cut.
+#[derive(Default)]
+struct Repair {
+    /// The repaired rows, valid after a successful [`run`](Self::run).
+    dist: Vec<f64>,
+    parent: Vec<usize>,
+    orphan: Vec<bool>,
+    orphans: Vec<usize>,
+    heap: BinaryHeap<HeapItem>,
+}
+
+impl Repair {
+    /// Repairs the base tree `(dist, parent)` of one source, whose
+    /// children-first node order is `order`, after the tree edge into
+    /// `root` was cut in `csr`. Returns whether the repaired rows equal a
+    /// fresh Dijkstra's on `csr`; when it returns false they are garbage.
+    ///
+    /// The subtree below `root` is orphaned; nodes the base did not reach
+    /// stay unreached. Each orphan is seeded from its non-orphan
+    /// neighbours, then labels propagate among orphans by a lazy-deletion
+    /// heap. Non-orphan labels stay, since their tree paths survive and
+    /// the cut only removes paths, so this ends at the relaxation
+    /// fixpoint, whose labels are a fresh run's bit for bit (DESIGN.md
+    /// §13).
+    ///
+    /// A fresh run's parent of `x` is the first relaxer in settle order
+    /// to reach `x`'s final label, so it is one of `x`'s shortest
+    /// predecessors; with one predecessor, the parent is forced. Each
+    /// orphan therefore takes its unique shortest predecessor, and the
+    /// repair fails if an orphan has several. A non-orphan's predecessors
+    /// after the cut are a subset of its base ones, which the caller
+    /// guarantees are exactly its base parent (a tie-free base tree), so
+    /// its parent stays.
+    fn run(
+        &mut self,
+        csr: &Csr,
+        dist: &[f64],
+        parent: &[usize],
+        order: &[usize],
+        root: usize,
+    ) -> bool {
+        let n = dist.len();
+        let Self { dist: rdist, parent: rparent, orphan, orphans, heap } = self;
+        rdist.clear();
+        rdist.extend_from_slice(dist);
+        rparent.clear();
+        rparent.extend_from_slice(parent);
+        orphan.clear();
+        orphan.resize(n, false);
+        orphan[root] = true;
+        orphans.clear();
+        // Reversed, the children-first order visits parents first.
+        for &x in order.iter().rev() {
+            if orphan[x] || orphan[parent[x]] {
+                orphan[x] = true;
+                orphans.push(x);
+                rdist[x] = f64::INFINITY;
+                rparent[x] = usize::MAX;
+            }
+        }
+        heap.clear();
+        // Seeding reads the arc `x → y` for `y → x`, as
+        // `shortest_predecessors` does.
+        for &x in orphans.iter() {
+            for (y, len) in csr.arcs(x) {
+                if !orphan[y] && rdist[y] + len < rdist[x] {
+                    rdist[x] = rdist[y] + len;
+                }
+            }
+            if rdist[x].is_finite() {
+                heap.push(HeapItem { dist: rdist[x], node: x });
+            }
+        }
+        while let Some(HeapItem { dist: d, node: x }) = heap.pop() {
+            if d > rdist[x] {
+                continue;
+            }
+            for (y, len) in csr.arcs(x) {
+                if orphan[y] && d + len < rdist[y] {
+                    rdist[y] = d + len;
+                    heap.push(HeapItem { dist: rdist[y], node: y });
+                }
+            }
+        }
+        for &x in orphans.iter() {
+            let mut preds = shortest_predecessors(csr, rdist, x);
+            match (preds.next(), preds.next()) {
+                (Some(y), None) if rdist[x].is_finite() => rparent[x] = y,
+                _ => return false,
+            }
+        }
+        true
     }
 }
 
@@ -652,6 +820,87 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Checks the rows the sweep uses for every (source, non-bridge link)
+    /// pair it re-routes against the cut adjacency's fresh Dijkstra:
+    /// distances by `to_bits`, parents exactly. Returns how many pairs
+    /// were repaired in place and how many fell back.
+    fn check_touched_rows(net: &Network, ctx: &Context, case: &str) -> (usize, usize) {
+        let sweep = Sweep::new(net, ctx, &net.graph());
+        let mut csr = net.plan.routing.csr().clone();
+        let (mut repair, mut ws, mut fresh) = Default::default();
+        let (mut repaired, mut rerouted) = (0, 0);
+        let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for &(u, v) in net.plan.edges() {
+            if sweep.cuts.is_bridge(u, v) {
+                continue;
+            }
+            csr.with_edge_cut(u, v, |csr| {
+                for s in (0..net.n()).filter(|&s| sweep.touches(s, (u, v))) {
+                    let (dist, parent, in_place) =
+                        sweep.reroute(s, (u, v), csr, &mut repair, &mut ws);
+                    csr.dijkstra(&mut fresh, s);
+                    assert_eq!(bits(dist), bits(fresh.dist()), "{case}: {s} without ({u},{v})");
+                    assert_eq!(parent, fresh.parent(), "{case}: {s} without ({u},{v})");
+                    if in_place {
+                        repaired += 1;
+                    } else {
+                        rerouted += 1;
+                    }
+                }
+            });
+        }
+        (repaired, rerouted)
+    }
+
+    #[test]
+    fn touched_rows_equal_a_fresh_dijkstra_on_the_cut_adjacency() {
+        // Every family × layout. Layout 0 (no coincident PoPs, no
+        // equal-cost paths) must take the repair every time; the grid
+        // layout's ties must send some sources to the fresh Dijkstra.
+        let mut counts = [(0usize, 0usize); 3];
+        for (i, &family) in FAMILIES.iter().enumerate() {
+            for layout in 0..3u8 {
+                for seed in [i as u64 * 3 + layout as u64, 100 + i as u64 * 3 + layout as u64] {
+                    let mut ctx = random_context(20, seed, layout, seed.is_multiple_of(2));
+                    let topo = random_topology(family, &mut ctx, seed);
+                    let net = Network::build(topo, &ctx, CostParams::paper(1e-3, 0.0)).unwrap();
+                    let case = format!("{family:?} layout {layout} seed {seed}");
+                    let (repaired, rerouted) = check_touched_rows(&net, &ctx, &case);
+                    counts[layout as usize].0 += repaired;
+                    counts[layout as usize].1 += rerouted;
+                }
+            }
+        }
+        let [free, _, grid] = counts;
+        assert!(free.0 > 0 && free.1 == 0, "layout 0 repairs every pair: {free:?}");
+        assert!(grid.1 > 0, "the grid layout falls back at least once: {grid:?}");
+    }
+
+    #[test]
+    fn an_orphan_with_two_shortest_predecessors_falls_back() {
+        // Source 0's tree is tie-free, but without the link (0, 1) node 1
+        // is as near through 3 as through 4. A fresh Dijkstra settles 4
+        // first and takes it as the parent, while 3 comes first in node
+        // 1's arcs, so no choice among the two is safe without the run.
+        let points = [(3.0, 2.0), (0.0, 2.0), (2.0, 5.0), (1.0, 3.0), (2.0, 4.0)];
+        let ctx = Context::from_positions(
+            points.iter().map(|&(x, y)| Point::new(x, y)).collect(),
+            PopulationKind::Constant { value: 1.0 },
+            GravityModel::raw(),
+            0,
+        );
+        let edges = [(0, 1), (0, 2), (0, 4), (1, 3), (1, 4), (3, 4)];
+        let topo = AdjacencyMatrix::from_edges(5, &edges).unwrap();
+        let net = Network::build(topo, &ctx, CostParams::paper(1e-3, 0.0)).unwrap();
+        let (_, rerouted) = check_touched_rows(&net, &ctx, "two predecessors");
+        assert!(rerouted > 0, "the tie must take the fresh Dijkstra");
+        let mut csr = net.plan.routing.csr().clone();
+        let mut ws = DijkstraWorkspace::new();
+        csr.with_edge_cut(0, 1, |csr| csr.dijkstra(&mut ws, 0));
+        assert_eq!(ws.parent()[1], 4);
+        assert_eq!(ws.dist()[3] + ctx.distance(3, 1), ws.dist()[1], "3 ties with 4");
     }
 
     fn square_ctx() -> Context {

@@ -266,40 +266,99 @@ pub fn crowding_distances(objs: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
 /// every component contribute nothing. Exact recursive slicing — fine for
 /// the archive sizes COLD uses (≤ a few hundred points, K = 3).
 pub fn hypervolume(points: &[Vec<f64>], reference: &[f64]) -> f64 {
-    let inside: Vec<&[f64]> = points
-        .iter()
-        .filter(|p| p.len() == reference.len() && p.iter().zip(reference).all(|(a, r)| a < r))
-        .map(|p| p.as_slice())
-        .collect();
-    hv_slices(&inside, reference)
+    Slicer::new(reference, points.iter().map(Vec::as_slice)).total()
 }
 
-fn hv_slices(pts: &[&[f64]], r: &[f64]) -> f64 {
+/// The slicing sweep's order on `d`-dimensional points: by the last
+/// coordinate, ties lexicographic.
+fn slice_order(a: &[f64], b: &[f64]) -> std::cmp::Ordering {
+    a[a.len() - 1].total_cmp(&b[b.len() - 1]).then_with(|| cmp_objectives(a, b))
+}
+
+/// Exact hypervolume of one point set and of the set minus any one
+/// point, sharing one sort and one set of sweep buffers.
+struct Slicer<'a> {
+    reference: &'a [f64],
+    /// `(input index, point)` of the points inside the reference box, in
+    /// [`slice_order`].
+    inside: Vec<(usize, &'a [f64])>,
+    /// The points a sweep runs over.
+    pts: Vec<&'a [f64]>,
+    /// One sorted active set per level above the 2-D one.
+    levels: Vec<Vec<&'a [f64]>>,
+}
+
+impl<'a> Slicer<'a> {
+    fn new(reference: &'a [f64], points: impl Iterator<Item = &'a [f64]>) -> Self {
+        let d = reference.len();
+        let mut inside: Vec<(usize, &[f64])> = points
+            .enumerate()
+            .filter(|(_, p)| p.len() == d && p.iter().zip(reference).all(|(a, r)| a < r))
+            .collect();
+        inside.sort_by(|a, b| slice_order(a.1, b.1));
+        let levels = vec![Vec::new(); d.saturating_sub(2)];
+        Self { reference, pts: Vec::with_capacity(inside.len()), inside, levels }
+    }
+
+    /// Hypervolume of every point.
+    fn total(&mut self) -> f64 {
+        self.without(usize::MAX)
+    }
+
+    /// Hypervolume of every point but the `skip`-th of the input.
+    fn without(&mut self, skip: usize) -> f64 {
+        let Self { reference, inside, pts, levels } = self;
+        pts.clear();
+        pts.extend(inside.iter().filter(|&&(i, _)| i != skip).map(|&(_, p)| p));
+        hv_sorted(pts, reference, levels)
+    }
+}
+
+/// Hypervolume of `pts`, in [`slice_order`] on their first `r.len()`
+/// coordinates (the rest are ignored), w.r.t. `r`. Sweeps the last
+/// dimension: between consecutive cut heights the active set is the
+/// prefix, whose (d−1)-volume scales the slab. Each level keeps its
+/// active set sorted as points arrive (`levels`, one per level above
+/// 2-D), so no prefix is re-sorted, and the 2-D level is a running
+/// minimum. The volume is a function of the point set alone: the sums
+/// run in the order of the sorted projections, whatever order equal
+/// projections arrive in.
+fn hv_sorted<'a>(pts: &[&'a [f64]], r: &[f64], levels: &mut [Vec<&'a [f64]>]) -> f64 {
     if pts.is_empty() {
         return 0.0;
     }
     let d = r.len();
-    if d == 1 {
-        let best = pts.iter().map(|p| p[0]).fold(f64::INFINITY, f64::min);
-        return (r[0] - best).max(0.0);
-    }
-    // Sweep the last dimension: between consecutive cut heights the
-    // active set is the prefix, whose (d−1)-volume scales the slab.
-    let mut sorted: Vec<&[f64]> = pts.to_vec();
-    sorted.sort_by(|a, b| a[d - 1].total_cmp(&b[d - 1]).then_with(|| cmp_objectives(a, b)));
-    let mut vol = 0.0;
-    let mut proj: Vec<Vec<f64>> = Vec::with_capacity(sorted.len());
-    for (i, p) in sorted.iter().enumerate() {
-        proj.push(p[..d - 1].to_vec());
-        let hi = if i + 1 < sorted.len() { sorted[i + 1][d - 1] } else { r[d - 1] };
-        let thickness = hi - p[d - 1];
-        if thickness <= 0.0 {
-            continue;
+    let slab = |i: usize, p: &[f64]| pts.get(i + 1).map_or(r[d - 1], |q| q[d - 1]) - p[d - 1];
+    match d {
+        1 => (r[0] - pts.iter().map(|p| p[0]).fold(f64::INFINITY, f64::min)).max(0.0),
+        2 => {
+            let (mut vol, mut best) = (0.0, f64::INFINITY);
+            for (i, p) in pts.iter().enumerate() {
+                best = best.min(p[0]);
+                let thickness = slab(i, p);
+                if thickness <= 0.0 {
+                    continue;
+                }
+                vol += thickness * (r[0] - best).max(0.0);
+            }
+            vol
         }
-        let slices: Vec<&[f64]> = proj.iter().map(|q| q.as_slice()).collect();
-        vol += thickness * hv_slices(&slices, &r[..d - 1]);
+        _ => {
+            let (active, deeper) = levels.split_last_mut().expect("one active set per level");
+            active.clear();
+            let mut vol = 0.0;
+            for (i, &p) in pts.iter().enumerate() {
+                let at = active.partition_point(|q| slice_order(&q[..d - 1], &p[..d - 1]).is_le());
+                active.insert(at, p);
+                let thickness = slab(i, p);
+                if thickness <= 0.0 {
+                    continue;
+                }
+                vol += thickness * hv_sorted(active, &r[..d - 1], deeper);
+            }
+            vol
+        }
     }
-    vol
 }
 
 /// One member of the Pareto front: a topology with its objective vector.
@@ -348,8 +407,11 @@ impl ParetoArchive {
 
     /// Hypervolume of the archived front w.r.t. the reference point.
     pub fn hypervolume(&self) -> f64 {
-        let objs: Vec<Vec<f64>> = self.points.iter().map(|p| p.objectives.clone()).collect();
-        hypervolume(&objs, &self.reference)
+        self.slicer().total()
+    }
+
+    fn slicer(&self) -> Slicer<'_> {
+        Slicer::new(&self.reference, self.points.iter().map(|p| p.objectives.as_slice()))
     }
 
     /// Offers a candidate. Rejected when any archived point weakly
@@ -372,14 +434,12 @@ impl ParetoArchive {
             ParetoPoint { topology: topology.clone(), objectives: objectives.to_vec() },
         );
         if self.points.len() > self.capacity {
-            let objs: Vec<Vec<f64>> = self.points.iter().map(|p| p.objectives.clone()).collect();
-            let total = hypervolume(&objs, &self.reference);
+            let mut slicer = self.slicer();
+            let total = slicer.total();
             let mut evict = 0usize;
             let mut least = f64::INFINITY;
-            for i in 0..objs.len() {
-                let mut rest = objs.clone();
-                rest.remove(i);
-                let contribution = total - hypervolume(&rest, &self.reference);
+            for i in 0..self.points.len() {
+                let contribution = total - slicer.without(i);
                 // Strict `<` keeps the first (lexicographically smallest)
                 // minimal contributor, so eviction is deterministic.
                 if contribution < least {
@@ -603,6 +663,8 @@ fn rank_and_sort(pool: &mut [(Individual, Vec<f64>)]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Two toy objectives over points on a line: total link build cost
     /// (k0 per link + length) vs. total pairwise hop distance — sparse
@@ -695,6 +757,120 @@ mod tests {
         assert_eq!(hypervolume(&[vec![3.0, 1.0]], &[3.0, 3.0]), 0.0);
         // 3-D: unit-corner point in a 2-cube.
         assert!((hypervolume(&[vec![1.0, 1.0, 1.0]], &[2.0, 2.0, 2.0]) - 1.0).abs() < 1e-12);
+    }
+
+    /// The recursive slicing the sweep replaced: it sorts every prefix
+    /// and copies every projection. The oracle of the bit-equality tests.
+    fn hypervolume_by_recursion(points: &[Vec<f64>], reference: &[f64]) -> f64 {
+        fn slices(pts: &[&[f64]], r: &[f64]) -> f64 {
+            if pts.is_empty() {
+                return 0.0;
+            }
+            let d = r.len();
+            if d == 1 {
+                let best = pts.iter().map(|p| p[0]).fold(f64::INFINITY, f64::min);
+                return (r[0] - best).max(0.0);
+            }
+            let mut sorted: Vec<&[f64]> = pts.to_vec();
+            sorted.sort_by(|a, b| a[d - 1].total_cmp(&b[d - 1]).then_with(|| cmp_objectives(a, b)));
+            let mut vol = 0.0;
+            let mut proj: Vec<Vec<f64>> = Vec::with_capacity(sorted.len());
+            for (i, p) in sorted.iter().enumerate() {
+                proj.push(p[..d - 1].to_vec());
+                let hi = if i + 1 < sorted.len() { sorted[i + 1][d - 1] } else { r[d - 1] };
+                let thickness = hi - p[d - 1];
+                if thickness <= 0.0 {
+                    continue;
+                }
+                let prefix: Vec<&[f64]> = proj.iter().map(|q| q.as_slice()).collect();
+                vol += thickness * slices(&prefix, &r[..d - 1]);
+            }
+            vol
+        }
+        let inside: Vec<&[f64]> = points
+            .iter()
+            .filter(|p| p.len() == reference.len() && p.iter().zip(reference).all(|(a, r)| a < r))
+            .map(|p| p.as_slice())
+            .collect();
+        slices(&inside, reference)
+    }
+
+    /// `count` random K-vectors: free floats, or values on a coarse grid
+    /// that tie often and reach the reference point.
+    fn random_points(rng: &mut StdRng, k: usize, count: usize, grid: bool) -> Vec<Vec<f64>> {
+        let coord = |rng: &mut StdRng| {
+            if grid {
+                rng.gen_range(0..5) as f64 * 0.25
+            } else {
+                rng.gen_range(0.0..1.0)
+            }
+        };
+        (0..count).map(|_| (0..k).map(|_| coord(rng)).collect()).collect()
+    }
+
+    #[test]
+    fn hypervolume_matches_the_recursive_oracle_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(25);
+        for k in 2..=4 {
+            let reference = vec![1.0; k];
+            for grid in [false, true] {
+                for count in [0, 1, 2, 3, 5, 8, 13, 21, 34, 40] {
+                    let points = random_points(&mut rng, k, count, grid);
+                    assert_eq!(
+                        hypervolume(&points, &reference).to_bits(),
+                        hypervolume_by_recursion(&points, &reference).to_bits(),
+                        "K = {k}, grid = {grid}, {count} points"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn archive_evictions_match_the_cloning_oracle() {
+        // The archive before the sweep rewrite: every leave-one-out
+        // contribution re-measured a cloned objective matrix.
+        fn insert_by_cloning(members: &mut Vec<Vec<f64>>, x: &[f64], cap: usize, r: &[f64]) {
+            if members.iter().any(|p| p.iter().zip(x).all(|(a, b)| a <= b)) {
+                return;
+            }
+            members.retain(|p| !dominates(x, p));
+            let at = members.binary_search_by(|p| cmp_objectives(p, x)).unwrap_or_else(|i| i);
+            members.insert(at, x.to_vec());
+            if members.len() > cap {
+                let total = hypervolume_by_recursion(members, r);
+                let (mut evict, mut least) = (0, f64::INFINITY);
+                for i in 0..members.len() {
+                    let mut rest = members.clone();
+                    rest.remove(i);
+                    let contribution = total - hypervolume_by_recursion(&rest, r);
+                    if contribution < least {
+                        (evict, least) = (i, contribution);
+                    }
+                }
+                members.remove(evict);
+            }
+        }
+        let topo = AdjacencyMatrix::empty(3);
+        let mut rng = StdRng::seed_from_u64(7);
+        for k in [2, 3] {
+            for grid in [false, true] {
+                let reference = vec![1.0; k];
+                let mut archive = ParetoArchive::new(8, reference.clone());
+                let mut oracle = Vec::new();
+                for x in random_points(&mut rng, k, 300, grid) {
+                    archive.insert(&topo, &x);
+                    insert_by_cloning(&mut oracle, &x, 8, &reference);
+                    let members: Vec<Vec<f64>> =
+                        archive.points().iter().map(|p| p.objectives.clone()).collect();
+                    assert_eq!(members, oracle, "K = {k}, grid = {grid}");
+                    assert_eq!(
+                        archive.hypervolume().to_bits(),
+                        hypervolume_by_recursion(&oracle, &reference).to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -143,11 +143,13 @@ impl DijkstraWorkspace {
                 let v = node[k];
                 let nd = d + len[k];
                 // Strict `<` makes the parent the *first* relaxer to reach
-                // the final label. Relaxers are settled vertices, so they
-                // arrive in `(dist, id)` heap order: under equal-cost paths
-                // the parent is canonically the predecessor minimizing
-                // `(dist[u], u)` — a property of the label set, not of the
-                // relaxation schedule, so delta-repaired trees agree.
+                // the final label, in settle order. With positive lengths
+                // every node at a distance is queued before the first pop
+                // at that distance, so settle order is `(dist, id)` order
+                // and the parent is the `(dist, id)`-least predecessor.
+                // A zero-length edge can queue a node after a larger id at
+                // the same distance has settled, and then it is not (see
+                // `zero_length_edges_make_the_parent_the_first_relaxer`).
                 if nd < self.dist[v] {
                     self.dist[v] = nd;
                     self.parent[v] = u;
@@ -173,9 +175,11 @@ impl DijkstraWorkspace {
 ///
 /// `len(u, v)` must be non-negative and finite on every edge of `g`.
 /// Equal-cost ties are resolved deterministically: the parent is the
-/// predecessor minimizing `(dist, node id)`, so the returned tree is a
-/// pure function of its inputs and agrees bit-for-bit with incrementally
-/// repaired trees.
+/// first predecessor in settle order that reaches the final distance, so
+/// the returned tree is a pure function of its inputs. With positive
+/// lengths that is the predecessor minimizing `(dist, node id)`; with
+/// zero-length edges it need not be. A node with a single shortest
+/// predecessor has that parent whatever the schedule.
 ///
 /// # Panics
 /// Panics if `source >= g.n()` or a negative/NaN length is produced.
@@ -333,8 +337,9 @@ mod tests {
     fn equal_cost_parallel_routes_pick_the_dist_then_id_minimal_parent() {
         // Ladder with many parallel equal-weight routes: 0-{1,2}-{3,4}-5,
         // plus a same-length route into 3 via higher-indexed 4 won't matter.
-        // Every tie must resolve to the predecessor with the smallest
-        // (dist, id), independent of relaxation schedule.
+        // With positive lengths settle order is (dist, id) order, so every
+        // tie resolves to the predecessor with the smallest (dist, id),
+        // independent of the per-vertex relaxation order.
         let g =
             Graph::from_edges(6, &[(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)])
                 .unwrap();
@@ -372,5 +377,20 @@ mod tests {
             assert_eq!(ws.dist(), &t.dist[..], "rev={rev}");
             assert_eq!(ws.parent(), &t.parent[..], "rev={rev}");
         }
+    }
+
+    #[test]
+    fn zero_length_edges_make_the_parent_the_first_relaxer() {
+        // 0-2, 0-3, 1-4, 2-4 of length 1 and 1-3 of length 0. From 0, node
+        // 2 settles (dist 1) and labels 4 at 2 before 3 settles and
+        // reaches 1 over the zero-length edge; 1 then settles at dist 1
+        // and also reaches 4 at 2, but too late. The parent of 4 is 2,
+        // although 1 is the (dist, id)-smaller predecessor.
+        let g = Graph::from_edges(5, &[(0, 2), (0, 3), (1, 4), (2, 4), (1, 3)]).unwrap();
+        let len = |u: usize, v: usize| if (u.min(v), u.max(v)) == (1, 3) { 0.0 } else { 1.0 };
+        let t = dijkstra(&g, 0, len);
+        assert_eq!(t.dist, vec![0.0, 1.0, 1.0, 1.0, 2.0]);
+        assert_eq!(t.parent, vec![0, 3, 0, 0, 2]);
+        assert_eq!(t.dist[1] + len(1, 4), t.dist[4], "1 is a shortest predecessor of 4 too");
     }
 }
