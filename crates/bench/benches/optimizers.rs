@@ -3,12 +3,19 @@
 
 use cold::{ColdConfig, ColdMultiObjective, ColdObjective, SynthesisMode};
 use cold_cost::{CostEvaluator, CostParams, Network};
-use cold_ga::{hypervolume, GaSettings, GeneticAlgorithm, ParetoGa};
+use cold_ga::chromosome::{inverse_cost_weights, weighted_pick};
+use cold_ga::crossover::{crossover_child, select_parents};
+use cold_ga::mutation::mutate;
+use cold_ga::repair::{repair, RepairStats};
+use cold_ga::{hypervolume, GaSettings, GeneticAlgorithm, Individual, Objective, ParetoGa};
+use cold_graph::AdjacencyMatrix;
 use cold_heuristics::{
     all_heuristics, complete_heuristic, greedy_attachment, mst_heuristic, random_greedy,
     RandomGreedyConfig,
 };
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Small GA settings so the bench iterates in reasonable time; scaling
 /// shape (Fig 4) comes from varying n at fixed T = M.
@@ -56,6 +63,78 @@ fn bench_ga_parallelism(c: &mut Criterion) {
                 let obj = ColdObjective::new(&ctx, cfg.params);
                 let ga = GeneticAlgorithm::new(&obj, bench_settings(8, parallel));
                 black_box(ga.run().best.cost)
+            });
+        });
+    }
+    group.finish();
+}
+
+/// One generation's offspring, bred as the engine breeds them: crossover
+/// children from tournament parents, then mutants of inverse-cost picks.
+fn breed<O: Objective>(
+    population: &[Individual],
+    objective: &O,
+    settings: &GaSettings,
+    rng: &mut StdRng,
+) -> Vec<AdjacencyMatrix> {
+    let mut children = Vec::with_capacity(settings.num_crossover + settings.num_mutation);
+    for _ in 0..settings.num_crossover {
+        let parents = select_parents(population, settings, rng);
+        children.push(crossover_child(
+            population,
+            &parents,
+            settings.uniform_crossover_weights,
+            rng,
+        ));
+    }
+    let weights = inverse_cost_weights(population);
+    for _ in 0..settings.num_mutation {
+        let src = weighted_pick(&weights, rng.gen_range(0.0..1.0));
+        let mut child = population[src].topology.clone();
+        mutate(&mut child, objective, settings, None, rng);
+        children.push(child);
+    }
+    children
+}
+
+fn bench_ga_operators(c: &mut Criterion) {
+    // The GA's serial operators for one generation at the paper's
+    // proportions (M = 100: 50 crossover and 30 mutation offspring), on
+    // the population a one-generation run leaves. `ga_breed` selects,
+    // crosses and mutates; `ga_repair` copies those 80 offspring and
+    // repairs each.
+    let fixtures: Vec<_> = [30usize, 200]
+        .into_iter()
+        .map(|n| {
+            let cfg = ColdConfig::paper(n, 4e-4, 10.0);
+            let ctx = cfg.context.generate(5);
+            let settings = GaSettings { generations: 1, ..GaSettings::paper_default(5) };
+            let population = GeneticAlgorithm::new(&ColdObjective::new(&ctx, cfg.params), settings)
+                .run()
+                .final_population;
+            (n, cfg, ctx, settings, population)
+        })
+        .collect();
+    let mut group = c.benchmark_group("ga_breed");
+    for (n, cfg, ctx, settings, population) in &fixtures {
+        let obj = ColdObjective::new(ctx, cfg.params);
+        group.bench_with_input(BenchmarkId::from_parameter(n), population, |b, population| {
+            let mut rng = StdRng::seed_from_u64(6);
+            b.iter(|| breed(population, &obj, settings, &mut rng).len());
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("ga_repair");
+    for (n, cfg, ctx, settings, population) in &fixtures {
+        let obj = ColdObjective::new(ctx, cfg.params);
+        let children = breed(population, &obj, settings, &mut StdRng::seed_from_u64(6));
+        group.bench_with_input(BenchmarkId::from_parameter(n), &children, |b, children| {
+            b.iter(|| {
+                let mut stats = RepairStats::default();
+                for child in children {
+                    repair(&mut child.clone(), &obj, &mut stats);
+                }
+                stats.repaired
             });
         });
     }
@@ -169,6 +248,7 @@ criterion_group!(
     benches,
     bench_ga_scaling,
     bench_ga_parallelism,
+    bench_ga_operators,
     bench_heuristics,
     bench_end_to_end,
     bench_pareto

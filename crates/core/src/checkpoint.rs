@@ -154,6 +154,7 @@ impl TrialRecord {
                 "eval_seconds": self.eval_stats.eval_seconds,
                 "delta_evals": self.eval_stats.delta_evals,
                 "full_evals": self.eval_stats.full_evals,
+                "arcs_scanned": self.eval_stats.arcs_scanned,
             },
             "repair_rate": self.repair_rate,
             "generations_run": self.generations_run,
@@ -208,6 +209,7 @@ impl TrialRecord {
                 // existed simply report zeros.
                 delta_evals: es.get("delta_evals").and_then(Value::as_u64).unwrap_or(0) as usize,
                 full_evals: es.get("full_evals").and_then(Value::as_u64).unwrap_or(0) as usize,
+                arcs_scanned: es.get("arcs_scanned").and_then(Value::as_u64).unwrap_or(0),
             },
             repair_rate: f64_field(v, "repair_rate")?,
             generations_run: usize_field(v, "generations_run")?,

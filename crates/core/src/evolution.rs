@@ -124,6 +124,9 @@ impl ObjectiveSession for EvolutionSession<'_> {
     fn full_evals(&self) -> usize {
         self.inner.full_evals()
     }
+    fn arcs_scanned(&self) -> u64 {
+        self.inner.arcs_scanned()
+    }
 }
 
 /// Outcome of one evolution step.

@@ -85,6 +85,9 @@ impl ObjectiveSession for DeltaSession<'_> {
     fn full_evals(&self) -> usize {
         self.delta.full_evals()
     }
+    fn arcs_scanned(&self) -> u64 {
+        self.delta.arcs_scanned()
+    }
 }
 
 /// The same objective also drives the simulated-annealing baseline

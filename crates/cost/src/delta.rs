@@ -171,6 +171,7 @@ pub struct DeltaEval<'a> {
     delta_evals: usize,
     full_evals: usize,
     reanchors: usize,
+    arcs_scanned: u64,
 }
 
 impl<'a> DeltaEval<'a> {
@@ -214,6 +215,7 @@ impl<'a> DeltaEval<'a> {
             delta_evals: 0,
             full_evals: 0,
             reanchors: 0,
+            arcs_scanned: 0,
         }
     }
 
@@ -237,6 +239,15 @@ impl<'a> DeltaEval<'a> {
     /// the current one (a subset of [`delta_evals`](Self::delta_evals)).
     pub fn reanchors(&self) -> usize {
         self.reanchors
+    }
+
+    /// Arcs read by this session's shortest-path work: `n · 2|E|` per
+    /// full pass (every source's Dijkstra reads every arc of a connected
+    /// graph), and per repair the arcs of each orphan seeded and each
+    /// vertex settled. Added once per evaluation; unlike wall-clock time,
+    /// it does not depend on host load.
+    pub fn arcs_scanned(&self) -> u64 {
+        self.arcs_scanned
     }
 
     /// Cost of `topology`, bit-identical to
@@ -342,6 +353,7 @@ impl<'a> DeltaEval<'a> {
         spare.routing.build(topology, self.ctx.distance_fn(), self.ctx.traffic_fn())?;
         spare.topology.clone_from(topology);
         spare.total = CostBreakdown::of(&spare.routing, &self.params).total();
+        self.arcs_scanned += (topology.n() * 2 * topology.edge_count()) as u64;
         Ok(spare.total)
     }
 
@@ -392,8 +404,9 @@ impl<'a> DeltaEval<'a> {
             s.rdist.extend_from_slice(routing.dist(src));
             s.rparent.extend_from_slice(routing.parent(src));
         }
+        let mut arcs = 0;
         for (k, &src) in s.affected.iter().enumerate() {
-            repair_source(
+            arcs += repair_source(
                 src,
                 &mut s.rdist[k * n..(k + 1) * n],
                 &mut s.rparent[k * n..(k + 1) * n],
@@ -418,12 +431,14 @@ impl<'a> DeltaEval<'a> {
         )?;
         spare.topology.clone_from(child);
         spare.total = CostBreakdown::of(&spare.routing, &self.params).total();
+        self.arcs_scanned += arcs as u64;
         Ok(Some(spare.total))
     }
 }
 
 /// Repairs one source's shortest-path tree in place (see the module docs
-/// for why the result is bit-identical to a fresh Dijkstra).
+/// for why the result is bit-identical to a fresh Dijkstra) and returns
+/// the number of arcs it read.
 #[allow(clippy::too_many_arguments)]
 fn repair_source(
     source: usize,
@@ -435,8 +450,9 @@ fn repair_source(
     status: &mut Vec<u8>,
     chain: &mut Vec<usize>,
     heap: &mut BinaryHeap<HeapItem>,
-) {
+) -> usize {
     let n = wdist.len();
+    let mut arcs = 0;
     status.clear();
     status.resize(n, 0);
     status[source] = 1;
@@ -483,6 +499,7 @@ fn repair_source(
         if status[x] != 2 {
             continue;
         }
+        arcs += csr.degree(x);
         for (y, len) in csr.arcs(x) {
             if status[y] == 2 {
                 continue;
@@ -519,6 +536,7 @@ fn repair_source(
         if d > wdist[x] {
             continue;
         }
+        arcs += csr.degree(x);
         for (y, len) in csr.arcs(x) {
             let nd = wdist[x] + len;
             if nd < wdist[y] {
@@ -528,6 +546,7 @@ fn repair_source(
             }
         }
     }
+    arcs
 }
 
 #[cfg(test)]

@@ -137,6 +137,8 @@ pub struct EvalStats {
     /// Cache misses answered by a full from-scratch evaluation (stateless
     /// objectives count every miss here).
     pub full_evals: usize,
+    /// Arcs read by the sessions' routing; varies like `delta_evals`.
+    pub arcs_scanned: u64,
 }
 
 impl EvalStats {
@@ -159,8 +161,8 @@ pub(crate) trait Session: Send {
     fn evaluate(&mut self, t: &AdjacencyMatrix) -> Self::Fitness;
     /// The components the evaluation boundary checks.
     fn components(fitness: &Self::Fitness) -> &[f64];
-    /// Cumulative `(delta, full)` evaluation counts.
-    fn counts(&self) -> (usize, usize);
+    /// Cumulative `(delta, full)` evaluation counts and arcs scanned.
+    fn counts(&self) -> (usize, usize, u64);
 }
 
 impl Session for Box<dyn ObjectiveSession + '_> {
@@ -171,8 +173,8 @@ impl Session for Box<dyn ObjectiveSession + '_> {
     fn components(cost: &f64) -> &[f64] {
         std::slice::from_ref(cost)
     }
-    fn counts(&self) -> (usize, usize) {
-        (self.delta_evals(), self.full_evals())
+    fn counts(&self) -> (usize, usize, u64) {
+        (self.delta_evals(), self.full_evals(), self.arcs_scanned())
     }
 }
 
@@ -751,6 +753,7 @@ impl<O: Objective> GeneticAlgorithm<O> {
         // checkpoints and per-generation records see a consistent split.
         stats.delta_evals = sessions.iter().map(|s| s.counts().0).sum();
         stats.full_evals = sessions.iter().map(|s| s.counts().1).sum();
+        stats.arcs_scanned = sessions.iter().map(|s| s.counts().2).sum();
         result
     }
 

@@ -151,6 +151,11 @@ pub trait ObjectiveSession: Send {
     fn full_evals(&self) -> usize {
         0
     }
+
+    /// Arcs read by this session's routing (0 when it does not count).
+    fn arcs_scanned(&self) -> u64 {
+        0
+    }
 }
 
 /// The default stateless session of both objective kinds: forwards to

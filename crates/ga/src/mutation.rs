@@ -10,6 +10,9 @@
 //!   the closest non-leaf node." This operator is what lets high-`k3`
 //!   optimizations discover hub-and-spoke structure quickly (§7).
 //!
+//! Link mutation draws from the ascending lists of present and absent pairs
+//! (the RNG stream of building them) by rank/select over the packed words.
+//!
 //! Mutated offspring may be disconnected; the engine repairs them.
 
 use crate::Objective;
@@ -53,21 +56,47 @@ pub fn link_mutation_in(
 ) {
     let m_plus = geometric(p, rng);
     let m_minus = geometric(p, rng);
-    let mut present: Vec<usize> = (0..topology.pair_count()).filter(|&i| topology.bit(i)).collect();
-    let mut absent: Vec<usize> = match universe {
-        Some(pairs) => pairs.iter().copied().filter(|&i| !topology.bit(i)).collect(),
-        None => (0..topology.pair_count()).filter(|&i| !topology.bit(i)).collect(),
-    };
-    for _ in 0..m_plus.min(present.len()) {
-        let i = rng.gen_range(0..present.len());
-        let pair = present.swap_remove(i);
-        topology.set_bit(pair, false);
-    }
-    for _ in 0..m_minus.min(absent.len()) {
-        let i = rng.gen_range(0..absent.len());
-        let pair = absent.swap_remove(i);
+    let before = &topology.clone(); // the lists' state before any draw
+    let (pairs, present) = (before.pair_count(), before.edge_count());
+    let addable = universe.map(|u| u.iter().copied().filter(move |&i| !before.bit(i)));
+    let absent = addable.clone().map_or(pairs - present, Iterator::count);
+    swap_remove_ranks(present, m_plus, rng, |r| {
+        topology.set_bit(select(before.words().iter().copied(), r), false);
+    });
+    let absent_word = |w: usize| !before.words()[w] & !0 >> 64usize.saturating_sub(pairs - w * 64);
+    swap_remove_ranks(absent, m_minus, rng, |r| {
+        let pair = match addable.clone() {
+            Some(mut u) => u.nth(r).expect("rank below the addable count"),
+            None => select((0..before.words().len()).map(absent_word), r),
+        };
         topology.set_bit(pair, true);
+    });
+}
+
+/// Plays `min(k, len)` rounds of `list.swap_remove(rng.gen_range(0..list.len()))`
+/// on an unbuilt list `0..len`, handing each removed entry to `take`.
+fn swap_remove_ranks(len: usize, k: usize, rng: &mut StdRng, mut take: impl FnMut(usize)) {
+    let mut moved: Vec<(usize, usize)> = Vec::new(); // (slot, entry from the tail)
+    let at = |moved: &[(usize, usize)], s| moved.iter().rfind(|m| m.0 == s).map_or(s, |m| m.1);
+    for last in (len - k.min(len)..len).rev() {
+        let i = rng.gen_range(0..last + 1);
+        take(at(&moved, i));
+        if i != last {
+            moved.push((i, at(&moved, last)));
+        }
     }
+}
+
+/// Flat index of the `rank`-th set bit (from 0) of `words`.
+fn select(words: impl Iterator<Item = u64>, mut rank: usize) -> usize {
+    for (w, mut x) in words.enumerate() {
+        if rank < x.count_ones() as usize {
+            (0..rank).for_each(|_| x &= x - 1);
+            return w * 64 + x.trailing_zeros() as usize;
+        }
+        rank -= x.count_ones() as usize;
+    }
+    unreachable!("rank below the set-bit count")
 }
 
 /// Node mutation: picks a non-leaf node uniformly at random, removes all
@@ -85,31 +114,25 @@ pub fn node_mutation<O: Objective>(
     if n < 3 {
         return;
     }
-    let degrees = topology.degrees();
-    let non_leaves: Vec<usize> = (0..n).filter(|&v| degrees[v] > 1).collect();
-    if non_leaves.is_empty() {
+    let mut degrees = topology.degrees();
+    let non_leaves = degrees.iter().filter(|&&d| d > 1).count();
+    if non_leaves == 0 {
         return;
     }
-    let victim = non_leaves[rng.gen_range(0..non_leaves.len())];
+    let pick = rng.gen_range(0..non_leaves);
+    let victim = (0..n).filter(|&v| degrees[v] > 1).nth(pick).expect("a non-leaf");
     // Strip all links from the victim.
-    for u in 0..n {
+    for (u, degree) in degrees.iter_mut().enumerate() {
         if u != victim && topology.has_edge(u, victim) {
             topology.set_edge(u, victim, false);
+            *degree -= 1;
         }
     }
-    // Reattach to the closest non-leaf (recomputed after stripping), else
-    // the closest node overall.
-    let degrees = topology.degrees();
-    let candidates: Vec<usize> = {
-        let hubs: Vec<usize> = (0..n).filter(|&v| v != victim && degrees[v] > 1).collect();
-        if hubs.is_empty() {
-            (0..n).filter(|&v| v != victim).collect()
-        } else {
-            hubs
-        }
-    };
-    let closest = candidates
-        .into_iter()
+    // Reattach to the closest non-leaf (after stripping), else the
+    // closest node overall.
+    let hubs_left = (0..n).any(|v| v != victim && degrees[v] > 1);
+    let closest = (0..n)
+        .filter(|&v| v != victim && (!hubs_left || degrees[v] > 1))
         .min_by(|&a, &b| {
             objective.distance(victim, a).total_cmp(&objective.distance(victim, b)).then(a.cmp(&b))
         })
@@ -246,6 +269,128 @@ mod tests {
             for (u, v) in m.edges() {
                 let p = m.pair_index(u, v);
                 assert!(base.bit(p) || sorted.contains(&p), "added disallowed pair ({u},{v})");
+            }
+        }
+    }
+
+    /// The list-based `link_mutation_in` the rank/select one replaced.
+    fn link_mutation_oracle(
+        topology: &mut AdjacencyMatrix,
+        p: f64,
+        universe: Option<&[usize]>,
+        rng: &mut StdRng,
+    ) {
+        let m_plus = geometric(p, rng);
+        let m_minus = geometric(p, rng);
+        let mut present: Vec<usize> =
+            (0..topology.pair_count()).filter(|&i| topology.bit(i)).collect();
+        let mut absent: Vec<usize> = match universe {
+            Some(pairs) => pairs.iter().copied().filter(|&i| !topology.bit(i)).collect(),
+            None => (0..topology.pair_count()).filter(|&i| !topology.bit(i)).collect(),
+        };
+        for _ in 0..m_plus.min(present.len()) {
+            let i = rng.gen_range(0..present.len());
+            let pair = present.swap_remove(i);
+            topology.set_bit(pair, false);
+        }
+        for _ in 0..m_minus.min(absent.len()) {
+            let i = rng.gen_range(0..absent.len());
+            let pair = absent.swap_remove(i);
+            topology.set_bit(pair, true);
+        }
+    }
+
+    /// The `node_mutation` body that collected its candidate lists.
+    fn node_mutation_oracle<O: Objective>(
+        topology: &mut AdjacencyMatrix,
+        objective: &O,
+        rng: &mut StdRng,
+    ) {
+        let n = topology.n();
+        if n < 3 {
+            return;
+        }
+        let degrees = topology.degrees();
+        let non_leaves: Vec<usize> = (0..n).filter(|&v| degrees[v] > 1).collect();
+        if non_leaves.is_empty() {
+            return;
+        }
+        let victim = non_leaves[rng.gen_range(0..non_leaves.len())];
+        for u in 0..n {
+            if u != victim && topology.has_edge(u, victim) {
+                topology.set_edge(u, victim, false);
+            }
+        }
+        let degrees = topology.degrees();
+        let hubs: Vec<usize> = (0..n).filter(|&v| v != victim && degrees[v] > 1).collect();
+        let candidates =
+            if hubs.is_empty() { (0..n).filter(|&v| v != victim).collect() } else { hubs };
+        let closest = candidates
+            .into_iter()
+            .min_by(|&a, &b| {
+                objective
+                    .distance(victim, a)
+                    .total_cmp(&objective.distance(victim, b))
+                    .then(a.cmp(&b))
+            })
+            .unwrap();
+        topology.set_edge(victim, closest, true);
+    }
+
+    /// A random topology on `n` nodes with edge probability `density`.
+    fn random_topology(n: usize, density: f64, rng: &mut StdRng) -> AdjacencyMatrix {
+        let mut t = AdjacencyMatrix::empty(n);
+        for p in 0..t.pair_count() {
+            t.set_bit(p, rng.gen_bool(density));
+        }
+        t
+    }
+
+    #[test]
+    fn rank_select_link_mutation_matches_the_list_oracle() {
+        let mut rng = StdRng::seed_from_u64(13);
+        for n in [12usize, 200] {
+            for density in [0.0, 0.02, 0.3, 0.97, 1.0] {
+                let base = random_topology(n, density, &mut rng);
+                let pairs = base.pair_count();
+                let sparse: Vec<usize> = (0..pairs).filter(|_| rng.gen_bool(0.1)).collect();
+                let universes: [Option<&[usize]>; 3] = [None, Some(&sparse), Some(&[])];
+                for universe in universes {
+                    // p = 0.1 draws counts that often exceed what is left.
+                    for p in [0.5, 0.1] {
+                        let seed = rng.gen::<u64>();
+                        let (mut a, mut b) =
+                            (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                        let (mut x, mut y) = (base.clone(), base.clone());
+                        for _ in 0..40 {
+                            link_mutation_in(&mut x, p, universe, &mut a);
+                            link_mutation_oracle(&mut y, p, universe, &mut b);
+                            assert_eq!(x, y, "n = {n}, density {density}, p = {p}");
+                            assert_eq!(a.state(), b.state());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn node_mutation_matches_the_list_oracle() {
+        let mut rng = StdRng::seed_from_u64(14);
+        for n in [3usize, 12, 40] {
+            let obj = LineObjective { n, k0: 0.0, k1: 0.0, k3: 0.0 };
+            for density in [0.05, 0.2, 0.8] {
+                let seed = rng.gen::<u64>();
+                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let (mut x, mut y) =
+                    (random_topology(n, density, &mut rng), AdjacencyMatrix::empty(n));
+                y.clone_from(&x);
+                for _ in 0..30 {
+                    node_mutation(&mut x, &obj, &mut a);
+                    node_mutation_oracle(&mut y, &obj, &mut b);
+                    assert_eq!(x, y, "n = {n}, density {density}");
+                    assert_eq!(a.state(), b.state());
+                }
             }
         }
     }

@@ -128,8 +128,8 @@ impl Session for Box<dyn MultiObjectiveSession + '_> {
     fn components(objectives: &Vec<f64>) -> &[f64] {
         objectives
     }
-    fn counts(&self) -> (usize, usize) {
-        (self.delta_evals(), self.full_evals())
+    fn counts(&self) -> (usize, usize, u64) {
+        (self.delta_evals(), self.full_evals(), 0)
     }
 }
 

@@ -6,7 +6,8 @@
 //! then finds a minimum spanning tree (minimum in terms of physical link
 //! distance) to connect these components."
 //!
-//! The heavy lifting lives in [`cold_graph::mst::join_components`]; this
+//! The heavy lifting lives in [`cold_graph::mst::join_components`]
+//! (components by union–find, labelled by smallest node); this
 //! module adapts it to the GA's [`Objective`] and tracks how often repair
 //! fires (the paper notes "It is used rarely. However, when the costs
 //! induce topologies with low numbers of links, this step becomes more

@@ -172,6 +172,21 @@ impl AdjacencyMatrix {
         }
     }
 
+    /// The packed pair bits: pair `p` is bit `p % 64` of word `p / 64`;
+    /// bits past [`pair_count`](Self::pair_count) are always zero.
+    pub fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
+    /// A matrix from words laid out as [`words`](Self::words); panics on a
+    /// wrong word count or a set padding bit.
+    pub fn from_words(n: usize, words: Vec<u64>) -> Self {
+        let (m, tail) = (Self { n, bits: words }, n * n.saturating_sub(1) / 2 % 64);
+        assert_eq!(m.bits.len(), m.pair_count().div_ceil(64), "word count for n = {n}");
+        assert!(tail == 0 || m.bits.last().is_none_or(|w| w >> tail == 0), "padding bit set");
+        m
+    }
+
     /// Number of edges currently present.
     pub fn edge_count(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()

@@ -8,6 +8,7 @@
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::graph::Graph;
+use crate::union_find::UnionFind;
 
 /// Per-node component labels plus the component count.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,9 +56,22 @@ pub fn connected_components(g: &Graph) -> ComponentLabels {
     ComponentLabels { label, count }
 }
 
-/// Computes connected components directly from an [`AdjacencyMatrix`].
+/// Connected components of an [`AdjacencyMatrix`] by [`UnionFind`], labelled
+/// in order of each component's smallest node as [`connected_components`].
 pub fn matrix_components(m: &AdjacencyMatrix) -> ComponentLabels {
-    connected_components(&m.to_graph())
+    let mut uf = UnionFind::new(m.n());
+    for (u, v) in m.edges() {
+        uf.union(u, v);
+    }
+    let (mut label, mut count) = (vec![usize::MAX; m.n()], 0);
+    for v in 0..m.n() {
+        let root = uf.find(v);
+        if label[root] == usize::MAX {
+            (label[root], count) = (count, count + 1);
+        }
+        label[v] = label[root];
+    }
+    ComponentLabels { label, count }
 }
 
 /// Whether the graph is connected. The empty graph (n = 0) and the
@@ -110,6 +124,24 @@ mod tests {
         assert_eq!(c.label[4], 1);
         assert_eq!(c.label[3], 2);
         assert_eq!(c.groups(), vec![vec![0, 2], vec![1, 4], vec![3]]);
+    }
+
+    #[test]
+    fn union_find_labels_equal_the_dfs_labels() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        for n in [0usize, 1, 2, 7, 30, 90] {
+            // Sparse densities leave isolated nodes and many components.
+            for density in [0.0, 0.01, 0.03, 0.1, 0.5] {
+                let mut m = AdjacencyMatrix::empty(n);
+                for p in 0..m.pair_count() {
+                    m.set_bit(p, rng.gen_bool(density));
+                }
+                let dfs = connected_components(&m.to_graph());
+                assert_eq!(matrix_components(&m), dfs, "n = {n}, density {density}");
+                assert_eq!(matrix_is_connected(&m), n <= 1 || dfs.count == 1);
+            }
+        }
     }
 
     #[test]

@@ -234,6 +234,71 @@ mod tests {
         assert_eq!(m.edge_count(), 2);
     }
 
+    /// `join_components` as it was over DFS labels of a built `Graph`.
+    fn join_components_oracle(
+        m: &mut AdjacencyMatrix,
+        weight: impl Fn(usize, usize) -> f64,
+    ) -> Vec<WeightedEdge> {
+        let comps = crate::components::connected_components(&m.to_graph());
+        if comps.count <= 1 {
+            return Vec::new();
+        }
+        let groups = comps.groups();
+        let k = comps.count;
+        let mut bridge: Vec<Vec<Option<WeightedEdge>>> = vec![vec![None; k]; k];
+        for a in 0..k {
+            for b in (a + 1)..k {
+                let mut best: Option<WeightedEdge> = None;
+                for &u in &groups[a] {
+                    for &v in &groups[b] {
+                        let cand = WeightedEdge::new(u, v, weight(u, v));
+                        let better = best.as_ref().is_none_or(|cur| {
+                            cand.weight < cur.weight
+                                || (cand.weight == cur.weight && (cand.u, cand.v) < (cur.u, cur.v))
+                        });
+                        if better {
+                            best = Some(cand);
+                        }
+                    }
+                }
+                bridge[a][b] = best;
+            }
+        }
+        let meta = mst_kruskal(k, |a, b| {
+            let (a, b) = if a < b { (a, b) } else { (b, a) };
+            bridge[a][b].unwrap().weight
+        });
+        let mut added = Vec::new();
+        for e in meta {
+            let link = bridge[e.u][e.v].unwrap();
+            m.set_edge(link.u, link.v, true);
+            added.push(link);
+        }
+        added
+    }
+
+    #[test]
+    fn join_components_matches_the_dfs_oracle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        for n in [0usize, 1, 2, 9, 40] {
+            // Integer grid points: many equal-length candidate bridges.
+            let xy: Vec<(f64, f64)> =
+                (0..n).map(|_| (rng.gen_range(0..6) as f64, rng.gen_range(0..6) as f64)).collect();
+            let w = |u: usize, v: usize| (xy[u].0 - xy[v].0).hypot(xy[u].1 - xy[v].1);
+            for density in [0.0, 0.02, 0.06, 0.3] {
+                let mut m = AdjacencyMatrix::empty(n);
+                for p in 0..m.pair_count() {
+                    m.set_bit(p, rng.gen_bool(density));
+                }
+                let mut oracle = m.clone();
+                let added = join_components(&mut m, w);
+                assert_eq!(added, join_components_oracle(&mut oracle, w), "n = {n}");
+                assert_eq!(m, oracle);
+            }
+        }
+    }
+
     #[test]
     fn join_many_singletons_builds_mst() {
         let mut m = AdjacencyMatrix::empty(5);
