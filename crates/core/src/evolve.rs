@@ -195,6 +195,9 @@ impl<O: Objective> ObjectiveSession for ChangePenaltySession<'_, O> {
     fn full_evals(&self) -> usize {
         self.inner.full_evals()
     }
+    fn arcs_scanned(&self) -> u64 {
+        self.inner.arcs_scanned()
+    }
 }
 
 /// One perturbation of an [`EvolutionPlan`].

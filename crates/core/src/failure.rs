@@ -32,14 +32,15 @@
 //!   label, a node is queued at that label when its parent settles, and
 //!   a non-tree edge only offers labels that are later beaten or tied.
 //!   Every other source reuses its cached per-link load contributions.
-//! - **A touched source** has its tree repaired, not re-run: the subtree
+//! - **A touched source** has its tree repaired by
+//!   [`cold_graph::routing::TreeRepair`], the repair incremental
+//!   evaluation uses, with the link as the one deleted pair: the subtree
 //!   below the cut edge is orphaned, re-labelled from its surviving
-//!   neighbours and propagated among the orphans alone. Its distances are
-//!   then a fresh Dijkstra's by the fixpoint argument of `DeltaEval`
-//!   (DESIGN.md §13). Its parents are too whenever they are forced: the
-//!   base tree has no equal-cost ties and every orphan ends with exactly
-//!   one shortest predecessor. Otherwise the source runs the fresh
-//!   Dijkstra on the cut adjacency (DESIGN.md §15.1).
+//!   neighbours and propagated, and every orphan takes its unique
+//!   shortest predecessor. The rows are a fresh Dijkstra's on the cut
+//!   adjacency. A base tree with a tie (its `RoutingState::tie_free` flag
+//!   is false), or an orphan with several shortest predecessors, re-runs
+//!   that Dijkstra instead (DESIGN.md §13, §15.1).
 //!
 //! Each link's load is then folded over sources in ascending order, the
 //! summation order of [`cold_graph::routing::RoutingState::link_loads`],
@@ -48,11 +49,11 @@
 use cold_context::Context;
 use cold_cost::Network;
 use cold_graph::connectivity::{cut_structure, CutStructure};
-use cold_graph::routing::{accumulate_source, push_down, Csr, SubtreeScratch};
-use cold_graph::shortest_path::{DijkstraWorkspace, HeapItem};
+use cold_graph::routing::{
+    accumulate_source, push_down, Csr, EdgeDiff, SubtreeScratch, TreeRepair,
+};
 use cold_graph::Graph;
 use serde::{Deserialize, Serialize};
-use std::collections::BinaryHeap;
 
 /// Outcome of failing one link.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -186,10 +187,15 @@ struct Sweep<'a> {
     /// Per source, the targets its stretch terms cover: positive demand
     /// at a positive base distance.
     stretch_targets: Vec<Vec<usize>>,
-    /// Per source, whether its base tree is tie-free: every reachable
-    /// node but the source has exactly one shortest predecessor. Only
-    /// such trees are repaired in place.
-    tie_free: Vec<bool>,
+}
+
+/// One touched source's rows after a failure, and the repair that
+/// writes them.
+#[derive(Default)]
+struct Rows {
+    dist: Vec<f64>,
+    parent: Vec<usize>,
+    repair: TreeRepair,
 }
 
 /// Scratch state of a sweep, rewritten by every failure.
@@ -197,12 +203,11 @@ struct Sweep<'a> {
 struct Buffers {
     /// The network's adjacency; a failure cuts one edge of it.
     csr: Csr,
-    dijkstra: DijkstraWorkspace,
     subtree: SubtreeScratch,
     demand: Vec<f64>,
     /// Per-edge loads of the failure in progress.
     load: Vec<f64>,
-    repair: Repair,
+    rows: Rows,
     /// Re-routes of touched sources over the whole sweep: trees repaired
     /// in place, and trees that took a fresh Dijkstra.
     repaired: u64,
@@ -233,7 +238,6 @@ impl<'a> Sweep<'a> {
             order: Vec::with_capacity(n),
             contrib: Vec::with_capacity(n),
             stretch_targets: Vec::with_capacity(n),
-            tie_free: Vec::with_capacity(n),
         };
         let traffic = ctx.traffic_fn();
         let routing = &net.plan.routing;
@@ -250,11 +254,6 @@ impl<'a> Sweep<'a> {
             sweep.order.push(subtree.order().to_vec());
             sweep.contrib.push(contrib);
             sweep.stretch_targets.push(targets);
-            sweep.tie_free.push((0..n).all(|x| {
-                x == s
-                    || !dist[x].is_finite()
-                    || shortest_predecessors(routing.csr(), dist, x).nth(1).is_none()
-            }));
         }
         sweep
     }
@@ -296,7 +295,7 @@ impl<'a> Sweep<'a> {
     /// link are re-routed, by a tree repair where it is exact and a fresh
     /// Dijkstra otherwise; the rest replay their cached contributions.
     fn fail_cycle_link(&self, (u, v): (usize, usize), buf: &mut Buffers) -> f64 {
-        let Buffers { csr, dijkstra, subtree, load, repair, repaired, rerouted, .. } = buf;
+        let Buffers { csr, subtree, load, rows, repaired, rerouted, .. } = buf;
         let traffic = self.ctx.traffic_fn();
         let mut stretch_sum = 0.0f64;
         let mut stretch_count = 0usize;
@@ -315,12 +314,12 @@ impl<'a> Sweep<'a> {
                     }
                     continue;
                 }
-                let (dist, parent, in_place) = self.reroute(s, (u, v), csr, repair, dijkstra);
-                if in_place {
+                if self.reroute(s, (u, v), csr, rows) {
                     *repaired += 1;
                 } else {
                     *rerouted += 1;
                 }
+                let Rows { dist, parent, .. } = &*rows;
                 accumulate_source(s, dist, parent, &traffic, subtree, |p, w, d| {
                     load[self.edge(p, w)] += d
                 })
@@ -343,26 +342,19 @@ impl<'a> Sweep<'a> {
         parent[v] == u || parent[u] == v
     }
 
-    /// The rows of touched source `s` once its tree link `{u, v}` is cut
-    /// in `csr`: its base tree repaired in place when that is exact, else
-    /// a fresh Dijkstra. The flag says whether the repair was used.
-    fn reroute<'b>(
-        &self,
-        s: usize,
-        (u, v): (usize, usize),
-        csr: &Csr,
-        repair: &'b mut Repair,
-        dijkstra: &'b mut DijkstraWorkspace,
-    ) -> (&'b [f64], &'b [usize], bool) {
+    /// Fills `rows` with the rows of touched source `s` once its tree
+    /// link is cut in `csr`: the base rows through [`TreeRepair::run`].
+    /// Returns whether they were repaired in place.
+    fn reroute(&self, s: usize, link: (usize, usize), csr: &Csr, rows: &mut Rows) -> bool {
         let routing = &self.net.plan.routing;
-        let (dist, parent) = (routing.dist(s), routing.parent(s));
-        let root = if parent[v] == u { v } else { u };
-        if self.tie_free[s] && repair.run(csr, dist, parent, &self.order[s], root) {
-            (&repair.dist, &repair.parent, true)
-        } else {
-            csr.dijkstra(dijkstra, s);
-            (dijkstra.dist(), dijkstra.parent(), false)
-        }
+        rows.dist.clear();
+        rows.dist.extend_from_slice(routing.dist(s));
+        rows.parent.clear();
+        rows.parent.extend_from_slice(routing.parent(s));
+        let mut tie_free = routing.tie_free(s);
+        let diff = EdgeDiff { deleted: &[link], inserted: &[] };
+        let Rows { dist, parent, repair } = rows;
+        repair.run(csr, diff, s, dist, parent, &mut tie_free).in_place
     }
 
     /// Maximum utilization and overloaded-link count of `load` over the
@@ -392,119 +384,13 @@ impl<'a> Sweep<'a> {
     }
 }
 
-/// The neighbours `y` of `x` with `dist[y] + len(y, x) == dist[x]`: the
-/// relaxers that reach `x`'s label. Reads the arc `x → y` for `len(y, x)`,
-/// which relies on symmetric arc lengths: a network's lengths come from
-/// `region::distance_matrix`, which stores one value for both directions.
-fn shortest_predecessors<'c>(
-    csr: &'c Csr,
-    dist: &'c [f64],
-    x: usize,
-) -> impl Iterator<Item = usize> + 'c {
-    csr.arcs(x).filter(move |&(y, len)| dist[y] + len == dist[x]).map(|(y, _)| y)
-}
-
-/// Scratch rows of one source's tree repair after a tree edge is cut.
-#[derive(Default)]
-struct Repair {
-    /// The repaired rows, valid after a successful [`run`](Self::run).
-    dist: Vec<f64>,
-    parent: Vec<usize>,
-    orphan: Vec<bool>,
-    orphans: Vec<usize>,
-    heap: BinaryHeap<HeapItem>,
-}
-
-impl Repair {
-    /// Repairs the base tree `(dist, parent)` of one source, whose
-    /// children-first node order is `order`, after the tree edge into
-    /// `root` was cut in `csr`. Returns whether the repaired rows equal a
-    /// fresh Dijkstra's on `csr`; when it returns false they are garbage.
-    ///
-    /// The subtree below `root` is orphaned; nodes the base did not reach
-    /// stay unreached. Each orphan is seeded from its non-orphan
-    /// neighbours, then labels propagate among orphans by a lazy-deletion
-    /// heap. Non-orphan labels stay, since their tree paths survive and
-    /// the cut only removes paths, so this ends at the relaxation
-    /// fixpoint, whose labels are a fresh run's bit for bit (DESIGN.md
-    /// §13).
-    ///
-    /// A fresh run's parent of `x` is the first relaxer in settle order
-    /// to reach `x`'s final label, so it is one of `x`'s shortest
-    /// predecessors; with one predecessor, the parent is forced. Each
-    /// orphan therefore takes its unique shortest predecessor, and the
-    /// repair fails if an orphan has several. A non-orphan's predecessors
-    /// after the cut are a subset of its base ones, which the caller
-    /// guarantees are exactly its base parent (a tie-free base tree), so
-    /// its parent stays.
-    fn run(
-        &mut self,
-        csr: &Csr,
-        dist: &[f64],
-        parent: &[usize],
-        order: &[usize],
-        root: usize,
-    ) -> bool {
-        let n = dist.len();
-        let Self { dist: rdist, parent: rparent, orphan, orphans, heap } = self;
-        rdist.clear();
-        rdist.extend_from_slice(dist);
-        rparent.clear();
-        rparent.extend_from_slice(parent);
-        orphan.clear();
-        orphan.resize(n, false);
-        orphan[root] = true;
-        orphans.clear();
-        // Reversed, the children-first order visits parents first.
-        for &x in order.iter().rev() {
-            if orphan[x] || orphan[parent[x]] {
-                orphan[x] = true;
-                orphans.push(x);
-                rdist[x] = f64::INFINITY;
-                rparent[x] = usize::MAX;
-            }
-        }
-        heap.clear();
-        // Seeding reads the arc `x → y` for `y → x`, as
-        // `shortest_predecessors` does.
-        for &x in orphans.iter() {
-            for (y, len) in csr.arcs(x) {
-                if !orphan[y] && rdist[y] + len < rdist[x] {
-                    rdist[x] = rdist[y] + len;
-                }
-            }
-            if rdist[x].is_finite() {
-                heap.push(HeapItem { dist: rdist[x], node: x });
-            }
-        }
-        while let Some(HeapItem { dist: d, node: x }) = heap.pop() {
-            if d > rdist[x] {
-                continue;
-            }
-            for (y, len) in csr.arcs(x) {
-                if orphan[y] && d + len < rdist[y] {
-                    rdist[y] = d + len;
-                    heap.push(HeapItem { dist: rdist[y], node: y });
-                }
-            }
-        }
-        for &x in orphans.iter() {
-            let mut preds = shortest_predecessors(csr, rdist, x);
-            match (preds.next(), preds.next()) {
-                (Some(y), None) if rdist[x].is_finite() => rparent[x] = y,
-                _ => return false,
-            }
-        }
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cold_context::{GravityModel, Point, PopulationKind};
     use cold_cost::{CostParams, Network};
     use cold_graph::routing::RoutingState;
+    use cold_graph::shortest_path::DijkstraWorkspace;
     use cold_graph::AdjacencyMatrix;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -829,7 +715,7 @@ mod tests {
     fn check_touched_rows(net: &Network, ctx: &Context, case: &str) -> (usize, usize) {
         let sweep = Sweep::new(net, ctx, &net.graph());
         let mut csr = net.plan.routing.csr().clone();
-        let (mut repair, mut ws, mut fresh) = Default::default();
+        let (mut rows, mut fresh) = (Rows::default(), DijkstraWorkspace::new());
         let (mut repaired, mut rerouted) = (0, 0);
         let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for &(u, v) in net.plan.edges() {
@@ -838,8 +724,8 @@ mod tests {
             }
             csr.with_edge_cut(u, v, |csr| {
                 for s in (0..net.n()).filter(|&s| sweep.touches(s, (u, v))) {
-                    let (dist, parent, in_place) =
-                        sweep.reroute(s, (u, v), csr, &mut repair, &mut ws);
+                    let in_place = sweep.reroute(s, (u, v), csr, &mut rows);
+                    let Rows { dist, parent, .. } = &rows;
                     csr.dijkstra(&mut fresh, s);
                     assert_eq!(bits(dist), bits(fresh.dist()), "{case}: {s} without ({u},{v})");
                     assert_eq!(parent, fresh.parent(), "{case}: {s} without ({u},{v})");

@@ -102,6 +102,9 @@ impl ObjectiveSession for ResilientSession<'_> {
     fn full_evals(&self) -> usize {
         self.inner.full_evals()
     }
+    fn arcs_scanned(&self) -> u64 {
+        self.inner.arcs_scanned()
+    }
 }
 
 /// Survivability report for a synthesized topology.

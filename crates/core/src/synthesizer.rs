@@ -834,6 +834,25 @@ mod tests {
     }
 
     #[test]
+    fn bridge_cost_and_warm_trials_count_the_arcs_their_sessions_scan() {
+        // Both objectives wrap the cost objective's delta session; their
+        // trials must report the arcs it read, not the trait default 0.
+        let cfg = ColdConfig::quick(8, 1e-4, 10.0);
+        let ctx = cfg.context.generate(4);
+        let parent = cold_graph::mst::mst_matrix(8, ctx.distance_fn());
+        let objectives = [
+            TrialObjective::Resilient { bridge_cost: 1e6 },
+            TrialObjective::Warm { parent, costs: crate::ChangeCosts::uniform(1.0) },
+        ];
+        for objective in objectives {
+            let label = format!("{objective:?}");
+            let spec = TrialSpec { seed: 9, context: Some(ctx.clone()), objective };
+            let r = cfg.run_trial(spec, RunOptions::default()).unwrap().into_single();
+            assert!(r.eval_stats.arcs_scanned > 0, "{label}: {:?}", r.eval_stats);
+        }
+    }
+
+    #[test]
     fn ensemble_survives_a_panicking_trial_and_recovers_via_retry() {
         let cfg = ColdConfig::quick(8, 1e-4, 10.0);
         let reference = cfg.ensemble(5, 4);

@@ -13,7 +13,7 @@
 //! re-prices only the rerouted demand, and falls back to a full pass (the
 //! [`RoutingState::build`] of
 //! [`evaluate_total`](crate::evaluate_total)) when no anchor is near
-//! enough or the dirty set exceeds its thresholds.
+//! enough.
 //!
 //! # Anchor pool
 //!
@@ -31,18 +31,17 @@
 //!
 //! Delta evaluation is an optimization, not an approximation: every total
 //! it returns is **bit-identical** to [`evaluate_total`](crate::evaluate_total) on the same
-//! topology. Three facts make that exact, not merely close:
+//! topology, and every anchor's rows and tie-free flags equal a fresh
+//! [`RoutingState::build`]'s. Three facts make that exact:
 //!
-//! 1. *Distances are schedule-independent.* Dijkstra labels are left-fold
-//!    sums `((0 ⊕ w₁) ⊕ w₂) ⊕ …` of real path weights, and float addition
-//!    is monotone on non-negatives. Any relaxation process whose labels
-//!    are always fold-sums of real paths and which terminates at the
-//!    relaxation fixpoint (`dist[v] ≤ dist[u] ⊕ w` for every edge)
-//!    computes exactly the minimum fold-sum per vertex — independent of
-//!    relaxation order, neighbor order, or whether it started from
-//!    scratch or from a repaired previous tree. The repair below
-//!    terminates at that fixpoint, so its rows equal a fresh run's rows
-//!    bit for bit.
+//! 1. *Repaired rows are fresh rows.* A touched source's rows go through
+//!    [`TreeRepair::run`], the one tree repair of `cold_graph::routing`
+//!    (its module docs give the algorithm and the proof): distances are
+//!    the relaxation fixpoint's, parents are forced or re-run. A source
+//!    is touched when a deleted edge is one of its tree edges (or, in a
+//!    tree with a tie, any shortest-predecessor link) or an inserted edge
+//!    improves or ties one of its labels; every other source keeps rows
+//!    and a flag that a fresh build reproduces.
 //! 2. *Per-source pricing shares one loop.* Repaired rows are committed
 //!    through [`RoutingState::replace_rows`], which prices each repaired
 //!    source with the loop `build` uses and refolds the per-source terms
@@ -52,29 +51,16 @@
 //!    `k3·hubs` are cheap (O(m + n)) and priced from the committed state
 //!    by the one tail [`evaluate_total`](crate::evaluate_total) uses.
 //!
-//! # Repair algorithm
-//!
-//! For each source `s` whose tree is touched (a deleted edge is one of
-//! its tree edges, or an inserted edge strictly shortens some label):
-//!
-//! 1. **Orphan** the subtree below every deleted tree edge (memoized
-//!    parent walks — O(n)); orphans get `dist = ∞`.
-//! 2. **Seed** every orphan from its non-orphan neighbors in the *new*
-//!    graph, and relax inserted edges between non-orphans (strict `<`).
-//! 3. **Propagate** with a lazy-deletion min-heap until quiescent.
-//!
-//! Non-orphan labels never need to grow (their tree paths survive the
-//! deletion by construction), so decrease-only relaxation reaches the
-//! fixpoint. Sources the flips don't touch keep their rows and their
-//! cached per-source price untouched.
+//! A source whose repair re-ran Dijkstra (its tree had a tie, or the
+//! diff made one) counts in [`DeltaEval::rerouted_sources`]. Ties need
+//! equal-cost paths, which coincident or grid-snapped PoPs make and PoPs
+//! at random positions do not.
 
 use crate::cost::{injected_fault, CostBreakdown};
 use crate::params::CostParams;
 use cold_context::Context;
-use cold_graph::routing::{Csr, RoutingState};
-use cold_graph::shortest_path::HeapItem;
+use cold_graph::routing::{Csr, EdgeDiff, RoutingState, TreeRepair};
 use cold_graph::{AdjacencyMatrix, GraphError};
-use std::collections::BinaryHeap;
 
 /// Most anchors one session pools.
 const POOL_MAX_ENTRIES: usize = 64;
@@ -126,14 +112,12 @@ struct Scratch {
     csr: Csr,
     deleted: Vec<(usize, usize)>,
     inserted: Vec<(usize, usize, f64)>,
-    /// Per-vertex repair status: 0 unknown, 1 keeps its label, 2 orphan.
-    status: Vec<u8>,
-    chain: Vec<usize>,
-    heap: BinaryHeap<HeapItem>,
-    /// Repaired rows of the affected sources, staged until every one of
-    /// them prices successfully.
+    repair: TreeRepair,
+    /// Repaired rows and flags of the affected sources, staged until
+    /// every one of them prices successfully.
     rdist: Vec<f64>,
     rparent: Vec<usize>,
+    rtie_free: Vec<bool>,
     affected: Vec<usize>,
 }
 
@@ -153,10 +137,6 @@ pub struct DeltaEval<'a> {
     /// Candidates differing from every pooled anchor by more than this
     /// many pairs are evaluated from scratch.
     max_flips: usize,
-    /// Fall back to a full pass when more than this many sources need
-    /// repair — beyond that, n fresh Dijkstras are cheaper than the
-    /// bookkeeping.
-    max_affected: usize,
     /// Recently evaluated topologies, at most `capacity` of them.
     pool: Vec<Anchor>,
     capacity: usize,
@@ -171,41 +151,32 @@ pub struct DeltaEval<'a> {
     delta_evals: usize,
     full_evals: usize,
     reanchors: usize,
+    rerouted_sources: usize,
     arcs_scanned: u64,
 }
 
 impl<'a> DeltaEval<'a> {
-    /// Creates a session with default thresholds: `max_flips = 32` and
-    /// `max_affected = n` (the affected-count guard never fires; only
-    /// oversized diffs force a full pass).
+    /// Creates a session that repairs from anchors at most
+    /// `max_flips = 32` pairs away.
     ///
-    /// Repairing a source tree costs far less than a fresh Dijkstra as
-    /// long as the orphaned region is local — which single-edge GA moves
-    /// keep true even when *most* sources are touched (a deleted MST
-    /// edge reroutes a couple of leaves in nearly every tree). Measured
-    /// on mutation chains at n = 200, capping at n/2 forced ~30% of
-    /// steps to a full pass and halved throughput; the affected count is
-    /// a poor proxy for repair cost, so the default no longer bounds it.
+    /// However many sources a diff touches, their repairs cost far less
+    /// than a full pass as long as the orphaned regions are local, which
+    /// single-edge GA moves keep true even when *most* sources are
+    /// touched (a deleted MST edge reroutes a couple of leaves in nearly
+    /// every tree), so the touched count is not bounded.
     pub fn new(ctx: &'a Context, params: CostParams) -> Self {
-        params.validate().expect("invalid cost params");
-        let n = ctx.n();
-        Self::with_limits(ctx, params, 32, n.max(1))
+        Self::with_limits(ctx, params, 32)
     }
 
-    /// Creates a session with explicit fallback thresholds (both ≥ 1).
-    pub fn with_limits(
-        ctx: &'a Context,
-        params: CostParams,
-        max_flips: usize,
-        max_affected: usize,
-    ) -> Self {
+    /// Creates a session that repairs from anchors at most `max_flips`
+    /// (≥ 1) pairs away.
+    pub fn with_limits(ctx: &'a Context, params: CostParams, max_flips: usize) -> Self {
         params.validate().expect("invalid cost params");
-        assert!(max_flips >= 1 && max_affected >= 1, "thresholds must be >= 1");
+        assert!(max_flips >= 1, "max_flips must be >= 1");
         Self {
             ctx,
             params,
             max_flips,
-            max_affected,
             pool: Vec::new(),
             capacity: pool_capacity(ctx.n()),
             current: 0,
@@ -215,6 +186,7 @@ impl<'a> DeltaEval<'a> {
             delta_evals: 0,
             full_evals: 0,
             reanchors: 0,
+            rerouted_sources: 0,
             arcs_scanned: 0,
         }
     }
@@ -241,11 +213,18 @@ impl<'a> DeltaEval<'a> {
         self.reanchors
     }
 
+    /// Sources whose tree repair re-ran Dijkstra (the tree had a tie, or
+    /// a repaired node several shortest predecessors). Added once per
+    /// evaluation.
+    pub fn rerouted_sources(&self) -> usize {
+        self.rerouted_sources
+    }
+
     /// Arcs read by this session's shortest-path work: `n · 2|E|` per
     /// full pass (every source's Dijkstra reads every arc of a connected
-    /// graph), and per repair the arcs of each orphan seeded and each
-    /// vertex settled. Added once per evaluation; unlike wall-clock time,
-    /// it does not depend on host load.
+    /// graph), and per repair what [`TreeRepair::run`] reports. Added
+    /// once per evaluation; unlike wall-clock time, it does not depend on
+    /// host load.
     pub fn arcs_scanned(&self) -> u64 {
         self.arcs_scanned
     }
@@ -287,24 +266,19 @@ impl<'a> DeltaEval<'a> {
         }
         self.clock += 1;
         if let Some((src, flips)) = self.nearest(topology)? {
-            let resolved = if flips == 0 {
-                Some(self.pool[src].total)
-            } else {
-                self.try_repair(src, topology)?
-            };
-            if let Some(total) = resolved {
-                if src != self.current {
-                    self.reanchors += 1;
-                }
-                self.pool[src].used = self.clock;
-                self.current = src;
-                if flips > 0 {
-                    self.commit();
-                }
-                self.delta_evals += 1;
-                observe("cost.eval_delta_seconds", start);
-                return Ok(total);
+            let total =
+                if flips == 0 { self.pool[src].total } else { self.try_repair(src, topology)? };
+            if src != self.current {
+                self.reanchors += 1;
             }
+            self.pool[src].used = self.clock;
+            self.current = src;
+            if flips > 0 {
+                self.commit();
+            }
+            self.delta_evals += 1;
+            observe("cost.eval_delta_seconds", start);
+            return Ok(total);
         }
         let total = self.full_pass(topology)?;
         self.commit();
@@ -358,13 +332,8 @@ impl<'a> DeltaEval<'a> {
     }
 
     /// Repairs pooled anchor `src` toward `child` into the spare, leaving
-    /// `src` itself untouched. `Ok(None)` means more than `max_affected`
-    /// sources need repair (the caller falls back to a full pass).
-    fn try_repair(
-        &mut self,
-        src: usize,
-        child: &AdjacencyMatrix,
-    ) -> Result<Option<f64>, GraphError> {
+    /// `src` itself untouched.
+    fn try_repair(&mut self, src: usize, child: &AdjacencyMatrix) -> Result<f64, GraphError> {
         let source = &self.pool[src];
         let n = child.n();
         let dist_fn = self.ctx.distance_fn();
@@ -379,20 +348,22 @@ impl<'a> DeltaEval<'a> {
             }
         }
 
-        // Which sources' trees do the flips actually touch? A deleted
-        // edge matters iff it is a tree edge; an inserted edge matters
-        // iff it strictly shortens one endpoint (ties change neither
-        // distances nor, under first-relaxer-wins, this tree's prices).
+        // Which sources do the flips touch? A deleted edge does iff it is
+        // a tree edge, or, in a tree with a tie, a shortest-predecessor
+        // link (its loss can untie a node). An inserted edge does iff it
+        // improves or ties a label. Every other source keeps its rows and
+        // flag, which a fresh build would reproduce.
         let routing = &source.routing;
+        let tight =
+            |row: &[f64], u: usize, v: usize, w: f64| row[u] + w <= row[v] || row[v] + w <= row[u];
         s.affected.clear();
         for src in 0..n {
             let (row, par) = (routing.dist(src), routing.parent(src));
-            let touched = s.deleted.iter().any(|&(u, v)| par[v] == u || par[u] == v)
-                || s.inserted.iter().any(|&(u, v, w)| row[u] + w < row[v] || row[v] + w < row[u]);
+            let tie_free = routing.tie_free(src);
+            let touched = s.deleted.iter().any(|&(u, v)| {
+                par[v] == u || par[u] == v || (!tie_free && tight(row, u, v, dist_fn(u, v)))
+            }) || s.inserted.iter().any(|&(u, v, w)| tight(row, u, v, w));
             if touched {
-                if s.affected.len() >= self.max_affected {
-                    return Ok(None);
-                }
                 s.affected.push(src);
             }
         }
@@ -400,23 +371,25 @@ impl<'a> DeltaEval<'a> {
         s.csr.build_matrix(child, dist_fn);
         s.rdist.clear();
         s.rparent.clear();
+        s.rtie_free.clear();
         for &src in &s.affected {
             s.rdist.extend_from_slice(routing.dist(src));
             s.rparent.extend_from_slice(routing.parent(src));
+            s.rtie_free.push(routing.tie_free(src));
         }
-        let mut arcs = 0;
+        let diff = EdgeDiff { deleted: &s.deleted, inserted: &s.inserted };
+        let (mut arcs, mut rerouted) = (0, 0);
         for (k, &src) in s.affected.iter().enumerate() {
-            arcs += repair_source(
+            let repaired = s.repair.run(
+                &s.csr,
+                diff,
                 src,
                 &mut s.rdist[k * n..(k + 1) * n],
                 &mut s.rparent[k * n..(k + 1) * n],
-                &s.csr,
-                &s.deleted,
-                &s.inserted,
-                &mut s.status,
-                &mut s.chain,
-                &mut s.heap,
+                &mut s.rtie_free[k],
             );
+            arcs += repaired.arcs;
+            rerouted += usize::from(!repaired.in_place);
         }
         // The spare takes a copy of the source's rows; only repaired rows
         // that all price successfully replace them.
@@ -427,126 +400,15 @@ impl<'a> DeltaEval<'a> {
             &s.affected,
             &s.rdist,
             &s.rparent,
+            &s.rtie_free,
             self.ctx.traffic_fn(),
         )?;
         spare.topology.clone_from(child);
         spare.total = CostBreakdown::of(&spare.routing, &self.params).total();
         self.arcs_scanned += arcs as u64;
-        Ok(Some(spare.total))
+        self.rerouted_sources += rerouted;
+        Ok(spare.total)
     }
-}
-
-/// Repairs one source's shortest-path tree in place (see the module docs
-/// for why the result is bit-identical to a fresh Dijkstra) and returns
-/// the number of arcs it read.
-#[allow(clippy::too_many_arguments)]
-fn repair_source(
-    source: usize,
-    wdist: &mut [f64],
-    wparent: &mut [usize],
-    csr: &Csr,
-    deleted: &[(usize, usize)],
-    inserted: &[(usize, usize, f64)],
-    status: &mut Vec<u8>,
-    chain: &mut Vec<usize>,
-    heap: &mut BinaryHeap<HeapItem>,
-) -> usize {
-    let n = wdist.len();
-    let mut arcs = 0;
-    status.clear();
-    status.resize(n, 0);
-    status[source] = 1;
-    // Orphan roots: the child endpoint of every deleted tree edge.
-    for &(u, v) in deleted {
-        if wparent[v] == u {
-            status[v] = 2;
-        } else if wparent[u] == v {
-            status[u] = 2;
-        }
-    }
-    // Classify everyone by memoized parent walks: a vertex is an orphan
-    // iff its tree path hits an orphan root (previously unreachable
-    // vertices re-enter as orphans too, so insertions can connect them).
-    for x0 in 0..n {
-        if status[x0] != 0 {
-            continue;
-        }
-        chain.clear();
-        let mut x = x0;
-        while status[x] == 0 {
-            if !wdist[x].is_finite() || wparent[x] == usize::MAX {
-                status[x] = 2;
-                break;
-            }
-            chain.push(x);
-            x = wparent[x];
-        }
-        let verdict = status[x];
-        for &c in chain.iter() {
-            status[c] = verdict;
-        }
-    }
-    heap.clear();
-    for x in 0..n {
-        if status[x] == 2 {
-            wdist[x] = f64::INFINITY;
-            wparent[x] = usize::MAX;
-        }
-    }
-    // Seed each orphan from its surviving (non-orphan) neighbors in the
-    // new graph — equivalent to those neighbors relaxing it.
-    for x in 0..n {
-        if status[x] != 2 {
-            continue;
-        }
-        arcs += csr.degree(x);
-        for (y, len) in csr.arcs(x) {
-            if status[y] == 2 {
-                continue;
-            }
-            let nd = wdist[y] + len;
-            if nd < wdist[x] {
-                wdist[x] = nd;
-                wparent[x] = y;
-            }
-        }
-        if wdist[x].is_finite() {
-            heap.push(HeapItem { dist: wdist[x], node: x });
-        }
-    }
-    // Inserted edges can strictly shorten surviving labels; relax both
-    // directions (orphan endpoints are already at ∞ or seeded above).
-    for &(u, v, w) in inserted {
-        if wdist[u] + w < wdist[v] {
-            wdist[v] = wdist[u] + w;
-            wparent[v] = u;
-            heap.push(HeapItem { dist: wdist[v], node: v });
-        }
-        if wdist[v] + w < wdist[u] {
-            wdist[u] = wdist[v] + w;
-            wparent[u] = v;
-            heap.push(HeapItem { dist: wdist[u], node: u });
-        }
-    }
-    // Lazy-deletion propagation to the relaxation fixpoint. Decrease-only
-    // relaxation suffices: surviving labels never need to grow (their
-    // tree paths survive the deletions by construction of the orphan
-    // set), and orphans restart from ∞.
-    while let Some(HeapItem { dist: d, node: x }) = heap.pop() {
-        if d > wdist[x] {
-            continue;
-        }
-        arcs += csr.degree(x);
-        for (y, len) in csr.arcs(x) {
-            let nd = wdist[x] + len;
-            if nd < wdist[y] {
-                wdist[y] = nd;
-                wparent[y] = x;
-                heap.push(HeapItem { dist: nd, node: y });
-            }
-        }
-    }
-    arcs
 }
 
 #[cfg(test)]
@@ -598,9 +460,7 @@ mod tests {
     fn mutation_chain_is_bit_identical_to_full_reevaluation() {
         let ctx = ctx(14, 7);
         let params = CostParams::paper(2e-4, 6.0);
-        // Generous thresholds: at n = 14 a single flip routinely touches
-        // more than n/2 source trees, and this test wants the repair path.
-        let mut de = DeltaEval::with_limits(&ctx, params, 32, 14);
+        let mut de = DeltaEval::new(&ctx, params);
         let mut topo = mst_matrix(14, ctx.distance_fn());
         let mut rng = StdRng::seed_from_u64(11);
         for step in 0..60 {
@@ -630,7 +490,7 @@ mod tests {
     fn oversized_diff_falls_back_to_full_evaluation() {
         let ctx = ctx(9, 5);
         let params = CostParams::paper(1e-4, 10.0);
-        let mut de = DeltaEval::with_limits(&ctx, params, 2, 100);
+        let mut de = DeltaEval::with_limits(&ctx, params, 2);
         let mst = mst_matrix(9, ctx.distance_fn());
         let clique = AdjacencyMatrix::complete(9);
         de.eval(&mst, None).unwrap();
@@ -642,24 +502,6 @@ mod tests {
     }
 
     #[test]
-    fn tight_affected_threshold_forces_fallback_without_changing_results() {
-        let ctx = ctx(12, 9);
-        let params = CostParams::paper(3e-4, 8.0);
-        // max_affected = 1: almost every flip touches more than one
-        // source, so this session nearly always takes the full path.
-        let mut de = DeltaEval::with_limits(&ctx, params, 32, 1);
-        let mut topo = mst_matrix(12, ctx.distance_fn());
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..20 {
-            let prev = topo.clone();
-            random_connected_flip(&mut topo, &mut rng);
-            let expected = evaluate_total(&topo, &ctx, &params).unwrap();
-            assert_eq!(de.eval(&topo, Some(&prev)).unwrap(), expected);
-        }
-        assert!(de.full_evals() >= 15, "threshold of 1 must mostly fall back");
-    }
-
-    #[test]
     fn pooled_parent_reanchors_siblings_that_drifted_from_the_anchor() {
         let ctx = ctx(10, 13);
         let params = CostParams::paper(1e-4, 10.0);
@@ -667,7 +509,7 @@ mod tests {
         // parent differ from each other by 2 > 1, so the second child can
         // only be delta-evaluated from the parent, which is no longer the
         // current anchor but is still pooled.
-        let mut de = DeltaEval::with_limits(&ctx, params, 1, 100);
+        let mut de = DeltaEval::with_limits(&ctx, params, 1);
         let parent = AdjacencyMatrix::complete(10);
         de.eval(&parent, None).unwrap();
         let mut child_a = parent.clone();
@@ -688,7 +530,7 @@ mod tests {
     fn duplicate_of_a_pooled_older_topology_runs_no_pass() {
         let ctx = ctx(10, 8);
         let params = CostParams::paper(2e-4, 5.0);
-        let mut de = DeltaEval::with_limits(&ctx, params, 1, 100);
+        let mut de = DeltaEval::with_limits(&ctx, params, 1);
         let mst = mst_matrix(10, ctx.distance_fn());
         let clique = AdjacencyMatrix::complete(10);
         let first = de.eval(&mst, None).unwrap();
@@ -705,7 +547,7 @@ mod tests {
     fn a_failed_repair_leaves_its_pooled_anchor_usable() {
         let ctx = ctx(10, 4);
         let params = CostParams::paper(1e-4, 10.0);
-        let mut de = DeltaEval::with_limits(&ctx, params, 1, 100);
+        let mut de = DeltaEval::with_limits(&ctx, params, 1);
         let tree = mst_matrix(10, ctx.distance_fn());
         de.eval(&tree, None).unwrap();
         de.eval(&AdjacencyMatrix::complete(10), None).unwrap();
@@ -732,7 +574,7 @@ mod tests {
     fn an_evicted_anchors_child_falls_back_to_a_full_pass() {
         let ctx = ctx(20, 5);
         let params = CostParams::paper(1e-4, 10.0);
-        let mut de = DeltaEval::with_limits(&ctx, params, 1, 100);
+        let mut de = DeltaEval::with_limits(&ctx, params, 1);
         let clique = AdjacencyMatrix::complete(20);
         // The clique minus pairs 2i and 2i + 1: any two of these are four
         // flips apart, so with max_flips = 1 each takes a full pass.
@@ -800,7 +642,7 @@ mod tests {
         let params = CostParams::paper(1e-4, 10.0);
         // max_flips = 1: the disconnected candidate below is two flips from
         // the anchor and has no base, so only a full pass can answer it.
-        let mut de = DeltaEval::with_limits(&ctx, params, 1, 10);
+        let mut de = DeltaEval::with_limits(&ctx, params, 1);
         let anchor = mst_matrix(10, ctx.distance_fn());
         de.eval(&anchor, None).unwrap();
         let mut cut = anchor.clone();
@@ -846,6 +688,81 @@ mod tests {
             random_connected_flip(&mut topo, &mut rng);
             let expected = evaluate_total(&topo, &ctx, &params).unwrap();
             assert_eq!(de.eval(&topo, Some(&prev)).unwrap(), expected);
+        }
+    }
+
+    /// A context of `n` PoPs drawn by `layout`: 0 the paper's, 1 an exact
+    /// square grid (equal-cost paths everywhere), 2 free positions where
+    /// every fifth PoP coincides with an earlier one (zero-length links).
+    fn layout_ctx(layout: u8, n: usize, seed: u64) -> Context {
+        use cold_context::gravity::GravityModel;
+        use cold_context::population::PopulationKind;
+        use cold_context::region::Point;
+        if layout == 0 {
+            return ctx(n, seed);
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let side = (n as f64).sqrt().ceil() as usize;
+        let mut points: Vec<Point> = match layout {
+            1 => (0..n).map(|i| Point::new((i % side) as f64, (i / side) as f64)).collect(),
+            _ => (0..n)
+                .map(|_| Point::new(rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)))
+                .collect(),
+        };
+        if layout == 2 {
+            for i in (0..n).step_by(5).skip(1) {
+                points[i] = points[rng.gen_range(0..i)];
+            }
+        }
+        Context::from_positions(
+            points,
+            PopulationKind::Exponential { mean: 30.0 },
+            GravityModel::raw(),
+            seed,
+        )
+    }
+
+    #[test]
+    fn every_anchor_holds_the_rows_and_flags_of_a_fresh_build() {
+        // After every evaluation of an 80-flip chain the current anchor's
+        // rows equal a fresh `RoutingState::build` (distances by bits,
+        // parents exactly) and so do its tie-free flags. Paper contexts
+        // have no ties, so every repair stays in place; the grid and the
+        // coincident PoPs send some sources to Dijkstra.
+        let params = CostParams::paper(2e-4, 6.0);
+        let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for layout in 0..3u8 {
+            let mut rerouted = 0;
+            for seed in 0..3u64 {
+                let ctx = layout_ctx(layout, 25, seed);
+                let mut de = DeltaEval::new(&ctx, params);
+                let mut topo = mst_matrix(25, ctx.distance_fn());
+                let mut rng = StdRng::seed_from_u64(seed ^ 0xa7c4);
+                let mut fresh = RoutingState::new();
+                for step in 0..80 {
+                    random_connected_flip(&mut topo, &mut rng);
+                    let total = de.eval(&topo, None).unwrap();
+                    let expected = evaluate_total(&topo, &ctx, &params).unwrap();
+                    assert_eq!(total.to_bits(), expected.to_bits());
+                    fresh.build(&topo, ctx.distance_fn(), ctx.traffic_fn()).unwrap();
+                    let anchor = &de.pool[de.current];
+                    assert_eq!(anchor.topology, topo);
+                    let row = &anchor.routing;
+                    let case = format!("layout {layout} seed {seed} step {step}");
+                    for s in 0..25 {
+                        assert_eq!(bits(row.dist(s)), bits(fresh.dist(s)), "{case}: dist {s}");
+                        assert_eq!(row.parent(s), fresh.parent(s), "{case}: parent {s}");
+                        assert_eq!(row.tie_free(s), fresh.tie_free(s), "{case}: flag {s}");
+                    }
+                }
+                assert!(de.delta_evals() >= 70, "the chain must mostly repair");
+                rerouted += de.rerouted_sources();
+            }
+            if layout == 0 {
+                assert_eq!(rerouted, 0, "paper contexts repair every source in place");
+            } else {
+                assert!(rerouted > 0, "layout {layout} has ties");
+            }
         }
     }
 }

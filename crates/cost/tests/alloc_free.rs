@@ -109,7 +109,7 @@ fn a_warmed_up_session_allocates_nothing_per_evaluation() {
     let want: Vec<u64> =
         measured.iter().map(|t| evaluate_total(t, &ctx, &params).unwrap().to_bits()).collect();
 
-    let mut session = DeltaEval::with_limits(&ctx, params, 2, n);
+    let mut session = DeltaEval::with_limits(&ctx, params, 2);
     for t in &warm {
         session.eval(t, None).unwrap();
     }

@@ -11,14 +11,39 @@
 //!
 //! [`RoutingState::build`] is the one loop that routes every source. It
 //! lays the topology out as a [`Csr`], runs one Dijkstra per source into
-//! row-major `n × n` distance and parent rows, prices each source's
-//! demands as `Σ_t t(s,t)·dist[t]`, and folds those per-source terms in
-//! ascending source order. Every consumer reads that state: the objective
-//! needs only the fold, incremental evaluation keeps the rows of each
-//! pooled anchor and commits repaired ones through [`RoutingState::replace_rows`],
-//! capacity plans ask for [`RoutingState::link_loads`] and
-//! [`RoutingState::route`], and the single-link failure sweep starts from
-//! the rows.
+//! row-major `n × n` distance and parent rows and a per-source tie-free
+//! flag, prices each source's demands as `Σ_t t(s,t)·dist[t]`, and folds
+//! those per-source terms in ascending source order. Every consumer reads
+//! that state: the objective needs only the fold, incremental evaluation
+//! keeps the rows of each pooled anchor and commits repaired ones through
+//! [`RoutingState::replace_rows`], capacity plans ask for
+//! [`RoutingState::link_loads`] and [`RoutingState::route`], and the
+//! single-link failure sweep starts from the rows.
+//!
+//! # Tree repair
+//!
+//! [`TreeRepair::run`] is the one shortest-path-tree repair, for
+//! incremental evaluation and the failure sweep alike. Given one source's
+//! rows (a fresh Dijkstra's on the old topology), the new adjacency and
+//! the [`EdgeDiff`], it orphans the subtrees below deleted tree edges
+//! (found from their roots through the arcs) and the unreached nodes,
+//! seeds each orphan from its non-orphan neighbours, relaxes the inserted
+//! edges and propagates with a lazy-deletion heap. Non-orphan labels never
+//! need to grow, so this ends at the relaxation fixpoint, whose labels are
+//! a fresh run's bit for bit: the minimum left-fold sums of real paths.
+//!
+//! A fresh run's parent is the first relaxer in settle order to reach the
+//! final label, under ties not always the `(dist, id)`-least shortest
+//! predecessor, so the repair never picks among ties: every node whose
+//! label changed or that an equal-label relaxation reached takes its
+//! *unique* shortest predecessor, and the others keep their parents. On a
+//! *tie-free* old tree ([`RoutingState::tie_free`]) that is exact: a new
+//! predecessor of an unmarked node would be an inserted edge or a node
+//! whose label changed, and relaxing either marks it; an orphan's raised
+//! label ties into a non-orphan only if it was already a non-parent
+//! predecessor, a tie; a deleted non-tree edge was never a predecessor. A
+//! tree with a tie, or a marked node with several shortest predecessors,
+//! re-runs Dijkstra for that source alone (DESIGN.md §13).
 //!
 //! Link loads are computed on demand. Per source, subtree demand is pushed
 //! down the shortest-path tree in children-before-parents order — the same
@@ -43,8 +68,9 @@
 
 use crate::adjacency::AdjacencyMatrix;
 use crate::graph::Graph;
-use crate::shortest_path::{path_from_parents, DijkstraWorkspace};
+use crate::shortest_path::{path_from_parents, DijkstraWorkspace, HeapItem};
 use crate::{GraphError, Result};
+use std::collections::BinaryHeap;
 
 /// CSR adjacency with per-arc lengths, rebuilt once per topology so the n
 /// per-source Dijkstras read contiguous arrays instead of calling the
@@ -136,6 +162,11 @@ impl Csr {
         self.start[u + 1] - self.start[u]
     }
 
+    /// Number of arcs (twice the number of edges).
+    pub fn arc_count(&self) -> usize {
+        self.node.len()
+    }
+
     /// The arcs out of `u` as `(neighbor, length)`, in the graph's
     /// neighbor order.
     pub fn arcs(&self, u: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
@@ -194,6 +225,9 @@ pub struct RoutingState {
     /// Row-major `n × n` parents (`parent[s*n + s] == s`, `usize::MAX`
     /// unreachable).
     parent: Vec<usize>,
+    /// Per source, whether its tree is tie-free
+    /// ([`DijkstraWorkspace::tie_free`]).
+    tie_free: Vec<bool>,
     /// `per_source[s] = Σ_t t(s,t)·dist_s[t]`.
     per_source: Vec<f64>,
     /// The per-source terms folded in ascending source order.
@@ -219,6 +253,7 @@ impl Clone for RoutingState {
         self.csr.len.clone_from(&source.csr.len);
         self.dist.clone_from(&source.dist);
         self.parent.clone_from(&source.parent);
+        self.tie_free.clone_from(&source.tie_free);
         self.per_source.clone_from(&source.per_source);
         self.weighted = source.weighted;
     }
@@ -256,6 +291,7 @@ impl RoutingState {
         let n = self.csr.n();
         self.dist.resize(n * n, f64::INFINITY);
         self.parent.resize(n * n, usize::MAX);
+        self.tie_free.clear();
         self.per_source.clear();
         let mut weighted = 0.0f64;
         for s in 0..n {
@@ -263,6 +299,7 @@ impl RoutingState {
             let w = collect_demands(s, self.dijkstra.dist(), &traffic, &mut self.demand)?;
             self.dist[s * n..(s + 1) * n].copy_from_slice(self.dijkstra.dist());
             self.parent[s * n..(s + 1) * n].copy_from_slice(self.dijkstra.parent());
+            self.tie_free.push(self.dijkstra.tie_free());
             self.per_source.push(w);
             weighted += w;
         }
@@ -291,6 +328,13 @@ impl RoutingState {
     pub fn parent(&self, s: usize) -> &[usize] {
         let n = self.n();
         &self.parent[s * n..(s + 1) * n]
+    }
+
+    /// Whether the tree of `s` is tie-free: every node it reaches but `s`
+    /// has exactly one shortest predecessor, so [`TreeRepair`] may repair
+    /// it in place.
+    pub fn tie_free(&self, s: usize) -> bool {
+        self.tie_free[s]
     }
 
     /// `Σ_r t_r·L_r`: the per-source terms folded in ascending source
@@ -341,11 +385,12 @@ impl RoutingState {
     }
 
     /// Commits repaired rows: for the `k`-th of `sources`, row `k` of the
-    /// row-major `dist` and `parent` replaces that source's rows. `csr`
-    /// (the repaired topology's adjacency) is swapped in, only the repaired
-    /// sources are re-priced, and the per-source terms are refolded in
-    /// ascending source order — so the new `Σ t·L` is bit-identical to a
-    /// fresh [`build`](Self::build) whenever the rows are. Returns it.
+    /// row-major `dist` and `parent` and flag `k` of `tie_free` replace
+    /// that source's rows and flag. `csr` (the repaired topology's
+    /// adjacency) is swapped in, only the repaired sources are re-priced,
+    /// and the per-source terms are refolded in ascending source order —
+    /// so the new `Σ t·L` is bit-identical to a fresh
+    /// [`build`](Self::build) whenever the rows are. Returns it.
     ///
     /// # Errors
     /// [`GraphError::Disconnected`] if a repaired row leaves positive
@@ -356,6 +401,7 @@ impl RoutingState {
         sources: &[usize],
         dist: &[f64],
         parent: &[usize],
+        tie_free: &[bool],
         traffic: impl Fn(usize, usize) -> f64,
     ) -> Result<f64> {
         let n = self.n();
@@ -368,11 +414,184 @@ impl RoutingState {
         for (k, &s) in sources.iter().enumerate() {
             self.dist[s * n..(s + 1) * n].copy_from_slice(&dist[k * n..(k + 1) * n]);
             self.parent[s * n..(s + 1) * n].copy_from_slice(&parent[k * n..(k + 1) * n]);
+            self.tie_free[s] = tie_free[k];
             self.per_source[s] = self.staged[k];
         }
         std::mem::swap(&mut self.csr, csr);
         self.weighted = self.per_source.iter().fold(0.0, |acc, &w| acc + w);
         Ok(self.weighted)
+    }
+}
+
+/// The edges one topology lost and gained against another.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct EdgeDiff<'a> {
+    /// Removed pairs.
+    pub deleted: &'a [(usize, usize)],
+    /// Added pairs with their (symmetric) length.
+    pub inserted: &'a [(usize, usize, f64)],
+}
+
+/// How one [`TreeRepair::run`] went.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Repaired {
+    /// Arcs read, a fallback Dijkstra's included.
+    pub arcs: usize,
+    /// Whether the rows were repaired in place rather than re-run.
+    pub in_place: bool,
+}
+
+/// [`TreeRepair`] node states: tree path intact and label unmoved; below
+/// a deleted tree edge, or unreached; label improved or matched.
+const KEEP: u8 = 0;
+const ORPHAN: u8 = 1;
+const RECHECK: u8 = 2;
+
+/// A [`HeapItem`] under a type of its own: a `BinaryHeap` instantiation
+/// shared with the Dijkstra body kept `pop` from being inlined there,
+/// slowing full passes by ~5% at n = 200.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Queued(HeapItem);
+
+/// The one shortest-path-tree repair (see the module docs) and its
+/// reusable buffers.
+#[derive(Debug, Default)]
+pub struct TreeRepair {
+    status: Vec<u8>,
+    /// The orphans, then the marked nodes: whose parents are re-derived.
+    check: Vec<usize>,
+    heap: BinaryHeap<Queued>,
+    dijkstra: DijkstraWorkspace,
+}
+
+impl TreeRepair {
+    /// Creates empty buffers; they grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Turns the rows and flag of `source`, a fresh Dijkstra's on the old
+    /// topology, into a fresh Dijkstra's on `csr`, the old topology with
+    /// `diff` applied (lengths symmetric). A tree with a tie, or a
+    /// repaired node with several shortest predecessors, re-runs Dijkstra.
+    pub fn run(
+        &mut self,
+        csr: &Csr,
+        diff: EdgeDiff<'_>,
+        source: usize,
+        dist: &mut [f64],
+        parent: &mut [usize],
+        tie_free: &mut bool,
+    ) -> Repaired {
+        let mut arcs = 0;
+        if *tie_free && self.in_place(csr, diff, source, dist, parent, &mut arcs) {
+            return Repaired { arcs, in_place: true };
+        }
+        csr.dijkstra(&mut self.dijkstra, source);
+        dist.copy_from_slice(self.dijkstra.dist());
+        parent.copy_from_slice(self.dijkstra.parent());
+        *tie_free = self.dijkstra.tie_free();
+        Repaired { arcs: arcs + csr.arc_count(), in_place: false }
+    }
+
+    /// The in-place repair of a tie-free tree. Returns false, the rows
+    /// then garbage, at a node with several shortest predecessors.
+    fn in_place(
+        &mut self,
+        csr: &Csr,
+        diff: EdgeDiff<'_>,
+        source: usize,
+        dist: &mut [f64],
+        parent: &mut [usize],
+        arcs: &mut usize,
+    ) -> bool {
+        let Self { status, check, heap, .. } = self;
+        status.clear();
+        status.resize(dist.len(), KEEP);
+        check.clear();
+        // Orphans: the child endpoint of every deleted tree edge, their
+        // tree descendants (found through the arcs, so in time linear in
+        // the orphans' degrees), and the unreached nodes, which an
+        // insertion may reach.
+        for &(u, v) in diff.deleted {
+            let child = if parent[v] == u {
+                v
+            } else if parent[u] == v {
+                u
+            } else {
+                continue;
+            };
+            status[child] = ORPHAN;
+            check.push(child);
+        }
+        let mut next = 0;
+        while let Some(&x) = check.get(next) {
+            next += 1;
+            for (y, _) in csr.arcs(x) {
+                if parent[y] == x && status[y] == KEEP {
+                    status[y] = ORPHAN;
+                    check.push(y);
+                }
+            }
+        }
+        for x in 0..dist.len() {
+            if !dist[x].is_finite() && status[x] == KEEP {
+                status[x] = ORPHAN;
+                check.push(x);
+            }
+        }
+        // Seed each orphan from its non-orphan neighbours, whose labels
+        // are upper bounds (their tree paths survive).
+        heap.clear();
+        for &x in check.iter() {
+            dist[x] = f64::INFINITY;
+            *arcs += csr.degree(x);
+            for (y, len) in csr.arcs(x).filter(|&(y, _)| status[y] != ORPHAN) {
+                dist[x] = dist[x].min(dist[y] + len);
+            }
+            if dist[x].is_finite() {
+                heap.push(Queued(HeapItem { dist: dist[x], node: x }));
+            }
+        }
+        // Relax the inserted edges, then propagate to the fixpoint. Every
+        // label a relaxation improves or matches joins the orphans in
+        // `check`.
+        let mut relax = |y: usize, nd: f64, dist: &mut [f64], heap: &mut BinaryHeap<Queued>| {
+            if nd < dist[y] {
+                dist[y] = nd;
+                heap.push(Queued(HeapItem { dist: nd, node: y }));
+            }
+            if nd <= dist[y] && status[y] == KEEP {
+                status[y] = RECHECK;
+                check.push(y);
+            }
+        };
+        for &(u, v, w) in diff.inserted {
+            relax(v, dist[u] + w, dist, heap);
+            relax(u, dist[v] + w, dist, heap);
+        }
+        while let Some(Queued(HeapItem { dist: d, node: x })) = heap.pop() {
+            if d == dist[x] {
+                *arcs += csr.degree(x);
+                for (y, len) in csr.arcs(x) {
+                    relax(y, d + len, dist, heap);
+                }
+            }
+        }
+        // Every node in `check` takes its unique shortest predecessor (an
+        // unreached one none).
+        for &x in check.iter().filter(|&&x| x != source) {
+            parent[x] = usize::MAX;
+            if dist[x].is_finite() {
+                *arcs += csr.degree(x);
+                let mut preds = csr.arcs(x).filter(|&(y, len)| dist[y] + len == dist[x]);
+                match (preds.next(), preds.next()) {
+                    (Some((y, _)), None) => parent[x] = y,
+                    _ => return false,
+                }
+            }
+        }
+        true
     }
 }
 
@@ -744,8 +963,10 @@ mod tests {
         assert!(!changed.is_empty() && changed.len() < 5, "the chord must change some rows");
         let dist: Vec<f64> = changed.iter().flat_map(|&s| fresh.dist(s).to_vec()).collect();
         let parent: Vec<usize> = changed.iter().flat_map(|&s| fresh.parent(s).to_vec()).collect();
+        let flags: Vec<bool> = changed.iter().map(|&s| fresh.tie_free(s)).collect();
         let mut csr = fresh.csr().clone();
-        let weighted = state.replace_rows(&mut csr, &changed, &dist, &parent, traffic).unwrap();
+        let weighted =
+            state.replace_rows(&mut csr, &changed, &dist, &parent, &flags, traffic).unwrap();
         assert_eq!(weighted.to_bits(), fresh.weighted().to_bits());
         for s in 0..5 {
             assert_eq!(state.parent(s), fresh.parent(s));
@@ -756,7 +977,7 @@ mod tests {
         cut[1] = f64::INFINITY;
         let before = state.clone();
         assert_eq!(
-            state.replace_rows(&mut csr, &changed, &cut, &parent, traffic).unwrap_err(),
+            state.replace_rows(&mut csr, &changed, &cut, &parent, &flags, traffic).unwrap_err(),
             GraphError::Disconnected
         );
         assert_eq!(state.weighted().to_bits(), before.weighted().to_bits());

@@ -60,13 +60,13 @@ pub(crate) fn path_from_parents(
 }
 
 /// Max-heap entry ordered so the smallest `(dist, node)` pops first — the
-/// order of every Dijkstra and tree repair in the workspace.
+/// order of the Dijkstra body and of the tree repair.
 #[derive(Debug, Clone, Copy)]
-pub struct HeapItem {
+pub(crate) struct HeapItem {
     /// Tentative distance.
-    pub dist: f64,
+    pub(crate) dist: f64,
     /// The node it labels.
-    pub node: usize,
+    pub(crate) node: usize,
 }
 
 impl PartialEq for HeapItem {
@@ -90,16 +90,22 @@ impl Ord for HeapItem {
 /// Reusable buffers for repeated Dijkstra runs.
 ///
 /// All-pairs routing runs one Dijkstra per source per candidate topology,
-/// which makes the four per-call allocations (`dist`, `parent`, `done` and
-/// the heap) the dominant allocator traffic of the GA's hot path. A
+/// which makes the per-call allocations (`dist`, `parent`, `done`, `ties`
+/// and the heap) the dominant allocator traffic of the GA's hot path. A
 /// workspace amortizes them: [`Csr::dijkstra`] reuses the buffers and the
 /// results stay readable through [`dist`](Self::dist) /
-/// [`parent`](Self::parent) until the next run.
+/// [`parent`](Self::parent) / [`tie_free`](Self::tie_free) until the next
+/// run.
 #[derive(Debug, Clone, Default)]
 pub struct DijkstraWorkspace {
     dist: Vec<f64>,
     parent: Vec<usize>,
     done: Vec<bool>,
+    /// Every relaxation that matched a node's label, as `(node, label)`:
+    /// at the end, a node has a second shortest predecessor iff one of
+    /// its entries holds its final label.
+    ties: Vec<(usize, f64)>,
+    tie_free: bool,
     heap: BinaryHeap<HeapItem>,
 }
 
@@ -127,10 +133,12 @@ impl DijkstraWorkspace {
         self.parent.resize(n, usize::MAX);
         self.done.clear();
         self.done.resize(n, false);
+        self.ties.clear();
         self.heap.clear();
-        // Every arc pushes at most once (from its settled tail), so a
-        // reused workspace never grows mid-run.
+        // Every arc pushes at most once (from its settled tail), onto the
+        // heap or the tie list, so a reused workspace never grows mid-run.
         self.heap.reserve(node.len() + 1);
+        self.ties.reserve(node.len());
         self.dist[source] = 0.0;
         self.parent[source] = source;
         self.heap.push(HeapItem { dist: 0.0, node: source });
@@ -142,6 +150,7 @@ impl DijkstraWorkspace {
             for k in start[u]..start[u + 1] {
                 let v = node[k];
                 let nd = d + len[k];
+                let dv = self.dist[v];
                 // Strict `<` makes the parent the *first* relaxer to reach
                 // the final label, in settle order. With positive lengths
                 // every node at a distance is queued before the first pop
@@ -150,13 +159,31 @@ impl DijkstraWorkspace {
                 // A zero-length edge can queue a node after a larger id at
                 // the same distance has settled, and then it is not (see
                 // `zero_length_edges_make_the_parent_the_first_relaxer`).
-                if nd < self.dist[v] {
+                if nd < dv {
                     self.dist[v] = nd;
                     self.parent[v] = u;
                     self.heap.push(HeapItem { dist: nd, node: v });
+                } else if nd == dv {
+                    // Every shortest predecessor relaxes `v` once, after
+                    // it settles: the first at the final label is the
+                    // last strict improvement, each later one lands here
+                    // with that label.
+                    self.ties.push((v, nd));
                 }
             }
         }
+        // An infinite arc "ties" an unreached node; the source's label is
+        // not a relaxation's.
+        let dist = &self.dist;
+        self.tie_free =
+            !self.ties.iter().any(|&(v, l)| v != source && l == dist[v] && l.is_finite());
+    }
+
+    /// Whether the last run's tree is *tie-free*: every reached node but
+    /// the source has exactly one shortest predecessor (a neighbour `u`
+    /// with `dist[u] + len(u → v) == dist[v]`), so every parent is forced.
+    pub fn tie_free(&self) -> bool {
+        self.tie_free
     }
 
     /// Distances of the last run (`f64::INFINITY` when unreachable).

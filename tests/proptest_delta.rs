@@ -1,12 +1,11 @@
 //! Property-based pin: incremental delta evaluation is bit-identical to
 //! a from-scratch [`evaluate_total`] along random mutation chains.
 //!
-//! Two sessions ride every chain: a *wide* one whose thresholds admit
+//! Two sessions ride every chain: a *wide* one whose `max_flips` admits
 //! every single-edge repair (so the incremental path is actually
-//! exercised), and a *tight* one whose thresholds are small enough that
-//! routine flips cross the fallback boundary — plus a forced multi-edge
-//! batch per chain that is guaranteed to exceed `max_flips`. Both must
-//! agree with the full recomputation on every step, to the bit.
+//! exercised), and a *tight* one (`max_flips = 2`) that a forced
+//! multi-edge batch per chain pushes past its fallback boundary. Both
+//! must agree with the full recomputation on every step, to the bit.
 //!
 //! A revisit schedule exercises the anchor pool: each step jumps back to
 //! a random earlier member of the chain and flips 0–3 pairs, so the
@@ -54,12 +53,11 @@ fn add_absent_edges(topo: &mut AdjacencyMatrix, count: usize) {
 fn check_chain(n: usize, steps: usize, seed: u64, k2: f64, k3: f64) -> Result<(), TestCaseError> {
     let ctx = ContextConfig::paper_default(n).generate(seed);
     let params = CostParams::paper(k2, k3);
-    // Wide: thresholds sized so single-flip repairs always stay
-    // incremental. Tight: `max_flips = 2`, `max_affected = 4` — at
-    // n >= 20 most flips reroute more than 4 source trees, so this
-    // session keeps crossing the fallback boundary mid-chain.
-    let mut wide = DeltaEval::with_limits(&ctx, params, 64, n);
-    let mut tight = DeltaEval::with_limits(&ctx, params, 2, 4);
+    // Wide: `max_flips` sized so single-flip repairs always stay
+    // incremental. Tight: `max_flips = 2`, crossed by the forced batch
+    // below.
+    let mut wide = DeltaEval::with_limits(&ctx, params, 64);
+    let mut tight = DeltaEval::with_limits(&ctx, params, 2);
     let mut topo = mst_matrix(n, ctx.distance_fn());
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_cafe);
     let check = |topo: &AdjacencyMatrix,
@@ -107,7 +105,7 @@ fn check_revisits(
     let ctx = ContextConfig::paper_default(n).generate(seed);
     let params = CostParams::paper(k2, k3);
     let mut default = DeltaEval::new(&ctx, params);
-    let mut narrow = DeltaEval::with_limits(&ctx, params, 3, n);
+    let mut narrow = DeltaEval::with_limits(&ctx, params, 3);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7e71_5175);
     let mut chain = vec![mst_matrix(n, ctx.distance_fn())];
     for step in 0..=steps {
