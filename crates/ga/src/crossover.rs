@@ -88,7 +88,7 @@ pub fn crossover_child(
             rng.gen_range(0.0..1.0);
         }
     }
-    AdjacencyMatrix::from_words(first.n(), words)
+    AdjacencyMatrix::from_words(first.n(), words).expect("the parents' word layout")
 }
 
 #[cfg(test)]

@@ -780,18 +780,27 @@ impl<O: Objective> GeneticAlgorithm<O> {
             let workers = sessions.len().min(batch.len());
             let mut fitness = vec![S::Fitness::default(); batch.len()];
             let chunk = batch.len().div_ceil(workers);
-            crossbeam::scope(|scope| {
-                for ((slot, topos), session) in
-                    fitness.chunks_mut(chunk).zip(batch.chunks(chunk)).zip(sessions.iter_mut())
-                {
-                    scope.spawn(move |_| {
-                        for (f, t) in slot.iter_mut().zip(topos) {
-                            *f = session.evaluate(t);
-                        }
-                    });
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = fitness
+                    .chunks_mut(chunk)
+                    .zip(batch.chunks(chunk))
+                    .zip(sessions.iter_mut())
+                    .map(|((slot, topos), session)| {
+                        scope.spawn(move || {
+                            for (f, t) in slot.iter_mut().zip(topos) {
+                                *f = session.evaluate(t);
+                            }
+                        })
+                    })
+                    .collect();
+                // A worker's panic goes on with its own payload, so the
+                // objective's message reaches whoever contains the panic.
+                for worker in workers {
+                    if let Err(payload) = worker.join() {
+                        std::panic::resume_unwind(payload);
+                    }
                 }
-            })
-            .expect("fitness evaluation worker panicked");
+            });
             fitness
         };
         stats.eval_seconds += start.elapsed().as_secs_f64();
@@ -1199,6 +1208,39 @@ mod tests {
         }
     }
 
+    /// `snap`'s document with every chromosome in the edge-list form
+    /// `{"n", "edges": [[u, v], …]}` snapshots were written in before the
+    /// packed form.
+    fn edge_list_document(snap: &GaCheckpoint) -> String {
+        let edge_list = |t: &AdjacencyMatrix, cost: f64| {
+            let edges: Vec<serde_json::Value> =
+                t.edges().map(|(u, v)| serde_json::json!([u, v])).collect();
+            serde_json::json!({ "topology": { "n": t.n(), "edges": edges }, "cost": cost })
+        };
+        let mut doc = snap.to_value();
+        *doc.get_mut("population").expect("population") = serde_json::Value::Array(
+            snap.population.iter().map(|i| edge_list(&i.topology, i.cost)).collect(),
+        );
+        *doc.get_mut("cache").expect("cache") = serde_json::Value::Array(
+            snap.cache.iter().flatten().map(|(t, cost)| edge_list(t, *cost)).collect(),
+        );
+        serde_json::to_string(&doc).expect("serializes")
+    }
+
+    #[test]
+    fn edge_list_snapshots_resume_bit_identically() {
+        let ga = engine(8, 5.0, 1.0, 2.0, 32);
+        let uninterrupted = ga.run();
+        let (_, snaps) = run_with_checkpoints(&ga, 7);
+        let snap = snaps.last().expect("a mid-run snapshot");
+        let text = edge_list_document(snap);
+        assert!(text.contains("\"edges\"") && !text.contains("\"bits\""), "{text}");
+        let restored = GaCheckpoint::from_json(&text).expect("the edge-list form parses");
+        assert_eq!(restored.to_json(), snap.to_json(), "parses to the engine's snapshot");
+        let resumed = ga.run_resumable(&[], None, None, Some(restored)).unwrap();
+        assert_results_bit_identical(&uninterrupted, &resumed);
+    }
+
     #[test]
     fn resume_rejects_mismatched_settings() {
         let ga = engine(8, 5.0, 1.0, 2.0, 33);
@@ -1265,6 +1307,36 @@ mod tests {
             }
             other => panic!("expected NonFiniteCost, got {other:?}"),
         }
+    }
+
+    /// An objective whose every evaluation panics with its own message.
+    struct PanickingObjective;
+
+    impl Objective for PanickingObjective {
+        fn n(&self) -> usize {
+            6
+        }
+        fn distance(&self, _: usize, _: usize) -> f64 {
+            1.0
+        }
+        fn cost(&self, t: &AdjacencyMatrix) -> f64 {
+            panic!("the objective gave up on {} edges", t.edge_count())
+        }
+    }
+
+    #[test]
+    fn a_parallel_batch_panic_keeps_the_objectives_message() {
+        let settings = GaSettings { parallel: true, ..GaSettings::quick(41) };
+        let ga = GeneticAlgorithm::new(PanickingObjective, settings);
+        let complete = AdjacencyMatrix::complete(6);
+        let batch = vec![&complete; 4];
+        let mut sessions = vec![ga.objective.session(), ga.objective.session()];
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ga.evaluate_batch(&batch, &mut sessions, &mut EvalStats::default())
+        }))
+        .expect_err("the batch panics");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic message");
+        assert_eq!(message, "the objective gave up on 15 edges");
     }
 
     /// A flat objective: nothing ever strictly improves, so the stall

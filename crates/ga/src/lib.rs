@@ -20,7 +20,7 @@
 //!   "leaf-ification" ([`mutation`]);
 //! - disconnected offspring are repaired with an inter-component MST
 //!   ([`repair`], §4.1.3);
-//! - the generational loop with elitism and (optional, crossbeam-based)
+//! - the generational loop with elitism and (optional, scoped-thread)
 //!   parallel fitness evaluation lives in [`engine`].
 //!
 //! There is one generational loop. The scalar GA ([`GeneticAlgorithm`])

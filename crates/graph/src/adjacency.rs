@@ -178,13 +178,13 @@ impl AdjacencyMatrix {
         &self.bits
     }
 
-    /// A matrix from words laid out as [`words`](Self::words); panics on a
+    /// A matrix from words laid out as [`words`](Self::words); `None` on a
     /// wrong word count or a set padding bit.
-    pub fn from_words(n: usize, words: Vec<u64>) -> Self {
-        let (m, tail) = (Self { n, bits: words }, n * n.saturating_sub(1) / 2 % 64);
-        assert_eq!(m.bits.len(), m.pair_count().div_ceil(64), "word count for n = {n}");
-        assert!(tail == 0 || m.bits.last().is_none_or(|w| w >> tail == 0), "padding bit set");
-        m
+    pub fn from_words(n: usize, words: Vec<u64>) -> Option<Self> {
+        let pairs = n.checked_mul(n.saturating_sub(1))? / 2;
+        let tail = pairs % 64;
+        let padding_clear = tail == 0 || words.last().is_none_or(|w| w >> tail == 0);
+        (words.len() == pairs.div_ceil(64) && padding_clear).then_some(Self { n, bits: words })
     }
 
     /// Number of edges currently present.

@@ -2,8 +2,8 @@
 //!
 //! Every message travels as one *frame*: a 4-byte big-endian length
 //! prefix followed by that many bytes of UTF-8 JSON. Frames are small
-//! (the largest is a migration grant's full GA snapshot; uploads carry
-//! only the cache entries the coordinator lacks) and capped at
+//! (the largest carry a whole GA snapshot: a snapshot upload, or a
+//! migration grant; chromosomes travel as packed hex words) and capped at
 //! [`MAX_FRAME_BYTES`] so a corrupt or hostile peer cannot make either
 //! side allocate unbounded memory.
 //!
@@ -200,8 +200,8 @@ impl LeaseGrant {
 /// Requests (worker -> coordinator): `Hello`, `Heartbeat`,
 /// `LeaseRequest`, `TrialCheckpoint`, `TrialResult`, `TrialError`,
 /// `Bye`. Replies (coordinator -> worker): `HelloOk`, `HeartbeatOk`,
-/// `LeaseGrant` / `NoWork` / `Drain`, `CheckpointOk` /
-/// `CheckpointRejected` / `LeaseRevoked`, `ResultOk`, `ByeOk`, `Error`.
+/// `LeaseGrant` / `NoWork` / `Drain`, `CheckpointOk` / `LeaseRevoked`,
+/// `ResultOk`, `ByeOk`, `Error`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
     /// Worker registration (idempotent; re-sent after eviction).
@@ -236,29 +236,18 @@ pub enum Msg {
     },
     /// Coordinator is draining: do not request more work, exit cleanly.
     Drain,
-    /// Mid-run GA snapshot upload for a held lease: a `GaCheckpoint`
-    /// document whose `cache` holds only the entries the coordinator has
-    /// not acknowledged yet (all of them in a full upload).
+    /// Mid-run GA snapshot upload for a held lease: the engine's whole
+    /// `GaCheckpoint` document.
     TrialCheckpoint {
         /// Worker name.
         worker: String,
         /// Lease the snapshot belongs to.
         lease: String,
-        /// The `GaCheckpoint` document, cache cut to the delta.
+        /// The `GaCheckpoint` document.
         snapshot: Value,
-        /// Entries in the worker's whole fitness cache at this snapshot;
-        /// the coordinator's merged copy must hold exactly this many.
-        cache_total: usize,
     },
-    /// Snapshot merged into the coordinator's copy of the lease's run.
+    /// Snapshot stored as the coordinator's copy of the lease's run.
     CheckpointOk,
-    /// The upload does not extend the coordinator's copy (it is older,
-    /// or the copy lacks entries the delta assumes); the copy is left
-    /// unchanged and the worker should send a full upload.
-    CheckpointRejected {
-        /// Human-readable reason.
-        reason: String,
-    },
     /// The worker no longer holds the lease (expired, re-queued, or the
     /// trial completed elsewhere): stop uploading for it.
     LeaseRevoked,
@@ -331,17 +320,13 @@ impl Msg {
             Msg::Grant(grant) => grant.members(),
             Msg::NoWork { backoff_ms } => vec![kind("no_work"), ("backoff_ms", owned(backoff_ms))],
             Msg::Drain => vec![kind("drain")],
-            Msg::TrialCheckpoint { worker, lease, snapshot, cache_total } => vec![
+            Msg::TrialCheckpoint { worker, lease, snapshot } => vec![
                 kind("trial_checkpoint"),
                 ("worker", owned(worker)),
                 ("lease", owned(lease)),
                 ("snapshot", Cow::Borrowed(snapshot)),
-                ("cache_total", owned(cache_total)),
             ],
             Msg::CheckpointOk => vec![kind("checkpoint_ok")],
-            Msg::CheckpointRejected { reason } => {
-                vec![kind("checkpoint_rejected"), ("reason", owned(reason))]
-            }
             Msg::LeaseRevoked => vec![kind("lease_revoked")],
             Msg::TrialResult { worker, lease, job, trial, seed, record } => vec![
                 kind("trial_result"),
@@ -390,12 +375,8 @@ impl Msg {
                 lease: str_field(&v, "lease")?,
                 snapshot: take_field(&mut v, "snapshot")
                     .ok_or("trial_checkpoint: `snapshot` missing")?,
-                cache_total: usize_field(&v, "cache_total")?,
             }),
             "checkpoint_ok" => Ok(Msg::CheckpointOk),
-            "checkpoint_rejected" => {
-                Ok(Msg::CheckpointRejected { reason: str_field(&v, "reason")? })
-            }
             "lease_revoked" => Ok(Msg::LeaseRevoked),
             "trial_result" => Ok(Msg::TrialResult {
                 worker: str_field(&v, "worker")?,
@@ -484,10 +465,8 @@ mod tests {
             worker: "w1".into(),
             lease: "1ea5e1ea5e1ea5e1".into(),
             snapshot: json!({"generation": 7}),
-            cache_total: 12,
         });
         round_trip(Msg::CheckpointOk);
-        round_trip(Msg::CheckpointRejected { reason: "stale".into() });
         round_trip(Msg::LeaseRevoked);
         round_trip(Msg::TrialResult {
             worker: "w1".into(),
@@ -580,17 +559,12 @@ mod tests {
                     worker: "w1".into(),
                     lease: "1ea5e1ea5e1ea5e1".into(),
                     snapshot: snapshot.clone(),
-                    cache_total: 12,
                 },
                 format!(
-                    r#"{{"type":"trial_checkpoint","worker":"w1","lease":"1ea5e1ea5e1ea5e1","snapshot":{snap},"cache_total":12}}"#
+                    r#"{{"type":"trial_checkpoint","worker":"w1","lease":"1ea5e1ea5e1ea5e1","snapshot":{snap}}}"#
                 ),
             ),
             (Msg::CheckpointOk, r#"{"type":"checkpoint_ok"}"#.into()),
-            (
-                Msg::CheckpointRejected { reason: "stale".into() },
-                r#"{"type":"checkpoint_rejected","reason":"stale"}"#.into(),
-            ),
             (Msg::LeaseRevoked, r#"{"type":"lease_revoked"}"#.into()),
             (
                 Msg::TrialResult {

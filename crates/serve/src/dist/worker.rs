@@ -24,17 +24,13 @@
 //! a GA the watchdog abandoned hands off into the closed mailbox, so it
 //! uploads nothing more.
 //!
-//! Snapshot uploads are deltas. Within a lease the uploader remembers
-//! which fitness-cache chromosomes the coordinator has acknowledged
-//! (after a migration, those of the grant's snapshot), and each
-//! `trial_checkpoint` carries the population, RNG state, history and
-//! counters plus only the unacknowledged cache entries, with the size of
-//! the whole cache. The coordinator merges the delta into its copy of
-//! the run. A `checkpoint_rejected` reply (the copy lacks entries the
-//! delta assumes) makes the uploader forget its acknowledgements and send
-//! the snapshot again in full; a `lease_revoked` reply (the lease
-//! expired, was re-queued, or its trial completed elsewhere) closes the
-//! mailbox and stops the lease's uploads.
+//! Each `trial_checkpoint` carries the engine's whole snapshot, fitness
+//! cache included, in the compact chromosome form of `cold_ga`'s
+//! checkpoint codec; the coordinator replaces its copy of the run with
+//! it. A lost exchange needs no repair, since the next upload is whole
+//! too. A `lease_revoked` reply (the lease expired, was re-queued, or its
+//! trial completed elsewhere) closes the mailbox and stops the lease's
+//! uploads.
 //!
 //! Fault sites wired through this module:
 //!
@@ -50,14 +46,12 @@
 
 use crate::dist::proto::{self, LeaseGrant, Msg};
 use cold::ga::GaCheckpoint;
-use cold::graph::AdjacencyMatrix;
 use cold::{
     fingerprint_hex, value_fingerprint, AttemptOptions, CheckpointSink, ColdConfig, ColdError,
     ProgressSink, TrialObjective, TrialRecord, TrialSpec,
 };
 use serde::Deserialize;
 use serde_json::json;
-use std::collections::HashSet;
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -277,13 +271,10 @@ pub(crate) fn run_grant(
         .map(|r| TrialRecord::from_result(grant.trial, grant.seed, &r))
 }
 
-/// One lease's snapshot uploads. The coordinator's copy of the run holds
-/// the fitness-cache chromosomes in `acked` (after a migration, those of
-/// the grant's snapshot), so an upload carries only the other entries.
+/// One lease's snapshot uploads.
 pub(crate) struct Uploads {
     worker: String,
     lease: String,
-    acked: HashSet<AdjacencyMatrix>,
     /// Generation of the newest snapshot the coordinator acknowledged.
     acked_generation: Option<usize>,
     /// The coordinator answered `lease_revoked`: upload nothing more.
@@ -291,79 +282,40 @@ pub(crate) struct Uploads {
 }
 
 impl Uploads {
-    /// Uploads of worker `worker` for `lease`, resumed from `resume`.
-    pub(crate) fn new(worker: &str, lease: &str, resume: Option<&GaCheckpoint>) -> Self {
-        let cache = resume.and_then(|r| r.cache.as_deref()).unwrap_or_default();
+    /// Uploads of worker `worker` for `lease`.
+    pub(crate) fn new(worker: &str, lease: &str) -> Self {
         Self {
             worker: worker.to_string(),
             lease: lease.to_string(),
-            acked: cache.iter().map(|(t, _)| t.clone()).collect(),
             acked_generation: None,
             revoked: false,
         }
     }
 
-    /// Uploads `ckpt` through `send` (one exchange with the coordinator
-    /// per call): the snapshot with its cache cut to the unacknowledged
-    /// entries, again in full if the coordinator rejects the delta.
-    /// Returns `false`, sending nothing, once the lease is revoked.
+    /// Uploads `ckpt` whole through `send` (one exchange with the
+    /// coordinator). Returns `false`, sending nothing, once the lease is
+    /// revoked.
     pub(crate) fn upload(
         &mut self,
         ckpt: &GaCheckpoint,
-        mut send: impl FnMut(&Msg) -> io::Result<Msg>,
+        send: impl FnOnce(&Msg) -> io::Result<Msg>,
     ) -> bool {
         if self.revoked {
             return false;
         }
-        let mut resent = false;
-        loop {
-            let (upload, sent) = self.delta(ckpt);
-            match send(&upload) {
-                Ok(Msg::CheckpointOk) => {
-                    self.acked.extend(sent);
-                    self.acked_generation = Some(ckpt.generation);
-                }
-                Ok(Msg::CheckpointRejected { reason }) if !resent => {
-                    eprintln!(
-                        "[cold-serve] worker {} re-sends a full snapshot: {reason}",
-                        self.worker
-                    );
-                    self.acked.clear();
-                    resent = true;
-                    continue;
-                }
-                Ok(Msg::LeaseRevoked) => self.revoked = true,
-                // A lost exchange: the entries stay unacknowledged and
-                // ride the next upload, which the coordinator merges as a
-                // union, so a delta it did apply is harmless to re-send.
-                _ => {}
-            }
-            return true;
-        }
-    }
-
-    /// The `trial_checkpoint` for `ckpt` and the chromosomes it carries.
-    fn delta(&self, ckpt: &GaCheckpoint) -> (Msg, Vec<AdjacencyMatrix>) {
-        let cache = ckpt.cache.as_ref().map(|entries| {
-            entries.iter().filter(|(t, _)| !self.acked.contains(t)).cloned().collect::<Vec<_>>()
-        });
-        let mut delta = GaCheckpoint {
-            settings: ckpt.settings,
-            generation: ckpt.generation,
-            rng_state: ckpt.rng_state,
-            population: ckpt.population.clone(),
-            history: ckpt.history.clone(),
-            eval_stats: ckpt.eval_stats,
-            repair_stats: ckpt.repair_stats,
-            cache,
-        };
         let upload = Msg::TrialCheckpoint {
             worker: self.worker.clone(),
             lease: self.lease.clone(),
-            snapshot: delta.to_value(),
-            cache_total: ckpt.cache.as_ref().map_or(0, Vec::len),
+            snapshot: ckpt.to_value(),
         };
-        (upload, delta.cache.take().into_iter().flatten().map(|(t, _)| t).collect())
+        match send(&upload) {
+            Ok(Msg::CheckpointOk) => self.acked_generation = Some(ckpt.generation),
+            Ok(Msg::LeaseRevoked) => self.revoked = true,
+            // A lost or refused exchange: the next snapshot is uploaded
+            // whole, so nothing is owed.
+            _ => {}
+        }
+        true
     }
 }
 
@@ -466,7 +418,7 @@ fn upload_snapshots(
 }
 
 /// Executes one granted trial through `run_grant`, uploading periodic
-/// GA checkpoints as deltas from the lease's uploader thread, then
+/// GA checkpoints whole from the lease's uploader thread, then
 /// uploads the result (idempotent, retried) or reports the failure.
 fn run_lease(cfg: &WorkerConfig, grant: LeaseGrant) {
     // Re-anchor this trial's spans (and its GA generation events) under
@@ -494,7 +446,7 @@ fn run_lease(cfg: &WorkerConfig, grant: LeaseGrant) {
             mailbox.post(ckpt, || fires("dist.worker_crash"));
         }
     };
-    let mut uploads = Uploads::new(&cfg.name, &grant.lease, resume.as_ref());
+    let mut uploads = Uploads::new(&cfg.name, &grant.lease);
     let ctx = cold_obs::trace::current();
     let outcome = thread::scope(|scope| {
         scope.spawn(|| {
@@ -568,9 +520,8 @@ mod tests {
         snaps
     }
 
-    /// What one upload carried: the generation, the cache entries sent
-    /// and the size of the whole cache.
-    type Sent = (u64, usize, usize);
+    /// What one upload carried: the generation and the snapshot document.
+    type Sent = (u64, serde_json::Value);
 
     /// An uploader over `mailbox` whose exchanges block: each upload is
     /// reported on the returned receiver, and its exchange returns the
@@ -582,14 +533,13 @@ mod tests {
         let (reply_tx, reply_rx) = mpsc::channel::<Msg>();
         let mailbox = Arc::clone(mailbox);
         let uploader = thread::spawn(move || {
-            let mut uploads = Uploads::new("w1", "1ea5e1ea5e1ea5e1", None);
+            let mut uploads = Uploads::new("w1", "1ea5e1ea5e1ea5e1");
             upload_snapshots(&mailbox, &mut uploads, |msg| {
-                let Msg::TrialCheckpoint { snapshot, cache_total, .. } = msg else {
+                let Msg::TrialCheckpoint { snapshot, .. } = msg else {
                     panic!("expected a snapshot upload, got {msg:?}");
                 };
                 let generation = snapshot["generation"].as_u64().expect("generation");
-                let carried = snapshot["cache"].as_array().map_or(0, Vec::len);
-                sent_tx.send((generation, carried, *cache_total)).expect("test listens");
+                sent_tx.send((generation, snapshot.clone())).expect("test listens");
                 reply_rx.recv().map_err(|_| io::Error::from(io::ErrorKind::ConnectionAborted))
             })
         });
@@ -613,33 +563,14 @@ mod tests {
         assert_eq!(sent.recv().expect("upload").0, 3, "generation 2 was superseded unsent");
         replies.send(Msg::CheckpointOk).expect("reply");
         assert!(mailbox.post(snaps[3].clone(), NO_CRASH));
-        let (generation, carried, total) = sent.recv().expect("upload");
+        let (generation, snapshot) = sent.recv().expect("upload");
         assert_eq!(generation, 4);
-        assert!(carried < total, "a delta against the acknowledged uploads");
+        assert_eq!(snapshot, snaps[3].to_value(), "the engine's whole snapshot");
         replies.send(Msg::CheckpointOk).expect("reply");
         mailbox.close();
         assert!(!uploader.join().expect("uploader"), "no crash is due");
         let later: Vec<u64> = sent.try_iter().map(|s| s.0).collect();
         assert!(later.is_empty(), "uploads after close: {later:?}");
-    }
-
-    #[test]
-    fn a_rejected_delta_is_followed_by_a_full_upload() {
-        let snaps = snapshots();
-        let mailbox = Arc::new(Mailbox::default());
-        let (sent, replies, uploader) = blocked_uploader(&mailbox);
-        mailbox.post(snaps[0].clone(), NO_CRASH);
-        let (_, carried, total) = sent.recv().expect("upload");
-        assert_eq!(carried, total, "the first upload is full");
-        replies.send(Msg::CheckpointOk).expect("reply");
-        mailbox.post(snaps[1].clone(), NO_CRASH);
-        let (generation, carried, total) = sent.recv().expect("upload");
-        assert!(generation == 2 && carried < total, "a delta");
-        replies.send(Msg::CheckpointRejected { reason: "stale".into() }).expect("reply");
-        assert_eq!(sent.recv().expect("re-send"), (2, total, total), "the same snapshot, in full");
-        replies.send(Msg::CheckpointOk).expect("reply");
-        mailbox.close();
-        assert!(!uploader.join().expect("uploader"));
     }
 
     #[test]
@@ -663,7 +594,7 @@ mod tests {
         mailbox.close();
         assert!(!mailbox.post(snaps[1].clone(), NO_CRASH));
         assert!(mailbox.take().is_none(), "the unsent snapshot was dropped");
-        let mut uploads = Uploads::new("w1", "1ea5e1ea5e1ea5e1", None);
+        let mut uploads = Uploads::new("w1", "1ea5e1ea5e1ea5e1");
         let crash = upload_snapshots(&mailbox, &mut uploads, |msg| panic!("uploaded {msg:?}"));
         assert!(!crash);
     }

@@ -10,7 +10,7 @@
 //! trial migrating with `resumed_generation >= 1` (resumed from the
 //! snapshot, not restarted from generation 0). A second case aborts
 //! once its third hand-off is acknowledged, so the migrated snapshot is
-//! one the coordinator assembled from a full upload and deltas.
+//! a whole upload that replaced the coordinator's earlier copies.
 
 use cold::context::rng::derive_seed;
 use cold::ColdConfig;
