@@ -10,8 +10,8 @@ use cold_ga::repair::{repair, RepairStats};
 use cold_ga::{hypervolume, GaSettings, GeneticAlgorithm, Individual, Objective, ParetoGa};
 use cold_graph::AdjacencyMatrix;
 use cold_heuristics::{
-    all_heuristics, complete_heuristic, greedy_attachment, mst_heuristic, random_greedy,
-    RandomGreedyConfig,
+    all_heuristics, all_heuristics_on, complete_heuristic, greedy_attachment, mst_heuristic,
+    random_greedy, RandomGreedyConfig,
 };
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -155,14 +155,18 @@ fn bench_heuristics(c: &mut Criterion) {
         b.iter(|| black_box(random_greedy(&eval, &RandomGreedyConfig { permutations: 3 }, 4).cost))
     });
     // The initialized GA's seeding: all four heuristics at the quick
-    // (n = 12, 3 permutations) and paper (n = 30, 10 permutations) sizes.
+    // (n = 12, 3 permutations) and paper (n = 30, 10 permutations) sizes,
+    // on one executor worker (`all_heuristics_w1`) and on two.
     for (n, permutations) in [(12usize, 3usize), (30, 10)] {
         let ctx = ColdConfig::paper(n, 4e-4, 10.0).context.generate(3);
         let eval = CostEvaluator::new(&ctx, CostParams::paper(4e-4, 10.0));
         let cfg = RandomGreedyConfig { permutations };
-        group.bench_with_input(BenchmarkId::new("all_heuristics", n), &cfg, |b, cfg| {
-            b.iter(|| black_box(all_heuristics(&eval, cfg, 4).len()))
-        });
+        for workers in [1, 2] {
+            let id = BenchmarkId::new(format!("all_heuristics_w{workers}"), n);
+            group.bench_with_input(id, &cfg, |b, cfg| {
+                b.iter(|| black_box(all_heuristics_on(&eval, cfg, 4, workers).len()))
+            });
+        }
     }
     group.finish();
 }

@@ -19,7 +19,7 @@ use cold_cost::{CostParams, Network};
 use cold_ga::pareto::ParetoGa;
 use cold_ga::{GaSettings, GeneticAlgorithm, Objective};
 use cold_graph::AdjacencyMatrix;
-use cold_heuristics::{all_heuristics, RandomGreedyConfig};
+use cold_heuristics::{all_heuristics_on, RandomGreedyConfig};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -522,10 +522,11 @@ impl ColdConfig {
             (TrialObjective::Warm { .. }, _) | (_, SynthesisMode::GaOnly) => Default::default(),
             (_, SynthesisMode::Initialized) => {
                 let _t = cold_obs::timer("core.heuristic_seed");
-                all_heuristics(
+                all_heuristics_on(
                     plain.evaluator(),
                     &self.random_greedy,
                     derive_seed(seed, HEURISTIC_SALT),
+                    self.ga.workers(),
                 )
                 .into_iter()
                 .map(|(name, r)| (r.topology, (name.to_string(), r.cost)))

@@ -98,6 +98,12 @@ fn topology_from_value(v: &Value) -> Result<AdjacencyMatrix, String> {
         .get("edges")
         .and_then(Value::as_array)
         .ok_or("topology: neither `bits` nor an `edges` array")?;
+    // Stored chromosomes are repaired, hence connected: n nodes need at
+    // least n - 1 edges. Checking that first bounds the n(n-1)/2-bit
+    // allocation by the document's own size.
+    if n > edges.len() + 1 {
+        return Err(format!("topology: {} edges cannot connect {n} nodes", edges.len()));
+    }
     let mut pairs = Vec::with_capacity(edges.len());
     for e in edges {
         let pair = e.as_array().filter(|p| p.len() == 2).ok_or("topology: edge is not a pair")?;
@@ -422,6 +428,18 @@ mod tests {
         }
         let huge = with_first_topology(json!({"n": u64::MAX, "bits": "0000000000000029"}));
         assert!(GaCheckpoint::from_value(&huge).is_err(), "an overflowing node count");
+    }
+
+    #[test]
+    fn an_edge_list_too_short_to_connect_its_nodes_is_rejected_before_allocating() {
+        // A claimed 2^33 nodes would need 2^65 bits.
+        let huge = with_first_topology(json!({"n": 8_589_934_592_u64, "edges": []}));
+        let err = GaCheckpoint::from_value(&huge).unwrap_err();
+        assert!(err.contains("0 edges cannot connect 8589934592 nodes"), "{err}");
+        let short = with_first_topology(json!({"n": 4, "edges": [[0, 1], [1, 2]]}));
+        assert!(GaCheckpoint::from_value(&short).is_err(), "a disconnected path");
+        let path = with_first_topology(json!({"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}));
+        assert!(GaCheckpoint::from_value(&path).is_ok(), "a spanning path");
     }
 
     #[test]

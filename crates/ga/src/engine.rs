@@ -2,7 +2,7 @@
 //! strategy.
 //!
 //! One loop builds generation 0, breeds, repairs, evaluates (through one
-//! fitness cache and one parallel batch evaluator), runs the convergence
+//! fitness cache and the run's sessions on one executor), runs the convergence
 //! guards and reports each generation. What the paper's operators leave
 //! open is a crate-private survival strategy: the fitness type (a cost or
 //! an objective vector), survival itself, the progress series the guards
@@ -19,11 +19,13 @@ use crate::mutation::mutate;
 use crate::repair::{repair, RepairStats};
 use crate::settings::GaSettings;
 use crate::{Objective, ObjectiveSession};
+use cold_graph::executor::{with_executor, Executor};
 use cold_graph::AdjacencyMatrix;
 use cold_obs::{GenerationObserver, GenerationRecord};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Periodic checkpointing configuration for a resumable run.
@@ -128,11 +130,12 @@ pub struct EvalStats {
     /// Cache misses answered *incrementally* by a stateful
     /// [`ObjectiveSession`] (shortest-path-tree
     /// repair instead of full re-routing). `delta_evals + full_evals ==
-    /// cache_misses`. Unlike the cache counters, the split may vary with
-    /// `settings.parallel` and thread count — which session sees which
-    /// candidate is a scheduling detail — while every returned cost stays
-    /// bit-identical. Not serialized into checkpoints: a resumed run
-    /// restarts both counters at zero.
+    /// cache_misses`. Unlike the cache counters, the split varies with
+    /// the session count — 1, or `available_parallelism` with
+    /// `settings.parallel` — while every returned cost stays
+    /// bit-identical. For one session count it repeats run to run: chunk
+    /// k of a batch always goes to session k. Not serialized into
+    /// checkpoints: a resumed run restarts both counters at zero.
     pub delta_evals: usize,
     /// Cache misses answered by a full from-scratch evaluation (stateless
     /// objectives count every miss here).
@@ -156,7 +159,7 @@ impl EvalStats {
 /// A per-worker evaluation session of either objective kind.
 pub(crate) trait Session: Send {
     /// A scalar cost or an objective vector.
-    type Fitness: Clone + Default + Send;
+    type Fitness: Clone + Send;
     /// Fitness of a connected topology.
     fn evaluate(&mut self, t: &AdjacencyMatrix) -> Self::Fitness;
     /// The components the evaluation boundary checks.
@@ -265,6 +268,9 @@ pub struct GeneticAlgorithm<O: Objective> {
     /// Components every fitness must have: 1 for a scalar cost, K for
     /// an NSGA-II objective vector.
     pub(crate) width: usize,
+    /// Evaluation sessions, and executor threads, of a run:
+    /// [`GaSettings::workers`].
+    workers: usize,
 }
 
 impl<O: Objective> GeneticAlgorithm<O> {
@@ -281,7 +287,7 @@ impl<O: Objective> GeneticAlgorithm<O> {
     /// [`GaError::InvalidSettings`] instead of aborting the process.
     pub fn try_new(objective: O, settings: GaSettings) -> Result<Self, GaError> {
         settings.validate().map_err(GaError::InvalidSettings)?;
-        Ok(Self { objective, settings, width: 1 })
+        Ok(Self { objective, settings, width: 1, workers: settings.workers() })
     }
 
     /// The settings in use.
@@ -468,6 +474,30 @@ impl<O: Objective> GeneticAlgorithm<O> {
         resume: Option<RunState<S::Fitness>>,
         survival: &mut V,
         open: impl Fn() -> S,
+        observer: Option<&mut dyn GenerationObserver>,
+        on_commit: impl FnMut(&RunState<S::Fitness>),
+    ) -> Result<RunState<S::Fitness>, GaError>
+    where
+        S: Session,
+        V: Survival<Fitness = S::Fitness>,
+    {
+        // One evaluation session per worker, kept alive across generations
+        // so stateful objectives (delta evaluators) can carry routing state
+        // from parents to offspring, and one executor of as many threads
+        // for the whole run.
+        let sessions = (0..self.workers).map(|_| open()).collect();
+        with_pool(sessions, |pool| {
+            self.generations(init, resume, survival, pool, observer, on_commit)
+        })
+    }
+
+    /// [`evolve`](Self::evolve)'s loop, evaluating on `pool`.
+    fn generations<S, V>(
+        &self,
+        init: InitMode<'_>,
+        resume: Option<RunState<S::Fitness>>,
+        survival: &mut V,
+        pool: &Pool<'_, '_, S>,
         mut observer: Option<&mut dyn GenerationObserver>,
         mut on_commit: impl FnMut(&RunState<S::Fitness>),
     ) -> Result<RunState<S::Fitness>, GaError>
@@ -475,16 +505,6 @@ impl<O: Objective> GeneticAlgorithm<O> {
         S: Session,
         V: Survival<Fitness = S::Fitness>,
     {
-        // One evaluation session per worker thread, kept alive across
-        // generations so stateful objectives (delta evaluators) can carry
-        // routing state from parents to offspring.
-        let workers = if self.settings.parallel {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-        } else {
-            1
-        };
-        let mut sessions: Vec<S> = (0..workers).map(|_| open()).collect();
-
         // Candidate-link pruning: the sorted pair-index universe link
         // mutation may add from. A pair qualifies when either endpoint is
         // among the other's k nearest (the relation is not symmetric).
@@ -538,8 +558,7 @@ impl<O: Objective> GeneticAlgorithm<O> {
                 if let Some(start) = seed_start {
                     cold_obs::observe_seconds("ga.seed_seconds", start.elapsed().as_secs_f64());
                 }
-                let fitness =
-                    self.evaluate_all(&topologies, &mut sessions, cache.as_mut(), &mut stats)?;
+                let fitness = self.evaluate_all(&topologies, pool, cache.as_mut(), &mut stats)?;
                 let population = survival.survive(Vec::new(), topologies, fitness);
                 RunState {
                     rng,
@@ -602,8 +621,7 @@ impl<O: Objective> GeneticAlgorithm<O> {
             let repair_seconds = repair_start.map_or(0.0, |s| s.elapsed().as_secs_f64());
             cold_obs::observe_seconds("ga.breed_seconds", breed_seconds);
             cold_obs::observe_seconds("ga.repair_seconds", repair_seconds);
-            let fitness =
-                self.evaluate_all(&children, &mut sessions, run.cache.as_mut(), &mut run.stats)?;
+            let fitness = self.evaluate_all(&children, pool, run.cache.as_mut(), &mut run.stats)?;
 
             run.population =
                 survival.survive(std::mem::take(&mut run.population), children, fitness);
@@ -705,7 +723,7 @@ impl<O: Objective> GeneticAlgorithm<O> {
     fn evaluate_all<S: Session>(
         &self,
         topologies: &[AdjacencyMatrix],
-        sessions: &mut [S],
+        pool: &Pool<'_, '_, S>,
         cache: Option<&mut HashMap<AdjacencyMatrix, S::Fitness>>,
         stats: &mut EvalStats,
     ) -> Result<Vec<S::Fitness>, GaError> {
@@ -714,7 +732,7 @@ impl<O: Objective> GeneticAlgorithm<O> {
             let Some(cache) = cache else {
                 stats.cache_misses += topologies.len();
                 let all: Vec<&AdjacencyMatrix> = topologies.iter().collect();
-                return self.evaluate_batch(&all, sessions, stats);
+                return self.evaluate_batch(&all, pool, stats);
             };
             // Resolve each request to Ok(cached fitness) or Err(index into
             // the unique pending list).
@@ -737,7 +755,7 @@ impl<O: Objective> GeneticAlgorithm<O> {
                     }
                 })
                 .collect();
-            let fresh = self.evaluate_batch(&pending, sessions, stats)?;
+            let fresh = self.evaluate_batch(&pending, pool, stats)?;
             for (t, f) in pending.iter().zip(&fresh) {
                 cache.insert((*t).clone(), f.clone());
             }
@@ -751,14 +769,21 @@ impl<O: Objective> GeneticAlgorithm<O> {
         })();
         // Session counters are cumulative; publish the current totals so
         // checkpoints and per-generation records see a consistent split.
-        stats.delta_evals = sessions.iter().map(|s| s.counts().0).sum();
-        stats.full_evals = sessions.iter().map(|s| s.counts().1).sum();
-        stats.arcs_scanned = sessions.iter().map(|s| s.counts().2).sum();
+        let counts: Vec<_> = pool.sessions.iter().map(|s| lock(s).counts()).collect();
+        stats.delta_evals = counts.iter().map(|c| c.0).sum();
+        stats.full_evals = counts.iter().map(|c| c.1).sum();
+        stats.arcs_scanned = counts.iter().map(|c| c.2).sum();
         result
     }
 
-    /// Runs the objective over `batch`, in parallel when configured, adding
-    /// the elapsed wall-clock time to `stats.eval_seconds`.
+    /// Runs the objective over `batch` on `pool`, adding the elapsed
+    /// wall-clock time to `stats.eval_seconds`.
+    ///
+    /// A batch of four or more on several sessions is cut into chunks of
+    /// `ceil(len / min(sessions, len))`, and chunk k is always evaluated
+    /// by session k, on whichever executor thread is free. So each
+    /// session sees the same candidates in the same order on every run,
+    /// and its delta/full split repeats with it.
     ///
     /// Every fitness is checked here — the single boundary all
     /// evaluations pass through: it must have the engine's width, and a
@@ -768,40 +793,30 @@ impl<O: Objective> GeneticAlgorithm<O> {
     fn evaluate_batch<S: Session>(
         &self,
         batch: &[&AdjacencyMatrix],
-        sessions: &mut [S],
+        pool: &Pool<'_, '_, S>,
         stats: &mut EvalStats,
     ) -> Result<Vec<S::Fitness>, GaError> {
         let _batch_timer = cold_obs::timer("ga.evaluate_batch");
         let start = Instant::now();
-        let fitness = if !self.settings.parallel || batch.len() < 4 || sessions.len() == 1 {
-            let session = &mut sessions[0];
+        let sessions = pool.sessions;
+        let fitness: Vec<S::Fitness> = if batch.len() < 4 || sessions.len() == 1 {
+            let session = &mut *lock(&sessions[0]);
             batch.iter().map(|t| session.evaluate(t)).collect()
         } else {
-            let workers = sessions.len().min(batch.len());
-            let mut fitness = vec![S::Fitness::default(); batch.len()];
-            let chunk = batch.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = fitness
-                    .chunks_mut(chunk)
-                    .zip(batch.chunks(chunk))
-                    .zip(sessions.iter_mut())
-                    .map(|((slot, topos), session)| {
-                        scope.spawn(move || {
-                            for (f, t) in slot.iter_mut().zip(topos) {
-                                *f = session.evaluate(t);
-                            }
-                        })
-                    })
-                    .collect();
-                // A worker's panic goes on with its own payload, so the
-                // objective's message reaches whoever contains the panic.
-                for worker in workers {
-                    if let Err(payload) = worker.join() {
-                        std::panic::resume_unwind(payload);
-                    }
-                }
+            let chunk = batch.len().div_ceil(sessions.len().min(batch.len()));
+            // The executor's threads outlive this batch, so they get it
+            // by value.
+            let owned: Arc<[AdjacencyMatrix]> = batch.iter().map(|&t| t.clone()).collect();
+            let chunks = owned.len().div_ceil(chunk);
+            let evaluated = pool.exec.map(chunks, move |_, k| {
+                let session = &mut *lock(&sessions[k]);
+                owned[k * chunk..]
+                    .iter()
+                    .take(chunk)
+                    .map(|t| session.evaluate(t))
+                    .collect::<Vec<_>>()
             });
-            fitness
+            evaluated.into_iter().flatten().collect()
         };
         stats.eval_seconds += start.elapsed().as_secs_f64();
         for (batch_index, f) in fitness.iter().enumerate() {
@@ -823,6 +838,24 @@ impl<O: Objective> GeneticAlgorithm<O> {
         }
         Ok(fitness)
     }
+}
+
+/// The run's evaluation sessions and the executor their batches run on.
+struct Pool<'a, 'env, S> {
+    exec: &'a Executor<'env>,
+    sessions: &'env [Mutex<S>],
+}
+
+/// Runs `f` with `sessions` on an executor of one thread per session.
+fn with_pool<S: Session, T>(sessions: Vec<S>, f: impl FnOnce(&Pool<'_, '_, S>) -> T) -> T {
+    let sessions: Vec<Mutex<S>> = sessions.into_iter().map(Mutex::new).collect();
+    with_executor(sessions.len(), |exec| f(&Pool { exec, sessions: &sessions }))
+}
+
+/// Session `s`, which only an earlier panic of its own can have poisoned;
+/// that panic ends the run.
+fn lock<S>(s: &Mutex<S>) -> MutexGuard<'_, S> {
+    s.lock().expect("a session is never used after its evaluation panicked")
 }
 
 /// Builds the telemetry record for a just-selected generation. Read-only
@@ -865,7 +898,7 @@ fn generation_record<V: Survival>(
 mod tests {
     use super::*;
     use crate::settings::EarlyStop;
-    use crate::test_objective::LineObjective;
+    use crate::test_objective::{AnchoredLine, LineObjective};
     use cold_graph::components::matrix_is_connected;
 
     fn engine(n: usize, k0: f64, k1: f64, k3: f64, seed: u64) -> GeneticAlgorithm<LineObjective> {
@@ -1010,25 +1043,26 @@ mod tests {
         let a = AdjacencyMatrix::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
         let b = AdjacencyMatrix::complete(5);
         let batch = vec![a.clone(), a.clone(), b.clone(), a.clone()];
-        let mut sessions = vec![ga.objective().session()];
         let mut cache = Some(std::collections::HashMap::new());
         let mut stats = EvalStats::default();
-        let costs = ga.evaluate_all(&batch, &mut sessions, cache.as_mut(), &mut stats).unwrap();
-        assert_eq!(obj.calls.load(AtomicOrdering::Relaxed), 2, "a and b each routed once");
-        assert_eq!(costs[0], costs[1]);
-        assert_eq!(costs[1], costs[3]);
-        assert_eq!(stats.requested, 4);
-        assert_eq!(stats.cache_hits, 2);
-        assert_eq!(stats.cache_misses, 2);
-        assert_eq!(stats.full_evals, 2, "stateless sessions answer every miss in full");
-        assert_eq!(stats.delta_evals, 0);
-        // A second identical batch is served entirely from the cache.
-        let again = ga.evaluate_all(&batch, &mut sessions, cache.as_mut(), &mut stats).unwrap();
-        assert_eq!(again, costs);
-        assert_eq!(obj.calls.load(AtomicOrdering::Relaxed), 2);
-        assert_eq!(stats.cache_hits, 6);
-        assert_eq!(stats.cache_misses, 2);
-        assert_eq!(stats.full_evals, 2);
+        with_pool(vec![ga.objective().session()], |pool| {
+            let costs = ga.evaluate_all(&batch, pool, cache.as_mut(), &mut stats).unwrap();
+            assert_eq!(obj.calls.load(AtomicOrdering::Relaxed), 2, "a and b each routed once");
+            assert_eq!(costs[0], costs[1]);
+            assert_eq!(costs[1], costs[3]);
+            assert_eq!(stats.requested, 4);
+            assert_eq!(stats.cache_hits, 2);
+            assert_eq!(stats.cache_misses, 2);
+            assert_eq!(stats.full_evals, 2, "stateless sessions answer every miss in full");
+            assert_eq!(stats.delta_evals, 0);
+            // A second identical batch is served entirely from the cache.
+            let again = ga.evaluate_all(&batch, pool, cache.as_mut(), &mut stats).unwrap();
+            assert_eq!(again, costs);
+            assert_eq!(obj.calls.load(AtomicOrdering::Relaxed), 2);
+            assert_eq!(stats.cache_hits, 6);
+            assert_eq!(stats.cache_misses, 2);
+            assert_eq!(stats.full_evals, 2);
+        });
     }
 
     #[test]
@@ -1330,9 +1364,9 @@ mod tests {
         let ga = GeneticAlgorithm::new(PanickingObjective, settings);
         let complete = AdjacencyMatrix::complete(6);
         let batch = vec![&complete; 4];
-        let mut sessions = vec![ga.objective.session(), ga.objective.session()];
+        let sessions = vec![ga.objective.session(), ga.objective.session()];
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ga.evaluate_batch(&batch, &mut sessions, &mut EvalStats::default())
+            with_pool(sessions, |pool| ga.evaluate_batch(&batch, pool, &mut EvalStats::default()))
         }))
         .expect_err("the batch panics");
         let message = payload.downcast_ref::<String>().expect("a formatted panic message");
@@ -1548,6 +1582,57 @@ mod tests {
         s.fitness_cache = true;
         let r = GeneticAlgorithm::new(LineObjective { n: 12, k0: 2.7, k1: 1.3, k3: 7.9 }, s).run();
         assert_eq!(pinned(&r), (HISTORY.to_vec(), [1320, 878, 442, 40], StopReason::Completed));
+    }
+
+    #[test]
+    fn parallel_eval_stats_are_pinned_and_repeat() {
+        let run = |workers| {
+            let mut s = GaSettings::quick(29);
+            s.parallel = true;
+            s.fitness_cache = true;
+            let mut ga = GeneticAlgorithm::new(AnchoredLine(pin_objective()), s);
+            ga.workers = workers;
+            EvalStats { eval_seconds: 0.0, ..ga.run().eval_stats }
+        };
+        // The engine that spawned threads per batch gave these on a
+        // two-core host: chunk k of a batch still goes to session k.
+        let two = run(2);
+        let pinned = EvalStats {
+            requested: 1320,
+            cache_hits: 881,
+            cache_misses: 439,
+            eval_seconds: 0.0,
+            delta_evals: 53,
+            full_evals: 386,
+            arcs_scanned: 11392,
+        };
+        assert_eq!(two, pinned);
+        assert_eq!(run(2), two);
+        assert_eq!(run(3), run(3));
+        assert_ne!(run(1), two, "the split shows which session saw which candidate");
+    }
+
+    #[test]
+    fn batches_smaller_than_the_session_count_go_to_the_first_sessions() {
+        let ga = engine(9, 1.0, 1.0, 1.0, 3);
+        let t = AdjacencyMatrix::complete(9);
+        let expected = ga.objective().cost(&t);
+        for len in 0..=6 {
+            let batch = vec![&t; len];
+            let sessions = (0..8).map(|_| ga.objective().session()).collect();
+            with_pool(sessions, |pool| {
+                let costs = ga.evaluate_batch(&batch, pool, &mut EvalStats::default()).unwrap();
+                assert_eq!(costs, vec![expected; len]);
+                let per_session: Vec<usize> =
+                    pool.sessions.iter().map(|s| lock(s).counts().1).collect();
+                // Below four candidates one session takes them all; from
+                // four on, min(8, len) chunks of one go to sessions 0..len.
+                let busy = if len < 4 { len.min(1) } else { len };
+                let each = if len < 4 { len } else { 1 };
+                let want: Vec<usize> = (0..8).map(|k| if k < busy { each } else { 0 }).collect();
+                assert_eq!(per_session, want, "a batch of {len}");
+            });
+        }
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //!   "leaf-ification" ([`mutation`]);
 //! - disconnected offspring are repaired with an inter-component MST
 //!   ([`repair`], §4.1.3);
-//! - the generational loop with elitism and (optional, scoped-thread)
-//!   parallel fitness evaluation lives in [`engine`].
+//! - the generational loop with elitism and (optional) parallel fitness
+//!   evaluation, on one `cold_graph::executor` per run, lives in
+//!   [`engine`].
 //!
 //! There is one generational loop. The scalar GA ([`GeneticAlgorithm`])
 //! and multi-objective NSGA-II ([`ParetoGa`], in [`pareto`]) run it with
@@ -198,7 +199,7 @@ impl<O: Objective + ?Sized> Objective for &O {
 
 #[cfg(test)]
 pub(crate) mod test_objective {
-    use super::Objective;
+    use super::{Objective, ObjectiveSession};
     use cold_graph::AdjacencyMatrix;
 
     /// A cheap deterministic objective for engine tests: nodes on a line,
@@ -225,6 +226,65 @@ pub(crate) mod test_objective {
             }
             c += self.k3 * topo.degrees().iter().filter(|&&d| d > 1).count() as f64;
             c
+        }
+    }
+
+    /// [`LineObjective`] with sessions that work like a routing session
+    /// repairing its anchor: a candidate within four pairs of the
+    /// session's previous one counts as a delta evaluation scanning one
+    /// arc per changed pair, any other as a full one scanning two arcs
+    /// per edge. So the counters depend on which session sees which
+    /// candidates, in which order, and costs do not.
+    pub struct AnchoredLine(pub LineObjective);
+
+    impl Objective for AnchoredLine {
+        fn n(&self) -> usize {
+            self.0.n
+        }
+        fn distance(&self, u: usize, v: usize) -> f64 {
+            self.0.distance(u, v)
+        }
+        fn cost(&self, topo: &AdjacencyMatrix) -> f64 {
+            self.0.cost(topo)
+        }
+        fn session(&self) -> Box<dyn ObjectiveSession + '_> {
+            Box::new(AnchoredSession { objective: &self.0, last: None, counts: (0, 0, 0) })
+        }
+    }
+
+    struct AnchoredSession<'a> {
+        objective: &'a LineObjective,
+        last: Option<AdjacencyMatrix>,
+        /// Delta evaluations, full evaluations, arcs scanned.
+        counts: (usize, usize, u64),
+    }
+
+    impl ObjectiveSession for AnchoredSession<'_> {
+        fn cost(&mut self, topo: &AdjacencyMatrix, _base: Option<&AdjacencyMatrix>) -> f64 {
+            let flips = self.last.as_ref().map(|last| -> u32 {
+                last.words().iter().zip(topo.words()).map(|(a, b)| (a ^ b).count_ones()).sum()
+            });
+            match flips {
+                Some(flips) if flips <= 4 => {
+                    self.counts.0 += 1;
+                    self.counts.2 += u64::from(flips);
+                }
+                _ => {
+                    self.counts.1 += 1;
+                    self.counts.2 += 2 * topo.edge_count() as u64;
+                }
+            }
+            self.last = Some(topo.clone());
+            self.objective.cost(topo)
+        }
+        fn delta_evals(&self) -> usize {
+            self.counts.0
+        }
+        fn full_evals(&self) -> usize {
+            self.counts.1
+        }
+        fn arcs_scanned(&self) -> u64 {
+            self.counts.2
         }
     }
 }

@@ -44,7 +44,8 @@ pub struct GaSettings {
     /// Master RNG seed. The run is a pure function of
     /// `(objective, settings, seeds)`.
     pub seed: u64,
-    /// Evaluate fitness in parallel with scoped threads.
+    /// Evaluate fitness on [`workers`](Self::workers) threads: one
+    /// executor (`cold_graph::executor`) for the whole run.
     pub parallel: bool,
     /// Memoize fitness by chromosome (adjacency bitset), so duplicate
     /// offspring — common once the population starts converging — are never
@@ -87,6 +88,16 @@ pub struct EarlyStop {
 }
 
 impl GaSettings {
+    /// Threads a run (and its trial's heuristic seeding) works on:
+    /// `available_parallelism` when [`parallel`](Self::parallel), else 1.
+    pub fn workers(&self) -> usize {
+        if self.parallel {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        } else {
+            1
+        }
+    }
+
     /// The paper's configuration: `T = M = 100`, `a = 2, b = 10`.
     pub fn paper_default(seed: u64) -> Self {
         Self {

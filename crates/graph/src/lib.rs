@@ -25,6 +25,8 @@
 //!   (Figs 1–2, §2).
 //! - [`enumerate`]: exhaustive enumeration of labeled (connected) graphs for
 //!   the brute-force optimality checks of §5.
+//! - [`executor`]: the scoped helper threads of one call, on which the
+//!   §5 heuristics and the GA's fitness batches run their tasks.
 //!
 //! Node identifiers are plain `usize` indices `0..n`. All graphs are simple
 //! (no self-loops, no multi-edges) and undirected, matching the paper's
@@ -38,6 +40,7 @@ pub mod canonical;
 pub mod components;
 pub mod connectivity;
 pub mod enumerate;
+pub mod executor;
 pub mod graph;
 pub mod metrics;
 pub mod mst;

@@ -24,12 +24,15 @@ fn clique_links(hubs: &[usize]) -> Vec<(usize, usize)> {
 pub fn complete_heuristic(eval: &CostEvaluator<'_>) -> HeuristicResult {
     let mut session = DeltaEval::new(eval.ctx, eval.params);
     let star = best_single_hub(&mut session);
-    from_star(&mut session, &star)
+    HeuristicResult::of(eval.ctx, from_star(&mut session, &star))
 }
 
-/// The Complete heuristic from the best single-hub `star`, priced through
-/// `session`.
-pub(crate) fn from_star(session: &mut DeltaEval<'_>, star: &(HubNetwork, f64)) -> HeuristicResult {
+/// The Complete heuristic's local optimum from the best single-hub
+/// `star`, priced through `session`.
+pub(crate) fn from_star(
+    session: &mut DeltaEval<'_>,
+    star: &(HubNetwork, f64),
+) -> (HubNetwork, f64) {
     let (mut net, mut cost) = star.clone();
     loop {
         let mut best: Option<(usize, f64)> = None;
@@ -51,8 +54,7 @@ pub(crate) fn from_star(session: &mut DeltaEval<'_>, star: &(HubNetwork, f64)) -
             None => break,
         }
     }
-    let topology = net.to_matrix(session.ctx().distance_fn());
-    HeuristicResult { topology, cost }
+    (net, cost)
 }
 
 #[cfg(test)]

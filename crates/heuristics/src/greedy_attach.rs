@@ -59,12 +59,15 @@ fn with_link(links: &[(usize, usize)], a: usize, b: usize) -> Vec<(usize, usize)
 pub fn greedy_attachment(eval: &CostEvaluator<'_>) -> HeuristicResult {
     let mut session = DeltaEval::new(eval.ctx, eval.params);
     let star = best_single_hub(&mut session);
-    from_star(&mut session, &star)
+    HeuristicResult::of(eval.ctx, from_star(&mut session, &star))
 }
 
-/// The Greedy-attachment heuristic from the best single-hub `star`, priced
-/// through `session`.
-pub(crate) fn from_star(session: &mut DeltaEval<'_>, star: &(HubNetwork, f64)) -> HeuristicResult {
+/// The Greedy-attachment heuristic's local optimum from the best
+/// single-hub `star`, priced through `session`.
+pub(crate) fn from_star(
+    session: &mut DeltaEval<'_>,
+    star: &(HubNetwork, f64),
+) -> (HubNetwork, f64) {
     let (mut net, mut cost) = star.clone();
     loop {
         let mut best: Option<(HubNetwork, f64)> = None;
@@ -84,8 +87,7 @@ pub(crate) fn from_star(session: &mut DeltaEval<'_>, star: &(HubNetwork, f64)) -
             None => break,
         }
     }
-    let topology = net.to_matrix(session.ctx().distance_fn());
-    HeuristicResult { topology, cost }
+    (net, cost)
 }
 
 #[cfg(test)]

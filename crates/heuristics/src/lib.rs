@@ -23,9 +23,11 @@
 //! session, bit-identical to [`CostEvaluator::cost`]: a candidate is one
 //! promotion or one link away from a network priced shortly before, so
 //! the session's anchor pool answers most of them by repairing that
-//! network's routing. [`all_heuristics`] runs all four through one
-//! session and computes the best single-hub star they all start from
-//! once; each standalone function opens its own session.
+//! network's routing. [`all_heuristics_on`] computes the best single-hub
+//! star they all start from once, then runs every random-greedy
+//! permutation and the other three heuristics as tasks on one
+//! [`cold_graph::executor`], each worker pricing through its own session;
+//! each standalone function opens one session of its own.
 //!
 //! [`brute_force`] provides the exact optimum for small `n` — the paper's
 //! ground-truth check that the GA "always finds the real optimal solution"
@@ -50,8 +52,11 @@ pub use hub_state::HubNetwork;
 pub use mst_hubs::mst_heuristic;
 pub use random_greedy::{random_greedy, RandomGreedyConfig};
 
+use cold_context::Context;
 use cold_cost::{CostEvaluator, DeltaEval};
+use cold_graph::executor::with_executor;
 use cold_graph::AdjacencyMatrix;
+use std::sync::Mutex;
 
 /// A heuristic's output: the topology it found and its cost.
 #[derive(Debug, Clone)]
@@ -62,22 +67,90 @@ pub struct HeuristicResult {
     pub cost: f64,
 }
 
-/// Runs all four greedy heuristics and returns their results, keyed for
-/// reporting. The order matches Fig 3's legend: random greedy, complete,
-/// mst, greedy attachment. They share one evaluation session and one
-/// best single-hub star; every result is bit-identical to running the
-/// four standalone functions.
+impl HeuristicResult {
+    /// A heuristic's hub network, materialized, with its cost.
+    fn of(ctx: &Context, (net, cost): (HubNetwork, f64)) -> Self {
+        Self { topology: net.to_matrix(ctx.distance_fn()), cost }
+    }
+}
+
+/// Runs all four greedy heuristics on one thread and returns their
+/// results, keyed for reporting: [`all_heuristics_on`] with one worker.
 pub fn all_heuristics(
     eval: &CostEvaluator<'_>,
     random_greedy_cfg: &RandomGreedyConfig,
     seed: u64,
 ) -> Vec<(&'static str, HeuristicResult)> {
-    let mut session = DeltaEval::new(eval.ctx, eval.params);
-    let star = hub_state::best_single_hub(&mut session);
+    all_heuristics_on(eval, random_greedy_cfg, seed, 1)
+}
+
+/// One unit of [`all_heuristics_on`]'s work.
+#[derive(Debug, Clone, Copy)]
+enum Task {
+    /// Random greedy's pass over permutation `k`.
+    Pass(usize),
+    Complete,
+    Mst,
+    GreedyAttachment,
+}
+
+/// Runs all four greedy heuristics as tasks on an executor of `workers`
+/// threads and returns their results, keyed for reporting. The order
+/// matches Fig 3's legend: random greedy, complete, mst, greedy
+/// attachment.
+///
+/// The best single-hub star they all start from is computed once, and
+/// random greedy's permutations are drawn up front from its seed. Each
+/// permutation's pass, complete, mst and greedy attachment is then one
+/// task, priced through its worker's own [`DeltaEval`] session; with
+/// several workers the longest, greedy attachment, goes first. The best
+/// pass is picked in permutation order, so every result is bit-identical
+/// to the four standalone functions whatever the worker count. With one
+/// worker the tasks run in Fig 3's order on one session.
+pub fn all_heuristics_on(
+    eval: &CostEvaluator<'_>,
+    random_greedy_cfg: &RandomGreedyConfig,
+    seed: u64,
+    workers: usize,
+) -> Vec<(&'static str, HeuristicResult)> {
+    let workers = workers.max(1);
+    let mut sessions: Vec<Mutex<DeltaEval<'_>>> =
+        (0..workers).map(|_| Mutex::new(DeltaEval::new(eval.ctx, eval.params))).collect();
+    let star = hub_state::best_single_hub(sessions[0].get_mut().expect("no task ran yet"));
+    let perms = random_greedy::permutations(eval.ctx.n(), random_greedy_cfg, seed);
+    let passes = (0..perms.len()).map(Task::Pass);
+    let tasks: Vec<Task> = if workers == 1 {
+        passes.chain([Task::Complete, Task::Mst, Task::GreedyAttachment]).collect()
+    } else {
+        [Task::GreedyAttachment, Task::Complete, Task::Mst].into_iter().chain(passes).collect()
+    };
+    let (sessions, star, perms, order) = (&sessions, &star, &perms, &tasks);
+    let found = with_executor(workers, |exec| {
+        exec.map(order.len(), move |worker, k| {
+            let session = &mut *sessions[worker].lock().expect("a worker's session is its own");
+            match order[k] {
+                Task::Pass(p) => random_greedy::one_pass(session, star, &perms[p]),
+                Task::Complete => complete::from_star(session, star),
+                Task::Mst => mst_hubs::from_star(session, star),
+                Task::GreedyAttachment => greedy_attach::from_star(session, star),
+            }
+        })
+    });
+    let mut passes = Vec::with_capacity(perms.len());
+    let [mut complete, mut mst, mut greedy] = [None, None, None];
+    for (task, result) in tasks.into_iter().zip(found) {
+        match task {
+            Task::Pass(_) => passes.push(result),
+            Task::Complete => complete = Some(result),
+            Task::Mst => mst = Some(result),
+            Task::GreedyAttachment => greedy = Some(result),
+        }
+    }
+    let single = |found: Option<_>| HeuristicResult::of(eval.ctx, found.expect("one task each"));
     vec![
-        ("random greedy", random_greedy::from_star(&mut session, &star, random_greedy_cfg, seed)),
-        ("complete", complete::from_star(&mut session, &star)),
-        ("mst", mst_hubs::from_star(&mut session, &star)),
-        ("greedy attachment", greedy_attach::from_star(&mut session, &star)),
+        ("random greedy", HeuristicResult::of(eval.ctx, random_greedy::best_pass(passes))),
+        ("complete", single(complete)),
+        ("mst", single(mst)),
+        ("greedy attachment", single(greedy)),
     ]
 }

@@ -27,12 +27,15 @@ fn mst_links(hubs: &[usize], dist: impl Fn(usize, usize) -> f64) -> Vec<(usize, 
 pub fn mst_heuristic(eval: &CostEvaluator<'_>) -> HeuristicResult {
     let mut session = DeltaEval::new(eval.ctx, eval.params);
     let star = best_single_hub(&mut session);
-    from_star(&mut session, &star)
+    HeuristicResult::of(eval.ctx, from_star(&mut session, &star))
 }
 
-/// The MST heuristic from the best single-hub `star`, priced through
-/// `session`.
-pub(crate) fn from_star(session: &mut DeltaEval<'_>, star: &(HubNetwork, f64)) -> HeuristicResult {
+/// The MST heuristic's local optimum from the best single-hub `star`,
+/// priced through `session`.
+pub(crate) fn from_star(
+    session: &mut DeltaEval<'_>,
+    star: &(HubNetwork, f64),
+) -> (HubNetwork, f64) {
     let ctx = session.ctx();
     let dist = |u: usize, v: usize| ctx.distance(u, v);
     let (mut net, mut cost) = star.clone();
@@ -58,8 +61,7 @@ pub(crate) fn from_star(session: &mut DeltaEval<'_>, star: &(HubNetwork, f64)) -
             None => break,
         }
     }
-    let topology = net.to_matrix(dist);
-    HeuristicResult { topology, cost }
+    (net, cost)
 }
 
 #[cfg(test)]

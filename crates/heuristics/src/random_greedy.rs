@@ -31,7 +31,7 @@ impl Default for RandomGreedyConfig {
 
 /// One pass over a fixed permutation, starting from the best single-hub
 /// `star`.
-fn one_pass(
+pub(crate) fn one_pass(
     session: &mut DeltaEval<'_>,
     star: &(HubNetwork, f64),
     perm: &[usize],
@@ -52,6 +52,33 @@ fn one_pass(
     (net, cost)
 }
 
+/// The `config.permutations` node orders of `n` nodes that Random Greedy
+/// tries, drawn in turn from `seed`'s stream.
+pub(crate) fn permutations(n: usize, config: &RandomGreedyConfig, seed: u64) -> Vec<Vec<usize>> {
+    assert!(config.permutations >= 1, "need at least one permutation");
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..config.permutations)
+        .map(|_| {
+            let mut perm: Vec<usize> = (0..n).collect();
+            // Fisher–Yates shuffle.
+            for i in (1..n).rev() {
+                let j = rng.gen_range(0..=i);
+                perm.swap(i, j);
+            }
+            perm
+        })
+        .collect()
+}
+
+/// The best of the passes, taken in permutation order: a later pass wins
+/// only when strictly cheaper.
+pub(crate) fn best_pass(passes: impl IntoIterator<Item = (HubNetwork, f64)>) -> (HubNetwork, f64) {
+    passes
+        .into_iter()
+        .reduce(|best, pass| if pass.1 < best.1 { pass } else { best })
+        .expect("at least one permutation ran")
+}
+
 /// Runs Random Greedy over `config.permutations` random permutations.
 pub fn random_greedy(
     eval: &CostEvaluator<'_>,
@@ -60,35 +87,9 @@ pub fn random_greedy(
 ) -> HeuristicResult {
     let mut session = DeltaEval::new(eval.ctx, eval.params);
     let star = best_single_hub(&mut session);
-    from_star(&mut session, &star, config, seed)
-}
-
-/// Random Greedy from the best single-hub `star`, priced through
-/// `session`.
-pub(crate) fn from_star(
-    session: &mut DeltaEval<'_>,
-    star: &(HubNetwork, f64),
-    config: &RandomGreedyConfig,
-    seed: u64,
-) -> HeuristicResult {
-    assert!(config.permutations >= 1, "need at least one permutation");
-    let n = session.ctx().n();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut best: Option<(HubNetwork, f64)> = None;
-    for _ in 0..config.permutations {
-        let mut perm: Vec<usize> = (0..n).collect();
-        // Fisher–Yates shuffle.
-        for i in (1..n).rev() {
-            let j = rng.gen_range(0..=i);
-            perm.swap(i, j);
-        }
-        let (net, cost) = one_pass(session, star, &perm);
-        if best.as_ref().is_none_or(|(_, bc)| cost < *bc) {
-            best = Some((net, cost));
-        }
-    }
-    let (net, cost) = best.expect("at least one permutation ran");
-    HeuristicResult { topology: net.to_matrix(session.ctx().distance_fn()), cost }
+    let perms = permutations(eval.ctx.n(), config, seed);
+    let best = best_pass(perms.iter().map(|perm| one_pass(&mut session, &star, perm)));
+    HeuristicResult::of(eval.ctx, best)
 }
 
 #[cfg(test)]

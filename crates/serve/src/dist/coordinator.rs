@@ -1169,6 +1169,25 @@ mod tests {
     }
 
     #[test]
+    fn an_edge_list_claiming_too_many_nodes_is_answered_error() {
+        let pool = test_pool(DistConfig::default());
+        let grant = leased(&pool);
+        let mut doc = engine_snapshots(grant.seed)[3].to_value();
+        let Some(Value::Array(population)) = doc.get_mut("population") else {
+            panic!("a population array");
+        };
+        let topology = population[0].get_mut("topology").expect("a chromosome");
+        *topology = serde_json::json!({"n": 8_589_934_592_u64, "edges": []});
+        let reply = pool.dispatch(Msg::TrialCheckpoint {
+            worker: "w1".into(),
+            lease: grant.lease.clone(),
+            snapshot: doc,
+        });
+        assert!(matches!(reply, Msg::Error { .. }), "{reply:?}");
+        assert_eq!(stored(&pool, &grant.lease), None, "nothing was stored");
+    }
+
+    #[test]
     fn uploads_for_a_revoked_lease_are_answered_lease_revoked() {
         let pool = test_pool(DistConfig {
             lease_deadline: Duration::from_millis(0),
