@@ -100,8 +100,7 @@ fn resume_ga(path: &PathBuf) {
     let options = RunOptions { resume, ..RunOptions::default() };
     let result = config
         .run_trial(TrialSpec::new(seed, TrialObjective::Cost), options)
-        .unwrap_or_else(|e| fail(&format!("resume failed: {e}")))
-        .into_single();
+        .unwrap_or_else(|e| fail(&format!("resume failed: {e}")));
     println!(
         "{}",
         serde_json::to_string(&trial_value(0, seed, &result)).expect("trial serializes")

@@ -24,8 +24,6 @@
 //! crash-recovery smoke test drives. See DESIGN.md §10.
 
 use cold::{export, Campaign, CampaignCheckpoint, ColdConfig, SynthesisMode, TrialObjective};
-use cold_context::Context;
-use cold_cost::Network;
 use std::path::PathBuf;
 
 #[derive(Debug)]
@@ -127,7 +125,8 @@ OPTIONS:
     --pareto            multi-objective mode: NSGA-II over build cost,
                         worst single-link-failure impact, and demand-
                         weighted mean path length; writes one JSON file
-                        per trial holding the whole Pareto front
+                        per trial holding the whole Pareto front (the
+                        crash-safety and deadline flags apply per front)
     --archive <N>       bound on the Pareto archive (with --pareto)
                         [default: 32]
     --journal <PATH>    write a JSONL run journal (per-generation traces)
@@ -144,9 +143,11 @@ CRASH SAFETY:
     --resume <PATH>         resume a killed campaign from its snapshot;
                             completed trials are rebuilt, not re-run, and
                             the ensemble matches an uninterrupted run
-    --halt-after <K>        exit with code 3 after K freshly synthesized
-                            trials, leaving the snapshot on disk (crash
-                            injection for recovery tests)
+    --halt-after <K>        exit with code 3 at the first snapshot that
+                            holds K freshly synthesized trials, leaving it
+                            on disk (crash injection for recovery tests);
+                            with none before the last trial, the run
+                            completes instead
 
 RUNTIME GUARDS:
     A failed trial (a panic, a non-finite cost, a deadline overrun) is
@@ -370,8 +371,6 @@ fn parse_args() -> Args {
         "--halt-after must be >= 1".into()
     } else if args.pareto && args.bridge_cost.is_some() {
         "--pareto cannot be combined with --bridge-cost".into()
-    } else if args.pareto && (args.campaign() || args.trial_deadline.is_some()) {
-        "--pareto covers the plain synthesis path only (no crash-safety or deadline flags)".into()
     } else if args.archive.is_some() && !args.pareto {
         "--archive requires --pareto".into()
     } else if args.archive == Some(0) {
@@ -386,47 +385,56 @@ fn parse_args() -> Args {
     usage_error(&why, USAGE)
 }
 
-/// Writes the chosen export format(s) for one synthesized network and
-/// prints the per-network summary line.
-fn export_network(args: &Args, i: usize, network: &Network, context: &Context, note: &str) {
+/// Writes trial `i`'s files and prints its summary line: the chosen
+/// export format(s) of its network, or with `--pareto` its whole front as
+/// one JSON document. A `--bridge-cost` line adds the survivability note.
+fn export_trial(args: &Args, i: usize, r: &cold::SynthesisResult) {
     let stem_seed = cold_context::rng::derive_seed(args.seed, i as u64);
-    let stem = args.out.join(format!("cold_n{}_seed{stem_seed:016x}", args.n));
-    let write = |ext: &str, body: String| {
-        let path = stem.with_extension(ext);
-        std::fs::write(&path, body).expect("write output file");
+    let say = |line: String| {
         if !args.quiet {
-            println!("wrote {}", path.display());
+            println!("{line}");
         }
     };
-    match args.format.as_str() {
-        "json" => write("json", export::to_json(network, context)),
-        "dot" => write("dot", export::to_dot(network, context)),
-        "graphml" => write("graphml", export::to_graphml(network, context)),
-        "svg" => write("svg", export::to_svg(network, context)),
-        "all" => {
-            write("json", export::to_json(network, context));
-            write("dot", export::to_dot(network, context));
-            write("graphml", export::to_graphml(network, context));
-            write("svg", export::to_svg(network, context));
+    if args.pareto {
+        let path = args.out.join(format!("cold_pareto_n{}_seed{stem_seed:016x}.json", args.n));
+        std::fs::write(&path, export::pareto_front_to_json(r)).expect("write output file");
+        say(format!("wrote {}", path.display()));
+        let (size, hv, gens) = (r.front.len(), r.hypervolume(), r.generations_run);
+        return say(format!(
+            "  front {i}: {size} networks, hypervolume {hv:.4}, {gens} generations"
+        ));
+    }
+    let (network, context) = (&r.network, &r.context);
+    let stem = args.out.join(format!("cold_n{}_seed{stem_seed:016x}", args.n));
+    let all = ["json", "dot", "graphml", "svg"];
+    for ext in all.into_iter().filter(|&ext| args.format == "all" || args.format == ext) {
+        let body = match ext {
+            "json" => export::to_json(network, context),
+            "dot" => export::to_dot(network, context),
+            "graphml" => export::to_graphml(network, context),
+            _ => export::to_svg(network, context),
+        };
+        let path = stem.with_extension(ext);
+        std::fs::write(&path, body).expect("write output file");
+        say(format!("wrote {}", path.display()));
+    }
+    let note = match args.bridge_cost {
+        Some(_) => {
+            let report = cold::resilience::survivability(&network.topology, context);
+            let (bridges, two) = (report.bridges, report.two_edge_connected);
+            format!(", bridges {bridges} (2-edge-connected: {two})")
         }
-        _ => unreachable!("validated in parse_args"),
-    }
-    if !args.quiet {
-        println!(
-            "  network {i}: {} PoPs, {} links, cost {:.1}{note}",
-            network.n(),
-            network.link_count(),
-            network.total_cost()
-        );
-    }
+        None => String::new(),
+    };
+    let (n, links, cost) = (network.n(), network.link_count(), network.total_cost());
+    say(format!("  network {i}: {n} PoPs, {links} links, cost {cost:.1}{note}"));
 }
 
-/// The trial loop of every run but `--pareto`: [`cold::run_campaign`]
-/// over a concurrent [`cold::LocalTrials`], with a snapshot file when a
-/// crash-safety flag is set. Export, the survivability note and
-/// `--halt-after` crash injection run in the per-trial hook, in trial
-/// order. Returns whether any trial's GA run stalled (for the exit-5
-/// path).
+/// The trial loop of every run: [`cold::run_campaign`] over a concurrent
+/// [`cold::LocalTrials`], with a snapshot file when a crash-safety flag
+/// is set. Export and `--halt-after` crash injection run in the
+/// per-trial hook, in trial order. Returns whether any trial's GA run
+/// stalled (for the exit-5 path).
 fn run_trials(args: &Args, campaign: &Campaign) -> bool {
     let ckpt_path = args.checkpoint_path();
     let every = args.checkpoint_every.unwrap_or(1);
@@ -457,20 +465,15 @@ fn run_trials(args: &Args, campaign: &Campaign) -> bool {
         None,
         |i, r: &cold::SynthesisResult| {
             stalled |= r.stop_reason == cold::StopReason::Stalled;
-            let note = match args.bridge_cost {
-                Some(_) => {
-                    let report = cold::resilience::survivability(&r.network.topology, &r.context);
-                    let (bridges, two) = (report.bridges, report.two_edge_connected);
-                    format!(", bridges {bridges} (2-edge-connected: {two})")
-                }
-                None => String::new(),
-            };
-            export_network(args, i, &r.network, &r.context, &note);
-            // Only freshly synthesized trials count toward --halt-after;
-            // the snapshot covering this trial is already on disk.
+            export_trial(args, i, r);
+            // Only freshly synthesized trials count toward --halt-after,
+            // and the halt waits for a snapshot that holds this trial: one
+            // on the cadence, which is already on disk. The last trial is
+            // never snapshotted, so a halt due there completes the run.
             if i >= rebuilt {
                 fresh += 1;
-                if Some(fresh) == args.halt_after {
+                let saved = (i + 1).is_multiple_of(every) && i + 1 < args.count;
+                if saved && args.halt_after.is_some_and(|k| fresh >= k) {
                     cold_obs::emit_metrics_snapshot();
                     eprintln!(
                         "halted after {fresh} fresh trial(s); resume with --resume {}",
@@ -499,39 +502,6 @@ fn run_trials(args: &Args, campaign: &Campaign) -> bool {
         cold_obs::emit_metrics_snapshot();
         let overran = outcome.failures.iter().any(|f| !f.recovered && overrun(&f.error));
         std::process::exit(if overran { 4 } else { 1 });
-    }
-    stalled
-}
-
-/// Multi-objective trial loop: one NSGA-II run per trial, the whole
-/// Pareto front written as a single JSON document.
-/// Runs `--pareto` synthesis, one front per `--count`; returns whether
-/// any run stalled (for the exit-5 path).
-fn run_pareto(args: &Args, cfg: &ColdConfig) -> bool {
-    let capacity = args.archive.unwrap_or(cold::pareto::DEFAULT_ARCHIVE_CAPACITY);
-    let mut stalled = false;
-    for i in 0..args.count {
-        let seed = cold_context::rng::derive_seed(args.seed, i as u64);
-        let r = match cold::try_synthesize_pareto(cfg, seed, capacity) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("cold-gen: pareto synthesis failed: {e}");
-                cold_obs::emit_metrics_snapshot();
-                std::process::exit(1);
-            }
-        };
-        let path = args.out.join(format!("cold_pareto_n{}_seed{seed:016x}.json", args.n));
-        std::fs::write(&path, export::pareto_front_to_json(&r)).expect("write output file");
-        if !args.quiet {
-            println!("wrote {}", path.display());
-            println!(
-                "  front {i}: {} networks, hypervolume {:.4}, {} generations",
-                r.front.len(),
-                r.hypervolume(),
-                r.generations_run
-            );
-        }
-        stalled |= r.stop_reason == cold::StopReason::Stalled;
     }
     stalled
 }
@@ -577,16 +547,19 @@ fn main() {
     if let Some(k) = args.mutation_neighbors {
         cfg.ga.mutation_neighbors = Some(k);
     }
-    let objective = match args.bridge_cost {
-        Some(bridge_cost) => TrialObjective::Resilient { bridge_cost },
-        None => TrialObjective::Cost,
+    let objective = match (args.bridge_cost, args.pareto) {
+        (Some(bridge_cost), _) => TrialObjective::Resilient { bridge_cost },
+        (None, true) => TrialObjective::Pareto {
+            archive: args.archive.unwrap_or(cold::pareto::DEFAULT_ARCHIVE_CAPACITY),
+        },
+        (None, false) => TrialObjective::Cost,
     };
     let campaign = Campaign { objective, ..Campaign::new(cfg, args.seed, args.count) };
     if let Err(e) = campaign.validate() {
         usage_error(&e.to_string(), USAGE);
     }
     std::fs::create_dir_all(&args.out).expect("create output directory");
-    let stalled = if args.pareto { run_pareto(&args, &cfg) } else { run_trials(&args, &campaign) };
+    let stalled = run_trials(&args, &campaign);
     // Close the journal (or progress stream) with a registry summary so
     // offline analysis sees where the wall-time went.
     cold_obs::emit_metrics_snapshot();

@@ -15,9 +15,12 @@
 //! previous snapshot intact, never a truncated one. See DESIGN.md §10.
 
 use crate::error::ColdError;
+use crate::evolve::ChangeCosts;
+use crate::pareto::ParetoFrontMember;
 use crate::synthesizer::{
     contain, run_attempt, AttemptOptions, ColdConfig, EnsembleOutcome, ProgressSink, RunOptions,
-    SynthesisResult, TrialFailure, TrialObjective, TrialRunner, TrialSpec, RETRY_SALT,
+    SynthesisResult, TrialFailure, TrialObjective, TrialRunner, TrialSpec, CONTEXT_SALT,
+    RETRY_SALT,
 };
 use cold_context::rng::derive_seed;
 use cold_cost::Network;
@@ -61,7 +64,18 @@ pub struct TrialRecord {
     /// Why the trial's GA run returned (completion, early stop, or the
     /// stall guard), serialized as its wire name.
     pub stop_reason: cold_ga::StopReason,
+    /// A Pareto trial's front. Empty for scalar trials, whose records
+    /// carry none of the three Pareto keys.
+    pub front: Vec<FrontRecord>,
+    /// A Pareto trial's archive hypervolume per generation.
+    pub hypervolume_history: Vec<f64>,
+    /// A Pareto trial's hypervolume reference point.
+    pub reference: Vec<f64>,
 }
+
+/// One Pareto front member of a [`TrialRecord`]: its edges, ascending,
+/// and its objective vector.
+pub type FrontRecord = (Vec<(usize, usize)>, Vec<f64>);
 
 impl TrialRecord {
     /// Distills a completed trial into its checkpointable form.
@@ -79,32 +93,43 @@ impl TrialRecord {
             repair_rate: r.repair_rate,
             generations_run: r.generations_run,
             stop_reason: r.stop_reason,
+            front: r
+                .front
+                .iter()
+                .map(|m| (m.network.topology.edges().collect(), m.objectives.clone()))
+                .collect(),
+            hypervolume_history: r.hypervolume_history.clone(),
+            reference: r.reference.clone(),
         }
     }
 
     /// Reconstructs the full [`SynthesisResult`] by re-deriving the
     /// deterministic parts: the context is regenerated from the seed, the
-    /// network rebuilt (capacities, routes, cost) from the stored edges,
-    /// and the statistics recomputed. Bit-identical to the original for
-    /// every deterministic field.
+    /// network and every front member rebuilt (capacities, routes, cost)
+    /// from the stored edges, and the statistics recomputed.
+    /// Bit-identical to the original for every deterministic field.
     ///
     /// # Errors
     /// [`ColdError::Checkpoint`] when the stored topology does not fit
     /// the config (node-count mismatch, invalid edge, disconnected).
     pub fn rebuild(&self, config: &ColdConfig) -> Result<SynthesisResult, ColdError> {
+        let fail = |why: String| ColdError::Checkpoint(format!("trial {}: {why}", self.trial));
         if self.n != config.context.n {
-            return Err(ColdError::Checkpoint(format!(
-                "trial {}: topology has {} nodes, config expects {}",
-                self.trial, self.n, config.context.n
-            )));
+            let n = config.context.n;
+            return Err(fail(format!("topology has {} nodes, config expects {n}", self.n)));
         }
-        let topology = AdjacencyMatrix::from_edges(self.n, &self.edges).map_err(|e| {
-            ColdError::Checkpoint(format!("trial {}: bad topology: {e:?}", self.trial))
-        })?;
-        let ctx = config.context.generate(derive_seed(self.seed, 0xC0));
-        let network = Network::build(topology, &ctx, config.params).map_err(|e| {
-            ColdError::Checkpoint(format!("trial {}: stored topology unusable: {e:?}", self.trial))
-        })?;
+        let ctx = config.context.generate(derive_seed(self.seed, CONTEXT_SALT));
+        let build = |edges: &[(usize, usize)]| {
+            let topology = AdjacencyMatrix::from_edges(self.n, edges)
+                .map_err(|e| fail(format!("bad topology: {e:?}")))?;
+            Network::build(topology, &ctx, config.params)
+                .map_err(|e| fail(format!("stored topology unusable: {e:?}")))
+        };
+        let network = build(&self.edges)?;
+        let member = |(edges, objectives): &FrontRecord| {
+            Ok(ParetoFrontMember { network: build(edges)?, objectives: objectives.clone() })
+        };
+        let front = self.front.iter().map(member).collect::<Result<_, ColdError>>()?;
         let stats = crate::stats::NetworkStats::compute(&network.graph())
             .expect("network built above is connected");
         Ok(SynthesisResult {
@@ -120,6 +145,9 @@ impl TrialRecord {
             repair_rate: self.repair_rate,
             generations_run: self.generations_run,
             stop_reason: self.stop_reason,
+            front,
+            hypervolume_history: self.hypervolume_history.clone(),
+            reference: self.reference.clone(),
         })
     }
 
@@ -127,19 +155,13 @@ impl TrialRecord {
     /// [`CampaignCheckpoint`], public so the distributed protocol can
     /// ship single trial results over the wire.
     pub fn to_value(&self) -> Value {
-        json!({
+        let mut v = json!({
             "trial": self.trial,
             "seed": self.seed,
             "n": self.n,
-            "edges": Value::Array(
-                self.edges.iter().map(|&(u, v)| json!([u, v])).collect()
-            ),
-            "best_cost_history": Value::Array(
-                self.best_cost_history.iter().map(|&h| json!(h)).collect()
-            ),
-            "final_population_costs": Value::Array(
-                self.final_population_costs.iter().map(|&c| json!(c)).collect()
-            ),
+            "edges": edges_value(&self.edges),
+            "best_cost_history": self.best_cost_history,
+            "final_population_costs": self.final_population_costs,
             "heuristic_costs": Value::Array(
                 self.heuristic_costs
                     .iter()
@@ -159,7 +181,16 @@ impl TrialRecord {
             "repair_rate": self.repair_rate,
             "generations_run": self.generations_run,
             "stop_reason": self.stop_reason.as_str(),
-        })
+        });
+        if let (false, Value::Object(map)) = (self.front.is_empty(), &mut v) {
+            let front = self.front.iter().map(|(edges, objectives)| {
+                json!({ "edges": edges_value(edges), "objectives": objectives })
+            });
+            map.insert("front".into(), Value::Array(front.collect()));
+            map.insert("hypervolume_history".into(), json!(self.hypervolume_history));
+            map.insert("reference".into(), json!(self.reference));
+        }
+        v
     }
 
     /// Parses and schema-validates a record from its JSON object form.
@@ -168,34 +199,28 @@ impl TrialRecord {
     /// A human-readable message naming the first missing or mistyped
     /// field.
     pub fn from_value(v: &Value) -> Result<Self, String> {
-        let mut edges = Vec::new();
-        for e in v.get("edges").and_then(Value::as_array).ok_or("trial: `edges` missing")? {
-            let pair = e.as_array().filter(|p| p.len() == 2).ok_or("trial: edge is not a pair")?;
-            let u = pair[0].as_u64().ok_or("trial: edge endpoint not an integer")? as usize;
-            let w = pair[1].as_u64().ok_or("trial: edge endpoint not an integer")? as usize;
-            edges.push((u, w));
+        let mut front = Vec::new();
+        if let Some(members) = v.get("front") {
+            for m in members.as_array().ok_or("trial: `front` is not an array")? {
+                front.push((edges_field(m)?, f64_array(m, "objectives")?));
+            }
         }
-        let mut heuristic_costs = Vec::new();
-        for h in v
+        let pareto_array = |key| v.get(key).map_or(Ok(Vec::new()), |_| f64_array(v, key));
+        let heuristic =
+            |h: &Value| Some((h.get("name")?.as_str()?.to_string(), h.get("cost")?.as_f64()?));
+        let heuristic_costs = v
             .get("heuristic_costs")
             .and_then(Value::as_array)
             .ok_or("trial: `heuristic_costs` missing")?
-        {
-            let name = h
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or("trial: heuristic name missing")?
-                .to_string();
-            let cost =
-                h.get("cost").and_then(Value::as_f64).ok_or("trial: heuristic cost missing")?;
-            heuristic_costs.push((name, cost));
-        }
+            .iter()
+            .map(|h| heuristic(h).ok_or("trial: heuristic name or cost missing"))
+            .collect::<Result<_, _>>()?;
         let es = v.get("eval_stats").ok_or("trial: `eval_stats` missing")?;
         Ok(Self {
             trial: usize_field(v, "trial")?,
             seed: v.get("seed").and_then(Value::as_u64).ok_or("trial: `seed` missing")?,
             n: usize_field(v, "n")?,
-            edges,
+            edges: edges_field(v)?,
             best_cost_history: f64_array(v, "best_cost_history")?,
             final_population_costs: f64_array(v, "final_population_costs")?,
             heuristic_costs,
@@ -218,8 +243,29 @@ impl TrialRecord {
                 .and_then(Value::as_str)
                 .and_then(cold_ga::StopReason::parse)
                 .ok_or("trial: `stop_reason` missing or unknown")?,
+            front,
+            hypervolume_history: pareto_array("hypervolume_history")?,
+            reference: pareto_array("reference")?,
         })
     }
+}
+
+/// The edge-list codec of trial records and warm parents:
+/// `[[u, v], …]`.
+fn edges_value(edges: &[(usize, usize)]) -> Value {
+    Value::Array(edges.iter().map(|&(u, v)| json!([u, v])).collect())
+}
+
+/// Parses the `edges` field of `v` written by [`edges_value`].
+fn edges_field(v: &Value) -> Result<Vec<(usize, usize)>, String> {
+    let mut edges = Vec::new();
+    for e in v.get("edges").and_then(Value::as_array).ok_or("trial: `edges` missing")? {
+        let pair = e.as_array().filter(|p| p.len() == 2).ok_or("trial: edge is not a pair")?;
+        let u = pair[0].as_u64().ok_or("trial: edge endpoint not an integer")? as usize;
+        let w = pair[1].as_u64().ok_or("trial: edge endpoint not an integer")? as usize;
+        edges.push((u, w));
+    }
+    Ok(edges)
 }
 
 fn usize_field(v: &Value, key: &str) -> Result<usize, String> {
@@ -250,8 +296,7 @@ fn f64_array(v: &Value, key: &str) -> Result<Vec<f64>, String> {
 pub struct Campaign {
     /// The configuration every trial runs under.
     pub config: ColdConfig,
-    /// What every trial minimizes: [`TrialObjective::Cost`] or
-    /// [`TrialObjective::Resilient`].
+    /// What every trial minimizes.
     pub objective: TrialObjective,
     /// Master seed; trial `i` runs with `derive_seed(master_seed, i)`.
     pub master_seed: u64,
@@ -268,16 +313,58 @@ impl Campaign {
     /// Checks the configuration and the objective before any trial runs.
     ///
     /// # Errors
-    /// [`ColdError::Config`] for an invalid configuration, an invalid
-    /// bridge cost, or an objective other than cost or resilient.
+    /// [`ColdError::Config`] for an invalid configuration or objective
+    /// parameters (a bridge cost, a warm parent or its change costs).
     pub fn validate(&self) -> Result<(), ColdError> {
         self.config.validate()?;
-        match self.objective {
-            TrialObjective::Cost | TrialObjective::Resilient { .. } => {
-                self.objective.validate(self.config.context.n, &RunOptions::default())
-            }
-            _ => Err(ColdError::Config("a campaign runs the cost or resilient objective".into())),
+        self.objective.validate(self.config.context.n, &RunOptions::default())
+    }
+}
+
+/// The seed of attempt `attempt` (1-based) at trial `trial` of the
+/// campaign on `master_seed`: the first attempt runs
+/// `derive_seed(master_seed, trial)`, every later one the salted
+/// `derive_seed(derive_seed(master_seed, RETRY_SALT), trial)`.
+pub fn attempt_seed(master_seed: u64, trial: usize, attempt: usize) -> u64 {
+    let master = if attempt <= 1 { master_seed } else { derive_seed(master_seed, RETRY_SALT) };
+    derive_seed(master, trial as u64)
+}
+
+/// A campaign objective's JSON form, `None` for cost: `{"kind":
+/// "resilient", "bridge_cost"}`, `{"kind": "pareto", "archive"}` or
+/// `{"kind": "warm", "parent": {"n", "edges"}, "costs"}`.
+fn objective_value(objective: &TrialObjective) -> Option<Value> {
+    Some(match objective {
+        TrialObjective::Cost => return None,
+        TrialObjective::Resilient { bridge_cost } => {
+            json!({ "kind": "resilient", "bridge_cost": *bridge_cost })
         }
+        TrialObjective::Pareto { archive } => json!({ "kind": "pareto", "archive": *archive }),
+        TrialObjective::Warm { parent, costs } => json!({
+            "kind": "warm",
+            "parent": { "n": parent.n(), "edges": edges_value(&parent.edges().collect::<Vec<_>>()) },
+            "costs": costs.to_json_value(),
+        }),
+    })
+}
+
+/// Parses [`objective_value`]'s form for a campaign on `n` nodes; a warm
+/// parent of another size is rejected before its matrix is allocated.
+fn objective_from_value(o: &Value, n: usize) -> Option<TrialObjective> {
+    match o.get("kind")?.as_str()? {
+        "resilient" => {
+            Some(TrialObjective::Resilient { bridge_cost: o.get("bridge_cost")?.as_f64()? })
+        }
+        "pareto" => Some(TrialObjective::Pareto { archive: o.get("archive")?.as_u64()? as usize }),
+        "warm" => {
+            let parent =
+                o.get("parent").filter(|p| p.get("n").and_then(Value::as_u64) == Some(n as u64))?;
+            Some(TrialObjective::Warm {
+                parent: AdjacencyMatrix::from_edges(n, &edges_field(parent).ok()?).ok()?,
+                costs: ChangeCosts::from_json_value(o.get("costs")?)?,
+            })
+        }
+        _ => None,
     }
 }
 
@@ -317,13 +404,8 @@ impl CampaignCheckpoint {
             "count": self.count,
             "records": Value::Array(self.records.iter().map(TrialRecord::to_value).collect()),
         });
-        if let (TrialObjective::Resilient { bridge_cost }, Value::Object(map)) =
-            (&self.objective, &mut v)
-        {
-            map.insert(
-                "objective".into(),
-                json!({ "kind": "resilient", "bridge_cost": *bridge_cost }),
-            );
+        if let (Some(objective), Value::Object(map)) = (objective_value(&self.objective), &mut v) {
+            map.insert("objective".into(), objective);
         }
         v
     }
@@ -356,12 +438,8 @@ impl CampaignCheckpoint {
         let count = usize_field(v, "count").map_err(fail)?;
         let objective = match v.get("objective") {
             None => TrialObjective::Cost,
-            Some(o) => match (o.get("kind").and_then(Value::as_str), o.get("bridge_cost")) {
-                (Some("resilient"), Some(Value::Number(cost))) => {
-                    TrialObjective::Resilient { bridge_cost: cost.as_f64() }
-                }
-                _ => return Err(fail(format!("unsupported campaign objective {o}"))),
-            },
+            Some(o) => objective_from_value(o, config.context.n)
+                .ok_or_else(|| fail(format!("unsupported campaign objective {o}")))?,
         };
         let mut records = Vec::new();
         for (i, r) in v
@@ -504,9 +582,8 @@ pub trait TrialSource {
 /// window of one runs on the caller's thread with the config untouched.
 ///
 /// Every trial runs the local retry policy: one [`run_attempt`] on
-/// `derive_seed(master_seed, trial)` and, when that fails, once more on
-/// the salted seed `derive_seed(derive_seed(master_seed, RETRY_SALT),
-/// trial)`. Failed attempts are journaled as `trial_failed`; a retried
+/// [`attempt_seed`]'s first seed and, when that fails, once more on its
+/// salted second. Failed attempts are journaled as `trial_failed`; a retried
 /// trial's [`TrialRecord`] stores the salted seed, so its checkpoint
 /// resumes correctly. The default runs unguarded and unobserved.
 #[derive(Default)]
@@ -533,9 +610,8 @@ impl LocalTrials {
         trial: usize,
     ) -> TrialOutcome {
         let mut failures: Vec<TrialFailure> = Vec::new();
-        let master = campaign.master_seed;
-        for (attempt, master) in [(1, master), (2, derive_seed(master, RETRY_SALT))] {
-            let seed = derive_seed(master, trial as u64);
+        for attempt in 1..=2 {
+            let seed = attempt_seed(campaign.master_seed, trial, attempt);
             let result = match &self.runner {
                 Some(runner) => contain(|| runner(config, seed, trial, attempt)),
                 None => {
@@ -779,6 +855,46 @@ pub(crate) mod tests {
         snapshot.objective = TrialObjective::Resilient { bridge_cost: 50.0 };
         let back = CampaignCheckpoint::from_json(&snapshot.to_json()).expect("round trip");
         assert_eq!(back, snapshot);
+    }
+
+    #[test]
+    fn pareto_and_warm_snapshots_round_trip_through_json() {
+        let mut cfg = ColdConfig::quick(8, 1e-4, 10.0);
+        cfg.ga.generations = 4;
+        let seed = derive_seed(7, 0);
+        let r = crate::try_synthesize_pareto(&cfg, seed, 8).expect("pareto run");
+        let pareto = Campaign {
+            objective: TrialObjective::Pareto { archive: 8 },
+            ..Campaign::new(cfg, 7, 2)
+        };
+        let mut snapshot = CampaignCheckpoint::new(&pareto);
+        snapshot.records.push(TrialRecord::from_result(0, seed, &r));
+        let back = CampaignCheckpoint::from_json(&snapshot.to_json()).expect("round trip");
+        assert_eq!(back, snapshot);
+        let rebuilt = back.records[0].rebuild(&cfg).expect("rebuild");
+        assert_same_deterministic_fields(&r, &rebuilt);
+        assert_eq!(rebuilt.front.len(), r.front.len());
+        for (a, b) in r.front.iter().zip(&rebuilt.front) {
+            assert_eq!(a.network.topology, b.network.topology);
+            let bits = |m: &ParetoFrontMember| {
+                m.objectives.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(a), bits(b));
+        }
+        assert_eq!(rebuilt.hypervolume_history, r.hypervolume_history);
+        assert_eq!(rebuilt.reference, r.reference);
+
+        let costs = ChangeCosts { add_cost: 1.5, remove_cost: 0.5, length_weight: 0.25 };
+        snapshot.objective = TrialObjective::Warm { parent: r.network.topology.clone(), costs };
+        snapshot.records.clear();
+        let mut v = snapshot.to_value();
+        assert_eq!(CampaignCheckpoint::from_value(&v).expect("round trip"), snapshot);
+        // A warm parent of another size than the campaign's is rejected.
+        let parent = v.get_mut("objective").and_then(|o| o.get_mut("parent")).expect("parent");
+        if let Value::Object(parent) = parent {
+            parent.insert("n".into(), json!(9));
+        }
+        assert!(CampaignCheckpoint::from_value(&v).is_err());
     }
 
     #[test]

@@ -576,7 +576,7 @@ pub fn run_plan(plan: &EvolutionPlan) -> Result<TopologySchedule, ColdError> {
         let embedded = embed_parent(&parent, ctx.n());
         let objective = TrialObjective::Warm { parent: embedded.clone(), costs: plan.change_costs };
         let spec = TrialSpec { seed: step_seed, context: Some(ctx), objective };
-        let result = config.run_trial(spec, RunOptions::default())?.into_single();
+        let result = config.run_trial(spec, RunOptions::default())?;
         let penalty =
             change_penalty(&embedded, &result.network.topology, &plan.change_costs, |u, v| {
                 result.context.distance(u, v)
@@ -686,8 +686,7 @@ mod tests {
         let objective = TrialObjective::Warm { parent, costs: ChangeCosts::uniform(1.0) };
         let r = cfg
             .run_trial(TrialSpec { seed: 9, context: Some(ctx), objective }, RunOptions::default())
-            .unwrap()
-            .into_single();
+            .unwrap();
         assert!(
             r.eval_stats.delta_evals > 0,
             "warm run performed no delta evals: {:?}",
@@ -703,10 +702,7 @@ mod tests {
             parent: cold.network.topology.clone(),
             costs: ChangeCosts::default(),
         };
-        let warm = cfg
-            .run_trial(TrialSpec::new(21, objective), RunOptions::default())
-            .unwrap()
-            .into_single();
+        let warm = cfg.run_trial(TrialSpec::new(21, objective), RunOptions::default()).unwrap();
         assert_eq!(
             warm.context, cold.context,
             "same (config, seed) must optimize the same context"

@@ -96,8 +96,8 @@ pub mod synthesizer;
 pub mod zoo;
 
 pub use checkpoint::{
-    run_campaign, Campaign, CampaignCheckpoint, LocalTrials, Snapshots, TrialOutcome, TrialRecord,
-    TrialSource,
+    attempt_seed, run_campaign, Campaign, CampaignCheckpoint, LocalTrials, Snapshots, TrialOutcome,
+    TrialRecord, TrialSource,
 };
 pub use cold_ga::StopReason;
 pub use error::ColdError;
@@ -113,8 +113,8 @@ pub use pareto::{
 pub use stats::NetworkStats;
 pub use synthesizer::{
     join_abandoned_watchdog_threads, run_attempt, AttemptOptions, CheckpointSink, ColdConfig,
-    EnsembleOutcome, ProgressSink, RunOptions, RunOutput, SynthesisMode, SynthesisResult,
-    TrialFailure, TrialObjective, TrialRunner, TrialSpec, RETRY_SALT,
+    EnsembleOutcome, ProgressSink, RunOptions, SynthesisMode, SynthesisResult, TrialFailure,
+    TrialObjective, TrialRunner, TrialSpec, RETRY_SALT,
 };
 
 // Re-export the component crates so `cold` is a one-stop dependency.

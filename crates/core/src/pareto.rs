@@ -24,7 +24,7 @@
 use crate::error::ColdError;
 use crate::failure::{single_link_failures, FailureReport};
 use crate::objective::ColdObjective;
-use crate::synthesizer::{ColdConfig, RunOptions, RunOutput, TrialObjective, TrialSpec};
+use crate::synthesizer::{ColdConfig, RunOptions, SynthesisResult, TrialObjective, TrialSpec};
 use cold_context::Context;
 use cold_cost::{CostParams, Network};
 use cold_ga::pareto::{MultiObjective, MultiObjectiveSession};
@@ -161,42 +161,10 @@ pub struct ParetoFrontMember {
     pub objectives: Vec<f64>,
 }
 
-/// Everything produced by one multi-objective synthesis.
-#[derive(Debug, Clone)]
-pub struct ParetoSynthesisResult {
-    /// The JSONL run journal, when journal tracing was active.
-    pub journal_path: Option<std::path::PathBuf>,
-    /// The context the front was designed for.
-    pub context: Context,
-    /// The final archive, every member built into a network. Mutually
-    /// non-dominated, sorted lexicographically by objective vector.
-    pub front: Vec<ParetoFrontMember>,
-    /// Archive hypervolume after each generation (index 0 = after the
-    /// initial population). Monotone non-decreasing.
-    pub hypervolume_history: Vec<f64>,
-    /// The fixed hypervolume reference point.
-    pub reference: Vec<f64>,
-    /// Generations actually run.
-    pub generations_run: usize,
-    /// Objective evaluations requested.
-    pub evaluations: usize,
-    /// Fitness-cache and delta-evaluation counters.
-    pub eval_stats: cold_ga::EvalStats,
-    /// Why the engine returned.
-    pub stop_reason: cold_ga::StopReason,
-}
-
-impl ParetoSynthesisResult {
-    /// The front member with the lowest build cost.
-    pub fn cheapest(&self) -> Option<&ParetoFrontMember> {
-        self.front.iter().min_by(|a, b| a.objectives[0].total_cmp(&b.objectives[0]))
-    }
-
-    /// The final archive hypervolume.
-    pub fn hypervolume(&self) -> f64 {
-        self.hypervolume_history.last().copied().unwrap_or(0.0)
-    }
-}
+/// Everything produced by one multi-objective synthesis: a
+/// [`SynthesisResult`] whose `front`, `hypervolume_history` and
+/// `reference` are filled.
+pub type ParetoSynthesisResult = SynthesisResult;
 
 /// Default bound on the Pareto archive carried across generations.
 pub const DEFAULT_ARCHIVE_CAPACITY: usize = 32;
@@ -219,7 +187,7 @@ pub fn try_synthesize_pareto(
     archive_capacity: usize,
 ) -> Result<ParetoSynthesisResult, ColdError> {
     let objective = TrialObjective::Pareto { archive: archive_capacity };
-    cfg.run_trial(TrialSpec::new(seed, objective), RunOptions::default()).map(RunOutput::into_front)
+    cfg.run_trial(TrialSpec::new(seed, objective), RunOptions::default())
 }
 
 #[cfg(test)]

@@ -187,7 +187,7 @@ mod tests {
 
     fn resilient(cfg: &ColdConfig, bridge_cost: f64, seed: u64) -> SynthesisResult {
         let spec = TrialSpec::new(seed, TrialObjective::Resilient { bridge_cost });
-        cfg.run_trial(spec, RunOptions::default()).unwrap().into_single()
+        cfg.run_trial(spec, RunOptions::default()).unwrap()
     }
 
     #[test]

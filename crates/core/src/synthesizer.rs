@@ -10,14 +10,14 @@ use crate::checkpoint::{run_campaign, Campaign, LocalTrials};
 use crate::error::{panic_message, ColdError};
 use crate::evolve::{ChangeCosts, ChangePenaltyObjective, WARM_SALT};
 use crate::objective::ColdObjective;
-use crate::pareto::{ColdMultiObjective, ParetoFrontMember, ParetoSynthesisResult};
+use crate::pareto::{ColdMultiObjective, ParetoFrontMember};
 use crate::resilience::ResilientObjective;
 use crate::stats::NetworkStats;
 use cold_context::rng::derive_seed;
 use cold_context::{Context, ContextConfig};
 use cold_cost::{CostParams, Network};
-use cold_ga::pareto::ParetoGa;
-use cold_ga::{GaSettings, GeneticAlgorithm, Objective};
+use cold_ga::pareto::{ParetoGa, ParetoResult};
+use cold_ga::{GaResult, GaSettings, GeneticAlgorithm, Individual, Objective};
 use cold_graph::AdjacencyMatrix;
 use cold_heuristics::{all_heuristics_on, RandomGreedyConfig};
 use serde::{Deserialize, Serialize};
@@ -34,7 +34,7 @@ pub const RETRY_SALT: u64 = 0x5245_5452; // "RETR"
 /// Salts of a trial's random streams, each `derive_seed(seed, salt)`:
 /// the context, the heuristic seeding, and the GA of a cold-started run
 /// (warm runs use [`WARM_SALT`]).
-const CONTEXT_SALT: u64 = 0xC0;
+pub(crate) const CONTEXT_SALT: u64 = 0xC0;
 const HEURISTIC_SALT: u64 = 0x4755; // "GU"
 const GA_SALT: u64 = 0x6741; // "Ga"
 
@@ -100,36 +100,28 @@ impl RunTelemetry {
     }
 
     /// Emits `ga_stalled` when the stall guard ended the run, then
-    /// `run_end`. `best_cost` is the scalar best (the cheapest front
-    /// member for Pareto runs).
-    fn end(
-        &self,
-        stop_reason: cold_ga::StopReason,
-        generations_run: usize,
-        best_cost: f64,
-        eval_stats: &cold_ga::EvalStats,
-        repair_stats: &cold_ga::repair::RepairStats,
-    ) {
+    /// `run_end`. The best cost is a Pareto run's cheapest front member.
+    fn end(&self, r: &GaResult) {
         if self.trace.is_none() {
             return;
         }
         let run = cold_obs::run_id(self.seed);
-        if stop_reason == cold_ga::StopReason::Stalled {
+        if r.stop_reason == cold_ga::StopReason::Stalled {
             cold_obs::emit(&cold_obs::Event::GaStalled(cold_obs::GaStalled {
                 run: run.clone(),
-                generation: generations_run,
+                generation: r.generations_run,
                 stall_gens: self.stall_gens.unwrap_or(0),
-                best: best_cost,
+                best: r.best.cost,
             }));
         }
         cold_obs::emit(&cold_obs::Event::RunEnd(cold_obs::RunEnd {
             run,
-            generations_run,
-            best_cost,
-            evaluations: eval_stats.requested,
-            cache_hit_rate: eval_stats.hit_rate(),
-            eval_seconds: eval_stats.eval_seconds,
-            repair_rate: repair_stats.repair_rate(),
+            generations_run: r.generations_run,
+            best_cost: r.best.cost,
+            evaluations: r.eval_stats.requested,
+            cache_hit_rate: r.eval_stats.hit_rate(),
+            eval_seconds: r.eval_stats.eval_seconds,
+            repair_rate: r.repair_stats.repair_rate(),
         }));
     }
 }
@@ -193,7 +185,7 @@ pub(crate) fn contain<T>(f: impl FnOnce() -> Result<T, ColdError>) -> Result<T, 
         .unwrap_or_else(|payload| Err(ColdError::TrialPanic(panic_message(payload.as_ref()))))
 }
 
-/// One attempt at a scalar trial — the trial step of every campaign,
+/// One attempt at a trial — the trial step of every campaign,
 /// ensemble and distributed grant: `config` on `spec`, with the optional
 /// [`AttemptOptions`]. `(trial, attempt)` only label the journal.
 ///
@@ -222,7 +214,7 @@ pub fn run_attempt(
                 .as_mut()
                 .map(|(every, sink)| cold_ga::CheckpointHook { every: *every, sink: &mut **sink });
             let options = RunOptions { progress, checkpoint, resume };
-            cfg.run_trial(spec, options).map(RunOutput::into_single)
+            cfg.run_trial(spec, options)
         })
     };
     let Some(deadline) = deadline else { return run() };
@@ -270,11 +262,11 @@ pub enum SynthesisMode {
 }
 
 /// What one trial minimizes. Every variant runs the same pipeline
-/// ([`ColdConfig::run_trial`]); they differ only in the objective, the
-/// initial population, the GA salt, the survival strategy and the result
-/// type. Checkpoint and resume exist for cost and warm runs only, and
-/// resilient runs take no [`RunOptions`]: other combinations are
-/// [`ColdError::Config`].
+/// ([`ColdConfig::run_trial`]) and yields a [`SynthesisResult`]; they
+/// differ only in the objective, the initial population, the GA salt and
+/// the survival strategy. Checkpoint and resume exist for cost and warm
+/// runs only, and resilient runs take no [`RunOptions`]: other
+/// combinations are [`ColdError::Config`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum TrialObjective {
     /// Eq. (2): the paper's synthesis.
@@ -295,7 +287,7 @@ pub enum TrialObjective {
         bridge_cost: f64,
     },
     /// Build cost, failure impact and delay under NSGA-II survival
-    /// ([`crate::pareto`]); yields a front, not one network.
+    /// ([`crate::pareto`]); yields a front besides its cheapest network.
     Pareto {
         /// Bound on the carried archive (>= 1).
         archive: usize,
@@ -357,39 +349,6 @@ pub struct RunOptions<'a> {
     pub checkpoint: Option<cold_ga::CheckpointHook<'a>>,
     /// Resume the GA from a snapshot (cost and warm runs).
     pub resume: Option<cold_ga::GaCheckpoint>,
-}
-
-/// What a trial produced: one network, or a Pareto front.
-#[derive(Debug, Clone)]
-pub enum RunOutput {
-    /// A scalar run's network (cost, warm and resilient objectives).
-    Single(Box<SynthesisResult>),
-    /// A Pareto run's front.
-    Front(Box<ParetoSynthesisResult>),
-}
-
-impl RunOutput {
-    /// The network of a scalar run.
-    ///
-    /// # Panics
-    /// Panics on a Pareto front: the caller chose the objective.
-    pub fn into_single(self) -> SynthesisResult {
-        match self {
-            RunOutput::Single(r) => *r,
-            RunOutput::Front(_) => panic!("a Pareto trial yields a front, not one network"),
-        }
-    }
-
-    /// The front of a Pareto run.
-    ///
-    /// # Panics
-    /// Panics on a scalar run's network: the caller chose the objective.
-    pub fn into_front(self) -> ParetoSynthesisResult {
-        match self {
-            RunOutput::Front(r) => *r,
-            RunOutput::Single(_) => panic!("a scalar trial yields one network, not a front"),
-        }
-    }
 }
 
 /// Full configuration of a COLD synthesis.
@@ -460,7 +419,6 @@ impl ColdConfig {
     /// so ensemble drivers can record and retry the trial.
     pub fn try_synthesize(&self, seed: u64) -> Result<SynthesisResult, ColdError> {
         self.run_trial(TrialSpec::new(seed, TrialObjective::Cost), RunOptions::default())
-            .map(RunOutput::into_single)
     }
 
     /// Optimizes within an explicitly provided context (e.g. real PoP
@@ -473,7 +431,6 @@ impl ColdConfig {
             TrialSpec { seed, context: Some(ctx), objective: TrialObjective::Cost },
             RunOptions::default(),
         )
-        .map(RunOutput::into_single)
         .expect("synthesis failed")
     }
 
@@ -500,7 +457,7 @@ impl ColdConfig {
         &self,
         spec: TrialSpec,
         options: RunOptions<'_>,
-    ) -> Result<RunOutput, ColdError> {
+    ) -> Result<SynthesisResult, ColdError> {
         self.validate()?;
         let n = spec.context.as_ref().map_or(self.context.n, Context::n);
         spec.objective.validate(n, &options)?;
@@ -544,35 +501,22 @@ impl ColdConfig {
             }
             TrialObjective::Pareto { archive } => {
                 let objective = ColdMultiObjective::new(&ctx, self.params);
-                let result = ParetoGa::try_new(&objective, settings(GA_SALT), archive)?
+                let r = ParetoGa::try_new(&objective, settings(GA_SALT), archive)?
                     .try_run_traced(&seeds, telemetry.slot())?;
-                let front: Vec<ParetoFrontMember> = result
-                    .front
-                    .iter()
-                    .map(|p| ParetoFrontMember {
-                        network: Network::build(p.topology.clone(), &ctx, self.params)
-                            .expect("archive members are repaired candidates, hence connected"),
-                        objectives: p.objectives.clone(),
-                    })
-                    .collect();
-                telemetry.end(
-                    result.stop_reason,
-                    result.generations_run,
-                    front.iter().map(|m| m.objectives[0]).fold(f64::INFINITY, f64::min),
-                    &result.eval_stats,
-                    &result.repair_stats,
-                );
-                return Ok(RunOutput::Front(Box::new(ParetoSynthesisResult {
-                    journal_path: cold_obs::journal_path(),
-                    context: ctx,
-                    front,
-                    hypervolume_history: result.hypervolume_history,
-                    reference: result.reference,
-                    generations_run: result.generations_run,
-                    evaluations: result.evaluations,
-                    eval_stats: result.eval_stats,
-                    stop_reason: result.stop_reason,
-                })));
+                // The archive is in lexicographic objective order, so its
+                // first member is the cheapest.
+                let (topology, cost) = (r.front[0].topology.clone(), r.front[0].objectives[0]);
+                let scalar = GaResult {
+                    best: Individual { topology, cost },
+                    history: Vec::new(),
+                    final_population: Vec::new(),
+                    generations_run: r.generations_run,
+                    evaluations: r.evaluations,
+                    eval_stats: r.eval_stats,
+                    repair_stats: r.repair_stats,
+                    stop_reason: r.stop_reason,
+                };
+                return Ok(self.finish(ctx, &telemetry, scalar, heuristic_costs, Some(r)));
             }
         };
         let salt = if warm_parent.is_some() { WARM_SALT } else { GA_SALT };
@@ -583,17 +527,41 @@ impl ColdConfig {
             None => engine.run_resumable(&seeds, telemetry.slot(), checkpoint, resume),
         }?;
         drop(objective);
-        telemetry.end(
-            result.stop_reason,
-            result.generations_run,
-            result.best.cost,
-            &result.eval_stats,
-            &result.repair_stats,
-        );
-        let network = Network::build(result.best.topology.clone(), &ctx, self.params)
-            .expect("GA result is connected");
+        Ok(self.finish(ctx, &telemetry, result, heuristic_costs, None))
+    }
+
+    /// The tail of every [`run_trial`](Self::run_trial): `run_end`, then
+    /// the best design (for a Pareto run, the cheapest front member) and
+    /// every front member built into [`Network`]s.
+    fn finish(
+        &self,
+        ctx: Context,
+        telemetry: &RunTelemetry,
+        result: GaResult,
+        heuristic_costs: Vec<(String, f64)>,
+        pareto: Option<ParetoResult>,
+    ) -> SynthesisResult {
+        telemetry.end(&result);
+        let build = |t: AdjacencyMatrix| {
+            Network::build(t, &ctx, self.params).expect("GA designs are repaired, hence connected")
+        };
+        let (front, hypervolume_history, reference) = match pareto {
+            Some(r) => (
+                r.front
+                    .into_iter()
+                    .map(|p| ParetoFrontMember {
+                        network: build(p.topology),
+                        objectives: p.objectives,
+                    })
+                    .collect(),
+                r.hypervolume_history,
+                r.reference,
+            ),
+            None => Default::default(),
+        };
+        let network = build(result.best.topology);
         let stats = NetworkStats::compute(&network.graph()).expect("connected");
-        Ok(RunOutput::Single(Box::new(SynthesisResult {
+        SynthesisResult {
             journal_path: cold_obs::journal_path(),
             context: ctx,
             network,
@@ -606,7 +574,10 @@ impl ColdConfig {
             repair_rate: result.repair_stats.repair_rate(),
             generations_run: result.generations_run,
             stop_reason: result.stop_reason,
-        })))
+            front,
+            hypervolume_history,
+            reference,
+        }
     }
 
     /// Synthesizes an ensemble of `count` networks with independent
@@ -708,7 +679,12 @@ impl EnsembleOutcome {
     }
 }
 
-/// Everything produced by one synthesis.
+/// Everything produced by one synthesis, whatever its objective. A
+/// Pareto run also fills [`front`](Self::front),
+/// [`hypervolume_history`](Self::hypervolume_history) and
+/// [`reference`](Self::reference); its scalar fields describe the
+/// cheapest front member, and it records no per-generation best cost or
+/// final population.
 #[derive(Debug, Clone)]
 pub struct SynthesisResult {
     /// The JSONL run journal this synthesis appended to, when journal
@@ -741,12 +717,25 @@ pub struct SynthesisResult {
     pub generations_run: usize,
     /// Why the GA returned (completion, early stop, or the stall guard).
     pub stop_reason: cold_ga::StopReason,
+    /// A Pareto run's final archive, each member built into a network, in
+    /// lexicographic objective order (empty for scalar runs).
+    pub front: Vec<ParetoFrontMember>,
+    /// A Pareto run's archive hypervolume per generation, index 0 after
+    /// the initial population (empty for scalar runs).
+    pub hypervolume_history: Vec<f64>,
+    /// A Pareto run's hypervolume reference point (empty for scalar runs).
+    pub reference: Vec<f64>,
 }
 
 impl SynthesisResult {
-    /// Best cost found.
+    /// Best cost found (a Pareto run's cheapest front member).
     pub fn best_cost(&self) -> f64 {
         self.network.total_cost()
+    }
+
+    /// The final archive hypervolume (0 for scalar runs).
+    pub fn hypervolume(&self) -> f64 {
+        self.hypervolume_history.last().copied().unwrap_or(0.0)
     }
 
     /// The cheapest heuristic competitor, if any ran.
@@ -848,7 +837,7 @@ mod tests {
         for objective in objectives {
             let label = format!("{objective:?}");
             let spec = TrialSpec { seed: 9, context: Some(ctx.clone()), objective };
-            let r = cfg.run_trial(spec, RunOptions::default()).unwrap().into_single();
+            let r = cfg.run_trial(spec, RunOptions::default()).unwrap();
             assert!(r.eval_stats.arcs_scanned > 0, "{label}: {:?}", r.eval_stats);
         }
     }

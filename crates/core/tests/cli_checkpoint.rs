@@ -127,12 +127,8 @@ fn resume_with_mismatched_campaign_is_a_clean_error() {
 
 #[test]
 fn crash_safety_flag_validation() {
-    // Zero intervals and incompatible modes are parse-time errors (exit 2).
-    for bad in [
-        &["--checkpoint-every", "0"][..],
-        &["--halt-after", "0"][..],
-        &["--pareto", "--checkpoint-every", "2"][..],
-    ] {
+    // Zero intervals are parse-time errors (exit 2).
+    for bad in [&["--checkpoint-every", "0"][..], &["--halt-after", "0"][..]] {
         let out = run(&[&["--quick", "--n", "8", "--quiet"][..], bad].concat());
         assert_eq!(out.status.code(), Some(2), "args {bad:?} must be rejected");
     }
@@ -141,51 +137,142 @@ fn crash_safety_flag_validation() {
 #[test]
 fn resilient_runs_match_across_deadline_and_halt_resume() {
     // A --bridge-cost run goes through the same campaign loop as a cost
-    // run: a deadline-guarded run and a halted-then-resumed campaign both
-    // reproduce the plain run's exports file for file.
+    // run, and so does a --pareto run: a deadline-guarded run and a
+    // halted-then-resumed campaign both reproduce the plain run's exports
+    // file for file.
     let common = ["--quick", "--n", "8", "--seed", "77", "--count", "3", "--quiet"];
-    let resilient = [&common[..], &["--bridge-cost", "50"]].concat();
-    let plain = temp_dir("resilient-plain");
-    let out = run(&[&resilient[..], &["--out", plain.to_str().unwrap()]].concat());
-    assert!(out.status.success(), "plain run failed: {}", String::from_utf8_lossy(&out.stderr));
-    let reference = exports(&plain);
-    assert_eq!(reference.len(), 3);
+    for (tag, mode) in
+        [("resilient", &["--bridge-cost", "50"][..]), ("pareto", &["--pareto", "--archive", "16"])]
+    {
+        let flags = [&common[..], mode].concat();
+        let plain = temp_dir(&format!("{tag}-plain"));
+        let out = run(&[&flags[..], &["--out", plain.to_str().unwrap()]].concat());
+        assert!(out.status.success(), "plain run failed: {}", String::from_utf8_lossy(&out.stderr));
+        let reference = exports(&plain);
+        assert_eq!(reference.len(), 3);
 
-    let guarded = temp_dir("resilient-deadline");
-    let out =
-        run(&[&resilient[..], &["--out", guarded.to_str().unwrap(), "--trial-deadline", "5"]]
-            .concat());
-    assert!(out.status.success(), "deadline run failed: {}", String::from_utf8_lossy(&out.stderr));
-    assert_eq!(exports(&guarded), reference, "--trial-deadline changed a resilient export");
+        let guarded = temp_dir(&format!("{tag}-deadline"));
+        let out =
+            run(&[&flags[..], &["--out", guarded.to_str().unwrap(), "--trial-deadline", "5"]]
+                .concat());
+        assert!(
+            out.status.success(),
+            "deadline run failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(exports(&guarded), reference, "--trial-deadline changed a {tag} export");
 
-    let resumed = temp_dir("resilient-resumed");
-    let halted = run(&[
-        &resilient[..],
-        &["--out", resumed.to_str().unwrap(), "--checkpoint-every", "1", "--halt-after", "1"],
-    ]
-    .concat());
-    assert_eq!(halted.status.code(), Some(3), "halt leg must exit 3");
-    let ckpt = resumed.join("cold_campaign_seed000000000000004d.ckpt.json");
-    let text = std::fs::read_to_string(&ckpt).expect("halt left a snapshot");
-    assert!(text.contains("\"objective\""), "a resilient snapshot names its objective");
-    let out = run(&[
-        &resilient[..],
-        &["--out", resumed.to_str().unwrap(), "--resume", ckpt.to_str().unwrap()],
-    ]
-    .concat());
+        let resumed = temp_dir(&format!("{tag}-resumed"));
+        let halted = run(&[
+            &flags[..],
+            &["--out", resumed.to_str().unwrap(), "--checkpoint-every", "1", "--halt-after", "1"],
+        ]
+        .concat());
+        assert_eq!(halted.status.code(), Some(3), "halt leg must exit 3");
+        let ckpt = resumed.join("cold_campaign_seed000000000000004d.ckpt.json");
+        let text = std::fs::read_to_string(&ckpt).expect("halt left a snapshot");
+        assert!(text.contains("\"objective\""), "a {tag} snapshot names its objective");
+        let out = run(&[
+            &flags[..],
+            &["--out", resumed.to_str().unwrap(), "--resume", ckpt.to_str().unwrap()],
+        ]
+        .concat());
+        assert!(out.status.success(), "resume failed: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(exports(&resumed), reference, "resumed {tag} campaign differs");
+
+        // The snapshot belongs to the {tag} campaign: a cost run rejects it.
+        let wrong = run(&[
+            &common[..],
+            &["--out", resumed.to_str().unwrap(), "--resume", ckpt.to_str().unwrap()],
+        ]
+        .concat());
+        assert_eq!(wrong.status.code(), Some(1));
+        assert!(String::from_utf8_lossy(&wrong.stderr).contains("objective"));
+
+        for dir in [plain, guarded, resumed] {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+#[test]
+fn a_halt_only_names_a_snapshot_that_holds_its_trials() {
+    // The campaign's last trial is never snapshotted, so halting there
+    // would name a snapshot without it: the run completes instead, with
+    // the uninterrupted run's exports.
+    let common = ["--quick", "--n", "8", "--seed", "5", "--quiet"];
+    for count in ["1", "3"] {
+        let full = temp_dir(&format!("last-full-{count}"));
+        let out =
+            run(&[&common[..], &["--count", count, "--out", full.to_str().unwrap()]].concat());
+        assert!(out.status.success(), "full run failed: {}", String::from_utf8_lossy(&out.stderr));
+        let reference = exports(&full);
+        assert_eq!(reference.len().to_string(), count);
+
+        let halted = temp_dir(&format!("last-halted-{count}"));
+        let out = run(&[
+            &common[..],
+            &["--count", count, "--out", halted.to_str().unwrap()],
+            &["--checkpoint-every", "1", "--halt-after", count],
+        ]
+        .concat());
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "count {count}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(exports(&halted), reference, "count {count}: exports differ");
+        for dir in [full, halted] {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    // Off the snapshot cadence, the halt waits for the next snapshot: it
+    // holds both fresh trials, and the resumed run finishes the campaign.
+    let full = temp_dir("cadence-full");
+    let out = run(&[&common[..], &["--count", "4", "--out", full.to_str().unwrap()]].concat());
+    assert!(out.status.success(), "full run failed: {}", String::from_utf8_lossy(&out.stderr));
+    let halted = temp_dir("cadence-halted");
+    let args = ["--count", "4", "--checkpoint-every", "2", "--out", halted.to_str().unwrap()];
+    let out = run(&[&common[..], &args, &["--halt-after", "1"]].concat());
+    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
+    let ckpt = halted.join("cold_campaign_seed0000000000000005.ckpt.json");
+    let snapshot = cold::CampaignCheckpoint::load(&ckpt).expect("the named snapshot exists");
+    assert_eq!(snapshot.records.len(), 2);
+    let out = run(&[&common[..], &args, &["--resume", ckpt.to_str().unwrap()]].concat());
     assert!(out.status.success(), "resume failed: {}", String::from_utf8_lossy(&out.stderr));
-    assert_eq!(exports(&resumed), reference, "resumed resilient campaign differs");
-
-    // The snapshot belongs to the resilient campaign: a cost run rejects it.
-    let wrong = run(&[
-        &common[..],
-        &["--out", resumed.to_str().unwrap(), "--resume", ckpt.to_str().unwrap()],
-    ]
-    .concat());
-    assert_eq!(wrong.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&wrong.stderr).contains("objective"));
-
-    for dir in [plain, guarded, resumed] {
+    assert_eq!(exports(&halted), exports(&full));
+    for dir in [full, halted] {
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn a_pareto_front_file_is_the_in_process_front() {
+    // `--pareto` writes trial i's front, computed on the campaign's trial
+    // seed, as `export::pareto_front_to_json` renders it; cold-serve's
+    // Pareto documents are pinned against the same rendering.
+    let dir = temp_dir("pareto-front");
+    let out = run(&[
+        "--quick",
+        "--n",
+        "8",
+        "--seed",
+        "13",
+        "--count",
+        "1",
+        "--quiet",
+        "--pareto",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "pareto run failed: {}", String::from_utf8_lossy(&out.stderr));
+    let seed = cold::context::rng::derive_seed(13, 0);
+    let cfg = cold::ColdConfig::quick(8, 4e-4, 10.0);
+    let front = cold::try_synthesize_pareto(&cfg, seed, cold::pareto::DEFAULT_ARCHIVE_CAPACITY)
+        .expect("pareto run");
+    let file = dir.join(format!("cold_pareto_n8_seed{seed:016x}.json"));
+    let written = std::fs::read_to_string(&file).expect("front file written");
+    assert_eq!(written, cold::export::pareto_front_to_json(&front));
+    let _ = std::fs::remove_dir_all(&dir);
 }

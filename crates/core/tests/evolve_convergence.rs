@@ -50,8 +50,7 @@ fn warm_start_reaches_cold_best_in_half_the_generations_at_n50() {
             TrialSpec { seed: step_seed, context: Some(ctx), objective: warm },
             RunOptions::default(),
         )
-        .expect("warm synthesis on perturbed context")
-        .into_single();
+        .expect("warm synthesis on perturbed context");
 
     let cold_best = cold.best_cost();
     let cold_gens = cold.generations_run;

@@ -66,8 +66,7 @@ fn ga_snapshot_resumes_bit_identically_in_a_separate_process() {
     let options = RunOptions { checkpoint, ..RunOptions::default() };
     let reference = config
         .run_trial(TrialSpec::new(seed, TrialObjective::Cost), options)
-        .expect("reference synthesis")
-        .into_single();
+        .expect("reference synthesis");
     let snapshot = snapshot.expect("a snapshot was captured mid-run");
     assert!(snapshot.generation > 0, "snapshot must be genuinely mid-run");
 

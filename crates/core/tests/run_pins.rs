@@ -65,7 +65,7 @@ fn warm_run(options: RunOptions<'_>) -> SynthesisResult {
     let parent = ColdConfig::quick(10, 1e-4, 0.0).synthesize(31).network.topology;
     let costs = ChangeCosts { add_cost: 2.0, remove_cost: 1.0, length_weight: 0.01 };
     let spec = TrialSpec::new(9, TrialObjective::Warm { parent, costs });
-    cfg.run_trial(spec, options).expect("warm").into_single()
+    cfg.run_trial(spec, options).expect("warm")
 }
 
 #[test]

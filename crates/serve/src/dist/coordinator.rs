@@ -40,11 +40,10 @@ use crate::acceptor;
 use crate::dist::proto::{self, LeaseGrant, Msg};
 use crate::dist::worker::{grant_resume, run_grant};
 use crate::metrics::names;
-use cold::context::rng::derive_seed;
 use cold::ga::GaCheckpoint;
 use cold::{
-    fingerprint_hex, value_fingerprint, CampaignCheckpoint, ColdError, ProgressSink, TrialOutcome,
-    TrialRecord, TrialSource, RETRY_SALT,
+    attempt_seed, fingerprint_hex, value_fingerprint, CampaignCheckpoint, ColdError, ProgressSink,
+    TrialObjective, TrialOutcome, TrialRecord, TrialSource,
 };
 use serde::Serialize;
 use serde_json::{json, Value};
@@ -97,7 +96,8 @@ impl Default for DistConfig {
     }
 }
 
-/// A trial waiting to be granted (or re-granted) to a worker.
+/// A trial waiting to be re-granted to a worker, or a fresh trial as it
+/// is granted.
 struct PendingTrial {
     trial: usize,
     seed: u64,
@@ -139,6 +139,10 @@ struct JobShard {
     trace: Option<cold_obs::trace::TraceCtx>,
     /// Per-attempt wall-clock deadline every grant of the job carries.
     trial_deadline: Option<Duration>,
+    /// Trials never leased yet, in order: a cursor, so a job holds O(1)
+    /// state however many trials it asks for.
+    fresh: std::ops::Range<usize>,
+    /// Requeued trials, in requeue order; fresh trials lease first.
     pending: VecDeque<PendingTrial>,
     /// Completed records not yet drained by the campaign loop.
     completed: HashMap<usize, TrialRecord>,
@@ -399,21 +403,37 @@ impl DistPool {
         self.lease(&mut st, worker, None).map_or(Msg::NoWork { backoff_ms: 200 }, Msg::Grant)
     }
 
-    /// Leases the first eligible pending trial — of any job, or of job
-    /// `only` — to `worker`, journaling `trial_leased` (and
-    /// `trial_migrated` for a re-grant) for remote and inline grants
-    /// alike.
+    /// Leases the next fresh trial, else the first eligible requeued one
+    /// — of any job, or of job `only` — to `worker`, journaling
+    /// `trial_leased` (and `trial_migrated` for a re-grant) for remote
+    /// and inline grants alike.
     fn lease(&self, st: &mut PoolState, worker: &str, only: Option<&str>) -> Option<LeaseGrant> {
         let now = Instant::now();
         let pick = st.jobs.iter().find_map(|(id, shard)| {
             if shard.failed.is_some() || only.is_some_and(|o| o != id) {
                 return None;
             }
-            shard.pending.iter().position(|p| p.eligible_at <= now).map(|pos| (id.clone(), pos))
+            // `None` picks the next fresh trial.
+            let requeued = || shard.pending.iter().position(|p| p.eligible_at <= now).map(Some);
+            Some((id.clone(), if shard.fresh.is_empty() { requeued()? } else { None }))
         });
         let (job_id, pos) = pick?;
         let shard = st.jobs.get_mut(&job_id).expect("picked shard exists");
-        let p = shard.pending.remove(pos).expect("picked slot exists");
+        let p = match pos {
+            Some(pos) => shard.pending.remove(pos).expect("picked slot exists"),
+            None => {
+                let trial = shard.fresh.next().expect("picked a fresh trial");
+                PendingTrial {
+                    trial,
+                    seed: attempt_seed(shard.master_seed, trial, 1),
+                    salted: false,
+                    attempt: 1,
+                    eligible_at: now,
+                    snapshot: None,
+                    last_worker: None,
+                }
+            }
+        };
         let lease_id = lease_fp(&job_id, p.trial, p.seed, p.attempt);
         let grant = LeaseGrant {
             lease: lease_id.clone(),
@@ -641,11 +661,10 @@ impl DistPool {
             ));
             return;
         }
-        let salted_seed =
-            derive_seed(derive_seed(shard.master_seed, RETRY_SALT), lease.trial as u64);
+        // The salted phase runs the seed of a local trial's second attempt.
         shard.pending.push_back(PendingTrial {
             trial: lease.trial,
-            seed: salted_seed,
+            seed: attempt_seed(shard.master_seed, lease.trial, 2),
             salted: true,
             attempt: 1,
             eligible_at: now,
@@ -714,25 +733,13 @@ impl DistPool {
         campaign: &CampaignCheckpoint,
         trial_deadline: Option<Duration>,
     ) {
-        let now = Instant::now();
-        let mut pending = VecDeque::new();
-        for i in campaign.records.len()..campaign.count {
-            pending.push_back(PendingTrial {
-                trial: i,
-                seed: derive_seed(campaign.master_seed, i as u64),
-                salted: false,
-                attempt: 1,
-                eligible_at: now,
-                snapshot: None,
-                last_worker: None,
-            });
-        }
         let shard = JobShard {
             config_value: campaign.config.to_json_value(),
             master_seed: campaign.master_seed,
             trace: cold_obs::trace::current(),
             trial_deadline,
-            pending,
+            fresh: campaign.records.len()..campaign.count,
+            pending: VecDeque::new(),
             completed: HashMap::new(),
             done: HashSet::new(),
             failed: None,
@@ -814,6 +821,9 @@ enum Step {
 /// deterministic. A trial that exhausts its lease budget on both the
 /// primary and salted seeds — the distributed analogue of a trial that
 /// fails twice — ends the campaign with [`ColdError::TrialPanic`].
+///
+/// A lease grant carries no objective, so the pool runs cost campaigns
+/// only: any other objective is [`ColdError::Config`].
 pub struct PoolTrials<'a> {
     pool: &'a DistPool,
     id: &'a str,
@@ -842,6 +852,11 @@ impl TrialSource for PoolTrials<'_> {
         campaign: &CampaignCheckpoint,
         next: usize,
     ) -> Result<Vec<TrialOutcome>, ColdError> {
+        if campaign.objective != TrialObjective::Cost {
+            let why =
+                "the worker pool runs cost campaigns only: a lease grant carries no objective";
+            return Err(ColdError::Config(why.into()));
+        }
         if !self.registered {
             self.pool.register_job(self.id, campaign, self.deadline);
             self.registered = true;
@@ -878,9 +893,8 @@ impl Drop for PoolTrials<'_> {
 mod tests {
     use super::*;
     use crate::dist::worker::Uploads;
-    use cold::{
-        Campaign, ColdConfig, LocalTrials, RunOptions, Snapshots, TrialObjective, TrialSpec,
-    };
+    use cold::context::rng::derive_seed;
+    use cold::{Campaign, ColdConfig, LocalTrials, RunOptions, Snapshots, TrialSpec, RETRY_SALT};
     use std::path::PathBuf;
 
     fn quick_cfg() -> ColdConfig {
@@ -956,6 +970,53 @@ mod tests {
             }
             _ => panic!("completed trial must drain"),
         }
+    }
+
+    #[test]
+    fn a_large_campaign_registers_as_a_cursor_and_leases_in_order() {
+        let pool = test_pool(DistConfig::default());
+        let campaign = CampaignCheckpoint::new(&Campaign::new(quick_cfg(), 9, 100_000));
+        pool.register_job("job-a", &campaign, None);
+        assert_eq!(pool.state.lock().expect("state").jobs["job-a"].pending.len(), 0);
+        pool.dispatch(Msg::Hello { worker: "w1".into() });
+        for trial in 0..2 {
+            let grant = granted(pool.dispatch(Msg::LeaseRequest { worker: "w1".into() }));
+            assert_eq!((grant.trial, grant.attempt), (trial, 1));
+            assert_eq!(grant.seed, derive_seed(9, trial as u64));
+        }
+        assert_eq!(pool.state.lock().expect("state").jobs["job-a"].fresh, 2..100_000);
+    }
+
+    #[test]
+    fn fresh_trials_lease_before_requeued_ones() {
+        let pool = test_pool(DistConfig {
+            lease_deadline: Duration::ZERO,
+            backoff_base_ms: 0,
+            ..DistConfig::default()
+        });
+        pool.register_job(
+            "job-a",
+            &CampaignCheckpoint::new(&Campaign::new(quick_cfg(), 9, 3)),
+            None,
+        );
+        pool.dispatch(Msg::Hello { worker: "w1".into() });
+        let lease = || granted(pool.dispatch(Msg::LeaseRequest { worker: "w1".into() }));
+        assert_eq!(lease().trial, 0);
+        pool.tick(); // trial 0's lease expires and is requeued
+        let order: Vec<(usize, usize)> =
+            (0..3).map(|_| lease()).map(|g| (g.trial, g.attempt)).collect();
+        assert_eq!(order, [(1, 1), (2, 1), (0, 2)]);
+    }
+
+    #[test]
+    fn the_pool_refuses_campaigns_other_than_cost() {
+        let pool = test_pool(DistConfig::default());
+        let pareto = TrialObjective::Pareto { archive: 8 };
+        let campaign = Campaign { objective: pareto, ..Campaign::new(quick_cfg(), 9, 1) };
+        let mut source = PoolTrials::new(&pool, "job-a", None, None);
+        let err = source.next_trials(&CampaignCheckpoint::new(&campaign), 0).err();
+        assert!(matches!(err, Some(ColdError::Config(_))), "{err:?}");
+        assert!(pool.state.lock().expect("state").jobs.is_empty(), "nothing was registered");
     }
 
     #[test]
@@ -1129,7 +1190,7 @@ mod tests {
         let resumed = run_grant(&regrant, resume, None, None).expect("resumed trial");
         let spec = TrialSpec::new(grant.seed, TrialObjective::Cost);
         let plain = quick_cfg().run_trial(spec, RunOptions::default()).expect("trial");
-        let plain = TrialRecord::from_result(0, grant.seed, &plain.into_single());
+        let plain = TrialRecord::from_result(0, grant.seed, &plain);
         assert_eq!(resumed.edges, plain.edges);
         assert_eq!(resumed.best_cost_history, plain.best_cost_history);
         assert_eq!(resumed.final_population_costs, plain.final_population_costs);

@@ -146,48 +146,34 @@ impl JobSpec {
     }
 
     /// The job's JSON object form (persisted as `job.json` in the cache).
-    /// The `mode` key appears only for pareto jobs, so standard job
+    /// The `mode` key appears only for pareto and evolve jobs, so standard job
     /// documents (and their fingerprints) are byte-identical to earlier
     /// releases.
     pub fn to_value(&self) -> Value {
-        match self.mode {
-            JobMode::Standard => serde_json::json!({
-                "config": self.config.to_json_value(),
-                "seed": self.seed,
-                "count": self.count,
-            }),
-            JobMode::Pareto => serde_json::json!({
-                "config": self.config.to_json_value(),
-                "seed": self.seed,
-                "count": self.count,
-                "mode": "pareto",
-            }),
-            JobMode::Evolve => serde_json::json!({
-                "config": self.config.to_json_value(),
-                "seed": self.seed,
-                "count": self.count,
-                "mode": "evolve",
-                "parent": self.parent_hex().expect("evolve specs carry a parent"),
-                "change_costs": self.change.to_json_value(),
-            }),
+        let mut v = serde_json::json!({
+            "config": self.config.to_json_value(),
+            "seed": self.seed,
+            "count": self.count,
+        });
+        if let (JobMode::Pareto | JobMode::Evolve, Value::Object(map)) = (self.mode, &mut v) {
+            map.insert("mode".into(), Value::String(self.mode.name().into()));
         }
+        if let (JobMode::Evolve, Value::Object(map)) = (self.mode, &mut v) {
+            let parent = self.parent_hex().expect("evolve specs carry a parent");
+            map.insert("parent".into(), Value::String(parent));
+            map.insert("change_costs".into(), self.change.to_json_value());
+        }
+        v
     }
 
-    /// The content-addressed job id: 16 hex digits of
-    /// [`cold::job_fingerprint`] for standard jobs; pareto and evolve
-    /// jobs mix the mode (and, for evolve, the parent id and change
-    /// costs) into the fingerprinted document — same config + seed must
-    /// not collide across modes, and a child's identity chains its
-    /// parent's — leaving every pre-existing standard id untouched.
+    /// The content-addressed job id: 16 hex digits of the fingerprint of
+    /// [`to_value`](Self::to_value). For a standard job that is
+    /// [`cold::job_fingerprint`]; pareto and evolve jobs mix the mode
+    /// (and, for evolve, the parent id and change costs) into the
+    /// document — same config + seed must not collide across modes, and
+    /// a child's identity chains its parent's.
     pub fn id(&self) -> String {
-        match self.mode {
-            JobMode::Standard => {
-                cold::fingerprint_hex(cold::job_fingerprint(&self.config, self.seed, self.count))
-            }
-            JobMode::Pareto | JobMode::Evolve => {
-                cold::fingerprint_hex(cold::value_fingerprint(&self.to_value()))
-            }
-        }
+        cold::fingerprint_hex(cold::value_fingerprint(&self.to_value()))
     }
 }
 

@@ -19,10 +19,11 @@
 //! ```
 //!
 //! HTTP threads only ever do cheap work (hashing, cache lookup, queue
-//! push); every standard job runs on a worker through
+//! push); every job, whatever its mode, runs on a worker through one
 //! [`cold::run_campaign`] with `checkpoint_every = 1`. Its trials come
-//! from [`cold::LocalTrials`] (with salted retries), or on a coordinator
-//! from the distributed pool's [`PoolTrials`] (with lease retries); the
+//! from [`cold::LocalTrials`] (with salted retries), or for a standard
+//! job on a coordinator from the distributed pool's [`PoolTrials`] (with
+//! lease retries); the
 //! wall-clock deadline and stall detection apply either way, and a
 //! drain (SIGTERM or `POST /admin/shutdown`) cancels at the next trial
 //! boundary with the completed prefix already checkpointed — a
@@ -37,9 +38,10 @@ use crate::http::{
 use crate::job::{JobEntry, JobMode, JobProgress, JobSpec, JobStatus};
 use crate::metrics::{self, names};
 use crate::queue::{BoundedQueue, QueueFull};
+use cold::graph::AdjacencyMatrix;
 use cold::{
-    Campaign, CampaignCheckpoint, ColdError, LocalTrials, ProgressSink, RunOptions, Snapshots,
-    TrialObjective, TrialSource, TrialSpec,
+    Campaign, CampaignCheckpoint, ColdError, LocalTrials, ProgressSink, Snapshots, TrialObjective,
+    TrialSource,
 };
 use std::collections::HashMap;
 use std::io;
@@ -398,21 +400,15 @@ fn route(shared: &Shared, request: &Request) -> Response {
 
 fn healthz(shared: &Shared) -> Response {
     let registry = shared.registry.lock().expect("registry poisoned");
-    let doc = match &shared.dist {
-        Some(pool) => serde_json::json!({
-            "ok": true,
-            "draining": shared.shutdown.load(Ordering::SeqCst),
-            "queued": shared.queue.len(),
-            "jobs": registry.len(),
-            "dist_workers": pool.workers_alive(),
-        }),
-        None => serde_json::json!({
-            "ok": true,
-            "draining": shared.shutdown.load(Ordering::SeqCst),
-            "queued": shared.queue.len(),
-            "jobs": registry.len(),
-        }),
-    };
+    let mut doc = serde_json::json!({
+        "ok": true,
+        "draining": shared.shutdown.load(Ordering::SeqCst),
+        "queued": shared.queue.len(),
+        "jobs": registry.len(),
+    });
+    if let (Some(pool), serde_json::Value::Object(map)) = (&shared.dist, &mut doc) {
+        map.insert("dist_workers".into(), serde_json::json!(pool.workers_alive()));
+    }
     Response::json(200, serde_json::to_string(&doc).expect("healthz serializes"))
 }
 
@@ -609,12 +605,11 @@ fn transition(entry: &JobEntry, id: &str, status: JobStatus) {
 
 /// Runs one job. Every mode shares this frame: the job's trace, the
 /// progress sink, a panic boundary around each attempt (including the
-/// armed `serve.worker_panic` fault site), and the persist → counters →
-/// `job_done` → evict tail in [`finish_job`]. A mode supplies only the
-/// function that produces its result document: [`standard_doc`],
-/// [`pareto_doc`] or [`evolve_doc`]. The first panic retries the job — a
-/// standard job resumes from its campaign checkpoint, so no completed
-/// trial reruns — and a second panic fails the job, never the server.
+/// armed `serve.worker_panic` fault site), the one campaign of
+/// [`job_doc`], and the persist → counters → `job_done` → evict tail in
+/// [`finish_job`]. The first panic retries the job — it resumes from its
+/// campaign checkpoint, so no completed trial reruns — and a second
+/// panic fails the job, never the server.
 fn run_job(shared: &Shared, id: &str, entry: &Arc<JobEntry>) {
     // Re-enter the trace minted at submission: the campaign, its trials,
     // and every GA generation below nest under the job's root span.
@@ -636,11 +631,7 @@ fn run_job(shared: &Shared, id: &str, entry: &Arc<JobEntry>) {
             if cold_fault::should_fire("serve.worker_panic") {
                 panic!("injected fault: serve.worker_panic");
             }
-            match entry.spec.mode {
-                JobMode::Standard => standard_doc(shared, id, entry, &ckpt_path, resume, sink),
-                JobMode::Pareto => pareto_doc(id, &entry.spec, sink),
-                JobMode::Evolve => evolve_doc(shared, id, &entry.spec, sink),
-            }
+            job_doc(shared, id, entry, &ckpt_path, resume, sink)
         }));
 
         let error = match outcome {
@@ -683,28 +674,37 @@ fn progress_sink(entry: &Arc<JobEntry>) -> ProgressSink {
     })
 }
 
-/// A result document and the number of trials behind it.
-type JobDoc = Result<(serde_json::Value, usize), ColdError>;
-
-/// A standard job: a checkpointed campaign of `count` trials, drawn
-/// from the worker pool in coordinator mode (same seeds, same checkpoint
-/// file — see the dist module), else run locally with salted retries.
-fn standard_doc(
+/// A job's one campaign — `count` trials of its mode's objective,
+/// checkpointed after every trial — and its result document with the
+/// number of trials behind it, shaped by [`standard_doc`], [`pareto_doc`] or [`evolve_doc`]. A
+/// standard job on a coordinator draws its trials from the worker pool
+/// (same seeds, same checkpoint file — see the dist module); every other
+/// job runs locally with salted retries, since a lease grant carries no
+/// objective.
+fn job_doc(
     shared: &Shared,
     id: &str,
     entry: &Arc<JobEntry>,
     ckpt_path: &std::path::Path,
     resume: Option<CampaignCheckpoint>,
     sink: ProgressSink,
-) -> JobDoc {
+) -> Result<(serde_json::Value, usize), ColdError> {
     let spec = entry.spec;
+    let parent = (spec.mode == JobMode::Evolve).then(|| warm_parent(shared, id, &spec)).flatten();
+    let objective = match (spec.mode, &parent) {
+        (JobMode::Pareto, _) => {
+            TrialObjective::Pareto { archive: cold::pareto::DEFAULT_ARCHIVE_CAPACITY }
+        }
+        (_, Some(parent)) => TrialObjective::Warm { parent: parent.clone(), costs: spec.change },
+        _ => TrialObjective::Cost,
+    };
     let (deadline, progress) = (shared.trial_deadline, Some(sink));
-    let mut source: Box<dyn TrialSource + '_> = match &shared.dist {
-        Some(pool) => Box::new(PoolTrials::new(pool, id, deadline, progress)),
-        None => Box::new(LocalTrials { deadline, progress, ..LocalTrials::default() }),
+    let mut source: Box<dyn TrialSource + '_> = match (&shared.dist, spec.mode) {
+        (Some(pool), JobMode::Standard) => Box::new(PoolTrials::new(pool, id, deadline, progress)),
+        _ => Box::new(LocalTrials { deadline, progress, ..LocalTrials::default() }),
     };
     let results = cold::run_campaign(
-        &Campaign::new(spec.config, spec.seed, spec.count),
+        &Campaign { objective, ..Campaign::new(spec.config, spec.seed, spec.count) },
         // Checkpoint every trial: drains lose nothing.
         Some(Snapshots { path: ckpt_path, every: 1 }),
         resume,
@@ -713,127 +713,114 @@ fn standard_doc(
         |i, _| entry.progress.lock().expect("job progress poisoned").trials_done = i + 1,
     )?
     .into_results();
-    let report = cold::report::ensemble_report(&spec.config, &results, spec.seed);
-    let topologies: Vec<serde_json::Value> = results
-        .iter()
-        .map(|r| {
-            serde_json::from_str(&cold::export::to_json(&r.network, &r.context))
-                .expect("exporter emits valid JSON")
-        })
-        .collect();
-    let doc = serde_json::json!({
-        "id": id,
-        "seed": spec.seed,
-        "count": spec.count,
-        "report": report,
-        "topologies": topologies,
-    });
+    let doc = match spec.mode {
+        JobMode::Standard => standard_doc(id, &spec, &results),
+        JobMode::Pareto => pareto_doc(id, &spec, &results[0]),
+        JobMode::Evolve => evolve_doc(id, &spec, parent.as_ref(), &results[0]),
+    };
     Ok((doc, results.len()))
 }
 
-/// A `mode: pareto` job: one NSGA-II synthesis, the whole front as the
-/// result document. A front is one run with no campaign checkpoint, so a
-/// retry or a restart after a drain runs it from scratch.
-fn pareto_doc(id: &str, spec: &JobSpec, sink: ProgressSink) -> JobDoc {
-    let objective = TrialObjective::Pareto { archive: cold::pareto::DEFAULT_ARCHIVE_CAPACITY };
-    let options = RunOptions { progress: Some(sink), ..RunOptions::default() };
-    let result = spec.config.run_trial(TrialSpec::new(spec.seed, objective), options)?.into_front();
-    let front: serde_json::Value =
-        serde_json::from_str(&cold::export::pareto_front_to_json(&result))
-            .expect("front exporter emits valid JSON");
-    let doc = serde_json::json!({
+/// A trial's network in the exporter's JSON form.
+fn topology_value(r: &cold::SynthesisResult) -> serde_json::Value {
+    serde_json::from_str(&cold::export::to_json(&r.network, &r.context))
+        .expect("exporter emits valid JSON")
+}
+
+/// A standard job's document: the ensemble report and every trial's
+/// topology.
+fn standard_doc(id: &str, spec: &JobSpec, results: &[cold::SynthesisResult]) -> serde_json::Value {
+    serde_json::json!({
+        "id": id,
+        "seed": spec.seed,
+        "count": spec.count,
+        "report": cold::report::ensemble_report(&spec.config, results, spec.seed),
+        "topologies": results.iter().map(topology_value).collect::<Vec<_>>(),
+    })
+}
+
+/// A `mode: pareto` job's document: the whole front of its one trial.
+fn pareto_doc(id: &str, spec: &JobSpec, r: &cold::SynthesisResult) -> serde_json::Value {
+    let front: serde_json::Value = serde_json::from_str(&cold::export::pareto_front_to_json(r))
+        .expect("front exporter emits valid JSON");
+    serde_json::json!({
         "id": id,
         "seed": spec.seed,
         "mode": "pareto",
         "result": front,
-    });
-    Ok((doc, 1))
+    })
 }
 
-/// A `mode: evolve` job: one synthesis warm-started from the parent
+/// The parent design a `mode: evolve` job warm-starts from: the parent
 /// job's cached design (result document first, campaign checkpoint as a
-/// fallback), pricing rewired links with the spec's change costs. When
-/// the parent's artifacts are gone — evicted, or never completed here —
-/// the job falls back to a cold run: same context, same objective, so
-/// the result is still well-defined, just slower. Evolve jobs always run
-/// on the coordinator's local pool.
-fn evolve_doc(shared: &Shared, id: &str, spec: &JobSpec, sink: ProgressSink) -> JobDoc {
+/// fallback), embedded into this job's node set when the child's context
+/// grew. `None` — a cold run, same context and objective, so the result
+/// is still well-defined, just slower — when the parent's artifacts are
+/// gone (evicted, or never completed here) or the parent is larger than
+/// the child (evolution never shrinks the node set). A warm start is
+/// counted and journaled as `warm_start`.
+fn warm_parent(shared: &Shared, id: &str, spec: &JobSpec) -> Option<AdjacencyMatrix> {
     let parent_hex = spec.parent_hex().expect("evolve specs carry a parent");
-    // The parent design, embedded into this job's node set when the
-    // child's context grew. A parent larger than the child cannot seed
-    // it (evolution never shrinks the node set) — cold fallback.
     let n = spec.config.context.n;
-    let seed_topology = load_parent_topology(&shared.cache, &parent_hex)
+    let parent = load_parent_topology(&shared.cache, &parent_hex)
         .filter(|t| t.n() <= n)
-        .map(|t| cold::embed_parent(&t, n));
-    let objective = match &seed_topology {
-        Some(parent) => {
-            // The parent earned another LRU life: it is visibly load-bearing.
-            shared.cache.touch(&parent_hex);
-            cold_obs::counter_add(names::WARM_STARTS, 1);
-            cold_obs::emit(&cold_obs::Event::WarmStart(cold_obs::WarmStart {
-                id: id.to_string(),
-                parent: parent_hex.clone(),
-                seeds: spec.config.ga.population,
-            }));
-            TrialObjective::Warm { parent: parent.clone(), costs: spec.change }
-        }
-        None => TrialObjective::Cost,
-    };
-    let options = RunOptions { progress: Some(sink), ..RunOptions::default() };
-    let result =
-        spec.config.run_trial(TrialSpec::new(spec.seed, objective), options)?.into_single();
-    let topology: serde_json::Value =
-        serde_json::from_str(&cold::export::to_json(&result.network, &result.context))
-            .expect("exporter emits valid JSON");
-    let penalty = seed_topology.as_ref().map_or(0.0, |p| {
-        cold::change_penalty(p, &result.network.topology, &spec.change, |u, v| {
-            result.context.distance(u, v)
-        })
+        .map(|t| cold::embed_parent(&t, n))?;
+    // The parent earned another LRU life: it is visibly load-bearing.
+    shared.cache.touch(&parent_hex);
+    cold_obs::counter_add(names::WARM_STARTS, 1);
+    cold_obs::emit(&cold_obs::Event::WarmStart(cold_obs::WarmStart {
+        id: id.to_string(),
+        parent: parent_hex,
+        seeds: spec.config.ga.population,
+    }));
+    Some(parent)
+}
+
+/// A `mode: evolve` job's document: its one design, and the rewiring
+/// penalty against `parent` (0 for a cold fallback).
+fn evolve_doc(
+    id: &str,
+    spec: &JobSpec,
+    parent: Option<&AdjacencyMatrix>,
+    r: &cold::SynthesisResult,
+) -> serde_json::Value {
+    let penalty = parent.map_or(0.0, |p| {
+        cold::change_penalty(p, &r.network.topology, &spec.change, |u, v| r.context.distance(u, v))
     });
     // `topologies` (not `topology`): a chained child parses this document
     // exactly like a standard job's.
-    let doc = serde_json::json!({
+    serde_json::json!({
         "id": id,
         "seed": spec.seed,
         "mode": "evolve",
-        "parent": parent_hex,
-        "warm": seed_topology.is_some(),
-        "generations": result.generations_run,
+        "parent": spec.parent_hex().expect("evolve specs carry a parent"),
+        "warm": parent.is_some(),
+        "generations": r.generations_run,
         "change_penalty": penalty,
-        "cost": result.network.total_cost(),
-        "topologies": [topology],
-    });
-    Ok((doc, 1))
+        "cost": r.network.total_cost(),
+        "topologies": [topology_value(r)],
+    })
 }
 
 /// The parent's best design, for seeding a child's GA population: the
 /// first topology of its cached result document, else trial 0 of its
 /// campaign checkpoint (so a drained-but-unfinished parent still
 /// warm-starts its children).
-fn load_parent_topology(
-    cache: &ResultCache,
-    parent_id: &str,
-) -> Option<cold::graph::AdjacencyMatrix> {
-    if let Some(text) = cache.lookup(parent_id) {
-        if let Some(m) = serde_json::from_str::<serde_json::Value>(&text)
-            .ok()
-            .and_then(|doc| topology_doc_matrix(&doc))
-        {
-            return Some(m);
-        }
-    }
-    let ckpt = CampaignCheckpoint::load(&cache.checkpoint_path(parent_id)).ok()?;
-    let rec = ckpt.records.first()?;
-    cold::graph::AdjacencyMatrix::from_edges(rec.n, &rec.edges).ok()
+fn load_parent_topology(cache: &ResultCache, parent_id: &str) -> Option<AdjacencyMatrix> {
+    let cached = cache.lookup(parent_id);
+    cached.and_then(|text| topology_doc_matrix(&serde_json::from_str(&text).ok()?)).or_else(|| {
+        let ckpt = CampaignCheckpoint::load(&cache.checkpoint_path(parent_id)).ok()?;
+        let rec = ckpt.records.first()?;
+        AdjacencyMatrix::from_edges(rec.n, &rec.edges).ok()
+    })
 }
 
 /// Extracts the first `{n, links: [{source, target}]}` topology of a
 /// standard or evolve result document as an adjacency matrix.
-fn topology_doc_matrix(doc: &serde_json::Value) -> Option<cold::graph::AdjacencyMatrix> {
+fn topology_doc_matrix(doc: &serde_json::Value) -> Option<AdjacencyMatrix> {
     let topo = doc["topologies"].as_array()?.first()?;
     let n = topo["n"].as_u64()? as usize;
-    let mut m = cold::graph::AdjacencyMatrix::empty(n);
+    let mut m = AdjacencyMatrix::empty(n);
     for link in topo["links"].as_array()? {
         let u = link["source"].as_u64()? as usize;
         let v = link["target"].as_u64()? as usize;

@@ -999,3 +999,104 @@ fn inline_fallback_serves_the_standalone_document() {
     }
     assert_eq!(docs[0], docs[1], "inline trials changed the result document");
 }
+
+/// The exporter's document of a Pareto trial of `cfg` on `seed`, with the
+/// served archive bound.
+fn local_front(cfg: &ColdConfig, seed: u64) -> String {
+    let r = cold::try_synthesize_pareto(cfg, seed, cold::pareto::DEFAULT_ARCHIVE_CAPACITY)
+        .expect("pareto run");
+    let doc: Value = serde_json::from_str(&cold::export::pareto_front_to_json(&r)).expect("doc");
+    serde_json::to_string(&doc).expect("doc serializes")
+}
+
+#[test]
+fn a_served_front_is_the_cold_gen_front_of_trial_zero() {
+    let _guard = global_lock();
+    let dir = temp_dir("pareto-front");
+    fresh_globals(None);
+    let (handle, addr) =
+        start(ServerConfig { workers: 1, cache_dir: dir.join("cache"), ..ServerConfig::default() });
+    let cfg = ColdConfig::quick(8, 4e-4, 10.0);
+    let body = serde_json::json!({ "config": cfg.to_json_value(), "seed": 13, "mode": "pareto" });
+    let id = submit_and_wait(&addr, &body.to_string());
+    let result = client_request(&addr, "GET", &format!("/jobs/{id}/result"), None).expect("result");
+    handle.shutdown();
+    handle.join();
+    // `cold-gen --pareto --count 1 --seed 13` writes this document for
+    // trial 0 (pinned in cold's `cli_checkpoint` tests).
+    let served = serde_json::to_string(&parse_body(&result.body)["result"]).expect("serializes");
+    assert_eq!(served, local_front(&cfg, cold::context::rng::derive_seed(13, 0)));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn pareto_and_evolve_jobs_retry_an_overrun_on_the_salted_seed() {
+    let _guard = global_lock();
+    let dir = temp_dir("deadline-modes");
+    let journal = dir.join("serve.jsonl");
+    fresh_globals(Some(&journal));
+    let (handle, addr) = start(ServerConfig {
+        workers: 1,
+        cache_dir: dir.join("cache"),
+        trial_deadline: Some(Duration::from_millis(1000)),
+        ..ServerConfig::default()
+    });
+    // A short GA keeps each clean attempt well inside the deadline, and
+    // the injected 2 s hang well outside it.
+    let mut cfg = ColdConfig::quick(8, 4e-4, 10.0);
+    cfg.ga.generations = 6;
+    let parent_body = serde_json::json!({ "config": cfg.to_json_value(), "seed": 21 });
+    let parent = submit_and_wait(&addr, &parent_body.to_string());
+    let costs = cold::ChangeCosts::uniform(1.0);
+    let bodies = [
+        serde_json::json!({ "config": cfg.to_json_value(), "seed": 13, "mode": "pareto" }),
+        serde_json::json!({
+            "config": cfg.to_json_value(),
+            "seed": 22,
+            "mode": "evolve",
+            "parent": parent,
+            "change_costs": costs.to_json_value(),
+        }),
+    ];
+    let mut docs = Vec::new();
+    for body in bodies {
+        // One-shot: the job's first attempt hangs past the deadline.
+        cold_fault::configure("trial.hang:1", 7).expect("arm fault");
+        let id = submit_and_wait(&addr, &body.to_string());
+        let result =
+            client_request(&addr, "GET", &format!("/jobs/{id}/result"), None).expect("result");
+        docs.push(parse_body(&result.body));
+        cold::join_abandoned_watchdog_threads();
+    }
+    handle.shutdown();
+    handle.join();
+    cold_fault::clear();
+
+    let overruns: Vec<u64> = read_journal(&journal)
+        .iter()
+        .filter_map(|e| match e {
+            cold_obs::Event::TrialDeadlineExceeded(d) => Some(d.seed),
+            _ => None,
+        })
+        .collect();
+    let primary = |seed| cold::attempt_seed(seed, 0, 1);
+    assert_eq!(overruns, [primary(13), primary(22)], "each job's first attempt overran");
+    // Both jobs completed on trial 0's salted retry seed.
+    let salted = |seed| cold::attempt_seed(seed, 0, 2);
+    let served = serde_json::to_string(&docs[0]["result"]).expect("serializes");
+    assert_eq!(served, local_front(&cfg, salted(13)), "the pareto job's front");
+    let parent_topology = cfg.synthesize(primary(21)).network.topology;
+    let objective = cold::TrialObjective::Warm { parent: parent_topology, costs };
+    let spec = cold::TrialSpec::new(salted(22), objective);
+    let local = cfg.run_trial(spec, cold::RunOptions::default()).expect("warm run");
+    let local_topology: Value =
+        serde_json::from_str(&cold::export::to_json(&local.network, &local.context)).expect("doc");
+    assert_eq!(docs[1]["warm"].as_bool(), Some(true));
+    assert_eq!(docs[1]["cost"].as_f64().map(f64::to_bits), Some(local.best_cost().to_bits()));
+    assert_eq!(
+        serde_json::to_string(&docs[1]["topologies"][0]).expect("serializes"),
+        serde_json::to_string(&local_topology).expect("serializes"),
+        "the evolve job's design"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

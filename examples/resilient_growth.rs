@@ -75,7 +75,7 @@ fn main() {
     println!("\nresilience sweep (same market, rising bridge cost):");
     for bridge_cost in [0.0, 20.0, 200.0, 2000.0] {
         let spec = TrialSpec::new(seed + 4, TrialObjective::Resilient { bridge_cost });
-        let r = cfg.run_trial(spec, RunOptions::default()).expect("synthesis").into_single();
+        let r = cfg.run_trial(spec, RunOptions::default()).expect("synthesis");
         let (net, report) = (&r.network, survivability(&r.network.topology, &r.context));
         println!(
             "  bridge cost {:>6}: {} links, {} bridges, 2-edge-connected: {}, worst failure {:.0}%",

@@ -1,12 +1,13 @@
 //! Workspace-level crash-safety journeys: a campaign killed mid-run and
 //! resumed from its snapshot must reproduce the uninterrupted campaign
-//! bit-for-bit (exports included), an injected trial panic must surface as
+//! bit-for-bit (exports included, and Pareto fronts and warm runs too), an injected trial panic must surface as
 //! a `trial_failed` journal event plus a partial report rather than an
 //! abort, and checkpoint writes must leave an audit trail in the journal.
 
 use cold::report::outcome_report;
 use cold::{
-    export, run_campaign, Campaign, CampaignCheckpoint, ColdConfig, LocalTrials, Snapshots,
+    export, run_campaign, Campaign, CampaignCheckpoint, ChangeCosts, ColdConfig, LocalTrials,
+    Snapshots, TrialObjective,
 };
 use cold_obs::{parse_journal, Event, TraceMode};
 use std::path::PathBuf;
@@ -157,4 +158,62 @@ fn campaign_checkpoints_leave_a_journal_audit_trail() {
     assert!(checkpoints.iter().all(|c| c.path.ends_with("audit.ckpt.json")));
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(&ckpt);
+}
+
+#[test]
+fn pareto_and_warm_campaigns_resume_bit_identically() {
+    let _guard = telemetry_lock();
+    let mut cfg = ColdConfig::quick(8, 4e-4, 10.0);
+    cfg.ga.generations = 8;
+    let parent = cfg.synthesize(3).network.topology;
+    let objectives = [
+        TrialObjective::Pareto { archive: 8 },
+        TrialObjective::Warm { parent, costs: ChangeCosts::uniform(1.0) },
+    ];
+    for objective in objectives {
+        let label = format!("{objective:?}");
+        let ckpt = temp_file("objective.ckpt.json");
+        let _ = std::fs::remove_file(&ckpt);
+        let campaign = Campaign { objective, ..Campaign::new(cfg, 21, 3) };
+        let every1 = Some(Snapshots { path: &ckpt, every: 1 });
+        let full =
+            run_campaign(&campaign, every1, None, &mut LocalTrials::default(), None, |_, _| {})
+                .expect("reference run")
+                .into_results();
+        let _ = std::fs::remove_file(&ckpt);
+
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_campaign(&campaign, every1, None, &mut LocalTrials::default(), None, |i, _| {
+                if i == 1 {
+                    panic!("simulated kill");
+                }
+            })
+        }));
+        assert!(crashed.is_err(), "{label}: first leg must die");
+        let snapshot = CampaignCheckpoint::load(&ckpt).expect("valid snapshot on disk");
+        assert_eq!(snapshot.records.len(), 2, "{label}: partial snapshot");
+        let source = &mut LocalTrials::default();
+        let resumed = run_campaign(&campaign, every1, Some(snapshot), source, None, |_, _| {})
+            .expect("resumed run")
+            .into_results();
+        assert_eq!(resumed.len(), full.len());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (i, (a, b)) in full.iter().zip(&resumed).enumerate() {
+            assert_eq!(a.network.topology, b.network.topology, "{label} trial {i} topology");
+            assert_eq!(bits(&a.best_cost_history), bits(&b.best_cost_history), "{label} trial {i}");
+            assert_eq!(a.front.len(), b.front.len(), "{label} trial {i} front size");
+            for (x, y) in a.front.iter().zip(&b.front) {
+                assert_eq!(x.network.topology, y.network.topology, "{label} trial {i} member");
+                assert_eq!(bits(&x.objectives), bits(&y.objectives), "{label} trial {i} member");
+            }
+            assert_eq!(
+                bits(&a.hypervolume_history),
+                bits(&b.hypervolume_history),
+                "{label} trial {i} hypervolume history"
+            );
+        }
+        let pareto = matches!(campaign.objective, TrialObjective::Pareto { .. });
+        assert_eq!(full[0].front.is_empty(), !pareto, "{label}: only a Pareto trial has a front");
+        let _ = std::fs::remove_file(&ckpt);
+    }
 }

@@ -86,7 +86,7 @@ fn resilience_hardening_reduces_worst_case_failures() {
     let plain = cfg.synthesize(seed);
     let plain_report = survivability(&plain.network.topology, &plain.context);
     let spec = TrialSpec::new(seed, TrialObjective::Resilient { bridge_cost: 1e5 });
-    let hardened = cfg.run_trial(spec, RunOptions::default()).unwrap().into_single();
+    let hardened = cfg.run_trial(spec, RunOptions::default()).unwrap();
     let hard_report = survivability(&hardened.network.topology, &hardened.context);
     let hardened = hardened.network;
     assert!(

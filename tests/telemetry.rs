@@ -228,7 +228,6 @@ fn stalled_warm_run_journals_ga_stalled() {
     cold_obs::configure(TraceMode::Journal(path.clone())).expect("journal sink");
     let warm = TrialObjective::Warm { parent, costs: cold::ChangeCosts::default() };
     let r = cfg.run_trial(TrialSpec::new(11, warm), RunOptions::default()).expect("warm run");
-    let r = r.into_single();
     cold_obs::configure(TraceMode::Off).expect("disable sink");
     assert_eq!(r.stop_reason, cold::StopReason::Stalled, "a converged parent stalls at once");
 
@@ -261,7 +260,7 @@ fn resilient_run_journals_one_run_frame() {
     let path = temp_journal("resilient");
     cold_obs::configure(TraceMode::Journal(path.clone())).expect("journal sink");
     let spec = TrialSpec::new(5, TrialObjective::Resilient { bridge_cost: 50.0 });
-    let r = cfg.run_trial(spec, RunOptions::default()).expect("resilient run").into_single();
+    let r = cfg.run_trial(spec, RunOptions::default()).expect("resilient run");
     cold_obs::configure(TraceMode::Off).expect("disable sink");
 
     let text = std::fs::read_to_string(&path).expect("journal written");
