@@ -2,7 +2,7 @@
 //!
 //! ```sh
 //! cold-ckpt-probe inspect campaign.ckpt.json
-//! cold-ckpt-probe resume-ga input.json      # {"config", "seed", "snapshot"}
+//! cold-ckpt-probe resume-ga input.json      # {"config", "seed", "snapshot"[, "objective"]}
 //! cold-ckpt-probe resume-campaign campaign.ckpt.json
 //! ```
 //!
@@ -12,12 +12,13 @@
 //! hand it snapshots produced in-process and require its stdout to match
 //! the uninterrupted in-process reference exactly. Output is one JSON
 //! document of deterministic fields only (edges, cost histories, final
-//! population costs — never wall-clock stats).
+//! population costs, and a Pareto trial's front, hypervolume history and
+//! reference point — never wall-clock stats).
 
 use cold::context::rng::derive_seed;
 use cold::{
     run_campaign, Campaign, CampaignCheckpoint, ColdConfig, LocalTrials, RunOptions, Snapshots,
-    TrialObjective, TrialSpec,
+    TrialRecord, TrialSpec,
 };
 use serde::Deserialize as _;
 use serde_json::Value;
@@ -28,7 +29,8 @@ const USAGE: &str = "cold-ckpt-probe — cross-process checkpoint portability pr
 USAGE:
     cold-ckpt-probe inspect <ckpt.json>         summarize a checkpoint file
     cold-ckpt-probe resume-ga <input.json>      resume a GA snapshot to completion;
-                                                input: {\"config\", \"seed\", \"snapshot\"}
+                                                input: {\"config\", \"seed\", \"snapshot\"},
+                                                and the trial's \"objective\" unless cost
     cold-ckpt-probe resume-campaign <ckpt.json> resume a campaign checkpoint to completion
 ";
 
@@ -41,18 +43,20 @@ fn read_file(path: &PathBuf) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("read {}: {e}", path.display())))
 }
 
-/// The deterministic slice of one synthesis result — the unit of
-/// bit-identity the portability tests compare.
+/// The deterministic slice of one synthesis result's trial record — the
+/// unit of bit-identity the portability tests compare.
 fn trial_value(trial: usize, seed: u64, r: &cold::SynthesisResult) -> Value {
-    let edges: Vec<Value> =
-        r.network.topology.edges().map(|(a, b)| serde_json::json!([a, b])).collect();
-    serde_json::json!({
-        "trial": trial,
-        "seed": seed,
-        "edges": edges,
-        "best_cost_history": r.best_cost_history,
-        "final_population_costs": r.final_population_costs,
-    })
+    let record = TrialRecord::from_result(trial, seed, r).to_value();
+    let mut slice = serde_json::Map::new();
+    for key in ["trial", "seed", "edges", "best_cost_history", "final_population_costs"]
+        .into_iter()
+        .chain(["front", "hypervolume_history", "reference"])
+    {
+        if let Some(v) = record.get(key) {
+            slice.insert(key.into(), v.clone());
+        }
+    }
+    Value::Object(slice)
 }
 
 fn inspect(path: &PathBuf) {
@@ -89,6 +93,8 @@ fn resume_ga(path: &PathBuf) {
     let config = ColdConfig::from_json_value(&doc["config"])
         .unwrap_or_else(|| fail("input `config` is not a valid ColdConfig"));
     let seed = doc["seed"].as_u64().unwrap_or_else(|| fail("input `seed` missing"));
+    let objective = cold::objective_from_value(doc.get("objective"), config.context.n)
+        .unwrap_or_else(|| fail("input `objective` is not a trial objective"));
     let resume = if doc["snapshot"].is_null() {
         None
     } else {
@@ -99,7 +105,7 @@ fn resume_ga(path: &PathBuf) {
     };
     let options = RunOptions { resume, ..RunOptions::default() };
     let result = config
-        .run_trial(TrialSpec::new(seed, TrialObjective::Cost), options)
+        .run_trial(TrialSpec::new(seed, objective), options)
         .unwrap_or_else(|e| fail(&format!("resume failed: {e}")));
     println!(
         "{}",

@@ -18,7 +18,7 @@ use crate::error::ColdError;
 use crate::evolve::ChangeCosts;
 use crate::pareto::ParetoFrontMember;
 use crate::synthesizer::{
-    contain, run_attempt, AttemptOptions, ColdConfig, EnsembleOutcome, ProgressSink, RunOptions,
+    contain, run_attempt, AttemptOptions, ColdConfig, EnsembleOutcome, ProgressSink,
     SynthesisResult, TrialFailure, TrialObjective, TrialRunner, TrialSpec, CONTEXT_SALT,
     RETRY_SALT,
 };
@@ -317,7 +317,7 @@ impl Campaign {
     /// parameters (a bridge cost, a warm parent or its change costs).
     pub fn validate(&self) -> Result<(), ColdError> {
         self.config.validate()?;
-        self.objective.validate(self.config.context.n, &RunOptions::default())
+        self.objective.validate(self.config.context.n)
     }
 }
 
@@ -330,10 +330,12 @@ pub fn attempt_seed(master_seed: u64, trial: usize, attempt: usize) -> u64 {
     derive_seed(master, trial as u64)
 }
 
-/// A campaign objective's JSON form, `None` for cost: `{"kind":
+/// A trial objective's JSON form, `None` for cost: `{"kind":
 /// "resilient", "bridge_cost"}`, `{"kind": "pareto", "archive"}` or
-/// `{"kind": "warm", "parent": {"n", "edges"}, "costs"}`.
-fn objective_value(objective: &TrialObjective) -> Option<Value> {
+/// `{"kind": "warm", "parent": {"n", "edges"}, "costs"}`. Campaign
+/// snapshots and lease grants carry it under an `objective` key, which
+/// a cost campaign or grant omits.
+pub fn objective_value(objective: &TrialObjective) -> Option<Value> {
     Some(match objective {
         TrialObjective::Cost => return None,
         TrialObjective::Resilient { bridge_cost } => {
@@ -348,9 +350,11 @@ fn objective_value(objective: &TrialObjective) -> Option<Value> {
     })
 }
 
-/// Parses [`objective_value`]'s form for a campaign on `n` nodes; a warm
-/// parent of another size is rejected before its matrix is allocated.
-fn objective_from_value(o: &Value, n: usize) -> Option<TrialObjective> {
+/// Parses [`objective_value`]'s form for trials on `n` nodes, an absent
+/// key (`None`) being cost; a warm parent of another size is rejected
+/// before its matrix is allocated.
+pub fn objective_from_value(o: Option<&Value>, n: usize) -> Option<TrialObjective> {
+    let Some(o) = o else { return Some(TrialObjective::Cost) };
     match o.get("kind")?.as_str()? {
         "resilient" => {
             Some(TrialObjective::Resilient { bridge_cost: o.get("bridge_cost")?.as_f64()? })
@@ -436,11 +440,8 @@ impl CampaignCheckpoint {
             .and_then(Value::as_u64)
             .ok_or_else(|| fail("field `master_seed` missing".into()))?;
         let count = usize_field(v, "count").map_err(fail)?;
-        let objective = match v.get("objective") {
-            None => TrialObjective::Cost,
-            Some(o) => objective_from_value(o, config.context.n)
-                .ok_or_else(|| fail(format!("unsupported campaign objective {o}")))?,
-        };
+        let objective = objective_from_value(v.get("objective"), config.context.n)
+            .ok_or_else(|| fail(format!("unsupported campaign objective {}", v["objective"])))?;
         let mut records = Vec::new();
         for (i, r) in v
             .get("records")

@@ -96,8 +96,8 @@ pub mod synthesizer;
 pub mod zoo;
 
 pub use checkpoint::{
-    attempt_seed, run_campaign, Campaign, CampaignCheckpoint, LocalTrials, Snapshots, TrialOutcome,
-    TrialRecord, TrialSource,
+    attempt_seed, objective_from_value, objective_value, run_campaign, Campaign,
+    CampaignCheckpoint, LocalTrials, Snapshots, TrialOutcome, TrialRecord, TrialSource,
 };
 pub use cold_ga::StopReason;
 pub use error::ColdError;

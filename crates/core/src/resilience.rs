@@ -223,7 +223,7 @@ mod tests {
     }
 
     #[test]
-    fn invalid_bridge_costs_and_options_are_config_errors() {
+    fn invalid_bridge_costs_are_config_errors_and_progress_sees_every_generation() {
         let cfg = ColdConfig::quick(6, 1e-4, 0.0);
         for bridge_cost in [-1.0, f64::NAN, f64::INFINITY] {
             let spec = TrialSpec::new(1, TrialObjective::Resilient { bridge_cost });
@@ -231,9 +231,14 @@ mod tests {
             assert!(matches!(err, ColdError::Config(_)), "{bridge_cost}: {err:?}");
         }
         let spec = TrialSpec::new(1, TrialObjective::Resilient { bridge_cost: 1.0 });
-        let progress: ProgressSink = std::sync::Arc::new(|_: &cold_obs::GenerationRecord| {});
+        let seen = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counter = std::sync::Arc::clone(&seen);
+        let progress: ProgressSink = std::sync::Arc::new(move |_: &cold_obs::GenerationRecord| {
+            counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        });
         let options = RunOptions { progress: Some(progress), ..RunOptions::default() };
-        assert!(matches!(cfg.run_trial(spec, options), Err(ColdError::Config(_))));
+        let r = cfg.run_trial(spec, options).expect("a resilient run takes a progress sink");
+        assert_eq!(seen.load(std::sync::atomic::Ordering::SeqCst), r.generations_run);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::stats::NetworkStats;
 use cold_context::rng::derive_seed;
 use cold_context::{Context, ContextConfig};
 use cold_cost::{CostParams, Network};
-use cold_ga::pareto::{ParetoGa, ParetoResult};
+use cold_ga::pareto::{ParetoGa, ParetoPoint, ParetoResult};
 use cold_ga::{GaResult, GaSettings, GeneticAlgorithm, Individual, Objective};
 use cold_graph::AdjacencyMatrix;
 use cold_heuristics::{all_heuristics_on, RandomGreedyConfig};
@@ -262,11 +262,9 @@ pub enum SynthesisMode {
 }
 
 /// What one trial minimizes. Every variant runs the same pipeline
-/// ([`ColdConfig::run_trial`]) and yields a [`SynthesisResult`]; they
-/// differ only in the objective, the initial population, the GA salt and
-/// the survival strategy. Checkpoint and resume exist for cost and warm
-/// runs only, and resilient runs take no [`RunOptions`]: other
-/// combinations are [`ColdError::Config`].
+/// ([`ColdConfig::run_trial`]), takes every [`RunOptions`] hook and
+/// yields a [`SynthesisResult`]; they differ only in the objective, the
+/// initial population, the GA salt and the survival strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TrialObjective {
     /// Eq. (2): the paper's synthesis.
@@ -295,10 +293,8 @@ pub enum TrialObjective {
 }
 
 impl TrialObjective {
-    /// Checks the objective's parameters for an `n`-node context, and the
-    /// options it supports.
-    pub(crate) fn validate(&self, n: usize, options: &RunOptions<'_>) -> Result<(), ColdError> {
-        let hooks = options.checkpoint.is_some() || options.resume.is_some();
+    /// Checks the objective's parameters for an `n`-node context.
+    pub(crate) fn validate(&self, n: usize) -> Result<(), ColdError> {
         let why = match self {
             TrialObjective::Warm { parent, .. } if parent.n() != n => {
                 Some(format!("warm-start parent has {} nodes, context has {n}", parent.n()))
@@ -308,12 +304,6 @@ impl TrialObjective {
                 if !bridge_cost.is_finite() || *bridge_cost < 0.0 =>
             {
                 Some(format!("bridge cost {bridge_cost} must be finite and >= 0"))
-            }
-            TrialObjective::Resilient { .. } if hooks || options.progress.is_some() => {
-                Some("resilient runs take no progress, checkpoint or resume option".into())
-            }
-            TrialObjective::Pareto { .. } if hooks => {
-                Some("pareto runs support neither the checkpoint nor the resume option".into())
             }
             _ => None,
         };
@@ -345,9 +335,10 @@ impl TrialSpec {
 pub struct RunOptions<'a> {
     /// Live per-generation progress sink.
     pub progress: Option<ProgressSink>,
-    /// Mid-run GA snapshots for crash safety (cost and warm runs).
+    /// Mid-run GA snapshots for crash safety; a Pareto run's carry its
+    /// NSGA-II state.
     pub checkpoint: Option<cold_ga::CheckpointHook<'a>>,
-    /// Resume the GA from a snapshot (cost and warm runs).
+    /// Resume the GA from a snapshot of a run of the same objective.
     pub resume: Option<cold_ga::GaCheckpoint>,
 }
 
@@ -448,11 +439,10 @@ impl ColdConfig {
     /// or not the trial was ever interrupted.
     ///
     /// # Errors
-    /// [`ColdError::Config`] for an invalid configuration, objective (a
-    /// warm parent whose node count differs from the context included)
-    /// or option set (see [`TrialObjective`]); [`ColdError::Ga`] when
-    /// the engine rejects the run (a non-finite cost, a resume snapshot
-    /// that disagrees with the settings).
+    /// [`ColdError::Config`] for an invalid configuration or objective (a
+    /// warm parent whose node count differs from the context included);
+    /// [`ColdError::Ga`] when the engine rejects the run (a non-finite
+    /// cost, a resume snapshot of another run or survival strategy).
     pub fn run_trial(
         &self,
         spec: TrialSpec,
@@ -460,7 +450,7 @@ impl ColdConfig {
     ) -> Result<SynthesisResult, ColdError> {
         self.validate()?;
         let n = spec.context.as_ref().map_or(self.context.n, Context::n);
-        spec.objective.validate(n, &options)?;
+        spec.objective.validate(n)?;
         if cold_fault::armed() && cold_fault::should_fire("trial.hang") {
             std::thread::sleep(std::time::Duration::from_millis(HANG_MS));
         }
@@ -491,18 +481,12 @@ impl ColdConfig {
             }
         };
         let settings = |salt| GaSettings { seed: derive_seed(seed, salt), ..self.ga };
-        let (objective, warm_parent): (Box<dyn Objective + '_>, _) = match objective {
-            TrialObjective::Cost => (Box::new(plain), None),
-            TrialObjective::Warm { parent, costs } => {
-                (Box::new(ChangePenaltyObjective::new(plain, parent.clone(), costs)), Some(parent))
-            }
-            TrialObjective::Resilient { bridge_cost } => {
-                (Box::new(ResilientObjective::new(&ctx, self.params, bridge_cost)), None)
-            }
+        let (checkpoint, resume) = (options.checkpoint, options.resume);
+        let (result, pareto) = match objective {
             TrialObjective::Pareto { archive } => {
                 let objective = ColdMultiObjective::new(&ctx, self.params);
-                let r = ParetoGa::try_new(&objective, settings(GA_SALT), archive)?
-                    .try_run_traced(&seeds, telemetry.slot())?;
+                let engine = ParetoGa::try_new(&objective, settings(GA_SALT), archive)?;
+                let r = engine.run_resumable(&seeds, telemetry.slot(), checkpoint, resume)?;
                 // The archive is in lexicographic objective order, so its
                 // first member is the cheapest.
                 let (topology, cost) = (r.front[0].topology.clone(), r.front[0].objectives[0]);
@@ -516,18 +500,29 @@ impl ColdConfig {
                     repair_stats: r.repair_stats,
                     stop_reason: r.stop_reason,
                 };
-                return Ok(self.finish(ctx, &telemetry, scalar, heuristic_costs, Some(r)));
+                (scalar, Some(r))
+            }
+            scalar => {
+                let (objective, warm_parent): (Box<dyn Objective + '_>, _) = match scalar {
+                    TrialObjective::Warm { parent, costs } => (
+                        Box::new(ChangePenaltyObjective::new(plain, parent.clone(), costs)),
+                        Some(parent),
+                    ),
+                    TrialObjective::Resilient { bridge_cost } => {
+                        (Box::new(ResilientObjective::new(&ctx, self.params, bridge_cost)), None)
+                    }
+                    _ => (Box::new(plain), None),
+                };
+                let salt = if warm_parent.is_some() { WARM_SALT } else { GA_SALT };
+                let engine = GeneticAlgorithm::try_new(&*objective, settings(salt))?;
+                let result = match &warm_parent {
+                    Some(parent) => engine.run_warm(parent, telemetry.slot(), checkpoint, resume),
+                    None => engine.run_resumable(&seeds, telemetry.slot(), checkpoint, resume),
+                }?;
+                (result, None)
             }
         };
-        let salt = if warm_parent.is_some() { WARM_SALT } else { GA_SALT };
-        let engine = GeneticAlgorithm::try_new(&*objective, settings(salt))?;
-        let (checkpoint, resume) = (options.checkpoint, options.resume);
-        let result = match &warm_parent {
-            Some(parent) => engine.run_warm(parent, telemetry.slot(), checkpoint, resume),
-            None => engine.run_resumable(&seeds, telemetry.slot(), checkpoint, resume),
-        }?;
-        drop(objective);
-        Ok(self.finish(ctx, &telemetry, result, heuristic_costs, None))
+        Ok(self.finish(ctx, &telemetry, result, heuristic_costs, pareto))
     }
 
     /// The tail of every [`run_trial`](Self::run_trial): `run_end`, then
@@ -545,18 +540,14 @@ impl ColdConfig {
         let build = |t: AdjacencyMatrix| {
             Network::build(t, &ctx, self.params).expect("GA designs are repaired, hence connected")
         };
+        let member = |p: ParetoPoint| ParetoFrontMember {
+            network: build(p.topology),
+            objectives: p.objectives,
+        };
         let (front, hypervolume_history, reference) = match pareto {
-            Some(r) => (
-                r.front
-                    .into_iter()
-                    .map(|p| ParetoFrontMember {
-                        network: build(p.topology),
-                        objectives: p.objectives,
-                    })
-                    .collect(),
-                r.hypervolume_history,
-                r.reference,
-            ),
+            Some(r) => {
+                (r.front.into_iter().map(member).collect(), r.hypervolume_history, r.reference)
+            }
             None => Default::default(),
         };
         let network = build(result.best.topology);
@@ -968,30 +959,63 @@ mod tests {
     }
 
     #[test]
-    fn options_a_mode_never_supported_are_config_errors() {
-        let mut cfg = ColdConfig::quick(6, 1e-4, 10.0);
-        cfg.ga.generations = 4;
-        let mut snapshot = None;
-        let mut sink = |c: cold_ga::GaCheckpoint| snapshot = Some(c);
-        let checkpoint = Some(cold_ga::CheckpointHook { every: 2, sink: &mut sink });
-        let options = RunOptions { checkpoint, ..RunOptions::default() };
-        cfg.run_trial(TrialSpec::new(1, TrialObjective::Cost), options).unwrap();
-        let snapshot = snapshot.expect("a mid-run snapshot");
-        for objective in
-            [TrialObjective::Pareto { archive: 8 }, TrialObjective::Resilient { bridge_cost: 1.0 }]
-        {
-            let options = RunOptions { resume: Some(snapshot.clone()), ..RunOptions::default() };
-            let err = cfg.run_trial(TrialSpec::new(1, objective.clone()), options).unwrap_err();
-            assert!(matches!(&err, ColdError::Config(why) if why.contains("resume")), "{err:?}");
-            let mut sink = |_: cold_ga::GaCheckpoint| {};
-            let checkpoint = Some(cold_ga::CheckpointHook { every: 2, sink: &mut sink });
+    fn every_objective_resumes_from_every_snapshot_bit_identically() {
+        let mut cfg = ColdConfig::quick(8, 4e-4, 10.0);
+        cfg.ga.generations = 6;
+        let ctx = cfg.context.generate(4);
+        let parent = cold_graph::mst::mst_matrix(8, ctx.distance_fn());
+        let objectives = [
+            TrialObjective::Cost,
+            TrialObjective::Warm { parent, costs: crate::ChangeCosts::uniform(1.0) },
+            TrialObjective::Resilient { bridge_cost: 50.0 },
+            TrialObjective::Pareto { archive: 8 },
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Every deterministic field: eval_seconds and the session-count
+        // dependent delta/full split aside.
+        let deterministic = |r: &SynthesisResult| {
+            let s = &r.eval_stats;
+            let front: Vec<_> =
+                r.front.iter().map(|m| (m.network.topology.clone(), bits(&m.objectives))).collect();
+            (
+                (r.best_cost().to_bits(), r.network.topology.clone(), bits(&r.best_cost_history)),
+                (r.generations_run, r.evaluations, (s.requested, s.cache_hits, s.cache_misses)),
+                (r.repair_rate.to_bits(), r.stop_reason, bits(&r.final_population_costs)),
+                (front, bits(&r.hypervolume_history), bits(&r.reference)),
+            )
+        };
+        let mut pareto_snapshot = None;
+        for objective in objectives {
+            let label = format!("{objective:?}");
+            let pareto = matches!(objective, TrialObjective::Pareto { .. });
+            let spec = TrialSpec::new(9, objective);
+            let mut snapshots = Vec::new();
+            let mut sink = |c: cold_ga::GaCheckpoint| snapshots.push(c);
+            let checkpoint = Some(cold_ga::CheckpointHook { every: 1, sink: &mut sink });
             let options = RunOptions { checkpoint, ..RunOptions::default() };
-            let err = cfg.run_trial(TrialSpec::new(1, objective), options).unwrap_err();
-            assert!(
-                matches!(&err, ColdError::Config(why) if why.contains("checkpoint")),
-                "{err:?}"
-            );
+            let plain = cfg.run_trial(spec.clone(), options).unwrap();
+            assert_eq!(snapshots.len(), 5, "{label}: one snapshot per generation but the last");
+            for snapshot in &snapshots {
+                assert_eq!(snapshot.pareto.is_some(), pareto, "{label}");
+                let resume = Some(cold_ga::GaCheckpoint::from_json(&snapshot.to_json()).unwrap());
+                let options = RunOptions { resume, ..RunOptions::default() };
+                let resumed = cfg.run_trial(spec.clone(), options).unwrap();
+                let generation = snapshot.generation;
+                assert_eq!(
+                    deterministic(&resumed),
+                    deterministic(&plain),
+                    "{label} @ {generation}"
+                );
+            }
+            if pareto {
+                assert!(plain.front.len() >= 2 && !plain.hypervolume_history.is_empty(), "{label}");
+                pareto_snapshot = snapshots.pop();
+            }
         }
+        // A snapshot resumes only a run of its own objective.
+        let options = RunOptions { resume: pareto_snapshot, ..RunOptions::default() };
+        let err = cfg.run_trial(TrialSpec::new(9, TrialObjective::Cost), options).unwrap_err();
+        assert!(matches!(err, ColdError::Ga(cold_ga::GaError::Checkpoint(_))), "{err:?}");
     }
 
     #[test]

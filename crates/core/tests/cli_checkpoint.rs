@@ -127,11 +127,15 @@ fn resume_with_mismatched_campaign_is_a_clean_error() {
 
 #[test]
 fn crash_safety_flag_validation() {
-    // Zero intervals are parse-time errors (exit 2).
+    // Zero intervals are parse-time errors (exit 2). Each case writes
+    // into a temporary directory, should it ever run.
+    let out_dir = temp_dir("flag-validation");
+    let out_flag = ["--out", out_dir.to_str().unwrap()];
     for bad in [&["--checkpoint-every", "0"][..], &["--halt-after", "0"][..]] {
-        let out = run(&[&["--quick", "--n", "8", "--quiet"][..], bad].concat());
+        let out = run(&[&["--quick", "--n", "8", "--quiet"][..], &out_flag, bad].concat());
         assert_eq!(out.status.code(), Some(2), "args {bad:?} must be rejected");
     }
+    let _ = std::fs::remove_dir_all(&out_dir);
 }
 
 #[test]

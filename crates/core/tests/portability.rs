@@ -92,6 +92,45 @@ fn ga_snapshot_resumes_bit_identically_in_a_separate_process() {
 }
 
 #[test]
+fn a_pareto_ga_snapshot_resumes_bit_identically_in_a_separate_process() {
+    let config = ColdConfig::quick(8, 4e-4, 10.0);
+    let (seed, objective) = (7u64, TrialObjective::Pareto { archive: 16 });
+    let mut snapshot: Option<GaCheckpoint> = None;
+    let mut sink = |ckpt: GaCheckpoint| {
+        snapshot.get_or_insert(ckpt);
+    };
+    let checkpoint = Some(cold::ga::CheckpointHook { every: 2, sink: &mut sink });
+    let options = RunOptions { checkpoint, ..RunOptions::default() };
+    let reference = config
+        .run_trial(TrialSpec::new(seed, objective.clone()), options)
+        .expect("reference synthesis");
+    let snapshot = snapshot.expect("a snapshot was captured mid-run");
+    assert!(snapshot.pareto.is_some(), "a Pareto snapshot carries its NSGA-II state");
+
+    let input = temp_path("pareto-input.json");
+    let doc = serde_json::json!({
+        "config": config.to_json_value(),
+        "seed": seed,
+        "objective": cold::objective_value(&objective),
+        "snapshot": snapshot.to_value(),
+    });
+    std::fs::write(&input, serde_json::to_string(&doc).expect("serializes")).expect("write");
+    let resumed = stdout_json(&probe(&["resume-ga", input.to_str().unwrap()]));
+    let _ = std::fs::remove_file(&input);
+    let member = |m: &cold::pareto::ParetoFrontMember| {
+        let edges: Vec<Value> =
+            m.network.topology.edges().map(|(a, b)| serde_json::json!([a, b])).collect();
+        serde_json::json!({ "edges": edges, "objectives": m.objectives })
+    };
+    let front: Vec<Value> = reference.front.iter().map(member).collect();
+    assert!(front.len() >= 2, "a front of {} members", front.len());
+    assert_eq!(resumed["front"], Value::Array(front), "the resumed front diverged");
+    assert_eq!(resumed["hypervolume_history"], serde_json::json!(reference.hypervolume_history));
+    assert_eq!(resumed["reference"], serde_json::json!(reference.reference));
+    assert_eq!(resumed["edges"], trial_value(0, seed, &reference)["edges"]);
+}
+
+#[test]
 fn campaign_checkpoint_resumes_bit_identically_in_a_separate_process() {
     let config = ColdConfig::quick(8, 4e-4, 10.0);
     let (master, count) = (41u64, 3usize);

@@ -14,9 +14,14 @@
 //! packed pair words in hex, and cache entries are sorted by those words
 //! so the serialized form is deterministic. Readers also accept the older
 //! edge-list chromosome form, so snapshots written before it still resume.
+//!
+//! A Pareto (NSGA-II) run's snapshot is the same document plus its
+//! survival state, [`ParetoState`], under a `pareto` key; its cache
+//! entries carry objective vectors instead of costs.
 
 use crate::chromosome::Individual;
 use crate::engine::EvalStats;
+use crate::pareto::ParetoPoint;
 use crate::repair::RepairStats;
 use crate::settings::GaSettings;
 use cold_graph::AdjacencyMatrix;
@@ -46,8 +51,29 @@ pub struct GaCheckpoint {
     pub repair_stats: RepairStats,
     /// The fitness memo cache, present iff `settings.fitness_cache`.
     /// Restoring it keeps the resumed hit/miss counters — and therefore
-    /// the whole [`EvalStats`] — identical to an uninterrupted run.
+    /// the whole [`EvalStats`] — identical to an uninterrupted run. Always
+    /// `None` in a Pareto snapshot, whose cache is
+    /// [`ParetoState::cache`].
     pub cache: Option<Vec<(AdjacencyMatrix, f64)>>,
+    /// The NSGA-II survival state of a Pareto run; `None` for a scalar
+    /// run. The population's `cost`s are then its crowded-comparison
+    /// pseudo-costs, and `history` the negated archive hypervolume.
+    pub pareto: Option<ParetoState>,
+}
+
+/// What a Pareto run's snapshot adds to the scalar one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ParetoState {
+    /// The archived front, in the archive's order.
+    pub archive: Vec<ParetoPoint>,
+    /// The hypervolume reference point fixed at generation 0. A resume
+    /// restores it; recomputing it would need generation 0's population.
+    pub reference: Vec<f64>,
+    /// The population's objective vectors, aligned with
+    /// [`GaCheckpoint::population`].
+    pub objectives: Vec<Vec<f64>>,
+    /// The fitness memo cache, present iff `settings.fitness_cache`.
+    pub cache: Option<Vec<(AdjacencyMatrix, Vec<f64>)>>,
 }
 
 /// Serializes a chromosome as `{"n": …, "bits": …}`: 16 lowercase hex
@@ -127,30 +153,104 @@ fn usize_field(v: &Value, key: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("field `{key}` missing or not a nonnegative integer"))
 }
 
+/// The numbers of the array `v`, a `what` field.
+fn f64_values(v: Option<&Value>, what: &str) -> Result<Vec<f64>, String> {
+    v.and_then(Value::as_array)
+        .ok_or_else(|| format!("field `{what}` missing or not an array"))?
+        .iter()
+        .map(|x| x.as_f64().ok_or_else(|| format!("`{what}` entry is not a number")))
+        .collect()
+}
+
+/// A scalar individual or cache entry: `{"topology", "cost"}`.
+fn costed_value(t: &AdjacencyMatrix, cost: &f64) -> Value {
+    json!({ "topology": topology_to_value(t), "cost": *cost })
+}
+
+/// A Pareto archive member or cache entry: `{"topology", "objectives"}`.
+fn point_value(t: &AdjacencyMatrix, objectives: &Vec<f64>) -> Value {
+    json!({ "topology": topology_to_value(t), "objectives": objectives })
+}
+
+/// Parses [`point_value`]'s form.
+fn point_from_value(v: &Value) -> Result<(AdjacencyMatrix, Vec<f64>), String> {
+    let t = topology_from_value(v.get("topology").ok_or("entry: no topology")?)?;
+    Ok((t, f64_values(v.get("objectives"), "objectives")?))
+}
+
+/// A fitness cache: `null`, or its entries sorted by packed words, since
+/// the engine's HashMap has no stable order.
+fn cache_value<F>(
+    cache: Option<&[(AdjacencyMatrix, F)]>,
+    entry: impl Fn(&AdjacencyMatrix, &F) -> Value,
+) -> Value {
+    let Some(entries) = cache else { return Value::Null };
+    let mut sorted: Vec<&(AdjacencyMatrix, F)> = entries.iter().collect();
+    sorted.sort_by(|a, b| a.0.words().cmp(b.0.words()));
+    Value::Array(sorted.into_iter().map(|(t, f)| entry(t, f)).collect())
+}
+
+/// Parses [`cache_value`]'s form, each entry through `entry`.
+fn cache_from_value<F>(
+    cache: Option<&Value>,
+    entry: impl Fn(&Value) -> Result<(AdjacencyMatrix, F), String>,
+) -> Result<Option<Vec<(AdjacencyMatrix, F)>>, String> {
+    match cache {
+        None | Some(Value::Null) => Ok(None),
+        Some(Value::Array(entries)) => {
+            entries.iter().map(entry).collect::<Result<_, _>>().map(Some)
+        }
+        Some(_) => Err("field `cache` must be null or an array".into()),
+    }
+}
+
+impl ParetoState {
+    /// The `pareto` member of a snapshot document; the cache is written
+    /// as the document's `cache`.
+    fn to_value(&self) -> Value {
+        let archive: Vec<Value> =
+            self.archive.iter().map(|p| point_value(&p.topology, &p.objectives)).collect();
+        json!({ "archive": archive, "reference": self.reference, "objectives": self.objectives })
+    }
+
+    /// Parses the `pareto` member `v` and the document's `cache`.
+    fn from_value(v: &Value, cache: Option<&Value>) -> Result<Self, String> {
+        let archive = v
+            .get("archive")
+            .and_then(Value::as_array)
+            .ok_or("pareto: `archive` missing or not an array")?
+            .iter()
+            .map(|p| {
+                point_from_value(p)
+                    .map(|(topology, objectives)| ParetoPoint { topology, objectives })
+            })
+            .collect::<Result<_, _>>()?;
+        let objectives = v
+            .get("objectives")
+            .and_then(Value::as_array)
+            .ok_or("pareto: `objectives` missing or not an array")?
+            .iter()
+            .map(|o| f64_values(Some(o), "objectives"))
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            archive,
+            reference: f64_values(v.get("reference"), "reference")?,
+            objectives,
+            cache: cache_from_value(cache, point_from_value)?,
+        })
+    }
+}
+
 impl GaCheckpoint {
     /// Converts the snapshot into its JSON object form.
     pub fn to_value(&self) -> Value {
-        let population: Vec<Value> = self
-            .population
-            .iter()
-            .map(|ind| json!({ "topology": topology_to_value(&ind.topology), "cost": ind.cost }))
-            .collect();
-        let cache = match &self.cache {
-            None => Value::Null,
-            Some(entries) => {
-                // Deterministic serialization: the engine's HashMap has no
-                // stable order, so sort by packed words.
-                let mut sorted: Vec<&(AdjacencyMatrix, f64)> = entries.iter().collect();
-                sorted.sort_by(|a, b| a.0.words().cmp(b.0.words()));
-                Value::Array(
-                    sorted
-                        .into_iter()
-                        .map(|(t, c)| json!({ "topology": topology_to_value(t), "cost": *c }))
-                        .collect(),
-                )
-            }
+        let population: Vec<Value> =
+            self.population.iter().map(|ind| costed_value(&ind.topology, &ind.cost)).collect();
+        let cache = match &self.pareto {
+            None => cache_value(self.cache.as_deref(), costed_value),
+            Some(state) => cache_value(state.cache.as_deref(), point_value),
         };
-        json!({
+        let mut v = json!({
             "kind": "cold-ga-checkpoint",
             "version": 1u64,
             "settings": self.settings.to_json_value(),
@@ -170,7 +270,11 @@ impl GaCheckpoint {
                 "links_added": self.repair_stats.links_added,
             },
             "cache": cache,
-        })
+        });
+        if let (Some(state), Value::Object(map)) = (&self.pareto, &mut v) {
+            map.insert("pareto".into(), state.to_value());
+        }
+        v
     }
 
     /// Parses a snapshot back from its JSON object form, validating the
@@ -201,25 +305,18 @@ impl GaCheckpoint {
         for (slot, w) in rng_state.iter_mut().zip(rng_words) {
             *slot = w.as_u64().ok_or("rng_state word is not a u64")?;
         }
-        let mut population = Vec::new();
-        for ind in v
+        let costed = |e: &Value| {
+            let t = topology_from_value(e.get("topology").ok_or("entry: no topology")?)?;
+            Ok((t, f64_field(e, "cost")?))
+        };
+        let population = v
             .get("population")
             .and_then(Value::as_array)
             .ok_or("field `population` missing or not an array")?
-        {
-            let topology =
-                topology_from_value(ind.get("topology").ok_or("population entry: no topology")?)?;
-            let cost = f64_field(ind, "cost")?;
-            population.push(Individual { topology, cost });
-        }
-        let mut history = Vec::new();
-        for h in v
-            .get("history")
-            .and_then(Value::as_array)
-            .ok_or("field `history` missing or not an array")?
-        {
-            history.push(h.as_f64().ok_or("history entry is not a number")?);
-        }
+            .iter()
+            .map(|e| costed(e).map(|(topology, cost)| Individual { topology, cost }))
+            .collect::<Result<_, String>>()?;
+        let history = f64_values(v.get("history"), "history")?;
         let es = v.get("eval_stats").ok_or("field `eval_stats` missing")?;
         let eval_stats = EvalStats {
             requested: usize_field(es, "requested")?,
@@ -236,18 +333,11 @@ impl GaCheckpoint {
             inspected: usize_field(rs, "inspected")?,
             links_added: usize_field(rs, "links_added")?,
         };
-        let cache = match v.get("cache") {
-            None | Some(Value::Null) => None,
-            Some(Value::Array(entries)) => {
-                let mut out = Vec::with_capacity(entries.len());
-                for e in entries {
-                    let t =
-                        topology_from_value(e.get("topology").ok_or("cache entry: no topology")?)?;
-                    out.push((t, f64_field(e, "cost")?));
-                }
-                Some(out)
-            }
-            Some(_) => return Err("field `cache` must be null or an array".into()),
+        let pareto =
+            v.get("pareto").map(|p| ParetoState::from_value(p, v.get("cache"))).transpose()?;
+        let cache = match pareto {
+            None => cache_from_value(v.get("cache"), costed)?,
+            Some(_) => None,
         };
         Ok(Self {
             settings,
@@ -258,6 +348,7 @@ impl GaCheckpoint {
             eval_stats,
             repair_stats,
             cache,
+            pareto,
         })
         .and_then(|ckpt| {
             let claimed = usize_field(v, "generation")?;
@@ -350,6 +441,7 @@ mod tests {
             },
             repair_stats: RepairStats { repaired: 3, inspected: 80, links_added: 4 },
             cache: Some(vec![(b, 99.0), (a, 12.5)]),
+            pareto: None,
         }
     }
 
@@ -379,6 +471,32 @@ mod tests {
             assert_eq!(ta, tb);
             assert_eq!(ca, cb);
         }
+    }
+
+    #[test]
+    fn a_pareto_snapshot_is_the_scalar_document_plus_its_nsga2_state() {
+        let mut ckpt = sample();
+        let cache = ckpt.cache.take().map(|c| c.into_iter().map(|(t, c)| (t, vec![c, 0.5])));
+        let front = ParetoPoint {
+            topology: ckpt.population[0].topology.clone(),
+            objectives: vec![12.5, 0.5],
+        };
+        ckpt.pareto = Some(ParetoState {
+            archive: vec![front],
+            reference: vec![108.9, 1.1],
+            objectives: vec![vec![12.5, 0.5], vec![99.0, 0.25]],
+            cache: cache.map(Iterator::collect),
+        });
+        let doc = ckpt.to_value();
+        assert_eq!(doc["cache"][0]["objectives"], json!([12.5, 0.5]), "the cache holds vectors");
+        assert_eq!(doc["pareto"]["reference"], json!([108.9, 1.1]));
+        assert!(sample().to_value().get("pareto").is_none(), "a scalar snapshot has no `pareto`");
+        let back = GaCheckpoint::from_json(&ckpt.to_json()).expect("round trip");
+        assert_eq!(back.to_json(), ckpt.to_json());
+        let mut bad = doc.clone();
+        let state = bad.get_mut("pareto").expect("a pareto member");
+        *state.get_mut("objectives").expect("objectives") = json!([[1.0, "x"]]);
+        assert!(GaCheckpoint::from_value(&bad).is_err(), "a non-numeric objective");
     }
 
     #[test]

@@ -181,6 +181,9 @@ impl Session for Box<dyn ObjectiveSession + '_> {
     }
 }
 
+/// A fitness memo cache as a snapshot holds it.
+pub(crate) type CacheEntries<F> = Vec<(AdjacencyMatrix, F)>;
+
 /// What the paper's operators leave open; everything else about a
 /// generation is the shared loop. The defaults are the scalar GA's.
 pub(crate) trait Survival {
@@ -211,6 +214,24 @@ pub(crate) trait Survival {
     fn hypervolume(&self) -> f64 {
         0.0
     }
+
+    /// Puts the strategy's state and the fitness memo `cache` into
+    /// `snapshot`.
+    fn save(
+        &self,
+        cache: Option<&HashMap<AdjacencyMatrix, Self::Fitness>>,
+        snapshot: &mut GaCheckpoint,
+    );
+
+    /// Restores the strategy's state from `snapshot`, whose scalar part
+    /// the engine already checked, and takes its fitness cache out of it.
+    ///
+    /// # Errors
+    /// Why the snapshot cannot belong to a run of this strategy.
+    fn restore(
+        &mut self,
+        snapshot: &mut GaCheckpoint,
+    ) -> Result<Option<CacheEntries<Self::Fitness>>, String>;
 }
 
 /// The scalar GA's survival (§4.1): the `num_saved` cheapest individuals
@@ -232,6 +253,20 @@ impl Survival for Elitist {
         population.extend(newcomers.into_iter().zip(costs).map(|(t, c)| Individual::new(t, c)));
         sort_by_cost(&mut population);
         population
+    }
+
+    fn save(&self, cache: Option<&HashMap<AdjacencyMatrix, f64>>, snapshot: &mut GaCheckpoint) {
+        snapshot.cache = cache.map(|c| c.iter().map(|(t, v)| (t.clone(), *v)).collect());
+    }
+
+    fn restore(
+        &mut self,
+        snapshot: &mut GaCheckpoint,
+    ) -> Result<Option<CacheEntries<f64>>, String> {
+        if snapshot.pareto.is_some() {
+            return Err("snapshot is of a Pareto run, not a scalar one".into());
+        }
+        Ok(snapshot.cache.take())
     }
 }
 
@@ -403,55 +438,17 @@ impl<O: Objective> GeneticAlgorithm<O> {
 
     /// The scalar GA behind [`run_resumable`](Self::run_resumable) and
     /// [`run_warm`](Self::run_warm): the shared loop with [`Elitist`]
-    /// survival, plus checkpoint and resume.
+    /// survival.
     fn run_hooked(
         &self,
         init: InitMode<'_>,
         observer: Option<&mut dyn GenerationObserver>,
-        mut checkpoint: Option<CheckpointHook<'_>>,
+        checkpoint: Option<CheckpointHook<'_>>,
         resume: Option<GaCheckpoint>,
     ) -> Result<GaResult, GaError> {
-        if let Some(hook) = &checkpoint {
-            if hook.every == 0 {
-                return Err(GaError::Checkpoint("checkpoint interval must be >= 1".into()));
-            }
-        }
-        let resume = resume.map(|ckpt| self.resume_state(ckpt)).transpose()?;
-        // Snapshot *after* a generation is fully committed (and not when
-        // a guard just ended the run — there is nothing left to resume).
-        // The RNG state is captured post-generation, so a resumed stream
-        // continues exactly where this one is.
-        let on_commit = |run: &RunState<f64>| {
-            let Some(hook) = checkpoint.as_mut() else { return };
-            if run.generations_run.is_multiple_of(hook.every)
-                && run.generations_run < self.settings.generations
-            {
-                let snapshot = GaCheckpoint {
-                    settings: self.settings,
-                    generation: run.generations_run,
-                    rng_state: run.rng.state(),
-                    population: run.population.clone(),
-                    history: run.history.clone(),
-                    eval_stats: run.stats,
-                    repair_stats: run.repair_stats,
-                    cache: run
-                        .cache
-                        .as_ref()
-                        .map(|c| c.iter().map(|(t, v)| (t.clone(), *v)).collect()),
-                };
-                let _sink_timer = cold_obs::timer("ga.checkpoint_sink");
-                (hook.sink)(snapshot);
-            }
-        };
         let mut elitist = Elitist { num_saved: self.settings.num_saved };
-        let run = self.evolve(
-            init,
-            resume,
-            &mut elitist,
-            || self.objective.session(),
-            observer,
-            on_commit,
-        )?;
+        let open = || self.objective.session();
+        let run = self.evolve(init, &mut elitist, open, observer, checkpoint, resume)?;
         Ok(GaResult {
             best: run.population[0].clone(),
             history: run.history,
@@ -465,29 +462,39 @@ impl<O: Objective> GeneticAlgorithm<O> {
     }
 
     /// The one generational loop: generation 0 from `init` (unless
-    /// continuing `resume`), then breed, repair, evaluate through sessions
-    /// from `open`, and let `survival` choose, until the cap or a guard
-    /// stops the run. `on_commit` sees every generation the guards pass.
+    /// continuing from the `resume` snapshot), then breed, repair,
+    /// evaluate through sessions from `open`, and let `survival` choose,
+    /// until the cap or a guard stops the run. `checkpoint` receives a
+    /// snapshot every `every` generations the guards pass.
+    ///
+    /// # Errors
+    /// [`GaError::Checkpoint`] for a zero interval or a snapshot that
+    /// cannot belong to this run; [`GaError::NonFiniteCost`] when the
+    /// objective misbehaves.
     pub(crate) fn evolve<S, V>(
         &self,
         init: InitMode<'_>,
-        resume: Option<RunState<S::Fitness>>,
         survival: &mut V,
         open: impl Fn() -> S,
         observer: Option<&mut dyn GenerationObserver>,
-        on_commit: impl FnMut(&RunState<S::Fitness>),
+        checkpoint: Option<CheckpointHook<'_>>,
+        resume: Option<GaCheckpoint>,
     ) -> Result<RunState<S::Fitness>, GaError>
     where
         S: Session,
         V: Survival<Fitness = S::Fitness>,
     {
+        if checkpoint.as_ref().is_some_and(|hook| hook.every == 0) {
+            return Err(GaError::Checkpoint("checkpoint interval must be >= 1".into()));
+        }
+        let resume = resume.map(|ckpt| self.resume_state(ckpt, survival)).transpose()?;
         // One evaluation session per worker, kept alive across generations
         // so stateful objectives (delta evaluators) can carry routing state
         // from parents to offspring, and one executor of as many threads
         // for the whole run.
         let sessions = (0..self.workers).map(|_| open()).collect();
         with_pool(sessions, |pool| {
-            self.generations(init, resume, survival, pool, observer, on_commit)
+            self.generations(init, resume, survival, pool, observer, checkpoint)
         })
     }
 
@@ -499,7 +506,7 @@ impl<O: Objective> GeneticAlgorithm<O> {
         survival: &mut V,
         pool: &Pool<'_, '_, S>,
         mut observer: Option<&mut dyn GenerationObserver>,
-        mut on_commit: impl FnMut(&RunState<S::Fitness>),
+        mut checkpoint: Option<CheckpointHook<'_>>,
     ) -> Result<RunState<S::Fitness>, GaError>
     where
         S: Session,
@@ -662,16 +669,49 @@ impl<O: Objective> GeneticAlgorithm<O> {
                 }
             }
 
-            on_commit(&run);
+            // Snapshot *after* a generation is fully committed (and not
+            // when a guard just ended the run — there is nothing left to
+            // resume). The RNG state is captured post-generation, so a
+            // resumed stream continues exactly where this one is.
+            if let Some(hook) = checkpoint.as_mut().filter(|hook| {
+                run.generations_run.is_multiple_of(hook.every)
+                    && run.generations_run < self.settings.generations
+            }) {
+                let snapshot = self.snapshot(&run, survival);
+                let _sink_timer = cold_obs::timer("ga.checkpoint_sink");
+                (hook.sink)(snapshot);
+            }
         }
         Ok(run)
     }
 
-    /// The loop state a resume snapshot restores. Rejects a snapshot that
-    /// cannot possibly belong to this engine: continuing under different
-    /// settings or a different node count would silently change what the
-    /// run means.
-    fn resume_state(&self, ckpt: GaCheckpoint) -> Result<RunState<f64>, GaError> {
+    /// The snapshot of a committed generation: the loop state, plus what
+    /// `survival` keeps.
+    fn snapshot<V: Survival>(&self, run: &RunState<V::Fitness>, survival: &V) -> GaCheckpoint {
+        let mut snapshot = GaCheckpoint {
+            settings: self.settings,
+            generation: run.generations_run,
+            rng_state: run.rng.state(),
+            population: run.population.clone(),
+            history: run.history.clone(),
+            eval_stats: run.stats,
+            repair_stats: run.repair_stats,
+            cache: None,
+            pareto: None,
+        };
+        survival.save(run.cache.as_ref(), &mut snapshot);
+        snapshot
+    }
+
+    /// The loop state a resume snapshot restores, restoring `survival`'s
+    /// own. Rejects a snapshot that cannot possibly belong to this engine:
+    /// continuing under different settings, a different node count or
+    /// another survival strategy would silently change what the run means.
+    fn resume_state<V: Survival>(
+        &self,
+        mut ckpt: GaCheckpoint,
+        survival: &mut V,
+    ) -> Result<RunState<V::Fitness>, GaError> {
         if ckpt.settings != self.settings {
             return Err(GaError::Checkpoint(
                 "snapshot settings differ from engine settings".into(),
@@ -698,6 +738,7 @@ impl<O: Objective> GeneticAlgorithm<O> {
                 )));
             }
         }
+        let cache = survival.restore(&mut ckpt).map_err(GaError::Checkpoint)?;
         Ok(RunState {
             rng: StdRng::from_state(ckpt.rng_state),
             population: ckpt.population,
@@ -708,7 +749,7 @@ impl<O: Objective> GeneticAlgorithm<O> {
             cache: self
                 .settings
                 .fitness_cache
-                .then(|| ckpt.cache.unwrap_or_default().into_iter().collect()),
+                .then(|| cache.unwrap_or_default().into_iter().collect()),
             stop_reason: StopReason::Completed,
         })
     }

@@ -58,7 +58,7 @@ pub mod pareto;
 pub mod repair;
 pub mod settings;
 
-pub use checkpoint::GaCheckpoint;
+pub use checkpoint::{GaCheckpoint, ParetoState};
 pub use chromosome::Individual;
 pub use engine::{CheckpointHook, EvalStats, GaResult, GeneticAlgorithm, StopReason};
 pub use error::GaError;

@@ -36,14 +36,19 @@
 //! breeds, evaluation is order-independent, and every sort in the
 //! dominance/crowding/archive path carries an explicit total tiebreak.
 
+use crate::checkpoint::{GaCheckpoint, ParetoState};
 use crate::chromosome::{cmp_by_cost, Individual};
-use crate::engine::{EvalStats, GeneticAlgorithm, InitMode, Session, StopReason, Survival};
+use crate::engine::{
+    CacheEntries, CheckpointHook, EvalStats, GeneticAlgorithm, InitMode, Session, StopReason,
+    Survival,
+};
 use crate::error::GaError;
 use crate::repair::RepairStats;
 use crate::settings::GaSettings;
 use crate::{Objective, StatelessSession};
 use cold_graph::AdjacencyMatrix;
 use cold_obs::GenerationObserver;
+use std::collections::HashMap;
 
 /// The vector-valued fitness interface the Pareto engine minimizes.
 ///
@@ -545,20 +550,40 @@ impl<'a, M: MultiObjective> ParetoGa<'a, M> {
         seeds: &[AdjacencyMatrix],
         observer: Option<&mut dyn GenerationObserver>,
     ) -> Result<ParetoResult, GaError> {
+        self.run_resumable(seeds, observer, None, None)
+    }
+
+    /// [`try_run_traced`](Self::try_run_traced) plus the crash-safety
+    /// hooks of [`GeneticAlgorithm::run_resumable`]: a snapshot — the
+    /// scalar one plus the NSGA-II state ([`ParetoState`]) — every
+    /// `every` generations, and a bit-identical resume from one.
+    ///
+    /// # Errors
+    /// As [`GeneticAlgorithm::run_resumable`]; a scalar run's snapshot is
+    /// [`GaError::Checkpoint`].
+    pub fn run_resumable(
+        &self,
+        seeds: &[AdjacencyMatrix],
+        observer: Option<&mut dyn GenerationObserver>,
+        checkpoint: Option<CheckpointHook<'_>>,
+        resume: Option<GaCheckpoint>,
+    ) -> Result<ParetoResult, GaError> {
         let objective = self.engine.objective().0;
         let mut nsga2 = Nsga2 {
             population: self.engine.settings().population,
+            width: self.engine.width,
             objectives: Vec::new(),
             archive: ParetoArchive::new(self.archive_capacity, Vec::new()),
             hypervolume: 0.0,
         };
+        let open = || objective.session();
         let run = self.engine.evolve(
             InitMode::Cold(seeds),
-            None,
             &mut nsga2,
-            || objective.session(),
+            open,
             observer,
-            |_| {},
+            checkpoint,
+            resume,
         )?;
         Ok(ParetoResult {
             front: nsga2.archive.points,
@@ -581,6 +606,8 @@ impl<'a, M: MultiObjective> ParetoGa<'a, M> {
 struct Nsga2 {
     /// Survivors per generation (μ).
     population: usize,
+    /// Components of every objective vector (K).
+    width: usize,
     /// Objective vectors, aligned with the current population.
     objectives: Vec<Vec<f64>>,
     /// Its reference point is fixed at generation 0.
@@ -642,6 +669,52 @@ impl Survival for Nsga2 {
 
     fn hypervolume(&self) -> f64 {
         self.hypervolume
+    }
+
+    fn save(
+        &self,
+        cache: Option<&HashMap<AdjacencyMatrix, Vec<f64>>>,
+        snapshot: &mut GaCheckpoint,
+    ) {
+        snapshot.pareto = Some(ParetoState {
+            archive: self.archive.points.clone(),
+            reference: self.archive.reference.clone(),
+            objectives: self.objectives.clone(),
+            cache: cache.map(|c| c.iter().map(|(t, o)| (t.clone(), o.clone())).collect()),
+        });
+    }
+
+    /// Restores the archive, its reference point and the population's
+    /// objective vectors; the archive hypervolume is the negated last
+    /// entry of the progress series.
+    fn restore(
+        &mut self,
+        snapshot: &mut GaCheckpoint,
+    ) -> Result<Option<CacheEntries<Vec<f64>>>, String> {
+        let state =
+            snapshot.pareto.take().ok_or("snapshot is of a scalar run, not a Pareto one")?;
+        let n = snapshot.population.first().map_or(0, |i| i.topology.n());
+        let fits = |o: &[f64]| o.len() == self.width && o.iter().all(|x| x.is_finite());
+        if !fits(&state.reference)
+            || state.objectives.len() != snapshot.population.len()
+            || !state.objectives.iter().all(|o| fits(o))
+            || state.archive.len() > self.archive.capacity
+            || !state.archive.iter().all(|p| p.topology.n() == n && fits(&p.objectives))
+            || !state.cache.iter().flatten().all(|(t, o)| t.n() == n && fits(o))
+        {
+            return Err(format!(
+                "snapshot NSGA-II state does not fit {} objectives, an archive of {} and \
+                 {} survivors of {n} nodes",
+                self.width,
+                self.archive.capacity,
+                snapshot.population.len()
+            ));
+        }
+        self.archive.reference = state.reference;
+        self.archive.points = state.archive;
+        self.objectives = state.objectives;
+        self.hypervolume = -snapshot.history.last().expect("a snapshot's history is nonempty");
+        Ok(state.cache)
     }
 }
 
@@ -952,6 +1025,43 @@ mod tests {
         };
         assert_eq!(serial.front, parallel.front);
         assert_eq!(serial.hypervolume_history, parallel.hypervolume_history);
+    }
+
+    #[test]
+    fn a_pareto_run_resumes_from_every_snapshot_bit_identically() {
+        let obj = LineTradeoff { n: 7 };
+        let ga = ParetoGa::try_new(&obj, GaSettings::quick(5), 12).unwrap();
+        let mut snaps = Vec::new();
+        let mut sink = |c: GaCheckpoint| snaps.push(c);
+        let hook = CheckpointHook { every: 1, sink: &mut sink };
+        let plain = ga.run_resumable(&[], None, Some(hook), None).unwrap();
+        assert_eq!(snaps.len(), plain.generations_run - 1, "one snapshot per generation");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for snap in &snaps {
+            let state = snap.pareto.as_ref().expect("a Pareto snapshot");
+            assert_eq!(state.reference, plain.reference, "the reference is fixed at generation 0");
+            assert_eq!(state.objectives.len(), snap.population.len());
+            let restored = GaCheckpoint::from_json(&snap.to_json()).expect("round trip");
+            assert_eq!(restored.to_json(), snap.to_json());
+            let resumed = ga.run_resumable(&[], None, None, Some(restored)).unwrap();
+            assert_eq!(resumed.front, plain.front, "generation {}", snap.generation);
+            assert_eq!(bits(&resumed.hypervolume_history), bits(&plain.hypervolume_history));
+            assert_eq!(bits(&resumed.reference), bits(&plain.reference));
+            assert_eq!(
+                (resumed.generations_run, resumed.stop_reason, resumed.repair_stats),
+                (plain.generations_run, plain.stop_reason, plain.repair_stats)
+            );
+            let counts = |s: &EvalStats| (s.requested, s.cache_hits, s.cache_misses);
+            assert_eq!(counts(&resumed.eval_stats), counts(&plain.eval_stats));
+        }
+        // A snapshot resumes only under its own survival strategy.
+        let mut scalar = snaps[0].clone();
+        scalar.pareto = None;
+        let err = ga.run_resumable(&[], None, None, Some(scalar)).unwrap_err();
+        assert!(matches!(err, GaError::Checkpoint(_)), "{err:?}");
+        let elitist = GeneticAlgorithm::try_new(ScalarView(&obj), GaSettings::quick(5)).unwrap();
+        let err = elitist.run_resumable(&[], None, None, Some(snaps[0].clone())).unwrap_err();
+        assert!(matches!(err, GaError::Checkpoint(_)), "{err:?}");
     }
 
     #[test]

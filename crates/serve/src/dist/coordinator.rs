@@ -43,7 +43,7 @@ use crate::metrics::names;
 use cold::ga::GaCheckpoint;
 use cold::{
     attempt_seed, fingerprint_hex, value_fingerprint, CampaignCheckpoint, ColdError, ProgressSink,
-    TrialObjective, TrialOutcome, TrialRecord, TrialSource,
+    TrialOutcome, TrialRecord, TrialSource,
 };
 use serde::Serialize;
 use serde_json::{json, Value};
@@ -133,6 +133,8 @@ struct JobShard {
     /// Canonical JSON form of the job's `ColdConfig`, shipped verbatim
     /// in every grant.
     config_value: Value,
+    /// The job's trial objective in its grant form (`None` for cost).
+    objective: Option<Value>,
     master_seed: u64,
     /// Trace context of the owning job — lease/migration events join
     /// the same distributed trace the job's other events live in.
@@ -442,14 +444,11 @@ impl DistPool {
             seed: p.seed,
             attempt: p.attempt,
             config: shard.config_value.clone(),
+            objective: shard.objective.clone(),
             deadline_ms: self.cfg.lease_deadline.as_millis() as u64,
             trial_deadline_ms: shard.trial_deadline.map(|d| d.as_millis() as u64),
             ckpt_every: self.cfg.ckpt_every,
-            trace_id: shard
-                .trace
-                .as_ref()
-                .map(|c| c.trace_id.clone())
-                .unwrap_or_else(|| job_id.clone()),
+            trace_id: shard.trace.as_ref().map_or_else(|| job_id.clone(), |c| c.trace_id.clone()),
             snapshot: p.snapshot.as_ref().map(GaCheckpoint::to_value),
         };
         if cold_obs::is_enabled() {
@@ -735,6 +734,7 @@ impl DistPool {
     ) {
         let shard = JobShard {
             config_value: campaign.config.to_json_value(),
+            objective: cold::objective_value(&campaign.objective),
             master_seed: campaign.master_seed,
             trace: cold_obs::trace::current(),
             trial_deadline,
@@ -821,9 +821,7 @@ enum Step {
 /// deterministic. A trial that exhausts its lease budget on both the
 /// primary and salted seeds — the distributed analogue of a trial that
 /// fails twice — ends the campaign with [`ColdError::TrialPanic`].
-///
-/// A lease grant carries no objective, so the pool runs cost campaigns
-/// only: any other objective is [`ColdError::Config`].
+/// Every objective runs this way: each grant carries the campaign's.
 pub struct PoolTrials<'a> {
     pool: &'a DistPool,
     id: &'a str,
@@ -852,11 +850,6 @@ impl TrialSource for PoolTrials<'_> {
         campaign: &CampaignCheckpoint,
         next: usize,
     ) -> Result<Vec<TrialOutcome>, ColdError> {
-        if campaign.objective != TrialObjective::Cost {
-            let why =
-                "the worker pool runs cost campaigns only: a lease grant carries no objective";
-            return Err(ColdError::Config(why.into()));
-        }
         if !self.registered {
             self.pool.register_job(self.id, campaign, self.deadline);
             self.registered = true;
@@ -894,7 +887,10 @@ mod tests {
     use super::*;
     use crate::dist::worker::Uploads;
     use cold::context::rng::derive_seed;
-    use cold::{Campaign, ColdConfig, LocalTrials, RunOptions, Snapshots, TrialSpec, RETRY_SALT};
+    use cold::{
+        Campaign, ColdConfig, LocalTrials, RunOptions, Snapshots, TrialObjective, TrialSpec,
+        RETRY_SALT,
+    };
     use std::path::PathBuf;
 
     fn quick_cfg() -> ColdConfig {
@@ -1009,14 +1005,54 @@ mod tests {
     }
 
     #[test]
-    fn the_pool_refuses_campaigns_other_than_cost() {
-        let pool = test_pool(DistConfig::default());
+    fn a_pareto_trial_migrates_with_its_snapshot_and_ends_as_an_unmigrated_run() {
+        let pool = test_pool(DistConfig {
+            lease_deadline: Duration::from_millis(0),
+            backoff_base_ms: 0,
+            ..DistConfig::default()
+        });
+        let mut cfg = quick_cfg();
+        cfg.ga.generations = 8;
         let pareto = TrialObjective::Pareto { archive: 8 };
-        let campaign = Campaign { objective: pareto, ..Campaign::new(quick_cfg(), 9, 1) };
-        let mut source = PoolTrials::new(&pool, "job-a", None, None);
-        let err = source.next_trials(&CampaignCheckpoint::new(&campaign), 0).err();
-        assert!(matches!(err, Some(ColdError::Config(_))), "{err:?}");
-        assert!(pool.state.lock().expect("state").jobs.is_empty(), "nothing was registered");
+        let campaign = Campaign { objective: pareto.clone(), ..Campaign::new(cfg, 9, 1) };
+        pool.register_job("job-a", &CampaignCheckpoint::new(&campaign), None);
+        pool.dispatch(Msg::Hello { worker: "w1".into() });
+        let grant = granted(pool.dispatch(Msg::LeaseRequest { worker: "w1".into() }));
+        assert_eq!(cold::objective_from_value(grant.objective.as_ref(), 8), Some(pareto));
+        // The first holder's run, handing off a snapshot per generation.
+        let (tx, rx) = mpsc::channel();
+        let sink: cold::CheckpointSink = Box::new(move |c| tx.send(c).expect("receiver"));
+        let plain = run_grant(&grant, None, None, Some(sink)).expect("unmigrated trial");
+        assert!(plain.front.len() >= 2, "a front of {} members", plain.front.len());
+        let snaps: Vec<GaCheckpoint> = rx.try_iter().collect();
+        let snapshot = snaps[snaps.len() / 2].to_value();
+        assert!(snapshot.get("pareto").is_some(), "the snapshot carries the NSGA-II state");
+        let upload = Msg::TrialCheckpoint {
+            worker: "w1".into(),
+            lease: grant.lease.clone(),
+            snapshot: snapshot.clone(),
+        };
+        assert_eq!(pool.dispatch(upload), Msg::CheckpointOk);
+        pool.tick(); // the lease expires; the snapshot rides along
+        let regrant = granted(pool.dispatch(Msg::LeaseRequest { worker: "w2".into() }));
+        assert_eq!(
+            (regrant.snapshot.as_ref(), regrant.objective.as_ref()),
+            (Some(&snapshot), grant.objective.as_ref())
+        );
+        let migrated = run_grant(&regrant, grant_resume(&regrant), None, None).expect("resumed");
+        // Equal but for wall-clock time and the session split, which a
+        // resumed run restarts.
+        let deterministic = |r: TrialRecord| TrialRecord {
+            eval_stats: cold::ga::EvalStats {
+                eval_seconds: 0.0,
+                delta_evals: 0,
+                full_evals: 0,
+                arcs_scanned: 0,
+                ..r.eval_stats
+            },
+            ..r
+        };
+        assert_eq!(deterministic(migrated), deterministic(plain));
     }
 
     #[test]

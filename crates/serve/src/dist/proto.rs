@@ -144,6 +144,9 @@ pub struct LeaseGrant {
     pub attempt: usize,
     /// Full `ColdConfig` document for the job.
     pub config: Value,
+    /// The job's trial objective in [`cold::objective_value`]'s codec;
+    /// `None`, and no key on the wire, for cost.
+    pub objective: Option<Value>,
     /// Lease deadline in milliseconds (advisory for the worker).
     pub deadline_ms: u64,
     /// Per-attempt wall-clock deadline in milliseconds (`cold-serve
@@ -162,7 +165,7 @@ pub struct LeaseGrant {
 
 impl LeaseGrant {
     fn members(&self) -> Vec<Member<'_>> {
-        vec![
+        let mut members = vec![
             kind("lease_grant"),
             ("lease", owned(&self.lease)),
             ("job", owned(&self.job)),
@@ -175,7 +178,9 @@ impl LeaseGrant {
             ("ckpt_every", owned(&self.ckpt_every)),
             ("trace_id", owned(&self.trace_id)),
             ("snapshot", self.snapshot.as_ref().map_or(Cow::Owned(Value::Null), Cow::Borrowed)),
-        ]
+        ];
+        members.extend(self.objective.as_ref().map(|o| ("objective", Cow::Borrowed(o))));
+        members
     }
 
     fn from_value(mut v: Value) -> Result<Self, String> {
@@ -186,6 +191,7 @@ impl LeaseGrant {
             seed: u64_field(&v, "seed")?,
             attempt: usize_field(&v, "attempt")?,
             config: take_field(&mut v, "config").ok_or("lease_grant: `config` missing")?,
+            objective: take_field(&mut v, "objective"),
             deadline_ms: u64_field(&v, "deadline_ms")?,
             trial_deadline_ms: v.get("trial_deadline_ms").and_then(Value::as_u64),
             ckpt_every: usize_field(&v, "ckpt_every")?,
@@ -453,6 +459,7 @@ mod tests {
             seed: 0xDEAD_BEEF,
             attempt: 3,
             config: json!({"n": 12}),
+            objective: None,
             deadline_ms: 120_000,
             trial_deadline_ms: Some(500),
             ckpt_every: 5,
@@ -523,6 +530,7 @@ mod tests {
                 seed: 0xDEAD_BEEF,
                 attempt: 3,
                 config: config.clone(),
+                objective: None,
                 deadline_ms: 120_000,
                 trial_deadline_ms: snapshot.as_ref().map(|_| 500),
                 ckpt_every: 5,
@@ -607,6 +615,7 @@ mod tests {
             seed: 1,
             attempt: 1,
             config: json!({}),
+            objective: None,
             deadline_ms: 1000,
             trial_deadline_ms: None,
             ckpt_every: 5,
@@ -616,6 +625,34 @@ mod tests {
         let v = Msg::Grant(grant.clone()).to_value();
         assert!(v.get("snapshot").expect("snapshot key").is_null());
         assert_eq!(Msg::from_value(v).expect("parse"), Msg::Grant(grant));
+    }
+
+    #[test]
+    fn a_grant_carries_its_objective_last_and_a_cost_grant_has_no_key() {
+        let objective = cold::TrialObjective::Pareto { archive: 16 };
+        let grant = LeaseGrant {
+            lease: "1ea5e1ea5e1ea5e1".into(),
+            job: "ab12cd34ef56ab78".into(),
+            trial: 0,
+            seed: 1,
+            attempt: 1,
+            config: json!({}),
+            objective: cold::objective_value(&objective),
+            deadline_ms: 1000,
+            trial_deadline_ms: None,
+            ckpt_every: 5,
+            trace_id: "ab12cd34ef56ab78".into(),
+            snapshot: None,
+        };
+        let text = frame_text(&Msg::Grant(grant.clone()));
+        assert!(text.ends_with(r#""snapshot":null,"objective":{"kind":"pareto","archive":16}}"#));
+        let Msg::Grant(back) = Msg::from_value(Msg::Grant(grant).to_value()).expect("parse") else {
+            panic!("a grant");
+        };
+        assert_eq!(cold::objective_from_value(back.objective.as_ref(), 8), Some(objective));
+        let cost =
+            LeaseGrant { objective: cold::objective_value(&cold::TrialObjective::Cost), ..back };
+        assert!(!frame_text(&Msg::Grant(cost)).contains("objective"));
     }
 
     #[test]

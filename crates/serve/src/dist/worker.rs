@@ -48,7 +48,7 @@ use crate::dist::proto::{self, LeaseGrant, Msg};
 use cold::ga::GaCheckpoint;
 use cold::{
     fingerprint_hex, value_fingerprint, AttemptOptions, CheckpointSink, ColdConfig, ColdError,
-    ProgressSink, TrialObjective, TrialRecord, TrialSpec,
+    ProgressSink, TrialRecord, TrialSpec,
 };
 use serde::Deserialize;
 use serde_json::json;
@@ -244,14 +244,14 @@ pub(crate) fn grant_resume(grant: &LeaseGrant) -> Option<GaCheckpoint> {
 
 /// Runs a granted trial — the trial step of remote workers and of the
 /// coordinator's inline fallback alike: one [`cold::run_attempt`] of the
-/// shipped config on the grant's seed, resumed from `resume` (the
-/// grant's snapshot, see [`grant_resume`]), under the grant's trial
-/// deadline, handing a snapshot to `checkpoint` every `ckpt_every`
-/// generations.
+/// shipped config and objective on the grant's seed, resumed from
+/// `resume` (the grant's snapshot, see [`grant_resume`]), under the
+/// grant's trial deadline, handing a snapshot to `checkpoint` every
+/// `ckpt_every` generations.
 ///
 /// # Errors
-/// [`ColdError::Config`] for an unparseable config, else the attempt's
-/// error.
+/// [`ColdError::Config`] for an unparseable config or objective, else
+/// the attempt's error.
 pub(crate) fn run_grant(
     grant: &LeaseGrant,
     resume: Option<GaCheckpoint>,
@@ -260,13 +260,15 @@ pub(crate) fn run_grant(
 ) -> Result<TrialRecord, ColdError> {
     let config = ColdConfig::from_json_value(&grant.config)
         .ok_or_else(|| ColdError::Config("grant carried an unparseable config".into()))?;
+    let objective = cold::objective_from_value(grant.objective.as_ref(), config.context.n)
+        .ok_or_else(|| ColdError::Config("grant carried an unparseable objective".into()))?;
     let options = AttemptOptions {
         resume,
         deadline: grant.trial_deadline_ms.map(Duration::from_millis),
         progress,
         checkpoint: checkpoint.map(|sink| (grant.ckpt_every.max(1), sink)),
     };
-    let spec = TrialSpec::new(grant.seed, TrialObjective::Cost);
+    let spec = TrialSpec::new(grant.seed, objective);
     cold::run_attempt(&config, grant.trial, grant.attempt, spec, options)
         .map(|r| TrialRecord::from_result(grant.trial, grant.seed, &r))
 }
@@ -506,6 +508,7 @@ fn run_lease(cfg: &WorkerConfig, grant: LeaseGrant) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cold::TrialObjective;
     use std::sync::mpsc::{self, Receiver, Sender};
 
     /// The engine's snapshots of a small trial, one per generation

@@ -39,6 +39,7 @@ use crate::job::{JobEntry, JobMode, JobProgress, JobSpec, JobStatus};
 use crate::metrics::{self, names};
 use crate::queue::{BoundedQueue, QueueFull};
 use cold::graph::AdjacencyMatrix;
+use cold::pareto::DEFAULT_ARCHIVE_CAPACITY;
 use cold::{
     Campaign, CampaignCheckpoint, ColdError, LocalTrials, ProgressSink, Snapshots, TrialObjective,
     TrialSource,
@@ -676,11 +677,10 @@ fn progress_sink(entry: &Arc<JobEntry>) -> ProgressSink {
 
 /// A job's one campaign — `count` trials of its mode's objective,
 /// checkpointed after every trial — and its result document with the
-/// number of trials behind it, shaped by [`standard_doc`], [`pareto_doc`] or [`evolve_doc`]. A
-/// standard job on a coordinator draws its trials from the worker pool
-/// (same seeds, same checkpoint file — see the dist module); every other
-/// job runs locally with salted retries, since a lease grant carries no
-/// objective.
+/// number of trials behind it, shaped by [`standard_doc`], [`pareto_doc`]
+/// or [`evolve_doc`]. On a coordinator every job draws its trials from
+/// the worker pool (same seeds, same checkpoint file — see the dist
+/// module); otherwise they run locally with salted retries.
 fn job_doc(
     shared: &Shared,
     id: &str,
@@ -692,16 +692,14 @@ fn job_doc(
     let spec = entry.spec;
     let parent = (spec.mode == JobMode::Evolve).then(|| warm_parent(shared, id, &spec)).flatten();
     let objective = match (spec.mode, &parent) {
-        (JobMode::Pareto, _) => {
-            TrialObjective::Pareto { archive: cold::pareto::DEFAULT_ARCHIVE_CAPACITY }
-        }
+        (JobMode::Pareto, _) => TrialObjective::Pareto { archive: DEFAULT_ARCHIVE_CAPACITY },
         (_, Some(parent)) => TrialObjective::Warm { parent: parent.clone(), costs: spec.change },
         _ => TrialObjective::Cost,
     };
     let (deadline, progress) = (shared.trial_deadline, Some(sink));
-    let mut source: Box<dyn TrialSource + '_> = match (&shared.dist, spec.mode) {
-        (Some(pool), JobMode::Standard) => Box::new(PoolTrials::new(pool, id, deadline, progress)),
-        _ => Box::new(LocalTrials { deadline, progress, ..LocalTrials::default() }),
+    let mut source: Box<dyn TrialSource + '_> = match &shared.dist {
+        Some(pool) => Box::new(PoolTrials::new(pool, id, deadline, progress)),
+        None => Box::new(LocalTrials { deadline, progress, ..LocalTrials::default() }),
     };
     let results = cold::run_campaign(
         &Campaign { objective, ..Campaign::new(spec.config, spec.seed, spec.count) },

@@ -1100,3 +1100,100 @@ fn pareto_and_evolve_jobs_retry_an_overrun_on_the_salted_seed() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Serves a standard parent, a `mode: pareto` job and a `mode: evolve`
+/// child of the parent at `addr`; returns the two jobs' ids and result
+/// documents (wall-clock lines masked).
+fn pareto_and_evolve_docs(addr: &str) -> Vec<(String, String)> {
+    let config = ColdConfig::quick(8, 4e-4, 10.0).to_json_value();
+    let parent = submit_and_wait(addr, &job_body(8, 21, 1));
+    let bodies = [
+        serde_json::json!({ "config": config, "seed": 13, "mode": "pareto" }),
+        serde_json::json!({
+            "config": config,
+            "seed": 22,
+            "mode": "evolve",
+            "parent": parent,
+            "change_costs": {"add_cost": 1.0, "remove_cost": 1.0, "length_weight": 0.0},
+        }),
+    ];
+    bodies
+        .iter()
+        .map(|body| {
+            let id = submit_and_wait(addr, &body.to_string());
+            let result =
+                client_request(addr, "GET", &format!("/jobs/{id}/result"), None).expect("result");
+            assert_eq!(result.status, 200, "{}", result.body);
+            (id, deterministic_doc(&result.body))
+        })
+        .collect()
+}
+
+#[test]
+fn pareto_and_evolve_jobs_run_on_a_remote_worker() {
+    let _guard = global_lock();
+    let dir = temp_dir("remote-modes");
+    fresh_globals(None);
+    let (handle, addr) = start(ServerConfig {
+        workers: 1,
+        cache_dir: dir.join("standalone"),
+        ..ServerConfig::default()
+    });
+    let standalone = pareto_and_evolve_docs(&addr);
+    handle.shutdown();
+    handle.join();
+
+    let journal = dir.join("coordinator.jsonl");
+    fresh_globals(Some(&journal));
+    let (handle, addr) = start(ServerConfig {
+        workers: 1,
+        cache_dir: dir.join("coordinator"),
+        dist: Some(DistConfig::default()),
+        ..ServerConfig::default()
+    });
+    // A worker process of its own, so its journal is its own.
+    let worker_journal = dir.join("worker.jsonl");
+    let mut worker = std::process::Command::new(env!("CARGO_BIN_EXE_cold-serve"))
+        .args(["--role", "worker", "--worker-name", "e2e-remote", "--heartbeat-ms", "100"])
+        .arg("--coordinator")
+        .arg(handle.dist_addr().expect("dist listener").to_string())
+        .arg("--journal")
+        .arg(&worker_journal)
+        .spawn()
+        .expect("worker spawns");
+    let started = Instant::now();
+    while parse_body(&client_request(&addr, "GET", "/healthz", None).expect("healthz").body)
+        ["dist_workers"]
+        .as_u64()
+        != Some(1)
+    {
+        assert!(started.elapsed() < Duration::from_secs(30), "the worker never registered");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let served = pareto_and_evolve_docs(&addr);
+    handle.shutdown();
+    handle.join();
+    // The drain reaches the worker on a heartbeat; it leaves with exit 0.
+    let status = worker.wait().expect("worker exits");
+    assert!(status.success(), "worker exited {status:?}");
+
+    for ((id, doc), (_, reference)) in served.iter().zip(&standalone) {
+        assert_eq!(doc, reference, "job {id}: the pool changed the result document");
+        let remote = read_journal(&journal).into_iter().any(|e| {
+            matches!(e, cold_obs::Event::TrialLeased(l) if &l.id == id && l.worker == "e2e-remote")
+        });
+        assert!(remote, "job {id} was never leased to the remote worker");
+    }
+    let starts: Vec<(String, String)> = read_journal(&worker_journal)
+        .into_iter()
+        .filter_map(|e| match e {
+            cold_obs::Event::RunStart(s) => Some((s.mode, s.run)),
+            _ => None,
+        })
+        .collect();
+    let run = |seed| cold_obs::run_id(cold::context::rng::derive_seed(seed, 0));
+    for (mode, seed) in [("Pareto", 13), ("Warm", 22)] {
+        assert!(starts.contains(&(mode.to_string(), run(seed))), "{mode}: {starts:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
