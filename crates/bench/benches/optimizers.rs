@@ -7,7 +7,9 @@ use cold_ga::chromosome::{inverse_cost_weights, weighted_pick};
 use cold_ga::crossover::{crossover_child, select_parents};
 use cold_ga::mutation::mutate;
 use cold_ga::repair::{repair, RepairStats};
-use cold_ga::{hypervolume, GaSettings, GeneticAlgorithm, Individual, Objective, ParetoGa};
+use cold_ga::{
+    hypervolume, GaSettings, GeneticAlgorithm, Individual, MultiObjective, Objective, ParetoGa,
+};
 use cold_graph::AdjacencyMatrix;
 use cold_heuristics::{
     all_heuristics, all_heuristics_on, complete_heuristic, greedy_attachment, mst_heuristic,
@@ -244,6 +246,40 @@ fn bench_pareto(c: &mut Criterion) {
     let nets: Vec<Network> = front.front.into_iter().map(|m| m.network).collect();
     group.bench_with_input(BenchmarkId::new("failure_sweep_front", 20), &nets, |b, nets| {
         b.iter(|| sweep_all(nets, &front.context));
+    });
+    // All three objectives per candidate, the way a Pareto run prices
+    // them: one session over a fixed chain of that front's members, each
+    // followed by a child with one chord added and a grandchild that also
+    // drops one non-bridge link, so the chain takes full passes, repairs
+    // and the failure fold on meshed topologies.
+    let obj = ColdMultiObjective::new(&front.context, cfg.params);
+    let mut rng = StdRng::seed_from_u64(20);
+    let mut chain = Vec::new();
+    for member in &nets {
+        let mut child = member.topology.clone();
+        let n = child.n();
+        let (u, v) = loop {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if u != v && !child.has_edge(u, v) {
+                break (u, v);
+            }
+        };
+        child.set_edge(u, v, true);
+        let cuts = cold_graph::connectivity::cut_structure(&child.to_graph());
+        let cycle_links: Vec<(usize, usize)> =
+            child.edges().filter(|&(a, b)| !cuts.is_bridge(a, b)).collect();
+        let mut grandchild = child.clone();
+        let (a, b) = cycle_links[rng.gen_range(0..cycle_links.len())];
+        grandchild.set_edge(a, b, false);
+        chain.extend([member.topology.clone(), child, grandchild]);
+    }
+    group.bench_with_input(BenchmarkId::new("candidate_objectives", 20), &chain, |b, chain| {
+        b.iter(|| {
+            let mut session = obj.session();
+            for topology in chain {
+                black_box(session.objectives(topology, None));
+            }
+        });
     });
     group.finish();
 }

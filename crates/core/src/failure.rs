@@ -17,10 +17,12 @@
 //!
 //! # One incremental sweep
 //!
-//! The sweep starts from the routing state the network already carries
-//! (`net.plan.routing`: adjacency and per-source distance and parent rows)
-//! and reports for every link exactly what a full shortest-path re-route
-//! of the topology without that link reports, bit for bit:
+//! The sweep starts from a routing state (adjacency and per-source
+//! distance and parent rows) — the one a built network carries
+//! (`net.plan.routing`), or the one a cost session left behind
+//! ([`cold_cost::DeltaEval::routing`]) — and reports for every link
+//! exactly what a full shortest-path re-route of the topology without that
+//! link reports, bit for bit:
 //!
 //! - **Bridges** (one Tarjan pass finds them all) need no Dijkstra. Every
 //!   surviving route keeps its path, so stretch is exactly 1. Stranded
@@ -45,12 +47,22 @@
 //! Each link's load is then folded over sources in ascending order, the
 //! summation order of [`cold_graph::routing::RoutingState::link_loads`],
 //! so utilization, overload counts and stretch equal a full re-route's.
+//!
+//! # The report and the objective
+//!
+//! One per-link body serves two callers. [`single_link_failures`] reports
+//! every link of a built network against the capacities it installed.
+//! [`worst_failure`], the Pareto impact objective, needs only the routing
+//! its cost session priced: it installs `O ·` that routing's own loads and
+//! stops folding once no unvisited failure can raise the worst.
 
 use cold_context::Context;
+use cold_cost::network::Link;
 use cold_cost::Network;
 use cold_graph::connectivity::{cut_structure, CutStructure};
 use cold_graph::routing::{
-    accumulate_source, push_down, Csr, EdgeDiff, SubtreeScratch, TreeRepair,
+    accumulate_source, pair_slot, push_down, Csr, EdgeDiff, RoutingState, SubtreeScratch,
+    TreeRepair,
 };
 use cold_graph::Graph;
 use serde::{Deserialize, Serialize};
@@ -116,39 +128,73 @@ impl FailureReport {
 pub fn single_link_failures(net: &Network, ctx: &Context) -> FailureReport {
     assert_eq!(ctx.n(), net.n(), "network and context disagree on PoP count");
     let _timer = cold_obs::timer("failure.sweep_seconds");
-    let total_traffic = ctx.traffic.total();
-    let g = net.graph();
-    let sweep = Sweep::new(net, ctx, &g);
-    let mut buf = Buffers { csr: net.plan.routing.csr().clone(), ..Buffers::default() };
+    let sweep = Sweep::new(&net.plan.routing, ctx, Capacity::Links(&net.links));
+    let mut buf = sweep.buffers();
     let impacts = net
         .links
         .iter()
-        .map(|failed| {
-            let link = (failed.u.min(failed.v), failed.u.max(failed.v));
-            buf.load.clear();
-            buf.load.resize(net.plan.link_count(), 0.0);
-            let (stranded, mean_stretch) = if sweep.cuts.is_bridge(link.0, link.1) {
-                (sweep.fail_bridge(link, &mut buf), 1.0)
-            } else {
-                (0.0, sweep.fail_cycle_link(link, &mut buf))
-            };
-            let (max_utilization, overloaded_links) = sweep.utilization(link, &buf.load);
-            LinkFailureImpact {
-                link: (failed.u, failed.v),
-                stranded_traffic_fraction: if total_traffic > 0.0 {
-                    stranded / total_traffic
-                } else {
-                    0.0
-                },
-                max_utilization,
-                overloaded_links,
-                mean_stretch,
-            }
+        .map(|failed| LinkFailureImpact {
+            link: (failed.u, failed.v),
+            ..sweep.fail((failed.u.min(failed.v), failed.u.max(failed.v)), &mut buf)
         })
         .collect();
-    cold_obs::counter_add("failure.repaired_sources", buf.repaired);
-    cold_obs::counter_add("failure.rerouted_sources", buf.rerouted);
+    buf.record();
     FailureReport { impacts }
+}
+
+/// The worst `weigh(stranded_traffic_fraction, max_utilization)` over
+/// every single-link failure of the topology `routing` routes in `ctx`,
+/// with `overprovision ·` the routing's own link loads as capacities —
+/// the capacities [`cold_cost::assign_capacities`] installs. It equals
+/// folding `weigh` over [`single_link_failures`] of the built network
+/// with `max` from 0, bit for bit.
+///
+/// `weigh` must be non-decreasing in utilization and never NaN. A
+/// non-bridge failure strands nothing, so its weight is at most
+/// `weigh(0.0, f64::INFINITY)`. The fold visits the bridges first and
+/// stops at the first non-bridge failure once the running maximum
+/// reaches that bound; `max` over non-NaN values ignores order, so the
+/// skipped failures cannot change the result.
+pub fn worst_failure(
+    routing: &RoutingState,
+    ctx: &Context,
+    overprovision: f64,
+    weigh: impl Fn(f64, f64) -> f64,
+) -> f64 {
+    assert_eq!(ctx.n(), routing.n(), "routing and context disagree on PoP count");
+    let _timer = cold_obs::timer("failure.sweep_seconds");
+    bounded_worst(routing, ctx, overprovision, weigh).0
+}
+
+/// [`worst_failure`]'s fold; also returns how many non-bridge failures
+/// the bound skipped.
+fn bounded_worst(
+    routing: &RoutingState,
+    ctx: &Context,
+    overprovision: f64,
+    weigh: impl Fn(f64, f64) -> f64,
+) -> (f64, usize) {
+    let sweep = Sweep::new(routing, ctx, Capacity::Provisioned(overprovision));
+    let mut buf = sweep.buffers();
+    let mut weight = |link| {
+        let impact = sweep.fail(link, &mut buf);
+        weigh(impact.stranded_traffic_fraction, impact.max_utilization)
+    };
+    let mut worst = sweep.cuts.bridges.iter().map(|&b| weight(b)).fold(0.0, f64::max);
+    let bound = weigh(0.0, f64::INFINITY);
+    let mut visited = 0usize;
+    for &link in sweep.edges.iter().filter(|&&(u, v)| !sweep.cuts.is_bridge(u, v)) {
+        if worst >= bound {
+            break;
+        }
+        worst = worst.max(weight(link));
+        visited += 1;
+    }
+    let skipped = sweep.edges.len() - sweep.cuts.bridges.len() - visited;
+    buf.record();
+    cold_obs::counter_add("failure.nonbridge_visited", visited as u64);
+    cold_obs::counter_add("failure.nonbridge_skipped", skipped as u64);
+    (worst, skipped)
 }
 
 /// Demand stranded by the failure of `bridge`: `t(s, t)` summed in
@@ -166,19 +212,33 @@ pub(crate) fn cross_cut_demand(cuts: &CutStructure, bridge: (usize, usize), ctx:
     stranded
 }
 
-/// What one sweep reuses across failures, all derived once from the
-/// network's own routing.
+/// Where a sweep's installed capacities come from.
+enum Capacity<'a> {
+    /// A built network's links, matched by normalized endpoints (stored
+    /// links need not be `u < v`); a link with none installs nothing.
+    Links(&'a [Link]),
+    /// `O ·` each link's load, its base contributions folded in ascending
+    /// source order: [`RoutingState::link_loads`]' fold, so the values of
+    /// [`cold_cost::assign_capacities`].
+    Provisioned(f64),
+}
+
+/// What one sweep reuses across failures, all derived once from one
+/// routing.
 ///
-/// A network that routed has no demand between its components (building
+/// A topology that routed has no demand between its components (routing
 /// it would have failed), so only a bridge failure strands demand and
 /// every other failure routes the context's demands unchanged.
 struct Sweep<'a> {
-    net: &'a Network,
+    routing: &'a RoutingState,
     ctx: &'a Context,
+    total_traffic: f64,
     cuts: CutStructure,
-    /// Base-edge index per node pair, at `AdjacencyMatrix::pair_index`.
+    /// The routed edges, `(u, v)` with `u < v`, ascending.
+    edges: Vec<(usize, usize)>,
+    /// Edge index per node pair, at `AdjacencyMatrix::pair_index`.
     edge_at: Vec<usize>,
-    /// Installed capacity per base edge.
+    /// Installed capacity per edge.
     capacity: Vec<f64>,
     /// Children-first order of each source's base tree.
     order: Vec<Vec<usize>>,
@@ -201,7 +261,7 @@ struct Rows {
 /// Scratch state of a sweep, rewritten by every failure.
 #[derive(Default)]
 struct Buffers {
-    /// The network's adjacency; a failure cuts one edge of it.
+    /// The routed adjacency; a failure cuts one edge of it.
     csr: Csr,
     subtree: SubtreeScratch,
     demand: Vec<f64>,
@@ -214,33 +274,36 @@ struct Buffers {
     rerouted: u64,
 }
 
+impl Buffers {
+    /// Adds the sweep's re-route counters.
+    fn record(&self) {
+        cold_obs::counter_add("failure.repaired_sources", self.repaired);
+        cold_obs::counter_add("failure.rerouted_sources", self.rerouted);
+    }
+}
+
 impl<'a> Sweep<'a> {
-    fn new(net: &'a Network, ctx: &'a Context, g: &Graph) -> Self {
-        let n = net.n();
-        let edges = net.plan.edges();
+    fn new(routing: &'a RoutingState, ctx: &'a Context, capacity: Capacity<'_>) -> Self {
+        let n = routing.n();
+        let edges: Vec<(usize, usize)> = routing.csr().edges().map(|(u, v, _)| (u, v)).collect();
         let mut edge_at = vec![usize::MAX; n * n.saturating_sub(1) / 2];
         for (i, &(u, v)) in edges.iter().enumerate() {
-            edge_at[net.topology.pair_index(u, v)] = i;
+            edge_at[pair_slot(n, u, v)] = i;
         }
-        // Keyed by normalized endpoints: stored links need not be `u < v`.
-        let mut capacity = vec![0.0; edges.len()];
-        for l in &net.links {
-            if let Ok(i) = edges.binary_search(&(l.u.min(l.v), l.u.max(l.v))) {
-                capacity[i] = l.capacity;
-            }
-        }
+        let graph = Graph::from_edges(n, &edges).expect("routed edges form a simple graph");
         let mut sweep = Self {
-            net,
+            routing,
             ctx,
-            cuts: cut_structure(g),
+            total_traffic: ctx.traffic.total(),
+            cuts: cut_structure(&graph),
+            edges,
             edge_at,
-            capacity,
+            capacity: Vec::new(),
             order: Vec::with_capacity(n),
             contrib: Vec::with_capacity(n),
             stretch_targets: Vec::with_capacity(n),
         };
         let traffic = ctx.traffic_fn();
-        let routing = &net.plan.routing;
         let mut subtree = SubtreeScratch::new();
         for s in 0..n {
             let (dist, parent) = (routing.dist(s), routing.parent(s));
@@ -248,19 +311,66 @@ impl<'a> Sweep<'a> {
             accumulate_source(s, dist, parent, &traffic, &mut subtree, |p, v, d| {
                 contrib.push((sweep.edge(p, v), d))
             })
-            .expect("a built network routes every demand");
+            .expect("a routing routes every demand");
             let targets =
                 (0..n).filter(|&t| t != s && traffic(s, t) > 0.0 && dist[t] > 0.0).collect();
             sweep.order.push(subtree.order().to_vec());
             sweep.contrib.push(contrib);
             sweep.stretch_targets.push(targets);
         }
+        sweep.capacity = match capacity {
+            Capacity::Links(links) => {
+                let mut installed = vec![0.0; sweep.edges.len()];
+                for l in links {
+                    if let Ok(i) = sweep.edges.binary_search(&(l.u.min(l.v), l.u.max(l.v))) {
+                        installed[i] = l.capacity;
+                    }
+                }
+                installed
+            }
+            Capacity::Provisioned(overprovision) => {
+                let mut load = vec![0.0f64; sweep.edges.len()];
+                for &(e, d) in sweep.contrib.iter().flatten() {
+                    load[e] += d;
+                }
+                load.into_iter().map(|w| overprovision * w).collect()
+            }
+        };
         sweep
     }
 
-    /// Base-edge index of the tree link `{p, v}`.
+    /// Fresh scratch state for this sweep's failures.
+    fn buffers(&self) -> Buffers {
+        Buffers { csr: self.routing.csr().clone(), ..Buffers::default() }
+    }
+
+    /// Edge index of the routed link `{p, v}`.
     fn edge(&self, p: usize, v: usize) -> usize {
-        self.edge_at[self.net.topology.pair_index(p, v)]
+        self.edge_at[pair_slot(self.routing.n(), p, v)]
+    }
+
+    /// The impact of failing `link` (`u < v`): what a full re-route of
+    /// the topology without it reports, bit for bit.
+    fn fail(&self, link: (usize, usize), buf: &mut Buffers) -> LinkFailureImpact {
+        buf.load.clear();
+        buf.load.resize(self.edges.len(), 0.0);
+        let (stranded, mean_stretch) = if self.cuts.is_bridge(link.0, link.1) {
+            (self.fail_bridge(link, buf), 1.0)
+        } else {
+            (0.0, self.fail_cycle_link(link, buf))
+        };
+        let (max_utilization, overloaded_links) = self.utilization(link, &buf.load);
+        LinkFailureImpact {
+            link,
+            stranded_traffic_fraction: if self.total_traffic > 0.0 {
+                stranded / self.total_traffic
+            } else {
+                0.0
+            },
+            max_utilization,
+            overloaded_links,
+            mean_stretch,
+        }
     }
 
     /// Fills `buf.load` for the failure of `bridge` and returns the demand
@@ -274,7 +384,7 @@ impl<'a> Sweep<'a> {
                 0.0
             }
         };
-        let routing = &self.net.plan.routing;
+        let routing = self.routing;
         for s in 0..routing.n() {
             push_down(
                 s,
@@ -299,7 +409,7 @@ impl<'a> Sweep<'a> {
         let traffic = self.ctx.traffic_fn();
         let mut stretch_sum = 0.0f64;
         let mut stretch_count = 0usize;
-        let routing = &self.net.plan.routing;
+        let routing = self.routing;
         csr.with_edge_cut(u, v, |csr| {
             for (s, targets) in self.stretch_targets.iter().enumerate() {
                 stretch_count += targets.len();
@@ -338,7 +448,7 @@ impl<'a> Sweep<'a> {
 
     /// Whether source `s`'s base tree holds the link `{u, v}`.
     fn touches(&self, s: usize, (u, v): (usize, usize)) -> bool {
-        let parent = self.net.plan.routing.parent(s);
+        let parent = self.routing.parent(s);
         parent[v] == u || parent[u] == v
     }
 
@@ -346,7 +456,7 @@ impl<'a> Sweep<'a> {
     /// link is cut in `csr`: the base rows through [`TreeRepair::run`].
     /// Returns whether they were repaired in place.
     fn reroute(&self, s: usize, link: (usize, usize), csr: &Csr, rows: &mut Rows) -> bool {
-        let routing = &self.net.plan.routing;
+        let routing = self.routing;
         rows.dist.clear();
         rows.dist.extend_from_slice(routing.dist(s));
         rows.parent.clear();
@@ -362,9 +472,7 @@ impl<'a> Sweep<'a> {
     fn utilization(&self, failed: (usize, usize), load: &[f64]) -> (f64, usize) {
         let mut max_util = 0.0f64;
         let mut overloaded = 0usize;
-        for ((&edge, &load), &installed) in
-            self.net.plan.edges().iter().zip(load).zip(&self.capacity)
-        {
+        for ((&edge, &load), &installed) in self.edges.iter().zip(load).zip(&self.capacity) {
             if edge == failed {
                 continue;
             }
@@ -387,9 +495,9 @@ impl<'a> Sweep<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pareto::{failure_impact, weigh, UTILIZATION_WEIGHT};
     use cold_context::{GravityModel, Point, PopulationKind};
     use cold_cost::{CostParams, Network};
-    use cold_graph::routing::RoutingState;
     use cold_graph::shortest_path::DijkstraWorkspace;
     use cold_graph::AdjacencyMatrix;
     use proptest::prelude::*;
@@ -708,12 +816,102 @@ mod tests {
         }
     }
 
+    /// The bounded fold over a fresh routing of one random case equals
+    /// the impact objective folded over the full report of the built
+    /// network, by `to_bits`. Returns how many failures the bound skipped.
+    fn check_bounded(
+        n: usize,
+        seed: u64,
+        family: Family,
+        layout: u8,
+        zero_demand: bool,
+        overprovision: f64,
+    ) -> Result<usize, TestCaseError> {
+        let mut ctx = random_context(n, seed, layout, zero_demand);
+        let topo = random_topology(family, &mut ctx, seed);
+        let (routing, _, _) = reroute(&topo, &ctx, ctx.traffic_fn());
+        let params = CostParams::paper(1e-3, 0.0).with_overprovision(overprovision);
+        let net = Network::build(topo, &ctx, params).expect("every family routes its demand");
+        let (bounded, skipped) = bounded_worst(&routing, &ctx, overprovision, weigh);
+        let full = failure_impact(&single_link_failures(&net, &ctx));
+        prop_assert_eq!(bounded.to_bits(), full.to_bits(), "{:?} layout {}", family, layout);
+        prop_assert_eq!(
+            worst_failure(&routing, &ctx, overprovision, weigh).to_bits(),
+            full.to_bits()
+        );
+        Ok(skipped)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn bounded_worst_impact_equals_the_full_report_n20(
+            seed in 0u64..10_000,
+            family in family(),
+            layout in 0u8..3,
+            zero_demand in any::<bool>(),
+            overprovision in overprovision(),
+        ) {
+            check_bounded(20, seed, family, layout, zero_demand, overprovision)?;
+        }
+    }
+
+    #[test]
+    fn every_family_and_layout_bounds_exactly() {
+        // One of every family × layout × provisioning; the bound must
+        // skip somewhere, and some case must visit every failure.
+        let (mut skipped, mut complete) = (0, 0);
+        for (i, &family) in FAMILIES.iter().enumerate() {
+            for layout in 0..3u8 {
+                for (j, overprovision) in [1.0, 4.0].into_iter().enumerate() {
+                    let seed = (i * 6 + layout as usize * 2 + j) as u64;
+                    let zero_demand = seed.is_multiple_of(2);
+                    let k = check_bounded(20, seed, family, layout, zero_demand, overprovision)
+                        .unwrap();
+                    skipped += k;
+                    complete += usize::from(k == 0);
+                }
+            }
+        }
+        assert!(skipped > 0 && complete > 0, "skipped {skipped}, complete cases {complete}");
+    }
+
+    #[test]
+    fn a_dominant_bridge_skips_every_other_failure() {
+        // Triangle + pendant: failing the pendant link strands a quarter
+        // of the PoPs' traffic, far above any non-bridge failure's cap.
+        let ctx = square_ctx();
+        let topo = AdjacencyMatrix::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]).unwrap();
+        let net = Network::build(topo, &ctx, CostParams::paper(1e-3, 0.0)).unwrap();
+        let (worst, skipped) = bounded_worst(&net.plan.routing, &ctx, 1.0, weigh);
+        assert!(worst > UTILIZATION_WEIGHT, "the bridge dominates: {worst}");
+        assert_eq!(skipped, 3, "no non-bridge failure is visited");
+        let full = failure_impact(&single_link_failures(&net, &ctx));
+        assert_eq!(worst.to_bits(), full.to_bits());
+    }
+
+    #[test]
+    fn a_roomy_ring_visits_every_failure() {
+        // O = 4: every reroute fits, no failure reaches the cap, so the
+        // fold visits all four links.
+        let ctx = square_ctx();
+        let ring = AdjacencyMatrix::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
+        let params = CostParams::paper(1e-3, 0.0).with_overprovision(4.0);
+        let net = Network::build(ring, &ctx, params).unwrap();
+        let (worst, skipped) = bounded_worst(&net.plan.routing, &ctx, 4.0, weigh);
+        assert!(worst < UTILIZATION_WEIGHT, "no failure reaches the cap: {worst}");
+        assert_eq!(skipped, 0);
+        let full = failure_impact(&single_link_failures(&net, &ctx));
+        assert_eq!(worst.to_bits(), full.to_bits());
+    }
+
     /// Checks the rows the sweep uses for every (source, non-bridge link)
     /// pair it re-routes against the cut adjacency's fresh Dijkstra:
     /// distances by `to_bits`, parents exactly. Returns how many pairs
     /// were repaired in place and how many fell back.
     fn check_touched_rows(net: &Network, ctx: &Context, case: &str) -> (usize, usize) {
-        let sweep = Sweep::new(net, ctx, &net.graph());
+        let sweep = Sweep::new(&net.plan.routing, ctx, Capacity::Links(&net.links));
         let mut csr = net.plan.routing.csr().clone();
         let (mut rows, mut fresh) = (Rows::default(), DijkstraWorkspace::new());
         let (mut repaired, mut rerouted) = (0, 0);

@@ -7,28 +7,30 @@
 //! This module wires COLD's cost model into the NSGA-II engine of
 //! [`cold_ga::pareto`] with three objectives, all minimized:
 //!
-//! 1. **Build cost** — eq. (2) exactly, evaluated through the same
-//!    incremental [`cold_ga::ObjectiveSession`] machinery as scalar
-//!    synthesis, so the delta-evaluation speedup carries over.
-//! 2. **Worst single-link-failure impact** — from
-//!    [`crate::failure::single_link_failures`]: the worst link's stranded
-//!    traffic fraction plus a capped overload term (see
-//!    [`UTILIZATION_WEIGHT`]).
-//! 3. **Demand-weighted mean path length** — the capacity plan's
-//!    traffic-weighted route length per unit of offered traffic, a
-//!    propagation-delay proxy.
+//! 1. **Build cost** — eq. (2) exactly, priced by the same incremental
+//!    [`DeltaEval`] session as scalar synthesis, so the delta-evaluation
+//!    speedup carries over.
+//! 2. **Worst single-link-failure impact** — the worst link's stranded
+//!    traffic fraction plus a capped overload term (see [`weigh`] and
+//!    [`UTILIZATION_WEIGHT`]), folded by [`crate::failure::worst_failure`],
+//!    which stops once no unvisited failure can raise it.
+//! 3. **Demand-weighted mean path length** — the traffic-weighted route
+//!    length per unit of offered traffic, a propagation-delay proxy.
 //!
-//! The output is not one network but a bounded Pareto archive; each
-//! front member is built into a full [`Network`].
+//! One routing prices all three: the session's routing of the candidate
+//! it just costed, whose rows equal a fresh build's, so f2 and f3 equal
+//! what a [`Network::build`] of the candidate gives, bit for bit, without
+//! building it. The output is not one network but a bounded Pareto
+//! archive; each front member is built into a full [`Network`].
 
 use crate::error::ColdError;
-use crate::failure::{single_link_failures, FailureReport};
+use crate::failure::{worst_failure, FailureReport};
 use crate::objective::ColdObjective;
 use crate::synthesizer::{ColdConfig, RunOptions, SynthesisResult, TrialObjective, TrialSpec};
 use cold_context::Context;
-use cold_cost::{CostParams, Network};
+use cold_cost::{CostParams, DeltaEval, Network};
 use cold_ga::pareto::{MultiObjective, MultiObjectiveSession};
-use cold_ga::{Objective, ObjectiveSession};
+use cold_ga::Objective;
 use cold_graph::AdjacencyMatrix;
 
 /// Weight of the capped overload term in the failure-impact objective,
@@ -42,17 +44,21 @@ pub const UTILIZATION_WEIGHT: f64 = 0.1;
 /// links that carried nothing before a failure.
 pub const UTILIZATION_CAP: f64 = 10.0;
 
+/// The impact objective's weight of one failure:
+/// `stranded_fraction + UTILIZATION_WEIGHT · min(utilization, CAP)/CAP`.
+/// Non-decreasing in utilization; a failure that strands nothing weighs
+/// at most `weigh(0.0, f64::INFINITY)`, which is `UTILIZATION_WEIGHT`.
+pub fn weigh(stranded_fraction: f64, utilization: f64) -> f64 {
+    stranded_fraction + UTILIZATION_WEIGHT * (utilization.min(UTILIZATION_CAP) / UTILIZATION_CAP)
+}
+
 /// Collapses a failure report into the scalar the impact objective
-/// minimizes: over all single-link failures, the worst value of
-/// `stranded_fraction + UTILIZATION_WEIGHT · min(util, CAP)/CAP`.
+/// minimizes: the worst [`weigh`] over all single-link failures.
 pub fn failure_impact(report: &FailureReport) -> f64 {
     report
         .impacts
         .iter()
-        .map(|i| {
-            i.stranded_traffic_fraction
-                + UTILIZATION_WEIGHT * (i.max_utilization.min(UTILIZATION_CAP) / UTILIZATION_CAP)
-        })
+        .map(|i| weigh(i.stranded_traffic_fraction, i.max_utilization))
         .fold(0.0, f64::max)
 }
 
@@ -79,18 +85,25 @@ impl<'a> ColdMultiObjective<'a> {
         self.inner.params()
     }
 
-    /// Objectives 2 and 3 — failure impact and demand-weighted mean path
-    /// length. Both need full routing on the candidate, so they share one
-    /// [`Network::build`].
-    fn tail_objectives(&self, topology: &AdjacencyMatrix) -> (f64, f64) {
-        let ctx = self.inner.context();
-        let network = Network::build(topology.clone(), ctx, self.inner.params())
+    /// The objective vector of `topology`, priced by `delta`: f1 is the
+    /// session's cost, and f2 and f3 read the routing that priced it.
+    /// After an injected `eval.*` fault there is no routing; the NaN cost
+    /// then fails the trial at the engine's finiteness check.
+    fn price(
+        &self,
+        delta: &mut DeltaEval<'_>,
+        topology: &AdjacencyMatrix,
+        base: Option<&AdjacencyMatrix>,
+    ) -> Vec<f64> {
+        let cost = delta
+            .eval(topology, base)
             .expect("GA repairs candidates before evaluation; topology must be connected");
-        let impact = failure_impact(&single_link_failures(&network, ctx));
+        let Some(routing) = delta.routing() else { return vec![cost, f64::NAN, f64::NAN] };
+        let ctx = self.context();
+        let impact = worst_failure(routing, ctx, self.params().overprovision, weigh);
         let total = ctx.traffic.total();
-        let delay =
-            if total > 0.0 { network.plan.traffic_weighted_route_length() / total } else { 0.0 };
-        (impact, delay)
+        let delay = if total > 0.0 { routing.weighted() / total } else { 0.0 };
+        vec![cost, impact, delay]
     }
 }
 
@@ -107,17 +120,16 @@ impl MultiObjective for ColdMultiObjective<'_> {
         Objective::distance(&self.inner, u, v)
     }
 
+    /// Prices `topology` in a session of its own: one full routing pass.
     fn objectives(&self, topology: &AdjacencyMatrix) -> Vec<f64> {
-        let cost = self.inner.cost(topology);
-        let (impact, delay) = self.tail_objectives(topology);
-        vec![cost, impact, delay]
+        self.price(&mut DeltaEval::new(self.context(), self.params()), topology, None)
     }
 
     fn session(&self) -> Box<dyn MultiObjectiveSession + '_> {
-        // The cost component rides the inner delta session (bit-identical
-        // to a full evaluation); the failure and delay components are pure
-        // functions of the topology, recomputed per call.
-        Box::new(ColdMultiSession { objective: self, inner: self.inner.session() })
+        Box::new(ColdMultiSession {
+            objective: self,
+            delta: DeltaEval::new(self.context(), self.params()),
+        })
     }
 
     fn k_nearest(&self, k: usize) -> Vec<Vec<usize>> {
@@ -125,11 +137,12 @@ impl MultiObjective for ColdMultiObjective<'_> {
     }
 }
 
-/// Per-worker session: incremental cost evaluation plus the two
-/// routing-bound objectives.
+/// Per-worker session: one [`DeltaEval`] prices build cost incrementally
+/// (bit-identical to a full evaluation), and the failure and delay
+/// objectives read the routing it leaves.
 struct ColdMultiSession<'a> {
     objective: &'a ColdMultiObjective<'a>,
-    inner: Box<dyn ObjectiveSession + 'a>,
+    delta: DeltaEval<'a>,
 }
 
 impl MultiObjectiveSession for ColdMultiSession<'_> {
@@ -138,15 +151,13 @@ impl MultiObjectiveSession for ColdMultiSession<'_> {
         topology: &AdjacencyMatrix,
         base: Option<&AdjacencyMatrix>,
     ) -> Vec<f64> {
-        let cost = self.inner.cost(topology, base);
-        let (impact, delay) = self.objective.tail_objectives(topology);
-        vec![cost, impact, delay]
+        self.objective.price(&mut self.delta, topology, base)
     }
     fn delta_evals(&self) -> usize {
-        self.inner.delta_evals()
+        self.delta.delta_evals()
     }
     fn full_evals(&self) -> usize {
-        self.inner.full_evals()
+        self.delta.full_evals()
     }
 }
 
@@ -228,6 +239,53 @@ mod tests {
         ringed.set_edge(0, 6, true);
         assert_eq!(session.objectives(&ringed, Some(&mst)), obj.objectives(&ringed));
         assert!(session.delta_evals() > 0, "cost component must take the delta path");
+    }
+
+    /// The three objectives of `topology` the way they were priced before
+    /// sessions shared their routing: one [`Network::build`], its full
+    /// failure report, and its plan's weighted route length.
+    fn built_objectives(obj: &ColdMultiObjective, topology: &AdjacencyMatrix) -> Vec<f64> {
+        let ctx = obj.context();
+        let net = Network::build(topology.clone(), ctx, obj.params()).unwrap();
+        let impact = failure_impact(&crate::failure::single_link_failures(&net, ctx));
+        let delay = net.plan.traffic_weighted_route_length() / ctx.traffic.total();
+        vec![ColdObjective::new(ctx, obj.params()).cost(topology), impact, delay]
+    }
+
+    #[test]
+    fn session_objectives_equal_the_stateless_ones_on_every_delta_path() {
+        // A chain that takes each `DeltaEval` path: a full pass, a
+        // repair, a duplicate of a pooled topology (0 flips), a second
+        // full pass far from every anchor, and a repair from it.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for overprovision in [1.0, 4.0] {
+            let cfg = quick_cfg(12);
+            let ctx = cfg.context.generate(6);
+            let obj = ColdMultiObjective::new(&ctx, cfg.params.with_overprovision(overprovision));
+            let mst = cold_graph::mst::mst_matrix(12, ctx.distance_fn());
+            let mut chord = mst.clone();
+            let (a, b) = (0..12)
+                .flat_map(|a| (a + 1..12).map(move |b| (a, b)))
+                .find(|&(a, b)| !mst.has_edge(a, b))
+                .unwrap();
+            chord.set_edge(a, b, true);
+            let clique = AdjacencyMatrix::complete(12);
+            let mut pruned = clique.clone();
+            pruned.set_edge(a, b, false);
+            let chain = [&mst, &chord, &mst, &clique, &pruned];
+            let paths = [(0, 1), (1, 1), (2, 1), (2, 2), (3, 2)];
+            let mut session = obj.session();
+            for (step, (topology, path)) in chain.into_iter().zip(paths).enumerate() {
+                let got = session.objectives(topology, None);
+                assert_eq!(
+                    bits(&got),
+                    bits(&obj.objectives(topology)),
+                    "O {overprovision} step {step}"
+                );
+                assert_eq!(bits(&got), bits(&built_objectives(&obj, topology)), "step {step}");
+                assert_eq!((session.delta_evals(), session.full_evals()), path, "step {step}");
+            }
+        }
     }
 
     #[test]

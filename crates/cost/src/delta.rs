@@ -142,6 +142,9 @@ pub struct DeltaEval<'a> {
     capacity: usize,
     /// The current anchor: the pool entry used last.
     current: usize,
+    /// Whether the last evaluation priced its topology, so the current
+    /// anchor holds that topology's routing.
+    priced: bool,
     /// The next full pass or repair is built here; it joins the pool only
     /// on success, so a failure leaves every pooled anchor intact.
     spare: Anchor,
@@ -180,6 +183,7 @@ impl<'a> DeltaEval<'a> {
             pool: Vec::new(),
             capacity: pool_capacity(ctx.n()),
             current: 0,
+            priced: false,
             spare: Anchor::empty(),
             clock: 0,
             scratch: Scratch::default(),
@@ -229,6 +233,14 @@ impl<'a> DeltaEval<'a> {
         self.arcs_scanned
     }
 
+    /// The routing of the topology the last [`eval`](Self::eval) priced:
+    /// the current anchor's, whose rows and tie-free flags equal a fresh
+    /// [`RoutingState::build`]'s on that topology. `None` before the first
+    /// evaluation and after one that failed or returned an injected fault.
+    pub fn routing(&self) -> Option<&RoutingState> {
+        self.priced.then(|| &self.pool[self.current].routing)
+    }
+
     /// Cost of `topology`, bit-identical to
     /// [`evaluate_total`](crate::evaluate_total).
     ///
@@ -247,6 +259,7 @@ impl<'a> DeltaEval<'a> {
         topology: &AdjacencyMatrix,
         _base: Option<&AdjacencyMatrix>,
     ) -> Result<f64, GraphError> {
+        self.priced = false;
         // Sessions are a drop-in replacement for the stateless path, so
         // chaos scenarios armed against `eval.*` fire here too.
         if let Some(nan) = injected_fault() {
@@ -277,12 +290,14 @@ impl<'a> DeltaEval<'a> {
                 self.commit();
             }
             self.delta_evals += 1;
+            self.priced = true;
             observe("cost.eval_delta_seconds", start);
             return Ok(total);
         }
         let total = self.full_pass(topology)?;
         self.commit();
         self.full_evals += 1;
+        self.priced = true;
         observe("cost.eval_full_seconds", start);
         Ok(total)
     }
@@ -601,6 +616,33 @@ mod tests {
     }
 
     #[test]
+    fn routing_is_the_last_priced_topologys_and_none_after_a_failure() {
+        let ctx = ctx(8, 9);
+        let params = CostParams::paper(1e-4, 10.0);
+        let mut de = DeltaEval::new(&ctx, params);
+        assert!(de.routing().is_none(), "nothing priced yet");
+        let tree = mst_matrix(8, ctx.distance_fn());
+        let mut fresh = RoutingState::new();
+        let mut ring = tree.clone();
+        ring.set_edge(0, 7, !tree.has_edge(0, 7));
+        // A full pass, a repair and a duplicate each leave their own rows.
+        for topo in [&tree, &ring, &tree] {
+            de.eval(topo, None).unwrap();
+            fresh.build(topo, ctx.distance_fn(), ctx.traffic_fn()).unwrap();
+            let routing = de.routing().unwrap();
+            assert_eq!(routing.weighted().to_bits(), fresh.weighted().to_bits());
+            for s in 0..8 {
+                assert_eq!(routing.parent(s), fresh.parent(s));
+            }
+        }
+        let (u, v) = tree.edges().next().unwrap();
+        let mut cut = tree.clone();
+        cut.set_edge(u, v, false);
+        assert!(de.eval(&cut, None).is_err());
+        assert!(de.routing().is_none(), "a failed evaluation priced nothing");
+    }
+
+    #[test]
     fn pool_bounds_hold_at_every_size() {
         assert_eq!(pool_capacity(0), POOL_MAX_ENTRIES);
         assert_eq!(pool_capacity(30), POOL_MAX_ENTRIES);
@@ -747,7 +789,8 @@ mod tests {
                     fresh.build(&topo, ctx.distance_fn(), ctx.traffic_fn()).unwrap();
                     let anchor = &de.pool[de.current];
                     assert_eq!(anchor.topology, topo);
-                    let row = &anchor.routing;
+                    let row = de.routing().expect("the evaluation priced its topology");
+                    assert!(std::ptr::eq(row, &anchor.routing));
                     let case = format!("layout {layout} seed {seed} step {step}");
                     for s in 0..25 {
                         assert_eq!(bits(row.dist(s)), bits(fresh.dist(s)), "{case}: dist {s}");

@@ -623,7 +623,7 @@ impl SubtreeScratch {
 /// Flat upper-triangle index of the unordered pair `{u, v}`, matching
 /// [`crate::AdjacencyMatrix::pair_index`] without needing a matrix.
 #[inline]
-fn pair_slot(n: usize, u: usize, v: usize) -> usize {
+pub fn pair_slot(n: usize, u: usize, v: usize) -> usize {
     debug_assert!(u != v && u < n && v < n, "bad pair ({u},{v}) for n={n}");
     let (i, j) = if u < v { (u, v) } else { (v, u) };
     i * n - i * (i + 1) / 2 + (j - i - 1)

@@ -378,3 +378,30 @@ fn fault_injection_is_deterministic_per_seed() {
     teardown();
     assert_eq!(a, b, "identical spec+seed must reproduce the identical failure pattern");
 }
+
+#[test]
+fn an_injected_nan_fails_a_pareto_trial_at_the_engine_boundary() {
+    let _guard = fault_lock();
+    // A Pareto candidate prices all three objectives from its cost
+    // session; a NaN injected there must still fail the trial as a typed
+    // NonFiniteCost on the same candidate, whichever evaluation it hits:
+    // the first (a full pass), one inside generation 0, and one in a
+    // later generation, where sessions repair and answer duplicates.
+    let mut cfg = ColdConfig::quick(8, 1e-4, 10.0);
+    cfg.mode = SynthesisMode::GaOnly;
+    cfg.ga.parallel = false;
+    let mut seen = Vec::new();
+    for hit in [1, 7, 60] {
+        cold_fault::configure(&format!("eval.nan:{hit}"), 3).expect("valid spec");
+        let result = cold::pareto::try_synthesize_pareto(&cfg, 3, 8);
+        teardown();
+        match result {
+            Err(ColdError::Ga(cold_ga::GaError::NonFiniteCost { batch_index, cost, edges })) => {
+                assert!(cost.is_nan(), "hit {hit}: the NaN is the cost component, got {cost}");
+                seen.push((batch_index, edges));
+            }
+            other => panic!("hit {hit}: expected NonFiniteCost, got {:?}", other.map(|_| ())),
+        }
+    }
+    assert_eq!(seen, [(0, 7), (6, 19), (1, 12)]);
+}
