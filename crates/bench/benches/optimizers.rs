@@ -265,7 +265,7 @@ fn bench_pareto(c: &mut Criterion) {
             }
         };
         child.set_edge(u, v, true);
-        let cuts = cold_graph::connectivity::cut_structure(&child.to_graph());
+        let cuts = cold_graph::connectivity::cut_structure(&child);
         let cycle_links: Vec<(usize, usize)> =
             child.edges().filter(|&(a, b)| !cuts.is_bridge(a, b)).collect();
         let mut grandchild = child.clone();

@@ -24,10 +24,11 @@
 //! exactly what a full shortest-path re-route of the topology without that
 //! link reports, bit for bit:
 //!
-//! - **Bridges** (one Tarjan pass finds them all) need no Dijkstra. Every
-//!   surviving route keeps its path, so stretch is exactly 1. Stranded
-//!   demand is the demand crossing the cut, and loads are the subtree pass
-//!   over the base trees with that demand zeroed.
+//! - **Bridges** (one Tarjan pass over the routing's own adjacency finds
+//!   them all) need no Dijkstra. Every surviving route keeps its path, so
+//!   stretch is exactly 1. Stranded demand is the demand crossing the
+//!   cut, and loads are the subtree pass over the base trees with that
+//!   demand zeroed.
 //! - **Any other link** re-routes only the sources whose tree contains it.
 //!   Deleting a non-tree edge cannot change a Dijkstra run: a node's
 //!   parent is the first relaxer in settle order to reach its final
@@ -53,8 +54,22 @@
 //! One per-link body serves two callers. [`single_link_failures`] reports
 //! every link of a built network against the capacities it installed.
 //! [`worst_failure`], the Pareto impact objective, needs only the routing
-//! its cost session priced: it installs `O ·` that routing's own loads and
-//! stops folding once no unvisited failure can raise the worst.
+//! its cost session priced: it installs `O ·` that routing's own loads,
+//! tallies only what the objective weighs (stranded fraction and peak
+//! utilization, no stretch or overload counts), and visits only the
+//! failures that can still raise the worst.
+//!
+//! # The fold's bounds
+//!
+//! A non-bridge failure strands nothing, so it weighs at most
+//! `weigh(0, ∞)`. A bridge failure keeps every surviving route and only
+//! removes demand, so each link's failed load folds a subset of its base
+//! contributions, each no larger, in the same ascending source order;
+//! rounding is monotone, so no surviving link's utilization exceeds the
+//! base plan's peak `U0`, and the failure weighs at most
+//! `weigh(stranded, U0)`. The fold visits the bridges by decreasing bound,
+//! then the non-bridges by decreasing base load, and skips each failure
+//! whose bound the running maximum already reaches (DESIGN.md §15.1).
 
 use cold_context::Context;
 use cold_cost::network::Link;
@@ -64,7 +79,6 @@ use cold_graph::routing::{
     accumulate_source, pair_slot, push_down, Csr, EdgeDiff, RoutingState, SubtreeScratch,
     TreeRepair,
 };
-use cold_graph::Graph;
 use serde::{Deserialize, Serialize};
 
 /// Outcome of failing one link.
@@ -128,17 +142,17 @@ impl FailureReport {
 pub fn single_link_failures(net: &Network, ctx: &Context) -> FailureReport {
     assert_eq!(ctx.n(), net.n(), "network and context disagree on PoP count");
     let _timer = cold_obs::timer("failure.sweep_seconds");
-    let sweep = Sweep::new(&net.plan.routing, ctx, Capacity::Links(&net.links));
-    let mut buf = sweep.buffers();
+    let SweepBuffers { tables, scratch, .. } = &mut SweepBuffers::default();
+    let sweep = Sweep::new(&net.plan.routing, ctx, Capacity::Links(&net.links), tables, scratch);
     let impacts = net
         .links
         .iter()
         .map(|failed| LinkFailureImpact {
             link: (failed.u, failed.v),
-            ..sweep.fail((failed.u.min(failed.v), failed.u.max(failed.v)), &mut buf)
+            ..sweep.fail((failed.u.min(failed.v), failed.u.max(failed.v)), scratch)
         })
         .collect();
-    buf.record();
+    scratch.record();
     FailureReport { impacts }
 }
 
@@ -149,62 +163,104 @@ pub fn single_link_failures(net: &Network, ctx: &Context) -> FailureReport {
 /// folding `weigh` over [`single_link_failures`] of the built network
 /// with `max` from 0, bit for bit.
 ///
-/// `weigh` must be non-decreasing in utilization and never NaN. A
-/// non-bridge failure strands nothing, so its weight is at most
-/// `weigh(0.0, f64::INFINITY)`. The fold visits the bridges first and
-/// stops at the first non-bridge failure once the running maximum
-/// reaches that bound; `max` over non-NaN values ignores order, so the
-/// skipped failures cannot change the result.
+/// `weigh` must be non-decreasing in utilization and never NaN. The fold
+/// skips every failure whose bound — `weigh(0.0, f64::INFINITY)` for a
+/// non-bridge, `weigh(stranded, U0)` for a bridge, with `U0` the base
+/// plan's peak utilization — the running maximum already reaches; `max`
+/// over non-NaN values ignores order, so the skipped failures cannot
+/// change the result. `buffers` hold the sweep's tables and scratch; a
+/// caller that keeps them across calls stops allocating once they have
+/// grown.
 pub fn worst_failure(
     routing: &RoutingState,
     ctx: &Context,
     overprovision: f64,
     weigh: impl Fn(f64, f64) -> f64,
+    buffers: &mut SweepBuffers,
 ) -> f64 {
     assert_eq!(ctx.n(), routing.n(), "routing and context disagree on PoP count");
     let _timer = cold_obs::timer("failure.sweep_seconds");
-    bounded_worst(routing, ctx, overprovision, weigh).0
+    let (worst, visits) = bounded_worst(routing, ctx, overprovision, weigh, buffers);
+    visits.record();
+    worst
 }
 
-/// [`worst_failure`]'s fold; also returns how many non-bridge failures
-/// the bound skipped.
+/// How many failures of each kind a fold visited, and how many its bounds
+/// skipped.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Visits {
+    bridge_visited: usize,
+    bridge_skipped: usize,
+    nonbridge_visited: usize,
+    nonbridge_skipped: usize,
+}
+
+impl Visits {
+    /// Adds the fold's visit counters.
+    fn record(&self) {
+        cold_obs::counter_add("failure.bridge_visited", self.bridge_visited as u64);
+        cold_obs::counter_add("failure.bridge_skipped", self.bridge_skipped as u64);
+        cold_obs::counter_add("failure.nonbridge_visited", self.nonbridge_visited as u64);
+        cold_obs::counter_add("failure.nonbridge_skipped", self.nonbridge_skipped as u64);
+    }
+}
+
+/// [`worst_failure`]'s fold; also returns what it visited and skipped.
 fn bounded_worst(
     routing: &RoutingState,
     ctx: &Context,
     overprovision: f64,
     weigh: impl Fn(f64, f64) -> f64,
-) -> (f64, usize) {
-    let sweep = Sweep::new(routing, ctx, Capacity::Provisioned(overprovision));
-    let mut buf = sweep.buffers();
-    let mut weight = |link| {
-        let impact = sweep.fail(link, &mut buf);
-        weigh(impact.stranded_traffic_fraction, impact.max_utilization)
-    };
-    let mut worst = sweep.cuts.bridges.iter().map(|&b| weight(b)).fold(0.0, f64::max);
-    let bound = weigh(0.0, f64::INFINITY);
-    let mut visited = 0usize;
-    for &link in sweep.edges.iter().filter(|&&(u, v)| !sweep.cuts.is_bridge(u, v)) {
-        if worst >= bound {
-            break;
-        }
-        worst = worst.max(weight(link));
-        visited += 1;
+    buffers: &mut SweepBuffers,
+) -> (f64, Visits) {
+    let SweepBuffers { tables, scratch: buf, visits: order } = buffers;
+    let sweep = Sweep::new(routing, ctx, Capacity::Provisioned(overprovision), tables, buf);
+    let t = sweep.tables;
+    // Every failure with the most it can weigh: bridges by decreasing
+    // bound, then non-bridges by decreasing base load.
+    let peak = sweep.utilization(None, &t.load).0;
+    order.clear();
+    for &bridge in &sweep.cuts.bridges {
+        let stranded = sweep.fraction(sweep.stranded(bridge, &mut buf.piece));
+        order.push((bridge, weigh(stranded, peak)));
     }
-    let skipped = sweep.edges.len() - sweep.cuts.bridges.len() - visited;
+    order.sort_by(|a, b| b.1.total_cmp(&a.1));
+    let bridges = order.len();
+    let cycle_bound = weigh(0.0, f64::INFINITY);
+    order.extend(
+        t.edges.iter().filter(|&&(u, v)| !sweep.cuts.is_bridge(u, v)).map(|&l| (l, cycle_bound)),
+    );
+    let load = |(u, v): (usize, usize)| t.load[sweep.edge(u, v)];
+    order[bridges..].sort_by(|a, b| load(b.0).total_cmp(&load(a.0)));
+
+    let mut worst = 0.0f64;
+    let mut fold = |failures: &[((usize, usize), f64)]| {
+        let mut visited = 0usize;
+        for &(link, bound) in failures {
+            if worst >= bound {
+                continue;
+            }
+            let impact = sweep.fail(link, buf);
+            worst = worst.max(weigh(impact.stranded_traffic_fraction, impact.max_utilization));
+            visited += 1;
+        }
+        (visited, failures.len() - visited)
+    };
+    let (bridge_visited, bridge_skipped) = fold(&order[..bridges]);
+    let (nonbridge_visited, nonbridge_skipped) = fold(&order[bridges..]);
     buf.record();
-    cold_obs::counter_add("failure.nonbridge_visited", visited as u64);
-    cold_obs::counter_add("failure.nonbridge_skipped", skipped as u64);
-    (worst, skipped)
+    (worst, Visits { bridge_visited, bridge_skipped, nonbridge_visited, nonbridge_skipped })
 }
 
-/// Demand stranded by the failure of `bridge`: `t(s, t)` summed in
-/// row-major order over the ordered pairs left disconnected, including
+/// Demand stranded by a bridge failure whose pieces
+/// ([`CutStructure::pieces_without`]) are `piece`: `t(s, t)` summed in
+/// row-major order over the ordered pairs in different pieces, including
 /// pairs that were never connected.
-pub(crate) fn cross_cut_demand(cuts: &CutStructure, bridge: (usize, usize), ctx: &Context) -> f64 {
+pub(crate) fn cross_cut_demand(piece: &[usize], ctx: &Context) -> f64 {
     let mut stranded = 0.0f64;
-    for s in 0..ctx.n() {
-        for t in 0..ctx.n() {
-            if s != t && !cuts.connected_without(bridge, s, t) {
+    for (s, &from) in piece.iter().enumerate() {
+        for (t, &to) in piece.iter().enumerate() {
+            if from != to {
                 stranded += ctx.traffic.demand(s, t);
             }
         }
@@ -212,19 +268,79 @@ pub(crate) fn cross_cut_demand(cuts: &CutStructure, bridge: (usize, usize), ctx:
     stranded
 }
 
-/// Where a sweep's installed capacities come from.
+/// Where a sweep's installed capacities come from, and what it tallies.
 enum Capacity<'a> {
     /// A built network's links, matched by normalized endpoints (stored
     /// links need not be `u < v`); a link with none installs nothing.
+    /// The sweep reports every field of every failure.
     Links(&'a [Link]),
-    /// `O ·` each link's load, its base contributions folded in ascending
-    /// source order: [`RoutingState::link_loads`]' fold, so the values of
-    /// [`cold_cost::assign_capacities`].
+    /// `O ·` each link's base load: [`RoutingState::link_loads`]' fold, so
+    /// the values of [`cold_cost::assign_capacities`]. The sweep tallies
+    /// only what the impact objective weighs: failures read stretch 1 and
+    /// no overloaded links.
     Provisioned(f64),
+}
+
+/// The buffers of failure sweeps: the tables a sweep derives from its
+/// routing and the scratch its failures rewrite. Kept across sweeps, they
+/// stop allocating once they have grown.
+#[derive(Default)]
+pub struct SweepBuffers {
+    tables: Tables,
+    scratch: Buffers,
+    /// The fold's failures in visiting order, each with its bound.
+    visits: Vec<((usize, usize), f64)>,
+}
+
+/// Rows of varying length in one flat buffer: row `i` is
+/// `items[at[i]..at[i + 1]]`.
+#[derive(Default)]
+struct Flat<T> {
+    items: Vec<T>,
+    at: Vec<usize>,
+}
+
+impl<T> Flat<T> {
+    fn clear(&mut self) {
+        self.items.clear();
+        self.at.clear();
+        self.at.push(0);
+    }
+
+    /// Closes the row of the items pushed since the last row.
+    fn end_row(&mut self) {
+        self.at.push(self.items.len());
+    }
+
+    fn row(&self, i: usize) -> &[T] {
+        &self.items[self.at[i]..self.at[i + 1]]
+    }
 }
 
 /// What one sweep reuses across failures, all derived once from one
 /// routing.
+#[derive(Default)]
+struct Tables {
+    /// The routed edges, `(u, v)` with `u < v`, ascending.
+    edges: Vec<(usize, usize)>,
+    /// Edge index per node pair, at `AdjacencyMatrix::pair_index`.
+    edge_at: Vec<usize>,
+    /// Base load per edge: its contributions folded in ascending source
+    /// order.
+    load: Vec<f64>,
+    /// Installed capacity per edge.
+    capacity: Vec<f64>,
+    /// Children-first order of each source's base tree.
+    order: Flat<usize>,
+    /// `(edge, load)` contributions of each source's base tree.
+    contrib: Flat<(usize, f64)>,
+    /// Per source, the targets its stretch terms cover: positive demand
+    /// at a positive base distance. Empty rows when the sweep does not
+    /// report stretch.
+    stretch_targets: Flat<usize>,
+}
+
+/// One sweep over one routing.
 ///
 /// A topology that routed has no demand between its components (routing
 /// it would have failed), so only a bridge failure strands demand and
@@ -233,20 +349,11 @@ struct Sweep<'a> {
     routing: &'a RoutingState,
     ctx: &'a Context,
     total_traffic: f64,
+    /// Whether failures tally stretch and overloaded links (the full
+    /// report).
+    report: bool,
     cuts: CutStructure,
-    /// The routed edges, `(u, v)` with `u < v`, ascending.
-    edges: Vec<(usize, usize)>,
-    /// Edge index per node pair, at `AdjacencyMatrix::pair_index`.
-    edge_at: Vec<usize>,
-    /// Installed capacity per edge.
-    capacity: Vec<f64>,
-    /// Children-first order of each source's base tree.
-    order: Vec<Vec<usize>>,
-    /// `(edge, load)` contributions of each source's base tree.
-    contrib: Vec<Vec<(usize, f64)>>,
-    /// Per source, the targets its stretch terms cover: positive demand
-    /// at a positive base distance.
-    stretch_targets: Vec<Vec<usize>>,
+    tables: &'a Tables,
 }
 
 /// One touched source's rows after a failure, and the repair that
@@ -267,6 +374,8 @@ struct Buffers {
     demand: Vec<f64>,
     /// Per-edge loads of the failure in progress.
     load: Vec<f64>,
+    /// Per node, its piece once the failing bridge is cut.
+    piece: Vec<usize>,
     rows: Rows,
     /// Re-routes of touched sources over the whole sweep: trees repaired
     /// in place, and trees that took a fresh Dijkstra.
@@ -275,129 +384,144 @@ struct Buffers {
 }
 
 impl Buffers {
-    /// Adds the sweep's re-route counters.
-    fn record(&self) {
-        cold_obs::counter_add("failure.repaired_sources", self.repaired);
-        cold_obs::counter_add("failure.rerouted_sources", self.rerouted);
+    /// Adds the sweep's re-route counters and clears them.
+    fn record(&mut self) {
+        cold_obs::counter_add("failure.repaired_sources", std::mem::take(&mut self.repaired));
+        cold_obs::counter_add("failure.rerouted_sources", std::mem::take(&mut self.rerouted));
     }
 }
 
 impl<'a> Sweep<'a> {
-    fn new(routing: &'a RoutingState, ctx: &'a Context, capacity: Capacity<'_>) -> Self {
+    /// Fills `tables` from `routing` and points `buf` at its adjacency.
+    fn new(
+        routing: &'a RoutingState,
+        ctx: &'a Context,
+        capacity: Capacity<'_>,
+        tables: &'a mut Tables,
+        buf: &mut Buffers,
+    ) -> Self {
         let n = routing.n();
-        let edges: Vec<(usize, usize)> = routing.csr().edges().map(|(u, v, _)| (u, v)).collect();
-        let mut edge_at = vec![usize::MAX; n * n.saturating_sub(1) / 2];
-        for (i, &(u, v)) in edges.iter().enumerate() {
-            edge_at[pair_slot(n, u, v)] = i;
+        let report = matches!(capacity, Capacity::Links(_));
+        let t = tables;
+        t.edges.clear();
+        t.edges.extend(routing.csr().edges().map(|(u, v, _)| (u, v)));
+        t.edge_at.clear();
+        t.edge_at.resize(n * n.saturating_sub(1) / 2, usize::MAX);
+        for (i, &(u, v)) in t.edges.iter().enumerate() {
+            t.edge_at[pair_slot(n, u, v)] = i;
         }
-        let graph = Graph::from_edges(n, &edges).expect("routed edges form a simple graph");
-        let mut sweep = Self {
+        t.load.clear();
+        t.load.resize(t.edges.len(), 0.0);
+        t.order.clear();
+        t.contrib.clear();
+        t.stretch_targets.clear();
+        let traffic = ctx.traffic_fn();
+        for s in 0..n {
+            let (dist, parent) = (routing.dist(s), routing.parent(s));
+            let Tables { edge_at, load, contrib, .. } = &mut *t;
+            accumulate_source(s, dist, parent, &traffic, &mut buf.subtree, |p, v, d| {
+                let e = edge_at[pair_slot(n, p, v)];
+                load[e] += d;
+                contrib.items.push((e, d));
+            })
+            .expect("a routing routes every demand");
+            t.order.items.extend_from_slice(buf.subtree.order());
+            t.order.end_row();
+            t.contrib.end_row();
+            if report {
+                let targets = (0..n).filter(|&t| t != s && traffic(s, t) > 0.0 && dist[t] > 0.0);
+                t.stretch_targets.items.extend(targets);
+            }
+            t.stretch_targets.end_row();
+        }
+        t.capacity.clear();
+        match capacity {
+            Capacity::Links(links) => {
+                t.capacity.resize(t.edges.len(), 0.0);
+                for l in links {
+                    if let Ok(i) = t.edges.binary_search(&(l.u.min(l.v), l.u.max(l.v))) {
+                        t.capacity[i] = l.capacity;
+                    }
+                }
+            }
+            Capacity::Provisioned(overprovision) => {
+                t.capacity.extend(t.load.iter().map(|&w| overprovision * w));
+            }
+        }
+        buf.csr.clone_from(routing.csr());
+        Self {
             routing,
             ctx,
             total_traffic: ctx.traffic.total(),
-            cuts: cut_structure(&graph),
-            edges,
-            edge_at,
-            capacity: Vec::new(),
-            order: Vec::with_capacity(n),
-            contrib: Vec::with_capacity(n),
-            stretch_targets: Vec::with_capacity(n),
-        };
-        let traffic = ctx.traffic_fn();
-        let mut subtree = SubtreeScratch::new();
-        for s in 0..n {
-            let (dist, parent) = (routing.dist(s), routing.parent(s));
-            let mut contrib = Vec::new();
-            accumulate_source(s, dist, parent, &traffic, &mut subtree, |p, v, d| {
-                contrib.push((sweep.edge(p, v), d))
-            })
-            .expect("a routing routes every demand");
-            let targets =
-                (0..n).filter(|&t| t != s && traffic(s, t) > 0.0 && dist[t] > 0.0).collect();
-            sweep.order.push(subtree.order().to_vec());
-            sweep.contrib.push(contrib);
-            sweep.stretch_targets.push(targets);
+            report,
+            cuts: cut_structure(routing.csr()),
+            tables: t,
         }
-        sweep.capacity = match capacity {
-            Capacity::Links(links) => {
-                let mut installed = vec![0.0; sweep.edges.len()];
-                for l in links {
-                    if let Ok(i) = sweep.edges.binary_search(&(l.u.min(l.v), l.u.max(l.v))) {
-                        installed[i] = l.capacity;
-                    }
-                }
-                installed
-            }
-            Capacity::Provisioned(overprovision) => {
-                let mut load = vec![0.0f64; sweep.edges.len()];
-                for &(e, d) in sweep.contrib.iter().flatten() {
-                    load[e] += d;
-                }
-                load.into_iter().map(|w| overprovision * w).collect()
-            }
-        };
-        sweep
-    }
-
-    /// Fresh scratch state for this sweep's failures.
-    fn buffers(&self) -> Buffers {
-        Buffers { csr: self.routing.csr().clone(), ..Buffers::default() }
     }
 
     /// Edge index of the routed link `{p, v}`.
     fn edge(&self, p: usize, v: usize) -> usize {
-        self.edge_at[pair_slot(self.routing.n(), p, v)]
+        self.tables.edge_at[pair_slot(self.routing.n(), p, v)]
+    }
+
+    /// `demand` as a fraction of the offered traffic.
+    fn fraction(&self, demand: f64) -> f64 {
+        if self.total_traffic > 0.0 {
+            demand / self.total_traffic
+        } else {
+            0.0
+        }
     }
 
     /// The impact of failing `link` (`u < v`): what a full re-route of
-    /// the topology without it reports, bit for bit.
+    /// the topology without it reports, bit for bit, in every field the
+    /// sweep tallies.
     fn fail(&self, link: (usize, usize), buf: &mut Buffers) -> LinkFailureImpact {
         buf.load.clear();
-        buf.load.resize(self.edges.len(), 0.0);
+        buf.load.resize(self.tables.edges.len(), 0.0);
         let (stranded, mean_stretch) = if self.cuts.is_bridge(link.0, link.1) {
             (self.fail_bridge(link, buf), 1.0)
         } else {
             (0.0, self.fail_cycle_link(link, buf))
         };
-        let (max_utilization, overloaded_links) = self.utilization(link, &buf.load);
+        let (max_utilization, overloaded_links) = self.utilization(Some(link), &buf.load);
         LinkFailureImpact {
             link,
-            stranded_traffic_fraction: if self.total_traffic > 0.0 {
-                stranded / self.total_traffic
-            } else {
-                0.0
-            },
+            stranded_traffic_fraction: self.fraction(stranded),
             max_utilization,
             overloaded_links,
             mean_stretch,
         }
     }
 
+    /// The demand the failure of `bridge` strands; leaves its pieces in
+    /// `piece`.
+    fn stranded(&self, bridge: (usize, usize), piece: &mut Vec<usize>) -> f64 {
+        self.cuts.pieces_without(bridge, piece);
+        cross_cut_demand(piece, self.ctx)
+    }
+
     /// Fills `buf.load` for the failure of `bridge` and returns the demand
     /// it strands. Surviving routes are unchanged, so this is the subtree
     /// pass over every base tree with the cross-cut demand zeroed.
     fn fail_bridge(&self, bridge: (usize, usize), buf: &mut Buffers) -> f64 {
-        let traffic = |s, t| {
-            if self.cuts.connected_without(bridge, s, t) {
-                self.ctx.traffic.demand(s, t)
-            } else {
-                0.0
-            }
-        };
+        let stranded = self.stranded(bridge, &mut buf.piece);
+        let Buffers { piece, demand, load, .. } = buf;
+        let traffic = |s, t| if piece[s] == piece[t] { self.ctx.traffic.demand(s, t) } else { 0.0 };
         let routing = self.routing;
         for s in 0..routing.n() {
             push_down(
                 s,
                 routing.dist(s),
                 routing.parent(s),
-                &self.order[s],
+                self.tables.order.row(s),
                 &traffic,
-                &mut buf.demand,
-                |p, v, d| buf.load[self.edge(p, v)] += d,
+                demand,
+                |p, v, d| load[self.edge(p, v)] += d,
             )
             .expect("stranded demands zeroed, remaining pairs routable");
         }
-        cross_cut_demand(&self.cuts, bridge, self.ctx)
+        stranded
     }
 
     /// Fills `buf.load` for the failure of the non-bridge `{u, v}` and
@@ -411,11 +535,12 @@ impl<'a> Sweep<'a> {
         let mut stretch_count = 0usize;
         let routing = self.routing;
         csr.with_edge_cut(u, v, |csr| {
-            for (s, targets) in self.stretch_targets.iter().enumerate() {
+            for s in 0..routing.n() {
+                let targets = self.tables.stretch_targets.row(s);
                 stretch_count += targets.len();
                 let base_dist = routing.dist(s);
                 if !self.touches(s, (u, v)) {
-                    for &(e, d) in &self.contrib[s] {
+                    for &(e, d) in self.tables.contrib.row(s) {
                         load[e] += d;
                     }
                     // Unchanged route: each term is `dist / dist`, exactly 1.
@@ -467,24 +592,24 @@ impl<'a> Sweep<'a> {
         repair.run(csr, diff, s, dist, parent, &mut tie_free).in_place
     }
 
-    /// Maximum utilization and overloaded-link count of `load` over the
-    /// links that survive the failure of `failed`.
-    fn utilization(&self, failed: (usize, usize), load: &[f64]) -> (f64, usize) {
+    /// Maximum utilization of `load` over the links that survive the
+    /// failure of `failed` (every link for `None`), and the number of
+    /// them it overloads when the sweep reports overloads (0 otherwise).
+    fn utilization(&self, failed: Option<(usize, usize)>, load: &[f64]) -> (f64, usize) {
         let mut max_util = 0.0f64;
         let mut overloaded = 0usize;
-        for ((&edge, &load), &installed) in self.edges.iter().zip(load).zip(&self.capacity) {
-            if edge == failed {
+        let t = self.tables;
+        for ((&edge, &load), &installed) in t.edges.iter().zip(load).zip(&t.capacity) {
+            if Some(edge) == failed {
                 continue;
             }
             if installed > 0.0 {
                 let util = load / installed;
                 max_util = max_util.max(util);
-                if util > 1.0 + 1e-9 {
-                    overloaded += 1;
-                }
+                overloaded += usize::from(self.report && util > 1.0 + 1e-9);
             } else if load > 0.0 {
                 // Link carried nothing before (zero capacity) but does now.
-                overloaded += 1;
+                overloaded += usize::from(self.report);
                 max_util = f64::INFINITY;
             }
         }
@@ -832,14 +957,15 @@ mod tests {
         let (routing, _, _) = reroute(&topo, &ctx, ctx.traffic_fn());
         let params = CostParams::paper(1e-3, 0.0).with_overprovision(overprovision);
         let net = Network::build(topo, &ctx, params).expect("every family routes its demand");
-        let (bounded, skipped) = bounded_worst(&routing, &ctx, overprovision, weigh);
+        let buffers = &mut SweepBuffers::default();
+        let (bounded, visits) = bounded_worst(&routing, &ctx, overprovision, weigh, buffers);
         let full = failure_impact(&single_link_failures(&net, &ctx));
         prop_assert_eq!(bounded.to_bits(), full.to_bits(), "{:?} layout {}", family, layout);
         prop_assert_eq!(
-            worst_failure(&routing, &ctx, overprovision, weigh).to_bits(),
+            worst_failure(&routing, &ctx, overprovision, weigh, buffers).to_bits(),
             full.to_bits()
         );
-        Ok(skipped)
+        Ok(visits.bridge_skipped + visits.nonbridge_skipped)
     }
 
     proptest! {
@@ -884,9 +1010,10 @@ mod tests {
         let ctx = square_ctx();
         let topo = AdjacencyMatrix::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]).unwrap();
         let net = Network::build(topo, &ctx, CostParams::paper(1e-3, 0.0)).unwrap();
-        let (worst, skipped) = bounded_worst(&net.plan.routing, &ctx, 1.0, weigh);
+        let buffers = &mut SweepBuffers::default();
+        let (worst, visits) = bounded_worst(&net.plan.routing, &ctx, 1.0, weigh, buffers);
         assert!(worst > UTILIZATION_WEIGHT, "the bridge dominates: {worst}");
-        assert_eq!(skipped, 3, "no non-bridge failure is visited");
+        assert_eq!(visits.nonbridge_skipped, 3, "no non-bridge failure is visited");
         let full = failure_impact(&single_link_failures(&net, &ctx));
         assert_eq!(worst.to_bits(), full.to_bits());
     }
@@ -899,11 +1026,119 @@ mod tests {
         let ring = AdjacencyMatrix::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
         let params = CostParams::paper(1e-3, 0.0).with_overprovision(4.0);
         let net = Network::build(ring, &ctx, params).unwrap();
-        let (worst, skipped) = bounded_worst(&net.plan.routing, &ctx, 4.0, weigh);
+        let buffers = &mut SweepBuffers::default();
+        let (worst, visits) = bounded_worst(&net.plan.routing, &ctx, 4.0, weigh, buffers);
         assert!(worst < UTILIZATION_WEIGHT, "no failure reaches the cap: {worst}");
-        assert_eq!(skipped, 0);
+        assert_eq!(visits.nonbridge_skipped, 0);
         let full = failure_impact(&single_link_failures(&net, &ctx));
         assert_eq!(worst.to_bits(), full.to_bits());
+    }
+
+    /// Every bridge failure of one random case weighs at most its bound
+    /// `weigh(stranded, U0)`, and its peak utilization stays at or below
+    /// the base plan's `U0`. Returns how many bridges the case has.
+    fn check_bridge_bound(
+        seed: u64,
+        family: Family,
+        layout: u8,
+        zero_demand: bool,
+        overprovision: f64,
+    ) -> Result<usize, TestCaseError> {
+        let mut ctx = random_context(20, seed, layout, zero_demand);
+        let topo = random_topology(family, &mut ctx, seed);
+        let (routing, _, _) = reroute(&topo, &ctx, ctx.traffic_fn());
+        let (mut tables, mut buf) = (Tables::default(), Buffers::default());
+        let capacity = Capacity::Provisioned(overprovision);
+        let sweep = Sweep::new(&routing, &ctx, capacity, &mut tables, &mut buf);
+        let peak = sweep.utilization(None, &sweep.tables.load).0;
+        for &bridge in &sweep.cuts.bridges {
+            let stranded = sweep.fraction(sweep.stranded(bridge, &mut Vec::new()));
+            let impact = sweep.fail(bridge, &mut buf);
+            let case = format!("{family:?} layout {layout} O {overprovision} bridge {bridge:?}");
+            prop_assert_eq!(stranded.to_bits(), impact.stranded_traffic_fraction.to_bits());
+            prop_assert!(impact.max_utilization <= peak, "{}: above U0 {}", case, peak);
+            prop_assert!(
+                weigh(stranded, impact.max_utilization) <= weigh(stranded, peak),
+                "{}",
+                case
+            );
+        }
+        Ok(sweep.cuts.bridges.len())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn every_bridge_failure_weighs_at_most_its_bound(
+            seed in 0u64..10_000,
+            family in family(),
+            layout in 0u8..3,
+            zero_demand in any::<bool>(),
+            overprovision in overprovision(),
+        ) {
+            check_bridge_bound(seed, family, layout, zero_demand, overprovision)?;
+        }
+    }
+
+    #[test]
+    fn every_family_and_layout_keeps_the_bridge_bound() {
+        // One of every family × layout × provisioning.
+        let mut bridges = 0;
+        for (i, &family) in FAMILIES.iter().enumerate() {
+            for layout in 0..3u8 {
+                for (j, overprovision) in [1.0, 4.0].into_iter().enumerate() {
+                    let seed = (i * 6 + layout as usize * 2 + j) as u64;
+                    let zero_demand = seed.is_multiple_of(2);
+                    bridges += check_bridge_bound(seed, family, layout, zero_demand, overprovision)
+                        .unwrap();
+                }
+            }
+        }
+        assert!(bridges > 0);
+    }
+
+    #[test]
+    fn a_leafy_network_visits_only_its_top_bridge() {
+        // A ring 0-1-2-3 with a three-PoP tail 0-4-5-6 and one leaf on
+        // each of 1, 2 and 3, all demands equal: cutting (0, 4) strands
+        // 3 of 10 PoPs (42/90 of the traffic), every other bridge at most
+        // 2 (32/90), so its bound cannot reach the top bridge's weight,
+        // and no non-bridge failure (at most 0.1) can either.
+        let points = [
+            (0.0, 0.0),
+            (4.0, 0.0),
+            (4.0, 4.0),
+            (0.0, 4.0),
+            (-2.0, -1.0),
+            (-4.0, -2.0),
+            (-6.0, -3.0),
+            (6.0, -1.0),
+            (6.0, 6.0),
+            (-1.0, 6.0),
+        ];
+        let ctx = Context::from_positions(
+            points.iter().map(|&(x, y)| Point::new(x, y)).collect(),
+            PopulationKind::Constant { value: 1.0 },
+            GravityModel::raw(),
+            0,
+        );
+        let edges =
+            [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (1, 7), (2, 8), (3, 9)];
+        let topo = AdjacencyMatrix::from_edges(10, &edges).unwrap();
+        let net = Network::build(topo, &ctx, CostParams::paper(1e-3, 0.0)).unwrap();
+        let buffers = &mut SweepBuffers::default();
+        let (worst, visits) = bounded_worst(&net.plan.routing, &ctx, 1.0, weigh, buffers);
+        let expected = Visits {
+            bridge_visited: 1,
+            bridge_skipped: 5,
+            nonbridge_visited: 0,
+            nonbridge_skipped: 4,
+        };
+        assert_eq!(visits, expected);
+        let report = single_link_failures(&net, &ctx);
+        assert_eq!(report.worst().unwrap().link, (0, 4));
+        assert_eq!(worst.to_bits(), failure_impact(&report).to_bits());
     }
 
     /// Checks the rows the sweep uses for every (source, non-bridge link)
@@ -911,7 +1146,9 @@ mod tests {
     /// distances by `to_bits`, parents exactly. Returns how many pairs
     /// were repaired in place and how many fell back.
     fn check_touched_rows(net: &Network, ctx: &Context, case: &str) -> (usize, usize) {
-        let sweep = Sweep::new(&net.plan.routing, ctx, Capacity::Links(&net.links));
+        let (mut tables, mut buf) = (Tables::default(), Buffers::default());
+        let capacity = Capacity::Links(&net.links);
+        let sweep = Sweep::new(&net.plan.routing, ctx, capacity, &mut tables, &mut buf);
         let mut csr = net.plan.routing.csr().clone();
         let (mut rows, mut fresh) = (Rows::default(), DijkstraWorkspace::new());
         let (mut repaired, mut rerouted) = (0, 0);

@@ -12,8 +12,13 @@
 //!    speedup carries over.
 //! 2. **Worst single-link-failure impact** — the worst link's stranded
 //!    traffic fraction plus a capped overload term (see [`weigh`] and
-//!    [`UTILIZATION_WEIGHT`]), folded by [`crate::failure::worst_failure`],
-//!    which stops once no unvisited failure can raise it.
+//!    [`UTILIZATION_WEIGHT`]), folded by [`crate::failure::worst_failure`].
+//!    The fold skips every failure whose bound the running worst already
+//!    reaches: `weigh(stranded, U0)` for a bridge (`U0` the candidate's
+//!    base peak utilization, about `1/O`) and `weigh(0, ∞)` for any other
+//!    link. It visits bridges by decreasing bound, then the other links by
+//!    decreasing base load, and the session keeps its buffers from one
+//!    candidate to the next.
 //! 3. **Demand-weighted mean path length** — the traffic-weighted route
 //!    length per unit of offered traffic, a propagation-delay proxy.
 //!
@@ -24,7 +29,7 @@
 //! archive; each front member is built into a full [`Network`].
 
 use crate::error::ColdError;
-use crate::failure::{worst_failure, FailureReport};
+use crate::failure::{worst_failure, FailureReport, SweepBuffers};
 use crate::objective::ColdObjective;
 use crate::synthesizer::{ColdConfig, RunOptions, SynthesisResult, TrialObjective, TrialSpec};
 use cold_context::Context;
@@ -92,6 +97,7 @@ impl<'a> ColdMultiObjective<'a> {
     fn price(
         &self,
         delta: &mut DeltaEval<'_>,
+        sweep: &mut SweepBuffers,
         topology: &AdjacencyMatrix,
         base: Option<&AdjacencyMatrix>,
     ) -> Vec<f64> {
@@ -100,7 +106,7 @@ impl<'a> ColdMultiObjective<'a> {
             .expect("GA repairs candidates before evaluation; topology must be connected");
         let Some(routing) = delta.routing() else { return vec![cost, f64::NAN, f64::NAN] };
         let ctx = self.context();
-        let impact = worst_failure(routing, ctx, self.params().overprovision, weigh);
+        let impact = worst_failure(routing, ctx, self.params().overprovision, weigh, sweep);
         let total = ctx.traffic.total();
         let delay = if total > 0.0 { routing.weighted() / total } else { 0.0 };
         vec![cost, impact, delay]
@@ -122,13 +128,15 @@ impl MultiObjective for ColdMultiObjective<'_> {
 
     /// Prices `topology` in a session of its own: one full routing pass.
     fn objectives(&self, topology: &AdjacencyMatrix) -> Vec<f64> {
-        self.price(&mut DeltaEval::new(self.context(), self.params()), topology, None)
+        let delta = &mut DeltaEval::new(self.context(), self.params());
+        self.price(delta, &mut SweepBuffers::default(), topology, None)
     }
 
     fn session(&self) -> Box<dyn MultiObjectiveSession + '_> {
         Box::new(ColdMultiSession {
             objective: self,
             delta: DeltaEval::new(self.context(), self.params()),
+            sweep: SweepBuffers::default(),
         })
     }
 
@@ -139,10 +147,12 @@ impl MultiObjective for ColdMultiObjective<'_> {
 
 /// Per-worker session: one [`DeltaEval`] prices build cost incrementally
 /// (bit-identical to a full evaluation), and the failure and delay
-/// objectives read the routing it leaves.
+/// objectives read the routing it leaves. The failure fold's buffers are
+/// kept from one candidate to the next.
 struct ColdMultiSession<'a> {
     objective: &'a ColdMultiObjective<'a>,
     delta: DeltaEval<'a>,
+    sweep: SweepBuffers,
 }
 
 impl MultiObjectiveSession for ColdMultiSession<'_> {
@@ -151,7 +161,7 @@ impl MultiObjectiveSession for ColdMultiSession<'_> {
         topology: &AdjacencyMatrix,
         base: Option<&AdjacencyMatrix>,
     ) -> Vec<f64> {
-        self.objective.price(&mut self.delta, topology, base)
+        self.objective.price(&mut self.delta, &mut self.sweep, topology, base)
     }
     fn delta_evals(&self) -> usize {
         self.delta.delta_evals()

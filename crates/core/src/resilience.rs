@@ -60,7 +60,7 @@ impl Objective for ResilientObjective<'_> {
         if self.bridge_cost == 0.0 {
             return base;
         }
-        let bridges = cut_structure(&topology.to_graph()).bridges.len();
+        let bridges = cut_structure(topology).bridges.len();
         base + self.bridge_cost * bridges as f64
     }
 
@@ -78,7 +78,8 @@ impl Objective for ResilientObjective<'_> {
 }
 
 /// Per-worker session: the inner objective's incremental evaluation plus
-/// the bridge penalty, which is cheap (one DFS) and recomputed per call.
+/// the bridge penalty, which is cheap (one DFS over the topology's bits)
+/// and recomputed per call.
 /// Bit-identical to [`ResilientObjective::cost`] because the inner session
 /// is bit-identical to the inner objective and the bridge term is a pure
 /// function of the topology.
@@ -93,7 +94,7 @@ impl ObjectiveSession for ResilientSession<'_> {
         if self.bridge_cost == 0.0 {
             return inner;
         }
-        let bridges = cut_structure(&topology.to_graph()).bridges.len();
+        let bridges = cut_structure(topology).bridges.len();
         inner + self.bridge_cost * bridges as f64
     }
     fn delta_evals(&self) -> usize {
@@ -123,16 +124,19 @@ pub struct Survivability {
 
 /// Analyzes a topology's survivability in a context.
 ///
-/// One Tarjan pass gives the bridges, the articulation points, the
-/// connectivity, and the two sides of every bridge, so the demand a bridge
-/// failure strands is summed without relabelling components per bridge.
+/// One Tarjan pass over the topology's bits gives the bridges, the
+/// articulation points, the connectivity, and the two sides of every
+/// bridge, so the demand a bridge failure strands is summed without
+/// relabelling components per bridge.
 pub fn survivability(topology: &AdjacencyMatrix, ctx: &Context) -> Survivability {
-    let cuts = cut_structure(&topology.to_graph());
+    let cuts = cut_structure(topology);
     let total_traffic = ctx.traffic.total();
     let mut worst = 0.0f64;
     if total_traffic > 0.0 {
+        let mut piece = Vec::new();
         for &bridge in &cuts.bridges {
-            worst = worst.max(cross_cut_demand(&cuts, bridge, ctx) / total_traffic);
+            cuts.pieces_without(bridge, &mut piece);
+            worst = worst.max(cross_cut_demand(&piece, ctx) / total_traffic);
         }
     }
     Survivability {

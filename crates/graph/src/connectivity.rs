@@ -11,8 +11,57 @@
 //! A *bridge* is a link whose failure disconnects the network; an
 //! *articulation point* is a PoP whose failure does. A connected network
 //! with no bridges is 2-edge-connected — it survives any single link cut.
+//!
+//! One DFS serves every graph layout ([`Neighbors`]): a [`Graph`], a
+//! routing's [`Csr`], or an [`AdjacencyMatrix`] read from its bits, so a
+//! caller holding either of the last two builds no `Graph` to find its
+//! bridges.
 
+use crate::adjacency::AdjacencyMatrix;
 use crate::graph::Graph;
+use crate::routing::Csr;
+
+/// Neighbour lists the cut DFS walks, one cursor per node.
+pub trait Neighbors {
+    /// Number of nodes.
+    fn node_count(&self) -> usize;
+
+    /// The first neighbour of `v` at cursor `cursor` or later, and the
+    /// cursor just past it. A node's walk starts at cursor 0.
+    fn next_neighbor(&self, v: usize, cursor: usize) -> Option<(usize, usize)>;
+}
+
+impl Neighbors for Graph {
+    fn node_count(&self) -> usize {
+        self.n()
+    }
+
+    fn next_neighbor(&self, v: usize, cursor: usize) -> Option<(usize, usize)> {
+        self.neighbors(v).get(cursor).map(|&w| (w, cursor + 1))
+    }
+}
+
+impl Neighbors for Csr {
+    fn node_count(&self) -> usize {
+        self.n()
+    }
+
+    fn next_neighbor(&self, v: usize, cursor: usize) -> Option<(usize, usize)> {
+        self.neighbors(v).get(cursor).map(|&w| (w, cursor + 1))
+    }
+}
+
+/// The cursor is the next candidate node id: the walk scans `v`'s pair
+/// bits in ascending order, O(n) per node over a whole DFS.
+impl Neighbors for AdjacencyMatrix {
+    fn node_count(&self) -> usize {
+        self.n()
+    }
+
+    fn next_neighbor(&self, v: usize, cursor: usize) -> Option<(usize, usize)> {
+        (cursor..self.n()).find(|&w| w != v && self.has_edge(v, w)).map(|w| (w, w + 1))
+    }
+}
 
 /// Bridges and articulation points of a graph, plus what the DFS that
 /// found them knows about the pieces a bridge failure leaves.
@@ -37,30 +86,34 @@ impl CutStructure {
         self.component.iter().max().map_or(0, |&c| c + 1)
     }
 
-    /// Whether `s` and `t` are in the same connected component.
-    fn connected(&self, s: usize, t: usize) -> bool {
-        self.component[s] == self.component[t]
-    }
-
     /// Whether `{u, v}` is a bridge.
     pub fn is_bridge(&self, u: usize, v: usize) -> bool {
         self.bridges.binary_search(&(u.min(v), u.max(v))).is_ok()
     }
 
-    /// Whether `s` and `t` are still connected once `bridge` fails.
+    /// Labels every node, into `piece`, by the piece of the graph it lies
+    /// in once `bridge` fails: two nodes stay connected exactly when their
+    /// labels are equal.
     ///
     /// A bridge is a DFS tree edge, and removing it splits off exactly the
-    /// DFS subtree of its child endpoint, so this is two interval tests
-    /// instead of a component labelling per bridge.
+    /// DFS subtree of its child endpoint, so a node's label is its
+    /// component and one interval test, not a component labelling per
+    /// bridge.
     ///
     /// # Panics
     /// Debug builds panic if `bridge` is not a bridge.
-    pub fn connected_without(&self, bridge: (usize, usize), s: usize, t: usize) -> bool {
+    pub fn pieces_without(&self, bridge: (usize, usize), piece: &mut Vec<usize>) {
         let (u, v) = bridge;
         debug_assert!(self.is_bridge(u, v), "({u},{v}) is not a bridge");
         let child = if self.enter[u] > self.enter[v] { u } else { v };
-        let below = |x: usize| (self.enter[child]..self.exit[child]).contains(&self.enter[x]);
-        self.connected(s, t) && below(s) == below(t)
+        let below = self.enter[child]..self.exit[child];
+        piece.clear();
+        piece.extend(
+            self.component
+                .iter()
+                .zip(&self.enter)
+                .map(|(&c, e)| 2 * c + usize::from(below.contains(e))),
+        );
     }
 
     /// Whether the graph is connected and has no bridges (survives any
@@ -73,8 +126,8 @@ impl CutStructure {
 
 /// Computes bridges and articulation points with an iterative Tarjan DFS
 /// (no recursion, so deep path graphs cannot overflow the stack).
-pub fn cut_structure(g: &Graph) -> CutStructure {
-    let n = g.n();
+pub fn cut_structure(g: &impl Neighbors) -> CutStructure {
+    let n = g.node_count();
     let mut disc = vec![usize::MAX; n];
     let mut low = vec![usize::MAX; n];
     let mut exit = vec![usize::MAX; n];
@@ -97,9 +150,8 @@ pub fn cut_structure(g: &Graph) -> CutStructure {
         timer += 1;
         let mut root_children = 0usize;
         while let Some(&mut (v, ref mut cursor)) = stack.last_mut() {
-            if *cursor < g.neighbors(v).len() {
-                let w = g.neighbors(v)[*cursor];
-                *cursor += 1;
+            if let Some((w, next)) = g.next_neighbor(v, *cursor) {
+                *cursor = next;
                 if disc[w] == usize::MAX {
                     parent[w] = v;
                     disc[w] = timer;
@@ -139,7 +191,7 @@ pub fn cut_structure(g: &Graph) -> CutStructure {
 
 /// Whether the graph is connected and has no bridges (survives any single
 /// link failure). Graphs with fewer than 2 nodes count as 2-edge-connected.
-pub fn is_two_edge_connected(g: &Graph) -> bool {
+pub fn is_two_edge_connected(g: &impl Neighbors) -> bool {
     cut_structure(g).is_two_edge_connected()
 }
 
@@ -224,15 +276,17 @@ mod tests {
         assert_eq!(c.components(), 2);
         assert!(!c.is_two_edge_connected());
         let m = g.to_adjacency_matrix();
+        let mut piece = Vec::new();
         for &(u, v) in &c.bridges {
             assert!(c.is_bridge(v, u));
             let mut cut = m.clone();
             cut.set_edge(u, v, false);
             let label = crate::components::matrix_components(&cut).label;
+            c.pieces_without((u, v), &mut piece);
             for s in 0..10 {
                 for t in 0..10 {
                     assert_eq!(
-                        c.connected_without((u, v), s, t),
+                        piece[s] == piece[t],
                         label[s] == label[t],
                         "bridge ({u},{v}), pair ({s},{t})"
                     );

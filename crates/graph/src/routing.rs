@@ -75,11 +75,27 @@ use std::collections::BinaryHeap;
 /// CSR adjacency with per-arc lengths, rebuilt once per topology so the n
 /// per-source Dijkstras read contiguous arrays instead of calling the
 /// length closure ~2m times each.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Csr {
     start: Vec<usize>,
     node: Vec<usize>,
     len: Vec<f64>,
+}
+
+impl Clone for Csr {
+    fn clone(&self) -> Self {
+        let mut c = Self::new();
+        c.clone_from(self);
+        c
+    }
+
+    /// Copies `source`'s arcs into this adjacency's buffers, reusing
+    /// their allocations.
+    fn clone_from(&mut self, source: &Self) {
+        self.start.clone_from(&source.start);
+        self.node.clone_from(&source.node);
+        self.len.clone_from(&source.len);
+    }
 }
 
 impl Csr {
@@ -167,6 +183,11 @@ impl Csr {
         self.node.len()
     }
 
+    /// The neighbors of `u`, in the graph's neighbor order.
+    pub fn neighbors(&self, u: usize) -> &[usize] {
+        &self.node[self.start[u]..self.start[u + 1]]
+    }
+
     /// The arcs out of `u` as `(neighbor, length)`, in the graph's
     /// neighbor order.
     pub fn arcs(&self, u: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
@@ -248,9 +269,7 @@ impl Clone for RoutingState {
     /// state's buffers, reusing their allocations (the scratch buffers
     /// are not copied).
     fn clone_from(&mut self, source: &Self) {
-        self.csr.start.clone_from(&source.csr.start);
-        self.csr.node.clone_from(&source.csr.node);
-        self.csr.len.clone_from(&source.csr.len);
+        self.csr.clone_from(&source.csr);
         self.dist.clone_from(&source.dist);
         self.parent.clone_from(&source.parent);
         self.tie_free.clone_from(&source.tie_free);

@@ -60,7 +60,9 @@ pub(crate) fn path_from_parents(
 }
 
 /// Max-heap entry ordered so the smallest `(dist, node)` pops first — the
-/// order of the Dijkstra body and of the tree repair.
+/// order of the Dijkstra body and of the tree repair. The comparisons are
+/// `#[inline]` so the heap loops inline them whichever codegen unit they
+/// land in.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HeapItem {
     /// Tentative distance.
@@ -70,17 +72,20 @@ pub(crate) struct HeapItem {
 }
 
 impl PartialEq for HeapItem {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for HeapItem {}
 impl PartialOrd for HeapItem {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 impl Ord for HeapItem {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the min element.
         other.dist.total_cmp(&self.dist).then_with(|| other.node.cmp(&self.node))

@@ -273,6 +273,21 @@ proptest! {
     }
 
     #[test]
+    fn every_layout_finds_the_same_cuts(m in arb_graph(12)) {
+        // The DFS runs on a `Graph`, a routing's CSR and the bits of the
+        // matrix alike; the graph's cuts are the brute-force-checked ones.
+        let expect = cold_graph::connectivity::cut_structure(&m.to_graph());
+        let mut csr = cold_graph::routing::Csr::new();
+        csr.build_matrix(&m, |_, _| 1.0);
+        for cuts in [cold_graph::connectivity::cut_structure(&csr),
+                     cold_graph::connectivity::cut_structure(&m)] {
+            prop_assert_eq!(&cuts.bridges, &expect.bridges);
+            prop_assert_eq!(&cuts.articulation_points, &expect.articulation_points);
+            prop_assert_eq!(cuts.is_two_edge_connected(), expect.is_two_edge_connected());
+        }
+    }
+
+    #[test]
     fn articulation_points_match_brute_force(m in arb_graph(8)) {
         let g = m.to_graph();
         let fast = cold_graph::connectivity::cut_structure(&g).articulation_points;
